@@ -50,8 +50,6 @@ def build_parser():
                          help="values (parsed as JSON when possible)")
     p_sweep.add_argument("--out", default=None, help="output directory")
     p_sweep.add_argument("--seed", type=int, default=None, help="override seed")
-    p_sweep.add_argument("--threads", type=int, default=1,
-                         help="parallel runs for the sweep")
     return parser
 
 
@@ -80,8 +78,7 @@ def main(argv=None):
                 cfg["seed"] = args.seed
             out = args.out or cfg.get("out_dir", "out")
             values = [_parse_value(v) for v in args.values]
-            summary = sweep_scenario(cfg, args.param, values, out,
-                                     threads=args.threads)
+            summary = sweep_scenario(cfg, args.param, values, out)
             print(json.dumps(summary, indent=2))
             return 0
         parser.error(f"unknown command {args.command}")

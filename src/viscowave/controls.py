@@ -232,12 +232,16 @@ class ControlBasis:
 
     def time_matrix(self, dt, n_steps):
         """Spline values sampled on the time grid, shape (n_tsplines, n_steps+1)."""
+        return self._sample_splines(dt, n_steps, 0)
+
+    def time_dmatrix(self, dt, n_steps):
+        """Spline time derivatives, in the layout of :meth:`time_matrix`."""
+        return self._sample_splines(dt, n_steps, 1)
+
+    def _sample_splines(self, dt, n_steps, which):
         t = dt * np.arange(n_steps + 1)
-        rows = []
-        for k in self.tsplines:
-            val, _ = _spline_pair(self.t_final, self.n_segments, k)
-            rows.append(val(t))
-        return np.asarray(rows)
+        return np.asarray([_spline_pair(self.t_final, self.n_segments, k)[which](t)
+                           for k in self.tsplines])
 
     def reversal_permutation(self):
         """perm with materialize(specs[perm[i]]) == time reversal of materialize(specs[i])."""

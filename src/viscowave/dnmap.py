@@ -18,7 +18,8 @@ import numpy as np
 
 from . import nonlinearity as nl
 from .controls import ControlBasis, ControlSpec, ExteriorControl, make_control, materialize
-from .solver import Trajectory, n_steps_for, solve_linear, solve_nonlinear, trapezoid_weights
+from .solver import (Trajectory, _expand_potential, n_steps_for, solve_linear,
+                     solve_nonlinear, trapezoid_weights)
 
 
 class DNMapError(ValueError):
@@ -132,38 +133,30 @@ def _basis_lists(control_basis, probe_basis):
         raise DNMapError("probe basis must live on window w2")
 
 
-def dn_matrix_linear(op, q, control_basis, probe_basis, dt, t_final, tag="",
-                     solver_kwargs=None):
+def _dn_matrix(op, solve, model, control_basis, probe_basis, dt, t_final, tag):
+    """Pairings of solve(op, model, control) for every control against every probe."""
+    _basis_lists(control_basis, probe_basis)
+    nt = n_steps_for(dt, t_final)
+    time_mat = probe_basis.time_matrix(dt, nt)
+    rows = []
+    for spec in control_basis.specs:
+        ctrl = materialize(spec, op.grid, dt, nt)
+        traj = solve(op, model, ctrl, dt, t_final)
+        rows.append(_pair_against_basis(op, traj, probe_basis, time_mat))
+    return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag,
+                    controls=list(control_basis.specs),
+                    probes=list(probe_basis.specs),
+                    pairings=np.asarray(rows))
+
+
+def dn_matrix_linear(op, q, control_basis, probe_basis, dt, t_final, tag=""):
     """Measurement matrix of the linear model: controls on w1, probes on w2."""
-    _basis_lists(control_basis, probe_basis)
-    nt = n_steps_for(dt, t_final)
-    time_mat = probe_basis.time_matrix(dt, nt)
-    rows = []
-    for spec in control_basis.specs:
-        ctrl = materialize(spec, op.grid, dt, nt)
-        traj = solve_linear(op, q, ctrl, dt, t_final, **(solver_kwargs or {}))
-        rows.append(_pair_against_basis(op, traj, probe_basis, time_mat))
-    return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag,
-                    controls=list(control_basis.specs),
-                    probes=list(probe_basis.specs),
-                    pairings=np.asarray(rows))
+    return _dn_matrix(op, solve_linear, q, control_basis, probe_basis, dt, t_final, tag)
 
 
-def dn_matrix_nonlinear(op, f, control_basis, probe_basis, dt, t_final, tag="",
-                        solver_kwargs=None):
+def dn_matrix_nonlinear(op, f, control_basis, probe_basis, dt, t_final, tag=""):
     """Measurement matrix of the nonlinear model."""
-    _basis_lists(control_basis, probe_basis)
-    nt = n_steps_for(dt, t_final)
-    time_mat = probe_basis.time_matrix(dt, nt)
-    rows = []
-    for spec in control_basis.specs:
-        ctrl = materialize(spec, op.grid, dt, nt)
-        traj = solve_nonlinear(op, f, ctrl, dt, t_final, **(solver_kwargs or {}))
-        rows.append(_pair_against_basis(op, traj, probe_basis, time_mat))
-    return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag,
-                    controls=list(control_basis.specs),
-                    probes=list(probe_basis.specs),
-                    pairings=np.asarray(rows))
+    return _dn_matrix(op, solve_nonlinear, f, control_basis, probe_basis, dt, t_final, tag)
 
 
 def _check_windows(phi1, phi2):
@@ -209,8 +202,9 @@ def alessandrini_residual(op, q1, q2, phi1, phi2, dt, t_final):
     _check_windows(phi1, phi2)
     nt = n_steps_for(dt, t_final)
     om = op.grid.omega
-    q1s, _ = _expand_q(q1, nt, om.size)
-    q2s, _ = _expand_q(q2, nt, om.size)
+    shape = (nt + 1, om.size)
+    q1s = np.broadcast_to(_expand_potential(q1, nt, om.size)[0], shape)
+    q2s = np.broadcast_to(_expand_potential(q2, nt, om.size)[0], shape)
 
     u1 = solve_linear(op, q1, phi1, dt, t_final)
     u2 = solve_linear(op, q2, phi2, dt, t_final)
@@ -223,19 +217,6 @@ def alessandrini_residual(op, q1, q2, phi1, phi2, dt, t_final):
                                  u1.u[:, om] - phi1.values[:, om],
                                  u2.u[:, om] - phi2.values[:, om])
     return lhs, rhs, abs(lhs - rhs)
-
-
-def _expand_q(q, nt, n_omega):
-    if q is None:
-        return np.zeros((nt + 1, n_omega)), True
-    q = np.asarray(q, dtype=float)
-    if q.ndim == 0:
-        return np.full((nt + 1, n_omega), float(q)), True
-    if q.ndim == 1:
-        return np.broadcast_to(q, (nt + 1, n_omega)).copy(), True
-    if q.shape != (nt + 1, n_omega):
-        raise DNMapError(f"potential shape {q.shape} != {(nt + 1, n_omega)}")
-    return q.copy(), False
 
 
 def nonlinear_integral_identity_residual(op, f1, f2, phi1, phi2, dt, t_final):

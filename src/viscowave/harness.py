@@ -66,7 +66,11 @@ def _merge(base, override):
 
 def load_config(path):
     with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
+        try:
+            raw = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            detail = " ".join(str(exc).split())  # one line for the CLI
+            raise ConfigError(f"{path}: malformed YAML: {detail}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     unknown = set(raw) - set(DEFAULTS)
@@ -84,11 +88,20 @@ def validate_config(cfg):
     if cfg["model"].get("kind") not in ("linear", "nonlinear"):
         raise ConfigError(f"model.kind must be linear or nonlinear, "
                           f"got {cfg['model'].get('kind')!r}")
-    if not 0.0 < float(cfg["s"]) < 1.0:
+    try:
+        s, dt, t_final = float(cfg["s"]), float(cfg["dt"]), float(cfg["t_final"])
+        level = float(cfg["noise"].get("level", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"s, dt, t_final and noise.level must be numbers: {exc}") from exc
+    if not 0.0 < s < 1.0:
         raise ConfigError(f"s={cfg['s']} outside (0, 1)")
-    if float(cfg["dt"]) <= 0 or float(cfg["t_final"]) <= 0:
+    if dt <= 0 or t_final <= 0:
         raise ConfigError("dt and t_final must be positive")
-    if float(cfg["noise"].get("level", 0.0)) < 0:
+    try:
+        n_steps_for(dt, t_final)
+    except SolverError as exc:
+        raise ConfigError(str(exc)) from exc
+    if level < 0:
         raise ConfigError("noise.level must be nonnegative")
 
 
@@ -461,22 +474,15 @@ def _set_by_path(cfg, dotted, value):
     node[parts[-1]] = value
 
 
-def sweep_scenario(cfg, param, values, out_dir, threads=1):
+def sweep_scenario(cfg, param, values, out_dir):
     """Run the scenario once per value of a dotted config parameter."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    def one(val):
+    reports = []
+    for val in values:
         sub = copy.deepcopy(cfg)
         _set_by_path(sub, param, val)
         validate_config(sub)
         sub_dir = os.path.join(out_dir, f"{param.replace('.', '_')}_{val}")
-        return run_scenario(sub, sub_dir)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one, values))
-    else:
-        reports = [one(v) for v in values]
+        reports.append(run_scenario(sub, sub_dir))
     summary = {
         "param": param,
         "values": list(values),

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .controls import ControlBasis, ControlError, ExteriorControl, time_bump
-from .dnmap import DNRecord
+from .dnmap import DNRecord, _pair_against_basis
 from .solver import n_steps_for, solve_linear, solve_nonlinear, trapezoid_weights
 
 
@@ -46,12 +46,6 @@ class RungeProblem:
     window: str
     alpha: float = 1e-10
     n_segments: int = 16
-
-    @property
-    def basis_dim(self):
-        from .controls import spline_indices
-
-        return len(spline_indices(self.n_segments))
 
 
 class BackgroundStates:
@@ -126,7 +120,7 @@ class BackgroundStates:
         values = np.zeros((nt + 1, n))
         dvalues = np.zeros((nt + 1, n))
         tm = self.basis.time_matrix(self.dt, nt)
-        dtm = self._time_dmatrix(nt)
+        dtm = self.basis.time_dmatrix(self.dt, nt)
         n_spl = len(self.basis.tsplines)
         for a, node in enumerate(self.basis.nodes):
             c_node = coeffs[a * n_spl:(a + 1) * n_spl]
@@ -135,15 +129,12 @@ class BackgroundStates:
         return ExteriorControl(values=values, dvalues=dvalues,
                                window=self.basis.window, dt=self.dt, spec=None)
 
-    def _time_dmatrix(self, n_steps):
-        from .controls import _spline_pair
 
-        t = self.dt * np.arange(n_steps + 1)
-        rows = []
-        for k in self.basis.tsplines:
-            _, dval = _spline_pair(self.t_final, self.basis.n_segments, k)
-            rows.append(dval(t))
-        return np.asarray(rows)
+def _synthesize_targets(bg, targets, alpha):
+    """Stacked bg.synthesize over the targets: coefficients, achieved states, errors."""
+    fields = (tgt.materialize(bg.op.grid, bg.dt, bg.n_steps) for tgt in targets)
+    coeffs, achieved, errors = zip(*(bg.synthesize(fld, alpha) for fld in fields))
+    return np.asarray(coeffs), np.asarray(achieved), errors
 
 
 def synthesize_control(op, q_background, problem, dt, t_final):
@@ -284,6 +275,25 @@ def _second_difference(n):
     return d2
 
 
+def _regularized_solve(kern, rhs, pen, alpha, what):
+    """Least squares kern x ~ rhs penalized by alpha * pen, via Cholesky.
+
+    alpha is dimensionless: pen is rescaled so its trace matches the Gram
+    matrix, and a 1e-12 relative ridge keeps the factorization defined.
+    """
+    gram = kern.T @ kern
+    n = gram.shape[0]
+    scale = np.trace(gram) / max(np.trace(pen), 1e-300)
+    ridge = 1e-12 * np.trace(gram) / max(n, 1)
+    mat = gram + alpha * scale * pen + ridge * np.eye(n)
+    try:
+        cho = cho_factor(mat)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"{what} normal equations failed",
+                                  np.linalg.cond(mat)) from exc
+    return cho_solve(cho, kern.T @ rhs)
+
+
 def recover_linear_potential(dn_data, dn_background, op, targets, alpha_inv,
                              dt, t_final, synth_alpha=1e-10, q_time_basis=None,
                              frame="direct", q_background=None):
@@ -315,22 +325,9 @@ def recover_linear_potential(dn_data, dn_background, op, targets, alpha_inv,
     bg1 = BackgroundStates(op, q_background, basis1, dt, t_final)
     bg2 = BackgroundStates(op, q_background, basis2, dt, t_final)
 
-    coeff1, achieved1, errs1 = [], [], []
-    coeff2, achieved2, errs2 = [], [], []
-    for tgt in targets:
-        field_t = tgt.materialize(grid, dt, n_steps)
-        c1, a1, e1 = bg1.synthesize(field_t, synth_alpha)
-        c2, a2, e2 = bg2.synthesize(field_t, synth_alpha)
-        coeff1.append(c1)
-        achieved1.append(a1)
-        errs1.append(e1)
-        coeff2.append(c2)
-        achieved2.append(a2)
-        errs2.append(e2)
-    coeff1 = np.asarray(coeff1)
-    coeff2 = np.asarray(coeff2)
-    achieved1 = np.asarray(achieved1)  # (n_targets, nt+1, n_omega)
-    achieved2 = np.asarray(achieved2)
+    # achieved states: (n_targets, nt+1, n_omega)
+    coeff1, achieved1, errs1 = _synthesize_targets(bg1, targets, synth_alpha)
+    coeff2, achieved2, errs2 = _synthesize_targets(bg2, targets, synth_alpha)
 
     perm = basis2.reversal_permutation()
     pdiff = dn_data.pairings - dn_background.pairings
@@ -364,21 +361,12 @@ def recover_linear_potential(dn_data, dn_background, op, targets, alpha_inv,
                              f"{[int(om[j]) for j in unresolved]}")
     covered = colnorm >= 1e-8 * colnorm.max()
 
-    gram = kern.T @ kern
     d2s = _second_difference(len(om))
     pen = np.kron(d2s.T @ d2s, np.eye(n_gamma))
     if n_gamma >= 3:
         d2t = _second_difference(n_gamma)
         pen = pen + np.kron(np.eye(len(om)), d2t.T @ d2t)
-    scale = np.trace(gram) / max(np.trace(pen), 1e-300)
-    ridge = 1e-12 * np.trace(gram) / gram.shape[0]
-    mat = gram + alpha_inv * scale * pen + ridge * np.eye(gram.shape[0])
-    try:
-        cho = cho_factor(mat)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError("inversion normal equations failed",
-                                  np.linalg.cond(mat)) from exc
-    qvec = cho_solve(cho, kern.T @ rhs)
+    qvec = _regularized_solve(kern, rhs, pen, alpha_inv, "inversion")
 
     qmat = qvec.reshape(len(om), n_gamma)
     if q_time_basis is None:
@@ -400,13 +388,6 @@ def recover_linear_potential(dn_data, dn_background, op, targets, alpha_inv,
                           diagnostics=diagnostics)
 
 
-def _pair_vector(op, traj, basis, time_mat):
-    """Pairings of one trajectory against every element of a probe basis."""
-    from .dnmap import _pair_against_basis
-
-    return _pair_against_basis(op, traj, basis, time_mat)
-
-
 def estimate_homogeneity_exponent(op, f, psi, basis2, eps_list, dt, t_final):
     """Homogeneity degree of the nonlinearity from the scaling of pairings.
 
@@ -421,13 +402,13 @@ def estimate_homogeneity_exponent(op, f, psi, basis2, eps_list, dt, t_final):
     lin = solve_linear(op, None, psi, dt, t_final)
     perm = basis2.reversal_permutation()
     time_mat = basis2.time_matrix(dt, n_steps)
-    p_lin = _pair_vector(op, lin, basis2, time_mat)[perm]
+    p_lin = _pair_against_basis(op, lin, basis2, time_mat)[perm]
     sizes = []
     for eps in eps_list:
         scaled = ExteriorControl(values=eps * psi.values, dvalues=eps * psi.dvalues,
                                  window=psi.window, dt=psi.dt, spec=None)
         nl = solve_nonlinear(op, f, scaled, dt, t_final)
-        p_nl = _pair_vector(op, nl, basis2, time_mat)[perm]
+        p_nl = _pair_against_basis(op, nl, basis2, time_mat)[perm]
         sizes.append(np.linalg.norm(p_nl - eps * p_lin))
     sizes = np.asarray(sizes)
     floor = 1e-10 * max(np.linalg.norm(p_lin) * max(eps_list), 1e-300)
@@ -460,20 +441,13 @@ def recover_nonlinear_coefficient(op, f, r_known, targets, eps0, alpha_inv,
     basis2 = ControlBasis(grid, "w2", t_final, n_segments)
     bg2 = BackgroundStates(op, None, basis2, dt, t_final)
 
-    coeff2, achieved2, errs2 = [], [], []
-    for tgt in targets:
-        c2, a2, e2 = bg2.synthesize(tgt.materialize(grid, dt, n_steps), synth_alpha)
-        coeff2.append(c2)
-        achieved2.append(a2)
-        errs2.append(e2)
-    coeff2 = np.asarray(coeff2)
-    achieved2 = np.asarray(achieved2)
+    coeff2, achieved2, errs2 = _synthesize_targets(bg2, targets, synth_alpha)
 
     lin = solve_linear(op, None, psi, dt, t_final)
     v0 = lin.u[:, om]
     perm = basis2.reversal_permutation()
     time_mat = basis2.time_matrix(dt, n_steps)
-    p_lin = _pair_vector(op, lin, basis2, time_mat)
+    p_lin = _pair_against_basis(op, lin, basis2, time_mat)
 
     r = float(r_known)
     moments = []
@@ -481,7 +455,7 @@ def recover_nonlinear_coefficient(op, f, r_known, targets, eps0, alpha_inv,
         scaled = ExteriorControl(values=eps * psi.values, dvalues=eps * psi.dvalues,
                                  window=psi.window, dt=psi.dt, spec=None)
         nl = solve_nonlinear(op, f, scaled, dt, t_final)
-        p_nl = _pair_vector(op, nl, basis2, time_mat)
+        p_nl = _pair_against_basis(op, nl, basis2, time_mat)
         d = coeff2 @ (p_nl - eps * p_lin)[perm]
         moments.append(d / eps ** (r + 1))
     w1, w2m = moments
@@ -496,19 +470,8 @@ def recover_nonlinear_coefficient(op, f, r_known, targets, eps0, alpha_inv,
     covered = colnorm >= coverage_floor * colnorm.max()
     values = np.full(len(om), np.nan)
     sub = zeta[:, covered]
-    gram = sub.T @ sub
-    n_cov = gram.shape[0]
-    d2 = _second_difference(n_cov)
-    pen = d2.T @ d2
-    scale = np.trace(gram) / max(np.trace(pen), 1e-300)
-    ridge = 1e-12 * np.trace(gram) / max(n_cov, 1)
-    mat = gram + alpha_inv * scale * pen + ridge * np.eye(n_cov)
-    try:
-        cho = cho_factor(mat)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError("moment normal equations failed",
-                                  np.linalg.cond(mat)) from exc
-    values[covered] = cho_solve(cho, sub.T @ y)
+    d2 = _second_difference(sub.shape[1])
+    values[covered] = _regularized_solve(sub, y, d2.T @ d2, alpha_inv, "moment")
 
     diagnostics = {
         "r": r,

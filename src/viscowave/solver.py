@@ -125,19 +125,17 @@ def _check_control(control, grid, dt, nt):
     return control.values, control.dvalues
 
 
-def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
-    """Integrate the linear equation with potential q and exterior control.
+def _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit):
+    """The shared trapezoidal step loop; returns read-only (u, v) histories.
 
-    q may be None, a scalar, a static omega vector, or (n_time_nodes, n_omega)
-    samples.  source/u0/v0 are interior fields (omega or full-grid layout).
-    Returns a :class:`Trajectory` whose exterior nodes carry the control
-    samples exactly.
+    Each step forms the explicit half of the update from the current state:
+    the flux of L over both grids, the source, and ``explicit(k, u_k, u_base)``
+    for the interior term, where u_base = u_k + dt/2 v_k on omega.
+    ``implicit(k, rhs, v_k, u_base)`` then returns the new interior velocity.
     """
     grid = op.grid
-    nt = n_steps_for(dt, t_final)
     om = grid.omega
     ext = grid.exterior
-    qs, q_static = _expand_potential(q, nt, om.size)
     h_src = _expand_field(source, nt, grid, "source")
     phi, dphi = _check_control(control, grid, dt, nt)
 
@@ -154,20 +152,7 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
     v[0, ext] = dphi[0, ext]
 
     L = op.matrix
-    Lom = op.omega_block
-    eye = np.eye(om.size)
-    base_mat = eye + (0.5 * dt + 0.25 * dt * dt) * Lom
-
-    factor = None
-    if q_static:
-        try:
-            factor = lu_factor(base_mat + 0.25 * dt * dt * np.diag(qs[0]))
-        except Exception as exc:  # pragma: no cover - singular static system
-            raise StepFailureError(0, f"factorization failed: {exc}")
-
     for k in range(nt):
-        qk = qs[0] if q_static else qs[k]
-        qk1 = qs[0] if q_static else qs[k + 1]
         u_base = np.zeros(n)
         u_base[om] = u[k, om] + 0.5 * dt * v[k, om]
         u_base[ext] = phi[k + 1, ext]
@@ -176,17 +161,11 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
 
         rhs = (v[k, om]
                - 0.5 * dt * ((u[k] + v[k] + u_base + v_base) @ L)[om]
-               - 0.5 * dt * (qk * u[k, om] + qk1 * u_base[om]))
+               - 0.5 * dt * explicit(k, u[k, om], u_base[om]))
         if h_src is not None:
             rhs = rhs + 0.5 * dt * (h_src[k] + h_src[k + 1])
 
-        if q_static:
-            w = lu_solve(factor, rhs)
-        else:
-            try:
-                w = np.linalg.solve(base_mat + 0.25 * dt * dt * np.diag(qk1), rhs)
-            except np.linalg.LinAlgError as exc:
-                raise StepFailureError(k + 1, f"linear solve failed: {exc}")
+        w = implicit(k, rhs, v[k, om], u_base[om])
         if not np.all(np.isfinite(w)):
             raise StepFailureError(k + 1, "non-finite interior update")
 
@@ -197,80 +176,83 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
 
     for arr in (u, v):
         arr.setflags(write=False)
+    return u, v
+
+
+def _step_matrix(op, dt):
+    """Interior step matrix I + (dt/2 + dt^2/4) L_omega, before the potential."""
+    return np.eye(op.grid.omega.size) + (0.5 * dt + 0.25 * dt * dt) * op.omega_block
+
+
+def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
+    """Integrate the linear equation with potential q and exterior control.
+
+    q may be None, a scalar, a static omega vector, or (n_time_nodes, n_omega)
+    samples.  source/u0/v0 are interior fields (omega or full-grid layout).
+    Returns a :class:`Trajectory` whose exterior nodes carry the control
+    samples exactly.
+    """
+    nt = n_steps_for(dt, t_final)
+    qs, q_static = _expand_potential(q, nt, op.grid.omega.size)
+    base_mat = _step_matrix(op, dt)
+
+    factor = None
+    if q_static:
+        try:
+            factor = lu_factor(base_mat + 0.25 * dt * dt * np.diag(qs[0]))
+        except Exception as exc:  # pragma: no cover - singular static system
+            raise StepFailureError(0, f"factorization failed: {exc}")
+
+    def explicit(k, u_k, u_base):
+        qk = qs[0] if q_static else qs[k]
+        qk1 = qs[0] if q_static else qs[k + 1]
+        return qk * u_k + qk1 * u_base
+
+    def implicit(k, rhs, v_k, u_base):
+        if q_static:
+            return lu_solve(factor, rhs)
+        try:
+            return np.linalg.solve(base_mat + 0.25 * dt * dt * np.diag(qs[k + 1]), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise StepFailureError(k + 1, f"linear solve failed: {exc}")
+
+    u, v = _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit)
     return Trajectory(u=u, v=v, dt=dt)
 
 
 def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None,
                     newton_tol=1e-10, newton_maxit=25):
     """Integrate with interior term f(x, u) via per-step Newton iterations."""
-    grid = op.grid
     nt = n_steps_for(dt, t_final)
-    om = grid.omega
-    ext = grid.exterior
-    h_src = _expand_field(source, nt, grid, "source")
-    phi, dphi = _check_control(control, grid, dt, nt)
-
-    n = grid.n_nodes
-    u = np.zeros((nt + 1, n))
-    v = np.zeros((nt + 1, n))
-    u0om = _expand_field(u0, nt, grid, "u0")
-    v0om = _expand_field(v0, nt, grid, "v0")
-    if u0om is not None:
-        u[0, om] = u0om
-    if v0om is not None:
-        v[0, om] = v0om
-    u[0, ext] = phi[0, ext]
-    v[0, ext] = dphi[0, ext]
-
-    L = op.matrix
+    om = op.grid.omega
     Lom = op.omega_block
-    eye = np.eye(om.size)
-    base_mat = eye + (0.5 * dt + 0.25 * dt * dt) * Lom
+    base_mat = _step_matrix(op, dt)
     iters = np.zeros(nt, dtype=int)
 
-    for k in range(nt):
-        fk = nl.apply(f, u[k, om], nodes=om)
-        u_base = np.zeros(n)
-        u_base[om] = u[k, om] + 0.5 * dt * v[k, om]
-        u_base[ext] = phi[k + 1, ext]
-        v_base = np.zeros(n)
-        v_base[ext] = dphi[k + 1, ext]
+    def explicit(k, u_k, u_base):
+        return nl.apply(f, u_k, nodes=om)
 
-        fixed = (v[k, om]
-                 - 0.5 * dt * ((u[k] + v[k] + u_base + v_base) @ L)[om]
-                 - 0.5 * dt * fk)
-        if h_src is not None:
-            fixed = fixed + 0.5 * dt * (h_src[k] + h_src[k + 1])
-
-        w = v[k, om].copy()
-        converged = False
+    def implicit(k, rhs, v_k, u_base):
+        w = v_k
         res_norm = np.inf
         for it in range(newton_maxit):
-            u_new = u_base[om] + 0.5 * dt * w
+            u_new = u_base + 0.5 * dt * w
             g = (w + (0.5 * dt + 0.25 * dt * dt) * (Lom @ w)
-                 + 0.5 * dt * nl.apply(f, u_new, nodes=om) - fixed)
+                 + 0.5 * dt * nl.apply(f, u_new, nodes=om) - rhs)
             res_norm = np.max(np.abs(g))
             if not np.isfinite(res_norm):
                 raise NewtonDivergenceError(k + 1, res_norm, it)
             if res_norm <= newton_tol:
                 iters[k] = it
-                converged = True
-                break
+                return w
             jac = base_mat + 0.25 * dt * dt * np.diag(nl.apply_derivative(f, u_new, nodes=om))
             try:
                 w = w - np.linalg.solve(jac, g)
             except np.linalg.LinAlgError as exc:
                 raise StepFailureError(k + 1, f"Newton linear solve failed: {exc}")
-        if not converged:
-            raise NewtonDivergenceError(k + 1, res_norm, newton_maxit)
+        raise NewtonDivergenceError(k + 1, res_norm, newton_maxit)
 
-        v[k + 1, om] = w
-        v[k + 1, ext] = dphi[k + 1, ext]
-        u[k + 1, om] = u_base[om] + 0.5 * dt * w
-        u[k + 1, ext] = phi[k + 1, ext]
-
-    for arr in (u, v):
-        arr.setflags(write=False)
+    u, v = _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit)
     return Trajectory(u=u, v=v, dt=dt, newton_iters=iters)
 
 

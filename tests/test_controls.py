@@ -117,6 +117,12 @@ def test_basis_layout_and_time_matrix(grid31):
     assert basis.specs[1].space_params[0] == basis.nodes[0]
     assert basis.specs[0].time_params[2] == 1
     assert basis.specs[1].time_params[2] == 2
+    # time-matrix rows are the samples of each element at its node
+    dtm = basis.time_dmatrix(0.02, 50)
+    node = basis.nodes[0]
+    for k, ctrl in enumerate(controls[:3]):
+        assert np.array_equal(ctrl.values[:, node], tm[k])
+        assert np.array_equal(ctrl.dvalues[:, node], dtm[k])
 
 
 def test_reversal_permutation_is_involution(grid31):

@@ -138,15 +138,23 @@ def test_energy_check_scenario_passes(tmp_path):
     assert report["metrics"]["max_relative_residual"] <= 1e-3
 
 
-def test_identity_check_scenario(tmp_path):
-    cfg = small_cfg(experiment={"kind": "identity-check",
-                                "variant": "self-adjoint"},
-                    model={"kind": "linear",
-                           "q": {"kind": "constant", "value": 0.5}},
-                    dt=0.005)
+LINEAR_Q = {"kind": "linear", "q": {"kind": "constant", "value": 0.5}}
+
+
+@pytest.mark.parametrize("variant, model, extra", [
+    ("self-adjoint", LINEAR_Q, {}),
+    ("alessandrini", LINEAR_Q, {"q2": {"kind": "gaussian", "amplitude": 0.3}}),
+    ("nonlinear-integral", {"kind": "nonlinear", "r": 2,
+                            "coeff": {"kind": "constant", "value": 1.0}}, {}),
+], ids=["self-adjoint", "alessandrini", "nonlinear-integral"])
+def test_identity_check_scenario(tmp_path, variant, model, extra):
+    cfg = small_cfg(experiment={"kind": "identity-check", "variant": variant,
+                                **extra},
+                    model=model, dt=0.005)
     report = run_scenario(cfg, str(tmp_path / "out"))
     assert report["passed"] is True
-    assert report["metrics"]["variant"] == "self-adjoint"
+    assert report["metrics"]["variant"] == variant
+    assert report["metrics"]["lhs"] != 0.0
 
 
 def test_invert_linear_reproducible_across_runs(tmp_path):
@@ -170,8 +178,7 @@ def test_invert_linear_reproducible_across_runs(tmp_path):
 
 def test_sweep_refines_energy_residual(tmp_path):
     cfg = small_cfg(experiment={"kind": "energy-check"})
-    summary = sweep_scenario(cfg, "dt", [0.02, 0.01], str(tmp_path / "sw"),
-                             threads=2)
+    summary = sweep_scenario(cfg, "dt", [0.02, 0.01], str(tmp_path / "sw"))
     assert (tmp_path / "sw" / "summary.json").exists()
     res = [m["max_relative_residual"] for m in summary["metrics"]]
     assert res[0] / res[1] == pytest.approx(4.0, rel=0.3)
@@ -219,6 +226,16 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
     assert main(["run", path2]) == 2
 
 
+@pytest.mark.parametrize("text", ["dt: [1\n", "dt: abc\n", "dt: 0.03\n"],
+                         ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final"])
+def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, text):
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_solver_failure_exit_one(tmp_path, capsys):
     path = write_yaml(tmp_path / "c.yaml", {
         "grid": {"n_nodes": 31}, "dt": 0.02,
@@ -256,7 +273,7 @@ def test_cli_sweep(tmp_path, capsys):
                       {"grid": {"n_nodes": 31}, "dt": 0.02,
                        "experiment": {"kind": "energy-check"}})
     code = main(["sweep", path, "--param", "dt", "--values", "0.02", "0.01",
-                 "--out", str(tmp_path / "sw"), "--threads", "2"])
+                 "--out", str(tmp_path / "sw")])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["values"] == [0.02, 0.01]

@@ -178,6 +178,24 @@ def test_nonlinear_matches_linear_for_zero_nonlinearity(op31, grid31):
     assert_allclose(a.v, b.v, atol=1e-12)
 
 
+def test_nonlinear_linear_power_matches_linear_with_shared_inputs(op31, grid31):
+    # f = q u (r = 0): the Newton path must reproduce the linear path with
+    # the same potential, source and initial data.
+    om = grid31.omega
+    q = 0.4 * interior_bump(grid31)[om]
+    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
+    theta = np.sin(np.pi * DT * np.arange(NT + 1))
+    source = np.outer(theta, interior_bump(grid31, center=0.3)[om])
+    kwargs = dict(source=source, u0=interior_bump(grid31),
+                  v0=0.5 * interior_bump(grid31, center=0.7))
+    a = solve_linear(op31, q, ctl, DT, T_FINAL, **kwargs)
+    b = solve_nonlinear(op31, power_nonlinearity(q, 0), ctl, DT, T_FINAL, **kwargs)
+    assert np.abs(a.u[:, om]).max() > 0.1
+    assert_allclose(a.u, b.u, atol=1e-12)
+    assert_allclose(a.v, b.v, atol=1e-12)
+    assert b.newton_iters.max() == 1
+
+
 def test_nonlinear_amplitude_scaling_cubic(op31, grid31):
     # r = 2: || S(eps phi) - eps S_lin(phi) || = O(eps^3)
     f = power_nonlinearity(1.0, 2)
