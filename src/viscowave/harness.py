@@ -82,6 +82,9 @@ def load_config(path):
 
 
 def validate_config(cfg):
+    for key, default in DEFAULTS.items():
+        if isinstance(default, dict) and not isinstance(cfg[key], dict):
+            raise ConfigError(f"{key} must be a mapping, got {cfg[key]!r}")
     if cfg["experiment"].get("kind") not in EXPERIMENTS:
         raise ConfigError(f"experiment.kind must be one of {EXPERIMENTS}, "
                           f"got {cfg['experiment'].get('kind')!r}")
@@ -93,6 +96,11 @@ def validate_config(cfg):
         level = float(cfg["noise"].get("level", 0.0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"s, dt, t_final and noise.level must be numbers: {exc}") from exc
+    for name, value in (("grid.n_nodes", cfg["grid"]["n_nodes"]), ("seed", cfg["seed"])):
+        try:
+            int(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
     if not 0.0 < s < 1.0:
         raise ConfigError(f"s={cfg['s']} outside (0, 1)")
     if dt <= 0 or t_final <= 0:

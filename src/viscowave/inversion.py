@@ -78,6 +78,7 @@ class BackgroundStates:
         self.gram = 0.5 * (self.gram + self.gram.T)
         self._sw_flat = sw.reshape(len(basis), -1)
         self.control_gram = self._control_gram()
+        self._factors = {}  # synthesis Cholesky factors by alpha
 
     def _control_gram(self):
         tm = self.basis.time_matrix(self.dt, self.n_steps)
@@ -99,19 +100,26 @@ class BackgroundStates:
                 f"({self.n_steps + 1}, {len(self.op.grid.omega)})")
         k_target = target @ (self.op.grid.h * self.op.omega_block)
         b = self._sw_flat @ k_target.reshape(-1)
-        scale = np.trace(self.gram) / np.trace(self.control_gram)
-        mat = self.gram + alpha * scale * self.control_gram
-        try:
-            cho = cho_factor(mat)
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedError("control normal equations failed",
-                                      np.linalg.cond(mat)) from exc
-        coeffs = cho_solve(cho, b)
+        coeffs = cho_solve(self._synthesis_factor(alpha), b)
         achieved = np.tensordot(coeffs, self.states, axes=(0, 0))
         diff = achieved - target
         err2 = np.sum(self.time_weights
                       * np.einsum("tj,tj->t", diff, diff @ (self.op.grid.h * self.op.omega_block)))
         return coeffs, achieved, np.sqrt(max(err2, 0.0))
+
+    def _synthesis_factor(self, alpha):
+        """Cholesky factor of gram + alpha * scale * control_gram, once per alpha."""
+        cho = self._factors.get(alpha)
+        if cho is None:
+            scale = np.trace(self.gram) / np.trace(self.control_gram)
+            mat = self.gram + alpha * scale * self.control_gram
+            try:
+                cho = cho_factor(mat)
+            except np.linalg.LinAlgError as exc:
+                raise IllConditionedError("control normal equations failed",
+                                          np.linalg.cond(mat)) from exc
+            self._factors[alpha] = cho
+        return cho
 
     def control_from_coeffs(self, coeffs):
         """Assemble the synthesized exterior control Sum_m c_m * element_m."""

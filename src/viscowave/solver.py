@@ -8,10 +8,13 @@ The second-order equation
 
 with L the assembled fractional Laplacian, is integrated as a first-order
 system (u, v = u_t) with the trapezoidal rule.  Exterior nodes are pinned
-strongly to the control samples and their time derivatives; interior updates
-solve a dense symmetric system per step (factored once when the potential is
-time-independent).  Nonlinear runs replace q u by f(x, u) and solve each step
-with a Newton iteration on the same Jacobian structure.
+strongly to the control samples and their time derivatives, for all steps
+before the loop; interior updates solve a dense symmetric system per step on
+the contiguous omega slice (LU-factored once when the potential is
+time-independent, each step then one LAPACK ``getrs``).  Nonlinear runs
+replace q u by f(x, u) and solve each step with a Newton iteration on the
+same Jacobian structure.  A non-finite interior update is reported, by the
+first step that produced one, after the last step.
 """
 
 import csv
@@ -19,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from . import nonlinearity as nl
 from .operator import norm_l2, seminorm_hs
@@ -132,9 +136,18 @@ def _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit):
     the flux of L over both grids, the source, and ``explicit(k, u_k, u_base)``
     for the interior term, where u_base = u_k + dt/2 v_k on omega.
     ``implicit(k, rhs, v_k, u_base)`` then returns the new interior velocity.
+
+    The loop body touches only the contiguous omega slice: the exterior rows
+    are pinned, and the exterior part of the flux argument is formed, for all
+    steps before the loop.  The flux is still the full-vector product with L,
+    whose summation order would change if it were cut to L's omega columns.
+    Non-finite updates are looked for once, after the last step.
     """
     grid = op.grid
     om = grid.omega
+    lo, hi = int(om[0]), int(om[-1]) + 1
+    if not np.array_equal(om, np.arange(lo, hi)):
+        raise SolverError("omega must be a contiguous range of nodes")
     ext = grid.exterior
     h_src = _expand_field(source, nt, grid, "source")
     phi, dphi = _check_control(control, grid, dt, nt)
@@ -145,35 +158,34 @@ def _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit):
     u0om = _expand_field(u0, nt, grid, "u0")
     v0om = _expand_field(v0, nt, grid, "v0")
     if u0om is not None:
-        u[0, om] = u0om
+        u[0, lo:hi] = u0om
     if v0om is not None:
-        v[0, om] = v0om
-    u[0, ext] = phi[0, ext]
-    v[0, ext] = dphi[0, ext]
+        v[0, lo:hi] = v0om
+    u[:, ext] = phi[:, ext]
+    v[:, ext] = dphi[:, ext]
+    # flux argument u_k + v_k + u_base + v_base of step k; its exterior part
+    # is summed in that order, and v_base vanishes on omega
+    flux_arg = np.zeros((nt, n))
+    flux_arg[:, ext] = ((phi[:-1, ext] + dphi[:-1, ext]) + phi[1:, ext]) + dphi[1:, ext]
 
     L = op.matrix
+    hdt = 0.5 * dt
     for k in range(nt):
-        u_base = np.zeros(n)
-        u_base[om] = u[k, om] + 0.5 * dt * v[k, om]
-        u_base[ext] = phi[k + 1, ext]
-        v_base = np.zeros(n)
-        v_base[ext] = dphi[k + 1, ext]
-
-        rhs = (v[k, om]
-               - 0.5 * dt * ((u[k] + v[k] + u_base + v_base) @ L)[om]
-               - 0.5 * dt * explicit(k, u[k, om], u_base[om]))
+        u_k = u[k, lo:hi]
+        v_k = v[k, lo:hi]
+        x = flux_arg[k]
+        u_base = u_k + hdt * v_k
+        x[lo:hi] = (u_k + v_k) + u_base
+        rhs = v_k - hdt * (x @ L)[lo:hi] - hdt * explicit(k, u_k, u_base)
         if h_src is not None:
-            rhs = rhs + 0.5 * dt * (h_src[k] + h_src[k + 1])
+            rhs = rhs + hdt * (h_src[k] + h_src[k + 1])
+        w = implicit(k, rhs, v_k, u_base)
+        v[k + 1, lo:hi] = w
+        u[k + 1, lo:hi] = u_base + hdt * w
 
-        w = implicit(k, rhs, v[k, om], u_base[om])
-        if not np.all(np.isfinite(w)):
-            raise StepFailureError(k + 1, "non-finite interior update")
-
-        v[k + 1, om] = w
-        v[k + 1, ext] = dphi[k + 1, ext]
-        u[k + 1, om] = u_base[om] + 0.5 * dt * w
-        u[k + 1, ext] = phi[k + 1, ext]
-
+    bad = ~np.all(np.isfinite(v[1:, lo:hi]), axis=1)
+    if bad.any():
+        raise StepFailureError(int(np.argmax(bad)) + 1, "non-finite interior update")
     for arr in (u, v):
         arr.setflags(write=False)
     return u, v
@@ -196,25 +208,31 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
     qs, q_static = _expand_potential(q, nt, op.grid.omega.size)
     base_mat = _step_matrix(op, dt)
 
-    factor = None
     if q_static:
         try:
-            factor = lu_factor(base_mat + 0.25 * dt * dt * np.diag(qs[0]))
-        except Exception as exc:  # pragma: no cover - singular static system
+            lu, piv = lu_factor(base_mat + 0.25 * dt * dt * np.diag(qs[0]))
+        except Exception as exc:  # lu_factor rejects a non-finite matrix
             raise StepFailureError(0, f"factorization failed: {exc}")
+        q0 = qs[0]
 
-    def explicit(k, u_k, u_base):
-        qk = qs[0] if q_static else qs[k]
-        qk1 = qs[0] if q_static else qs[k + 1]
-        return qk * u_k + qk1 * u_base
+        def explicit(k, u_k, u_base):
+            return q0 * u_k + q0 * u_base
 
-    def implicit(k, rhs, v_k, u_base):
-        if q_static:
-            return lu_solve(factor, rhs)
-        try:
-            return np.linalg.solve(base_mat + 0.25 * dt * dt * np.diag(qs[k + 1]), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise StepFailureError(k + 1, f"linear solve failed: {exc}")
+        def implicit(k, rhs, v_k, u_base):
+            # the LAPACK solve behind lu_solve, without its per-call checks
+            w, info = dgetrs(lu, piv, rhs, overwrite_b=True)
+            if info:
+                raise StepFailureError(k + 1, f"getrs returned info={info}")
+            return w
+    else:
+        def explicit(k, u_k, u_base):
+            return qs[k] * u_k + qs[k + 1] * u_base
+
+        def implicit(k, rhs, v_k, u_base):
+            try:
+                return np.linalg.solve(base_mat + 0.25 * dt * dt * np.diag(qs[k + 1]), rhs)
+            except np.linalg.LinAlgError as exc:
+                raise StepFailureError(k + 1, f"linear solve failed: {exc}")
 
     u, v = _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit)
     return Trajectory(u=u, v=v, dt=dt)
@@ -334,15 +352,19 @@ def _cumtrapz(y, dt):
 
 
 def trajectory_to_csv(traj, grid, path):
-    """One row per (time node, grid node) pair: t,node,x,u,v."""
+    """One row per (time node, grid node) pair: t,node,x,u,v.
+
+    Floats are written with ``repr`` and lines end in ``\\r\\n``, the text
+    ``csv.writer`` gives, so the file reads back bit for bit; each time node
+    is written as one string.
+    """
+    node_x = [f"{i},{x!r}," for i, x in enumerate(grid.x.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "x", "u", "v"])
-        for k, tk in enumerate(traj.t):
-            for i in range(grid.n_nodes):
-                writer.writerow([repr(float(tk)), i, repr(float(grid.x[i])),
-                                 repr(float(traj.u[k, i])),
-                                 repr(float(traj.v[k, i]))])
+        fh.write("t,node,x,u,v\r\n")
+        for k, tk in enumerate(traj.t.tolist()):
+            t_ = f"{tk!r},"
+            fh.write("".join([f"{t_}{p}{a!r},{b!r}\r\n" for p, a, b
+                              in zip(node_x, traj.u[k].tolist(), traj.v[k].tolist())]))
 
 
 def trajectory_from_csv(path):

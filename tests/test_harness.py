@@ -226,8 +226,11 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
     assert main(["run", path2]) == 2
 
 
-@pytest.mark.parametrize("text", ["dt: [1\n", "dt: abc\n", "dt: 0.03\n"],
-                         ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final"])
+@pytest.mark.parametrize("text", ["dt: [1\n", "dt: abc\n", "dt: 0.03\n", "experiment: 3\n",
+                                  "grid: {n_nodes: abc}\n", "seed: abc\n"],
+                         ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
+                              "non-mapping-section", "non-numeric-n_nodes",
+                              "non-numeric-seed"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, text):
     path = tmp_path / "c.yaml"
     path.write_text(text)

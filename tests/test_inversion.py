@@ -67,6 +67,29 @@ def test_synthesis_error_nondecreasing_in_alpha(op31, grid31):
     assert np.all(np.diff(errs) >= -1e-12 * errs[-1])
 
 
+def test_synthesis_factors_once_per_alpha(op31, grid31, monkeypatch):
+    from viscowave import inversion
+
+    target = gaussian_target(grid31, NT)
+    basis = ControlBasis(grid31, "w1", T_FINAL, 8)
+    bg = BackgroundStates(op31, None, basis, DT, T_FINAL)
+    factored = []
+    real_factor = inversion.cho_factor
+
+    def counting_factor(a, *args, **kwargs):
+        factored.append(a)
+        return real_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(inversion, "cho_factor", counting_factor)
+    bg.synthesize(target, 1e-10)
+    reused = bg.synthesize(0.5 * target, 1e-10)
+    bg.synthesize(target, 1e-6)
+    assert len(factored) == 2
+    fresh = BackgroundStates(op31, None, basis, DT, T_FINAL).synthesize(0.5 * target, 1e-10)
+    for a, b in zip(reused, fresh):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_large_alpha_suppresses_control(op31, grid31):
     target = gaussian_target(grid31, NT)
     basis = ControlBasis(grid31, "w1", T_FINAL, 16)

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import lu_factor, lu_solve
 
-from viscowave import (NewtonDivergenceError, SolverError, bump_control,
-                       dualnorm_hminus, energy_ledger, norm_l2,
+from viscowave import (NewtonDivergenceError, SolverError, StepFailureError,
+                       bump_control, dualnorm_hminus, energy_ledger, norm_l2,
                        power_nonlinearity, seminorm_hs, solve_linear,
                        solve_linearized, solve_nonlinear, trajectory_from_csv,
                        trajectory_to_csv, zero_nonlinearity)
-from viscowave.solver import n_steps_for, trapezoid_weights
+from viscowave import solver
+from viscowave.solver import (_check_control, _expand_field, _expand_potential,
+                              _step_matrix, n_steps_for, trapezoid_weights)
 
 DT, NT = 0.02, 50
 T_FINAL = 1.0
@@ -283,3 +286,141 @@ def test_trajectory_csv_round_trip(op31, grid31, tmp_path):
     assert np.array_equal(loaded.u, traj.u)
     assert np.array_equal(loaded.v, traj.v)
     assert loaded.dt == traj.dt
+
+
+# ------------------------------------- reference: the step loop before its rewrite
+
+
+def _reference_crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit):
+    """The step loop as it stood before the omega-slice rewrite, kept verbatim."""
+    grid = op.grid
+    om = grid.omega
+    ext = grid.exterior
+    h_src = _expand_field(source, nt, grid, "source")
+    phi, dphi = _check_control(control, grid, dt, nt)
+
+    n = grid.n_nodes
+    u = np.zeros((nt + 1, n))
+    v = np.zeros((nt + 1, n))
+    u0om = _expand_field(u0, nt, grid, "u0")
+    v0om = _expand_field(v0, nt, grid, "v0")
+    if u0om is not None:
+        u[0, om] = u0om
+    if v0om is not None:
+        v[0, om] = v0om
+    u[0, ext] = phi[0, ext]
+    v[0, ext] = dphi[0, ext]
+
+    L = op.matrix
+    for k in range(nt):
+        u_base = np.zeros(n)
+        u_base[om] = u[k, om] + 0.5 * dt * v[k, om]
+        u_base[ext] = phi[k + 1, ext]
+        v_base = np.zeros(n)
+        v_base[ext] = dphi[k + 1, ext]
+
+        rhs = (v[k, om]
+               - 0.5 * dt * ((u[k] + v[k] + u_base + v_base) @ L)[om]
+               - 0.5 * dt * explicit(k, u[k, om], u_base[om]))
+        if h_src is not None:
+            rhs = rhs + 0.5 * dt * (h_src[k] + h_src[k + 1])
+
+        w = implicit(k, rhs, v[k, om], u_base[om])
+        if not np.all(np.isfinite(w)):
+            raise StepFailureError(k + 1, "non-finite interior update")
+
+        v[k + 1, om] = w
+        v[k + 1, ext] = dphi[k + 1, ext]
+        u[k + 1, om] = u_base[om] + 0.5 * dt * w
+        u[k + 1, ext] = phi[k + 1, ext]
+
+    for arr in (u, v):
+        arr.setflags(write=False)
+    return u, v
+
+
+def _reference_solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
+    """solve_linear as it stood before the rewrite, minus its error wrapping:
+    lu_solve on every static step."""
+    nt = n_steps_for(dt, t_final)
+    qs, q_static = _expand_potential(q, nt, op.grid.omega.size)
+    base_mat = _step_matrix(op, dt)
+    factor = lu_factor(base_mat + 0.25 * dt * dt * np.diag(qs[0])) if q_static else None
+
+    def explicit(k, u_k, u_base):
+        qk = qs[0] if q_static else qs[k]
+        qk1 = qs[0] if q_static else qs[k + 1]
+        return qk * u_k + qk1 * u_base
+
+    def implicit(k, rhs, v_k, u_base):
+        if q_static:
+            return lu_solve(factor, rhs)
+        return np.linalg.solve(base_mat + 0.25 * dt * dt * np.diag(qs[k + 1]), rhs)
+
+    return _reference_crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit)
+
+
+def _assert_same_bytes(traj, ref_u, ref_v):
+    # tobytes, not array_equal: signed zeros must match too
+    assert traj.u.tobytes() == ref_u.tobytes()
+    assert traj.v.tobytes() == ref_v.tobytes()
+
+
+def _shared_inputs(grid):
+    om = grid.omega
+    theta = np.sin(np.pi * DT * np.arange(NT + 1))
+    u0 = interior_bump(grid)
+    u0[om[:3]] = -0.0
+    return dict(source=np.outer(theta, interior_bump(grid, center=0.3)[om]),
+                u0=u0, v0=0.5 * interior_bump(grid, center=0.7))
+
+
+def test_static_potential_matches_reference_loop_bitwise(op31, grid31):
+    q = 0.4 * interior_bump(grid31)[grid31.omega]
+    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
+    kwargs = _shared_inputs(grid31)
+    traj = solve_linear(op31, q, ctl, DT, T_FINAL, **kwargs)
+    _assert_same_bytes(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL, **kwargs))
+
+
+def test_time_dependent_potential_matches_reference_loop_bitwise(op31, grid31):
+    q = np.outer(DT * np.arange(NT + 1), 0.4 * interior_bump(grid31)[grid31.omega])
+    ctl = bump_control(grid31, "w2", 0.2, 0.9, DT, NT)
+    traj = solve_linear(op31, q, ctl, DT, T_FINAL)
+    _assert_same_bytes(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
+
+
+def test_nonlinear_matches_reference_loop_bitwise(op31, grid31, monkeypatch):
+    f = power_nonlinearity(1.0, 2)
+    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT, amplitude=0.5)
+    kwargs = _shared_inputs(grid31)
+    traj = solve_nonlinear(op31, f, ctl, DT, T_FINAL, **kwargs)
+    # the Newton step is unchanged, so the old loop around it is the reference
+    monkeypatch.setattr(solver, "_crank_nicolson", _reference_crank_nicolson)
+    ref = solve_nonlinear(op31, f, ctl, DT, T_FINAL, **kwargs)
+    assert ref.newton_iters.max() >= 1
+    _assert_same_bytes(traj, ref.u, ref.v)
+    assert np.array_equal(traj.newton_iters, ref.newton_iters)
+
+
+def test_non_finite_update_reports_its_first_step(op31, grid31):
+    om = grid31.omega
+    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
+    prof = 0.3 * interior_bump(grid31)[om]
+    q_t = np.outer(DT * np.arange(NT + 1), prof)
+    q_t[1:, 2] = np.nan
+    with pytest.raises(StepFailureError, match="non-finite") as err:
+        solve_linear(op31, q_t, ctl, DT, T_FINAL)
+    assert err.value.step == 1
+    # a NaN in a static potential is caught when the step matrix is factored
+    q = prof.copy()
+    q[2] = np.nan
+    with pytest.raises(StepFailureError, match="factorization") as err:
+        solve_linear(op31, q, ctl, DT, T_FINAL)
+    assert err.value.step == 0
+    # a NaN reaching the static back-solve later in the run
+    src = np.zeros((NT + 1, om.size))
+    src[6, 3] = np.nan
+    with pytest.raises(StepFailureError, match="non-finite") as err:
+        solve_linear(op31, prof, ctl, DT, T_FINAL, source=src)
+    assert err.value.step == 6
