@@ -7,6 +7,7 @@ B-splines whose supports stay strictly inside (0, T); the spline families are
 nested under dyadic refinement and map onto themselves under time reversal.
 """
 
+import functools
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -65,6 +66,17 @@ def _spline_pair(t_final, n_segments, index):
         return np.nan_to_num(db(t), nan=0.0)
 
     return value, deriv
+
+
+@functools.lru_cache(maxsize=128)
+def _spline_samples(t_final, n_segments, index, dt, n_steps):
+    """Read-only (values, derivatives) of a time spline at k*dt, k = 0..n_steps."""
+    value, deriv = _spline_pair(t_final, n_segments, index)
+    t = dt * np.arange(n_steps + 1)
+    samples = value(t), deriv(t)
+    for arr in samples:
+        arr.setflags(write=False)
+    return samples
 
 
 def spline_indices(n_segments):
@@ -170,12 +182,10 @@ def make_control(grid, values, dvalues, window, dt, spec=None):
 
 def materialize(spec, grid, dt, n_steps):
     """Sample a :class:`ControlSpec` on the time grid k*dt, k = 0..n_steps."""
-    t = dt * np.arange(n_steps + 1)
     if spec.time_kind == "bump":
-        tv, td = time_bump(t, *spec.time_params)
+        tv, td = time_bump(dt * np.arange(n_steps + 1), *spec.time_params)
     elif spec.time_kind == "spline":
-        val, der = _spline_pair(*spec.time_params)
-        tv, td = val(t), der(t)
+        tv, td = _spline_samples(*spec.time_params, dt, n_steps)
     else:
         raise ControlError(f"unknown time profile kind {spec.time_kind!r}")
     if spec.space_kind == "node":
@@ -227,9 +237,6 @@ class ControlBasis:
     def __len__(self):
         return len(self.specs)
 
-    def materialize_all(self, dt, n_steps):
-        return [materialize(sp, self.grid, dt, n_steps) for sp in self.specs]
-
     def time_matrix(self, dt, n_steps):
         """Spline values sampled on the time grid, shape (n_tsplines, n_steps+1)."""
         return self._sample_splines(dt, n_steps, 0)
@@ -239,8 +246,8 @@ class ControlBasis:
         return self._sample_splines(dt, n_steps, 1)
 
     def _sample_splines(self, dt, n_steps, which):
-        t = dt * np.arange(n_steps + 1)
-        return np.asarray([_spline_pair(self.t_final, self.n_segments, k)[which](t)
+        return np.asarray([_spline_samples(self.t_final, self.n_segments, k, dt,
+                                           n_steps)[which]
                            for k in self.tsplines])
 
     def reversal_permutation(self):

@@ -85,6 +85,12 @@ def validate_config(cfg):
     for key, default in DEFAULTS.items():
         if isinstance(default, dict) and not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must be a mapping, got {cfg[key]!r}")
+    # DEFAULTS lists every key of these sections; experiment and model keys
+    # depend on the kind
+    for key in ("grid", "regularization", "noise"):
+        unknown = set(cfg[key]) - set(DEFAULTS[key])
+        if unknown:
+            raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
     if cfg["experiment"].get("kind") not in EXPERIMENTS:
         raise ConfigError(f"experiment.kind must be one of {EXPERIMENTS}, "
                           f"got {cfg['experiment'].get('kind')!r}")

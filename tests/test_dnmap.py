@@ -99,8 +99,8 @@ def test_pair_against_basis_matches_loop(op31, grid31):
     traj = solve_linear(op31, None, ctl, DT, T_FINAL)
     basis = ControlBasis(grid31, "w2", T_FINAL, 8)
     fast = _pair_against_basis(op31, traj, basis, basis.time_matrix(DT, NT))
-    slow = np.array([dn_pairing(op31, traj, el)
-                     for el in basis.materialize_all(DT, NT)])
+    slow = np.array([dn_pairing(op31, traj, materialize(sp, grid31, DT, NT))
+                     for sp in basis.specs])
     assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
 
@@ -119,7 +119,7 @@ def test_dn_matrix_entries_match_pairing_oracle(op31, grid31):
     basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
     q = 0.3 * np.ones(grid31.omega.size)
     rec = dn_matrix_linear(op31, q, basis1, basis2, DT, T_FINAL)
-    probes = basis2.materialize_all(DT, NT)
+    probes = [materialize(sp, grid31, DT, NT) for sp in basis2.specs]
     for i in (0, 7, len(basis1) - 1):
         ctl = materialize(basis1.specs[i], grid31, DT, NT)
         traj = solve_linear(op31, q, ctl, DT, T_FINAL)

@@ -227,10 +227,13 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["dt: [1\n", "dt: abc\n", "dt: 0.03\n", "experiment: 3\n",
-                                  "grid: {n_nodes: abc}\n", "seed: abc\n"],
+                                  "grid: {n_nodes: abc}\n", "seed: abc\n",
+                                  "grid: {nodes: 101}\n", "regularization: {alpa_inv: 0.5}\n",
+                                  "noise: {levle: 0.1}\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
-                              "non-numeric-seed"])
+                              "non-numeric-seed", "unknown-grid-key",
+                              "unknown-regularization-key", "unknown-noise-key"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, text):
     path = tmp_path / "c.yaml"
     path.write_text(text)

@@ -1,5 +1,7 @@
 """Time stepping: pinning, determinism, energy bookkeeping, Newton, linearization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -424,3 +426,61 @@ def test_non_finite_update_reports_its_first_step(op31, grid31):
     with pytest.raises(StepFailureError, match="non-finite") as err:
         solve_linear(op31, prof, ctl, DT, T_FINAL, source=src)
     assert err.value.step == 6
+
+
+# ------------------------------------- time-dependent potential: the factor stack
+# The reference solves with numpy's LAPACK and solve_linear with scipy's.  The
+# two may be different OpenBLAS builds whose getrf can differ in the last bit
+# on some matrices; on these inputs they agree.
+
+
+@pytest.fixture()
+def counted_getrf(monkeypatch):
+    """Start from an empty factor memo and count the getrf calls made."""
+    monkeypatch.setattr(solver, "_last_step_factors", None)
+    calls = []
+    real = solver.dgetrf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "dgetrf", counting)
+    return calls
+
+
+def test_time_dependent_factors_are_reused_for_the_same_potential(op31, grid31, counted_getrf):
+    q = np.outer(DT * np.arange(NT + 1), 0.4 * interior_bump(grid31)[grid31.omega])
+    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
+    first = solve_linear(op31, q, ctl, DT, T_FINAL)
+    assert len(counted_getrf) == NT
+    _assert_same_bytes(first, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
+    # a second control on the same potential: no factorization at all
+    ctl = bump_control(grid31, "w1", 0.3, 0.9, DT, NT, amplitude=2.0)
+    second = solve_linear(op31, q.copy(), ctl, DT, T_FINAL)
+    assert len(counted_getrf) == NT
+    _assert_same_bytes(second, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
+
+
+def test_time_dependent_factors_follow_an_in_place_change(op31, grid31, counted_getrf):
+    q = np.outer(DT * np.arange(NT + 1), 0.4 * interior_bump(grid31)[grid31.omega])
+    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
+    solve_linear(op31, q, ctl, DT, T_FINAL)
+    q[NT // 2:, 3] += 1.0
+    traj = solve_linear(op31, q, ctl, DT, T_FINAL)
+    assert len(counted_getrf) == 2 * NT
+    _assert_same_bytes(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
+
+
+def test_singular_time_dependent_step_reports_its_step(op31, grid31):
+    # with L replaced by zero the step matrix is I + dt^2/4 diag(q), and at
+    # dt = 2^-5 a potential of -4/dt^2 zeroes one diagonal entry exactly
+    op0 = dataclasses.replace(op31, matrix=np.zeros_like(op31.matrix))
+    dt = 2.0 ** -5
+    q = np.ones((n_steps_for(dt, T_FINAL) + 1, grid31.omega.size))
+    q[5, 3] = -4.0 / dt ** 2
+    with pytest.raises(StepFailureError, match="linear solve failed: Singular matrix") as err:
+        solve_linear(op0, q, None, dt, T_FINAL)
+    assert err.value.step == 5
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _reference_solve_linear(op0, q, None, dt, T_FINAL)
