@@ -19,7 +19,7 @@ import numpy as np
 from . import nonlinearity as nl
 from .controls import ControlBasis, ControlSpec, ExteriorControl, make_control, materialize
 from .solver import (Trajectory, _expand_potential, n_steps_for, solve_linear,
-                     solve_nonlinear, trapezoid_weights)
+                     solve_linear_controls, solve_nonlinear, trapezoid_weights)
 
 
 class DNMapError(ValueError):
@@ -133,16 +133,16 @@ def _basis_lists(control_basis, probe_basis):
         raise DNMapError("probe basis must live on window w2")
 
 
-def _dn_matrix(op, solve, model, control_basis, probe_basis, dt, t_final, tag):
-    """Pairings of solve(op, model, control) for every control against every probe."""
+def _basis_controls(basis, grid, dt, nt):
+    """The basis elements materialized one at a time, in basis order."""
+    return (materialize(spec, grid, dt, nt) for spec in basis.specs)
+
+
+def _dn_matrix(op, trajectories, control_basis, probe_basis, dt, t_final, tag):
+    """Pairings of every control's trajectory, in basis order, against every probe."""
     _basis_lists(control_basis, probe_basis)
-    nt = n_steps_for(dt, t_final)
-    time_mat = probe_basis.time_matrix(dt, nt)
-    rows = []
-    for spec in control_basis.specs:
-        ctrl = materialize(spec, op.grid, dt, nt)
-        traj = solve(op, model, ctrl, dt, t_final)
-        rows.append(_pair_against_basis(op, traj, probe_basis, time_mat))
+    time_mat = probe_basis.time_matrix(dt, n_steps_for(dt, t_final))
+    rows = [_pair_against_basis(op, traj, probe_basis, time_mat) for traj in trajectories]
     return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag,
                     controls=list(control_basis.specs),
                     probes=list(probe_basis.specs),
@@ -151,12 +151,16 @@ def _dn_matrix(op, solve, model, control_basis, probe_basis, dt, t_final, tag):
 
 def dn_matrix_linear(op, q, control_basis, probe_basis, dt, t_final, tag=""):
     """Measurement matrix of the linear model: controls on w1, probes on w2."""
-    return _dn_matrix(op, solve_linear, q, control_basis, probe_basis, dt, t_final, tag)
+    controls = _basis_controls(control_basis, op.grid, dt, n_steps_for(dt, t_final))
+    return _dn_matrix(op, solve_linear_controls(op, q, controls, dt, t_final),
+                      control_basis, probe_basis, dt, t_final, tag)
 
 
 def dn_matrix_nonlinear(op, f, control_basis, probe_basis, dt, t_final, tag=""):
     """Measurement matrix of the nonlinear model."""
-    return _dn_matrix(op, solve_nonlinear, f, control_basis, probe_basis, dt, t_final, tag)
+    controls = _basis_controls(control_basis, op.grid, dt, n_steps_for(dt, t_final))
+    return _dn_matrix(op, (solve_nonlinear(op, f, c, dt, t_final) for c in controls),
+                      control_basis, probe_basis, dt, t_final, tag)
 
 
 def _check_windows(phi1, phi2):

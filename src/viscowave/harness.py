@@ -50,8 +50,25 @@ DEFAULTS = {
     "out_dir": "out",
 }
 
-EXPERIMENTS = ("forward", "energy-check", "identity-check", "runge",
-               "invert-linear", "invert-nonlinear")
+# The keys each experiment.kind and model.kind reads, besides "kind"; any
+# other key in those sections is rejected.
+_TARGET_KEYS = ("target_nodes", "target_stride", "target_width")
+EXPERIMENT_KEYS = {
+    "forward": ("window", "t0", "t1", "amplitude"),
+    "energy-check": ("t0", "t1", "center", "width", "tolerance"),
+    "identity-check": ("variant", "t0", "t1", "t2", "t3", "q1", "q2", "amplitude",
+                       "tolerance"),
+    "runge": ("levels", "window", "center", "width", "t0", "t1", "tolerance"),
+    "invert-linear": ("basis_segments", "frame", "q_time_basis", *_TARGET_KEYS,
+                      "tolerance"),
+    "invert-nonlinear": ("psi_amplitude", "eps_list", "eps0", "basis_segments",
+                         "round_exponent", *_TARGET_KEYS, "exponent_tolerance",
+                         "tolerance"),
+}
+# Every model carries q: DEFAULTS merges a zero potential into it, and the
+# self-adjoint and alessandrini identity checks read it whatever the kind.
+MODEL_KEYS = {"linear": ("q",), "nonlinear": ("coeff", "r", "q")}
+EXPERIMENTS = tuple(EXPERIMENT_KEYS)
 
 
 def _merge(base, override):
@@ -91,12 +108,13 @@ def validate_config(cfg):
         unknown = set(cfg[key]) - set(DEFAULTS[key])
         if unknown:
             raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
-    if cfg["experiment"].get("kind") not in EXPERIMENTS:
-        raise ConfigError(f"experiment.kind must be one of {EXPERIMENTS}, "
-                          f"got {cfg['experiment'].get('kind')!r}")
-    if cfg["model"].get("kind") not in ("linear", "nonlinear"):
-        raise ConfigError(f"model.kind must be linear or nonlinear, "
-                          f"got {cfg['model'].get('kind')!r}")
+    for key, table in (("experiment", EXPERIMENT_KEYS), ("model", MODEL_KEYS)):
+        kind = cfg[key].get("kind")
+        if kind not in table:
+            raise ConfigError(f"{key}.kind must be one of {tuple(table)}, got {kind!r}")
+        unknown = set(cfg[key]) - {"kind", *table[kind]}
+        if unknown:
+            raise ConfigError(f"unknown {key} keys {sorted(unknown)} for kind {kind!r}")
     try:
         s, dt, t_final = float(cfg["s"]), float(cfg["dt"]), float(cfg["t_final"])
         level = float(cfg["noise"].get("level", 0.0))
@@ -337,7 +355,6 @@ def run_invert_linear(cfg, out_dir):
     basis1 = ControlBasis(grid, "w1", t_final, nseg)
     basis2 = ControlBasis(grid, "w2", t_final, nseg)
     rec_data = dn_matrix_linear(op, q_true, basis1, basis2, dt, t_final, tag="data")
-    rec_bg = dn_matrix_linear(op, None, basis1, basis2, dt, t_final, tag="background")
     rng = _noise_rng(cfg)
     level = float(cfg["noise"]["level"])
     rec_data = _add_noise(rec_data, level, rng)
@@ -346,8 +363,9 @@ def run_invert_linear(cfg, out_dir):
     frame = exp.get("frame", "direct")
     q_time_basis = exp.get("q_time_basis")
     reg = cfg["regularization"]
+    # the background record comes from the inversion's own q=0 solves on w1
     recon = recover_linear_potential(
-        rec_data, rec_bg, op, targets, float(reg["alpha_inv"]), dt, t_final,
+        rec_data, None, op, targets, float(reg["alpha_inv"]), dt, t_final,
         synth_alpha=float(reg["synth_alpha"]),
         q_time_basis=None if q_time_basis is None else int(q_time_basis),
         frame=frame)

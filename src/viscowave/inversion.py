@@ -13,9 +13,10 @@ import json
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .controls import ControlBasis, ControlError, ExteriorControl, materialize, time_bump
-from .dnmap import DNRecord, _pair_against_basis
-from .solver import n_steps_for, solve_linear, solve_nonlinear, trapezoid_weights
+from .controls import ControlBasis, ControlError, ExteriorControl, time_bump
+from .dnmap import _basis_controls, _dn_matrix, _pair_against_basis
+from .solver import (n_steps_for, solve_linear, solve_linear_controls, solve_nonlinear,
+                     trapezoid_weights)
 
 
 class InversionError(RuntimeError):
@@ -52,11 +53,14 @@ class BackgroundStates:
     """Interior states reached by each element of a control basis.
 
     Solves the evolution once per basis element (background potential q, zero
-    source) and caches the interior trajectories together with the Gram data
-    needed for control synthesis in the L2-in-time energy norm.
+    source), all elements in one blocked pass, and caches the interior
+    trajectories together with the Gram data needed for control synthesis in
+    the L2-in-time energy norm.  Given a probe basis, the same pass also pairs
+    every trajectory against it, and ``record`` is the background measurement
+    matrix that ``dn_matrix_linear(op, q, basis, probes, dt, t_final)`` gives.
     """
 
-    def __init__(self, op, q, basis, dt, t_final):
+    def __init__(self, op, q, basis, dt, t_final, probes=None):
         self.op = op
         self.basis = basis
         self.dt = float(dt)
@@ -64,12 +68,23 @@ class BackgroundStates:
         self.n_steps = n_steps_for(dt, t_final)
         grid = op.grid
         om = grid.omega
-        # one control alive at a time: all of them would take n_basis times
-        # the full-grid samples
         self.states = np.empty((len(basis), self.n_steps + 1, om.size))
-        for i, spec in enumerate(basis.specs):
-            control = materialize(spec, grid, self.dt, self.n_steps)
-            self.states[i] = solve_linear(op, q, control, self.dt, self.t_final).u[:, om]
+
+        def keep_states(trajectories):
+            for i, traj in enumerate(trajectories):
+                self.states[i] = traj.u[:, om]
+                yield traj
+
+        controls = _basis_controls(basis, grid, self.dt, self.n_steps)
+        trajectories = keep_states(solve_linear_controls(op, q, controls, self.dt,
+                                                         self.t_final))
+        self.record = None
+        if probes is None:
+            for _ in trajectories:
+                pass
+        else:
+            self.record = _dn_matrix(op, trajectories, basis, probes, self.dt,
+                                     self.t_final, "background")
         self.time_weights = self.dt * trapezoid_weights(self.n_steps)
         k_omega = grid.h * op.omega_block
         k_states = self.states @ k_omega
@@ -252,7 +267,8 @@ class Reconstruction:
 
 
 def _rebuild_bases(op, dn_data, dn_background):
-    if dn_data.controls != dn_background.controls or dn_data.probes != dn_background.probes:
+    if dn_background is not None and (dn_data.controls != dn_background.controls
+                                      or dn_data.probes != dn_background.probes):
         raise InversionError("data and background records use different bases")
     basis1 = ControlBasis.from_specs(op.grid, dn_data.controls)
     basis2 = ControlBasis.from_specs(op.grid, dn_data.probes)
@@ -318,20 +334,26 @@ def recover_linear_potential(dn_data, dn_background, op, targets, alpha_inv,
     the forward time axis; frame="reversed" parameterizes its time reversal,
     the natural frame when the unknown is modeled from the receiving side.
     With q_time_basis=None the unknown is static; an integer requests that
-    many piecewise-linear time profiles.
+    many piecewise-linear time profiles.  dn_background=None measures the
+    background from the same solves that give the w1 background states,
+    which saves one solve per control element.
     """
     if frame not in ("direct", "reversed"):
         raise InversionError(f"unknown frame {frame!r}")
     if q_background is not None and np.asarray(q_background).ndim > 1:
         raise InversionError("q_background must be static (scalar or one row)")
     _check_record(dn_data, op, dt, t_final)
-    _check_record(dn_background, op, dt, t_final)
+    if dn_background is not None:
+        _check_record(dn_background, op, dt, t_final)
     basis1, basis2 = _rebuild_bases(op, dn_data, dn_background)
     n_steps = n_steps_for(dt, t_final)
     grid = op.grid
     om = grid.omega
 
-    bg1 = BackgroundStates(op, q_background, basis1, dt, t_final)
+    bg1 = BackgroundStates(op, q_background, basis1, dt, t_final,
+                           probes=basis2 if dn_background is None else None)
+    if dn_background is None:
+        dn_background = bg1.record
     bg2 = BackgroundStates(op, q_background, basis2, dt, t_final)
 
     # achieved states: (n_targets, nt+1, n_omega)

@@ -11,18 +11,22 @@ system (u, v = u_t) with the trapezoidal rule.  Exterior nodes are pinned
 strongly to the control samples and their time derivatives, for all steps
 before the loop; interior updates solve a dense symmetric system per step on
 the contiguous omega slice, each step one LAPACK ``getrs`` on an LU factor.
-A time-independent potential has one step matrix, factored once per call,
-which is cheap next to the hundreds of steps that reuse it.  A time-dependent
-potential has one step matrix per step, and factoring them on every call
-would cost more than the steps themselves.  Their factors form one contiguous
-stack, and the stack of the last potential is kept, keyed by content,
-because a measurement matrix solves the same potential once per control.
-Nonlinear runs replace q u by f(x, u) and solve each step with a Newton
-iteration on the same Jacobian structure.  A non-finite interior update is
-reported, by the first step that produced one, after the last step.
+One step loop serves a single control and a block of controls alike: a
+measurement matrix steps the controls of a basis a block at a time, with the
+bits of one solve per control.  A time-independent potential has one step
+matrix, factored once per call, which is cheap next to the hundreds of steps
+that reuse it.  A time-dependent potential has one step matrix per step, and
+factoring them on every call would cost more than the steps themselves.
+Their factors form one contiguous stack, and the stack of the last potential
+is kept, keyed by content, because a measurement matrix solves the same
+potential once per control.  Nonlinear runs replace q u by f(x, u) and solve
+each step with a Newton iteration on the same Jacobian structure.  A
+non-finite interior update is reported, by the first step that produced one,
+after the last step.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -137,6 +141,11 @@ def _check_control(control, grid, dt, nt):
 def _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit):
     """The shared trapezoidal step loop; returns read-only (u, v) histories.
 
+    control is one exterior control (or None), or a list of them.  One
+    control gives (nt+1, n) histories, and the closures below see 1-D
+    interior states.  A list of m controls gives time-major (nt+1, m, n)
+    histories, and the closures see (m, n_omega) states, one row per control.
+
     Each step forms the explicit half of the update from the current state:
     the flux of L over both grids, the source, and ``explicit(k, u_k, u_base)``
     for the interior term, where u_base = u_k + dt/2 v_k on omega.
@@ -145,8 +154,11 @@ def _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit):
     The loop body touches only the contiguous omega slice: the exterior rows
     are pinned, and the exterior part of the flux argument is formed, for all
     steps before the loop.  The flux is still the full-vector product with L,
-    whose summation order would change if it were cut to L's omega columns.
-    Non-finite updates are looked for once, after the last step.
+    one product per control: cutting it to L's omega columns, or one matrix
+    product over all controls, would change its summation order.  Every
+    other part of a step is elementwise, so a row's bits do not depend on the
+    rows beside it.  Non-finite updates are looked for once, after the last
+    step, and reported for the first control that has one, at its first step.
     """
     grid = op.grid
     om = grid.omega
@@ -155,45 +167,53 @@ def _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit):
         raise SolverError("omega must be a contiguous range of nodes")
     ext = grid.exterior
     h_src = _expand_field(source, nt, grid, "source")
-    phi, dphi = _check_control(control, grid, dt, nt)
+    controls = control if isinstance(control, list) else [control]
+    rows = slice(None) if isinstance(control, list) else 0
 
-    n = grid.n_nodes
-    u = np.zeros((nt + 1, n))
-    v = np.zeros((nt + 1, n))
+    n, m = grid.n_nodes, len(controls)
+    u = np.zeros((nt + 1, m, n))
+    v = np.zeros((nt + 1, m, n))
+    # flux argument u_k + v_k + u_base + v_base of step k; its exterior part
+    # is summed in that order, and v_base vanishes on omega
+    flux_arg = np.zeros((nt, m, n))
+    for i, c in enumerate(controls):
+        phi, dphi = _check_control(c, grid, dt, nt)
+        u[:, i, ext] = phi[:, ext]
+        v[:, i, ext] = dphi[:, ext]
+        flux_arg[:, i, ext] = ((phi[:-1, ext] + dphi[:-1, ext]) + phi[1:, ext]) + dphi[1:, ext]
     u0om = _expand_field(u0, nt, grid, "u0")
     v0om = _expand_field(v0, nt, grid, "v0")
     if u0om is not None:
-        u[0, lo:hi] = u0om
+        u[0, :, lo:hi] = u0om
     if v0om is not None:
-        v[0, lo:hi] = v0om
-    u[:, ext] = phi[:, ext]
-    v[:, ext] = dphi[:, ext]
-    # flux argument u_k + v_k + u_base + v_base of step k; its exterior part
-    # is summed in that order, and v_base vanishes on omega
-    flux_arg = np.zeros((nt, n))
-    flux_arg[:, ext] = ((phi[:-1, ext] + dphi[:-1, ext]) + phi[1:, ext]) + dphi[1:, ext]
+        v[0, :, lo:hi] = v0om
 
     L = op.matrix
     hdt = 0.5 * dt
+    flux = np.empty((m, n))
     for k in range(nt):
-        u_k = u[k, lo:hi]
-        v_k = v[k, lo:hi]
+        u_k = u[k, rows, lo:hi]
+        v_k = v[k, rows, lo:hi]
         x = flux_arg[k]
         u_base = u_k + hdt * v_k
-        x[lo:hi] = (u_k + v_k) + u_base
-        rhs = v_k - hdt * (x @ L)[lo:hi] - hdt * explicit(k, u_k, u_base)
+        x[:, lo:hi] = (u_k + v_k) + u_base
+        for i in range(m):  # the gemv of x[i] @ L, into a row kept for it
+            np.dot(x[i], L, out=flux[i])
+        rhs = v_k - hdt * flux[rows, lo:hi] - hdt * explicit(k, u_k, u_base)
         if h_src is not None:
             rhs = rhs + hdt * (h_src[k] + h_src[k + 1])
         w = implicit(k, rhs, v_k, u_base)
-        v[k + 1, lo:hi] = w
-        u[k + 1, lo:hi] = u_base + hdt * w
+        v[k + 1, rows, lo:hi] = w
+        u[k + 1, rows, lo:hi] = u_base + hdt * w
 
-    bad = ~np.all(np.isfinite(v[1:, lo:hi]), axis=1)
-    if bad.any():
-        raise StepFailureError(int(np.argmax(bad)) + 1, "non-finite interior update")
+    bad = ~np.all(np.isfinite(v[1:, :, lo:hi]), axis=2)
+    failed = bad.any(axis=0)
+    if failed.any():
+        first = int(np.argmax(failed))
+        raise StepFailureError(int(np.argmax(bad[:, first])) + 1, "non-finite interior update")
     for arr in (u, v):
         arr.setflags(write=False)
-    return u, v
+    return u[:, rows], v[:, rows]
 
 
 def _step_matrix(op, dt):
@@ -237,22 +257,16 @@ def _step_factors(base_mat, qs, dt):
     return lus, pivs
 
 
-def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
-    """Integrate the linear equation with potential q and exterior control.
+def _linear_step(op, q, dt, nt):
+    """The explicit and implicit closures of the linear step with potential q.
 
-    q may be None, a scalar, a static omega vector, or (n_time_nodes, n_omega)
-    samples.  source/u0/v0 are interior fields (omega or full-grid layout).
-    Returns a :class:`Trajectory` whose exterior nodes carry the control
-    samples exactly.
-
-    Every step is one ``getrs``.  A static q is factored with ``lu_factor``
-    on every call: one factorization is small next to the steps it serves,
-    and the benchmark's traced run counts one per static solve.  A
-    time-dependent q needs one factorization per step, which costs more than
-    the steps; :func:`_step_factors` builds them once and reuses them while q
-    stays the same.
+    Every step is one ``getrs`` per control.  A static q is factored with
+    ``lu_factor`` here, once for all the controls the closures serve: one
+    factorization is small next to the steps it serves.  A time-dependent q
+    needs one factorization per step, which costs more than the steps;
+    :func:`_step_factors` builds them once and reuses them while q stays the
+    same.
     """
-    nt = n_steps_for(dt, t_final)
     qs, q_static = _expand_potential(q, nt, op.grid.omega.size)
     base_mat = _step_matrix(op, dt)
 
@@ -273,14 +287,64 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
             return qs[k] * u_k + qs[k + 1] * u_base
 
     def implicit(k, rhs, v_k, u_base):
-        # the LAPACK solve behind lu_solve, without its per-call checks
-        w, info = dgetrs(lus[k], pivs[k], rhs, overwrite_b=True)
-        if info:
-            raise StepFailureError(k + 1, f"getrs returned info={info}")
-        return w
+        # the LAPACK solve behind lu_solve, without its per-call checks, in
+        # place on each control's contiguous row: one solve with all rows as
+        # right-hand sides would change the bits
+        w = rhs.reshape(-1, rhs.shape[-1])
+        for b in w:
+            _, info = dgetrs(lus[k], pivs[k], b, overwrite_b=True)
+            if info:
+                raise StepFailureError(k + 1, f"getrs returned info={info}")
+        return w.reshape(rhs.shape)
 
+    return explicit, implicit
+
+
+def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
+    """Integrate the linear equation with potential q and exterior control.
+
+    q may be None, a scalar, a static omega vector, or (n_time_nodes, n_omega)
+    samples.  source/u0/v0 are interior fields (omega or full-grid layout).
+    Returns a :class:`Trajectory` whose exterior nodes carry the control
+    samples exactly.  A static q is factored once per call.
+    """
+    nt = n_steps_for(dt, t_final)
+    explicit, implicit = _linear_step(op, q, dt, nt)
     u, v = _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit)
     return Trajectory(u=u, v=v, dt=dt)
+
+
+# Controls stepped together by solve_linear_controls.  The elementwise part
+# of a step runs once per block; the per-control flux product and back-solve
+# are what is left.  Measured on the 101-node inversions (220 controls per
+# pass, 200 steps, BLAS at one thread, two 20 s benchmark runs per size):
+# static wall 2.5-2.7, 2.0-2.1, 1.8-1.9 and 2.0-2.1 s at blocks 4, 8, 16 and
+# 32 (4.6-4.8 s one control at a time), ramp 2.9, 2.4-2.7, 2.2-2.3 and
+# 2.1-2.2 s.  Peak RSS moved by allocator noise only, 162-173 MB at every
+# size against 162-169 MB one at a time; the traced numpy peak, 71.1 MB, is
+# the same at blocks 1 and 16, because the synthesis Gram matrices, not the
+# block, set it.
+CONTROL_BLOCK = 16
+
+
+def solve_linear_controls(op, q, controls, dt, t_final):
+    """Yield solve_linear(op, q, control, dt, t_final) for each control, in order.
+
+    Each trajectory has the bits solve_linear gives, but q is normalized and
+    factored once for all controls, and the controls are stepped
+    CONTROL_BLOCK at a time through one pass of the step loop.  controls may
+    be any iterable; at most one block of it is held at a time.  A failing
+    step raises :class:`StepFailureError` for the first failing control, at
+    the step solve_linear reports for it.
+    """
+    nt = n_steps_for(dt, t_final)
+    explicit, implicit = _linear_step(op, q, dt, nt)
+    controls = iter(controls)
+    while block := list(itertools.islice(controls, CONTROL_BLOCK)):
+        u, v = _crank_nicolson(op, block, dt, nt, None, None, None, explicit, implicit)
+        del block  # pinned into u and v; not kept while the next block loads
+        for i in range(u.shape[1]):
+            yield Trajectory(u=u[:, i], v=v[:, i], dt=dt)
 
 
 def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None,

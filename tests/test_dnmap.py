@@ -8,11 +8,11 @@ from viscowave import (DNMapError, DNRecord, alessandrini_residual,
                        bump_control, dn_matrix_linear, dn_matrix_nonlinear,
                        dn_pairing, nonlinear_integral_identity_residual,
                        power_nonlinearity, reverse_potential,
-                       self_adjointness_residual, solve_linear, time_reverse,
-                       zero_nonlinearity)
+                       self_adjointness_residual, solve_linear, solve_nonlinear,
+                       time_reverse, zero_nonlinearity)
 from viscowave.controls import ControlBasis, materialize, spline_indices
-from viscowave.dnmap import _pair_against_basis
-from viscowave.solver import Trajectory
+from viscowave.dnmap import _basis_lists, _pair_against_basis
+from viscowave.solver import Trajectory, n_steps_for
 
 DT, NT = 0.02, 50
 T_FINAL = 1.0
@@ -248,3 +248,44 @@ def test_spline_indices_consistency():
     assert spline_indices(8) == [1, 2, 3]
     assert len(spline_indices(16)) == 11
     assert len(spline_indices(32)) == 27
+
+
+# ------------------------------------- reference: the measurement loop before blocking
+
+
+def _reference_dn_matrix(op, solve, model, control_basis, probe_basis, dt, t_final, tag):
+    """dnmap._dn_matrix as it stood before the blocked pass, kept verbatim."""
+    _basis_lists(control_basis, probe_basis)
+    nt = n_steps_for(dt, t_final)
+    time_mat = probe_basis.time_matrix(dt, nt)
+    rows = []
+    for spec in control_basis.specs:
+        ctrl = materialize(spec, op.grid, dt, nt)
+        traj = solve(op, model, ctrl, dt, t_final)
+        rows.append(_pair_against_basis(op, traj, probe_basis, time_mat))
+    return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag,
+                    controls=list(control_basis.specs),
+                    probes=list(probe_basis.specs),
+                    pairings=np.asarray(rows))
+
+
+@pytest.mark.parametrize("kind", ["none", "static", "time-dependent"])
+def test_dn_matrix_linear_matches_reference_loop_bitwise(op31, grid31, kind):
+    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    prof = 0.3 * np.exp(-((grid31.x[grid31.omega] - 0.5) / 0.2) ** 2)
+    q = {"none": None, "static": prof,
+         "time-dependent": np.outer(DT * np.arange(NT + 1), prof)}[kind]
+    rec = dn_matrix_linear(op31, q, basis1, basis2, DT, T_FINAL, tag="t")
+    ref = _reference_dn_matrix(op31, solve_linear, q, basis1, basis2, DT, T_FINAL, "t")
+    assert rec.pairings.tobytes() == ref.pairings.tobytes()
+    assert rec.to_dict() == ref.to_dict()
+
+
+def test_dn_matrix_nonlinear_matches_reference_loop_bitwise(op31, grid31):
+    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    f = power_nonlinearity(1.0, 2)
+    rec = dn_matrix_nonlinear(op31, f, basis1, basis2, DT, T_FINAL)
+    ref = _reference_dn_matrix(op31, solve_nonlinear, f, basis1, basis2, DT, T_FINAL, "")
+    assert rec.pairings.tobytes() == ref.pairings.tobytes()

@@ -1,16 +1,20 @@
 """Scenario configs, experiment drivers, report files, and the CLI."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from viscowave import ConfigError, compare_reports, load_config, run_scenario
+from viscowave import (ConfigError, ControlBasis, build_grid, compare_reports,
+                       load_config, run_scenario)
+from viscowave import dnmap, solver
 from viscowave.cli import main
-from viscowave.harness import (DEFAULTS, _add_noise, _merge, _set_by_path,
-                               field_from_spec, potential_from_spec,
+from viscowave.harness import (DEFAULTS, EXPERIMENT_KEYS, MODEL_KEYS, _add_noise,
+                               _merge, _set_by_path, field_from_spec, potential_from_spec,
                                sweep_scenario, validate_config)
 
 
@@ -61,6 +65,27 @@ def test_validate_config_errors():
         validate_config(small_cfg(dt=-0.01))
     with pytest.raises(ConfigError, match="nonnegative"):
         validate_config(small_cfg(noise={"level": -0.5}))
+
+
+def test_accepted_keys_follow_the_kind():
+    # a key of one kind is unknown to another
+    with pytest.raises(ConfigError, match=r"unknown experiment keys \['levels'\]"):
+        validate_config(small_cfg(experiment={"kind": "forward", "levels": [8]}))
+    with pytest.raises(ConfigError, match=r"unknown model keys \['coeff'\]"):
+        validate_config(small_cfg(model={"kind": "linear", "coeff": {"kind": "zero"}}))
+    for kind, keys in EXPERIMENT_KEYS.items():
+        validate_config(small_cfg(experiment={"kind": kind, **dict.fromkeys(keys)}))
+    validate_config(small_cfg(model={"kind": "nonlinear", "r": 2}))
+
+
+def test_readme_lists_the_accepted_keys():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    scenarios = text.split("### Scenario files")[1].split("### Output files")[0]
+    bullets = {b.split("`")[1]: set(b.split("`")[1::2])
+               for b in re.split(r"\n- ", scenarios)[1:]}
+    for kind, keys in {**EXPERIMENT_KEYS, **MODEL_KEYS}.items():
+        assert kind in bullets, kind
+        assert set(keys) <= bullets[kind], (kind, set(keys) - bullets[kind])
 
 
 def test_field_from_spec_kinds(grid31):
@@ -176,6 +201,34 @@ def test_invert_linear_reproducible_across_runs(tmp_path):
             != r1["metrics"]["relative_l2_error"])
 
 
+def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
+    # data on w1, background on w1 (shared by the background record and the
+    # synthesis states) and background on w2: three passes over the basis
+    materialized, stepped, factored = [], [], []
+
+    def counting(calls, fn, size=lambda *a: 1):
+        def wrapper(*args, **kwargs):
+            calls.append(size(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dnmap, "materialize", counting(materialized, dnmap.materialize))
+    monkeypatch.setattr(solver, "_crank_nicolson", counting(
+        stepped, solver._crank_nicolson,
+        lambda op, control, *rest: len(control) if isinstance(control, list) else 1))
+    monkeypatch.setattr(solver, "lu_factor", counting(factored, solver.lu_factor))
+    cfg = small_cfg(
+        model={"kind": "linear", "q": {"kind": "gaussian", "amplitude": 0.5,
+                                       "center": 0.5, "width": 0.2}},
+        experiment={"kind": "invert-linear", "basis_segments": 8, "target_stride": 2})
+    run_scenario(cfg, str(tmp_path / "out"))
+    grid = build_grid(*(cfg["grid"][k] for k in ("box", "omega", "w1", "w2", "n_nodes")))
+    n_basis = len(ControlBasis(grid, "w1", cfg["t_final"], 8))
+    assert n_basis == len(ControlBasis(grid, "w2", cfg["t_final"], 8))
+    assert len(materialized) == sum(stepped) == 3 * n_basis
+    assert len(factored) == 3
+
+
 def test_sweep_refines_energy_residual(tmp_path):
     cfg = small_cfg(experiment={"kind": "energy-check"})
     summary = sweep_scenario(cfg, "dt", [0.02, 0.01], str(tmp_path / "sw"))
@@ -229,11 +282,14 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("text", ["dt: [1\n", "dt: abc\n", "dt: 0.03\n", "experiment: 3\n",
                                   "grid: {n_nodes: abc}\n", "seed: abc\n",
                                   "grid: {nodes: 101}\n", "regularization: {alpa_inv: 0.5}\n",
-                                  "noise: {levle: 0.1}\n"],
+                                  "noise: {levle: 0.1}\n",
+                                  "experiment: {kind: energy-check, tolerence: 1.0e-9}\n",
+                                  "model: {kind: linear, r: 2}\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
                               "non-numeric-seed", "unknown-grid-key",
-                              "unknown-regularization-key", "unknown-noise-key"])
+                              "unknown-regularization-key", "unknown-noise-key",
+                              "unknown-experiment-key", "unknown-model-key"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, text):
     path = tmp_path / "c.yaml"
     path.write_text(text)

@@ -10,10 +10,10 @@ from viscowave import (BackgroundStates, IllConditionedError,
                        dn_matrix_linear, estimate_homogeneity_exponent,
                        interior_targets, power_nonlinearity,
                        recover_linear_potential, recover_nonlinear_coefficient,
-                       synthesize_control, zero_nonlinearity)
-from viscowave.controls import ControlBasis, time_bump
+                       solve_linear, synthesize_control, zero_nonlinearity)
+from viscowave.controls import ControlBasis, materialize, time_bump
 from viscowave.dnmap import DNRecord
-from viscowave.solver import trapezoid_weights
+from viscowave.solver import n_steps_for, trapezoid_weights
 
 DT, NT = 0.02, 50
 T_FINAL = 1.0
@@ -138,6 +138,63 @@ def test_localized_target_materialize(grid31):
     assert np.abs(field[(t <= 0.2) | (t >= 0.6)]).max() == 0.0
     peak = np.argmax(field[np.argmax(field.sum(axis=1))])
     assert grid31.omega[peak] == node
+
+
+def _reference_background(op, q, basis, dt, t_final):
+    """States and Gram matrix of BackgroundStates.__init__ as they stood before
+    the blocked pass, kept verbatim but for self."""
+    n_steps = n_steps_for(dt, t_final)
+    grid = op.grid
+    om = grid.omega
+    states = np.empty((len(basis), n_steps + 1, om.size))
+    for i, spec in enumerate(basis.specs):
+        control = materialize(spec, grid, dt, n_steps)
+        states[i] = solve_linear(op, q, control, dt, t_final).u[:, om]
+    time_weights = dt * trapezoid_weights(n_steps)
+    k_omega = grid.h * op.omega_block
+    k_states = states @ k_omega
+    sw = states * time_weights[None, :, None]
+    flat = k_states.reshape(len(basis), -1)
+    gram = sw.reshape(len(basis), -1) @ flat.T
+    gram = 0.5 * (gram + gram.T)
+    return states, gram
+
+
+@pytest.mark.parametrize("window", ["w1", "w2"])
+@pytest.mark.parametrize("static_q", [False, True])
+def test_background_states_match_reference_loop_bitwise(op31, grid31, window, static_q):
+    q = 0.3 * np.ones(grid31.omega.size) if static_q else None
+    basis = ControlBasis(grid31, window, T_FINAL, 8)
+    bg = BackgroundStates(op31, q, basis, DT, T_FINAL)
+    states, gram = _reference_background(op31, q, basis, DT, T_FINAL)
+    assert bg.states.tobytes() == states.tobytes()
+    assert bg.gram.tobytes() == gram.tobytes()
+    assert bg.record is None
+
+
+def test_shared_background_record_equals_dn_matrix(op31, grid31):
+    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    shared = BackgroundStates(op31, None, basis1, DT, T_FINAL, probes=basis2)
+    alone = BackgroundStates(op31, None, basis1, DT, T_FINAL)
+    rec = dn_matrix_linear(op31, None, basis1, basis2, DT, T_FINAL, tag="background")
+    assert shared.record.pairings.tobytes() == rec.pairings.tobytes()
+    assert shared.record.to_dict() == rec.to_dict()
+    assert shared.states.tobytes() == alone.states.tobytes()
+
+
+def test_recover_measures_the_background_when_none_is_given(op31, grid31):
+    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    q = 0.5 * np.exp(-((grid31.x[grid31.omega] - 0.5) / 0.2) ** 2)
+    data = dn_matrix_linear(op31, q, basis1, basis2, DT, T_FINAL)
+    background = dn_matrix_linear(op31, None, basis1, basis2, DT, T_FINAL)
+    kwargs = dict(alpha_inv=1e-2, dt=DT, t_final=T_FINAL, synth_alpha=1e-12)
+    targets = interior_targets(grid31, T_FINAL, nodes=grid31.omega[::2])
+    given = recover_linear_potential(data, background, op31, targets, **kwargs)
+    measured = recover_linear_potential(data, None, op31, targets, **kwargs)
+    assert measured.values.tobytes() == given.values.tobytes()
+    assert measured.diagnostics == given.diagnostics
 
 
 # ------------------------------------------------------ linear potential

@@ -13,6 +13,7 @@ from viscowave import (NewtonDivergenceError, SolverError, StepFailureError,
                        solve_linearized, solve_nonlinear, trajectory_from_csv,
                        trajectory_to_csv, zero_nonlinearity)
 from viscowave import solver
+from viscowave.controls import ControlBasis, materialize
 from viscowave.solver import (_check_control, _expand_field, _expand_potential,
                               _step_matrix, n_steps_for, trapezoid_weights)
 
@@ -484,3 +485,89 @@ def test_singular_time_dependent_step_reports_its_step(op31, grid31):
     assert err.value.step == 5
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         _reference_solve_linear(op0, q, None, dt, T_FINAL)
+
+
+# ------------------------------------- blocked pass: the controls of a basis at once
+
+
+def _w1_controls(grid):
+    # 6 window nodes x 3 splines: 18 controls, a block of 16 and one of 2, or
+    # a block of 17 and a last block of one control
+    basis = ControlBasis(grid, "w1", T_FINAL, 8)
+    return [materialize(spec, grid, DT, NT) for spec in basis.specs]
+
+
+def _potential(grid, kind):
+    prof = 0.4 * interior_bump(grid)[grid.omega]
+    return {"none": None, "static": prof,
+            "time-dependent": np.outer(DT * np.arange(NT + 1), prof)}[kind]
+
+
+@pytest.mark.parametrize("block", [solver.CONTROL_BLOCK, 17, 1])
+@pytest.mark.parametrize("kind", ["none", "static", "time-dependent"])
+def test_blocked_pass_matches_solve_linear_bitwise(op31, grid31, monkeypatch, kind, block):
+    controls = _w1_controls(grid31)
+    assert len(controls) % solver.CONTROL_BLOCK and len(controls) % 17 == 1
+    monkeypatch.setattr(solver, "CONTROL_BLOCK", block)
+    q = _potential(grid31, kind)
+    got = list(solver.solve_linear_controls(op31, q, iter(controls), DT, T_FINAL))
+    assert len(got) == len(controls)
+    for traj, ctl in zip(got, controls):
+        ref = solve_linear(op31, q, ctl, DT, T_FINAL)
+        _assert_same_bytes(traj, ref.u, ref.v)
+        assert not traj.u.flags.writeable and not traj.v.flags.writeable
+
+
+def _failing_step(call):
+    with pytest.raises(StepFailureError) as err:
+        call()
+    return err.value.step
+
+
+def _failing_steps(op, q, controls, dt=DT):
+    """Failing step of solve_linear on the first control, and of the blocked pass."""
+    one = _failing_step(lambda: solve_linear(op, q, controls[0], dt, T_FINAL))
+    block = _failing_step(lambda: list(solver.solve_linear_controls(op, q, controls, dt,
+                                                                    T_FINAL)))
+    return one, block
+
+
+def test_blocked_pass_fails_at_the_step_solve_linear_reports(op31, grid31):
+    controls = _w1_controls(grid31)
+    om = grid31.omega
+    q_t = _potential(grid31, "time-dependent")
+    q_t[1:, 2] = np.nan
+    assert _failing_steps(op31, q_t, controls) == (1, 1)
+    q = _potential(grid31, "static")
+    q[2] = np.nan
+    assert _failing_steps(op31, q, controls) == (0, 0)
+    # singular step matrix of a time-dependent q, as in the test above
+    op0 = dataclasses.replace(op31, matrix=np.zeros_like(op31.matrix))
+    dt = 2.0 ** -5
+    q_s = np.ones((n_steps_for(dt, T_FINAL) + 1, om.size))
+    q_s[5, 3] = -4.0 / dt ** 2
+    assert _failing_steps(op0, q_s, [None] * 3, dt) == (5, 5)
+    # a NaN source, shared by every control of a block
+    src = np.zeros((NT + 1, om.size))
+    src[6, 3] = np.nan
+    prof = _potential(grid31, "static")
+    one = _failing_step(lambda: solve_linear(op31, prof, controls[0], DT, T_FINAL, source=src))
+    explicit, implicit = solver._linear_step(op31, prof, DT, NT)
+    block = _failing_step(lambda: solver._crank_nicolson(
+        op31, controls[:5], DT, NT, src, None, None, explicit, implicit))
+    assert one == block == 6
+
+
+def test_blocked_pass_reports_its_first_failing_control(op31, grid31):
+    # control 3 fails late and control 9 early: in order, control 3 fails first
+    controls = _w1_controls(grid31)
+    for i, k in ((3, 30), (9, 8)):
+        values = controls[i].values.copy()
+        values[k:, grid31.w1[0]] = np.inf
+        controls[i] = dataclasses.replace(controls[i], values=values)
+    with np.errstate(all="ignore"):
+        one = _failing_step(lambda: solve_linear(op31, None, controls[3], DT, T_FINAL))
+        assert _failing_step(lambda: solve_linear(op31, None, controls[9], DT, T_FINAL)) < one
+        block = _failing_step(lambda: list(solver.solve_linear_controls(
+            op31, None, controls, DT, T_FINAL)))
+    assert block == one
