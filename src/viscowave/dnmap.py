@@ -12,12 +12,11 @@ potential-difference integral identity, and its nonlinear counterpart.
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import nonlinearity as nl
-from .controls import ControlBasis, ControlSpec, ExteriorControl, make_control, materialize
+from .controls import ControlSpec, ExteriorControl, materialize
 from .solver import (Trajectory, _expand_potential, n_steps_for, solve_linear,
                      solve_linear_controls, solve_nonlinear, trapezoid_weights)
 
@@ -35,7 +34,7 @@ def time_reverse(obj):
     """
     if isinstance(obj, Trajectory):
         return Trajectory(u=obj.u[::-1].copy(), v=-obj.v[::-1].copy(),
-                          dt=obj.dt, scheme=obj.scheme,
+                          dt=obj.dt,
                           newton_iters=None if obj.newton_iters is None
                           else obj.newton_iters[::-1].copy())
     if isinstance(obj, ExteriorControl):
@@ -206,9 +205,8 @@ def alessandrini_residual(op, q1, q2, phi1, phi2, dt, t_final):
     _check_windows(phi1, phi2)
     nt = n_steps_for(dt, t_final)
     om = op.grid.omega
-    shape = (nt + 1, om.size)
-    q1s = np.broadcast_to(_expand_potential(q1, nt, om.size)[0], shape)
-    q2s = np.broadcast_to(_expand_potential(q2, nt, om.size)[0], shape)
+    q1s = _expand_potential(q1, nt, om.size)[0]
+    q2s = _expand_potential(q2, nt, om.size)[0]
 
     u1 = solve_linear(op, q1, phi1, dt, t_final)
     u2 = solve_linear(op, q2, phi2, dt, t_final)

@@ -14,17 +14,16 @@ import time
 import numpy as np
 import yaml
 
-from .controls import ControlBasis, bump_control
+from .controls import ControlBasis, bump_control, time_bump
 from .dnmap import (alessandrini_residual, dn_matrix_linear,
                     nonlinear_integral_identity_residual,
                     self_adjointness_residual)
-from .grid import GridError, build_grid
-from .inversion import (InversionError, LocalizedTarget, RungeProblem,
-                        estimate_homogeneity_exponent, interior_targets,
+from .grid import build_grid
+from .inversion import (RungeProblem, estimate_homogeneity_exponent, interior_targets,
                         recover_linear_potential, recover_nonlinear_coefficient,
                         synthesize_control)
-from .nonlinearity import NonlinearityError, power_nonlinearity, zero_nonlinearity
-from .operator import OperatorError, assemble_fraclap
+from .nonlinearity import power_nonlinearity, zero_nonlinearity
+from .operator import assemble_fraclap
 from .solver import (SolverError, energy_ledger, n_steps_for, solve_linear,
                      solve_nonlinear, trajectory_to_csv, trapezoid_weights)
 
@@ -65,10 +64,20 @@ EXPERIMENT_KEYS = {
                          "round_exponent", *_TARGET_KEYS, "exponent_tolerance",
                          "tolerance"),
 }
-# Every model carries q: DEFAULTS merges a zero potential into it, and the
-# self-adjoint and alessandrini identity checks read it whatever the kind.
+# Every model carries q: DEFAULTS merges a zero potential into it, and every
+# experiment that solves the linear equation reads it whatever the kind.
 MODEL_KEYS = {"linear": ("q",), "nonlinear": ("coeff", "r", "q")}
 EXPERIMENTS = tuple(EXPERIMENT_KEYS)
+# How validate_config checks experiment values other than null: a choice
+# must be listed; a key in _LEAST is an integer of at least that value (a
+# spline level needs 7 segments); any other key is a number, except the
+# profiles q1 and q2, which are checked when sampled, and round_exponent,
+# which is read for its truth.  _LISTS hold a nonempty list of such values.
+_CHOICES = {"window": ("w1", "w2"), "frame": ("direct", "reversed"),
+            "variant": ("self-adjoint", "alessandrini", "nonlinear-integral")}
+_LEAST = {"basis_segments": 7, "levels": 7, "q_time_basis": 2, "target_stride": 1,
+          "target_nodes": 0}
+_LISTS = ("levels", "eps_list", "target_nodes")
 
 
 def _merge(base, override):
@@ -115,6 +124,7 @@ def validate_config(cfg):
         unknown = set(cfg[key]) - {"kind", *table[kind]}
         if unknown:
             raise ConfigError(f"unknown {key} keys {sorted(unknown)} for kind {kind!r}")
+    _check_experiment_values(cfg["experiment"])
     try:
         s, dt, t_final = float(cfg["s"]), float(cfg["dt"]), float(cfg["t_final"])
         level = float(cfg["noise"].get("level", 0.0))
@@ -135,6 +145,31 @@ def validate_config(cfg):
         raise ConfigError(str(exc)) from exc
     if level < 0:
         raise ConfigError("noise.level must be nonnegative")
+
+
+def _check_experiment_values(exp):
+    for key, value in exp.items():
+        if value is None or key in ("kind", "q1", "q2", "round_exponent"):
+            continue
+        if key in _CHOICES:
+            if value not in _CHOICES[key]:
+                raise ConfigError(f"experiment.{key} must be one of {_CHOICES[key]}, "
+                                  f"got {value!r}")
+            continue
+        least = _LEAST.get(key)
+        what = "a number" if least is None else f"an integer >= {least}"
+        if key in _LISTS:
+            what = f"a nonempty list, each {what}"
+        items = value if key in _LISTS else [value]
+        try:
+            if not isinstance(items, list) or not items:
+                raise TypeError
+            numbers = [float(v) if least is None else int(v) for v in items]
+            ok = least is None or min(numbers) >= least
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"experiment.{key} must be {what}, got {value!r}")
 
 
 def field_from_spec(grid, spec, nodes=None):
@@ -174,13 +209,14 @@ def potential_from_spec(grid, spec, dt, t_final):
     raise ConfigError(f"unknown time dependence {tdep!r}")
 
 
-def _model_pieces(grid, cfg):
+def _model_pieces(grid, cfg, dt, t_final):
+    """The model's potential samples and its nonlinearity (None if linear)."""
     model = cfg["model"]
+    q = potential_from_spec(grid, model.get("q"), dt, t_final)
     if model["kind"] == "linear":
-        q = potential_from_spec(grid, model.get("q"), cfg["dt"], cfg["t_final"])
         return q, None
     coeff = field_from_spec(grid, model.get("coeff", {"kind": "constant", "value": 1.0}))
-    return None, power_nonlinearity(coeff, float(model.get("r", 1)))
+    return q, power_nonlinearity(coeff, float(model.get("r", 1)))
 
 
 def _noise_rng(cfg):
@@ -198,33 +234,42 @@ def _add_noise(record, level, rng):
 
 
 def _setup(cfg):
+    """Grid, operator, dt, t_final and the step count of a scenario."""
     g = cfg["grid"]
     grid = build_grid(tuple(g["box"]), tuple(g["omega"]), tuple(g["w1"]),
                       tuple(g["w2"]), int(g["n_nodes"]))
     op = assemble_fraclap(grid, float(cfg["s"]))
-    return grid, op
+    dt, t_final = float(cfg["dt"]), float(cfg["t_final"])
+    return grid, op, dt, t_final, n_steps_for(dt, t_final)
 
 
-def _targets_from_cfg(grid, cfg, exp):
+def _gaussian_pulse(grid, exp, dt, nt, t0, t1, center, width):
+    """Gaussian over omega times a time bump on (t0, t1), as (nt+1, n_omega)
+    samples; the experiment's t0, t1, center and width override the defaults."""
+    theta, _ = time_bump(dt * np.arange(nt + 1), float(exp.get("t0", t0)),
+                         float(exp.get("t1", t1)))
+    prof = field_from_spec(grid, {"kind": "gaussian", "center": exp.get("center", center),
+                                  "width": exp.get("width", width)})
+    return np.outer(theta, prof)
+
+
+def _targets_from_cfg(grid, t_final, exp):
     width = exp.get("target_width")
     nodes = exp.get("target_nodes")
     stride = int(exp.get("target_stride", 1))
     if nodes is None:
         nodes = grid.omega[::stride]
-    return interior_targets(grid, float(cfg["t_final"]), nodes=nodes,
-                            space_width=width)
+    return interior_targets(grid, t_final, nodes=nodes, space_width=width)
 
 
 def run_forward(cfg, out_dir):
-    grid, op = _setup(cfg)
-    dt, t_final = float(cfg["dt"]), float(cfg["t_final"])
-    nt = n_steps_for(dt, t_final)
+    grid, op, dt, t_final, nt = _setup(cfg)
     exp = cfg["experiment"]
     ctrl = bump_control(grid, exp.get("window", "w1"),
                         float(exp.get("t0", 0.1 * t_final)),
                         float(exp.get("t1", 0.9 * t_final)),
                         dt, nt, amplitude=float(exp.get("amplitude", 1.0)))
-    q, f = _model_pieces(grid, cfg)
+    q, f = _model_pieces(grid, cfg, dt, t_final)
     if f is None:
         traj = solve_linear(op, q, ctrl, dt, t_final)
     else:
@@ -242,21 +287,10 @@ def run_forward(cfg, out_dir):
 
 
 def run_energy_check(cfg, out_dir):
-    grid, op = _setup(cfg)
-    dt, t_final = float(cfg["dt"]), float(cfg["t_final"])
-    nt = n_steps_for(dt, t_final)
+    grid, op, dt, t_final, nt = _setup(cfg)
     exp = cfg["experiment"]
-    om = grid.omega
-    x = grid.x[om]
-    t = dt * np.arange(nt + 1)
-    from .controls import time_bump
-
-    theta, _ = time_bump(t, float(exp.get("t0", 0.1 * t_final)),
-                         float(exp.get("t1", 0.6 * t_final)))
-    prof = np.exp(-((x - float(exp.get("center", 0.5)))
-                    / float(exp.get("width", 0.15))) ** 2)
-    source = np.outer(theta, prof)
-    q, _f = _model_pieces(grid, cfg)
+    source = _gaussian_pulse(grid, exp, dt, nt, 0.1 * t_final, 0.6 * t_final, 0.5, 0.15)
+    q, _f = _model_pieces(grid, cfg, dt, t_final)
     traj = solve_linear(op, q, None, dt, t_final, source=source)
     ledger = energy_ledger(op, traj, q=q, source=source)
     tol = float(exp.get("tolerance", 1e-3))
@@ -265,40 +299,27 @@ def run_energy_check(cfg, out_dir):
 
 
 def run_identity_check(cfg, out_dir):
-    grid, op = _setup(cfg)
-    dt, t_final = float(cfg["dt"]), float(cfg["t_final"])
-    nt = n_steps_for(dt, t_final)
+    grid, op, dt, t_final, nt = _setup(cfg)
     exp = cfg["experiment"]
     variant = exp.get("variant", "self-adjoint")
+    amp = float(exp.get("amplitude", 0.1)) if variant == "nonlinear-integral" else 1.0
     phi1 = bump_control(grid, "w1", float(exp.get("t0", 0.05)),
-                        float(exp.get("t1", 0.65)), dt, nt)
+                        float(exp.get("t1", 0.65)), dt, nt, amplitude=amp)
     phi2 = bump_control(grid, "w2", float(exp.get("t2", 0.25)),
                         float(exp.get("t3", 0.90)), dt, nt)
     tol = float(exp.get("tolerance", 1e-3))
+    q, f = _model_pieces(grid, cfg, dt, t_final)
+    if variant == "nonlinear-integral" and f is None:
+        raise ConfigError("nonlinear-integral identity needs model.kind nonlinear")
     if variant == "self-adjoint":
-        q = potential_from_spec(grid, cfg["model"].get("q"), dt, t_final)
         res, lhs, rhs = self_adjointness_residual(op, q, phi1, phi2, dt, t_final)
     elif variant == "alessandrini":
-        q1 = potential_from_spec(grid, exp.get("q1", cfg["model"].get("q")),
-                                 dt, t_final)
-        q2 = potential_from_spec(grid, exp.get("q2", {"kind": "zero"}),
-                                 dt, t_final)
+        q1 = potential_from_spec(grid, exp["q1"], dt, t_final) if "q1" in exp else q
+        q2 = potential_from_spec(grid, exp.get("q2", {"kind": "zero"}), dt, t_final)
         lhs, rhs, res = alessandrini_residual(op, q1, q2, phi1, phi2, dt, t_final)
-    elif variant == "nonlinear-integral":
-        model = cfg["model"]
-        if model["kind"] != "nonlinear":
-            raise ConfigError("nonlinear-integral identity needs model.kind nonlinear")
-        coeff = field_from_spec(grid, model.get("coeff",
-                                                {"kind": "constant", "value": 1.0}))
-        f1 = power_nonlinearity(coeff, float(model.get("r", 1)))
-        f2 = zero_nonlinearity()
-        amp = float(exp.get("amplitude", 0.1))
-        phi1 = bump_control(grid, "w1", float(exp.get("t0", 0.05)),
-                            float(exp.get("t1", 0.65)), dt, nt, amplitude=amp)
-        lhs, rhs, res = nonlinear_integral_identity_residual(
-            op, f1, f2, phi1, phi2, dt, t_final)
     else:
-        raise ConfigError(f"unknown identity variant {variant!r}")
+        lhs, rhs, res = nonlinear_integral_identity_residual(
+            op, f, zero_nonlinearity(), phi1, phi2, dt, t_final)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     rel = float(res / scale)
     metrics = {"lhs": float(lhs), "rhs": float(rhs), "residual": float(res),
@@ -307,20 +328,9 @@ def run_identity_check(cfg, out_dir):
 
 
 def run_runge(cfg, out_dir):
-    grid, op = _setup(cfg)
-    dt, t_final = float(cfg["dt"]), float(cfg["t_final"])
-    nt = n_steps_for(dt, t_final)
+    grid, op, dt, t_final, nt = _setup(cfg)
     exp = cfg["experiment"]
-    om = grid.omega
-    x = grid.x[om]
-    from .controls import time_bump
-
-    prof = np.exp(-((x - float(exp.get("center", 0.35)))
-                    / float(exp.get("width", 0.22))) ** 2)
-    t = dt * np.arange(nt + 1)
-    theta, _ = time_bump(t, float(exp.get("t0", 0.2 * t_final)),
-                         float(exp.get("t1", 0.8 * t_final)))
-    target = np.outer(theta, prof)
+    target = _gaussian_pulse(grid, exp, dt, nt, 0.2 * t_final, 0.8 * t_final, 0.35, 0.22)
     wt = dt * trapezoid_weights(nt)
     k_om = grid.h * op.omega_block
     tnorm = float(np.sqrt(np.sum(wt * np.einsum("tj,tj->t", target, target @ k_om))))
@@ -329,7 +339,7 @@ def run_runge(cfg, out_dir):
     alpha = float(cfg["regularization"]["synth_alpha"])
     window = exp.get("window", "w1")
     errors = []
-    q, _f = _model_pieces(grid, cfg)
+    q, _f = _model_pieces(grid, cfg, dt, t_final)
     for nseg in levels:
         prob = RungeProblem(target=target, window=window, alpha=alpha,
                             n_segments=nseg)
@@ -344,12 +354,11 @@ def run_runge(cfg, out_dir):
 
 
 def run_invert_linear(cfg, out_dir):
-    grid, op = _setup(cfg)
-    dt, t_final = float(cfg["dt"]), float(cfg["t_final"])
+    grid, op, dt, t_final, nt = _setup(cfg)
     exp = cfg["experiment"]
-    if cfg["model"]["kind"] != "linear":
+    q_true, f = _model_pieces(grid, cfg, dt, t_final)
+    if f is not None:
         raise ConfigError("invert-linear needs model.kind linear")
-    q_true = potential_from_spec(grid, cfg["model"].get("q"), dt, t_final)
 
     nseg = int(exp.get("basis_segments", 16))
     basis1 = ControlBasis(grid, "w1", t_final, nseg)
@@ -359,7 +368,7 @@ def run_invert_linear(cfg, out_dir):
     level = float(cfg["noise"]["level"])
     rec_data = _add_noise(rec_data, level, rng)
 
-    targets = _targets_from_cfg(grid, cfg, exp)
+    targets = _targets_from_cfg(grid, t_final, exp)
     frame = exp.get("frame", "direct")
     q_time_basis = exp.get("q_time_basis")
     reg = cfg["regularization"]
@@ -374,7 +383,6 @@ def run_invert_linear(cfg, out_dir):
         recon.save_csv(os.path.join(out_dir, "reconstruction.csv"), q_true=q_true)
 
     # compare against the truth in the frame the experiment requested
-    nt = n_steps_for(dt, t_final)
     if q_time_basis is None:
         truth = q_true if np.ndim(q_true) == 1 else np.mean(q_true, axis=0)
         num = float(np.linalg.norm(recon.values - truth))
@@ -398,17 +406,11 @@ def run_invert_linear(cfg, out_dir):
 
 
 def run_invert_nonlinear(cfg, out_dir):
-    grid, op = _setup(cfg)
-    dt, t_final = float(cfg["dt"]), float(cfg["t_final"])
-    nt = n_steps_for(dt, t_final)
+    grid, op, dt, t_final, nt = _setup(cfg)
     exp = cfg["experiment"]
-    model = cfg["model"]
-    if model["kind"] != "nonlinear":
+    _q, f = _model_pieces(grid, cfg, dt, t_final)
+    if f is None:
         raise ConfigError("invert-nonlinear needs model.kind nonlinear")
-    coeff_true = field_from_spec(grid, model.get("coeff",
-                                                 {"kind": "constant", "value": 1.0}))
-    r_true = float(model.get("r", 1))
-    f = power_nonlinearity(coeff_true, r_true)
 
     amp = float(exp.get("psi_amplitude", 50.0))
     psi = bump_control(grid, "w1", 0.1 * t_final, 0.9 * t_final, dt, nt,
@@ -419,7 +421,7 @@ def run_invert_nonlinear(cfg, out_dir):
     r_est, diag = estimate_homogeneity_exponent(op, f, psi, basis2, eps_list,
                                                 dt, t_final)
 
-    targets = _targets_from_cfg(grid, cfg, exp)
+    targets = _targets_from_cfg(grid, t_final, exp)
     reg = cfg["regularization"]
     eps0 = float(exp.get("eps0", 1e-1))
     recon = recover_nonlinear_coefficient(
@@ -427,20 +429,20 @@ def run_invert_nonlinear(cfg, out_dir):
         targets, eps0, float(reg["alpha_inv"]), dt, t_final, psi=psi,
         synth_alpha=float(reg["synth_alpha"]), n_segments=nseg)
     recon.save(os.path.join(out_dir, "reconstruction.json"))
-    recon.save_csv(os.path.join(out_dir, "reconstruction.csv"), q_true=coeff_true)
+    recon.save_csv(os.path.join(out_dir, "reconstruction.csv"), q_true=f.coeff)
 
     cov = recon.covered
-    num = float(np.linalg.norm(recon.values[cov] - coeff_true[cov]))
-    den = float(max(np.linalg.norm(coeff_true[cov]), 1e-300))
+    num = float(np.linalg.norm(recon.values[cov] - f.coeff[cov]))
+    den = float(max(np.linalg.norm(f.coeff[cov]), 1e-300))
     rel = num / den
     r_tol = float(exp.get("exponent_tolerance", 0.1))
     c_tol = float(exp.get("tolerance", 0.15))
-    metrics = {"r_true": r_true, "r_est": float(r_est),
+    metrics = {"r_true": f.r, "r_est": float(r_est),
                "exponent_tolerance": r_tol,
                "relative_l2_error_covered": rel, "tolerance": c_tol,
                "n_covered": int(cov.sum()), "n_omega": int(len(cov)),
                "eps_differences": diag["differences"]}
-    return metrics, (abs(r_est - r_true) <= r_tol) and rel <= c_tol
+    return metrics, (abs(r_est - f.r) <= r_tol) and rel <= c_tol
 
 
 RUNNERS = {

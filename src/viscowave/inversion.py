@@ -13,7 +13,7 @@ import json
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .controls import ControlBasis, ControlError, ExteriorControl, time_bump
+from .controls import ControlBasis, ExteriorControl, bump_control, time_bump
 from .dnmap import _basis_controls, _dn_matrix, _pair_against_basis
 from .solver import (n_steps_for, solve_linear, solve_linear_controls, solve_nonlinear,
                      trapezoid_weights)
@@ -419,6 +419,27 @@ def recover_linear_potential(dn_data, dn_background, op, targets, alpha_inv,
                           diagnostics=diagnostics)
 
 
+def _nonlinear_remainders(op, f, psi, basis2, eps_list, dt, t_final):
+    """What the nonlinearity adds to the measurement of eps * psi, per eps.
+
+    Returns the linear trajectory driven by psi, its pairings p_lin against
+    the reversed probe elements of basis2, and for each eps the reversed
+    pairings of the nonlinear trajectory driven by eps * psi minus eps * p_lin.
+    """
+    lin = solve_linear(op, None, psi, dt, t_final)
+    perm = basis2.reversal_permutation()
+    time_mat = basis2.time_matrix(dt, n_steps_for(dt, t_final))
+    p_lin = _pair_against_basis(op, lin, basis2, time_mat)[perm]
+    remainders = []
+    for eps in eps_list:
+        scaled = ExteriorControl(values=eps * psi.values, dvalues=eps * psi.dvalues,
+                                 window=psi.window, dt=psi.dt, spec=None)
+        nl = solve_nonlinear(op, f, scaled, dt, t_final)
+        p_nl = _pair_against_basis(op, nl, basis2, time_mat)[perm]
+        remainders.append(p_nl - eps * p_lin)
+    return lin, p_lin, remainders
+
+
 def estimate_homogeneity_exponent(op, f, psi, basis2, eps_list, dt, t_final):
     """Homogeneity degree of the nonlinearity from the scaling of pairings.
 
@@ -429,19 +450,9 @@ def estimate_homogeneity_exponent(op, f, psi, basis2, eps_list, dt, t_final):
     eps_list = sorted(float(e) for e in eps_list)
     if len(eps_list) < 2:
         raise InversionError("need at least two amplitudes")
-    n_steps = n_steps_for(dt, t_final)
-    lin = solve_linear(op, None, psi, dt, t_final)
-    perm = basis2.reversal_permutation()
-    time_mat = basis2.time_matrix(dt, n_steps)
-    p_lin = _pair_against_basis(op, lin, basis2, time_mat)[perm]
-    sizes = []
-    for eps in eps_list:
-        scaled = ExteriorControl(values=eps * psi.values, dvalues=eps * psi.dvalues,
-                                 window=psi.window, dt=psi.dt, spec=None)
-        nl = solve_nonlinear(op, f, scaled, dt, t_final)
-        p_nl = _pair_against_basis(op, nl, basis2, time_mat)[perm]
-        sizes.append(np.linalg.norm(p_nl - eps * p_lin))
-    sizes = np.asarray(sizes)
+    _lin, p_lin, remainders = _nonlinear_remainders(op, f, psi, basis2, eps_list,
+                                                    dt, t_final)
+    sizes = np.asarray([np.linalg.norm(d) for d in remainders])
     floor = 1e-10 * max(np.linalg.norm(p_lin) * max(eps_list), 1e-300)
     if np.any(sizes < floor):
         raise InconclusiveError(
@@ -466,30 +477,18 @@ def recover_nonlinear_coefficient(op, f, r_known, targets, eps0, alpha_inv,
     om = grid.omega
     n_steps = n_steps_for(dt, t_final)
     if psi is None:
-        from .controls import bump_control
-
         psi = bump_control(grid, "w1", 0.1 * t_final, 0.9 * t_final, dt, n_steps)
     basis2 = ControlBasis(grid, "w2", t_final, n_segments)
     bg2 = BackgroundStates(op, None, basis2, dt, t_final)
 
     coeff2, achieved2, errs2 = _synthesize_targets(bg2, targets, synth_alpha)
 
-    lin = solve_linear(op, None, psi, dt, t_final)
+    eps_pair = (eps0, 0.5 * eps0)
+    lin, _p_lin, remainders = _nonlinear_remainders(op, f, psi, basis2, eps_pair, dt, t_final)
     v0 = lin.u[:, om]
-    perm = basis2.reversal_permutation()
-    time_mat = basis2.time_matrix(dt, n_steps)
-    p_lin = _pair_against_basis(op, lin, basis2, time_mat)
 
     r = float(r_known)
-    moments = []
-    for eps in (eps0, 0.5 * eps0):
-        scaled = ExteriorControl(values=eps * psi.values, dvalues=eps * psi.dvalues,
-                                 window=psi.window, dt=psi.dt, spec=None)
-        nl = solve_nonlinear(op, f, scaled, dt, t_final)
-        p_nl = _pair_against_basis(op, nl, basis2, time_mat)
-        d = coeff2 @ (p_nl - eps * p_lin)[perm]
-        moments.append(d / eps ** (r + 1))
-    w1, w2m = moments
+    w1, w2m = [coeff2 @ d / eps ** (r + 1) for eps, d in zip(eps_pair, remainders)]
     y = (2.0 ** r * w2m - w1) / (2.0 ** r - 1.0)
 
     wt = dt * trapezoid_weights(n_steps)

@@ -13,16 +13,10 @@ before the loop; interior updates solve a dense symmetric system per step on
 the contiguous omega slice, each step one LAPACK ``getrs`` on an LU factor.
 One step loop serves a single control and a block of controls alike: a
 measurement matrix steps the controls of a basis a block at a time, with the
-bits of one solve per control.  A time-independent potential has one step
-matrix, factored once per call, which is cheap next to the hundreds of steps
-that reuse it.  A time-dependent potential has one step matrix per step, and
-factoring them on every call would cost more than the steps themselves.
-Their factors form one contiguous stack, and the stack of the last potential
-is kept, keyed by content, because a measurement matrix solves the same
-potential once per control.  Nonlinear runs replace q u by f(x, u) and solve
-each step with a Newton iteration on the same Jacobian structure.  A
-non-finite interior update is reported, by the first step that produced one,
-after the last step.
+bits of one solve per control, and factors its potential once for all of
+them.  Nonlinear runs replace q u by f(x, u) and solve each step with a
+Newton iteration on the same Jacobian structure.  A non-finite interior
+update is reported, by the first step that produced one, after the last step.
 """
 
 import csv
@@ -64,7 +58,6 @@ class Trajectory:
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     dt: float
-    scheme: str = "crank-nicolson"
     newton_iters: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -88,20 +81,21 @@ def n_steps_for(dt, t_final):
 
 
 def _expand_potential(q, nt, n_omega):
-    """Normalize q to (nt+1, n_omega) samples plus a static flag."""
-    if q is None:
-        return np.zeros((1, n_omega)), True
-    q = np.asarray(q, dtype=float)
-    if q.ndim == 0:
-        return np.full((1, n_omega), float(q)), True
-    if q.ndim == 1:
-        if q.shape[0] != n_omega:
-            raise SolverError(f"static potential has {q.shape[0]} entries, omega has {n_omega}")
-        return q[None, :], True
-    if q.shape != (nt + 1, n_omega):
-        raise SolverError(f"potential shape {q.shape} != {(nt + 1, n_omega)}")
-    static = bool(np.all(q == q[0]))
-    return (q[:1].copy(), True) if static else (q, False)
+    """Normalize q to (nt+1, n_omega) samples plus a static flag.
+
+    A static q is one row broadcast over the time nodes.
+    """
+    shape = (nt + 1, n_omega)
+    q = np.asarray(0.0 if q is None else q, dtype=float)
+    if q.ndim == 1 and q.shape[0] != n_omega:
+        raise SolverError(f"static potential has {q.shape[0]} entries, omega has {n_omega}")
+    if q.ndim >= 2:
+        if q.shape != shape:
+            raise SolverError(f"potential shape {q.shape} != {shape}")
+        if not np.all(q == q[0]):
+            return q, False
+        q = q[0]
+    return np.broadcast_to(q, shape), True
 
 
 def _expand_field(g, nt, grid, name):
@@ -221,25 +215,14 @@ def _step_matrix(op, dt):
     return np.eye(op.grid.omega.size) + (0.5 * dt + 0.25 * dt * dt) * op.omega_block
 
 
-# content key, factor stack and pivots of the last time-dependent potential
-_last_step_factors = None
-
-
 def _step_factors(base_mat, qs, dt):
     """LU factors of every step matrix of a time-dependent potential.
 
     Step k solves with base_mat + dt^2/4 diag(qs[k+1]).  Returns (lus, pivs):
     lus[k] is the Fortran-ordered ``getrf`` factor of step k, a view into one
-    contiguous (nt, n, n) stack, and pivs[k] its pivots.  The stack of the
-    last potential is kept, keyed by the bytes of base_mat and qs and by dt,
-    so the controls of a measurement matrix after the first reuse it.  A
-    singular step matrix raises :class:`StepFailureError` at its step.
+    contiguous (nt, n, n) stack, and pivs[k] its pivots.  A singular step
+    matrix raises :class:`StepFailureError` at its step.
     """
-    global _last_step_factors
-    key = (base_mat.tobytes(), qs.shape, qs.tobytes(), dt)
-    memo = _last_step_factors
-    if memo is not None and memo[0] == key:
-        return memo[1], memo[2]
     nt, n = qs.shape[0] - 1, qs.shape[1]
     # stack[k] holds the transpose of step k's matrix, so that stack[k].T is
     # the matrix in Fortran order and getrf factors it in place
@@ -253,38 +236,29 @@ def _step_factors(base_mat, qs, dt):
         _, pivs[k], info = dgetrf(lus[k], overwrite_a=True)
         if info > 0:
             raise StepFailureError(k + 1, "linear solve failed: Singular matrix")
-    _last_step_factors = (key, lus, pivs)
     return lus, pivs
 
 
 def _linear_step(op, q, dt, nt):
     """The explicit and implicit closures of the linear step with potential q.
 
-    Every step is one ``getrs`` per control.  A static q is factored with
-    ``lu_factor`` here, once for all the controls the closures serve: one
-    factorization is small next to the steps it serves.  A time-dependent q
-    needs one factorization per step, which costs more than the steps;
-    :func:`_step_factors` builds them once and reuses them while q stays the
-    same.
+    Every step is one ``getrs`` per control, on factors made here once for
+    all the controls the closures serve: one ``lu_factor`` for a static q,
+    one factor per step for a time-dependent q (:func:`_step_factors`).
     """
     qs, q_static = _expand_potential(q, nt, op.grid.omega.size)
     base_mat = _step_matrix(op, dt)
-
     if q_static:
         try:
             lu, piv = lu_factor(base_mat + 0.25 * dt * dt * np.diag(qs[0]))
         except Exception as exc:  # lu_factor rejects a non-finite matrix
             raise StepFailureError(0, f"factorization failed: {exc}")
         lus, pivs = [lu] * nt, [piv] * nt
-        q0 = qs[0]
-
-        def explicit(k, u_k, u_base):
-            return q0 * u_k + q0 * u_base
     else:
         lus, pivs = _step_factors(base_mat, qs, dt)
 
-        def explicit(k, u_k, u_base):
-            return qs[k] * u_k + qs[k + 1] * u_base
+    def explicit(k, u_k, u_base):
+        return qs[k] * u_k + qs[k + 1] * u_base
 
     def implicit(k, rhs, v_k, u_base):
         # the LAPACK solve behind lu_solve, without its per-call checks, in
@@ -435,7 +409,6 @@ def energy_ledger(op, traj, q=None, source=None):
         raise SolverError("energy ledger requires zero exterior data")
     nt = traj.n_steps
     om = grid.omega
-    qs, _ = _expand_potential(q, nt, om.size) if q is not None else (None, True)
     h_src = _expand_field(source, nt, grid, "source")
 
     stored = norm_l2(grid, traj.v) ** 2 + seminorm_hs(op, traj.u) ** 2
@@ -444,8 +417,8 @@ def energy_ledger(op, traj, q=None, source=None):
     if h_src is not None:
         work_rate += 2.0 * grid.h * np.sum(h_src * traj.v[:, om], axis=-1)
     if q is not None:
-        qfull = np.broadcast_to(qs, (nt + 1, om.size)) if qs.shape[0] == 1 else qs
-        work_rate -= 2.0 * grid.h * np.sum(qfull * traj.u[:, om] * traj.v[:, om], axis=-1)
+        qs = _expand_potential(q, nt, om.size)[0]
+        work_rate -= 2.0 * grid.h * np.sum(qs * traj.u[:, om] * traj.v[:, om], axis=-1)
 
     dissipated = _cumtrapz(diss_rate, traj.dt)
     work = _cumtrapz(work_rate, traj.dt)

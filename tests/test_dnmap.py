@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from viscowave import (DNMapError, DNRecord, alessandrini_residual,
@@ -10,7 +12,8 @@ from viscowave import (DNMapError, DNRecord, alessandrini_residual,
                        power_nonlinearity, reverse_potential,
                        self_adjointness_residual, solve_linear, solve_nonlinear,
                        time_reverse, zero_nonlinearity)
-from viscowave.controls import ControlBasis, materialize, spline_indices
+from viscowave.controls import (ControlBasis, ControlSpec, ExteriorControl, materialize,
+                                spline_indices)
 from viscowave.dnmap import _basis_lists, _pair_against_basis
 from viscowave.solver import Trajectory, n_steps_for
 
@@ -22,6 +25,35 @@ def test_time_reverse_array_involution(rng):
     arr = rng.normal(size=(11, 5))
     assert np.array_equal(time_reverse(time_reverse(arr)), arr)
     assert np.array_equal(time_reverse(arr), arr[::-1])
+
+
+def _same(a, b):
+    # tobytes, not array_equal: signed zeros must come back too
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(2, 12), st.integers(1, 6)),
+       dt=st.sampled_from([0.02, 0.125, 0.3]), data=st.data())
+def test_time_reverse_is_an_involution(shape, dt, data):
+    u, v = (data.draw(arrays(np.float64, shape, elements=st.floats(allow_nan=False)))
+            for _ in range(2))
+    assert _same(time_reverse(time_reverse(u)), u)
+
+    iters = data.draw(st.none() | arrays(int, shape[0] - 1, elements=st.integers(0, 25)))
+    back = time_reverse(time_reverse(Trajectory(u=u, v=v, dt=dt, newton_iters=iters)))
+    assert _same(back.u, u) and _same(back.v, v) and back.dt == dt
+    assert back.newton_iters is None if iters is None else _same(back.newton_iters, iters)
+
+    # a spline spec reverses by its index, exactly; a bump spec's times would
+    # come back only to rounding, T - (T - t0)
+    n_seg = data.draw(st.integers(7, 16))
+    spec = data.draw(st.none() | st.integers(1, n_seg - 5).map(
+        lambda k: ControlSpec("w1", "node", (0,), "spline", ((shape[0] - 1) * dt, n_seg, k))))
+    ctl = ExteriorControl(values=u, dvalues=v, window="w1", dt=dt, spec=spec)
+    back = time_reverse(time_reverse(ctl))
+    assert _same(back.values, u) and _same(back.dvalues, v)
+    assert (back.window, back.dt, back.spec) == ("w1", dt, spec)
 
 
 def test_time_reverse_trajectory(op31, grid31):

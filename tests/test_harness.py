@@ -284,12 +284,22 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                                   "grid: {nodes: 101}\n", "regularization: {alpa_inv: 0.5}\n",
                                   "noise: {levle: 0.1}\n",
                                   "experiment: {kind: energy-check, tolerence: 1.0e-9}\n",
-                                  "model: {kind: linear, r: 2}\n"],
+                                  "model: {kind: linear, r: 2}\n",
+                                  "experiment: {kind: forward, window: w3}\n",
+                                  "experiment: {kind: invert-linear, frame: backwards}\n",
+                                  "experiment: {kind: invert-linear, q_time_basis: abc}\n",
+                                  "experiment: {kind: forward, amplitude: abc}\n",
+                                  "experiment: {kind: runge, levels: [8, x]}\n",
+                                  "experiment: {kind: invert-linear, basis_segments: 4}\n",
+                                  "experiment: {kind: runge, levels: [4, 8]}\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
                               "non-numeric-seed", "unknown-grid-key",
                               "unknown-regularization-key", "unknown-noise-key",
-                              "unknown-experiment-key", "unknown-model-key"])
+                              "unknown-experiment-key", "unknown-model-key",
+                              "unknown-window", "unknown-frame", "non-integer-q_time_basis",
+                              "non-numeric-amplitude", "non-integer-level",
+                              "too-few-basis-segments", "too-few-level-segments"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, text):
     path = tmp_path / "c.yaml"
     path.write_text(text)

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import lu_factor, lu_solve
 
@@ -13,7 +14,7 @@ from viscowave import (NewtonDivergenceError, SolverError, StepFailureError,
                        solve_linearized, solve_nonlinear, trajectory_from_csv,
                        trajectory_to_csv, zero_nonlinearity)
 from viscowave import solver
-from viscowave.controls import ControlBasis, materialize
+from viscowave.controls import ControlBasis, make_control, materialize
 from viscowave.solver import (_check_control, _expand_field, _expand_potential,
                               _step_matrix, n_steps_for, trapezoid_weights)
 
@@ -84,6 +85,26 @@ def test_control_time_grid_mismatch(op31, grid31):
     ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
     with pytest.raises(SolverError, match="solver wants"):
         solve_linear(op31, None, ctl, DT, 2.0)
+
+
+# a combination coefficient: zero, or far enough from it that a*S(phi) stays
+# clear of underflow
+_COEF = st.floats(-10.0, 10.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=_COEF, b=_COEF, t0=st.floats(0.04, 0.5), length=st.floats(0.1, 0.45),
+       kind=st.sampled_from(["none", "static", "time-dependent"]))
+def test_solve_linear_is_linear_in_the_control(op31, grid31, a, b, t0, length, kind):
+    phi1 = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
+    phi2 = bump_control(grid31, "w1", t0, t0 + length, DT, NT, space=(-0.7, -0.4))
+    both = make_control(grid31, a * phi1.values + b * phi2.values,
+                        a * phi1.dvalues + b * phi2.dvalues, "w1", DT)
+    q = _potential(grid31, kind)
+    s1, s2, s12 = (solve_linear(op31, q, c, DT, T_FINAL) for c in (phi1, phi2, both))
+    for x1, x2, x12 in ((s1.u, s2.u, s12.u), (s1.v, s2.v, s12.v)):
+        scale = abs(a) * np.abs(x1).max() + abs(b) * np.abs(x2).max()
+        assert np.abs(x12 - (a * x1 + b * x2)).max() <= 1e-12 * scale
 
 
 def test_time_dependent_potential_matches_static_when_constant(op31, grid31):
@@ -435,10 +456,7 @@ def test_non_finite_update_reports_its_first_step(op31, grid31):
 # on some matrices; on these inputs they agree.
 
 
-@pytest.fixture()
-def counted_getrf(monkeypatch):
-    """Start from an empty factor memo and count the getrf calls made."""
-    monkeypatch.setattr(solver, "_last_step_factors", None)
+def test_time_dependent_factors_are_made_once_per_pass(op31, grid31, monkeypatch):
     calls = []
     real = solver.dgetrf
 
@@ -447,30 +465,18 @@ def counted_getrf(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "dgetrf", counting)
-    return calls
-
-
-def test_time_dependent_factors_are_reused_for_the_same_potential(op31, grid31, counted_getrf):
-    q = np.outer(DT * np.arange(NT + 1), 0.4 * interior_bump(grid31)[grid31.omega])
-    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
-    first = solve_linear(op31, q, ctl, DT, T_FINAL)
-    assert len(counted_getrf) == NT
-    _assert_same_bytes(first, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
-    # a second control on the same potential: no factorization at all
-    ctl = bump_control(grid31, "w1", 0.3, 0.9, DT, NT, amplitude=2.0)
-    second = solve_linear(op31, q.copy(), ctl, DT, T_FINAL)
-    assert len(counted_getrf) == NT
-    _assert_same_bytes(second, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
-
-
-def test_time_dependent_factors_follow_an_in_place_change(op31, grid31, counted_getrf):
-    q = np.outer(DT * np.arange(NT + 1), 0.4 * interior_bump(grid31)[grid31.omega])
-    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
-    solve_linear(op31, q, ctl, DT, T_FINAL)
-    q[NT // 2:, 3] += 1.0
-    traj = solve_linear(op31, q, ctl, DT, T_FINAL)
-    assert len(counted_getrf) == 2 * NT
-    _assert_same_bytes(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
+    q = _potential(grid31, "time-dependent")
+    controls = _w1_controls(grid31)
+    assert len(list(solver.solve_linear_controls(op31, q, controls, DT, T_FINAL))) == 18
+    assert len(calls) == NT
+    # back to back on different potentials: each solve factors its own
+    ctl = controls[4]
+    q2 = q.copy()
+    q2[NT // 2:, 3] += 1.0
+    for q in (q, q2):
+        traj = solve_linear(op31, q, ctl, DT, T_FINAL)
+        _assert_same_bytes(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
+    assert len(calls) == 3 * NT
 
 
 def test_singular_time_dependent_step_reports_its_step(op31, grid31):
