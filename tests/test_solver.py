@@ -456,7 +456,9 @@ def test_non_finite_update_reports_its_first_step(op31, grid31):
 # on some matrices; on these inputs they agree.
 
 
-def test_time_dependent_factors_are_made_once_per_pass(op31, grid31, monkeypatch):
+@pytest.fixture()
+def counted_getrf(monkeypatch):
+    """Count the getrf calls made."""
     calls = []
     real = solver.dgetrf
 
@@ -465,18 +467,28 @@ def test_time_dependent_factors_are_made_once_per_pass(op31, grid31, monkeypatch
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "dgetrf", counting)
+    return calls
+
+
+def test_time_dependent_factors_are_reused_for_the_same_potential(op31, grid31, counted_getrf):
+    # one blocked pass over the 18 controls of a basis factors each step once
     q = _potential(grid31, "time-dependent")
     controls = _w1_controls(grid31)
-    assert len(list(solver.solve_linear_controls(op31, q, controls, DT, T_FINAL))) == 18
-    assert len(calls) == NT
-    # back to back on different potentials: each solve factors its own
-    ctl = controls[4]
-    q2 = q.copy()
-    q2[NT // 2:, 3] += 1.0
-    for q in (q, q2):
-        traj = solve_linear(op31, q, ctl, DT, T_FINAL)
-        _assert_same_bytes(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
-    assert len(calls) == 3 * NT
+    got = list(solver.solve_linear_controls(op31, q, controls, DT, T_FINAL))
+    assert len(got) == 18
+    assert len(counted_getrf) == NT
+    for k in (0, 17):
+        _assert_same_bytes(got[k], *_reference_solve_linear(op31, q, controls[k], DT, T_FINAL))
+
+
+def test_time_dependent_factors_follow_an_in_place_change(op31, grid31, counted_getrf):
+    q = _potential(grid31, "time-dependent")
+    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
+    solve_linear(op31, q, ctl, DT, T_FINAL)
+    q[NT // 2:, 3] += 1.0
+    traj = solve_linear(op31, q, ctl, DT, T_FINAL)
+    assert len(counted_getrf) == 2 * NT
+    _assert_same_bytes(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
 
 
 def test_singular_time_dependent_step_reports_its_step(op31, grid31):
