@@ -18,10 +18,12 @@ from .controls import (ControlBasis, ControlError, ControlSpec, ExteriorControl,
                        time_bump)
 from .solver import (EnergyLedger, NewtonDivergenceError, SolverError,
                      StepFailureError, Trajectory, energy_ledger, solve_linear,
+                     solve_linear_basis, solve_linear_difference,
                      solve_linearized, solve_nonlinear, trajectory_from_csv,
                      trajectory_to_csv)
 from .dnmap import (DNMapError, DNRecord, alessandrini_residual,
-                    dn_matrix_linear, dn_matrix_nonlinear, dn_pairing,
+                    dn_difference_linear, dn_matrix_linear,
+                    dn_matrix_nonlinear, dn_pairing,
                     nonlinear_integral_identity_residual, reverse_potential,
                     self_adjointness_residual, time_reverse)
 from .inversion import (BackgroundStates, IllConditionedError,

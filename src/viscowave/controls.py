@@ -8,11 +8,10 @@ nested under dyadic refinement and map onto themselves under time reversal.
 """
 
 import functools
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 
 class ControlError(ValueError):
@@ -47,6 +46,25 @@ def time_bump(t, t0, t1):
     return _mollifier(z), _mollifier_dz(z) / half
 
 
+def _cubic_bspline(x):
+    """Uniform cubic B-spline on the knots 0..4 and its derivative, at x.
+
+    By symmetry about x = 2, each piece is a polynomial in the distance y,
+    0..1, from the knot of its own that lies nearer the end of the support:
+    y^3/6 on the outer pieces, (1 + 3y + 3y^2 - 3y^3)/6 on the inner ones,
+    forms whose terms never cancel.
+    """
+    x = np.asarray(x, dtype=float)
+    near = np.minimum(x, 4.0 - x)           # distance to the nearer end, 0..2 inside
+    outer = near < 1.0
+    y = np.where(outer, near, near - 1.0)
+    value = np.where(outer, y ** 3 / 6.0, (1.0 + 3.0 * y * (1.0 + y - y * y)) / 6.0)
+    slope = np.where(outer, 0.5 * y * y, 0.5 * (1.0 + y * (2.0 - 3.0 * y)))
+    inside = (x > 0.0) & (x < 4.0)
+    return (np.where(inside, value, 0.0),
+            np.where(inside, np.where(x <= 2.0, slope, -slope), 0.0))
+
+
 def _spline_pair(t_final, n_segments, index):
     """Cubic B-spline on uniform knots over [0, t_final] with support inside (0, T)."""
     n_segments, index = int(n_segments), int(index)
@@ -55,15 +73,13 @@ def _spline_pair(t_final, n_segments, index):
     if not 1 <= index <= n_segments - 5:
         raise ControlError(f"spline index {index} outside 1..{n_segments - 5}")
     delta = t_final / n_segments
-    knots = delta * np.arange(index, index + 5, dtype=float)
-    b = BSpline.basis_element(knots, extrapolate=False)
-    db = b.derivative()
+    start = delta * index  # the first knot
 
     def value(t):
-        return np.nan_to_num(b(t), nan=0.0)
+        return _cubic_bspline((np.asarray(t, dtype=float) - start) / delta)[0]
 
     def deriv(t):
-        return np.nan_to_num(db(t), nan=0.0)
+        return _cubic_bspline((np.asarray(t, dtype=float) - start) / delta)[1] / delta
 
     return value, deriv
 
@@ -107,12 +123,14 @@ class ControlSpec:
     time_kind: str           # "bump" | "spline"
     time_params: tuple       # ("bump", (t0, t1)) or ("spline", (t_final, n_segments, index))
     amplitude: float = 1.0
+    # (spec, horizon) of a bump spec made by time_reversed: reversing back
+    # over that horizon returns spec itself, where T - (T - t0) would round
+    _reverses: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self):
-        d = asdict(self)
-        d["space_params"] = list(self.space_params)
-        d["time_params"] = list(self.time_params)
-        return d
+        return {"window": self.window, "space_kind": self.space_kind,
+                "space_params": list(self.space_params), "time_kind": self.time_kind,
+                "time_params": list(self.time_params), "amplitude": self.amplitude}
 
     @staticmethod
     def from_dict(d):
@@ -123,17 +141,24 @@ class ControlSpec:
                            amplitude=float(d.get("amplitude", 1.0)))
 
     def time_reversed(self, t_final):
-        """Spec of the control whose samples equal this one reversed in time."""
+        """Spec of the control whose samples equal this one reversed in time.
+
+        Reversing twice over the same horizon gives back an equal spec.
+        """
         if self.time_kind == "bump":
+            if self._reverses is not None and self._reverses[1] == t_final:
+                return self._reverses[0]
             t0, t1 = self.time_params
-            tp = (t_final - t1, t_final - t0)
-        else:
-            tf, n_seg, index = self.time_params
-            if abs(tf - t_final) > 1e-12:
-                raise ControlError("spline horizon differs from requested reversal horizon")
-            tp = (tf, n_seg, n_seg - 4 - index)
+            reversed_spec = ControlSpec(self.window, self.space_kind, self.space_params,
+                                        self.time_kind, (t_final - t1, t_final - t0),
+                                        self.amplitude)
+            object.__setattr__(reversed_spec, "_reverses", (self, t_final))
+            return reversed_spec
+        tf, n_seg, index = self.time_params
+        if abs(tf - t_final) > 1e-12:
+            raise ControlError("spline horizon differs from requested reversal horizon")
         return ControlSpec(self.window, self.space_kind, self.space_params,
-                           self.time_kind, tp, self.amplitude)
+                           self.time_kind, (tf, n_seg, n_seg - 4 - index), self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -267,8 +292,9 @@ class ControlBasis:
         windows = {sp.window for sp in specs}
         if len(windows) != 1:
             raise ControlError("basis mixes windows")
-        if any(sp.space_kind != "node" or sp.time_kind != "spline" for sp in specs):
-            raise ControlError("basis must consist of node x spline elements")
+        if any(sp.space_kind != "node" or sp.time_kind != "spline" or sp.amplitude != 1.0
+               for sp in specs):
+            raise ControlError("basis must consist of node x spline elements of amplitude 1")
         t_final = specs[0].time_params[0]
         n_seg = int(specs[0].time_params[1])
         basis = ControlBasis(grid, windows.pop(), t_final, n_seg)

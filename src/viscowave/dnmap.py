@@ -18,7 +18,8 @@ import numpy as np
 from . import nonlinearity as nl
 from .controls import ControlSpec, ExteriorControl, materialize
 from .solver import (Trajectory, _expand_potential, n_steps_for, solve_linear,
-                     solve_linear_controls, solve_nonlinear, trapezoid_weights)
+                     solve_linear_basis, solve_linear_difference, solve_nonlinear,
+                     trapezoid_weights)
 
 
 class DNMapError(ValueError):
@@ -79,16 +80,23 @@ def dn_pairing(op, traj, probe):
     return float(traj.dt * np.dot(w, series))
 
 
+def _pair_fluxes(flux, time_mat, h, dt):
+    """Trapezoidal pairings of flux histories against a separable probe basis.
+
+    flux holds L(u + v) at the probe nodes, time on the first axis and the
+    nodes on the last; the result replaces both by the basis elements, in
+    their node-major, spline-minor order.
+    """
+    w = trapezoid_weights(flux.shape[0] - 1)
+    tw = time_mat * w[None, :]                                   # (n_tspl, nt+1)
+    block = dt * np.tensordot(tw, h * flux, axes=(1, 0))         # (n_tspl, ..., n_nodes_w)
+    return np.moveaxis(block, 0, -1).reshape(flux.shape[1:-1] + (-1,))
+
+
 def _pair_against_basis(op, traj, probe_basis, time_mat):
     """Pairings of one trajectory against every element of a separable probe basis."""
-    grid = op.grid
-    w = trapezoid_weights(traj.n_steps)
-    flux = (traj.u + traj.v) @ op.matrix          # (nt+1, n)
-    g = grid.h * flux[:, probe_basis.nodes]       # (nt+1, n_nodes_w)
-    tw = time_mat * w[None, :]                     # (n_tspl, nt+1)
-    block = traj.dt * (tw @ g)                     # (n_tspl, n_nodes_w)
-    # element order in ControlBasis is node-major, spline-minor
-    return block.T.reshape(-1)
+    flux = (traj.u + traj.v) @ op.matrix[:, probe_basis.nodes]
+    return _pair_fluxes(flux, time_mat, op.grid.h, traj.dt)
 
 
 @dataclass(frozen=True)
@@ -132,34 +140,77 @@ def _basis_lists(control_basis, probe_basis):
         raise DNMapError("probe basis must live on window w2")
 
 
-def _basis_controls(basis, grid, dt, nt):
-    """The basis elements materialized one at a time, in basis order."""
-    return (materialize(spec, grid, dt, nt) for spec in basis.specs)
-
-
-def _dn_matrix(op, trajectories, control_basis, probe_basis, dt, t_final, tag):
-    """Pairings of every control's trajectory, in basis order, against every probe."""
-    _basis_lists(control_basis, probe_basis)
-    time_mat = probe_basis.time_matrix(dt, n_steps_for(dt, t_final))
-    rows = [_pair_against_basis(op, traj, probe_basis, time_mat) for traj in trajectories]
+def _record(op, control_basis, probe_basis, dt, t_final, tag, pairings):
     return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag,
                     controls=list(control_basis.specs),
                     probes=list(probe_basis.specs),
-                    pairings=np.asarray(rows))
+                    pairings=np.asarray(pairings))
+
+
+def _basis_pairings(op, control_basis, probe_basis, dt, t_final):
+    """Pairing functions of a w1 basis pass against a w2 probe basis.
+
+    Returns (interior, exterior): interior(u, v) pairs a block of omega
+    histories, (nt+1, m, n_omega), through L's omega-to-probe columns;
+    exterior is what each control's own samples add through L's w1-to-w2
+    block, kron(L[w1 nodes, w2 nodes], T) with T pairing the control
+    splines (value plus derivative) against the probe splines.
+    """
+    _basis_lists(control_basis, probe_basis)
+    grid = op.grid
+    nt = n_steps_for(dt, t_final)
+    time_mat = probe_basis.time_matrix(dt, nt)
+    cols = op.matrix[np.ix_(grid.omega, probe_basis.nodes)]
+
+    def interior(u, v):
+        return _pair_fluxes((u + v) @ cols, time_mat, grid.h, dt)
+
+    x = control_basis.time_matrix(dt, nt) + control_basis.time_dmatrix(dt, nt)
+    t_pair = dt * grid.h * (x * trapezoid_weights(nt)[None, :]) @ time_mat.T
+    exterior = np.kron(op.matrix[np.ix_(control_basis.nodes, probe_basis.nodes)], t_pair)
+    return interior, exterior
 
 
 def dn_matrix_linear(op, q, control_basis, probe_basis, dt, t_final, tag=""):
     """Measurement matrix of the linear model: controls on w1, probes on w2."""
-    controls = _basis_controls(control_basis, op.grid, dt, n_steps_for(dt, t_final))
-    return _dn_matrix(op, solve_linear_controls(op, q, controls, dt, t_final),
-                      control_basis, probe_basis, dt, t_final, tag)
+    interior, exterior = _basis_pairings(op, control_basis, probe_basis, dt, t_final)
+    rows = np.concatenate([interior(u, v) for _, u, v
+                           in solve_linear_basis(op, q, control_basis, dt, t_final)])
+    return _record(op, control_basis, probe_basis, dt, t_final, tag, rows + exterior)
+
+
+def dn_difference_linear(op, q, control_basis, probe_basis, dt, t_final, tag="",
+                         q_background=None):
+    """Background measurement matrix and the difference of q's from it.
+
+    Returns (background, difference): background is dn_matrix_linear of
+    q_background (tagged "background"), and difference holds the pairings
+    of dn_matrix_linear of q minus those of the background.  The difference
+    is measured, not subtracted: it pairs the responses of the difference
+    equation (:func:`solver.solve_linear_difference`), so it keeps its
+    relative accuracy however close q is to q_background.
+    """
+    interior, exterior = _basis_pairings(op, control_basis, probe_basis, dt, t_final)
+    bg_rows, diff_rows = [], []
+    for _, (u, v), (w, z) in solve_linear_difference(op, q, q_background, control_basis,
+                                                     dt, t_final):
+        bg_rows.append(interior(u, v))
+        diff_rows.append(interior(w, z))
+    background = _record(op, control_basis, probe_basis, dt, t_final, "background",
+                         np.concatenate(bg_rows) + exterior)
+    return background, _record(op, control_basis, probe_basis, dt, t_final, tag,
+                               np.concatenate(diff_rows))
 
 
 def dn_matrix_nonlinear(op, f, control_basis, probe_basis, dt, t_final, tag=""):
-    """Measurement matrix of the nonlinear model."""
-    controls = _basis_controls(control_basis, op.grid, dt, n_steps_for(dt, t_final))
-    return _dn_matrix(op, (solve_nonlinear(op, f, c, dt, t_final) for c in controls),
-                      control_basis, probe_basis, dt, t_final, tag)
+    """Measurement matrix of the nonlinear model, one Newton-stepped solve per control."""
+    _basis_lists(control_basis, probe_basis)
+    nt = n_steps_for(dt, t_final)
+    time_mat = probe_basis.time_matrix(dt, nt)
+    rows = [_pair_against_basis(op, solve_nonlinear(op, f, materialize(spec, op.grid, dt, nt),
+                                                    dt, t_final), probe_basis, time_mat)
+            for spec in control_basis.specs]
+    return _record(op, control_basis, probe_basis, dt, t_final, tag, rows)
 
 
 def _check_windows(phi1, phi2):

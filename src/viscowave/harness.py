@@ -15,7 +15,9 @@ import numpy as np
 import yaml
 
 from .controls import ControlBasis, bump_control, time_bump
-from .dnmap import (alessandrini_residual, dn_matrix_linear,
+# dn_matrix_linear is not called here, but perfbench/tracer.py wraps every
+# binding of it, this one included
+from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linear,  # noqa: F401
                     nonlinear_integral_identity_residual,
                     self_adjointness_residual)
 from .grid import build_grid
@@ -81,8 +83,11 @@ _LISTS = ("levels", "eps_list", "target_nodes")
 
 
 def _merge(base, override):
+    """base updated by override, recursively; a null in override keeps the default."""
     out = copy.deepcopy(base)
     for key, val in (override or {}).items():
+        if val is None:
+            continue
         if isinstance(val, dict) and isinstance(out.get(key), dict):
             out[key] = _merge(out[key], val)
         else:
@@ -125,11 +130,17 @@ def validate_config(cfg):
         if unknown:
             raise ConfigError(f"unknown {key} keys {sorted(unknown)} for kind {kind!r}")
     _check_experiment_values(cfg["experiment"])
-    try:
-        s, dt, t_final = float(cfg["s"]), float(cfg["dt"]), float(cfg["t_final"])
-        level = float(cfg["noise"].get("level", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"s, dt, t_final and noise.level must be numbers: {exc}") from exc
+    numbers = {"s": cfg["s"], "dt": cfg["dt"], "t_final": cfg["t_final"],
+               "noise.level": cfg["noise"]["level"],
+               "regularization.synth_alpha": cfg["regularization"]["synth_alpha"],
+               "regularization.alpha_inv": cfg["regularization"]["alpha_inv"],
+               "model.r": cfg["model"].get("r", 1)}
+    for name, value in numbers.items():
+        try:
+            numbers[name] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    s, dt, t_final, level = (numbers[k] for k in ("s", "dt", "t_final", "noise.level"))
     for name, value in (("grid.n_nodes", cfg["grid"]["n_nodes"]), ("seed", cfg["seed"])):
         try:
             int(value)
@@ -145,6 +156,13 @@ def validate_config(cfg):
         raise ConfigError(str(exc)) from exc
     if level < 0:
         raise ConfigError("noise.level must be nonnegative")
+    nodes = cfg["experiment"].get("target_nodes")
+    if nodes is not None:
+        omega = _grid(cfg).omega
+        outside = sorted({int(n) for n in nodes} - set(omega.tolist()))
+        if outside:
+            raise ConfigError(f"experiment.target_nodes {outside} are not omega nodes "
+                              f"({int(omega[0])}..{int(omega[-1])})")
 
 
 def _check_experiment_values(exp):
@@ -223,21 +241,25 @@ def _noise_rng(cfg):
     return np.random.default_rng(int(cfg["seed"]))
 
 
-def _add_noise(record, level, rng):
-    if level <= 0:
+def _add_noise(record, sigma, rng):
+    """The record with Gaussian noise of standard deviation sigma on its pairings."""
+    if sigma <= 0:
         return record
-    scale = level * np.std(record.pairings)
-    noisy = record.pairings + rng.normal(0.0, scale, size=record.pairings.shape)
+    noisy = record.pairings + rng.normal(0.0, sigma, size=record.pairings.shape)
     return type(record)(s=record.s, dt=record.dt, t_final=record.t_final,
                         controls=record.controls, probes=record.probes,
                         pairings=noisy, tag=record.tag + "+noise")
 
 
+def _grid(cfg):
+    g = cfg["grid"]
+    return build_grid(tuple(g["box"]), tuple(g["omega"]), tuple(g["w1"]),
+                      tuple(g["w2"]), int(g["n_nodes"]))
+
+
 def _setup(cfg):
     """Grid, operator, dt, t_final and the step count of a scenario."""
-    g = cfg["grid"]
-    grid = build_grid(tuple(g["box"]), tuple(g["omega"]), tuple(g["w1"]),
-                      tuple(g["w2"]), int(g["n_nodes"]))
+    grid = _grid(cfg)
     op = assemble_fraclap(grid, float(cfg["s"]))
     dt, t_final = float(cfg["dt"]), float(cfg["t_final"])
     return grid, op, dt, t_final, n_steps_for(dt, t_final)
@@ -363,18 +385,20 @@ def run_invert_linear(cfg, out_dir):
     nseg = int(exp.get("basis_segments", 16))
     basis1 = ControlBasis(grid, "w1", t_final, nseg)
     basis2 = ControlBasis(grid, "w2", t_final, nseg)
-    rec_data = dn_matrix_linear(op, q_true, basis1, basis2, dt, t_final, tag="data")
-    rng = _noise_rng(cfg)
+    # the data enter as their difference from the q = 0 background, measured
+    # by the difference equation; the noise scales with the data themselves
+    background, rec_data = dn_difference_linear(op, q_true, basis1, basis2, dt, t_final,
+                                                tag="data")
     level = float(cfg["noise"]["level"])
-    rec_data = _add_noise(rec_data, level, rng)
+    sigma = level * np.std(background.pairings + rec_data.pairings)
+    rec_data = _add_noise(rec_data, sigma, _noise_rng(cfg))
 
     targets = _targets_from_cfg(grid, t_final, exp)
     frame = exp.get("frame", "direct")
     q_time_basis = exp.get("q_time_basis")
     reg = cfg["regularization"]
-    # the background record comes from the inversion's own q=0 solves on w1
     recon = recover_linear_potential(
-        rec_data, None, op, targets, float(reg["alpha_inv"]), dt, t_final,
+        rec_data, op, targets, float(reg["alpha_inv"]), dt, t_final,
         synth_alpha=float(reg["synth_alpha"]),
         q_time_basis=None if q_time_basis is None else int(q_time_basis),
         frame=frame)
@@ -457,6 +481,7 @@ RUNNERS = {
 
 def run_scenario(cfg, out_dir=None):
     """Run one experiment; returns the report dict and writes report.json."""
+    cfg = _merge(DEFAULTS, cfg)
     validate_config(cfg)
     out_dir = out_dir or cfg.get("out_dir", "out")
     os.makedirs(out_dir, exist_ok=True)

@@ -14,8 +14,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .controls import ControlBasis, ExteriorControl, bump_control, time_bump
-from .dnmap import _basis_controls, _dn_matrix, _pair_against_basis
-from .solver import (n_steps_for, solve_linear, solve_linear_controls, solve_nonlinear,
+from .dnmap import _pair_against_basis
+from .solver import (n_steps_for, solve_linear, solve_linear_basis, solve_nonlinear,
                      trapezoid_weights)
 
 
@@ -53,38 +53,21 @@ class BackgroundStates:
     """Interior states reached by each element of a control basis.
 
     Solves the evolution once per basis element (background potential q, zero
-    source), all elements in one blocked pass, and caches the interior
+    source), all elements in one basis pass, and caches the interior
     trajectories together with the Gram data needed for control synthesis in
-    the L2-in-time energy norm.  Given a probe basis, the same pass also pairs
-    every trajectory against it, and ``record`` is the background measurement
-    matrix that ``dn_matrix_linear(op, q, basis, probes, dt, t_final)`` gives.
+    the L2-in-time energy norm.
     """
 
-    def __init__(self, op, q, basis, dt, t_final, probes=None):
+    def __init__(self, op, q, basis, dt, t_final):
         self.op = op
         self.basis = basis
         self.dt = float(dt)
         self.t_final = float(t_final)
         self.n_steps = n_steps_for(dt, t_final)
         grid = op.grid
-        om = grid.omega
-        self.states = np.empty((len(basis), self.n_steps + 1, om.size))
-
-        def keep_states(trajectories):
-            for i, traj in enumerate(trajectories):
-                self.states[i] = traj.u[:, om]
-                yield traj
-
-        controls = _basis_controls(basis, grid, self.dt, self.n_steps)
-        trajectories = keep_states(solve_linear_controls(op, q, controls, self.dt,
-                                                         self.t_final))
-        self.record = None
-        if probes is None:
-            for _ in trajectories:
-                pass
-        else:
-            self.record = _dn_matrix(op, trajectories, basis, probes, self.dt,
-                                     self.t_final, "background")
+        self.states = np.empty((len(basis), self.n_steps + 1, grid.omega.size))
+        for elements, u, _v in solve_linear_basis(op, q, basis, self.dt, self.t_final):
+            self.states[elements] = u.transpose(1, 0, 2)
         self.time_weights = self.dt * trapezoid_weights(self.n_steps)
         k_omega = grid.h * op.omega_block
         k_states = self.states @ k_omega
@@ -105,23 +88,29 @@ class BackgroundStates:
     def synthesize(self, target, alpha):
         """Coefficients minimizing tracking error plus alpha * control cost.
 
-        alpha is dimensionless: the control-cost Gram is rescaled so its trace
-        matches the state Gram before weighting, making alpha the relative
-        spectral cutoff of the synthesis.
+        target is one (nt+1, n_omega) interior state or a stack of them,
+        (n, nt+1, n_omega); a stack is solved as one system with n right-hand
+        sides.  Returns the coefficients, the achieved states and the
+        tracking errors, one per target.  alpha is dimensionless: the
+        control-cost Gram is rescaled so its trace matches the state Gram
+        before weighting, making alpha the relative spectral cutoff of the
+        synthesis.
         """
         target = np.asarray(target, dtype=float)
-        if target.shape != (self.n_steps + 1, len(self.op.grid.omega)):
-            raise InversionError(
-                f"target shape {target.shape} does not match "
-                f"({self.n_steps + 1}, {len(self.op.grid.omega)})")
-        k_target = target @ (self.op.grid.h * self.op.omega_block)
-        b = self._sw_flat @ k_target.reshape(-1)
-        coeffs = cho_solve(self._synthesis_factor(alpha), b)
-        achieved = np.tensordot(coeffs, self.states, axes=(0, 0))
-        diff = achieved - target
-        err2 = np.sum(self.time_weights
-                      * np.einsum("tj,tj->t", diff, diff @ (self.op.grid.h * self.op.omega_block)))
-        return coeffs, achieved, np.sqrt(max(err2, 0.0))
+        shape = (self.n_steps + 1, len(self.op.grid.omega))
+        if target.ndim not in (2, 3) or target.shape[-2:] != shape:
+            raise InversionError(f"target shape {target.shape} does not match {shape}")
+        k_omega = self.op.grid.h * self.op.omega_block
+        stack = target.reshape((-1,) + shape)
+        b = self._sw_flat @ (stack @ k_omega).reshape(len(stack), -1).T
+        coeffs = cho_solve(self._synthesis_factor(alpha), b).T
+        achieved = (coeffs @ self.states.reshape(len(self.basis), -1)).reshape(stack.shape)
+        diff = achieved - stack
+        err2 = np.einsum("itj,itj->it", diff, diff @ k_omega) @ self.time_weights
+        errors = np.sqrt(np.maximum(err2, 0.0))
+        if target.ndim == 2:
+            return coeffs[0], achieved[0], errors[0]
+        return coeffs, achieved, errors
 
     def _synthesis_factor(self, alpha):
         """Cholesky factor of gram + alpha * scale * control_gram, once per alpha."""
@@ -155,10 +144,9 @@ class BackgroundStates:
 
 
 def _synthesize_targets(bg, targets, alpha):
-    """Stacked bg.synthesize over the targets: coefficients, achieved states, errors."""
-    fields = (tgt.materialize(bg.op.grid, bg.dt, bg.n_steps) for tgt in targets)
-    coeffs, achieved, errors = zip(*(bg.synthesize(fld, alpha) for fld in fields))
-    return np.asarray(coeffs), np.asarray(achieved), errors
+    """bg.synthesize over all the targets at once: coefficients, achieved states, errors."""
+    fields = [tgt.materialize(bg.op.grid, bg.dt, bg.n_steps) for tgt in targets]
+    return bg.synthesize(np.asarray(fields), alpha)
 
 
 def synthesize_control(op, q_background, problem, dt, t_final):
@@ -266,12 +254,9 @@ class Reconstruction:
         )
 
 
-def _rebuild_bases(op, dn_data, dn_background):
-    if dn_background is not None and (dn_data.controls != dn_background.controls
-                                      or dn_data.probes != dn_background.probes):
-        raise InversionError("data and background records use different bases")
-    basis1 = ControlBasis.from_specs(op.grid, dn_data.controls)
-    basis2 = ControlBasis.from_specs(op.grid, dn_data.probes)
+def _rebuild_bases(op, record):
+    basis1 = ControlBasis.from_specs(op.grid, record.controls)
+    basis2 = ControlBasis.from_specs(op.grid, record.probes)
     if basis1.window != "w1" or basis2.window != "w2":
         raise InversionError("expected controls on w1 and probes on w2")
     return basis1, basis2
@@ -319,41 +304,36 @@ def _regularized_solve(kern, rhs, pen, alpha, what):
     return cho_solve(cho, kern.T @ rhs)
 
 
-def recover_linear_potential(dn_data, dn_background, op, targets, alpha_inv,
-                             dt, t_final, synth_alpha=1e-10, q_time_basis=None,
-                             frame="direct", q_background=None):
-    """Potential increment from measured pairing differences over a background.
+def recover_linear_potential(dn_difference, op, targets, alpha_inv, dt, t_final,
+                             synth_alpha=1e-10, q_time_basis=None, frame="direct",
+                             q_background=None):
+    """Potential increment from a difference record over a background.
 
-    targets is a list of LocalizedTarget; both windows synthesize controls
-    towards each of them, and the pairing differences m_ij of data minus
-    background are matched to interior integrals of the potential against
-    products of the achieved background states (the first-order expansion of
-    the measurement map at q_background, so the returned values estimate
-    q_data - q_background).  Smoothness-regularized least squares with weight
-    alpha_inv picks the estimate.  frame="direct" parameterizes the unknown on
-    the forward time axis; frame="reversed" parameterizes its time reversal,
-    the natural frame when the unknown is modeled from the receiving side.
-    With q_time_basis=None the unknown is static; an integer requests that
-    many piecewise-linear time profiles.  dn_background=None measures the
-    background from the same solves that give the w1 background states,
-    which saves one solve per control element.
+    dn_difference holds the measurement differences of the data from the
+    background q_background, as ``dnmap.dn_difference_linear`` measures
+    them.  targets is a list of LocalizedTarget; both windows synthesize
+    controls towards each of them, and the differences m_ij are matched to
+    interior integrals of the potential against products of the achieved
+    background states (the first-order expansion of the measurement map at
+    q_background, so the returned values estimate q_data - q_background).
+    Smoothness-regularized least squares with weight alpha_inv picks the
+    estimate.  frame="direct" parameterizes the unknown on the forward time
+    axis; frame="reversed" parameterizes its time reversal, the natural frame
+    when the unknown is modeled from the receiving side.  With
+    q_time_basis=None the unknown is static; an integer requests that many
+    piecewise-linear time profiles.
     """
     if frame not in ("direct", "reversed"):
         raise InversionError(f"unknown frame {frame!r}")
     if q_background is not None and np.asarray(q_background).ndim > 1:
         raise InversionError("q_background must be static (scalar or one row)")
-    _check_record(dn_data, op, dt, t_final)
-    if dn_background is not None:
-        _check_record(dn_background, op, dt, t_final)
-    basis1, basis2 = _rebuild_bases(op, dn_data, dn_background)
+    _check_record(dn_difference, op, dt, t_final)
+    basis1, basis2 = _rebuild_bases(op, dn_difference)
     n_steps = n_steps_for(dt, t_final)
     grid = op.grid
     om = grid.omega
 
-    bg1 = BackgroundStates(op, q_background, basis1, dt, t_final,
-                           probes=basis2 if dn_background is None else None)
-    if dn_background is None:
-        dn_background = bg1.record
+    bg1 = BackgroundStates(op, q_background, basis1, dt, t_final)
     bg2 = BackgroundStates(op, q_background, basis2, dt, t_final)
 
     # achieved states: (n_targets, nt+1, n_omega)
@@ -361,8 +341,7 @@ def recover_linear_potential(dn_data, dn_background, op, targets, alpha_inv,
     coeff2, achieved2, errs2 = _synthesize_targets(bg2, targets, synth_alpha)
 
     perm = basis2.reversal_permutation()
-    pdiff = dn_data.pairings - dn_background.pairings
-    m = coeff1 @ pdiff[:, perm] @ coeff2.T  # (n_targets, n_targets)
+    m = coeff1 @ dn_difference.pairings[:, perm] @ coeff2.T  # (n_targets, n_targets)
 
     wt = dt * trapezoid_weights(n_steps)
     if q_time_basis is None:

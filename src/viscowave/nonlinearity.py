@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 
 class NonlinearityError(ValueError):
@@ -122,6 +121,8 @@ def certify_growth(f, tau_range, n_samples=512, nodes=None, r=None):
     and the violation vanishes, while growth faster than |tau|^r leaves a
     strictly positive violation.
     """
+    from scipy.optimize import nnls  # the only user; importing it costs set-up time
+
     if r is None:
         r = f.r
     if r is None:

@@ -10,11 +10,11 @@ symmetric, strictly diagonally dominant (hence positive definite) and has
 nonpositive off-diagonal entries.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.special import gamma
 
 from .grid import Grid
 
@@ -27,7 +27,7 @@ def fraclap_normalization(s):
     """Kernel constant making the continuum symbol exactly |xi|^(2s)."""
     if not 0.0 < s < 1.0:
         raise OperatorError(f"order s={s} outside (0, 1)")
-    return 2.0 ** (2 * s) * s * gamma(s + 0.5) / (np.sqrt(np.pi) * gamma(1.0 - s))
+    return 2.0 ** (2 * s) * s * math.gamma(s + 0.5) / (np.sqrt(np.pi) * math.gamma(1.0 - s))
 
 
 def _collocation_weights(s, h, nmax):

@@ -7,26 +7,25 @@ The second-order equation
     u(0) = u0,  u_t(0) = v0,
 
 with L the assembled fractional Laplacian, is integrated as a first-order
-system (u, v = u_t) with the trapezoidal rule.  Exterior nodes are pinned
-strongly to the control samples and their time derivatives, for all steps
-before the loop; interior updates solve a dense symmetric system per step on
-the contiguous omega slice, each step one LAPACK ``getrs`` on an LU factor.
-One step loop serves a single control and a block of controls alike: a
-measurement matrix steps the controls of a basis a block at a time, with the
-bits of one solve per control, and factors its potential once for all of
-them.  Nonlinear runs replace q u by f(x, u) and solve each step with a
+system (u, v = u_t) with the trapezoidal rule.  Exterior nodes carry the
+control samples and their time derivatives; the step loop holds omega only.
+Everything the exterior and the source add to a step enters the loop as one
+additive right-hand side per step, formed before it, so the loop steps one
+state or a block of states alike, one row per state: a control basis goes
+through it a block at a time, with no full-grid control.  A linear step is
+one product with L's omega block and one with the inverse of the step
+matrix, inverted once per potential (once per step for a time-dependent
+one).  Nonlinear runs replace q u by f(x, u) and solve each step with a
 Newton iteration on the same Jacobian structure.  A non-finite interior
 update is reported, by the first step that produced one, after the last step.
 """
 
 import csv
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg import lu_factor, lu_solve
 
 from . import nonlinearity as nl
 from .operator import norm_l2, seminorm_hs
@@ -132,82 +131,93 @@ def _check_control(control, grid, dt, nt):
     return control.values, control.dvalues
 
 
-def _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit):
-    """The shared trapezoidal step loop; returns read-only (u, v) histories.
+def _crank_nicolson(op, drive, dt, u0, v0, explicit, implicit):
+    """The shared trapezoidal step loop on omega; returns read-only (u, v) histories.
 
-    control is one exterior control (or None), or a list of them.  One
-    control gives (nt+1, n) histories, and the closures below see 1-D
-    interior states.  A list of m controls gives time-major (nt+1, m, n)
-    histories, and the closures see (m, n_omega) states, one row per control.
+    drive[k] is the additive right-hand side of step k: (n_omega,) for one
+    state, or (m, n_omega) for a block of m states, one row each.  The
+    histories have shape (nt+1,) + drive.shape[1:] and hold omega only.
 
     Each step forms the explicit half of the update from the current state:
-    the flux of L over both grids, the source, and ``explicit(k, u_k, u_base)``
-    for the interior term, where u_base = u_k + dt/2 v_k on omega.
-    ``implicit(k, rhs, v_k, u_base)`` then returns the new interior velocity.
-
-    The loop body touches only the contiguous omega slice: the exterior rows
-    are pinned, and the exterior part of the flux argument is formed, for all
-    steps before the loop.  The flux is still the full-vector product with L,
-    one product per control: cutting it to L's omega columns, or one matrix
-    product over all controls, would change its summation order.  Every
-    other part of a step is elementwise, so a row's bits do not depend on the
-    rows beside it.  Non-finite updates are looked for once, after the last
-    step, and reported for the first control that has one, at its first step.
+    the flux of L's omega block, ``explicit(k, u_k, u_base)`` for the
+    interior term, where u_base = u_k + dt/2 v_k, and drive[k].
+    ``implicit(k, rhs, v_k, u_base)`` then returns the new velocity.
+    Non-finite updates are looked for once, after the last step, and
+    reported for the first row that has one, at its first step.
     """
-    grid = op.grid
-    om = grid.omega
-    lo, hi = int(om[0]), int(om[-1]) + 1
-    if not np.array_equal(om, np.arange(lo, hi)):
-        raise SolverError("omega must be a contiguous range of nodes")
-    ext = grid.exterior
-    h_src = _expand_field(source, nt, grid, "source")
-    controls = control if isinstance(control, list) else [control]
-    rows = slice(None) if isinstance(control, list) else 0
-
-    n, m = grid.n_nodes, len(controls)
-    u = np.zeros((nt + 1, m, n))
-    v = np.zeros((nt + 1, m, n))
-    # flux argument u_k + v_k + u_base + v_base of step k; its exterior part
-    # is summed in that order, and v_base vanishes on omega
-    flux_arg = np.zeros((nt, m, n))
-    for i, c in enumerate(controls):
-        phi, dphi = _check_control(c, grid, dt, nt)
-        u[:, i, ext] = phi[:, ext]
-        v[:, i, ext] = dphi[:, ext]
-        flux_arg[:, i, ext] = ((phi[:-1, ext] + dphi[:-1, ext]) + phi[1:, ext]) + dphi[1:, ext]
-    u0om = _expand_field(u0, nt, grid, "u0")
-    v0om = _expand_field(v0, nt, grid, "v0")
-    if u0om is not None:
-        u[0, :, lo:hi] = u0om
-    if v0om is not None:
-        v[0, :, lo:hi] = v0om
-
-    L = op.matrix
+    nt = drive.shape[0]
+    L = op.omega_block
     hdt = 0.5 * dt
-    flux = np.empty((m, n))
+    u = np.empty((nt + 1,) + drive.shape[1:])
+    v = np.empty_like(u)
+    u[0] = 0.0 if u0 is None else u0
+    v[0] = 0.0 if v0 is None else v0
     for k in range(nt):
-        u_k = u[k, rows, lo:hi]
-        v_k = v[k, rows, lo:hi]
-        x = flux_arg[k]
+        u_k, v_k = u[k], v[k]
         u_base = u_k + hdt * v_k
-        x[:, lo:hi] = (u_k + v_k) + u_base
-        for i in range(m):  # the gemv of x[i] @ L, into a row kept for it
-            np.dot(x[i], L, out=flux[i])
-        rhs = v_k - hdt * flux[rows, lo:hi] - hdt * explicit(k, u_k, u_base)
-        if h_src is not None:
-            rhs = rhs + hdt * (h_src[k] + h_src[k + 1])
+        flux = ((u_k + v_k) + u_base) @ L
+        rhs = (v_k - hdt * (flux + explicit(k, u_k, u_base))) + drive[k]
         w = implicit(k, rhs, v_k, u_base)
-        v[k + 1, rows, lo:hi] = w
-        u[k + 1, rows, lo:hi] = u_base + hdt * w
+        v[k + 1] = w
+        u[k + 1] = u_base + hdt * w
 
-    bad = ~np.all(np.isfinite(v[1:, :, lo:hi]), axis=2)
+    bad = ~np.isfinite(v[1:].reshape(nt, -1, v.shape[-1])).all(axis=2)
     failed = bad.any(axis=0)
     if failed.any():
         first = int(np.argmax(failed))
         raise StepFailureError(int(np.argmax(bad[:, first])) + 1, "non-finite interior update")
     for arr in (u, v):
         arr.setflags(write=False)
-    return u[:, rows], v[:, rows]
+    return u, v
+
+
+def _control_drive(op, control, dt, nt, source):
+    """Step right-hand sides on omega of an exterior control and a source.
+
+    The control enters through the flux of L's exterior-to-omega block at
+    both ends of each step, the source through its trapezoidal average.
+    """
+    grid = op.grid
+    ext = grid.exterior
+    phi, dphi = _check_control(control, grid, dt, nt)
+    x = phi[:, ext] + dphi[:, ext]
+    drive = -0.5 * dt * ((x[:-1] + x[1:]) @ op.matrix[np.ix_(ext, grid.omega)])
+    h = _expand_field(source, nt, grid, "source")
+    if h is not None:
+        h = np.broadcast_to(h, (nt + 1, grid.omega.size))
+        drive += 0.5 * dt * (h[:-1] + h[1:])
+    return drive
+
+
+def _basis_drive(op, basis, dt, nt, elements):
+    """Step right-hand sides on omega of a slice of a node x spline basis.
+
+    Element (node j, spline c) drives step k by -dt/2 s_c[k] L[j, omega],
+    with s_c[k] the spline's value plus derivative summed over both ends of
+    the step: one product of the step samples with L's rows, no full-grid
+    control.  Returns (nt, m, n_omega).
+    """
+    x = basis.time_matrix(dt, nt) + basis.time_dmatrix(dt, nt)
+    s = x[:, :-1] + x[:, 1:]                                  # (n_splines, nt)
+    index = np.arange(len(basis))[elements]
+    n_spl = len(basis.tsplines)
+    nodes = np.asarray(basis.nodes)[index // n_spl]
+    rows = op.matrix[np.ix_(nodes, op.grid.omega)]          # (m, n_omega)
+    return -0.5 * dt * (s[index % n_spl].T[:, :, None] * rows[None])
+
+
+def _difference_drive(dq, u, v, dt):
+    """Step right-hand sides of w = u_q - u_bg, from the background histories.
+
+    u, v are background histories on omega, (nt+1, m, n_omega), and dq the
+    (nt+1, n_omega) samples of q - q_bg.  Subtracting the background step
+    from the q step leaves w stepping with q and this forcing at step k:
+    -dt/2 (dq_k u_k + dq_{k+1} u_base_k) - dt^2/4 dq_{k+1} v_{k+1}.
+    """
+    hdt = 0.5 * dt
+    dq = dq[:, None, :]
+    u_base = u[:-1] + hdt * v[:-1]
+    return -hdt * ((dq[:-1] * u[:-1] + dq[1:] * u_base) + hdt * (dq[1:] * v[1:]))
 
 
 def _step_matrix(op, dt):
@@ -215,63 +225,73 @@ def _step_matrix(op, dt):
     return np.eye(op.grid.omega.size) + (0.5 * dt + 0.25 * dt * dt) * op.omega_block
 
 
-def _step_factors(base_mat, qs, dt):
-    """LU factors of every step matrix of a time-dependent potential.
+def _step_inverses(base_mat, qs, q_static, dt):
+    """Transposed inverses of the step matrices base_mat + dt^2/4 diag(q_{k+1}).
 
-    Step k solves with base_mat + dt^2/4 diag(qs[k+1]).  Returns (lus, pivs):
-    lus[k] is the Fortran-ordered ``getrf`` factor of step k, a view into one
-    contiguous (nt, n, n) stack, and pivs[k] its pivots.  A singular step
-    matrix raises :class:`StepFailureError` at its step.
+    One (1, n, n) inverse, through ``lu_factor``, for a static q; an (nt, n,
+    n) stack of them, one per step, for a time-dependent q.  States are rows,
+    so a step multiplies by the transpose.  A non-finite static matrix fails
+    at step 0, a singular time-dependent one at its own step.
     """
-    nt, n = qs.shape[0] - 1, qs.shape[1]
-    # stack[k] holds the transpose of step k's matrix, so that stack[k].T is
-    # the matrix in Fortran order and getrf factors it in place
-    stack = np.empty((nt, n, n))
-    stack[:] = base_mat.T
-    d = np.arange(n)
-    stack[:, d, d] += 0.25 * dt * dt * qs[1:]
-    lus = stack.transpose(0, 2, 1)
-    pivs = np.empty((nt, n), dtype=np.int32)
-    for k in range(nt):
-        _, pivs[k], info = dgetrf(lus[k], overwrite_a=True)
-        if info > 0:
-            raise StepFailureError(k + 1, "linear solve failed: Singular matrix")
-    return lus, pivs
+    n = base_mat.shape[0]
+    if q_static:
+        try:
+            lu = lu_factor(base_mat + 0.25 * dt * dt * np.diag(qs[0]))
+        except ValueError as exc:  # lu_factor rejects a non-finite matrix
+            raise StepFailureError(0, f"factorization failed: {exc}")
+        inv = lu_solve(lu, np.eye(n))[None]
+    else:
+        stack = np.empty((qs.shape[0] - 1, n, n))
+        stack[:] = base_mat
+        d = np.arange(n)
+        stack[:, d, d] += 0.25 * dt * dt * qs[1:]
+        try:
+            inv = np.linalg.inv(stack)
+        except np.linalg.LinAlgError:
+            for k, mat in enumerate(stack):  # find the first singular step
+                try:
+                    np.linalg.inv(mat)
+                except np.linalg.LinAlgError as exc:
+                    raise StepFailureError(k + 1, f"linear solve failed: {exc}") from None
+            raise
+    return np.ascontiguousarray(inv.transpose(0, 2, 1))
 
 
 def _linear_step(op, q, dt, nt):
     """The explicit and implicit closures of the linear step with potential q.
 
-    Every step is one ``getrs`` per control, on factors made here once for
-    all the controls the closures serve: one ``lu_factor`` for a static q,
-    one factor per step for a time-dependent q (:func:`_step_factors`).
+    The implicit half is one product with a step-matrix inverse, made here
+    once for all the states the closures serve.
     """
     qs, q_static = _expand_potential(q, nt, op.grid.omega.size)
-    base_mat = _step_matrix(op, dt)
-    if q_static:
-        try:
-            lu, piv = lu_factor(base_mat + 0.25 * dt * dt * np.diag(qs[0]))
-        except Exception as exc:  # lu_factor rejects a non-finite matrix
-            raise StepFailureError(0, f"factorization failed: {exc}")
-        lus, pivs = [lu] * nt, [piv] * nt
-    else:
-        lus, pivs = _step_factors(base_mat, qs, dt)
+    inv = _step_inverses(_step_matrix(op, dt), qs, q_static, dt)
+    inv = np.broadcast_to(inv, (nt,) + inv.shape[1:])
 
     def explicit(k, u_k, u_base):
         return qs[k] * u_k + qs[k + 1] * u_base
 
     def implicit(k, rhs, v_k, u_base):
-        # the LAPACK solve behind lu_solve, without its per-call checks, in
-        # place on each control's contiguous row: one solve with all rows as
-        # right-hand sides would change the bits
-        w = rhs.reshape(-1, rhs.shape[-1])
-        for b in w:
-            _, info = dgetrs(lus[k], pivs[k], b, overwrite_b=True)
-            if info:
-                raise StepFailureError(k + 1, f"getrs returned info={info}")
-        return w.reshape(rhs.shape)
+        return rhs @ inv[k]
 
     return explicit, implicit
+
+
+def _solve_control(op, control, dt, nt, source, u0, v0, explicit, implicit):
+    """One state stepped under control and source from u0, v0; full-grid (u, v).
+
+    The interior comes from the step loop, the exterior is the control.
+    """
+    grid = op.grid
+    drive = _control_drive(op, control, dt, nt, source)
+    inner = _crank_nicolson(op, drive, dt, _expand_field(u0, nt, grid, "u0"),
+                            _expand_field(v0, nt, grid, "v0"), explicit, implicit)
+    out = []
+    for sampled, values in zip(_check_control(control, grid, dt, nt), inner):
+        full = np.array(sampled, dtype=float)
+        full[:, grid.omega] = values
+        full.setflags(write=False)
+        out.append(full)
+    return out
 
 
 def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
@@ -280,45 +300,67 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
     q may be None, a scalar, a static omega vector, or (n_time_nodes, n_omega)
     samples.  source/u0/v0 are interior fields (omega or full-grid layout).
     Returns a :class:`Trajectory` whose exterior nodes carry the control
-    samples exactly.  A static q is factored once per call.
+    samples exactly.
     """
     nt = n_steps_for(dt, t_final)
     explicit, implicit = _linear_step(op, q, dt, nt)
-    u, v = _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit)
+    u, v = _solve_control(op, control, dt, nt, source, u0, v0, explicit, implicit)
     return Trajectory(u=u, v=v, dt=dt)
 
 
-# Controls stepped together by solve_linear_controls.  The elementwise part
-# of a step runs once per block; the per-control flux product and back-solve
-# are what is left.  Measured on the 101-node inversions (220 controls per
-# pass, 200 steps, BLAS at one thread, two 20 s benchmark runs per size):
-# static wall 2.5-2.7, 2.0-2.1, 1.8-1.9 and 2.0-2.1 s at blocks 4, 8, 16 and
-# 32 (4.6-4.8 s one control at a time), ramp 2.9, 2.4-2.7, 2.2-2.3 and
-# 2.1-2.2 s.  Peak RSS moved by allocator noise only, 162-173 MB at every
-# size against 162-169 MB one at a time; the traced numpy peak, 71.1 MB, is
-# the same at blocks 1 and 16, because the synthesis Gram matrices, not the
-# block, set it.
-CONTROL_BLOCK = 16
+# Basis elements stepped together by solve_linear_basis.  Measured with
+# perfbench/run.py at seed 0 on a 2-vCPU VM (101 nodes, 220 elements per
+# basis, 200 steps, BLAS at one thread; one 20 s run per size, wall_s as the
+# benchmark scales it, and peak RSS):
+#   block   invert-linear-static   invert-linear-ramp
+#     16    0.58 s, 147 MB         0.87 s, 152 MB
+#     32    0.44 s, 145 MB         0.77 s, 152 MB
+#     64    0.41 s, 147 MB         0.81 s, 149 MB
+#    128    0.35 s, 145 MB         0.70 s, 158 MB
+#    220    0.33 s, 167 MB         0.69 s, 167 MB
+# A pass of one gemv and one getrs per control and step took 1.90 s, 164 MB
+# and 2.25 s, 166 MB.  A whole basis per block brings the peak RSS back to
+# that; 128 keeps most of the time.
+CONTROL_BLOCK = 128
 
 
-def solve_linear_controls(op, q, controls, dt, t_final):
-    """Yield solve_linear(op, q, control, dt, t_final) for each control, in order.
+def solve_linear_basis(op, q, basis, dt, t_final):
+    """Interior responses of every element of a node x spline control basis.
 
-    Each trajectory has the bits solve_linear gives, but q is normalized and
-    factored once for all controls, and the controls are stepped
-    CONTROL_BLOCK at a time through one pass of the step loop.  controls may
-    be any iterable; at most one block of it is held at a time.  A failing
-    step raises :class:`StepFailureError` for the first failing control, at
-    the step solve_linear reports for it.
+    Yields (elements, u, v) for each block of CONTROL_BLOCK elements, in
+    basis order: elements is the slice of the basis, and u, v are read-only
+    (nt+1, m, n_omega) histories on omega, time-major, one row per element.
+    On the exterior, an element's samples are its control.  q is normalized
+    and inverted once for all blocks.  A failing step raises
+    :class:`StepFailureError` for the first failing element, at its step.
     """
     nt = n_steps_for(dt, t_final)
     explicit, implicit = _linear_step(op, q, dt, nt)
-    controls = iter(controls)
-    while block := list(itertools.islice(controls, CONTROL_BLOCK)):
-        u, v = _crank_nicolson(op, block, dt, nt, None, None, None, explicit, implicit)
-        del block  # pinned into u and v; not kept while the next block loads
-        for i in range(u.shape[1]):
-            yield Trajectory(u=u[:, i], v=v[:, i], dt=dt)
+    for start in range(0, len(basis), CONTROL_BLOCK):
+        elements = slice(start, min(start + CONTROL_BLOCK, len(basis)))
+        drive = _basis_drive(op, basis, dt, nt, elements)
+        yield (elements, *_crank_nicolson(op, drive, dt, None, None, explicit, implicit))
+
+
+def solve_linear_difference(op, q, q_background, basis, dt, t_final):
+    """Background responses of a basis and their change when q replaces q_background.
+
+    Yields (elements, (u, v), (w, z)) per block, as solve_linear_basis does:
+    (u, v) are the responses with q_background, and (w, z) the differences
+    of the responses with q from them.  The differences are not subtracted:
+    they step with q, zero initial data and zero exterior data, driven by
+    the background (:func:`_difference_drive`), so they keep their relative
+    accuracy however small q - q_background is.
+    """
+    nt = n_steps_for(dt, t_final)
+    n_omega = op.grid.omega.size
+    dq = (_expand_potential(q, nt, n_omega)[0]
+          - _expand_potential(q_background, nt, n_omega)[0])
+    explicit, implicit = _linear_step(op, q, dt, nt)
+    for elements, u, v in solve_linear_basis(op, q_background, basis, dt, t_final):
+        w, z = _crank_nicolson(op, _difference_drive(dq, u, v, dt), dt, None, None,
+                               explicit, implicit)
+        yield elements, (u, v), (w, z)
 
 
 def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None,
@@ -353,7 +395,7 @@ def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None,
                 raise StepFailureError(k + 1, f"Newton linear solve failed: {exc}")
         raise NewtonDivergenceError(k + 1, res_norm, newton_maxit)
 
-    u, v = _crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit)
+    u, v = _solve_control(op, control, dt, nt, source, u0, v0, explicit, implicit)
     return Trajectory(u=u, v=v, dt=dt, newton_iters=iters)
 
 

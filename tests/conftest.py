@@ -38,3 +38,13 @@ def op61(grid61):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def grid101():
+    return standard_grid(101)
+
+
+@pytest.fixture(scope="session")
+def op101(grid101):
+    return assemble_fraclap(grid101, 0.5)

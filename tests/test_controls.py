@@ -1,5 +1,7 @@
 """Window controls: compatibility, spline families, reversal, serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -92,6 +94,24 @@ def test_spline_level_validation():
         _spline_pair(1.0, 8, 4)
 
 
+@pytest.mark.parametrize("t_final", [1.0, 0.7])
+def test_closed_form_spline_matches_scipy_basis_element(t_final):
+    # scipy rounds each knot k*delta on its own, so the two agree to a few
+    # ulp of the knot index, not to the last bit
+    from scipy.interpolate import BSpline
+
+    for n_seg in (7, 8, 16, 32):
+        delta = t_final / n_seg
+        for k in spline_indices(n_seg):
+            knots = delta * np.arange(k, k + 5, dtype=float)
+            ref = BSpline.basis_element(knots, extrapolate=False)
+            t = np.concatenate([np.linspace(0.0, t_final, 1001), knots])
+            val, der = _spline_pair(t_final, n_seg, k)
+            for got, want in ((val(t), ref(t)), (der(t), ref.derivative()(t))):
+                want = np.nan_to_num(want, nan=0.0)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_spline_samples_are_cached_read_only_and_unchanged():
     dt, nt = 0.02, 50
     val, der = _spline_pair(1.0, 16, 3)
@@ -165,6 +185,12 @@ def test_spec_time_reversed_bump():
     assert rev.time_params == (0.6, 0.9)
     back = rev.time_reversed(1.0)
     assert_allclose(back.time_params, spec.time_params, rtol=1e-15)
+    # exactly, although 1.0 - 0.9 != 0.1 in floating point
+    assert back.time_params == spec.time_params
+    assert back.time_reversed(1.0).time_params == rev.time_params
+    # a spec read back from its dict is reversed afresh
+    assert ControlSpec.from_dict(rev.to_dict()).time_reversed(1.0).time_params == (
+        1.0 - 0.9, 1.0 - 0.6)
 
 
 def test_materialize_rejects_bad_specs(grid31):
@@ -202,6 +228,10 @@ def test_from_specs_validation(grid31):
                        time_kind="bump", time_params=(0.1, 0.4))
     with pytest.raises(ControlError, match="node x spline"):
         ControlBasis.from_specs(grid31, [bump])
+    # a basis pass steps unit elements; it never samples a spec's amplitude
+    scaled = [dataclasses.replace(sp, amplitude=2.0) for sp in basis1.specs]
+    with pytest.raises(ControlError, match="amplitude 1"):
+        ControlBasis.from_specs(grid31, scaled)
 
 
 def test_control_arrays_immutable(grid31):

@@ -202,8 +202,9 @@ def test_invert_linear_reproducible_across_runs(tmp_path):
 
 
 def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
-    # data on w1, background on w1 (shared by the background record and the
-    # synthesis states) and background on w2: three passes over the basis
+    # four passes over a basis: the background and the difference from it on
+    # w1 for the data, then the background states on w1 and on w2 for the
+    # synthesis; none samples a control on the full grid
     materialized, stepped, factored = [], [], []
 
     def counting(calls, fn, size=lambda *a: 1):
@@ -215,7 +216,7 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(dnmap, "materialize", counting(materialized, dnmap.materialize))
     monkeypatch.setattr(solver, "_crank_nicolson", counting(
         stepped, solver._crank_nicolson,
-        lambda op, control, *rest: len(control) if isinstance(control, list) else 1))
+        lambda op, drive, *rest: drive.shape[1] if drive.ndim == 3 else 1))
     monkeypatch.setattr(solver, "lu_factor", counting(factored, solver.lu_factor))
     cfg = small_cfg(
         model={"kind": "linear", "q": {"kind": "gaussian", "amplitude": 0.5,
@@ -225,8 +226,10 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     grid = build_grid(*(cfg["grid"][k] for k in ("box", "omega", "w1", "w2", "n_nodes")))
     n_basis = len(ControlBasis(grid, "w1", cfg["t_final"], 8))
     assert n_basis == len(ControlBasis(grid, "w2", cfg["t_final"], 8))
-    assert len(materialized) == sum(stepped) == 3 * n_basis
-    assert len(factored) == 3
+    assert materialized == []
+    assert sum(stepped) == 4 * n_basis
+    # one static factorization per pass: q = 0 three times, the gaussian once
+    assert len(factored) == 4
 
 
 def test_sweep_refines_energy_residual(tmp_path):
@@ -291,7 +294,12 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                                   "experiment: {kind: forward, amplitude: abc}\n",
                                   "experiment: {kind: runge, levels: [8, x]}\n",
                                   "experiment: {kind: invert-linear, basis_segments: 4}\n",
-                                  "experiment: {kind: runge, levels: [4, 8]}\n"],
+                                  "experiment: {kind: runge, levels: [4, 8]}\n",
+                                  "regularization: {alpha_inv: abc}\n",
+                                  "regularization: {synth_alpha: [1]}\n",
+                                  "model: {kind: nonlinear, r: abc}\n",
+                                  "grid: {n_nodes: 31}\n"
+                                  "experiment: {kind: invert-linear, target_nodes: [500]}\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
                               "non-numeric-seed", "unknown-grid-key",
@@ -299,13 +307,29 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                               "unknown-experiment-key", "unknown-model-key",
                               "unknown-window", "unknown-frame", "non-integer-q_time_basis",
                               "non-numeric-amplitude", "non-integer-level",
-                              "too-few-basis-segments", "too-few-level-segments"])
+                              "too-few-basis-segments", "too-few-level-segments",
+                              "non-numeric-alpha_inv", "non-numeric-synth_alpha",
+                              "non-numeric-r", "target-node-outside-omega"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, text):
     path = tmp_path / "c.yaml"
     path.write_text(text)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_null_means_the_default(tmp_path, capsys):
+    base = {"grid": {"n_nodes": 31}, "dt": 0.02, "experiment": {"kind": "forward"}}
+    nulls = _merge(base, {})
+    nulls["experiment"].update(amplitude=None, window=None)
+    nulls.update(seed=None, regularization={"alpha_inv": None})
+    reports = []
+    for name, payload in (("base", base), ("nulls", nulls)):
+        assert main(["run", write_yaml(tmp_path / f"{name}.yaml", payload),
+                     "--out", str(tmp_path / name)]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    assert reports[0]["metrics"] == reports[1]["metrics"]
+    assert reports[0]["config"] == reports[1]["config"]
 
 
 def test_cli_solver_failure_exit_one(tmp_path, capsys):

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from viscowave import (BackgroundStates, IllConditionedError,
                        InconclusiveError, InversionError, LocalizedTarget,
                        Reconstruction, RungeProblem, bump_control,
-                       dn_matrix_linear, estimate_homogeneity_exponent,
+                       dn_difference_linear, estimate_homogeneity_exponent,
                        interior_targets, power_nonlinearity,
                        recover_linear_potential, recover_nonlinear_coefficient,
                        solve_linear, synthesize_control, zero_nonlinearity)
@@ -160,41 +160,37 @@ def _reference_background(op, q, basis, dt, t_final):
     return states, gram
 
 
+def _assert_close(got, ref, rtol):
+    """got within rtol of ref, relative to ref's largest entry."""
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("window", ["w1", "w2"])
 @pytest.mark.parametrize("static_q", [False, True])
 def test_background_states_match_reference_loop_bitwise(op31, grid31, window, static_q):
+    # the basis pass sums in another order than one solve per control
     q = 0.3 * np.ones(grid31.omega.size) if static_q else None
     basis = ControlBasis(grid31, window, T_FINAL, 8)
     bg = BackgroundStates(op31, q, basis, DT, T_FINAL)
     states, gram = _reference_background(op31, q, basis, DT, T_FINAL)
-    assert bg.states.tobytes() == states.tobytes()
-    assert bg.gram.tobytes() == gram.tobytes()
-    assert bg.record is None
+    _assert_close(bg.states, states, 1e-12)
+    _assert_close(bg.gram, gram, 1e-12)
 
 
-def test_shared_background_record_equals_dn_matrix(op31, grid31):
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    shared = BackgroundStates(op31, None, basis1, DT, T_FINAL, probes=basis2)
-    alone = BackgroundStates(op31, None, basis1, DT, T_FINAL)
-    rec = dn_matrix_linear(op31, None, basis1, basis2, DT, T_FINAL, tag="background")
-    assert shared.record.pairings.tobytes() == rec.pairings.tobytes()
-    assert shared.record.to_dict() == rec.to_dict()
-    assert shared.states.tobytes() == alone.states.tobytes()
-
-
-def test_recover_measures_the_background_when_none_is_given(op31, grid31):
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    q = 0.5 * np.exp(-((grid31.x[grid31.omega] - 0.5) / 0.2) ** 2)
-    data = dn_matrix_linear(op31, q, basis1, basis2, DT, T_FINAL)
-    background = dn_matrix_linear(op31, None, basis1, basis2, DT, T_FINAL)
-    kwargs = dict(alpha_inv=1e-2, dt=DT, t_final=T_FINAL, synth_alpha=1e-12)
-    targets = interior_targets(grid31, T_FINAL, nodes=grid31.omega[::2])
-    given = recover_linear_potential(data, background, op31, targets, **kwargs)
-    measured = recover_linear_potential(data, None, op31, targets, **kwargs)
-    assert measured.values.tobytes() == given.values.tobytes()
-    assert measured.diagnostics == given.diagnostics
+def test_synthesis_of_a_target_stack_matches_one_at_a_time(op31, grid31):
+    basis = ControlBasis(grid31, "w1", T_FINAL, 8)
+    bg = BackgroundStates(op31, None, basis, DT, T_FINAL)
+    targets = interior_targets(grid31, T_FINAL, nodes=grid31.omega[::3])
+    fields = np.asarray([t.materialize(grid31, DT, NT) for t in targets])
+    coeffs, achieved, errors = bg.synthesize(fields, 1e-8)
+    assert coeffs.shape == (len(targets), len(basis))
+    assert achieved.shape == fields.shape and errors.shape == (len(targets),)
+    for i in (0, len(targets) - 1):
+        c, a, e = bg.synthesize(fields[i], 1e-8)
+        _assert_close(coeffs[i], c, 1e-8)
+        _assert_close(achieved[i], a, 1e-8)
+        assert errors[i] == pytest.approx(e, rel=1e-8)
 
 
 # ------------------------------------------------------ linear potential
@@ -213,12 +209,11 @@ def test_exact_recovery_from_synthetic_first_order_data(op31, grid31):
     inner = grid31.h * np.einsum("atj,j,t,btj->ab", bg1.states, q_true, wt,
                                  bg2.states[:, ::-1, :], optimize=True)
     perm = basis2.reversal_permutation()
-    rec_bg = zero_record(op31, basis1, basis2, DT, T_FINAL)
     rec_data = DNRecord(s=op31.s, dt=DT, t_final=T_FINAL,
                         controls=list(basis1.specs), probes=list(basis2.specs),
                         pairings=inner[:, perm])
 
-    est = recover_linear_potential(rec_data, rec_bg, op31,
+    est = recover_linear_potential(rec_data, op31,
                                    interior_targets(grid31, T_FINAL),
                                    alpha_inv=1e-12, dt=DT, t_final=T_FINAL,
                                    synth_alpha=1e-12)
@@ -236,16 +231,15 @@ def test_time_reversal_consistency_of_estimates(op61, grid61):
     tgrid = np.linspace(0, T_FINAL, nt + 1)
     basis1 = ControlBasis(grid61, "w1", T_FINAL, 16)
     basis2 = ControlBasis(grid61, "w2", T_FINAL, 16)
-    rec0 = dn_matrix_linear(op61, None, basis1, basis2, dt, T_FINAL)
-    rec_f = dn_matrix_linear(op61, np.outer(tgrid, g), basis1, basis2,
-                             dt, T_FINAL)
-    rec_r = dn_matrix_linear(op61, np.outer(T_FINAL - tgrid, g), basis1,
-                             basis2, dt, T_FINAL)
+    _, rec_f = dn_difference_linear(op61, np.outer(tgrid, g), basis1, basis2,
+                                    dt, T_FINAL)
+    _, rec_r = dn_difference_linear(op61, np.outer(T_FINAL - tgrid, g), basis1,
+                                    basis2, dt, T_FINAL)
     targets = interior_targets(grid61, T_FINAL)
     kwargs = dict(alpha_inv=1e-1, dt=dt, t_final=T_FINAL, synth_alpha=1e-12,
                   q_time_basis=3, frame="reversed")
-    est_f = recover_linear_potential(rec_f, rec0, op61, targets, **kwargs)
-    est_r = recover_linear_potential(rec_r, rec0, op61, targets, **kwargs)
+    est_f = recover_linear_potential(rec_f, op61, targets, **kwargs)
+    est_r = recover_linear_potential(rec_r, op61, targets, **kwargs)
     mutual = (np.linalg.norm(est_f.values - est_r.values[:, ::-1])
               / np.linalg.norm(est_f.values))
     assert mutual < 0.05
@@ -257,20 +251,16 @@ def test_time_reversal_consistency_of_estimates(op61, grid61):
 def test_recover_rejects_mismatched_records(op31, grid31):
     basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
     basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    basis2b = ControlBasis(grid31, "w2", T_FINAL, 16)
     rec = zero_record(op31, basis1, basis2, DT, T_FINAL)
-    other = zero_record(op31, basis1, basis2b, DT, T_FINAL)
     targets = interior_targets(grid31, T_FINAL)
-    with pytest.raises(InversionError, match="different bases"):
-        recover_linear_potential(rec, other, op31, targets, 1e-6, DT, T_FINAL)
     bad_s = DNRecord(s=0.7, dt=DT, t_final=T_FINAL, controls=rec.controls,
                      probes=rec.probes, pairings=rec.pairings)
     with pytest.raises(InversionError, match="record order"):
-        recover_linear_potential(bad_s, rec, op31, targets, 1e-6, DT, T_FINAL)
+        recover_linear_potential(bad_s, op31, targets, 1e-6, DT, T_FINAL)
     bad_dt = DNRecord(s=op31.s, dt=0.04, t_final=T_FINAL, controls=rec.controls,
                       probes=rec.probes, pairings=rec.pairings)
     with pytest.raises(InversionError, match="time grid"):
-        recover_linear_potential(bad_dt, rec, op31, targets, 1e-6, DT, T_FINAL)
+        recover_linear_potential(bad_dt, op31, targets, 1e-6, DT, T_FINAL)
 
 
 def test_recover_rejects_swapped_windows(op31, grid31):
@@ -279,8 +269,7 @@ def test_recover_rejects_swapped_windows(op31, grid31):
                    controls=list(basis2.specs), probes=list(basis2.specs),
                    pairings=np.zeros((len(basis2), len(basis2))))
     with pytest.raises(InversionError, match="expected controls on w1"):
-        recover_linear_potential(rec, rec, op31,
-                                 interior_targets(grid31, T_FINAL),
+        recover_linear_potential(rec, op31, interior_targets(grid31, T_FINAL),
                                  1e-6, DT, T_FINAL)
 
 
@@ -290,10 +279,10 @@ def test_recover_rejects_bad_frame_and_background(op31, grid31):
     rec = zero_record(op31, basis1, basis2, DT, T_FINAL)
     targets = interior_targets(grid31, T_FINAL)
     with pytest.raises(InversionError, match="unknown frame"):
-        recover_linear_potential(rec, rec, op31, targets, 1e-6, DT, T_FINAL,
+        recover_linear_potential(rec, op31, targets, 1e-6, DT, T_FINAL,
                                  frame="backwards")
     with pytest.raises(InversionError, match="must be static"):
-        recover_linear_potential(rec, rec, op31, targets, 1e-6, DT, T_FINAL,
+        recover_linear_potential(rec, op31, targets, 1e-6, DT, T_FINAL,
                                  q_background=np.zeros((3, grid31.omega.size)))
 
 
@@ -304,7 +293,7 @@ def test_recover_detects_zero_probing_system(op31, grid31):
     # time window beyond t_final materializes to the zero target
     dead = [LocalizedTarget(int(grid31.omega[4]), 2.0, 3.0, 0.2)]
     with pytest.raises(InversionError, match="identically zero"):
-        recover_linear_potential(rec, rec, op31, dead, 1e-6, DT, T_FINAL)
+        recover_linear_potential(rec, op31, dead, 1e-6, DT, T_FINAL)
 
 
 # --------------------------------------------------------- nonlinearity
@@ -413,3 +402,45 @@ def test_ill_conditioned_error_carries_estimate():
     err = IllConditionedError("normal equations failed", 3.2e17)
     assert err.cond_estimate == 3.2e17
     assert "3.200e+17" in str(err)
+
+
+# ------------------------------------------ the difference record at 101 nodes
+# The test_09 static configuration.  Measurements are about 960 times their
+# difference from the background, so a subtracted record would carry every
+# rounding change of either side into the estimate.
+
+
+def _gaussian_case(grid, op, amplitude):
+    """The difference record of a static gaussian, and its recovery error."""
+    basis1 = ControlBasis(grid, "w1", T_FINAL, 16)
+    basis2 = ControlBasis(grid, "w2", T_FINAL, 16)
+    dt = 5e-3
+    q = amplitude * np.exp(-((grid.x[grid.omega] - 0.5) / 0.141421356) ** 2)
+    _, diff = dn_difference_linear(op, q, basis1, basis2, dt, T_FINAL)
+    targets = interior_targets(grid, T_FINAL)
+
+    def error(record):
+        est = recover_linear_potential(record, op, targets, alpha_inv=1e-1, dt=dt,
+                                       t_final=T_FINAL, synth_alpha=1e-12)
+        return np.linalg.norm(est.values - q) / np.linalg.norm(q)
+
+    return diff, error
+
+
+def test_weak_static_potential_is_recovered(grid101, op101):
+    # a subtracted record gave 48% here
+    diff, error = _gaussian_case(grid101, op101, 0.05)
+    assert error(diff) <= 0.10
+
+
+def test_recovery_is_stable_under_ulp_perturbation_of_the_record(grid101, op101):
+    # a subtracted record moved from 0.020 to between 0.013 and 0.037
+    diff, error = _gaussian_case(grid101, op101, 0.5)
+    base = error(diff)
+    assert base <= 0.10
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        noisy = DNRecord(s=diff.s, dt=diff.dt, t_final=diff.t_final,
+                         controls=diff.controls, probes=diff.probes,
+                         pairings=diff.pairings * (1 + 1e-16 * rng.normal(size=diff.pairings.shape)))
+        assert abs(error(noisy) - base) < 0.01 * base

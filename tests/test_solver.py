@@ -384,10 +384,16 @@ def _reference_solve_linear(op, q, control, dt, t_final, source=None, u0=None, v
     return _reference_crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit)
 
 
-def _assert_same_bytes(traj, ref_u, ref_v):
-    # tobytes, not array_equal: signed zeros must match too
-    assert traj.u.tobytes() == ref_u.tobytes()
-    assert traj.v.tobytes() == ref_v.tobytes()
+def _assert_close(traj, ref_u, ref_v):
+    """u and v within 1e-12 of the reference, relative to its largest entry.
+
+    The step loop sums in another order than the reference (the flux of L's
+    omega block plus a precomputed exterior part, a product with the step
+    matrix's inverse), so equal bits are not expected.
+    """
+    for got, ref in ((traj.u, ref_u), (traj.v, ref_v)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _shared_inputs(grid):
@@ -404,14 +410,16 @@ def test_static_potential_matches_reference_loop_bitwise(op31, grid31):
     ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
     kwargs = _shared_inputs(grid31)
     traj = solve_linear(op31, q, ctl, DT, T_FINAL, **kwargs)
-    _assert_same_bytes(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL, **kwargs))
+    _assert_close(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL, **kwargs))
+    ext = grid31.exterior
+    assert np.array_equal(traj.u[:, ext], ctl.values[:, ext])
 
 
 def test_time_dependent_potential_matches_reference_loop_bitwise(op31, grid31):
     q = np.outer(DT * np.arange(NT + 1), 0.4 * interior_bump(grid31)[grid31.omega])
     ctl = bump_control(grid31, "w2", 0.2, 0.9, DT, NT)
     traj = solve_linear(op31, q, ctl, DT, T_FINAL)
-    _assert_same_bytes(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
+    _assert_close(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
 
 
 def test_nonlinear_matches_reference_loop_bitwise(op31, grid31, monkeypatch):
@@ -420,10 +428,10 @@ def test_nonlinear_matches_reference_loop_bitwise(op31, grid31, monkeypatch):
     kwargs = _shared_inputs(grid31)
     traj = solve_nonlinear(op31, f, ctl, DT, T_FINAL, **kwargs)
     # the Newton step is unchanged, so the old loop around it is the reference
-    monkeypatch.setattr(solver, "_crank_nicolson", _reference_crank_nicolson)
+    monkeypatch.setattr(solver, "_solve_control", _reference_crank_nicolson)
     ref = solve_nonlinear(op31, f, ctl, DT, T_FINAL, **kwargs)
     assert ref.newton_iters.max() >= 1
-    _assert_same_bytes(traj, ref.u, ref.v)
+    _assert_close(traj, ref.u, ref.v)
     assert np.array_equal(traj.newton_iters, ref.newton_iters)
 
 
@@ -450,45 +458,45 @@ def test_non_finite_update_reports_its_first_step(op31, grid31):
     assert err.value.step == 6
 
 
-# ------------------------------------- time-dependent potential: the factor stack
-# The reference solves with numpy's LAPACK and solve_linear with scipy's.  The
-# two may be different OpenBLAS builds whose getrf can differ in the last bit
-# on some matrices; on these inputs they agree.
+# ------------------------------------- time-dependent potential: the inverse stack
 
 
 @pytest.fixture()
-def counted_getrf(monkeypatch):
-    """Count the getrf calls made."""
+def counted_inverses(monkeypatch):
+    """The number of step matrices inverted by each _step_inverses call."""
     calls = []
-    real = solver.dgetrf
+    real = solver._step_inverses
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        inv = real(*args, **kwargs)
+        calls.append(inv.shape[0])
+        return inv
 
-    monkeypatch.setattr(solver, "dgetrf", counting)
+    monkeypatch.setattr(solver, "_step_inverses", counting)
     return calls
 
 
-def test_time_dependent_factors_are_reused_for_the_same_potential(op31, grid31, counted_getrf):
-    # one blocked pass over the 18 controls of a basis factors each step once
+def test_time_dependent_factors_are_reused_for_the_same_potential(op31, grid31,
+                                                                   counted_inverses):
+    # one basis pass over the 18 elements inverts each step matrix once
     q = _potential(grid31, "time-dependent")
-    controls = _w1_controls(grid31)
-    got = list(solver.solve_linear_controls(op31, q, controls, DT, T_FINAL))
-    assert len(got) == 18
-    assert len(counted_getrf) == NT
+    basis, controls = _w1_basis(grid31)
+    got = _interior_responses(op31, q, basis)
+    assert got[0].shape == (len(controls), NT + 1, grid31.omega.size)
+    assert counted_inverses == [NT]
     for k in (0, 17):
-        _assert_same_bytes(got[k], *_reference_solve_linear(op31, q, controls[k], DT, T_FINAL))
+        ref_u, ref_v = _reference_solve_linear(op31, q, controls[k], DT, T_FINAL)
+        _assert_close(_interior(got, k), ref_u[:, grid31.omega], ref_v[:, grid31.omega])
 
 
-def test_time_dependent_factors_follow_an_in_place_change(op31, grid31, counted_getrf):
+def test_time_dependent_factors_follow_an_in_place_change(op31, grid31, counted_inverses):
     q = _potential(grid31, "time-dependent")
     ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
     solve_linear(op31, q, ctl, DT, T_FINAL)
     q[NT // 2:, 3] += 1.0
     traj = solve_linear(op31, q, ctl, DT, T_FINAL)
-    assert len(counted_getrf) == 2 * NT
-    _assert_same_bytes(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
+    assert counted_inverses == [NT, NT]
+    _assert_close(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
 
 
 def test_singular_time_dependent_step_reports_its_step(op31, grid31):
@@ -505,14 +513,14 @@ def test_singular_time_dependent_step_reports_its_step(op31, grid31):
         _reference_solve_linear(op0, q, None, dt, T_FINAL)
 
 
-# ------------------------------------- blocked pass: the controls of a basis at once
+# ------------------------------------- basis pass: the elements of a basis at once
 
 
-def _w1_controls(grid):
-    # 6 window nodes x 3 splines: 18 controls, a block of 16 and one of 2, or
-    # a block of 17 and a last block of one control
+def _w1_basis(grid):
+    # 6 window nodes x 3 splines: 18 elements, a block of 16 and one of 2, or
+    # a block of 17 and a last block of one element
     basis = ControlBasis(grid, "w1", T_FINAL, 8)
-    return [materialize(spec, grid, DT, NT) for spec in basis.specs]
+    return basis, [materialize(spec, grid, DT, NT) for spec in basis.specs]
 
 
 def _potential(grid, kind):
@@ -521,19 +529,85 @@ def _potential(grid, kind):
             "time-dependent": np.outer(DT * np.arange(NT + 1), prof)}[kind]
 
 
-@pytest.mark.parametrize("block", [solver.CONTROL_BLOCK, 17, 1])
+def _interior_responses(op, q, basis):
+    """(u, v) of solve_linear_basis, element-major, and the block sizes."""
+    u, v, sizes = [], [], []
+    for elements, bu, bv in solver.solve_linear_basis(op, q, basis, DT, T_FINAL):
+        assert not bu.flags.writeable and not bv.flags.writeable
+        sizes.append(bu.shape[1])
+        assert elements == slice(sum(sizes[:-1]), sum(sizes))
+        u.append(bu.transpose(1, 0, 2))
+        v.append(bv.transpose(1, 0, 2))
+    return np.concatenate(u), np.concatenate(v), sizes
+
+
+def _interior(responses, k):
+    """Element k of _interior_responses as a trajectory on omega."""
+    return solver.Trajectory(u=responses[0][k], v=responses[1][k], dt=DT)
+
+
+def _on_omega(grid, traj):
+    return traj.u[:, grid.omega], traj.v[:, grid.omega]
+
+
+@pytest.mark.parametrize("block", [16, 17, 1])
 @pytest.mark.parametrize("kind", ["none", "static", "time-dependent"])
 def test_blocked_pass_matches_solve_linear_bitwise(op31, grid31, monkeypatch, kind, block):
-    controls = _w1_controls(grid31)
-    assert len(controls) % solver.CONTROL_BLOCK and len(controls) % 17 == 1
+    basis, controls = _w1_basis(grid31)
+    assert len(controls) % 16 and len(controls) % 17 == 1
     monkeypatch.setattr(solver, "CONTROL_BLOCK", block)
     q = _potential(grid31, kind)
-    got = list(solver.solve_linear_controls(op31, q, iter(controls), DT, T_FINAL))
-    assert len(got) == len(controls)
-    for traj, ctl in zip(got, controls):
+    got = _interior_responses(op31, q, basis)
+    n = len(controls)
+    assert got[2] == [block] * (n // block) + [n % block] * bool(n % block)
+    for k, ctl in enumerate(controls):
         ref = solve_linear(op31, q, ctl, DT, T_FINAL)
-        _assert_same_bytes(traj, ref.u, ref.v)
-        assert not traj.u.flags.writeable and not traj.v.flags.writeable
+        _assert_close(_interior(got, k), *_on_omega(grid31, ref))
+
+
+_REFERENCE = {}
+
+
+def _reference_responses(op, grid, kind):
+    """Interior (u, v) of the reference loop for every element of _w1_basis."""
+    if kind not in _REFERENCE:
+        q = _potential(grid, kind)
+        runs = [_reference_solve_linear(op, q, c, DT, T_FINAL) for c in _w1_basis(grid)[1]]
+        _REFERENCE[kind] = [(u[:, grid.omega], v[:, grid.omega]) for u, v in runs]
+    return _REFERENCE[kind]
+
+
+@settings(max_examples=12, deadline=None)
+@given(block=st.integers(1, 19), kind=st.sampled_from(["none", "static", "time-dependent"]))
+def test_basis_pass_matches_the_reference_loop(op31, grid31, block, kind):
+    basis, _ = _w1_basis(grid31)
+    saved = solver.CONTROL_BLOCK
+    solver.CONTROL_BLOCK = block
+    try:
+        got = _interior_responses(op31, _potential(grid31, kind), basis)
+    finally:
+        solver.CONTROL_BLOCK = saved
+    assert max(got[2]) == min(block, len(basis))
+    for k, ref in enumerate(_reference_responses(op31, grid31, kind)):
+        _assert_close(_interior(got, k), *ref)
+
+
+@pytest.mark.parametrize("kind", ["static", "time-dependent"])
+def test_difference_pass_matches_the_subtraction(op31, grid31, kind):
+    # w = u_q - u_bg stepped from the background alone, against a static
+    # background potential
+    basis, _ = _w1_basis(grid31)
+    q, q_bg = _potential(grid31, kind), 0.2 * np.ones(grid31.omega.size)
+    with_q = _interior_responses(op31, q, basis)
+    background = _interior_responses(op31, q_bg, basis)
+    passes = list(solver.solve_linear_difference(op31, q, q_bg, basis, DT, T_FINAL))
+    for i in (0, 1):
+        bg = np.concatenate([p[1][i].transpose(1, 0, 2) for p in passes])
+        diff = np.concatenate([p[2][i].transpose(1, 0, 2) for p in passes])
+        sub = with_q[i] - background[i]
+        assert np.array_equal(bg, background[i])
+        assert np.abs(sub).max() > 1e-3 * np.abs(background[i]).max()
+        assert np.abs(diff - sub).max() <= 1e-11 * np.abs(sub).max()
 
 
 def _failing_step(call):
@@ -542,50 +616,54 @@ def _failing_step(call):
     return err.value.step
 
 
-def _failing_steps(op, q, controls, dt=DT):
-    """Failing step of solve_linear on the first control, and of the blocked pass."""
-    one = _failing_step(lambda: solve_linear(op, q, controls[0], dt, T_FINAL))
-    block = _failing_step(lambda: list(solver.solve_linear_controls(op, q, controls, dt,
-                                                                    T_FINAL)))
+def _failing_steps(op, q, basis, control, dt=DT):
+    """Failing step of solve_linear on one control, and of the basis pass."""
+    one = _failing_step(lambda: solve_linear(op, q, control, dt, T_FINAL))
+    block = _failing_step(lambda: list(solver.solve_linear_basis(op, q, basis, dt, T_FINAL)))
     return one, block
 
 
 def test_blocked_pass_fails_at_the_step_solve_linear_reports(op31, grid31):
-    controls = _w1_controls(grid31)
+    basis, controls = _w1_basis(grid31)
     om = grid31.omega
     q_t = _potential(grid31, "time-dependent")
     q_t[1:, 2] = np.nan
-    assert _failing_steps(op31, q_t, controls) == (1, 1)
+    assert _failing_steps(op31, q_t, basis, controls[0]) == (1, 1)
     q = _potential(grid31, "static")
     q[2] = np.nan
-    assert _failing_steps(op31, q, controls) == (0, 0)
+    assert _failing_steps(op31, q, basis, controls[0]) == (0, 0)
     # singular step matrix of a time-dependent q, as in the test above
     op0 = dataclasses.replace(op31, matrix=np.zeros_like(op31.matrix))
     dt = 2.0 ** -5
     q_s = np.ones((n_steps_for(dt, T_FINAL) + 1, om.size))
     q_s[5, 3] = -4.0 / dt ** 2
-    assert _failing_steps(op0, q_s, [None] * 3, dt) == (5, 5)
-    # a NaN source, shared by every control of a block
+    assert _failing_steps(op0, q_s, basis, None, dt) == (5, 5)
+    # a NaN source, shared by every row of a block
     src = np.zeros((NT + 1, om.size))
     src[6, 3] = np.nan
     prof = _potential(grid31, "static")
     one = _failing_step(lambda: solve_linear(op31, prof, controls[0], DT, T_FINAL, source=src))
     explicit, implicit = solver._linear_step(op31, prof, DT, NT)
+    drive = (solver._basis_drive(op31, basis, DT, NT, slice(0, 5))
+             + solver._control_drive(op31, None, DT, NT, src)[:, None])
     block = _failing_step(lambda: solver._crank_nicolson(
-        op31, controls[:5], DT, NT, src, None, None, explicit, implicit))
+        op31, drive, DT, None, None, explicit, implicit))
     assert one == block == 6
 
 
 def test_blocked_pass_reports_its_first_failing_control(op31, grid31):
     # control 3 fails late and control 9 early: in order, control 3 fails first
-    controls = _w1_controls(grid31)
+    _, controls = _w1_basis(grid31)
     for i, k in ((3, 30), (9, 8)):
         values = controls[i].values.copy()
         values[k:, grid31.w1[0]] = np.inf
         controls[i] = dataclasses.replace(controls[i], values=values)
+    explicit, implicit = solver._linear_step(op31, None, DT, NT)
     with np.errstate(all="ignore"):
         one = _failing_step(lambda: solve_linear(op31, None, controls[3], DT, T_FINAL))
         assert _failing_step(lambda: solve_linear(op31, None, controls[9], DT, T_FINAL)) < one
-        block = _failing_step(lambda: list(solver.solve_linear_controls(
-            op31, None, controls, DT, T_FINAL)))
+        drive = np.stack([solver._control_drive(op31, c, DT, NT, None) for c in controls],
+                         axis=1)
+        block = _failing_step(lambda: solver._crank_nicolson(
+            op31, drive, DT, None, None, explicit, implicit))
     assert block == one
