@@ -9,7 +9,6 @@ nested under dyadic refinement and map onto themselves under time reversal.
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -123,9 +122,6 @@ class ControlSpec:
     time_kind: str           # "bump" | "spline"
     time_params: tuple       # ("bump", (t0, t1)) or ("spline", (t_final, n_segments, index))
     amplitude: float = 1.0
-    # (spec, horizon) of a bump spec made by time_reversed: reversing back
-    # over that horizon returns spec itself, where T - (T - t0) would round
-    _reverses: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self):
         return {"window": self.window, "space_kind": self.space_kind,
@@ -139,26 +135,6 @@ class ControlSpec:
                            time_kind=d["time_kind"],
                            time_params=tuple(d["time_params"]),
                            amplitude=float(d.get("amplitude", 1.0)))
-
-    def time_reversed(self, t_final):
-        """Spec of the control whose samples equal this one reversed in time.
-
-        Reversing twice over the same horizon gives back an equal spec.
-        """
-        if self.time_kind == "bump":
-            if self._reverses is not None and self._reverses[1] == t_final:
-                return self._reverses[0]
-            t0, t1 = self.time_params
-            reversed_spec = ControlSpec(self.window, self.space_kind, self.space_params,
-                                        self.time_kind, (t_final - t1, t_final - t0),
-                                        self.amplitude)
-            object.__setattr__(reversed_spec, "_reverses", (self, t_final))
-            return reversed_spec
-        tf, n_seg, index = self.time_params
-        if abs(tf - t_final) > 1e-12:
-            raise ControlError("spline horizon differs from requested reversal horizon")
-        return ControlSpec(self.window, self.space_kind, self.space_params,
-                           self.time_kind, (tf, n_seg, n_seg - 4 - index), self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -174,7 +150,6 @@ class ExteriorControl:
     dvalues: np.ndarray = field(repr=False)
     window: str
     dt: float
-    spec: Optional[ControlSpec] = None
 
     @property
     def n_steps(self):
@@ -185,7 +160,7 @@ class ExteriorControl:
         return self.n_steps * self.dt
 
 
-def make_control(grid, values, dvalues, window, dt, spec=None):
+def make_control(grid, values, dvalues, window, dt):
     """Validate and freeze an exterior control."""
     values = np.asarray(values, dtype=float)
     dvalues = np.asarray(dvalues, dtype=float)
@@ -201,8 +176,7 @@ def make_control(grid, values, dvalues, window, dt, spec=None):
                            "values must vanish at the first two time nodes")
     for arr in (values, dvalues):
         arr.setflags(write=False)
-    return ExteriorControl(values=values, dvalues=dvalues, window=window,
-                           dt=float(dt), spec=spec)
+    return ExteriorControl(values=values, dvalues=dvalues, window=window, dt=float(dt))
 
 
 def materialize(spec, grid, dt, n_steps):
@@ -225,7 +199,7 @@ def materialize(spec, grid, dt, n_steps):
         raise ControlError(f"unknown space profile kind {spec.space_kind!r}")
     values = spec.amplitude * tv[:, None] * prof[None, :]
     dvalues = spec.amplitude * td[:, None] * prof[None, :]
-    return make_control(grid, values, dvalues, spec.window, dt, spec=spec)
+    return make_control(grid, values, dvalues, spec.window, dt)
 
 
 def bump_control(grid, window, t0, t1, dt, n_steps, amplitude=1.0, space=None):
@@ -276,13 +250,12 @@ class ControlBasis:
                            for k in self.tsplines])
 
     def reversal_permutation(self):
-        """perm with materialize(specs[perm[i]]) == time reversal of materialize(specs[i])."""
-        perm = np.empty(len(self.specs), dtype=int)
-        pos = {(sp.space_params[0], sp.time_params[2]): i for i, sp in enumerate(self.specs)}
-        for i, sp in enumerate(self.specs):
-            k_rev = self.n_segments - 4 - sp.time_params[2]
-            perm[i] = pos[(sp.space_params[0], k_rev)]
-        return perm
+        """perm with materialize(specs[perm[i]]) == time reversal of materialize(specs[i]).
+
+        Spline k reverses to spline n_segments - 4 - k at the same node, so
+        perm reads the spline axis of the node-major layout backwards.
+        """
+        return np.arange(len(self)).reshape(len(self.nodes), -1)[:, ::-1].ravel()
 
     @staticmethod
     def from_specs(grid, specs):
@@ -299,6 +272,9 @@ class ControlBasis:
         n_seg = int(specs[0].time_params[1])
         basis = ControlBasis(grid, windows.pop(), t_final, n_seg)
         nodes = sorted({int(sp.space_params[0]) for sp in specs})
+        outside = sorted(set(nodes) - set(basis.nodes))
+        if outside:
+            raise ControlError(f"basis nodes {outside} not in window {basis.window}")
         basis.nodes = nodes
         basis.specs = list(specs)
         expected = [(n, k) for n in nodes for k in basis.tsplines]

@@ -39,12 +39,9 @@ def time_reverse(obj):
                           newton_iters=None if obj.newton_iters is None
                           else obj.newton_iters[::-1].copy())
     if isinstance(obj, ExteriorControl):
-        spec = None
-        if obj.spec is not None:
-            spec = obj.spec.time_reversed(obj.t_final)
         return ExteriorControl(values=obj.values[::-1].copy(),
                                dvalues=-obj.dvalues[::-1].copy(),
-                               window=obj.window, dt=obj.dt, spec=spec)
+                               window=obj.window, dt=obj.dt)
     arr = np.asarray(obj)
     if arr.ndim == 0:
         raise DNMapError("cannot time-reverse a scalar; pass an array, "

@@ -21,7 +21,7 @@ from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linea
                     nonlinear_integral_identity_residual,
                     self_adjointness_residual)
 from .grid import build_grid
-from .inversion import (RungeProblem, estimate_homogeneity_exponent, interior_targets,
+from .inversion import (estimate_homogeneity_exponent, interior_targets,
                         recover_linear_potential, recover_nonlinear_coefficient,
                         synthesize_control)
 from .nonlinearity import power_nonlinearity, zero_nonlinearity
@@ -363,9 +363,7 @@ def run_runge(cfg, out_dir):
     errors = []
     q, _f = _model_pieces(grid, cfg, dt, t_final)
     for nseg in levels:
-        prob = RungeProblem(target=target, window=window, alpha=alpha,
-                            n_segments=nseg)
-        _ctrl, err = synthesize_control(op, q, prob, dt, t_final)
+        _ctrl, err = synthesize_control(op, q, target, window, dt, t_final, alpha, nseg)
         errors.append(float(err))
     rel = [e / tnorm for e in errors]
     tol = float(exp.get("tolerance", 0.2))

@@ -35,20 +35,6 @@ class InconclusiveError(InversionError):
     """Measured differences too small to estimate the homogeneity exponent."""
 
 
-@dataclass(frozen=True)
-class RungeProblem:
-    """Target interior state to be tracked by a control on one window.
-
-    target has shape (n_steps + 1, n_omega); alpha is the control-cost weight
-    and n_segments fixes the time-spline refinement of the control basis.
-    """
-
-    target: np.ndarray
-    window: str
-    alpha: float = 1e-10
-    n_segments: int = 16
-
-
 class BackgroundStates:
     """Interior states reached by each element of a control basis.
 
@@ -71,13 +57,14 @@ class BackgroundStates:
         self.time_weights = self.dt * trapezoid_weights(self.n_steps)
         k_omega = grid.h * op.omega_block
         k_states = self.states @ k_omega
+        # sw lives only for this product; the Gram keeps this association,
+        # since weighting k_states instead moves synthesized states by up to
+        # 2e-8 relative at alpha 1e-8
         sw = self.states * self.time_weights[None, :, None]
         flat = k_states.reshape(len(basis), -1)
         self.gram = sw.reshape(len(basis), -1) @ flat.T
         self.gram = 0.5 * (self.gram + self.gram.T)
-        self._sw_flat = sw.reshape(len(basis), -1)
         self.control_gram = self._control_gram()
-        self._factors = {}  # synthesis Cholesky factors by alpha
 
     def _control_gram(self):
         tm = self.basis.time_matrix(self.dt, self.n_steps)
@@ -102,9 +89,14 @@ class BackgroundStates:
             raise InversionError(f"target shape {target.shape} does not match {shape}")
         k_omega = self.op.grid.h * self.op.omega_block
         stack = target.reshape((-1,) + shape)
-        b = self._sw_flat @ (stack @ k_omega).reshape(len(stack), -1).T
-        coeffs = cho_solve(self._synthesis_factor(alpha), b).T
-        achieved = (coeffs @ self.states.reshape(len(self.basis), -1)).reshape(stack.shape)
+        # the time weights go onto the targets' energy, in place, so that the
+        # states are the only copy kept of them
+        energy = stack @ k_omega
+        energy *= self.time_weights[None, :, None]
+        flat = self.states.reshape(len(self.basis), -1)
+        coeffs = cho_solve(self._synthesis_factor(alpha),
+                           flat @ energy.reshape(len(stack), -1).T).T
+        achieved = (coeffs @ flat).reshape(stack.shape)
         diff = achieved - stack
         err2 = np.einsum("itj,itj->it", diff, diff @ k_omega) @ self.time_weights
         errors = np.sqrt(np.maximum(err2, 0.0))
@@ -113,18 +105,14 @@ class BackgroundStates:
         return coeffs, achieved, errors
 
     def _synthesis_factor(self, alpha):
-        """Cholesky factor of gram + alpha * scale * control_gram, once per alpha."""
-        cho = self._factors.get(alpha)
-        if cho is None:
-            scale = np.trace(self.gram) / np.trace(self.control_gram)
-            mat = self.gram + alpha * scale * self.control_gram
-            try:
-                cho = cho_factor(mat)
-            except np.linalg.LinAlgError as exc:
-                raise IllConditionedError("control normal equations failed",
-                                          np.linalg.cond(mat)) from exc
-            self._factors[alpha] = cho
-        return cho
+        """Cholesky factor of gram + alpha * scale * control_gram."""
+        scale = np.trace(self.gram) / np.trace(self.control_gram)
+        mat = self.gram + alpha * scale * self.control_gram
+        try:
+            return cho_factor(mat)
+        except np.linalg.LinAlgError as exc:
+            raise IllConditionedError("control normal equations failed",
+                                      np.linalg.cond(mat)) from exc
 
     def control_from_coeffs(self, coeffs):
         """Assemble the synthesized exterior control Sum_m c_m * element_m."""
@@ -140,7 +128,7 @@ class BackgroundStates:
             values[:, node] = c_node @ tm
             dvalues[:, node] = c_node @ dtm
         return ExteriorControl(values=values, dvalues=dvalues,
-                               window=self.basis.window, dt=self.dt, spec=None)
+                               window=self.basis.window, dt=self.dt)
 
 
 def _synthesize_targets(bg, targets, alpha):
@@ -149,15 +137,16 @@ def _synthesize_targets(bg, targets, alpha):
     return bg.synthesize(np.asarray(fields), alpha)
 
 
-def synthesize_control(op, q_background, problem, dt, t_final):
-    """Control on problem.window whose state tracks problem.target.
+def synthesize_control(op, q_background, target, window, dt, t_final, alpha, n_segments):
+    """Control on window whose state tracks target, (n_steps + 1, n_omega).
 
-    Returns (control, achieved_error) with the error measured in the
-    L2-in-time interior energy norm.
+    alpha is the control-cost weight and n_segments the time-spline level of
+    the control basis.  Returns (control, achieved_error) with the error
+    measured in the L2-in-time interior energy norm.
     """
-    basis = ControlBasis(op.grid, problem.window, t_final, problem.n_segments)
+    basis = ControlBasis(op.grid, window, t_final, n_segments)
     bg = BackgroundStates(op, q_background, basis, dt, t_final)
-    coeffs, _, err = bg.synthesize(problem.target, problem.alpha)
+    coeffs, _, err = bg.synthesize(target, alpha)
     return bg.control_from_coeffs(coeffs), float(err)
 
 
@@ -179,24 +168,19 @@ class LocalizedTarget:
         return np.outer(theta, prof)
 
 
-def interior_targets(grid, t_final, nodes=None, space_width=None,
-                     time_windows=None):
+def interior_targets(grid, t_final, nodes=None, space_width=None):
     """Localized targets: interior nodes crossed with staggered time bumps.
 
-    The default three overlapping time windows give the pairing matrix enough
-    temporal diversity to resolve the potential; a single window flattens the
-    system onto too small a subspace.
+    Three overlapping time windows give the pairing matrix enough temporal
+    diversity to resolve the potential; a single window flattens the system
+    onto too small a subspace.
     """
     if nodes is None:
         nodes = grid.omega
     if space_width is None:
         space_width = 2.0 * grid.h
-    if time_windows is None:
-        time_windows = [(0.10 * t_final, 0.50 * t_final),
-                        (0.30 * t_final, 0.70 * t_final),
-                        (0.50 * t_final, 0.90 * t_final)]
-    return [LocalizedTarget(int(n), float(a), float(b), float(space_width))
-            for n in nodes for (a, b) in time_windows]
+    return [LocalizedTarget(int(n), a * t_final, b * t_final, float(space_width))
+            for n in nodes for (a, b) in ((0.10, 0.50), (0.30, 0.70), (0.50, 0.90))]
 
 
 @dataclass
@@ -304,6 +288,20 @@ def _regularized_solve(kern, rhs, pen, alpha, what):
     return cho_solve(cho, kern.T @ rhs)
 
 
+def _probing_kernel(fld1, fld2, weights):
+    """Sum over t of fld1[i, t, j] fld2[k, t, j] weights[m, t].
+
+    Rows are the pairs (i, k), columns (node j, time profile m); each time
+    profile is one matmul batched over the nodes.
+    """
+    right = np.ascontiguousarray(fld2.transpose(2, 1, 0))       # (j, t, k)
+    left = np.ascontiguousarray(fld1.transpose(2, 0, 1))        # (j, i, t)
+    kern = np.empty((len(fld1), len(fld2), fld1.shape[2], len(weights)))
+    for m, w in enumerate(weights):
+        kern[..., m] = ((left * w) @ right).transpose(1, 2, 0)
+    return kern.reshape(len(fld1) * len(fld2), -1)
+
+
 def recover_linear_potential(dn_difference, op, targets, alpha_inv, dt, t_final,
                              synth_alpha=1e-10, q_time_basis=None, frame="direct",
                              q_background=None):
@@ -354,11 +352,8 @@ def recover_linear_potential(dn_difference, op, targets, alpha_inv, dt, t_final,
         fld1, fld2 = achieved1, achieved2[:, ::-1, :]
     else:
         fld1, fld2 = achieved1[:, ::-1, :], achieved2
-    # rows (i, k), columns (node j, time profile m)
-    wg = gamma * wt[None, :]
-    kern = grid.h * np.einsum("itj,ktj,mt->ikjm", fld1, fld2, wg, optimize=True)
+    kern = grid.h * _probing_kernel(fld1, fld2, gamma * wt[None, :])
     n_pairs = len(targets) ** 2
-    kern = kern.reshape(n_pairs, len(om) * n_gamma)
     rhs = m.reshape(-1)
 
     col = np.sqrt(np.einsum("pj,pj->j", kern, kern)).reshape(len(om), n_gamma)
@@ -412,7 +407,7 @@ def _nonlinear_remainders(op, f, psi, basis2, eps_list, dt, t_final):
     remainders = []
     for eps in eps_list:
         scaled = ExteriorControl(values=eps * psi.values, dvalues=eps * psi.dvalues,
-                                 window=psi.window, dt=psi.dt, spec=None)
+                                 window=psi.window, dt=psi.dt)
         nl = solve_nonlinear(op, f, scaled, dt, t_final)
         p_nl = _pair_against_basis(op, nl, basis2, time_mat)[perm]
         remainders.append(p_nl - eps * p_lin)
@@ -443,7 +438,7 @@ def estimate_homogeneity_exponent(op, f, psi, basis2, eps_list, dt, t_final):
 
 def recover_nonlinear_coefficient(op, f, r_known, targets, eps0, alpha_inv,
                                   dt, t_final, psi=None, synth_alpha=1e-10,
-                                  n_segments=16, coverage_floor=1e-8):
+                                  n_segments=16):
     """Nodal coefficient of a homogeneous nonlinearity from small-amplitude data.
 
     The leading pairing difference at amplitude eps scales like eps**(r+1) and
@@ -476,7 +471,7 @@ def recover_nonlinear_coefficient(op, f, r_known, targets, eps0, alpha_inv,
     zeta = grid.h * np.einsum("tj,t,ktj->kj", gsrc, wt, v2_rev)
 
     colnorm = np.linalg.norm(zeta, axis=0)
-    covered = colnorm >= coverage_floor * colnorm.max()
+    covered = colnorm >= 1e-8 * colnorm.max()
     values = np.full(len(om), np.nan)
     sub = zeta[:, covered]
     d2 = _second_difference(sub.shape[1])

@@ -18,7 +18,7 @@ class Nonlinearity:
     ``value_fn``/``dvalue_fn`` take (nodes, tau) where ``nodes`` is an integer
     index array selecting grid nodes (for the x-dependence) and ``tau`` is a
     float array broadcastable against it; both return arrays of tau's shape.
-    ``r`` is the homogeneity degree minus one when ``homogeneous`` is set:
+    ``r``, when set, is the homogeneity degree minus one:
     f(x, lam*tau) = lam^(r+1) f(x, tau) for lam > 0.
     """
 
@@ -26,7 +26,6 @@ class Nonlinearity:
     dvalue_fn: Callable = field(repr=False)
     r: Optional[float] = None
     coeff: Optional[np.ndarray] = field(default=None, repr=False)
-    homogeneous: bool = False
 
     def value(self, tau, nodes=None):
         return self.value_fn(nodes, np.asarray(tau, dtype=float))
@@ -38,7 +37,7 @@ class Nonlinearity:
 def zero_nonlinearity():
     return Nonlinearity(value_fn=lambda nodes, tau: np.zeros_like(tau),
                         dvalue_fn=lambda nodes, tau: np.zeros_like(tau),
-                        r=0.0, coeff=None, homogeneous=True)
+                        r=0.0, coeff=None)
 
 
 def power_nonlinearity(coeff, r):
@@ -73,7 +72,7 @@ def power_nonlinearity(coeff, r):
         return (r + 1.0) * pick(nodes) * np.abs(tau) ** r
 
     return Nonlinearity(value_fn=value_fn, dvalue_fn=dvalue_fn, r=float(r),
-                        coeff=coeff, homogeneous=True)
+                        coeff=coeff)
 
 
 def apply(f, u, nodes=None):

@@ -103,19 +103,14 @@ def _expand_field(g, nt, grid, name):
         return None
     g = np.asarray(g, dtype=float)
     nom = grid.omega.size
-    if g.ndim == 1:
-        if g.shape[0] == grid.n_nodes:
-            ext = np.delete(g, grid.omega)
-            if ext.size and np.max(np.abs(ext)) != 0.0:
-                raise SolverError(f"{name} has support outside omega")
-            return g[grid.omega]
-        if g.shape[0] == nom:
-            return g
-        raise SolverError(f"{name} length {g.shape[0]} matches neither grid nor omega")
-    if g.shape == (nt + 1, grid.n_nodes):
-        return g[:, grid.omega]
-    if g.shape == (nt + 1, nom):
+    if g.shape in ((grid.n_nodes,), (nt + 1, grid.n_nodes)):
+        if np.any(g[..., grid.exterior] != 0.0):
+            raise SolverError(f"{name} has support outside omega")
+        return g[..., grid.omega]
+    if g.shape in ((nom,), (nt + 1, nom)):
         return g
+    if g.ndim == 1:
+        raise SolverError(f"{name} length {g.shape[0]} matches neither grid nor omega")
     raise SolverError(f"{name} shape {g.shape} not understood")
 
 
@@ -363,8 +358,12 @@ def solve_linear_difference(op, q, q_background, basis, dt, t_final):
         yield elements, (u, v), (w, z)
 
 
-def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None,
-                    newton_tol=1e-10, newton_maxit=25):
+# Newton's stopping test on the max-norm step residual, and its iteration cap
+NEWTON_TOL = 1e-10
+NEWTON_MAXIT = 25
+
+
+def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None):
     """Integrate with interior term f(x, u) via per-step Newton iterations."""
     nt = n_steps_for(dt, t_final)
     om = op.grid.omega
@@ -378,14 +377,14 @@ def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None,
     def implicit(k, rhs, v_k, u_base):
         w = v_k
         res_norm = np.inf
-        for it in range(newton_maxit):
+        for it in range(NEWTON_MAXIT):
             u_new = u_base + 0.5 * dt * w
             g = (w + (0.5 * dt + 0.25 * dt * dt) * (Lom @ w)
                  + 0.5 * dt * nl.apply(f, u_new, nodes=om) - rhs)
             res_norm = np.max(np.abs(g))
             if not np.isfinite(res_norm):
                 raise NewtonDivergenceError(k + 1, res_norm, it)
-            if res_norm <= newton_tol:
+            if res_norm <= NEWTON_TOL:
                 iters[k] = it
                 return w
             jac = base_mat + 0.25 * dt * dt * np.diag(nl.apply_derivative(f, u_new, nodes=om))
@@ -393,7 +392,7 @@ def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None,
                 w = w - np.linalg.solve(jac, g)
             except np.linalg.LinAlgError as exc:
                 raise StepFailureError(k + 1, f"Newton linear solve failed: {exc}")
-        raise NewtonDivergenceError(k + 1, res_norm, newton_maxit)
+        raise NewtonDivergenceError(k + 1, res_norm, NEWTON_MAXIT)
 
     u, v = _solve_control(op, control, dt, nt, source, u0, v0, explicit, implicit)
     return Trajectory(u=u, v=v, dt=dt, newton_iters=iters)

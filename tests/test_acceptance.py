@@ -20,13 +20,13 @@ T_FINAL = 1.0
 
 def _scaled(ctl, a):
     return ExteriorControl(values=a * ctl.values, dvalues=a * ctl.dvalues,
-                           window=ctl.window, dt=ctl.dt, spec=None)
+                           window=ctl.window, dt=ctl.dt)
 
 
 def _summed(c1, c2):
     return ExteriorControl(values=c1.values + c2.values,
                            dvalues=c1.dvalues + c2.dvalues,
-                           window=c1.window, dt=c1.dt, spec=None)
+                           window=c1.window, dt=c1.dt)
 
 
 def _scenario(overrides, out_dir):

@@ -178,21 +178,6 @@ def test_spec_serialization_round_trip():
     assert ControlSpec.from_dict(spec.to_dict()) == spec
 
 
-def test_spec_time_reversed_bump():
-    spec = ControlSpec(window="w2", space_kind="bump", space_params=(1.2, 1.8),
-                       time_kind="bump", time_params=(0.1, 0.4))
-    rev = spec.time_reversed(1.0)
-    assert rev.time_params == (0.6, 0.9)
-    back = rev.time_reversed(1.0)
-    assert_allclose(back.time_params, spec.time_params, rtol=1e-15)
-    # exactly, although 1.0 - 0.9 != 0.1 in floating point
-    assert back.time_params == spec.time_params
-    assert back.time_reversed(1.0).time_params == rev.time_params
-    # a spec read back from its dict is reversed afresh
-    assert ControlSpec.from_dict(rev.to_dict()).time_reversed(1.0).time_params == (
-        1.0 - 0.9, 1.0 - 0.6)
-
-
 def test_materialize_rejects_bad_specs(grid31):
     bad_node = ControlSpec(window="w1", space_kind="node",
                            space_params=(grid31.omega[0],),
@@ -232,6 +217,12 @@ def test_from_specs_validation(grid31):
     scaled = [dataclasses.replace(sp, amplitude=2.0) for sp in basis1.specs]
     with pytest.raises(ControlError, match="amplitude 1"):
         ControlBasis.from_specs(grid31, scaled)
+    # a record's nodes must lie in its window: omega nodes would step as
+    # controls, and node 500 is off the grid
+    for node in (int(grid31.omega[3]), 500):
+        moved = [dataclasses.replace(sp, space_params=(node,)) for sp in basis1.specs[:3]]
+        with pytest.raises(ControlError, match="not in window w1"):
+            ControlBasis.from_specs(grid31, moved)
 
 
 def test_control_arrays_immutable(grid31):

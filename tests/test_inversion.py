@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_factor, cho_solve
 
 from viscowave import (BackgroundStates, IllConditionedError,
                        InconclusiveError, InversionError, LocalizedTarget,
-                       Reconstruction, RungeProblem, bump_control,
+                       Reconstruction, bump_control,
                        dn_difference_linear, estimate_homogeneity_exponent,
                        interior_targets, power_nonlinearity,
                        recover_linear_potential, recover_nonlinear_coefficient,
                        solve_linear, synthesize_control, zero_nonlinearity)
 from viscowave.controls import ControlBasis, materialize, time_bump
 from viscowave.dnmap import DNRecord
+from viscowave.inversion import _probing_kernel
 from viscowave.solver import n_steps_for, trapezoid_weights
 
 DT, NT = 0.02, 50
@@ -39,9 +41,7 @@ def zero_record(op, basis1, basis2, dt, t_final):
 
 def test_synthesize_zero_target_gives_zero_control(op31, grid31):
     target = np.zeros((NT + 1, grid31.omega.size))
-    ctl, err = synthesize_control(
-        op31, None, RungeProblem(target, "w1", alpha=1e-10, n_segments=8),
-        DT, T_FINAL)
+    ctl, err = synthesize_control(op31, None, target, "w1", DT, T_FINAL, 1e-10, 8)
     assert err == 0.0
     assert np.abs(ctl.values).max() == 0.0
 
@@ -50,9 +50,7 @@ def test_synthesis_error_decreases_with_nested_refinement(op31, grid31):
     target = gaussian_target(grid31, NT)
     errs = []
     for nseg in (8, 16, 32):
-        _, err = synthesize_control(
-            op31, None, RungeProblem(target, "w1", alpha=1e-10,
-                                     n_segments=nseg), DT, T_FINAL)
+        _, err = synthesize_control(op31, None, target, "w1", DT, T_FINAL, 1e-10, nseg)
         errs.append(err)
     assert errs[1] <= errs[0] * (1 + 1e-9)
     assert errs[2] <= errs[1] * (1 + 1e-9)
@@ -67,7 +65,7 @@ def test_synthesis_error_nondecreasing_in_alpha(op31, grid31):
     assert np.all(np.diff(errs) >= -1e-12 * errs[-1])
 
 
-def test_synthesis_factors_once_per_alpha(op31, grid31, monkeypatch):
+def test_synthesis_factors_once_per_call(op31, grid31, monkeypatch):
     from viscowave import inversion
 
     target = gaussian_target(grid31, NT)
@@ -82,11 +80,12 @@ def test_synthesis_factors_once_per_alpha(op31, grid31, monkeypatch):
 
     monkeypatch.setattr(inversion, "cho_factor", counting_factor)
     bg.synthesize(target, 1e-10)
-    reused = bg.synthesize(0.5 * target, 1e-10)
-    bg.synthesize(target, 1e-6)
-    assert len(factored) == 2
+    repeated = bg.synthesize(0.5 * target, 1e-10)
+    bg.synthesize(np.stack([target, 0.5 * target]), 1e-6)
+    assert len(factored) == 3
+    # a call leaves nothing behind that changes the next one
     fresh = BackgroundStates(op31, None, basis, DT, T_FINAL).synthesize(0.5 * target, 1e-10)
-    for a, b in zip(reused, fresh):
+    for a, b in zip(repeated, fresh):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
@@ -97,9 +96,7 @@ def test_large_alpha_suppresses_control(op31, grid31):
     k = grid31.h * op31.omega_block
     target_norm = np.sqrt(np.sum(
         bg.time_weights * np.einsum("tj,tj->t", target, target @ k)))
-    ctl, err = synthesize_control(
-        op31, None, RungeProblem(target, "w1", alpha=1e8, n_segments=16),
-        DT, T_FINAL)
+    ctl, err = synthesize_control(op31, None, target, "w1", DT, T_FINAL, 1e8, 16)
     assert err == pytest.approx(target_norm, rel=1e-4)
     assert np.abs(ctl.values).max() < 1e-4 * np.abs(target).max()
 
@@ -113,9 +110,7 @@ def test_synthesize_rejects_bad_target_shape(op31, grid31):
 
 def test_synthesized_control_lives_on_requested_window(op31, grid31):
     target = gaussian_target(grid31, NT)
-    ctl, _ = synthesize_control(
-        op31, None, RungeProblem(target, "w2", alpha=1e-8, n_segments=8),
-        DT, T_FINAL)
+    ctl, _ = synthesize_control(op31, None, target, "w2", DT, T_FINAL, 1e-8, 8)
     assert ctl.window == "w2"
     outside = np.setdiff1d(np.arange(grid31.n_nodes), grid31.w2)
     assert np.abs(ctl.values[:, outside]).max() == 0.0
@@ -150,14 +145,21 @@ def _reference_background(op, q, basis, dt, t_final):
     for i, spec in enumerate(basis.specs):
         control = materialize(spec, grid, dt, n_steps)
         states[i] = solve_linear(op, q, control, dt, t_final).u[:, om]
-    time_weights = dt * trapezoid_weights(n_steps)
-    k_omega = grid.h * op.omega_block
+    return states, _reference_weighting(op, states, dt)[0]
+
+
+def _reference_weighting(op, states, dt):
+    """Gram matrix of the states and their time-weighted copy, as
+    BackgroundStates.__init__ made them when it kept the copy, from which
+    synthesize formed its right-hand side."""
+    time_weights = dt * trapezoid_weights(states.shape[1] - 1)
+    k_omega = op.grid.h * op.omega_block
     k_states = states @ k_omega
     sw = states * time_weights[None, :, None]
-    flat = k_states.reshape(len(basis), -1)
-    gram = sw.reshape(len(basis), -1) @ flat.T
+    flat = k_states.reshape(len(states), -1)
+    gram = sw.reshape(len(states), -1) @ flat.T
     gram = 0.5 * (gram + gram.T)
-    return states, gram
+    return gram, sw.reshape(len(states), -1)
 
 
 def _assert_close(got, ref, rtol):
@@ -178,6 +180,31 @@ def test_background_states_match_reference_loop_bitwise(op31, grid31, window, st
     _assert_close(bg.gram, gram, 1e-12)
 
 
+@pytest.mark.parametrize("static_q", [False, True])
+def test_synthesis_matches_reference_path(op31, grid31, static_q, monkeypatch):
+    # the right-hand side weights the targets' energy in time, not a stored
+    # weighted copy of the states; coefficients are too ill-conditioned to pin
+    from viscowave import inversion
+
+    q = 0.3 * np.ones(grid31.omega.size) if static_q else None
+    basis = ControlBasis(grid31, "w1", T_FINAL, 8)
+    bg = BackgroundStates(op31, q, basis, DT, T_FINAL)
+    gram, sw_flat = _reference_weighting(op31, bg.states, DT)
+    assert bg.gram.tobytes() == gram.tobytes()
+    targets = interior_targets(grid31, T_FINAL, nodes=grid31.omega[::3])
+    stack = np.asarray([t.materialize(grid31, DT, NT) for t in targets])
+    rhs = sw_flat @ (stack @ (grid31.h * op31.omega_block)).reshape(len(stack), -1).T
+    scale = np.trace(gram) / np.trace(bg.control_gram)
+    coeffs = cho_solve(cho_factor(gram + 1e-8 * scale * bg.control_gram), rhs).T
+    achieved = (coeffs @ bg.states.reshape(len(basis), -1)).reshape(stack.shape)
+
+    solved = []
+    monkeypatch.setattr(inversion, "cho_solve",
+                        lambda cho, b: solved.append(b) or cho_solve(cho, b))
+    _assert_close(bg.synthesize(stack, 1e-8)[1], achieved, 1e-10)
+    _assert_close(solved[0], rhs, 1e-15)
+
+
 def test_synthesis_of_a_target_stack_matches_one_at_a_time(op31, grid31):
     basis = ControlBasis(grid31, "w1", T_FINAL, 8)
     bg = BackgroundStates(op31, None, basis, DT, T_FINAL)
@@ -194,6 +221,17 @@ def test_synthesis_of_a_target_stack_matches_one_at_a_time(op31, grid31):
 
 
 # ------------------------------------------------------ linear potential
+
+
+@pytest.mark.parametrize("n_profiles", [1, 3])
+def test_probing_kernel_matches_einsum(rng, n_profiles):
+    # the kernel was one einsum; the first field is reversed in time as the
+    # reversed frame passes it
+    fld1 = rng.normal(size=(7, NT + 1, 5))[:, ::-1, :]
+    fld2 = rng.normal(size=(6, NT + 1, 5))
+    weights = rng.uniform(size=(n_profiles, NT + 1))
+    ref = np.einsum("itj,ktj,mt->ikjm", fld1, fld2, weights, optimize=True)
+    _assert_close(_probing_kernel(fld1, fld2, weights), ref.reshape(7 * 6, -1), 1e-12)
 
 
 def test_exact_recovery_from_synthetic_first_order_data(op31, grid31):

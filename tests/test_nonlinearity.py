@@ -36,7 +36,6 @@ def test_zero_nonlinearity():
     tau = np.linspace(-3, 3, 7)
     assert_allclose(f.value(tau), 0.0)
     assert_allclose(f.dvalue(tau), 0.0)
-    assert f.homogeneous
 
 
 @settings(max_examples=50, deadline=None)

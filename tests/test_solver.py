@@ -75,10 +75,12 @@ def test_potential_shape_validation(op31):
 
 
 def test_source_outside_omega_rejected(op31, grid31):
-    src = np.zeros(grid31.n_nodes)
-    src[grid31.w1[0]] = 1.0
-    with pytest.raises(SolverError, match="outside omega"):
-        solve_linear(op31, None, None, DT, T_FINAL, source=src)
+    # static and time-dependent full-grid sources alike
+    for shape in (grid31.n_nodes, (NT + 1, grid31.n_nodes)):
+        src = np.zeros(shape)
+        src[..., grid31.w1[0]] = 1.0
+        with pytest.raises(SolverError, match="outside omega"):
+            solve_linear(op31, None, None, DT, T_FINAL, source=src)
 
 
 def test_control_time_grid_mismatch(op31, grid31):
@@ -288,7 +290,7 @@ def _scale(ctl, a):
     from viscowave.controls import ExteriorControl
 
     return ExteriorControl(values=a * ctl.values, dvalues=a * ctl.dvalues,
-                           window=ctl.window, dt=ctl.dt, spec=None)
+                           window=ctl.window, dt=ctl.dt)
 
 
 def _add(c1, c2):
@@ -296,7 +298,7 @@ def _add(c1, c2):
 
     return ExteriorControl(values=c1.values + c2.values,
                            dvalues=c1.dvalues + c2.dvalues,
-                           window=c1.window, dt=c1.dt, spec=None)
+                           window=c1.window, dt=c1.dt)
 
 
 def test_trajectory_csv_round_trip(op31, grid31, tmp_path):
