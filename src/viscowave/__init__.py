@@ -13,9 +13,8 @@ from .operator import (FracLapOperator, OperatorError, assemble_fraclap,
 from .nonlinearity import (GrowthReport, Nonlinearity, NonlinearityError,
                            certify_growth, check_exponent_constraints,
                            power_nonlinearity, zero_nonlinearity)
-from .controls import (ControlBasis, ControlError, ControlSpec, ExteriorControl,
-                       bump_control, make_control, materialize, space_bump,
-                       time_bump)
+from .controls import (ControlBasis, ControlError, ExteriorControl, bump_control,
+                       make_control, materialize, space_bump, time_bump)
 from .solver import (EnergyLedger, NewtonDivergenceError, SolverError,
                      StepFailureError, Trajectory, energy_ledger, solve_linear,
                      solve_linear_basis, solve_linear_difference,

@@ -67,9 +67,7 @@ def _cubic_bspline(x):
 def _spline_pair(t_final, n_segments, index):
     """Cubic B-spline on uniform knots over [0, t_final] with support inside (0, T)."""
     n_segments, index = int(n_segments), int(index)
-    if n_segments < 7:
-        raise ControlError(f"spline level needs at least 7 segments, got {n_segments}")
-    if not 1 <= index <= n_segments - 5:
+    if index not in spline_indices(n_segments):
         raise ControlError(f"spline index {index} outside 1..{n_segments - 5}")
     delta = t_final / n_segments
     start = delta * index  # the first knot
@@ -96,6 +94,8 @@ def _spline_samples(t_final, n_segments, index, dt, n_steps):
 
 def spline_indices(n_segments):
     """Admissible time-spline indices at a refinement level (supports inside (0, T))."""
+    if n_segments < 7:
+        raise ControlError(f"spline level needs at least 7 segments, got {n_segments}")
     return list(range(1, n_segments - 4))
 
 
@@ -110,31 +110,6 @@ def space_bump(grid, window, lo=None, hi=None):
     z = (grid.x[idx] - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
     prof[idx] = _mollifier(z)
     return prof
-
-
-@dataclass(frozen=True)
-class ControlSpec:
-    """Serializable description of a separable window control."""
-
-    window: str
-    space_kind: str          # "node" | "bump"
-    space_params: tuple      # ("node", (index,)) or ("bump", (lo, hi))
-    time_kind: str           # "bump" | "spline"
-    time_params: tuple       # ("bump", (t0, t1)) or ("spline", (t_final, n_segments, index))
-    amplitude: float = 1.0
-
-    def to_dict(self):
-        return {"window": self.window, "space_kind": self.space_kind,
-                "space_params": list(self.space_params), "time_kind": self.time_kind,
-                "time_params": list(self.time_params), "amplitude": self.amplitude}
-
-    @staticmethod
-    def from_dict(d):
-        return ControlSpec(window=d["window"], space_kind=d["space_kind"],
-                           space_params=tuple(d["space_params"]),
-                           time_kind=d["time_kind"],
-                           time_params=tuple(d["time_params"]),
-                           amplitude=float(d.get("amplitude", 1.0)))
 
 
 @dataclass(frozen=True)
@@ -179,37 +154,22 @@ def make_control(grid, values, dvalues, window, dt):
     return ExteriorControl(values=values, dvalues=dvalues, window=window, dt=float(dt))
 
 
-def materialize(spec, grid, dt, n_steps):
-    """Sample a :class:`ControlSpec` on the time grid k*dt, k = 0..n_steps."""
-    if spec.time_kind == "bump":
-        tv, td = time_bump(dt * np.arange(n_steps + 1), *spec.time_params)
-    elif spec.time_kind == "spline":
-        tv, td = _spline_samples(*spec.time_params, dt, n_steps)
-    else:
-        raise ControlError(f"unknown time profile kind {spec.time_kind!r}")
-    if spec.space_kind == "node":
-        prof = np.zeros(grid.n_nodes)
-        node = int(spec.space_params[0])
-        if node not in set(grid.window(spec.window).tolist()):
-            raise ControlError(f"node {node} not in window {spec.window}")
-        prof[node] = 1.0
-    elif spec.space_kind == "bump":
-        prof = space_bump(grid, spec.window, *spec.space_params)
-    else:
-        raise ControlError(f"unknown space profile kind {spec.space_kind!r}")
-    values = spec.amplitude * tv[:, None] * prof[None, :]
-    dvalues = spec.amplitude * td[:, None] * prof[None, :]
-    return make_control(grid, values, dvalues, spec.window, dt)
+def materialize(basis, index, dt, n_steps):
+    """Element index of a basis sampled on the time grid k*dt, k = 0..n_steps."""
+    if not 0 <= index < len(basis):
+        raise ControlError(f"element {index} outside 0..{len(basis) - 1}")
+    unit = np.zeros(len(basis))
+    unit[index] = 1.0
+    return basis.control(unit, dt, n_steps)
 
 
 def bump_control(grid, window, t0, t1, dt, n_steps, amplitude=1.0, space=None):
     """Convenience: smooth spatial bump over the window times a mollifier in time."""
-    lo = {"w1": grid.w1_lo, "w2": grid.w2_lo}[window] if space is None else space[0]
-    hi = {"w1": grid.w1_hi, "w2": grid.w2_hi}[window] if space is None else space[1]
-    spec = ControlSpec(window=window, space_kind="bump", space_params=(lo, hi),
-                       time_kind="bump", time_params=(float(t0), float(t1)),
-                       amplitude=float(amplitude))
-    return materialize(spec, grid, dt, n_steps)
+    prof = space_bump(grid, window, *(space or ()))
+    tv, td = time_bump(dt * np.arange(n_steps + 1), float(t0), float(t1))
+    amplitude = float(amplitude)
+    return make_control(grid, amplitude * tv[:, None] * prof[None, :],
+                        amplitude * td[:, None] * prof[None, :], window, dt)
 
 
 class ControlBasis:
@@ -224,17 +184,13 @@ class ControlBasis:
         self.window = window
         self.t_final = float(t_final)
         self.n_segments = int(n_segments)
+        if self.n_segments != n_segments:
+            raise ControlError(f"spline level {n_segments!r} is not an integer")
         self.nodes = list(grid.window(window).tolist())
         self.tsplines = spline_indices(self.n_segments)
-        self.specs = [
-            ControlSpec(window=window, space_kind="node", space_params=(node,),
-                        time_kind="spline",
-                        time_params=(self.t_final, self.n_segments, k))
-            for node in self.nodes for k in self.tsplines
-        ]
 
     def __len__(self):
-        return len(self.specs)
+        return len(self.nodes) * len(self.tsplines)
 
     def time_matrix(self, dt, n_steps):
         """Spline values sampled on the time grid, shape (n_tsplines, n_steps+1)."""
@@ -249,36 +205,28 @@ class ControlBasis:
                                            n_steps)[which]
                            for k in self.tsplines])
 
+    def control(self, coeffs, dt, n_steps):
+        """The exterior control Sum_m coeffs[m] * element_m on the time grid k*dt.
+
+        Elements are node-major, spline-minor: element a * n_tsplines + k is
+        spline tsplines[k] at window node nodes[a].
+        """
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (len(self),):
+            raise ControlError(f"{coeffs.shape} coefficients for a basis of {len(self)}")
+        tm = self.time_matrix(dt, n_steps)
+        dtm = self.time_dmatrix(dt, n_steps)
+        values = np.zeros((n_steps + 1, self.grid.n_nodes))
+        dvalues = np.zeros_like(values)
+        for node, c_node in zip(self.nodes, coeffs.reshape(len(self.nodes), -1)):
+            values[:, node] = c_node @ tm
+            dvalues[:, node] = c_node @ dtm
+        return make_control(self.grid, values, dvalues, self.window, dt)
+
     def reversal_permutation(self):
-        """perm with materialize(specs[perm[i]]) == time reversal of materialize(specs[i]).
+        """perm with element perm[i] the time reversal of element i.
 
         Spline k reverses to spline n_segments - 4 - k at the same node, so
         perm reads the spline axis of the node-major layout backwards.
         """
         return np.arange(len(self)).reshape(len(self.nodes), -1)[:, ::-1].ravel()
-
-    @staticmethod
-    def from_specs(grid, specs):
-        """Rebuild a basis from serialized specs, checking the separable layout."""
-        if not specs:
-            raise ControlError("empty basis")
-        windows = {sp.window for sp in specs}
-        if len(windows) != 1:
-            raise ControlError("basis mixes windows")
-        if any(sp.space_kind != "node" or sp.time_kind != "spline" or sp.amplitude != 1.0
-               for sp in specs):
-            raise ControlError("basis must consist of node x spline elements of amplitude 1")
-        t_final = specs[0].time_params[0]
-        n_seg = int(specs[0].time_params[1])
-        basis = ControlBasis(grid, windows.pop(), t_final, n_seg)
-        nodes = sorted({int(sp.space_params[0]) for sp in specs})
-        outside = sorted(set(nodes) - set(basis.nodes))
-        if outside:
-            raise ControlError(f"basis nodes {outside} not in window {basis.window}")
-        basis.nodes = nodes
-        basis.specs = list(specs)
-        expected = [(n, k) for n in nodes for k in basis.tsplines]
-        got = [(int(sp.space_params[0]), int(sp.time_params[2])) for sp in specs]
-        if got != expected:
-            raise ControlError("basis specs are not in node-major spline-minor order")
-        return basis

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nonlinearity as nl
-from .controls import ControlSpec, ExteriorControl, materialize
+from .controls import ControlBasis, ExteriorControl, materialize
 from .solver import (Trajectory, _expand_potential, n_steps_for, solve_linear,
                      solve_linear_basis, solve_linear_difference, solve_nonlinear,
                      trapezoid_weights)
@@ -98,21 +98,28 @@ def _pair_against_basis(op, traj, probe_basis, time_mat):
 
 @dataclass(frozen=True)
 class DNRecord:
-    """Measurement matrix of a model over a control basis and a probe basis."""
+    """Measurement matrix of a model over a control basis and a probe basis.
+
+    pairings[i, j] pairs the response to element i of controls with element
+    j of probes; both bases run over the record's own horizon t_final.
+    """
 
     s: float
     dt: float
     t_final: float
-    controls: list
-    probes: list
+    controls: ControlBasis
+    probes: ControlBasis
     pairings: np.ndarray = field(repr=False)
     tag: str = ""
 
     def to_dict(self):
+        """JSON layout: each basis as its window and spline level."""
         return {"s": self.s, "dt": self.dt, "t_final": self.t_final,
                 "tag": self.tag,
-                "controls": [c.to_dict() for c in self.controls],
-                "probes": [p.to_dict() for p in self.probes],
+                "controls": {"window": self.controls.window,
+                             "n_segments": self.controls.n_segments},
+                "probes": {"window": self.probes.window,
+                           "n_segments": self.probes.n_segments},
                 "pairings": self.pairings.tolist()}
 
     def save(self, path):
@@ -120,13 +127,16 @@ class DNRecord:
             json.dump(self.to_dict(), fh, indent=1)
 
     @staticmethod
-    def load(path):
+    def load(path, grid):
+        """Read a saved record and rebuild its two bases on grid."""
         with open(path) as fh:
             d = json.load(fh)
-        return DNRecord(s=float(d["s"]), dt=float(d["dt"]),
-                        t_final=float(d["t_final"]), tag=d.get("tag", ""),
-                        controls=[ControlSpec.from_dict(c) for c in d["controls"]],
-                        probes=[ControlSpec.from_dict(p) for p in d["probes"]],
+        t_final = float(d["t_final"])
+        controls, probes = (ControlBasis(grid, d[key]["window"], t_final,
+                                         d[key]["n_segments"])
+                            for key in ("controls", "probes"))
+        return DNRecord(s=float(d["s"]), dt=float(d["dt"]), t_final=t_final,
+                        tag=d.get("tag", ""), controls=controls, probes=probes,
                         pairings=np.asarray(d["pairings"], dtype=float))
 
 
@@ -139,8 +149,7 @@ def _basis_lists(control_basis, probe_basis):
 
 def _record(op, control_basis, probe_basis, dt, t_final, tag, pairings):
     return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag,
-                    controls=list(control_basis.specs),
-                    probes=list(probe_basis.specs),
+                    controls=control_basis, probes=probe_basis,
                     pairings=np.asarray(pairings))
 
 
@@ -204,9 +213,9 @@ def dn_matrix_nonlinear(op, f, control_basis, probe_basis, dt, t_final, tag=""):
     _basis_lists(control_basis, probe_basis)
     nt = n_steps_for(dt, t_final)
     time_mat = probe_basis.time_matrix(dt, nt)
-    rows = [_pair_against_basis(op, solve_nonlinear(op, f, materialize(spec, op.grid, dt, nt),
+    rows = [_pair_against_basis(op, solve_nonlinear(op, f, materialize(control_basis, i, dt, nt),
                                                     dt, t_final), probe_basis, time_mat)
-            for spec in control_basis.specs]
+            for i in range(len(control_basis))]
     return _record(op, control_basis, probe_basis, dt, t_final, tag, rows)
 
 
@@ -285,8 +294,7 @@ def nonlinear_integral_identity_residual(op, f1, f2, phi1, phi2, dt, t_final):
     phi2_rev = time_reverse(phi2)
     lhs = dn_pairing(op, u11, phi2_rev) - dn_pairing(op, u12, phi2_rev)
     u2 = solve_linear(op, None, phi2, dt, t_final)
-    g = (nl.apply(f1, u11.u[:, om], nodes=om)
-         - nl.apply(f2, u12.u[:, om], nodes=om))
+    g = nl.apply(f1, u11.u[:, om]) - nl.apply(f2, u12.u[:, om])
     rhs = _interior_weighted_sum(op.grid, dt, 1.0, g,
                                  u2.u[:, om] - phi2.values[:, om])
     return lhs, rhs, abs(lhs - rhs)

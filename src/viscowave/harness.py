@@ -7,6 +7,7 @@ tolerance still exits cleanly with ``passed: false`` in the report.
 """
 
 import copy
+import dataclasses
 import json
 import os
 import time
@@ -246,9 +247,7 @@ def _add_noise(record, sigma, rng):
     if sigma <= 0:
         return record
     noisy = record.pairings + rng.normal(0.0, sigma, size=record.pairings.shape)
-    return type(record)(s=record.s, dt=record.dt, t_final=record.t_final,
-                        controls=record.controls, probes=record.probes,
-                        pairings=noisy, tag=record.tag + "+noise")
+    return dataclasses.replace(record, pairings=noisy, tag=record.tag + "+noise")
 
 
 def _grid(cfg):

@@ -114,28 +114,6 @@ class BackgroundStates:
             raise IllConditionedError("control normal equations failed",
                                       np.linalg.cond(mat)) from exc
 
-    def control_from_coeffs(self, coeffs):
-        """Assemble the synthesized exterior control Sum_m c_m * element_m."""
-        nt = self.n_steps
-        n = self.op.grid.n_nodes
-        values = np.zeros((nt + 1, n))
-        dvalues = np.zeros((nt + 1, n))
-        tm = self.basis.time_matrix(self.dt, nt)
-        dtm = self.basis.time_dmatrix(self.dt, nt)
-        n_spl = len(self.basis.tsplines)
-        for a, node in enumerate(self.basis.nodes):
-            c_node = coeffs[a * n_spl:(a + 1) * n_spl]
-            values[:, node] = c_node @ tm
-            dvalues[:, node] = c_node @ dtm
-        return ExteriorControl(values=values, dvalues=dvalues,
-                               window=self.basis.window, dt=self.dt)
-
-
-def _synthesize_targets(bg, targets, alpha):
-    """bg.synthesize over all the targets at once: coefficients, achieved states, errors."""
-    fields = [tgt.materialize(bg.op.grid, bg.dt, bg.n_steps) for tgt in targets]
-    return bg.synthesize(np.asarray(fields), alpha)
-
 
 def synthesize_control(op, q_background, target, window, dt, t_final, alpha, n_segments):
     """Control on window whose state tracks target, (n_steps + 1, n_omega).
@@ -147,7 +125,7 @@ def synthesize_control(op, q_background, target, window, dt, t_final, alpha, n_s
     basis = ControlBasis(op.grid, window, t_final, n_segments)
     bg = BackgroundStates(op, q_background, basis, dt, t_final)
     coeffs, _, err = bg.synthesize(target, alpha)
-    return bg.control_from_coeffs(coeffs), float(err)
+    return basis.control(coeffs, dt, bg.n_steps), float(err)
 
 
 @dataclass(frozen=True)
@@ -238,19 +216,17 @@ class Reconstruction:
         )
 
 
-def _rebuild_bases(op, record):
-    basis1 = ControlBasis.from_specs(op.grid, record.controls)
-    basis2 = ControlBasis.from_specs(op.grid, record.probes)
-    if basis1.window != "w1" or basis2.window != "w2":
-        raise InversionError("expected controls on w1 and probes on w2")
-    return basis1, basis2
-
-
 def _check_record(rec, op, dt, t_final):
     if abs(rec.s - op.s) > 1e-12:
         raise InversionError(f"record order {rec.s} does not match operator {op.s}")
-    if abs(rec.dt - dt) > 1e-12 or abs(rec.t_final - t_final) > 1e-12:
+    horizons = (rec.t_final, rec.controls.t_final, rec.probes.t_final)
+    if abs(rec.dt - dt) > 1e-12 or any(abs(t - t_final) > 1e-12 for t in horizons):
         raise InversionError("record time grid does not match requested one")
+    if rec.controls.window != "w1" or rec.probes.window != "w2":
+        raise InversionError("expected controls on w1 and probes on w2")
+    shape = (len(rec.controls), len(rec.probes))
+    if rec.pairings.shape != shape:
+        raise InversionError(f"record pairings are {rec.pairings.shape}, its bases {shape}")
 
 
 def _time_hats(n_coarse, dt, n_steps):
@@ -326,7 +302,7 @@ def recover_linear_potential(dn_difference, op, targets, alpha_inv, dt, t_final,
     if q_background is not None and np.asarray(q_background).ndim > 1:
         raise InversionError("q_background must be static (scalar or one row)")
     _check_record(dn_difference, op, dt, t_final)
-    basis1, basis2 = _rebuild_bases(op, dn_difference)
+    basis1, basis2 = dn_difference.controls, dn_difference.probes
     n_steps = n_steps_for(dt, t_final)
     grid = op.grid
     om = grid.omega
@@ -335,8 +311,10 @@ def recover_linear_potential(dn_difference, op, targets, alpha_inv, dt, t_final,
     bg2 = BackgroundStates(op, q_background, basis2, dt, t_final)
 
     # achieved states: (n_targets, nt+1, n_omega)
-    coeff1, achieved1, errs1 = _synthesize_targets(bg1, targets, synth_alpha)
-    coeff2, achieved2, errs2 = _synthesize_targets(bg2, targets, synth_alpha)
+    stack = np.asarray([tgt.materialize(grid, dt, n_steps) for tgt in targets])
+    coeff1, achieved1, errs1 = bg1.synthesize(stack, synth_alpha)
+    coeff2, achieved2, errs2 = bg2.synthesize(stack, synth_alpha)
+    del stack
 
     perm = basis2.reversal_permutation()
     m = coeff1 @ dn_difference.pairings[:, perm] @ coeff2.T  # (n_targets, n_targets)
@@ -455,7 +433,8 @@ def recover_nonlinear_coefficient(op, f, r_known, targets, eps0, alpha_inv,
     basis2 = ControlBasis(grid, "w2", t_final, n_segments)
     bg2 = BackgroundStates(op, None, basis2, dt, t_final)
 
-    coeff2, achieved2, errs2 = _synthesize_targets(bg2, targets, synth_alpha)
+    coeff2, achieved2, errs2 = bg2.synthesize(
+        np.asarray([tgt.materialize(grid, dt, n_steps) for tgt in targets]), synth_alpha)
 
     eps_pair = (eps0, 0.5 * eps0)
     lin, _p_lin, remainders = _nonlinear_remainders(op, f, psi, basis2, eps_pair, dt, t_final)

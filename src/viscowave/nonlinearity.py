@@ -15,10 +15,9 @@ class NonlinearityError(ValueError):
 class Nonlinearity:
     """Carathéodory pair (value, dvalue) acting node-by-node.
 
-    ``value_fn``/``dvalue_fn`` take (nodes, tau) where ``nodes`` is an integer
-    index array selecting grid nodes (for the x-dependence) and ``tau`` is a
-    float array broadcastable against it; both return arrays of tau's shape.
-    ``r``, when set, is the homogeneity degree minus one:
+    ``value_fn``/``dvalue_fn`` take a float array tau whose last axis runs
+    over the omega nodes (for the x-dependence) and return arrays of its
+    shape.  ``r``, when set, is the homogeneity degree minus one:
     f(x, lam*tau) = lam^(r+1) f(x, tau) for lam > 0.
     """
 
@@ -27,71 +26,62 @@ class Nonlinearity:
     r: Optional[float] = None
     coeff: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def value(self, tau, nodes=None):
-        return self.value_fn(nodes, np.asarray(tau, dtype=float))
+    def value(self, tau):
+        return self.value_fn(np.asarray(tau, dtype=float))
 
-    def dvalue(self, tau, nodes=None):
-        return self.dvalue_fn(nodes, np.asarray(tau, dtype=float))
+    def dvalue(self, tau):
+        return self.dvalue_fn(np.asarray(tau, dtype=float))
 
 
 def zero_nonlinearity():
-    return Nonlinearity(value_fn=lambda nodes, tau: np.zeros_like(tau),
-                        dvalue_fn=lambda nodes, tau: np.zeros_like(tau),
+    return Nonlinearity(value_fn=np.zeros_like, dvalue_fn=np.zeros_like,
                         r=0.0, coeff=None)
 
 
 def power_nonlinearity(coeff, r):
     """f(x, tau) = coeff(x) * |tau|^r * tau with d_tau f = (r+1) coeff(x) |tau|^r.
 
-    coeff may be a scalar, a nodal array over the full grid (indexed by the
-    node labels the solver passes in), or an array with one entry per passed
-    node; r >= 0.
+    coeff is a scalar or holds one entry per omega node, matched against the
+    last axis of tau; r >= 0.
     """
     if r < 0:
         raise NonlinearityError(f"power exponent r={r} must be nonnegative")
     coeff = np.asarray(coeff, dtype=float)
+    if coeff.ndim > 1:
+        raise NonlinearityError(f"coefficient of shape {coeff.shape} is neither a scalar "
+                                "nor one entry per node")
     if not np.all(np.isfinite(coeff)):
         raise NonlinearityError("power-law coefficient must be finite")
 
-    def pick(nodes):
-        if coeff.ndim == 0 or nodes is None:
-            return coeff
-        nodes = np.asarray(nodes)
-        if len(coeff) > int(nodes.max()):
-            return coeff[nodes]
-        if len(coeff) == len(nodes):
-            return coeff
-        raise NonlinearityError(
-            f"coefficient length {len(coeff)} matches neither the grid nor "
-            f"the {len(nodes)} evaluation nodes")
+    def pick(tau):
+        if coeff.ndim and tau.shape[-1:] != coeff.shape:
+            raise NonlinearityError(f"coefficient length {coeff.size} matches neither "
+                                    f"a scalar nor the columns of a {tau.shape} field")
+        return coeff
 
-    def value_fn(nodes, tau):
-        return pick(nodes) * np.abs(tau) ** r * tau
+    def value_fn(tau):
+        return pick(tau) * np.abs(tau) ** r * tau
 
-    def dvalue_fn(nodes, tau):
-        return (r + 1.0) * pick(nodes) * np.abs(tau) ** r
+    def dvalue_fn(tau):
+        return (r + 1.0) * pick(tau) * np.abs(tau) ** r
 
     return Nonlinearity(value_fn=value_fn, dvalue_fn=dvalue_fn, r=float(r),
                         coeff=coeff)
 
 
-def apply(f, u, nodes=None):
-    """Evaluate f at a spacetime field u (time on the first axis).
-
-    When ``nodes`` is given, columns of u are understood to sit at those grid
-    nodes; otherwise the x-dependence falls back to broadcasting the coefficient.
-    """
+def apply(f, u):
+    """Evaluate f at a spacetime field u (time on the first axis, omega nodes on the last)."""
     u = np.asarray(u, dtype=float)
-    out = f.value(u, nodes)
+    out = f.value(u)
     if not np.all(np.isfinite(out)):
         raise NonlinearityError("nonlinearity produced a non-finite value")
     return out
 
 
-def apply_derivative(f, u, nodes=None):
+def apply_derivative(f, u):
     """Evaluate d_tau f at a spacetime field u; the multiplier of the Fréchet differential."""
     u = np.asarray(u, dtype=float)
-    out = f.dvalue(u, nodes)
+    out = f.dvalue(u)
     if not np.all(np.isfinite(out)):
         raise NonlinearityError("nonlinearity derivative produced a non-finite value")
     return out
@@ -112,7 +102,7 @@ class GrowthReport:
                 "tau_range": [self.tau_lo, self.tau_hi]}
 
 
-def certify_growth(f, tau_range, n_samples=512, nodes=None, r=None):
+def certify_growth(f, tau_range, n_samples=512, r=None):
     """Fit |d_tau f| <= A + B|tau|^r over sampled tau and report the worst violation.
 
     (A, B) come from a nonnegative least-squares fit of |dvalue| against
@@ -128,10 +118,8 @@ def certify_growth(f, tau_range, n_samples=512, nodes=None, r=None):
         raise NonlinearityError("certify_growth needs an exponent r")
     lo, hi = map(float, tau_range)
     tau = np.linspace(lo, hi, n_samples)
-    if nodes is None:
-        y = np.abs(f.dvalue(tau, None))
-    else:
-        y = np.abs(f.dvalue(tau[:, None], np.asarray(nodes)[None, :])).max(axis=1)
+    # one row per sample, and one column per node of a nodal coefficient
+    y = np.abs(f.dvalue(tau[:, None] * np.ones(np.shape(f.coeff)[-1:] or 1))).max(axis=1)
     design = np.column_stack([np.ones_like(tau), np.abs(tau) ** r])
     sol, _ = nnls(design, y)
     A, B = float(sol[0]), float(sol[1])

@@ -366,13 +366,12 @@ NEWTON_MAXIT = 25
 def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None):
     """Integrate with interior term f(x, u) via per-step Newton iterations."""
     nt = n_steps_for(dt, t_final)
-    om = op.grid.omega
     Lom = op.omega_block
     base_mat = _step_matrix(op, dt)
     iters = np.zeros(nt, dtype=int)
 
     def explicit(k, u_k, u_base):
-        return nl.apply(f, u_k, nodes=om)
+        return nl.apply(f, u_k)
 
     def implicit(k, rhs, v_k, u_base):
         w = v_k
@@ -380,14 +379,14 @@ def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None):
         for it in range(NEWTON_MAXIT):
             u_new = u_base + 0.5 * dt * w
             g = (w + (0.5 * dt + 0.25 * dt * dt) * (Lom @ w)
-                 + 0.5 * dt * nl.apply(f, u_new, nodes=om) - rhs)
+                 + 0.5 * dt * nl.apply(f, u_new) - rhs)
             res_norm = np.max(np.abs(g))
             if not np.isfinite(res_norm):
                 raise NewtonDivergenceError(k + 1, res_norm, it)
             if res_norm <= NEWTON_TOL:
                 iters[k] = it
                 return w
-            jac = base_mat + 0.25 * dt * dt * np.diag(nl.apply_derivative(f, u_new, nodes=om))
+            jac = base_mat + 0.25 * dt * dt * np.diag(nl.apply_derivative(f, u_new))
             try:
                 w = w - np.linalg.solve(jac, g)
             except np.linalg.LinAlgError as exc:
@@ -411,7 +410,7 @@ def solve_linearized(op, f, base, control, dt, t_final):
         raise SolverError("base trajectory does not match the requested time grid")
     if abs(base.dt - dt) > 1e-12:
         raise SolverError(f"base trajectory dt={base.dt} != requested dt={dt}")
-    q_t = nl.apply_derivative(f, base.u[:, grid.omega], nodes=grid.omega)
+    q_t = nl.apply_derivative(f, base.u[:, grid.omega])
     return solve_linear(op, q_t, control, dt, t_final)
 
 

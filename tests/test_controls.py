@@ -1,6 +1,4 @@
-"""Window controls: compatibility, spline families, reversal, serialization."""
-
-import dataclasses
+"""Window controls: compatibility, spline families, reversal, basis elements."""
 
 import numpy as np
 import pytest
@@ -8,8 +6,9 @@ from numpy.testing import assert_allclose
 from scipy.special import binom
 
 from viscowave import ControlError, bump_control, make_control, space_bump, time_bump
-from viscowave.controls import (ControlBasis, ControlSpec, materialize,
-                                spline_indices, _spline_pair, _spline_samples)
+from viscowave.controls import (ControlBasis, materialize, spline_indices,
+                                _spline_pair, _spline_samples)
+from viscowave.grid import GridError
 
 
 def test_time_bump_support_and_derivative():
@@ -140,19 +139,48 @@ def test_basis_layout_and_time_matrix(grid31):
     assert len(basis) == len(grid31.w1) * 3
     tm = basis.time_matrix(0.02, 50)
     assert tm.shape == (3, 51)
-    controls = [materialize(sp, grid31, 0.02, 50) for sp in basis.specs]
+    controls = [materialize(basis, i, 0.02, 50) for i in range(len(basis))]
     assert len(controls) == len(basis)
-    # element order is node-major, spline-minor
-    assert basis.specs[0].space_params[0] == basis.nodes[0]
-    assert basis.specs[1].space_params[0] == basis.nodes[0]
-    assert basis.specs[0].time_params[2] == 1
-    assert basis.specs[1].time_params[2] == 2
+    # element order is node-major, spline-minor: each element lives on one
+    # node, and the first three share the first node
+    supports = [np.flatnonzero(c.values.any(axis=0)).tolist() for c in controls]
+    assert supports[:4] == [[basis.nodes[0]]] * 3 + [[basis.nodes[1]]]
+    assert supports[-1] == [basis.nodes[-1]]
     # time-matrix rows are the samples of each element at its node
     dtm = basis.time_dmatrix(0.02, 50)
     node = basis.nodes[0]
     for k, ctrl in enumerate(controls[:3]):
         assert np.array_equal(ctrl.values[:, node], tm[k])
         assert np.array_equal(ctrl.dvalues[:, node], dtm[k])
+
+
+def test_control_of_a_unit_vector_is_the_element(grid31):
+    dt, nt = 0.02, 50
+    basis = ControlBasis(grid31, "w2", 1.0, 8)
+    tm, dtm = basis.time_matrix(dt, nt), basis.time_dmatrix(dt, nt)
+    for i in (0, 4, len(basis) - 1):
+        unit = np.zeros(len(basis))
+        unit[i] = 1.0
+        ctrl = basis.control(unit, dt, nt)
+        node, k = basis.nodes[i // 3], i % 3
+        assert ctrl.values[:, node].tobytes() == tm[k].tobytes()
+        assert ctrl.dvalues[:, node].tobytes() == dtm[k].tobytes()
+        assert not np.delete(ctrl.values, node, axis=1).any()
+        assert not np.delete(ctrl.dvalues, node, axis=1).any()
+        elem = materialize(basis, i, dt, nt)
+        assert elem.values.tobytes() == ctrl.values.tobytes()
+        assert elem.dvalues.tobytes() == ctrl.dvalues.tobytes()
+
+
+def test_control_is_linear_in_its_coefficients(grid31, rng):
+    dt, nt = 0.02, 50
+    basis = ControlBasis(grid31, "w1", 1.0, 8)
+    coeffs = rng.normal(size=len(basis))
+    ctrl = basis.control(coeffs, dt, nt)
+    summed = sum(c * materialize(basis, i, dt, nt).values for i, c in enumerate(coeffs))
+    assert_allclose(ctrl.values, summed, rtol=1e-13, atol=1e-15)
+    with pytest.raises(ControlError, match="coefficients"):
+        basis.control(coeffs[:-1], dt, nt)
 
 
 def test_reversal_permutation_is_involution(grid31):
@@ -165,64 +193,25 @@ def test_reversal_permutation_reverses_samples(grid31):
     dt, nt = 0.02, 50
     basis = ControlBasis(grid31, "w1", 1.0, 8)
     perm = basis.reversal_permutation()
-    controls = [materialize(sp, grid31, dt, nt) for sp in basis.specs]
+    controls = [materialize(basis, i, dt, nt) for i in range(len(basis))]
     for i in (0, 1, 2, 7):
         rev = controls[perm[i]]
         assert_allclose(rev.values, controls[i].values[::-1], atol=1e-12)
 
 
-def test_spec_serialization_round_trip():
-    spec = ControlSpec(window="w1", space_kind="node", space_params=(4,),
-                       time_kind="spline", time_params=(1.0, 8, 2),
-                       amplitude=0.7)
-    assert ControlSpec.from_dict(spec.to_dict()) == spec
-
-
-def test_materialize_rejects_bad_specs(grid31):
-    bad_node = ControlSpec(window="w1", space_kind="node",
-                           space_params=(grid31.omega[0],),
-                           time_kind="spline", time_params=(1.0, 8, 1))
-    with pytest.raises(ControlError, match="not in window"):
-        materialize(bad_node, grid31, 0.02, 50)
-    bad_kind = ControlSpec(window="w1", space_kind="blob", space_params=(),
-                           time_kind="spline", time_params=(1.0, 8, 1))
-    with pytest.raises(ControlError, match="space profile"):
-        materialize(bad_kind, grid31, 0.02, 50)
-
-
-def test_from_specs_round_trip(grid31):
+def test_materialize_rejects_out_of_range_index(grid31):
     basis = ControlBasis(grid31, "w1", 1.0, 8)
-    rebuilt = ControlBasis.from_specs(grid31, list(basis.specs))
-    assert rebuilt.specs == basis.specs
-    assert rebuilt.nodes == basis.nodes
-    assert rebuilt.n_segments == basis.n_segments
+    for index in (len(basis), -1):
+        with pytest.raises(ControlError, match="outside"):
+            materialize(basis, index, 0.02, 50)
 
 
-def test_from_specs_validation(grid31):
-    basis1 = ControlBasis(grid31, "w1", 1.0, 8)
-    basis2 = ControlBasis(grid31, "w2", 1.0, 8)
-    with pytest.raises(ControlError, match="empty"):
-        ControlBasis.from_specs(grid31, [])
-    with pytest.raises(ControlError, match="mixes windows"):
-        ControlBasis.from_specs(grid31, [basis1.specs[0], basis2.specs[0]])
-    shuffled = list(basis1.specs)
-    shuffled[0], shuffled[1] = shuffled[1], shuffled[0]
-    with pytest.raises(ControlError, match="order"):
-        ControlBasis.from_specs(grid31, shuffled)
-    bump = ControlSpec(window="w1", space_kind="bump", space_params=(-0.8, -0.2),
-                       time_kind="bump", time_params=(0.1, 0.4))
-    with pytest.raises(ControlError, match="node x spline"):
-        ControlBasis.from_specs(grid31, [bump])
-    # a basis pass steps unit elements; it never samples a spec's amplitude
-    scaled = [dataclasses.replace(sp, amplitude=2.0) for sp in basis1.specs]
-    with pytest.raises(ControlError, match="amplitude 1"):
-        ControlBasis.from_specs(grid31, scaled)
-    # a record's nodes must lie in its window: omega nodes would step as
-    # controls, and node 500 is off the grid
-    for node in (int(grid31.omega[3]), 500):
-        moved = [dataclasses.replace(sp, space_params=(node,)) for sp in basis1.specs[:3]]
-        with pytest.raises(ControlError, match="not in window w1"):
-            ControlBasis.from_specs(grid31, moved)
+def test_basis_rejects_bad_level_and_window(grid31):
+    # checked when the basis is built, before any spline is sampled
+    with pytest.raises(ControlError, match="at least 7"):
+        ControlBasis(grid31, "w1", 1.0, 6)
+    with pytest.raises(GridError, match="unknown window"):
+        ControlBasis(grid31, "omega", 1.0, 8)
 
 
 def test_control_arrays_immutable(grid31):

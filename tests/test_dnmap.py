@@ -1,5 +1,7 @@
 """Boundary pairings: time reversal, adjoint identities, record round trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +15,10 @@ from viscowave import (DNMapError, DNRecord, alessandrini_residual,
                        power_nonlinearity, reverse_potential,
                        self_adjointness_residual, solve_linear, solve_nonlinear,
                        time_reverse, zero_nonlinearity)
-from viscowave.controls import (ControlBasis, ExteriorControl, materialize,
-                                spline_indices)
+from viscowave.controls import (ControlBasis, ControlError, ExteriorControl,
+                                materialize, spline_indices)
 from viscowave.dnmap import _basis_lists, _pair_against_basis
+from viscowave.grid import GridError
 from viscowave.solver import Trajectory, n_steps_for
 
 DT, NT = 0.02, 50
@@ -127,8 +130,8 @@ def test_pair_against_basis_matches_loop(op31, grid31):
     traj = solve_linear(op31, None, ctl, DT, T_FINAL)
     basis = ControlBasis(grid31, "w2", T_FINAL, 8)
     fast = _pair_against_basis(op31, traj, basis, basis.time_matrix(DT, NT))
-    slow = np.array([dn_pairing(op31, traj, materialize(sp, grid31, DT, NT))
-                     for sp in basis.specs])
+    slow = np.array([dn_pairing(op31, traj, materialize(basis, i, DT, NT))
+                     for i in range(len(basis))])
     assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
 
@@ -147,9 +150,9 @@ def test_dn_matrix_entries_match_pairing_oracle(op31, grid31):
     basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
     q = 0.3 * np.ones(grid31.omega.size)
     rec = dn_matrix_linear(op31, q, basis1, basis2, DT, T_FINAL)
-    probes = [materialize(sp, grid31, DT, NT) for sp in basis2.specs]
+    probes = [materialize(basis2, j, DT, NT) for j in range(len(basis2))]
     for i in (0, 7, len(basis1) - 1):
-        ctl = materialize(basis1.specs[i], grid31, DT, NT)
+        ctl = materialize(basis1, i, DT, NT)
         traj = solve_linear(op31, q, ctl, DT, T_FINAL)
         oracle = np.array([dn_pairing(op31, traj, p) for p in probes])
         assert_allclose(rec.pairings[i], oracle, rtol=1e-12, atol=1e-15)
@@ -253,14 +256,36 @@ def test_dn_record_round_trip(op31, grid31, tmp_path):
     rec = dn_matrix_linear(op31, q, basis1, basis2, DT, T_FINAL, tag="demo")
     path = tmp_path / "dn_record.json"
     rec.save(path)
-    loaded = DNRecord.load(path)
+    loaded = DNRecord.load(path, grid31)
     assert np.array_equal(loaded.pairings, rec.pairings)
     assert loaded.s == rec.s
     assert loaded.dt == rec.dt
     assert loaded.t_final == rec.t_final
     assert loaded.tag == "demo"
-    assert loaded.controls == rec.controls
-    assert loaded.probes == rec.probes
+    for got, saved in ((loaded.controls, basis1), (loaded.probes, basis2)):
+        assert (got.window, got.t_final, got.n_segments) == \
+            (saved.window, saved.t_final, saved.n_segments)
+        assert got.nodes == saved.nodes and got.tsplines == saved.tsplines
+        assert np.array_equal(got.time_matrix(DT, NT), saved.time_matrix(DT, NT))
+
+
+def test_dn_record_stores_each_basis_as_window_and_level(op31, grid31, tmp_path):
+    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", T_FINAL, 16)
+    rec = dn_matrix_linear(op31, None, basis1, basis2, DT, T_FINAL)
+    saved = rec.to_dict()
+    assert saved["controls"] == {"window": "w1", "n_segments": 8}
+    assert saved["probes"] == {"window": "w2", "n_segments": 16}
+    # a basis runs over the record's horizon; an edited window or level is
+    # rejected when the basis is rebuilt
+    for key, edit, error in (("controls", {"window": "w3"}, GridError),
+                             ("probes", {"n_segments": 6}, ControlError),
+                             ("probes", {"n_segments": 8.5}, ControlError)):
+        bad = dict(saved, **{key: dict(saved[key], **edit)})
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(error):
+            DNRecord.load(path, grid31)
 
 
 def test_dn_matrix_window_validation(op31, grid31):
@@ -287,13 +312,12 @@ def _reference_dn_matrix(op, solve, model, control_basis, probe_basis, dt, t_fin
     nt = n_steps_for(dt, t_final)
     time_mat = probe_basis.time_matrix(dt, nt)
     rows = []
-    for spec in control_basis.specs:
-        ctrl = materialize(spec, op.grid, dt, nt)
+    for i in range(len(control_basis)):
+        ctrl = materialize(control_basis, i, dt, nt)
         traj = solve(op, model, ctrl, dt, t_final)
         rows.append(_pair_against_basis(op, traj, probe_basis, time_mat))
     return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag,
-                    controls=list(control_basis.specs),
-                    probes=list(probe_basis.specs),
+                    controls=control_basis, probes=probe_basis,
                     pairings=np.asarray(rows))
 
 

@@ -1,5 +1,7 @@
 """Recovery machinery: control synthesis, potential and nonlinearity estimates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,7 @@ from viscowave import (BackgroundStates, IllConditionedError,
                        interior_targets, power_nonlinearity,
                        recover_linear_potential, recover_nonlinear_coefficient,
                        solve_linear, synthesize_control, zero_nonlinearity)
+from viscowave import inversion
 from viscowave.controls import ControlBasis, materialize, time_bump
 from viscowave.dnmap import DNRecord
 from viscowave.inversion import _probing_kernel
@@ -32,8 +35,7 @@ def gaussian_target(grid, nt, dt=DT, center=0.35, width=0.22):
 def zero_record(op, basis1, basis2, dt, t_final):
     shape = (len(basis1), len(basis2))
     return DNRecord(s=op.s, dt=dt, t_final=t_final,
-                    controls=list(basis1.specs), probes=list(basis2.specs),
-                    pairings=np.zeros(shape))
+                    controls=basis1, probes=basis2, pairings=np.zeros(shape))
 
 
 # ---------------------------------------------------------------- synthesis
@@ -142,8 +144,8 @@ def _reference_background(op, q, basis, dt, t_final):
     grid = op.grid
     om = grid.omega
     states = np.empty((len(basis), n_steps + 1, om.size))
-    for i, spec in enumerate(basis.specs):
-        control = materialize(spec, grid, dt, n_steps)
+    for i in range(len(basis)):
+        control = materialize(basis, i, dt, n_steps)
         states[i] = solve_linear(op, q, control, dt, t_final).u[:, om]
     return states, _reference_weighting(op, states, dt)[0]
 
@@ -248,8 +250,7 @@ def test_exact_recovery_from_synthetic_first_order_data(op31, grid31):
                                  bg2.states[:, ::-1, :], optimize=True)
     perm = basis2.reversal_permutation()
     rec_data = DNRecord(s=op31.s, dt=DT, t_final=T_FINAL,
-                        controls=list(basis1.specs), probes=list(basis2.specs),
-                        pairings=inner[:, perm])
+                        controls=basis1, probes=basis2, pairings=inner[:, perm])
 
     est = recover_linear_potential(rec_data, op31,
                                    interior_targets(grid31, T_FINAL),
@@ -303,12 +304,31 @@ def test_recover_rejects_mismatched_records(op31, grid31):
 
 def test_recover_rejects_swapped_windows(op31, grid31):
     basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    rec = DNRecord(s=op31.s, dt=DT, t_final=T_FINAL,
-                   controls=list(basis2.specs), probes=list(basis2.specs),
+    rec = DNRecord(s=op31.s, dt=DT, t_final=T_FINAL, controls=basis2, probes=basis2,
                    pairings=np.zeros((len(basis2), len(basis2))))
     with pytest.raises(InversionError, match="expected controls on w1"):
         recover_linear_potential(rec, op31, interior_targets(grid31, T_FINAL),
                                  1e-6, DT, T_FINAL)
+
+
+def test_recover_checks_the_record_before_any_solve(op31, grid31, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the record was checked")
+
+    monkeypatch.setattr(inversion, "BackgroundStates", no_solve)
+    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    rec = zero_record(op31, basis1, basis2, DT, T_FINAL)
+    targets = interior_targets(grid31, T_FINAL)
+    short = dataclasses.replace(rec, pairings=rec.pairings[:, :-1])
+    with pytest.raises(InversionError, match="pairings"):
+        recover_linear_potential(short, op31, targets, 1e-6, DT, T_FINAL)
+    finer = dataclasses.replace(rec, probes=ControlBasis(grid31, "w2", T_FINAL, 16))
+    with pytest.raises(InversionError, match="pairings"):
+        recover_linear_potential(finer, op31, targets, 1e-6, DT, T_FINAL)
+    longer = dataclasses.replace(rec, controls=ControlBasis(grid31, "w1", 2 * T_FINAL, 8))
+    with pytest.raises(InversionError, match="time grid"):
+        recover_linear_potential(longer, op31, targets, 1e-6, DT, T_FINAL)
 
 
 def test_recover_rejects_bad_frame_and_background(op31, grid31):
@@ -478,7 +498,6 @@ def test_recovery_is_stable_under_ulp_perturbation_of_the_record(grid101, op101)
     assert base <= 0.10
     rng = np.random.default_rng(5)
     for _ in range(3):
-        noisy = DNRecord(s=diff.s, dt=diff.dt, t_final=diff.t_final,
-                         controls=diff.controls, probes=diff.probes,
-                         pairings=diff.pairings * (1 + 1e-16 * rng.normal(size=diff.pairings.shape)))
+        noisy = dataclasses.replace(
+            diff, pairings=diff.pairings * (1 + 1e-16 * rng.normal(size=diff.pairings.shape)))
         assert abs(error(noisy) - base) < 0.01 * base

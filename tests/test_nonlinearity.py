@@ -58,20 +58,27 @@ def test_scaling_worked_example():
 
 
 def test_nodal_coefficient_full_grid_and_per_node():
+    # one coefficient per node, matched against the field's last axis; a
+    # full-grid coefficient is not picked from by node labels any more
     coeff = np.arange(10, dtype=float)
-    f = power_nonlinearity(coeff, 1)
     nodes = np.array([2, 5, 7])
-    tau = np.array([1.0, -2.0, 3.0])
-    assert_allclose(f.value(tau, nodes), coeff[nodes] * np.abs(tau) * tau)
-    # per-node layout: one coefficient per evaluation node
-    fsub = power_nonlinearity(coeff[nodes], 1)
-    assert_allclose(fsub.value(tau, nodes), coeff[nodes] * np.abs(tau) * tau)
+    tau = np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]])
+    f = power_nonlinearity(coeff[nodes], 1)
+    assert_allclose(f.value(tau), coeff[nodes] * np.abs(tau) * tau)
+    assert_allclose(f.dvalue(tau), 2.0 * coeff[nodes] * np.abs(tau))
+    with pytest.raises(NonlinearityError, match="matches neither"):
+        power_nonlinearity(coeff, 1).value(tau)
 
 
 def test_nodal_coefficient_length_mismatch():
     f = power_nonlinearity(np.ones(4), 1)
+    for tau in (np.ones(3), np.ones((5, 3)), 1.0):
+        with pytest.raises(NonlinearityError, match="matches neither"):
+            f.value(tau)
     with pytest.raises(NonlinearityError, match="matches neither"):
-        f.value(np.ones(3), np.array([5, 6, 7]))
+        f.dvalue(np.ones(5))
+    with pytest.raises(NonlinearityError, match="neither a scalar"):
+        power_nonlinearity(np.ones((2, 4)), 1)
 
 
 def test_negative_exponent_rejected():
@@ -88,9 +95,8 @@ def test_apply_matches_pointwise(rng):
     coeff = rng.normal(size=6)
     f = power_nonlinearity(coeff, 2)
     u = rng.normal(size=(5, 6))
-    nodes = np.arange(6)
-    assert_allclose(apply(f, u, nodes), coeff * np.abs(u) ** 2 * u)
-    assert_allclose(apply_derivative(f, u, nodes), 3.0 * coeff * np.abs(u) ** 2)
+    assert_allclose(apply(f, u), coeff * np.abs(u) ** 2 * u)
+    assert_allclose(apply_derivative(f, u), 3.0 * coeff * np.abs(u) ** 2)
 
 
 def test_apply_zero_field_is_zero():
@@ -161,9 +167,14 @@ def test_certify_growth_half_coefficient():
     assert rep.B == pytest.approx(1.0, rel=1e-6)
 
 
+def test_certify_growth_nodal_coefficient_takes_the_largest():
+    rep = certify_growth(power_nonlinearity(np.array([0.5, -2.0, 1.0]), 1), (-4.0, 4.0))
+    assert rep.B == pytest.approx(4.0, rel=1e-6)
+    assert rep.max_violation <= 1e-10
+
+
 def test_certify_growth_flags_exponential():
-    f = Nonlinearity(value_fn=lambda nodes, tau: np.expm1(tau),
-                     dvalue_fn=lambda nodes, tau: np.exp(tau), r=2.0)
+    f = Nonlinearity(value_fn=np.expm1, dvalue_fn=np.exp, r=2.0)
     rep = certify_growth(f, (0.0, 10.0), r=2)
     assert rep.max_violation > 0.0
 
@@ -176,8 +187,7 @@ def test_certify_growth_report_dict():
 
 
 def test_certify_growth_needs_exponent():
-    f = Nonlinearity(value_fn=lambda nodes, tau: tau,
-                     dvalue_fn=lambda nodes, tau: np.ones_like(tau))
+    f = Nonlinearity(value_fn=lambda tau: tau, dvalue_fn=np.ones_like)
     with pytest.raises(NonlinearityError, match="exponent"):
         certify_growth(f, (-1.0, 1.0))
 

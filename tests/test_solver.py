@@ -522,7 +522,7 @@ def _w1_basis(grid):
     # 6 window nodes x 3 splines: 18 elements, a block of 16 and one of 2, or
     # a block of 17 and a last block of one element
     basis = ControlBasis(grid, "w1", T_FINAL, 8)
-    return basis, [materialize(spec, grid, DT, NT) for spec in basis.specs]
+    return basis, [materialize(basis, i, DT, NT) for i in range(len(basis))]
 
 
 def _potential(grid, kind):
