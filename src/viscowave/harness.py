@@ -22,9 +22,8 @@ from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linea
                     nonlinear_integral_identity_residual,
                     self_adjointness_residual)
 from .grid import build_grid
-from .inversion import (estimate_homogeneity_exponent, interior_targets,
-                        recover_linear_potential, recover_nonlinear_coefficient,
-                        synthesize_control)
+from .inversion import (BackgroundStates, estimate_homogeneity_exponent, interior_targets,
+                        recover_linear_potential, recover_nonlinear_coefficient)
 from .nonlinearity import power_nonlinearity, zero_nonlinearity
 from .operator import assemble_fraclap
 from .solver import (SolverError, energy_ledger, n_steps_for, solve_linear,
@@ -362,7 +361,9 @@ def run_runge(cfg, out_dir):
     errors = []
     q, _f = _model_pieces(grid, cfg, dt, t_final)
     for nseg in levels:
-        _ctrl, err = synthesize_control(op, q, target, window, dt, t_final, alpha, nseg)
+        basis = ControlBasis(grid, window, t_final, nseg)
+        _coeffs, _achieved, err = BackgroundStates(op, q, basis, dt, t_final).synthesize(
+            target, alpha)
         errors.append(float(err))
     rel = [e / tnorm for e in errors]
     tol = float(exp.get("tolerance", 0.2))

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import json
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .controls import ControlBasis, ExteriorControl, bump_control, time_bump
 from .dnmap import _pair_against_basis
@@ -33,6 +32,34 @@ class IllConditionedError(InversionError):
 
 class InconclusiveError(InversionError):
     """Measured differences too small to estimate the homogeneity exponent."""
+
+
+def cho_factor(mat, what):
+    """Upper Cholesky factor of the normal equations mat, as (u, False).
+
+    The tuple has the (factor, lower) shape of ``scipy.linalg.cho_factor``, so
+    either library's ``cho_solve`` takes it.  A non-finite or indefinite
+    matrix raises :class:`IllConditionedError`, naming the system by what.
+    """
+    if not np.isfinite(mat).all():
+        raise IllConditionedError(f"{what} normal equations not finite", np.nan)
+    try:
+        return np.linalg.cholesky(mat, upper=True), False
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"{what} normal equations failed",
+                                  np.linalg.cond(mat)) from exc
+
+
+def cho_solve(cho, b):
+    """Solve u^T u x = b for the factor (u, False) of :func:`cho_factor`.
+
+    Each triangular solve is a dense solve of an upper triangular matrix,
+    whose LU is the matrix itself with no row swapped: the forward one on u^T
+    with its rows and columns reversed, the back one on u.
+    """
+    u, _lower = cho
+    y = np.linalg.solve(u[::-1, ::-1].T, b[::-1])[::-1]
+    return np.linalg.solve(u, y)
 
 
 class BackgroundStates:
@@ -107,12 +134,7 @@ class BackgroundStates:
     def _synthesis_factor(self, alpha):
         """Cholesky factor of gram + alpha * scale * control_gram."""
         scale = np.trace(self.gram) / np.trace(self.control_gram)
-        mat = self.gram + alpha * scale * self.control_gram
-        try:
-            return cho_factor(mat)
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedError("control normal equations failed",
-                                      np.linalg.cond(mat)) from exc
+        return cho_factor(self.gram + alpha * scale * self.control_gram, "control")
 
 
 def synthesize_control(op, q_background, target, window, dt, t_final, alpha, n_segments):
@@ -255,12 +277,7 @@ def _regularized_solve(kern, rhs, pen, alpha, what):
     n = gram.shape[0]
     scale = np.trace(gram) / max(np.trace(pen), 1e-300)
     ridge = 1e-12 * np.trace(gram) / max(n, 1)
-    mat = gram + alpha * scale * pen + ridge * np.eye(n)
-    try:
-        cho = cho_factor(mat)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"{what} normal equations failed",
-                                  np.linalg.cond(mat)) from exc
+    cho = cho_factor(gram + alpha * scale * pen + ridge * np.eye(n), what)
     return cho_solve(cho, kern.T @ rhs)
 
 

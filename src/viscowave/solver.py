@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import nonlinearity as nl
 from .operator import norm_l2, seminorm_hs
@@ -220,35 +219,42 @@ def _step_matrix(op, dt):
     return np.eye(op.grid.omega.size) + (0.5 * dt + 0.25 * dt * dt) * op.omega_block
 
 
+def lu_factor(stack):
+    """Inverses of a (k, n, n) stack of step matrices, one LU each.
+
+    The one place the linear solver factors; ``perfbench/tracer.py`` counts
+    the factorizations through this name.
+    """
+    return np.linalg.inv(stack)
+
+
 def _step_inverses(base_mat, qs, q_static, dt):
     """Transposed inverses of the step matrices base_mat + dt^2/4 diag(q_{k+1}).
 
-    One (1, n, n) inverse, through ``lu_factor``, for a static q; an (nt, n,
-    n) stack of them, one per step, for a time-dependent q.  States are rows,
-    so a step multiplies by the transpose.  A non-finite static matrix fails
-    at step 0, a singular time-dependent one at its own step.
+    One stack through ``lu_factor``: a single matrix for a static q, one per
+    step, (nt, n, n), for a time-dependent q.  States are rows, so a step
+    multiplies by the transpose.  A non-finite or singular static matrix
+    fails at step 0, a singular time-dependent one at its own step.
     """
     n = base_mat.shape[0]
-    if q_static:
-        try:
-            lu = lu_factor(base_mat + 0.25 * dt * dt * np.diag(qs[0]))
-        except ValueError as exc:  # lu_factor rejects a non-finite matrix
-            raise StepFailureError(0, f"factorization failed: {exc}")
-        inv = lu_solve(lu, np.eye(n))[None]
-    else:
-        stack = np.empty((qs.shape[0] - 1, n, n))
-        stack[:] = base_mat
-        d = np.arange(n)
-        stack[:, d, d] += 0.25 * dt * dt * qs[1:]
-        try:
-            inv = np.linalg.inv(stack)
-        except np.linalg.LinAlgError:
-            for k, mat in enumerate(stack):  # find the first singular step
-                try:
-                    np.linalg.inv(mat)
-                except np.linalg.LinAlgError as exc:
-                    raise StepFailureError(k + 1, f"linear solve failed: {exc}") from None
-            raise
+    diag = qs[:1] if q_static else qs[1:]
+    stack = np.empty((diag.shape[0], n, n))
+    stack[:] = base_mat
+    d = np.arange(n)
+    stack[:, d, d] += 0.25 * dt * dt * diag
+    if q_static and not np.isfinite(stack).all():
+        raise StepFailureError(0, "factorization failed: non-finite step matrix")
+    try:
+        inv = lu_factor(stack)
+    except np.linalg.LinAlgError as exc:
+        if q_static:
+            raise StepFailureError(0, f"factorization failed: {exc}") from None
+        for k, mat in enumerate(stack):  # find the first singular step
+            try:
+                np.linalg.inv(mat)
+            except np.linalg.LinAlgError as err:
+                raise StepFailureError(k + 1, f"linear solve failed: {err}") from None
+        raise
     return np.ascontiguousarray(inv.transpose(0, 2, 1))
 
 

@@ -10,12 +10,13 @@ import yaml
 from numpy.testing import assert_allclose
 
 from viscowave import (ConfigError, ControlBasis, build_grid, compare_reports,
-                       load_config, run_scenario)
+                       load_config, run_scenario, synthesize_control)
 from viscowave import dnmap, solver
 from viscowave.cli import main
 from viscowave.harness import (DEFAULTS, EXPERIMENT_KEYS, MODEL_KEYS, _add_noise,
-                               _merge, _set_by_path, field_from_spec, potential_from_spec,
-                               sweep_scenario, validate_config)
+                               _gaussian_pulse, _merge, _set_by_path, _setup,
+                               field_from_spec, potential_from_spec, sweep_scenario,
+                               validate_config)
 
 
 def small_cfg(**overrides):
@@ -232,6 +233,20 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     assert len(factored) == 4
 
 
+def test_runge_errors_are_those_of_synthesize_control(tmp_path):
+    # run_runge keeps only each level's tracking error, so it synthesizes
+    # without building the control; the errors are bitwise unchanged
+    exp = {"kind": "runge", "levels": [8, 16], "window": "w2", "center": 0.4,
+           "width": 0.2, "t0": 0.2, "t1": 0.8}
+    cfg = small_cfg(experiment=exp)
+    report = run_scenario(cfg, str(tmp_path / "out"))
+    grid, op, dt, t_final, nt = _setup(_merge(DEFAULTS, cfg))
+    target = _gaussian_pulse(grid, exp, dt, nt, None, None, None, None)
+    alpha = DEFAULTS["regularization"]["synth_alpha"]
+    assert report["metrics"]["errors"] == [
+        synthesize_control(op, None, target, "w2", dt, t_final, alpha, n)[1] for n in (8, 16)]
+
+
 def test_sweep_refines_energy_residual(tmp_path):
     cfg = small_cfg(experiment={"kind": "energy-check"})
     summary = sweep_scenario(cfg, "dt", [0.02, 0.01], str(tmp_path / "sw"))
@@ -343,6 +358,23 @@ def test_cli_solver_failure_exit_one(tmp_path, capsys):
         code = main(["run", path, "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_non_finite_normal_equations_exit_one(tmp_path, capsys):
+    # an infinite regularization weight leaves NaN in the inversion's normal
+    # equations; the factorization reports it instead of a traceback
+    path = write_yaml(tmp_path / "c.yaml", {
+        "grid": {"n_nodes": 31}, "dt": 0.02,
+        "model": {"kind": "linear", "q": {"kind": "gaussian", "amplitude": 0.5,
+                                          "center": 0.5, "width": 0.2}},
+        "experiment": {"kind": "invert-linear", "basis_segments": 8, "target_stride": 2},
+        "regularization": {"alpha_inv": float("inf")},
+    })
+    with np.errstate(all="ignore"):
+        code = main(["run", path, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: inversion normal equations not finite (condition estimate nan)"]
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -9,15 +9,27 @@ import sys
 import viscowave
 
 
-def test_import_loads_only_what_set_up_needs():
-    # scipy.interpolate, scipy.optimize and scipy.special take about a third
-    # of a second to import, and nothing that sets up a scenario uses them
+def test_import_loads_only_what_set_up_needs(tmp_path):
+    # set-up is the CLI's import plus loading a scenario file; scipy took
+    # about 60% of it, and the package factors with numpy alone
     src = os.path.dirname(os.path.dirname(os.path.abspath(viscowave.__file__)))
-    code = ("import sys, viscowave; print(*(m for m in ('scipy.interpolate', "
-            "'scipy.optimize', 'scipy.special') if m in sys.modules))")
+    path = tmp_path / "c.yaml"
+    path.write_text("dt: 0.02\ngrid: {n_nodes: 31}\n")
+    code = ("import sys, viscowave.cli; from viscowave.harness import load_config; "
+            f"load_config({str(path)!r}); "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.split() == []
+
+
+def test_package_source_imports_no_scipy():
+    src = pathlib.Path(viscowave.__file__).parent
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(n.split(".")[0] == "scipy" for n in names), path.name
 
 
 # Imported names that a module keeps without using them, with the reason:

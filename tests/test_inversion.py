@@ -207,6 +207,36 @@ def test_synthesis_matches_reference_path(op31, grid31, static_q, monkeypatch):
     _assert_close(solved[0], rhs, 1e-15)
 
 
+@pytest.mark.parametrize("nseg", [8, 16])
+def test_cho_factor_is_scipys_upper_factor_bitwise(op31, nseg):
+    basis = ControlBasis(op31.grid, "w1", T_FINAL, nseg)
+    bg = BackgroundStates(op31, None, basis, DT, T_FINAL)
+    scale = np.trace(bg.gram) / np.trace(bg.control_gram)
+    mat = bg.gram + 1e-8 * scale * bg.control_gram
+    u, lower = inversion.cho_factor(mat, "control")
+    assert lower is False
+    assert u.tobytes() == np.triu(cho_factor(mat)[0]).tobytes()
+
+
+def test_cho_solve_matches_scipys_achieved_states(op101, grid101, monkeypatch):
+    nt = n_steps_for(DT, T_FINAL)
+    basis = ControlBasis(grid101, "w1", T_FINAL, 16)
+    bg = BackgroundStates(op101, None, basis, DT, T_FINAL)
+    targets = interior_targets(grid101, T_FINAL, nodes=grid101.omega[::7])
+    stack = np.asarray([t.materialize(grid101, DT, nt) for t in targets])
+    achieved = bg.synthesize(stack, 1e-8)[1]
+    monkeypatch.setattr(inversion, "cho_solve", cho_solve)
+    _assert_close(achieved, bg.synthesize(stack, 1e-8)[1], 1e-11)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cho_factor_rejects_non_finite_normal_equations(bad):
+    mat = np.eye(4)
+    mat[1, 2] = mat[2, 1] = bad
+    with pytest.raises(IllConditionedError, match="moment normal equations not finite"):
+        inversion.cho_factor(mat, "moment")
+
+
 def test_synthesis_of_a_target_stack_matches_one_at_a_time(op31, grid31):
     basis = ControlBasis(grid31, "w1", T_FINAL, 8)
     bg = BackgroundStates(op31, None, basis, DT, T_FINAL)

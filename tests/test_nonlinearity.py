@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from viscowave import (NonlinearityError, certify_growth,
                        check_exponent_constraints, power_nonlinearity,
                        zero_nonlinearity)
-from viscowave.nonlinearity import Nonlinearity, apply, apply_derivative
+from viscowave.nonlinearity import Nonlinearity, _nonnegative_fit, apply, apply_derivative
 
 
 def test_worked_example_cubic():
@@ -184,6 +184,23 @@ def test_certify_growth_report_dict():
     d = rep.to_dict()
     assert d["tau_range"] == [-2.0, 2.0]
     assert set(d) == {"A", "B", "r", "max_violation", "tau_range"}
+
+
+@pytest.mark.parametrize("shift", [-2.0, 0.0, 2.0])
+def test_nonnegative_fit_matches_scipy_nnls(shift, rng):
+    # the closed form covers every case: an interior optimum, and an optimum
+    # on either face, which a negative or positive shift of the data forces
+    from scipy.optimize import nnls
+
+    tau = np.linspace(-3.0, 3.0, 40)
+    for r in (0.5, 1.0, 2.0):
+        design = np.column_stack([np.ones_like(tau), np.abs(tau) ** r])
+        for sign in (1.0, -1.0):
+            y = sign * np.abs(tau) ** r + shift + 0.1 * rng.standard_normal(tau.size)
+            got = _nonnegative_fit(design, y)
+            want, _ = nnls(design, y)
+            assert np.all(got >= 0.0)
+            assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_certify_growth_needs_exponent():

@@ -460,7 +460,7 @@ def test_non_finite_update_reports_its_first_step(op31, grid31):
     assert err.value.step == 6
 
 
-# ------------------------------------- time-dependent potential: the inverse stack
+# ------------------------------------- the inverse stack: one matrix per potential or per step
 
 
 @pytest.fixture()
@@ -513,6 +513,29 @@ def test_singular_time_dependent_step_reports_its_step(op31, grid31):
     assert err.value.step == 5
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         _reference_solve_linear(op0, q, None, dt, T_FINAL)
+
+
+@pytest.mark.parametrize("op_name", ["op31", "op101"])
+def test_static_step_inverse_matches_lu_solve(op_name, request, counted_inverses):
+    op = request.getfixturevalue(op_name)
+    q = 0.4 * interior_bump(op.grid)[op.grid.omega]
+    base_mat = _step_matrix(op, DT)
+    qs, q_static = _expand_potential(q, NT, op.grid.omega.size)
+    inv = solver._step_inverses(base_mat, qs, q_static, DT)
+    mat = base_mat + 0.25 * DT * DT * np.diag(q)
+    ref = lu_solve(lu_factor(mat), np.eye(len(q))).T
+    assert counted_inverses == [1]
+    assert np.abs(inv[0] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_singular_static_step_matrix_fails_at_step_zero(op31, grid31):
+    op0 = dataclasses.replace(op31, matrix=np.zeros_like(op31.matrix))
+    dt = 2.0 ** -5
+    q = np.ones(grid31.omega.size)
+    q[3] = -4.0 / dt ** 2
+    with pytest.raises(StepFailureError, match="factorization failed: Singular matrix") as err:
+        solve_linear(op0, q, None, dt, T_FINAL)
+    assert err.value.step == 0
 
 
 # ------------------------------------- basis pass: the elements of a basis at once
