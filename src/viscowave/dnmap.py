@@ -185,27 +185,23 @@ def dn_matrix_linear(op, q, control_basis, probe_basis, dt, t_final, tag=""):
     return _record(op, control_basis, probe_basis, dt, t_final, tag, rows + exterior)
 
 
-def dn_difference_linear(op, q, control_basis, probe_basis, dt, t_final, tag="",
-                         q_background=None):
-    """Background measurement matrix and the difference of q's from it.
+def dn_difference_linear(q, background, probe_basis, tag=""):
+    """Difference of q's measurement matrix from that of a background.
 
-    Returns (background, difference): background is dn_matrix_linear of
-    q_background (tagged "background"), and difference holds the pairings
-    of dn_matrix_linear of q minus those of the background.  The difference
-    is measured, not subtracted: it pairs the responses of the difference
-    equation (:func:`solver.solve_linear_difference`), so it keeps its
-    relative accuracy however close q is to q_background.
+    background is the ``inversion.BackgroundStates`` of the control basis
+    under the background potential; the record holds the pairings of
+    dn_matrix_linear of q minus those of the background potential.  They are
+    measured, not subtracted: they pair the responses of the difference
+    equation (:func:`solver.solve_linear_difference`), driven by the
+    background's stored states, so they keep their relative accuracy however
+    close q is to the background potential.
     """
-    interior, exterior = _basis_pairings(op, control_basis, probe_basis, dt, t_final)
-    bg_rows, diff_rows = [], []
-    for _, (u, v), (w, z) in solve_linear_difference(op, q, q_background, control_basis,
-                                                     dt, t_final):
-        bg_rows.append(interior(u, v))
-        diff_rows.append(interior(w, z))
-    background = _record(op, control_basis, probe_basis, dt, t_final, "background",
-                         np.concatenate(bg_rows) + exterior)
-    return background, _record(op, control_basis, probe_basis, dt, t_final, tag,
-                               np.concatenate(diff_rows))
+    op, control_basis = background.op, background.basis
+    dt, t_final = background.dt, background.t_final
+    interior, _exterior = _basis_pairings(op, control_basis, probe_basis, dt, t_final)
+    rows = np.concatenate([interior(w, z) for _, w, z in solve_linear_difference(
+        op, q, background.q, background.states, dt, t_final)])
+    return _record(op, control_basis, probe_basis, dt, t_final, tag, rows)
 
 
 def dn_matrix_nonlinear(op, f, control_basis, probe_basis, dt, t_final, tag=""):

@@ -9,6 +9,7 @@ tolerance still exits cleanly with ``passed: false`` in the report.
 import copy
 import dataclasses
 import json
+import math
 import os
 import time
 
@@ -16,9 +17,7 @@ import numpy as np
 import yaml
 
 from .controls import ControlBasis, bump_control, time_bump
-# dn_matrix_linear is not called here, but perfbench/tracer.py wraps every
-# binding of it, this one included
-from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linear,  # noqa: F401
+from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linear,
                     nonlinear_integral_identity_residual,
                     self_adjointness_residual)
 from .grid import build_grid
@@ -72,7 +71,7 @@ MODEL_KEYS = {"linear": ("q",), "nonlinear": ("coeff", "r", "q")}
 EXPERIMENTS = tuple(EXPERIMENT_KEYS)
 # How validate_config checks experiment values other than null: a choice
 # must be listed; a key in _LEAST is an integer of at least that value (a
-# spline level needs 7 segments); any other key is a number, except the
+# spline level needs 7 segments); any other key is a finite number, except the
 # profiles q1 and q2, which are checked when sampled, and round_exponent,
 # which is read for its truth.  _LISTS hold a nonempty list of such values.
 _CHOICES = {"window": ("w1", "w2"), "frame": ("direct", "reversed"),
@@ -140,11 +139,20 @@ def validate_config(cfg):
             numbers[name] = float(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+        if not math.isfinite(numbers[name]):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+    for name in ("noise.level", "regularization.synth_alpha", "regularization.alpha_inv"):
+        if numbers[name] < 0:
+            raise ConfigError(f"{name} must be nonnegative, got {numbers[name]!r}")
     s, dt, t_final, level = (numbers[k] for k in ("s", "dt", "t_final", "noise.level"))
+    kind = cfg["experiment"]["kind"]
+    if level > 0 and kind != "invert-linear":
+        raise ConfigError(f"noise.level={level} is read by invert-linear only, "
+                          f"not by {kind}")
     for name, value in (("grid.n_nodes", cfg["grid"]["n_nodes"]), ("seed", cfg["seed"])):
         try:
             int(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
     if not 0.0 < s < 1.0:
         raise ConfigError(f"s={cfg['s']} outside (0, 1)")
@@ -154,8 +162,6 @@ def validate_config(cfg):
         n_steps_for(dt, t_final)
     except SolverError as exc:
         raise ConfigError(str(exc)) from exc
-    if level < 0:
-        raise ConfigError("noise.level must be nonnegative")
     nodes = cfg["experiment"].get("target_nodes")
     if nodes is not None:
         omega = _grid(cfg).omega
@@ -175,7 +181,7 @@ def _check_experiment_values(exp):
                                   f"got {value!r}")
             continue
         least = _LEAST.get(key)
-        what = "a number" if least is None else f"an integer >= {least}"
+        what = "a finite number" if least is None else f"an integer >= {least}"
         if key in _LISTS:
             what = f"a nonempty list, each {what}"
         items = value if key in _LISTS else [value]
@@ -183,8 +189,9 @@ def _check_experiment_values(exp):
             if not isinstance(items, list) or not items:
                 raise TypeError
             numbers = [float(v) if least is None else int(v) for v in items]
-            ok = least is None or min(numbers) >= least
-        except (TypeError, ValueError):
+            ok = (all(map(math.isfinite, numbers)) if least is None
+                  else min(numbers) >= least)
+        except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
             raise ConfigError(f"experiment.{key} must be {what}, got {value!r}")
@@ -384,19 +391,22 @@ def run_invert_linear(cfg, out_dir):
     basis1 = ControlBasis(grid, "w1", t_final, nseg)
     basis2 = ControlBasis(grid, "w2", t_final, nseg)
     # the data enter as their difference from the q = 0 background, measured
-    # by the difference equation; the noise scales with the data themselves
-    background, rec_data = dn_difference_linear(op, q_true, basis1, basis2, dt, t_final,
-                                                tag="data")
+    # by the difference equation driven from the w1 states the inversion
+    # synthesizes with; the noise scales with the data themselves
+    background = BackgroundStates(op, None, basis1, dt, t_final)
+    rec_data = dn_difference_linear(q_true, background, basis2, tag="data")
     level = float(cfg["noise"]["level"])
-    sigma = level * np.std(background.pairings + rec_data.pairings)
-    rec_data = _add_noise(rec_data, sigma, _noise_rng(cfg))
+    if level > 0:
+        p_bg = dn_matrix_linear(op, None, basis1, basis2, dt, t_final).pairings
+        rec_data = _add_noise(rec_data, level * np.std(p_bg + rec_data.pairings),
+                              _noise_rng(cfg))
 
     targets = _targets_from_cfg(grid, t_final, exp)
     frame = exp.get("frame", "direct")
     q_time_basis = exp.get("q_time_basis")
     reg = cfg["regularization"]
     recon = recover_linear_potential(
-        rec_data, op, targets, float(reg["alpha_inv"]), dt, t_final,
+        rec_data, background, targets, float(reg["alpha_inv"]),
         synth_alpha=float(reg["synth_alpha"]),
         q_time_basis=None if q_time_basis is None else int(q_time_basis),
         frame=frame)

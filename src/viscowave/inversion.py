@@ -68,11 +68,13 @@ class BackgroundStates:
     Solves the evolution once per basis element (background potential q, zero
     source), all elements in one basis pass, and caches the interior
     trajectories together with the Gram data needed for control synthesis in
-    the L2-in-time energy norm.
+    the L2-in-time energy norm.  The states also drive the difference
+    equation of ``dnmap.dn_difference_linear``, which reads q from here.
     """
 
     def __init__(self, op, q, basis, dt, t_final):
         self.op = op
+        self.q = q
         self.basis = basis
         self.dt = float(dt)
         self.t_final = float(t_final)
@@ -238,14 +240,19 @@ class Reconstruction:
         )
 
 
-def _check_record(rec, op, dt, t_final):
+def _check_record(rec, background):
+    op = background.op
     if abs(rec.s - op.s) > 1e-12:
         raise InversionError(f"record order {rec.s} does not match operator {op.s}")
     horizons = (rec.t_final, rec.controls.t_final, rec.probes.t_final)
-    if abs(rec.dt - dt) > 1e-12 or any(abs(t - t_final) > 1e-12 for t in horizons):
-        raise InversionError("record time grid does not match requested one")
+    if (abs(rec.dt - background.dt) > 1e-12
+            or any(abs(t - background.t_final) > 1e-12 for t in horizons)):
+        raise InversionError("record time grid does not match the background's")
     if rec.controls.window != "w1" or rec.probes.window != "w2":
         raise InversionError("expected controls on w1 and probes on w2")
+    basis = background.basis
+    if (basis.window, basis.n_segments) != (rec.controls.window, rec.controls.n_segments):
+        raise InversionError("record controls are not the background's basis")
     shape = (len(rec.controls), len(rec.probes))
     if rec.pairings.shape != shape:
         raise InversionError(f"record pairings are {rec.pairings.shape}, its bases {shape}")
@@ -295,41 +302,43 @@ def _probing_kernel(fld1, fld2, weights):
     return kern.reshape(len(fld1) * len(fld2), -1)
 
 
-def recover_linear_potential(dn_difference, op, targets, alpha_inv, dt, t_final,
-                             synth_alpha=1e-10, q_time_basis=None, frame="direct",
-                             q_background=None):
+def recover_linear_potential(dn_difference, background, targets, alpha_inv,
+                             synth_alpha=1e-10, q_time_basis=None, frame="direct"):
     """Potential increment from a difference record over a background.
 
-    dn_difference holds the measurement differences of the data from the
-    background q_background, as ``dnmap.dn_difference_linear`` measures
-    them.  targets is a list of LocalizedTarget; both windows synthesize
-    controls towards each of them, and the differences m_ij are matched to
-    interior integrals of the potential against products of the achieved
-    background states (the first-order expansion of the measurement map at
-    q_background, so the returned values estimate q_data - q_background).
+    background is the :class:`BackgroundStates` of the record's w1 controls
+    under a static potential q_bg, and dn_difference the measurement
+    differences of the data from it, as ``dnmap.dn_difference_linear``
+    measures them; the background's operator and time grid are the
+    recovery's.  targets is a list of LocalizedTarget; both windows
+    synthesize controls towards each of them, and the differences m_ij are
+    matched to interior integrals of the potential against products of the
+    achieved background states (the first-order expansion of the
+    measurement map at q_bg, so the returned values estimate q_data - q_bg).
     Smoothness-regularized least squares with weight alpha_inv picks the
-    estimate.  frame="direct" parameterizes the unknown on the forward time
-    axis; frame="reversed" parameterizes its time reversal, the natural frame
-    when the unknown is modeled from the receiving side.  With
-    q_time_basis=None the unknown is static; an integer requests that many
-    piecewise-linear time profiles.
+    estimate.
+    frame="direct" parameterizes the unknown on the forward time axis;
+    frame="reversed" parameterizes its time reversal, the natural frame when
+    the unknown is modeled from the receiving side.  With q_time_basis=None
+    the unknown is static; an integer requests that many piecewise-linear
+    time profiles.
     """
     if frame not in ("direct", "reversed"):
         raise InversionError(f"unknown frame {frame!r}")
-    if q_background is not None and np.asarray(q_background).ndim > 1:
-        raise InversionError("q_background must be static (scalar or one row)")
-    _check_record(dn_difference, op, dt, t_final)
-    basis1, basis2 = dn_difference.controls, dn_difference.probes
-    n_steps = n_steps_for(dt, t_final)
+    if np.ndim(background.q) > 1:
+        raise InversionError("background potential must be static (scalar or one row)")
+    _check_record(dn_difference, background)
+    op, dt, t_final = background.op, background.dt, background.t_final
+    n_steps = background.n_steps
     grid = op.grid
     om = grid.omega
 
-    bg1 = BackgroundStates(op, q_background, basis1, dt, t_final)
-    bg2 = BackgroundStates(op, q_background, basis2, dt, t_final)
+    basis2 = dn_difference.probes
+    bg2 = BackgroundStates(op, background.q, basis2, dt, t_final)
 
     # achieved states: (n_targets, nt+1, n_omega)
     stack = np.asarray([tgt.materialize(grid, dt, n_steps) for tgt in targets])
-    coeff1, achieved1, errs1 = bg1.synthesize(stack, synth_alpha)
+    coeff1, achieved1, errs1 = background.synthesize(stack, synth_alpha)
     coeff2, achieved2, errs2 = bg2.synthesize(stack, synth_alpha)
     del stack
 

@@ -200,18 +200,17 @@ def _basis_drive(op, basis, dt, nt, elements):
     return -0.5 * dt * (s[index % n_spl].T[:, :, None] * rows[None])
 
 
-def _difference_drive(dq, u, v, dt):
-    """Step right-hand sides of w = u_q - u_bg, from the background histories.
+def _difference_drive(dq, u, dt):
+    """Step right-hand sides of w = u_q - u_bg, from the background displacements.
 
-    u, v are background histories on omega, (nt+1, m, n_omega), and dq the
-    (nt+1, n_omega) samples of q - q_bg.  Subtracting the background step
-    from the q step leaves w stepping with q and this forcing at step k:
-    -dt/2 (dq_k u_k + dq_{k+1} u_base_k) - dt^2/4 dq_{k+1} v_{k+1}.
+    u is a background displacement history on omega, (nt+1, m, n_omega),
+    and dq the (nt+1, n_omega) samples of q - q_bg.  Subtracting the
+    background step from the q step leaves w stepping with q and the forcing
+    -dt/2 (dq_k u_k + dq_{k+1} u_{k+1}) at step k; the background velocity
+    enters only through u_{k+1} = u_k + dt/2 (v_k + v_{k+1}).
     """
-    hdt = 0.5 * dt
-    dq = dq[:, None, :]
-    u_base = u[:-1] + hdt * v[:-1]
-    return -hdt * ((dq[:-1] * u[:-1] + dq[1:] * u_base) + hdt * (dq[1:] * v[1:]))
+    dq_u = dq[:, None, :] * u
+    return -0.5 * dt * (dq_u[:-1] + dq_u[1:])
 
 
 def _step_matrix(op, dt):
@@ -343,25 +342,27 @@ def solve_linear_basis(op, q, basis, dt, t_final):
         yield (elements, *_crank_nicolson(op, drive, dt, None, None, explicit, implicit))
 
 
-def solve_linear_difference(op, q, q_background, basis, dt, t_final):
-    """Background responses of a basis and their change when q replaces q_background.
+def solve_linear_difference(op, q, q_background, states, dt, t_final):
+    """Change of a basis's responses when q replaces q_background.
 
-    Yields (elements, (u, v), (w, z)) per block, as solve_linear_basis does:
-    (u, v) are the responses with q_background, and (w, z) the differences
-    of the responses with q from them.  The differences are not subtracted:
-    they step with q, zero initial data and zero exterior data, driven by
-    the background (:func:`_difference_drive`), so they keep their relative
-    accuracy however small q - q_background is.
+    states holds the basis's background displacements on omega, element
+    first, (n, nt+1, n_omega), as ``inversion.BackgroundStates`` keeps them.
+    Yields (elements, w, z) per block of CONTROL_BLOCK elements, in basis
+    order: w, z are the read-only (nt+1, m, n_omega) displacement and
+    velocity differences of the responses with q from the background ones.
+    They are not subtracted: they step with q, zero initial data and zero
+    exterior data, driven by the background (:func:`_difference_drive`), so
+    they keep their relative accuracy however small q - q_background is.
     """
     nt = n_steps_for(dt, t_final)
     n_omega = op.grid.omega.size
     dq = (_expand_potential(q, nt, n_omega)[0]
           - _expand_potential(q_background, nt, n_omega)[0])
     explicit, implicit = _linear_step(op, q, dt, nt)
-    for elements, u, v in solve_linear_basis(op, q_background, basis, dt, t_final):
-        w, z = _crank_nicolson(op, _difference_drive(dq, u, v, dt), dt, None, None,
-                               explicit, implicit)
-        yield elements, (u, v), (w, z)
+    for start in range(0, len(states), CONTROL_BLOCK):
+        elements = slice(start, min(start + CONTROL_BLOCK, len(states)))
+        drive = _difference_drive(dq, states[elements].transpose(1, 0, 2), dt)
+        yield (elements, *_crank_nicolson(op, drive, dt, None, None, explicit, implicit))
 
 
 # Newton's stopping test on the max-norm step residual, and its iteration cap

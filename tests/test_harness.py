@@ -9,9 +9,10 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from viscowave import (ConfigError, ControlBasis, build_grid, compare_reports,
-                       load_config, run_scenario, synthesize_control)
-from viscowave import dnmap, solver
+from viscowave import (BackgroundStates, ConfigError, ControlBasis, build_grid,
+                       compare_reports, dn_matrix_linear, load_config, run_scenario,
+                       synthesize_control)
+from viscowave import dnmap, harness, inversion, solver
 from viscowave.cli import main
 from viscowave.harness import (DEFAULTS, EXPERIMENT_KEYS, MODEL_KEYS, _add_noise,
                                _gaussian_pulse, _merge, _set_by_path, _setup,
@@ -202,10 +203,19 @@ def test_invert_linear_reproducible_across_runs(tmp_path):
             != r1["metrics"]["relative_l2_error"])
 
 
+def _linear_cfg(**overrides):
+    return small_cfg(
+        model={"kind": "linear", "q": {"kind": "gaussian", "amplitude": 0.5,
+                                       "center": 0.5, "width": 0.2}},
+        experiment={"kind": "invert-linear", "basis_segments": 8, "target_stride": 2},
+        **overrides)
+
+
 def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
-    # four passes over a basis: the background and the difference from it on
-    # w1 for the data, then the background states on w1 and on w2 for the
-    # synthesis; none samples a control on the full grid
+    # three passes over a basis: the background states on w1, which the data
+    # and the synthesis share, the data's difference from them on w1, and the
+    # background states on w2 for the synthesis; none samples a control on
+    # the full grid
     materialized, stepped, factored = [], [], []
 
     def counting(calls, fn, size=lambda *a: 1):
@@ -219,18 +229,79 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
         stepped, solver._crank_nicolson,
         lambda op, drive, *rest: drive.shape[1] if drive.ndim == 3 else 1))
     monkeypatch.setattr(solver, "lu_factor", counting(factored, solver.lu_factor))
-    cfg = small_cfg(
-        model={"kind": "linear", "q": {"kind": "gaussian", "amplitude": 0.5,
-                                       "center": 0.5, "width": 0.2}},
-        experiment={"kind": "invert-linear", "basis_segments": 8, "target_stride": 2})
+    cfg = _linear_cfg()
     run_scenario(cfg, str(tmp_path / "out"))
     grid = build_grid(*(cfg["grid"][k] for k in ("box", "omega", "w1", "w2", "n_nodes")))
     n_basis = len(ControlBasis(grid, "w1", cfg["t_final"], 8))
     assert n_basis == len(ControlBasis(grid, "w2", cfg["t_final"], 8))
     assert materialized == []
-    assert sum(stepped) == 4 * n_basis
-    # one static factorization per pass: q = 0 three times, the gaussian once
-    assert len(factored) == 4
+    assert sum(stepped) == 3 * n_basis
+    # one static factorization per pass: q = 0 twice, the gaussian once
+    assert len(factored) == 3
+
+
+def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
+    # the data's difference record and the recovery read one w1 background,
+    # bitwise what a fresh BackgroundStates of q = 0 holds
+    seen = []
+
+    def spy(name):
+        fn = getattr(harness, name)
+
+        def wrapper(record_or_q, background, *args, **kwargs):
+            seen.append(background)
+            return fn(record_or_q, background, *args, **kwargs)
+        return wrapper
+
+    for name in ("dn_difference_linear", "recover_linear_potential"):
+        monkeypatch.setattr(harness, name, spy(name))
+    cfg = _linear_cfg()
+    run_scenario(cfg, str(tmp_path / "out"))
+    _grid, op, dt, t_final, _nt = _setup(cfg)
+    fresh = BackgroundStates(op, None, ControlBasis(op.grid, "w1", t_final, 8), dt, t_final)
+    shared = seen[0]
+    assert len(seen) == 2 and seen[1] is shared and shared.q is None
+    assert (shared.basis.window, shared.basis.n_segments) == ("w1", 8)
+    for name in ("states", "gram", "control_gram", "time_weights"):
+        assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+def _velocity_form_difference(op, q, basis1, basis2, dt, t_final):
+    """Difference pairings stepped from the background (u, v), the drive's
+    form before it read the displacements alone."""
+    nt = solver.n_steps_for(dt, t_final)
+    hdt = 0.5 * dt
+    dq = np.broadcast_to(q, (nt + 1, op.grid.omega.size))[:, None, :]
+    explicit, implicit = solver._linear_step(op, q, dt, nt)
+    interior, _ = dnmap._basis_pairings(op, basis1, basis2, dt, t_final)
+    rows = []
+    for _, u, v in solver.solve_linear_basis(op, None, basis1, dt, t_final):
+        u_base = u[:-1] + hdt * v[:-1]
+        drive = -hdt * ((dq[:-1] * u[:-1] + dq[1:] * u_base) + hdt * (dq[1:] * v[1:]))
+        rows.append(interior(*solver._crank_nicolson(op, drive, dt, None, None,
+                                                     explicit, implicit)))
+    return np.concatenate(rows)
+
+
+def test_noise_scale_is_that_of_the_background_plus_difference(tmp_path, monkeypatch):
+    # sigma = level * std(P_bg + dP), as when the data pass measured the
+    # background record itself and drove the difference from (u, v)
+    sigmas = []
+
+    def spy(record, sigma, rng):
+        sigmas.append(sigma)
+        return _add_noise(record, sigma, rng)
+
+    monkeypatch.setattr(harness, "_add_noise", spy)
+    cfg = _linear_cfg(noise={"level": 1e-3})
+    run_scenario(cfg, str(tmp_path / "out"))
+    grid, op, dt, t_final, _nt = _setup(cfg)
+    basis1, basis2 = (ControlBasis(grid, w, t_final, 8) for w in ("w1", "w2"))
+    q = potential_from_spec(grid, cfg["model"]["q"], dt, t_final)
+    p_bg = dn_matrix_linear(op, None, basis1, basis2, dt, t_final).pairings
+    ref = 1e-3 * np.std(p_bg + _velocity_form_difference(op, q, basis1, basis2, dt, t_final))
+    assert len(sigmas) == 1
+    assert abs(sigmas[0] - ref) <= 1e-12 * ref
 
 
 def test_runge_errors_are_those_of_synthesize_control(tmp_path):
@@ -314,7 +385,14 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                                   "regularization: {synth_alpha: [1]}\n",
                                   "model: {kind: nonlinear, r: abc}\n",
                                   "grid: {n_nodes: 31}\n"
-                                  "experiment: {kind: invert-linear, target_nodes: [500]}\n"],
+                                  "experiment: {kind: invert-linear, target_nodes: [500]}\n",
+                                  "dt: .nan\n", "t_final: .inf\n", "noise: {level: .nan}\n",
+                                  "regularization: {synth_alpha: -1}\n",
+                                  "regularization: {alpha_inv: -1}\n",
+                                  "regularization: {alpha_inv: .inf}\n",
+                                  "grid: {n_nodes: .inf}\n",
+                                  "experiment: {kind: forward, amplitude: .nan}\n",
+                                  "experiment: {kind: invert-linear, basis_segments: .inf}\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
                               "non-numeric-seed", "unknown-grid-key",
@@ -324,7 +402,11 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                               "non-numeric-amplitude", "non-integer-level",
                               "too-few-basis-segments", "too-few-level-segments",
                               "non-numeric-alpha_inv", "non-numeric-synth_alpha",
-                              "non-numeric-r", "target-node-outside-omega"])
+                              "non-numeric-r", "target-node-outside-omega",
+                              "nan-dt", "infinite-t_final", "nan-noise-level",
+                              "negative-synth_alpha", "negative-alpha_inv",
+                              "infinite-alpha_inv", "infinite-n_nodes", "nan-amplitude",
+                              "infinite-basis-segments"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, text):
     path = tmp_path / "c.yaml"
     path.write_text(text)
@@ -360,15 +442,39 @@ def test_cli_solver_failure_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_non_finite_normal_equations_exit_one(tmp_path, capsys):
-    # an infinite regularization weight leaves NaN in the inversion's normal
+def test_cli_noise_only_where_it_is_read(tmp_path, capsys):
+    # only invert-linear adds noise; any other kind would run noise-free
+    for kind in ("forward", "energy-check", "identity-check", "runge", "invert-nonlinear"):
+        model = {"kind": "nonlinear"} if kind == "invert-nonlinear" else {}
+        cfg = small_cfg(noise={"level": 1e-3}, experiment={"kind": kind}, model=model)
+        with pytest.raises(ConfigError, match="read by invert-linear only"):
+            validate_config(cfg)
+        validate_config(_merge(cfg, {"noise": {"level": 0.0}}))
+    path = write_yaml(tmp_path / "c.yaml", {"noise": {"level": 0.1},
+                                            "experiment": {"kind": "invert-nonlinear"},
+                                            "model": {"kind": "nonlinear"}})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: noise.level=0.1 is read by invert-linear only, not by invert-nonlinear"]
+    validate_config(_linear_cfg(noise={"level": 1e-3}))
+
+
+def test_cli_non_finite_normal_equations_exit_one(tmp_path, capsys, monkeypatch):
+    # a NaN in the probing kernel leaves NaN in the inversion's normal
     # equations; the factorization reports it instead of a traceback
+    kernel = inversion._probing_kernel
+
+    def nan_kernel(*args):
+        kern = kernel(*args)
+        kern[0, 0] = np.nan
+        return kern
+
+    monkeypatch.setattr(inversion, "_probing_kernel", nan_kernel)
     path = write_yaml(tmp_path / "c.yaml", {
         "grid": {"n_nodes": 31}, "dt": 0.02,
         "model": {"kind": "linear", "q": {"kind": "gaussian", "amplitude": 0.5,
                                           "center": 0.5, "width": 0.2}},
         "experiment": {"kind": "invert-linear", "basis_segments": 8, "target_stride": 2},
-        "regularization": {"alpha_inv": float("inf")},
     })
     with np.errstate(all="ignore"):
         code = main(["run", path, "--out", str(tmp_path / "out")])

@@ -32,10 +32,6 @@ def test_package_source_imports_no_scipy():
             assert not any(n.split(".")[0] == "scipy" for n in names), path.name
 
 
-# Imported names that a module keeps without using them, with the reason:
-# perfbench/tracer.py wraps every binding of dn_matrix_linear, this one too.
-_UNUSED_ON_PURPOSE = {("harness", "dn_matrix_linear")}
-
 
 def _unused_imports(path):
     tree = ast.parse(path.read_text())
@@ -51,4 +47,4 @@ def test_every_imported_name_is_used():
     src = pathlib.Path(viscowave.__file__).parent
     unused = {(path.stem, name) for path in src.glob("*.py") if path.name != "__init__.py"
               for name in _unused_imports(path)}
-    assert unused == _UNUSED_ON_PURPOSE
+    assert unused == set()

@@ -282,10 +282,8 @@ def test_exact_recovery_from_synthetic_first_order_data(op31, grid31):
     rec_data = DNRecord(s=op31.s, dt=DT, t_final=T_FINAL,
                         controls=basis1, probes=basis2, pairings=inner[:, perm])
 
-    est = recover_linear_potential(rec_data, op31,
-                                   interior_targets(grid31, T_FINAL),
-                                   alpha_inv=1e-12, dt=DT, t_final=T_FINAL,
-                                   synth_alpha=1e-12)
+    est = recover_linear_potential(rec_data, bg1, interior_targets(grid31, T_FINAL),
+                                   alpha_inv=1e-12, synth_alpha=1e-12)
     rel = np.linalg.norm(est.values - q_true) / np.linalg.norm(q_true)
     assert rel < 1e-5
     assert est.covered.all()
@@ -300,15 +298,13 @@ def test_time_reversal_consistency_of_estimates(op61, grid61):
     tgrid = np.linspace(0, T_FINAL, nt + 1)
     basis1 = ControlBasis(grid61, "w1", T_FINAL, 16)
     basis2 = ControlBasis(grid61, "w2", T_FINAL, 16)
-    _, rec_f = dn_difference_linear(op61, np.outer(tgrid, g), basis1, basis2,
-                                    dt, T_FINAL)
-    _, rec_r = dn_difference_linear(op61, np.outer(T_FINAL - tgrid, g), basis1,
-                                    basis2, dt, T_FINAL)
+    bg1 = BackgroundStates(op61, None, basis1, dt, T_FINAL)
+    rec_f = dn_difference_linear(np.outer(tgrid, g), bg1, basis2)
+    rec_r = dn_difference_linear(np.outer(T_FINAL - tgrid, g), bg1, basis2)
     targets = interior_targets(grid61, T_FINAL)
-    kwargs = dict(alpha_inv=1e-1, dt=dt, t_final=T_FINAL, synth_alpha=1e-12,
-                  q_time_basis=3, frame="reversed")
-    est_f = recover_linear_potential(rec_f, op61, targets, **kwargs)
-    est_r = recover_linear_potential(rec_r, op61, targets, **kwargs)
+    kwargs = dict(alpha_inv=1e-1, synth_alpha=1e-12, q_time_basis=3, frame="reversed")
+    est_f = recover_linear_potential(rec_f, bg1, targets, **kwargs)
+    est_r = recover_linear_potential(rec_r, bg1, targets, **kwargs)
     mutual = (np.linalg.norm(est_f.values - est_r.values[:, ::-1])
               / np.linalg.norm(est_f.values))
     assert mutual < 0.05
@@ -317,71 +313,74 @@ def test_time_reversal_consistency_of_estimates(op61, grid61):
     assert rel < 0.10
 
 
+def _zero_case(op, grid):
+    """A zero record over the w1 and w2 bases of level 8, and its q = 0 background."""
+    basis1 = ControlBasis(grid, "w1", T_FINAL, 8)
+    basis2 = ControlBasis(grid, "w2", T_FINAL, 8)
+    return (zero_record(op, basis1, basis2, DT, T_FINAL),
+            BackgroundStates(op, None, basis1, DT, T_FINAL))
+
+
 def test_recover_rejects_mismatched_records(op31, grid31):
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    rec = zero_record(op31, basis1, basis2, DT, T_FINAL)
+    rec, bg = _zero_case(op31, grid31)
     targets = interior_targets(grid31, T_FINAL)
     bad_s = DNRecord(s=0.7, dt=DT, t_final=T_FINAL, controls=rec.controls,
                      probes=rec.probes, pairings=rec.pairings)
     with pytest.raises(InversionError, match="record order"):
-        recover_linear_potential(bad_s, op31, targets, 1e-6, DT, T_FINAL)
+        recover_linear_potential(bad_s, bg, targets, 1e-6)
     bad_dt = DNRecord(s=op31.s, dt=0.04, t_final=T_FINAL, controls=rec.controls,
                       probes=rec.probes, pairings=rec.pairings)
     with pytest.raises(InversionError, match="time grid"):
-        recover_linear_potential(bad_dt, op31, targets, 1e-6, DT, T_FINAL)
+        recover_linear_potential(bad_dt, bg, targets, 1e-6)
 
 
 def test_recover_rejects_swapped_windows(op31, grid31):
+    _, bg = _zero_case(op31, grid31)
     basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
     rec = DNRecord(s=op31.s, dt=DT, t_final=T_FINAL, controls=basis2, probes=basis2,
                    pairings=np.zeros((len(basis2), len(basis2))))
     with pytest.raises(InversionError, match="expected controls on w1"):
-        recover_linear_potential(rec, op31, interior_targets(grid31, T_FINAL),
-                                 1e-6, DT, T_FINAL)
+        recover_linear_potential(rec, bg, interior_targets(grid31, T_FINAL), 1e-6)
 
 
 def test_recover_checks_the_record_before_any_solve(op31, grid31, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the record was checked")
 
+    rec, bg = _zero_case(op31, grid31)
     monkeypatch.setattr(inversion, "BackgroundStates", no_solve)
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    rec = zero_record(op31, basis1, basis2, DT, T_FINAL)
     targets = interior_targets(grid31, T_FINAL)
     short = dataclasses.replace(rec, pairings=rec.pairings[:, :-1])
     with pytest.raises(InversionError, match="pairings"):
-        recover_linear_potential(short, op31, targets, 1e-6, DT, T_FINAL)
+        recover_linear_potential(short, bg, targets, 1e-6)
     finer = dataclasses.replace(rec, probes=ControlBasis(grid31, "w2", T_FINAL, 16))
     with pytest.raises(InversionError, match="pairings"):
-        recover_linear_potential(finer, op31, targets, 1e-6, DT, T_FINAL)
+        recover_linear_potential(finer, bg, targets, 1e-6)
     longer = dataclasses.replace(rec, controls=ControlBasis(grid31, "w1", 2 * T_FINAL, 8))
     with pytest.raises(InversionError, match="time grid"):
-        recover_linear_potential(longer, op31, targets, 1e-6, DT, T_FINAL)
+        recover_linear_potential(longer, bg, targets, 1e-6)
+    other = dataclasses.replace(rec, controls=ControlBasis(grid31, "w1", T_FINAL, 16))
+    with pytest.raises(InversionError, match="not the background's basis"):
+        recover_linear_potential(other, bg, targets, 1e-6)
 
 
 def test_recover_rejects_bad_frame_and_background(op31, grid31):
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    rec = zero_record(op31, basis1, basis2, DT, T_FINAL)
+    rec, bg = _zero_case(op31, grid31)
     targets = interior_targets(grid31, T_FINAL)
     with pytest.raises(InversionError, match="unknown frame"):
-        recover_linear_potential(rec, op31, targets, 1e-6, DT, T_FINAL,
-                                 frame="backwards")
+        recover_linear_potential(rec, bg, targets, 1e-6, frame="backwards")
+    moving = BackgroundStates(op31, np.zeros((NT + 1, grid31.omega.size)), bg.basis,
+                              DT, T_FINAL)
     with pytest.raises(InversionError, match="must be static"):
-        recover_linear_potential(rec, op31, targets, 1e-6, DT, T_FINAL,
-                                 q_background=np.zeros((3, grid31.omega.size)))
+        recover_linear_potential(rec, moving, targets, 1e-6)
 
 
 def test_recover_detects_zero_probing_system(op31, grid31):
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    rec = zero_record(op31, basis1, basis2, DT, T_FINAL)
+    rec, bg = _zero_case(op31, grid31)
     # time window beyond t_final materializes to the zero target
     dead = [LocalizedTarget(int(grid31.omega[4]), 2.0, 3.0, 0.2)]
     with pytest.raises(InversionError, match="identically zero"):
-        recover_linear_potential(rec, op31, dead, 1e-6, DT, T_FINAL)
+        recover_linear_potential(rec, bg, dead, 1e-6)
 
 
 # --------------------------------------------------------- nonlinearity
@@ -504,12 +503,13 @@ def _gaussian_case(grid, op, amplitude):
     basis2 = ControlBasis(grid, "w2", T_FINAL, 16)
     dt = 5e-3
     q = amplitude * np.exp(-((grid.x[grid.omega] - 0.5) / 0.141421356) ** 2)
-    _, diff = dn_difference_linear(op, q, basis1, basis2, dt, T_FINAL)
+    background = BackgroundStates(op, None, basis1, dt, T_FINAL)
+    diff = dn_difference_linear(q, background, basis2)
     targets = interior_targets(grid, T_FINAL)
 
     def error(record):
-        est = recover_linear_potential(record, op, targets, alpha_inv=1e-1, dt=dt,
-                                       t_final=T_FINAL, synth_alpha=1e-12)
+        est = recover_linear_potential(record, background, targets, alpha_inv=1e-1,
+                                       synth_alpha=1e-12)
         return np.linalg.norm(est.values - q) / np.linalg.norm(q)
 
     return diff, error

@@ -618,21 +618,40 @@ def test_basis_pass_matches_the_reference_loop(op31, grid31, block, kind):
 
 
 @pytest.mark.parametrize("kind", ["static", "time-dependent"])
-def test_difference_pass_matches_the_subtraction(op31, grid31, kind):
-    # w = u_q - u_bg stepped from the background alone, against a static
-    # background potential
+def test_difference_pass_matches_the_subtraction(op31, grid31, monkeypatch, kind):
+    # w = u_q - u_bg stepped from the background displacements alone, against
+    # a static background potential, in blocks of 16 and 2
+    monkeypatch.setattr(solver, "CONTROL_BLOCK", 16)
     basis, _ = _w1_basis(grid31)
     q, q_bg = _potential(grid31, kind), 0.2 * np.ones(grid31.omega.size)
     with_q = _interior_responses(op31, q, basis)
     background = _interior_responses(op31, q_bg, basis)
-    passes = list(solver.solve_linear_difference(op31, q, q_bg, basis, DT, T_FINAL))
+    passes = list(solver.solve_linear_difference(op31, q, q_bg, background[0], DT, T_FINAL))
+    assert [p[0] for p in passes] == [slice(0, 16), slice(16, len(basis))]
     for i in (0, 1):
-        bg = np.concatenate([p[1][i].transpose(1, 0, 2) for p in passes])
-        diff = np.concatenate([p[2][i].transpose(1, 0, 2) for p in passes])
+        assert not any(p[1 + i].flags.writeable for p in passes)
+        diff = np.concatenate([p[1 + i].transpose(1, 0, 2) for p in passes])
         sub = with_q[i] - background[i]
-        assert np.array_equal(bg, background[i])
         assert np.abs(sub).max() > 1e-3 * np.abs(background[i]).max()
         assert np.abs(diff - sub).max() <= 1e-11 * np.abs(sub).max()
+
+
+@pytest.mark.parametrize("kind", ["static", "time-dependent"])
+def test_difference_drive_matches_its_velocity_form(op31, grid31, kind):
+    # the drive once read the background velocity as well:
+    # -dt/2 (dq_k u_k + dq_{k+1} u_base_k) - dt^2/4 dq_{k+1} v_{k+1},
+    # with u_base_k = u_k + dt/2 v_k, which is -dt/2 (dq_k u_k + dq_{k+1} u_{k+1})
+    basis, _ = _w1_basis(grid31)
+    dq = np.broadcast_to(_potential(grid31, kind), (NT + 1, grid31.omega.size))
+    u, v, _ = _interior_responses(op31, 0.2, basis)
+    u, v = u.transpose(1, 0, 2), v.transpose(1, 0, 2)
+    hdt = 0.5 * DT
+    u_base = u[:-1] + hdt * v[:-1]
+    ref = -hdt * ((dq[:-1, None] * u[:-1] + dq[1:, None] * u_base)
+                  + hdt * (dq[1:, None] * v[1:]))
+    got = solver._difference_drive(dq, u, DT)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _failing_step(call):
