@@ -72,13 +72,20 @@ EXPERIMENTS = tuple(EXPERIMENT_KEYS)
 # How validate_config checks experiment values other than null: a choice
 # must be listed; a key in _LEAST is an integer of at least that value (a
 # spline level needs 7 segments); any other key is a finite number, except the
-# profiles q1 and q2, which are checked when sampled, and round_exponent,
-# which is read for its truth.  _LISTS hold a nonempty list of such values.
+# profiles q1 and q2 (_check_profile) and round_exponent, which is read for
+# its truth.  _LISTS hold a nonempty list of such values.
 _CHOICES = {"window": ("w1", "w2"), "frame": ("direct", "reversed"),
             "variant": ("self-adjoint", "alessandrini", "nonlinear-integral")}
 _LEAST = {"basis_segments": 7, "levels": 7, "q_time_basis": 2, "target_stride": 1,
           "target_nodes": 0}
 _LISTS = ("levels", "eps_list", "target_nodes")
+# The parameters of each spatial profile kind (field_from_spec), all finite
+# numbers, besides "kind"; a constant needs its value, and a gaussian's width
+# is positive.  A potential (model.q, experiment.q1/q2) may also carry a
+# "time" dependence.
+PROFILE_KEYS = {"zero": (), "constant": ("value",), "gaussian": ("amplitude", "center", "width"),
+                "sine": ("offset", "amplitude", "frequency")}
+TIME_DEPENDENCE = ("constant", "ramp", "reversed-ramp")
 
 
 def _merge(base, override):
@@ -129,6 +136,10 @@ def validate_config(cfg):
         if unknown:
             raise ConfigError(f"unknown {key} keys {sorted(unknown)} for kind {kind!r}")
     _check_experiment_values(cfg["experiment"])
+    for section, key, timed in (("model", "q", True), ("model", "coeff", False),
+                                ("experiment", "q1", True), ("experiment", "q2", True)):
+        if cfg[section].get(key) is not None:
+            _check_profile(f"{section}.{key}", cfg[section][key], timed)
     numbers = {"s": cfg["s"], "dt": cfg["dt"], "t_final": cfg["t_final"],
                "noise.level": cfg["noise"]["level"],
                "regularization.synth_alpha": cfg["regularization"]["synth_alpha"],
@@ -197,23 +208,59 @@ def _check_experiment_values(exp):
             raise ConfigError(f"experiment.{key} must be {what}, got {value!r}")
 
 
+def _check_profile(name, spec, timed):
+    """Reject a profile spec that field_from_spec (and, if timed,
+    potential_from_spec) would not sample as written."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a mapping, got {spec!r}")
+    kind = _param(spec, "kind", "zero")
+    if kind not in PROFILE_KEYS:
+        raise ConfigError(f"{name}.kind must be one of {tuple(PROFILE_KEYS)}, got {kind!r}")
+    unknown = set(spec) - {"kind", *PROFILE_KEYS[kind], *(("time",) if timed else ())}
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {sorted(unknown)} for kind {kind!r}")
+    if _param(spec, "time", "constant") not in TIME_DEPENDENCE:
+        raise ConfigError(f"{name}.time must be one of {TIME_DEPENDENCE}, "
+                          f"got {spec['time']!r}")
+    if kind == "constant" and spec.get("value") is None:
+        raise ConfigError(f"{name}.value is required for kind 'constant'")
+    for key in PROFILE_KEYS[kind]:
+        value = spec.get(key)
+        if value is None:
+            continue
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if not math.isfinite(number) or (key == "width" and number <= 0):
+            what = "a positive finite number" if key == "width" else "a finite number"
+            raise ConfigError(f"{name}.{key} must be {what}, got {value!r}")
+
+
+def _param(spec, key, default):
+    """spec[key], or default when it is missing or null."""
+    value = spec.get(key)
+    return default if value is None else value
+
+
 def field_from_spec(grid, spec, nodes=None):
     """Nodal samples of a named spatial profile on omega (or given nodes)."""
     x = grid.x[grid.omega if nodes is None else nodes]
-    kind = (spec or {}).get("kind", "zero")
+    spec = spec or {}
+    kind = _param(spec, "kind", "zero")
     if kind == "zero":
         return np.zeros_like(x)
     if kind == "constant":
         return np.full_like(x, float(spec["value"]))
     if kind == "gaussian":
-        amp = float(spec.get("amplitude", 1.0))
-        center = float(spec.get("center", 0.5))
-        width = float(spec.get("width", 0.1))
+        amp = float(_param(spec, "amplitude", 1.0))
+        center = float(_param(spec, "center", 0.5))
+        width = float(_param(spec, "width", 0.1))
         return amp * np.exp(-((x - center) / width) ** 2)
     if kind == "sine":
-        off = float(spec.get("offset", 0.0))
-        amp = float(spec.get("amplitude", 1.0))
-        freq = float(spec.get("frequency", 1.0))
+        off = float(_param(spec, "offset", 0.0))
+        amp = float(_param(spec, "amplitude", 1.0))
+        freq = float(_param(spec, "frequency", 1.0))
         return off + amp * np.sin(2.0 * np.pi * freq * x)
     raise ConfigError(f"unknown field kind {kind!r}")
 
@@ -221,7 +268,7 @@ def field_from_spec(grid, spec, nodes=None):
 def potential_from_spec(grid, spec, dt, t_final):
     """Potential samples: static omega vector, or (n_steps+1, n_omega) field."""
     spec = spec or {"kind": "zero"}
-    tdep = spec.get("time", "constant")
+    tdep = _param(spec, "time", "constant")
     prof = field_from_spec(grid, spec)
     if tdep == "constant":
         return prof

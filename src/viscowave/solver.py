@@ -13,11 +13,14 @@ Everything the exterior and the source add to a step enters the loop as one
 additive right-hand side per step, formed before it, so the loop steps one
 state or a block of states alike, one row per state: a control basis goes
 through it a block at a time, with no full-grid control.  A linear step is
-one product with L's omega block and one with the inverse of the step
-matrix, inverted once per potential (once per step for a time-dependent
-one).  Nonlinear runs replace q u by f(x, u) and solve each step with a
-Newton iteration on the same Jacobian structure.  A non-finite interior
-update is reported, by the first step that produced one, after the last step.
+three products with precomputed maps, v_{k+1} = u_k P_k + v_k R_k + d_k inv_k,
+and three adds for u_{k+1} = u_k + dt/2 (v_k + v_{k+1}); the maps carry L's
+omega block, the potential and the inverse of the step matrix, inverted once
+per potential (once per step for a time-dependent one).  Nonlinear runs
+replace q u by f(x, u) and solve each step with a Newton iteration on the
+same Jacobian structure.  A non-finite interior update is reported, by the
+first step that produced one, after the last step; a finite last state
+means there is none.
 """
 
 import csv
@@ -125,41 +128,42 @@ def _check_control(control, grid, dt, nt):
     return control.values, control.dvalues
 
 
-def _crank_nicolson(op, drive, dt, u0, v0, explicit, implicit):
-    """The shared trapezoidal step loop on omega; returns read-only (u, v) histories.
+def _non_finite_failure(v):
+    """The StepFailureError of v's first non-finite row, at its first non-finite step."""
+    nt = v.shape[0] - 1
+    bad = ~np.isfinite(v[1:].reshape(nt, -1, v.shape[-1])).all(axis=2)
+    first = int(np.argmax(bad.any(axis=0)))
+    return StepFailureError(int(np.argmax(bad[:, first])) + 1, "non-finite interior update")
 
-    drive[k] is the additive right-hand side of step k: (n_omega,) for one
-    state, or (m, n_omega) for a block of m states, one row each.  The
-    histories have shape (nt+1,) + drive.shape[1:] and hold omega only.
 
-    Each step forms the explicit half of the update from the current state:
-    the flux of L's omega block, ``explicit(k, u_k, u_base)`` for the
-    interior term, where u_base = u_k + dt/2 v_k, and drive[k].
-    ``implicit(k, rhs, v_k, u_base)`` then returns the new velocity.
-    Non-finite updates are looked for once, after the last step, and
-    reported for the first row that has one, at its first step.
+def _step_linear(maps, drive, dt, u0, v0):
+    """The linear step loop on omega; returns read-only (u, v) histories.
+
+    maps are the (P, R, inv) stacks of :func:`_step_maps`.  drive[k] is the
+    additive right-hand side of step k: (n_omega,) for one state, or
+    (m, n_omega) for a block of m states, one row each.  The histories have
+    shape (nt+1,) + drive.shape[1:] and hold omega only.  Each step is three
+    products and three in-place adds.
     """
+    P, R, inv = maps
     nt = drive.shape[0]
-    L = op.omega_block
     hdt = 0.5 * dt
     u = np.empty((nt + 1,) + drive.shape[1:])
     v = np.empty_like(u)
     u[0] = 0.0 if u0 is None else u0
     v[0] = 0.0 if v0 is None else v0
     for k in range(nt):
-        u_k, v_k = u[k], v[k]
-        u_base = u_k + hdt * v_k
-        flux = ((u_k + v_k) + u_base) @ L
-        rhs = (v_k - hdt * (flux + explicit(k, u_k, u_base))) + drive[k]
-        w = implicit(k, rhs, v_k, u_base)
-        v[k + 1] = w
-        u[k + 1] = u_base + hdt * w
-
-    bad = ~np.isfinite(v[1:].reshape(nt, -1, v.shape[-1])).all(axis=2)
-    failed = bad.any(axis=0)
-    if failed.any():
-        first = int(np.argmax(failed))
-        raise StepFailureError(int(np.argmax(bad[:, first])) + 1, "non-finite interior update")
+        u_next, v_next = u[k + 1], v[k + 1]
+        np.matmul(u[k], P[k], out=v_next)
+        v_next += v[k] @ R[k]
+        v_next += drive[k] @ inv[k]
+        np.add(v[k], v_next, out=u_next)
+        u_next *= hdt
+        u_next += u[k]
+    # a non-finite entry of a row enters every product of the next step, so
+    # the row stays non-finite to the end: only a failing last state is scanned
+    if not np.isfinite(v[-1]).all():
+        raise _non_finite_failure(v)
     for arr in (u, v):
         arr.setflags(write=False)
     return u, v
@@ -257,34 +261,38 @@ def _step_inverses(base_mat, qs, q_static, dt):
     return np.ascontiguousarray(inv.transpose(0, 2, 1))
 
 
-def _linear_step(op, q, dt, nt):
-    """The explicit and implicit closures of the linear step with potential q.
+def _step_maps(op, q, dt, nt):
+    """The (P, R, inv) maps of the linear step with potential q, (nt, n, n) each.
 
-    The implicit half is one product with a step-matrix inverse, made here
-    once for all the states the closures serve.
+    With h = dt/2 and states as rows, step k of :func:`_step_linear` is
+
+        v_{k+1} = u_k P_k + v_k R_k + d_k inv_k,
+        u_{k+1} = u_k + h (v_k + v_{k+1}),
+
+    where P_k = -h (2L + diag(q_k + q_{k+1})) inv_k,
+    R_k = (I - h (1 + h) L - h^2 diag(q_{k+1})) inv_k, L is the omega block
+    and inv_k the transposed step inverse of :func:`_step_inverses`: the
+    trapezoidal step, solved for the new velocity.  A static q gives one
+    matrix of each, broadcast over the steps.
     """
-    qs, q_static = _expand_potential(q, nt, op.grid.omega.size)
+    n = op.grid.omega.size
+    qs, q_static = _expand_potential(q, nt, n)
     inv = _step_inverses(_step_matrix(op, dt), qs, q_static, dt)
-    inv = np.broadcast_to(inv, (nt,) + inv.shape[1:])
+    q_k, q_k1 = (qs[:1], qs[:1]) if q_static else (qs[:-1], qs[1:])
+    hdt = 0.5 * dt
+    L = op.omega_block
+    d = np.arange(n)
+    a_u = np.empty(inv.shape)
+    a_u[:] = -2.0 * hdt * L
+    a_u[:, d, d] -= hdt * (q_k + q_k1)
+    a_v = np.empty(inv.shape)
+    a_v[:] = np.eye(n) - hdt * (1.0 + hdt) * L
+    a_v[:, d, d] -= hdt * hdt * q_k1
+    return tuple(np.broadcast_to(m, (nt, n, n)) for m in (a_u @ inv, a_v @ inv, inv))
 
-    def explicit(k, u_k, u_base):
-        return qs[k] * u_k + qs[k + 1] * u_base
 
-    def implicit(k, rhs, v_k, u_base):
-        return rhs @ inv[k]
-
-    return explicit, implicit
-
-
-def _solve_control(op, control, dt, nt, source, u0, v0, explicit, implicit):
-    """One state stepped under control and source from u0, v0; full-grid (u, v).
-
-    The interior comes from the step loop, the exterior is the control.
-    """
-    grid = op.grid
-    drive = _control_drive(op, control, dt, nt, source)
-    inner = _crank_nicolson(op, drive, dt, _expand_field(u0, nt, grid, "u0"),
-                            _expand_field(v0, nt, grid, "v0"), explicit, implicit)
+def _on_grid(grid, control, dt, nt, inner):
+    """Full-grid read-only (u, v) of interior histories: the exterior is the control."""
     out = []
     for sampled, values in zip(_check_control(control, grid, dt, nt), inner):
         full = np.array(sampled, dtype=float)
@@ -292,6 +300,36 @@ def _solve_control(op, control, dt, nt, source, u0, v0, explicit, implicit):
         full.setflags(write=False)
         out.append(full)
     return out
+
+
+def _solve_control(op, control, dt, nt, source, u0, v0, explicit, implicit):
+    """solve_nonlinear's step loop: one state under control and source from u0, v0.
+
+    Each step forms the explicit half of the update from the current state:
+    the flux of L's omega block, ``explicit(k, u_k, u_base)`` for the
+    interior term, where u_base = u_k + dt/2 v_k, and the control and
+    source drive.  ``implicit(k, rhs, v_k, u_base)`` then returns the new
+    velocity; it raises on a non-finite residual, so the states stay finite.
+    Returns full-grid (u, v).
+    """
+    grid = op.grid
+    drive = _control_drive(op, control, dt, nt, source)
+    L = op.omega_block
+    hdt = 0.5 * dt
+    u = np.empty((nt + 1, grid.omega.size))
+    v = np.empty_like(u)
+    u0, v0 = _expand_field(u0, nt, grid, "u0"), _expand_field(v0, nt, grid, "v0")
+    u[0] = 0.0 if u0 is None else u0
+    v[0] = 0.0 if v0 is None else v0
+    for k in range(nt):
+        u_k, v_k = u[k], v[k]
+        u_base = u_k + hdt * v_k
+        flux = ((u_k + v_k) + u_base) @ L
+        rhs = (v_k - hdt * (flux + explicit(k, u_k, u_base))) + drive[k]
+        w = implicit(k, rhs, v_k, u_base)
+        v[k + 1] = w
+        u[k + 1] = u_base + hdt * w
+    return _on_grid(grid, control, dt, nt, (u, v))
 
 
 def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
@@ -303,24 +341,25 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
     samples exactly.
     """
     nt = n_steps_for(dt, t_final)
-    explicit, implicit = _linear_step(op, q, dt, nt)
-    u, v = _solve_control(op, control, dt, nt, source, u0, v0, explicit, implicit)
+    grid = op.grid
+    inner = _step_linear(_step_maps(op, q, dt, nt), _control_drive(op, control, dt, nt, source),
+                         dt, _expand_field(u0, nt, grid, "u0"), _expand_field(v0, nt, grid, "v0"))
+    u, v = _on_grid(grid, control, dt, nt, inner)
     return Trajectory(u=u, v=v, dt=dt)
 
 
 # Basis elements stepped together by solve_linear_basis.  Measured with
 # perfbench/run.py at seed 0 on a 2-vCPU VM (101 nodes, 220 elements per
 # basis, 200 steps, BLAS at one thread; one 20 s run per size, wall_s as the
-# benchmark scales it, and peak RSS):
+# benchmark scales it, and peak RSS), stepping with the step maps:
 #   block   invert-linear-static   invert-linear-ramp
-#     16    0.58 s, 147 MB         0.87 s, 152 MB
-#     32    0.44 s, 145 MB         0.77 s, 152 MB
-#     64    0.41 s, 147 MB         0.81 s, 149 MB
-#    128    0.35 s, 145 MB         0.70 s, 158 MB
-#    220    0.33 s, 167 MB         0.69 s, 167 MB
-# A pass of one gemv and one getrs per control and step took 1.90 s, 164 MB
-# and 2.25 s, 166 MB.  A whole basis per block brings the peak RSS back to
-# that; 128 keeps most of the time.
+#     16    0.35 s, 123 MB         0.41 s, 126 MB
+#     32    0.30 s, 123 MB         0.36 s, 126 MB
+#     64    0.27 s, 127 MB         0.31 s, 127 MB
+#    128    0.26 s, 132 MB         0.30 s, 132 MB
+#    220    0.25 s, 155 MB         0.29 s, 155 MB
+# A whole basis per block saves 3-4% of the time for 23 MB more peak RSS;
+# 128 keeps most of the time.
 CONTROL_BLOCK = 128
 
 
@@ -335,11 +374,11 @@ def solve_linear_basis(op, q, basis, dt, t_final):
     :class:`StepFailureError` for the first failing element, at its step.
     """
     nt = n_steps_for(dt, t_final)
-    explicit, implicit = _linear_step(op, q, dt, nt)
+    maps = _step_maps(op, q, dt, nt)
     for start in range(0, len(basis), CONTROL_BLOCK):
         elements = slice(start, min(start + CONTROL_BLOCK, len(basis)))
         drive = _basis_drive(op, basis, dt, nt, elements)
-        yield (elements, *_crank_nicolson(op, drive, dt, None, None, explicit, implicit))
+        yield (elements, *_step_linear(maps, drive, dt, None, None))
 
 
 def solve_linear_difference(op, q, q_background, states, dt, t_final):
@@ -358,11 +397,11 @@ def solve_linear_difference(op, q, q_background, states, dt, t_final):
     n_omega = op.grid.omega.size
     dq = (_expand_potential(q, nt, n_omega)[0]
           - _expand_potential(q_background, nt, n_omega)[0])
-    explicit, implicit = _linear_step(op, q, dt, nt)
+    maps = _step_maps(op, q, dt, nt)
     for start in range(0, len(states), CONTROL_BLOCK):
         elements = slice(start, min(start + CONTROL_BLOCK, len(states)))
         drive = _difference_drive(dq, states[elements].transpose(1, 0, 2), dt)
-        yield (elements, *_crank_nicolson(op, drive, dt, None, None, explicit, implicit))
+        yield (elements, *_step_linear(maps, drive, dt, None, None))
 
 
 # Newton's stopping test on the max-norm step residual, and its iteration cap

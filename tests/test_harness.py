@@ -19,6 +19,8 @@ from viscowave.harness import (DEFAULTS, EXPERIMENT_KEYS, MODEL_KEYS, _add_noise
                                field_from_spec, potential_from_spec, sweep_scenario,
                                validate_config)
 
+from test_solver import _crank_nicolson, _linear_step
+
 
 def small_cfg(**overrides):
     base = {"grid": {"n_nodes": 31}, "dt": 0.02}
@@ -225,9 +227,9 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(dnmap, "materialize", counting(materialized, dnmap.materialize))
-    monkeypatch.setattr(solver, "_crank_nicolson", counting(
-        stepped, solver._crank_nicolson,
-        lambda op, drive, *rest: drive.shape[1] if drive.ndim == 3 else 1))
+    monkeypatch.setattr(solver, "_step_linear", counting(
+        stepped, solver._step_linear,
+        lambda maps, drive, *rest: drive.shape[1] if drive.ndim == 3 else 1))
     monkeypatch.setattr(solver, "lu_factor", counting(factored, solver.lu_factor))
     cfg = _linear_cfg()
     run_scenario(cfg, str(tmp_path / "out"))
@@ -268,18 +270,19 @@ def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
 
 def _velocity_form_difference(op, q, basis1, basis2, dt, t_final):
     """Difference pairings stepped from the background (u, v), the drive's
-    form before it read the displacements alone."""
+    form before it read the displacements alone, through the closure loop
+    that stepped the linear equation before the step maps."""
     nt = solver.n_steps_for(dt, t_final)
     hdt = 0.5 * dt
     dq = np.broadcast_to(q, (nt + 1, op.grid.omega.size))[:, None, :]
-    explicit, implicit = solver._linear_step(op, q, dt, nt)
+    explicit, implicit = _linear_step(op, q, dt, nt)
     interior, _ = dnmap._basis_pairings(op, basis1, basis2, dt, t_final)
     rows = []
     for _, u, v in solver.solve_linear_basis(op, None, basis1, dt, t_final):
         u_base = u[:-1] + hdt * v[:-1]
         drive = -hdt * ((dq[:-1] * u[:-1] + dq[1:] * u_base) + hdt * (dq[1:] * v[1:]))
-        rows.append(interior(*solver._crank_nicolson(op, drive, dt, None, None,
-                                                     explicit, implicit)))
+        rows.append(interior(*_crank_nicolson(op, drive, dt, None, None,
+                                              explicit, implicit)))
     return np.concatenate(rows)
 
 
@@ -392,7 +395,20 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                                   "regularization: {alpha_inv: .inf}\n",
                                   "grid: {n_nodes: .inf}\n",
                                   "experiment: {kind: forward, amplitude: .nan}\n",
-                                  "experiment: {kind: invert-linear, basis_segments: .inf}\n"],
+                                  "experiment: {kind: invert-linear, basis_segments: .inf}\n",
+                                  "model: {kind: linear, q: {kind: gaussian, amplitude: abc}}\n",
+                                  "model: {kind: linear, q: {kind: gaussian, center: [1, 2]}}\n",
+                                  "model: {kind: linear, q: {kind: gaussian, amplitude: .nan}}\n",
+                                  "model: {kind: linear, q: {kind: gaussian, width: 0}}\n",
+                                  "model: {kind: linear, q: {kind: gaussian, amplitud: 2}}\n",
+                                  "model: {kind: linear, q: {kind: sawtooth}}\n",
+                                  "model: {kind: linear, q: {kind: zero, time: sinusoid}}\n",
+                                  "model: {kind: linear, q: 3}\n",
+                                  "model: {kind: nonlinear, coeff: {kind: constant}}\n",
+                                  "model: {kind: nonlinear,\n"
+                                  "        coeff: {kind: constant, value: 1, time: ramp}}\n",
+                                  "experiment: {kind: identity-check, variant: alessandrini,\n"
+                                  "             q1: {kind: sine, frequency: .inf}}\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
                               "non-numeric-seed", "unknown-grid-key",
@@ -406,7 +422,12 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                               "nan-dt", "infinite-t_final", "nan-noise-level",
                               "negative-synth_alpha", "negative-alpha_inv",
                               "infinite-alpha_inv", "infinite-n_nodes", "nan-amplitude",
-                              "infinite-basis-segments"])
+                              "infinite-basis-segments", "non-numeric-profile-amplitude",
+                              "list-profile-center", "nan-profile-amplitude",
+                              "zero-profile-width", "unknown-profile-key",
+                              "unknown-profile-kind", "unknown-time-dependence",
+                              "non-mapping-profile", "constant-without-value",
+                              "time-dependent-coefficient", "infinite-q1-frequency"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, text):
     path = tmp_path / "c.yaml"
     path.write_text(text)

@@ -16,7 +16,7 @@ from viscowave import (NewtonDivergenceError, SolverError, StepFailureError,
 from viscowave import solver
 from viscowave.controls import ControlBasis, make_control, materialize
 from viscowave.solver import (_check_control, _expand_field, _expand_potential,
-                              _step_matrix, n_steps_for, trapezoid_weights)
+                              _step_inverses, _step_matrix, n_steps_for, trapezoid_weights)
 
 DT, NT = 0.02, 50
 T_FINAL = 1.0
@@ -687,11 +687,10 @@ def test_blocked_pass_fails_at_the_step_solve_linear_reports(op31, grid31):
     src[6, 3] = np.nan
     prof = _potential(grid31, "static")
     one = _failing_step(lambda: solve_linear(op31, prof, controls[0], DT, T_FINAL, source=src))
-    explicit, implicit = solver._linear_step(op31, prof, DT, NT)
+    maps = solver._step_maps(op31, prof, DT, NT)
     drive = (solver._basis_drive(op31, basis, DT, NT, slice(0, 5))
              + solver._control_drive(op31, None, DT, NT, src)[:, None])
-    block = _failing_step(lambda: solver._crank_nicolson(
-        op31, drive, DT, None, None, explicit, implicit))
+    block = _failing_step(lambda: solver._step_linear(maps, drive, DT, None, None))
     assert one == block == 6
 
 
@@ -702,12 +701,145 @@ def test_blocked_pass_reports_its_first_failing_control(op31, grid31):
         values = controls[i].values.copy()
         values[k:, grid31.w1[0]] = np.inf
         controls[i] = dataclasses.replace(controls[i], values=values)
-    explicit, implicit = solver._linear_step(op31, None, DT, NT)
+    maps = solver._step_maps(op31, None, DT, NT)
     with np.errstate(all="ignore"):
         one = _failing_step(lambda: solve_linear(op31, None, controls[3], DT, T_FINAL))
         assert _failing_step(lambda: solve_linear(op31, None, controls[9], DT, T_FINAL)) < one
         drive = np.stack([solver._control_drive(op31, c, DT, NT, None) for c in controls],
                          axis=1)
-        block = _failing_step(lambda: solver._crank_nicolson(
-            op31, drive, DT, None, None, explicit, implicit))
+        block = _failing_step(lambda: solver._step_linear(maps, drive, DT, None, None))
     assert block == one
+
+
+# ------------------------------------- reference: the closure loop before the step maps
+
+
+def _crank_nicolson(op, drive, dt, u0, v0, explicit, implicit):
+    """The shared trapezoidal step loop on omega; returns read-only (u, v) histories.
+
+    drive[k] is the additive right-hand side of step k: (n_omega,) for one
+    state, or (m, n_omega) for a block of m states, one row each.  The
+    histories have shape (nt+1,) + drive.shape[1:] and hold omega only.
+
+    Each step forms the explicit half of the update from the current state:
+    the flux of L's omega block, ``explicit(k, u_k, u_base)`` for the
+    interior term, where u_base = u_k + dt/2 v_k, and drive[k].
+    ``implicit(k, rhs, v_k, u_base)`` then returns the new velocity.
+    Non-finite updates are looked for once, after the last step, and
+    reported for the first row that has one, at its first step.
+    """
+    nt = drive.shape[0]
+    L = op.omega_block
+    hdt = 0.5 * dt
+    u = np.empty((nt + 1,) + drive.shape[1:])
+    v = np.empty_like(u)
+    u[0] = 0.0 if u0 is None else u0
+    v[0] = 0.0 if v0 is None else v0
+    for k in range(nt):
+        u_k, v_k = u[k], v[k]
+        u_base = u_k + hdt * v_k
+        flux = ((u_k + v_k) + u_base) @ L
+        rhs = (v_k - hdt * (flux + explicit(k, u_k, u_base))) + drive[k]
+        w = implicit(k, rhs, v_k, u_base)
+        v[k + 1] = w
+        u[k + 1] = u_base + hdt * w
+
+    bad = ~np.isfinite(v[1:].reshape(nt, -1, v.shape[-1])).all(axis=2)
+    failed = bad.any(axis=0)
+    if failed.any():
+        first = int(np.argmax(failed))
+        raise StepFailureError(int(np.argmax(bad[:, first])) + 1, "non-finite interior update")
+    for arr in (u, v):
+        arr.setflags(write=False)
+    return u, v
+
+
+def _linear_step(op, q, dt, nt):
+    """The explicit and implicit closures of the linear step with potential q.
+
+    The implicit half is one product with a step-matrix inverse, made here
+    once for all the states the closures serve.
+    """
+    qs, q_static = _expand_potential(q, nt, op.grid.omega.size)
+    inv = _step_inverses(_step_matrix(op, dt), qs, q_static, dt)
+    inv = np.broadcast_to(inv, (nt,) + inv.shape[1:])
+
+    def explicit(k, u_k, u_base):
+        return qs[k] * u_k + qs[k + 1] * u_base
+
+    def implicit(k, rhs, v_k, u_base):
+        return rhs @ inv[k]
+
+    return explicit, implicit
+
+
+def _closure_loop(op, q, drive, u0=None, v0=None):
+    """Interior (u, v) of the closure loop under the given step drives."""
+    return _crank_nicolson(op, drive, DT, u0, v0, *_linear_step(op, q, DT, NT))
+
+
+def _assert_within(got, ref):
+    """got within 1e-12 of ref, relative to ref's largest entry."""
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind", ["none", "static", "time-dependent"])
+def test_step_maps_match_the_closure_loop(op101, grid101, monkeypatch, kind):
+    # the basis and difference passes, in blocks of 32, and solve_linear with
+    # a source and nonzero initial data, against the closure loop on the same
+    # drives
+    monkeypatch.setattr(solver, "CONTROL_BLOCK", 32)
+    basis = ControlBasis(grid101, "w1", T_FINAL, 8)
+    q, q_bg = _potential(grid101, kind), 0.2 * np.ones(grid101.omega.size)
+    passes = list(solver.solve_linear_basis(op101, q, basis, DT, T_FINAL))
+    assert len(passes) == -(-len(basis) // 32) > 1
+    for elements, u, v in passes:
+        ref = _closure_loop(op101, q, solver._basis_drive(op101, basis, DT, NT, elements))
+        _assert_within(u, ref[0])
+        _assert_within(v, ref[1])
+    states = np.concatenate([u.transpose(1, 0, 2) for _, u, _v in
+                             solver.solve_linear_basis(op101, q_bg, basis, DT, T_FINAL)])
+    dq = (_expand_potential(q, NT, grid101.omega.size)[0]
+          - _expand_potential(q_bg, NT, grid101.omega.size)[0])
+    for elements, w, z in solver.solve_linear_difference(op101, q, q_bg, states, DT, T_FINAL):
+        drive = solver._difference_drive(dq, states[elements].transpose(1, 0, 2), DT)
+        ref = _closure_loop(op101, q, drive)
+        _assert_within(w, ref[0])
+        _assert_within(z, ref[1])
+    om = grid101.omega
+    ctl = bump_control(grid101, "w1", 0.1, 0.8, DT, NT)
+    kwargs = _shared_inputs(grid101)
+    traj = solve_linear(op101, q, ctl, DT, T_FINAL, **kwargs)
+    drive = solver._control_drive(op101, ctl, DT, NT, kwargs["source"])
+    ref = _closure_loop(op101, q, drive, kwargs["u0"][om], kwargs["v0"][om])
+    _assert_within(traj.u[:, om], ref[0])
+    _assert_within(traj.v[:, om], ref[1])
+
+
+@pytest.mark.parametrize("kind", ["static", "time-dependent"])
+def test_last_state_check_reports_the_first_failing_row(op31, grid31, rng, monkeypatch,
+                                                        kind):
+    # row 40 of a 128-row block gets a NaN drive at a late step, row 90 an
+    # inf at an early one: row 40 fails first, at the step after its NaN
+    scans = []
+    real = solver._non_finite_failure
+
+    def counting(v):
+        scans.append(v.shape)
+        return real(v)
+
+    monkeypatch.setattr(solver, "_non_finite_failure", counting)
+    q = _potential(grid31, kind)
+    maps = solver._step_maps(op31, q, DT, NT)
+    drive = rng.standard_normal((NT, 128, grid31.omega.size))
+    _, v = solver._step_linear(maps, drive, DT, None, None)
+    assert np.isfinite(v).all() and scans == []
+    drive[40, 40, 3] = np.nan
+    drive[4, 90, 5] = np.inf
+    with np.errstate(all="ignore"):
+        step = _failing_step(lambda: solver._step_linear(maps, drive, DT, None, None))
+        assert step == 41 and len(scans) == 1
+        assert _failing_step(lambda: _closure_loop(op31, q, drive)) == step
+        drive[40, 40, 3] = 0.0
+        assert _failing_step(lambda: solver._step_linear(maps, drive, DT, None, None)) == 5
