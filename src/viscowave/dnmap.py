@@ -77,23 +77,23 @@ def dn_pairing(op, traj, probe):
     return float(traj.dt * np.dot(w, series))
 
 
-def _pair_fluxes(flux, time_mat, h, dt):
+def _pair_fluxes(flux, weighted_time, h, dt):
     """Trapezoidal pairings of flux histories against a separable probe basis.
 
     flux holds L(u + v) at the probe nodes, time on the first axis and the
-    nodes on the last; the result replaces both by the basis elements, in
-    their node-major, spline-minor order.
+    nodes on the last, and weighted_time the probe splines times the
+    trapezoid weights at the same time nodes; the result replaces both axes
+    by the basis elements, in their node-major, spline-minor order.
     """
-    w = trapezoid_weights(flux.shape[0] - 1)
-    tw = time_mat * w[None, :]                                   # (n_tspl, nt+1)
-    block = dt * np.tensordot(tw, h * flux, axes=(1, 0))         # (n_tspl, ..., n_nodes_w)
+    block = dt * np.tensordot(weighted_time, h * flux, axes=(1, 0))  # (n_tspl, ..., n_nodes_w)
     return np.moveaxis(block, 0, -1).reshape(flux.shape[1:-1] + (-1,))
 
 
 def _pair_against_basis(op, traj, probe_basis, time_mat):
     """Pairings of one trajectory against every element of a separable probe basis."""
     flux = (traj.u + traj.v) @ op.matrix[:, probe_basis.nodes]
-    return _pair_fluxes(flux, time_mat, op.grid.h, traj.dt)
+    weighted = time_mat * trapezoid_weights(traj.n_steps)[None, :]
+    return _pair_fluxes(flux, weighted, op.grid.h, traj.dt)
 
 
 @dataclass(frozen=True)
@@ -156,20 +156,30 @@ def _record(op, control_basis, probe_basis, dt, t_final, tag, pairings):
 def _basis_pairings(op, control_basis, probe_basis, dt, t_final):
     """Pairing functions of a w1 basis pass against a w2 probe basis.
 
-    Returns (interior, exterior): interior(u, v) pairs a block of omega
-    histories, (nt+1, m, n_omega), through L's omega-to-probe columns;
-    exterior is what each control's own samples add through L's w1-to-w2
-    block, kron(L[w1 nodes, w2 nodes], T) with T pairing the control
-    splines (value plus derivative) against the probe splines.
+    Returns (interior, exterior): interior(plan, blocks) pairs the omega
+    histories of a basis or difference pass through L's omega-to-probe
+    columns, one row per control element; exterior is what each control's
+    own samples add through L's w1-to-w2 block, kron(L[w1 nodes, w2 nodes],
+    T) with T pairing the control splines (value plus derivative) against
+    the probe splines.
     """
     _basis_lists(control_basis, probe_basis)
     grid = op.grid
     nt = n_steps_for(dt, t_final)
     time_mat = probe_basis.time_matrix(dt, nt)
+    weighted = time_mat * trapezoid_weights(nt)[None, :]
     cols = op.matrix[np.ix_(grid.omega, probe_basis.nodes)]
 
-    def interior(u, v):
-        return _pair_fluxes((u + v) @ cols, time_mat, grid.h, dt)
+    def interior(plan, blocks):
+        # only the seeds are stepped: an element lag steps behind its seed
+        # pairs the seed's flux against the probe splines from step lag on
+        rows = np.empty((plan.seed.size, len(probe_basis)))
+        for seeds, u, v in blocks:
+            flux = (u + v) @ cols
+            for lag, elements, of_seed in plan.delays(seeds):
+                rows[elements] = _pair_fluxes(flux[:nt + 1 - lag, of_seed],
+                                              weighted[:, lag:], grid.h, dt)
+        return rows
 
     x = control_basis.time_matrix(dt, nt) + control_basis.time_dmatrix(dt, nt)
     t_pair = dt * grid.h * (x * trapezoid_weights(nt)[None, :]) @ time_mat.T
@@ -180,8 +190,7 @@ def _basis_pairings(op, control_basis, probe_basis, dt, t_final):
 def dn_matrix_linear(op, q, control_basis, probe_basis, dt, t_final, tag=""):
     """Measurement matrix of the linear model: controls on w1, probes on w2."""
     interior, exterior = _basis_pairings(op, control_basis, probe_basis, dt, t_final)
-    rows = np.concatenate([interior(u, v) for _, u, v
-                           in solve_linear_basis(op, q, control_basis, dt, t_final)])
+    rows = interior(*solve_linear_basis(op, q, control_basis, dt, t_final))
     return _record(op, control_basis, probe_basis, dt, t_final, tag, rows + exterior)
 
 
@@ -199,8 +208,8 @@ def dn_difference_linear(q, background, probe_basis, tag=""):
     op, control_basis = background.op, background.basis
     dt, t_final = background.dt, background.t_final
     interior, _exterior = _basis_pairings(op, control_basis, probe_basis, dt, t_final)
-    rows = np.concatenate([interior(w, z) for _, w, z in solve_linear_difference(
-        op, q, background.q, background.states, dt, t_final)])
+    rows = interior(*solve_linear_difference(op, q, background.q, control_basis,
+                                             background.states, dt, t_final))
     return _record(op, control_basis, probe_basis, dt, t_final, tag, rows)
 
 

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import yaml
@@ -23,7 +24,7 @@ from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linea
 from .grid import build_grid
 from .inversion import (BackgroundStates, estimate_homogeneity_exponent, interior_targets,
                         recover_linear_potential, recover_nonlinear_coefficient)
-from .nonlinearity import power_nonlinearity, zero_nonlinearity
+from .nonlinearity import check_exponent_constraints, power_nonlinearity, zero_nonlinearity
 from .operator import assemble_fraclap
 from .solver import (SolverError, energy_ledger, n_steps_for, solve_linear,
                      solve_nonlinear, trajectory_to_csv, trapezoid_weights)
@@ -65,6 +66,10 @@ EXPERIMENT_KEYS = {
                          "round_exponent", *_TARGET_KEYS, "exponent_tolerance",
                          "tolerance"),
 }
+# The identity-check keys only some variants read: the potentials of the
+# alessandrini identity and the control amplitude of the nonlinear one.
+VARIANT_KEYS = {"self-adjoint": (), "alessandrini": ("q1", "q2"),
+                "nonlinear-integral": ("amplitude",)}
 # Every model carries q: DEFAULTS merges a zero potential into it, and every
 # experiment that solves the linear equation reads it whatever the kind.
 MODEL_KEYS = {"linear": ("q",), "nonlinear": ("coeff", "r", "q")}
@@ -119,6 +124,11 @@ def load_config(path):
 
 
 def validate_config(cfg):
+    """Raise ConfigError on the first value a run could not use as written.
+
+    Returns the warnings of the run, which do not stop it: the messages of
+    ``nonlinearity.check_exponent_constraints`` for a nonlinear model.
+    """
     for key, default in DEFAULTS.items():
         if isinstance(default, dict) and not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must be a mapping, got {cfg[key]!r}")
@@ -136,6 +146,8 @@ def validate_config(cfg):
         if unknown:
             raise ConfigError(f"unknown {key} keys {sorted(unknown)} for kind {kind!r}")
     _check_experiment_values(cfg["experiment"])
+    if cfg["experiment"]["kind"] == "identity-check":
+        _check_variant_keys(cfg["experiment"])
     for section, key, timed in (("model", "q", True), ("model", "coeff", False),
                                 ("experiment", "q1", True), ("experiment", "q2", True)):
         if cfg[section].get(key) is not None:
@@ -180,6 +192,13 @@ def validate_config(cfg):
         if outside:
             raise ConfigError(f"experiment.target_nodes {outside} are not omega nodes "
                               f"({int(omega[0])}..{int(omega[-1])})")
+    if cfg["model"]["kind"] != "nonlinear":
+        return []
+    # the paper's exponent range is sufficient, not necessary: the run goes on
+    # and its report carries the messages
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return check_exponent_constraints(s, numbers["model.r"])
 
 
 def _check_experiment_values(exp):
@@ -206,6 +225,15 @@ def _check_experiment_values(exp):
             ok = False
         if not ok:
             raise ConfigError(f"experiment.{key} must be {what}, got {value!r}")
+
+
+def _check_variant_keys(exp):
+    variant = _param(exp, "variant", "self-adjoint")
+    unread = sorted(key for key in ("q1", "q2", "amplitude")
+                    if exp.get(key) is not None and key not in VARIANT_KEYS[variant])
+    if unread:
+        raise ConfigError(f"experiment keys {unread} are not read by identity-check "
+                          f"variant {variant!r}")
 
 
 def _check_profile(name, spec, timed):
@@ -537,7 +565,7 @@ RUNNERS = {
 def run_scenario(cfg, out_dir=None):
     """Run one experiment; returns the report dict and writes report.json."""
     cfg = _merge(DEFAULTS, cfg)
-    validate_config(cfg)
+    warned = validate_config(cfg)
     out_dir = out_dir or cfg.get("out_dir", "out")
     os.makedirs(out_dir, exist_ok=True)
     kind = cfg["experiment"]["kind"]
@@ -550,6 +578,8 @@ def run_scenario(cfg, out_dir=None):
         "passed": passed,
         "runtime_seconds": round(time.time() - start, 3),
     }
+    if warned:
+        report["warnings"] = warned
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2)
     return report

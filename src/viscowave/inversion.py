@@ -65,11 +65,13 @@ def cho_solve(cho, b):
 class BackgroundStates:
     """Interior states reached by each element of a control basis.
 
-    Solves the evolution once per basis element (background potential q, zero
-    source), all elements in one basis pass, and caches the interior
-    trajectories together with the Gram data needed for control synthesis in
-    the L2-in-time energy norm.  The states also drive the difference
-    equation of ``dnmap.dn_difference_linear``, which reads q from here.
+    Solves the evolution for the basis (background potential q, zero
+    source) in one basis pass, which steps only the seeds of its shift plan
+    (``solver.shift_plan``) and delays them into the other elements, and
+    caches the interior trajectories together with the Gram data needed for
+    control synthesis in the L2-in-time energy norm.  The states also drive
+    the difference equation of ``dnmap.dn_difference_linear``, which reads q
+    from here.
     """
 
     def __init__(self, op, q, basis, dt, t_final):
@@ -80,9 +82,13 @@ class BackgroundStates:
         self.t_final = float(t_final)
         self.n_steps = n_steps_for(dt, t_final)
         grid = op.grid
-        self.states = np.empty((len(basis), self.n_steps + 1, grid.omega.size))
-        for elements, u, _v in solve_linear_basis(op, q, basis, self.dt, self.t_final):
-            self.states[elements] = u.transpose(1, 0, 2)
+        n_times = self.n_steps + 1
+        # each element's state is its seed's, delayed by its lag (zero before)
+        self.states = np.zeros((len(basis), n_times, grid.omega.size))
+        plan, blocks = solve_linear_basis(op, q, basis, self.dt, self.t_final)
+        for seeds, u, _v in blocks:
+            for lag, elements, rows in plan.delays(seeds):
+                self.states[elements, lag:] = u[:n_times - lag, rows].transpose(1, 0, 2)
         self.time_weights = self.dt * trapezoid_weights(self.n_steps)
         k_omega = grid.h * op.omega_block
         k_states = self.states @ k_omega

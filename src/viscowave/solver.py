@@ -11,8 +11,7 @@ system (u, v = u_t) with the trapezoidal rule.  Exterior nodes carry the
 control samples and their time derivatives; the step loop holds omega only.
 Everything the exterior and the source add to a step enters the loop as one
 additive right-hand side per step, formed before it, so the loop steps one
-state or a block of states alike, one row per state: a control basis goes
-through it a block at a time, with no full-grid control.  A linear step is
+state or a block of states alike, one row per state.  A linear step is
 three products with precomputed maps, v_{k+1} = u_k P_k + v_k R_k + d_k inv_k,
 and three adds for u_{k+1} = u_k + dt/2 (v_k + v_{k+1}); the maps carry L's
 omega block, the potential and the inverse of the step matrix, inverted once
@@ -21,6 +20,12 @@ replace q u by f(x, u) and solve each step with a Newton iteration on the
 same Jacobian structure.  A non-finite interior update is reported, by the
 first step that produced one, after the last step; a finite last state
 means there is none.
+
+A control basis goes through the loop a block of elements at a time, with
+no full-grid control, and only its seeds are stepped: with a static
+potential the step is the same at every step, so an element whose time
+spline is an earlier one delayed by a whole number of steps responds with
+that element's response delayed by as many steps (:func:`shift_plan`).
 """
 
 import csv
@@ -38,9 +43,11 @@ class SolverError(RuntimeError):
 
 
 class StepFailureError(SolverError):
-    def __init__(self, step, message):
-        super().__init__(f"time step {step}: {message}")
+    def __init__(self, step, message, element=None):
+        where = "" if element is None else f" of basis element {element}"
+        super().__init__(f"time step {step}{where}: {message}")
         self.step = step
+        self.element = element
 
 
 class NewtonDivergenceError(SolverError):
@@ -128,21 +135,26 @@ def _check_control(control, grid, dt, nt):
     return control.values, control.dvalues
 
 
-def _non_finite_failure(v):
-    """The StepFailureError of v's first non-finite row, at its first non-finite step."""
+def _non_finite_failure(v, elements=None):
+    """The StepFailureError of v's first non-finite row, at its first non-finite step.
+
+    elements, if given, names the basis element of each row in the error.
+    """
     nt = v.shape[0] - 1
     bad = ~np.isfinite(v[1:].reshape(nt, -1, v.shape[-1])).all(axis=2)
     first = int(np.argmax(bad.any(axis=0)))
-    return StepFailureError(int(np.argmax(bad[:, first])) + 1, "non-finite interior update")
+    return StepFailureError(int(np.argmax(bad[:, first])) + 1, "non-finite interior update",
+                            None if elements is None else int(elements[first]))
 
 
-def _step_linear(maps, drive, dt, u0, v0):
+def _step_linear(maps, drive, dt, u0, v0, elements=None):
     """The linear step loop on omega; returns read-only (u, v) histories.
 
     maps are the (P, R, inv) stacks of :func:`_step_maps`.  drive[k] is the
     additive right-hand side of step k: (n_omega,) for one state, or
-    (m, n_omega) for a block of m states, one row each.  The histories have
-    shape (nt+1,) + drive.shape[1:] and hold omega only.  Each step is three
+    (m, n_omega) for a block of m states, one row each, with elements the
+    basis element of each row if they are some.  The histories have shape
+    (nt+1,) + drive.shape[1:] and hold omega only.  Each step is three
     products and three in-place adds.
     """
     P, R, inv = maps
@@ -163,7 +175,7 @@ def _step_linear(maps, drive, dt, u0, v0):
     # a non-finite entry of a row enters every product of the next step, so
     # the row stays non-finite to the end: only a failing last state is scanned
     if not np.isfinite(v[-1]).all():
-        raise _non_finite_failure(v)
+        raise _non_finite_failure(v, elements)
     for arr in (u, v):
         arr.setflags(write=False)
     return u, v
@@ -188,7 +200,7 @@ def _control_drive(op, control, dt, nt, source):
 
 
 def _basis_drive(op, basis, dt, nt, elements):
-    """Step right-hand sides on omega of a slice of a node x spline basis.
+    """Step right-hand sides on omega of some elements of a node x spline basis.
 
     Element (node j, spline c) drives step k by -dt/2 s_c[k] L[j, omega],
     with s_c[k] the spline's value plus derivative summed over both ends of
@@ -348,60 +360,138 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
     return Trajectory(u=u, v=v, dt=dt)
 
 
-# Basis elements stepped together by solve_linear_basis.  Measured with
-# perfbench/run.py at seed 0 on a 2-vCPU VM (101 nodes, 220 elements per
-# basis, 200 steps, BLAS at one thread; one 20 s run per size, wall_s as the
-# benchmark scales it, and peak RSS), stepping with the step maps:
-#   block   invert-linear-static   invert-linear-ramp
-#     16    0.35 s, 123 MB         0.41 s, 126 MB
-#     32    0.30 s, 123 MB         0.36 s, 126 MB
-#     64    0.27 s, 127 MB         0.31 s, 127 MB
-#    128    0.26 s, 132 MB         0.30 s, 132 MB
-#    220    0.25 s, 155 MB         0.29 s, 155 MB
-# A whole basis per block saves 3-4% of the time for 23 MB more peak RSS;
-# 128 keeps most of the time.
+# Seeds stepped together by a basis or difference pass.  A static pass steps
+# few seeds (40 on the benchmark's 220-element basis, one block at any size
+# from 64 up), so the size matters only where nothing shifts: the ramp's
+# difference pass, 220 rows.  Measured with perfbench/run.py at seed 0 on a
+# 2-vCPU VM (101 nodes, 200 steps, BLAS at one thread; one 20 s run per size,
+# wall_s as the benchmark scales it, and peak RSS):
+#   block   invert-linear-ramp   invert-linear-static
+#     32    0.27 s, 129 MB       0.19 s, 126 MB
+#     64    0.30 s, 125 MB       0.20 s, 123 MB
+#    128    0.28 s, 125 MB       0.20 s, 123 MB
+#    220    0.31 s, 139 MB       0.19 s, 123 MB
+# The times differ by less than the runs spread; a whole basis per block
+# costs 13 MB of peak RSS on the ramp, so 128 stays.
 CONTROL_BLOCK = 128
+
+# Largest difference, relative to a spline's largest sample, between its drive
+# samples and the delayed samples of an earlier spline that it may reuse
+SHIFT_RTOL = 1e-14
+
+
+@dataclass(frozen=True)
+class ShiftPlan:
+    """Which stepped response each element of a basis pass reuses.
+
+    The response to element e is that to element seed[e] delayed by lag[e]
+    steps, and zero before; a seed is its own seed at lag 0.
+    """
+
+    seed: np.ndarray
+    lag: np.ndarray
+
+    @property
+    def seeds(self):
+        """The elements a pass steps, in basis order."""
+        return np.flatnonzero(self.seed == np.arange(self.seed.size))
+
+    def delays(self, stepped):
+        """(lag, elements, rows) for each lag of the elements whose seed was stepped.
+
+        stepped are the seeds of one block, and rows index them: the
+        response to elements[i] is row rows[i] of the block, lag steps late.
+        """
+        row = np.full(self.seed.size, -1)
+        row[stepped] = np.arange(len(stepped))
+        row = row[self.seed]
+        for lag in np.unique(self.lag[row >= 0]):
+            elements = np.flatnonzero((row >= 0) & (self.lag == lag))
+            yield int(lag), elements, row[elements]
+
+
+def shift_plan(basis, dt, nt, static):
+    """The :class:`ShiftPlan` of a pass over a node x spline basis.
+
+    With a static potential the step is the same at every step, so when
+    spline c is an earlier seed c0 delayed by lag steps, the response to
+    (node, c) is that to (node, c0) delayed by lag steps.  A lag is looked
+    for where the knots put one, lag = (c - c0) nt / n_segments whole, and
+    taken only if c's value-plus-derivative samples, which make its drive,
+    are zero before it and match c0's after it to SHIFT_RTOL: a dt that
+    divides t_final only up to rounding shifts nothing.  Each spline takes
+    the first seed that matches; with a time-dependent potential, or no
+    match, a spline is its own seed.
+    """
+    x = basis.time_matrix(dt, nt) + basis.time_dmatrix(dt, nt)
+    n_spl = len(basis.tsplines)
+    seed, lag = np.arange(n_spl), np.zeros(n_spl, dtype=int)
+    for c in range(n_spl if static else 0):
+        for c0 in np.flatnonzero(seed[:c] == np.arange(c)):
+            steps, rest = divmod((basis.tsplines[c] - basis.tsplines[c0]) * nt,
+                                 basis.n_segments)
+            if (rest == 0 and not x[c, :steps].any()
+                    and np.abs(x[c, steps:] - x[c0, :nt + 1 - steps]).max()
+                    <= SHIFT_RTOL * np.abs(x[c]).max()):
+                seed[c], lag[c] = c0, steps
+                break
+    first = n_spl * np.arange(len(basis.nodes))[:, None]
+    return ShiftPlan(seed=(first + seed).ravel(), lag=np.tile(lag, len(basis.nodes)))
+
+
+def _step_seeds(maps, plan, drive, dt):
+    """Yield (seeds, u, v) for each block of CONTROL_BLOCK seeds of plan.
+
+    drive(seeds) gives the block's step drives; u, v are its read-only
+    (nt+1, m, n_omega) histories, one row per seed.
+    """
+    seeds = plan.seeds
+    for start in range(0, len(seeds), CONTROL_BLOCK):
+        block = seeds[start:start + CONTROL_BLOCK]
+        yield (block, *_step_linear(maps, drive(block), dt, None, None, block))
 
 
 def solve_linear_basis(op, q, basis, dt, t_final):
     """Interior responses of every element of a node x spline control basis.
 
-    Yields (elements, u, v) for each block of CONTROL_BLOCK elements, in
-    basis order: elements is the slice of the basis, and u, v are read-only
-    (nt+1, m, n_omega) histories on omega, time-major, one row per element.
-    On the exterior, an element's samples are its control.  q is normalized
-    and inverted once for all blocks.  A failing step raises
-    :class:`StepFailureError` for the first failing element, at its step.
+    Returns (plan, blocks): the :class:`ShiftPlan` of q on the basis, and
+    an iterator over blocks of its seeds, in basis order, that yields
+    (seeds, u, v) with u, v the read-only (nt+1, m, n_omega) histories on
+    omega, time-major, one row per seed.  Every other element's response is
+    its seed's, delayed as the plan says.  On the exterior, an element's
+    samples are its control.  q is normalized and inverted once for all
+    blocks.  A failing step raises :class:`StepFailureError` for the first
+    failing element, at its step.
     """
     nt = n_steps_for(dt, t_final)
     maps = _step_maps(op, q, dt, nt)
-    for start in range(0, len(basis), CONTROL_BLOCK):
-        elements = slice(start, min(start + CONTROL_BLOCK, len(basis)))
-        drive = _basis_drive(op, basis, dt, nt, elements)
-        yield (elements, *_step_linear(maps, drive, dt, None, None))
+    plan = shift_plan(basis, dt, nt, _expand_potential(q, nt, op.grid.omega.size)[1])
+    return plan, _step_seeds(maps, plan,
+                             lambda seeds: _basis_drive(op, basis, dt, nt, seeds), dt)
 
 
-def solve_linear_difference(op, q, q_background, states, dt, t_final):
+def solve_linear_difference(op, q, q_background, basis, states, dt, t_final):
     """Change of a basis's responses when q replaces q_background.
 
     states holds the basis's background displacements on omega, element
     first, (n, nt+1, n_omega), as ``inversion.BackgroundStates`` keeps them.
-    Yields (elements, w, z) per block of CONTROL_BLOCK elements, in basis
-    order: w, z are the read-only (nt+1, m, n_omega) displacement and
-    velocity differences of the responses with q from the background ones.
-    They are not subtracted: they step with q, zero initial data and zero
-    exterior data, driven by the background (:func:`_difference_drive`), so
+    Returns (plan, blocks) as :func:`solve_linear_basis` does, with the
+    seeds' read-only (nt+1, m, n_omega) displacement and velocity
+    differences w, z of the responses with q from the background ones; the
+    plan shifts only when both potentials are static.  They are not
+    subtracted: they step with q, zero initial data and zero exterior data,
+    driven by the seeds' background states (:func:`_difference_drive`), so
     they keep their relative accuracy however small q - q_background is.
     """
     nt = n_steps_for(dt, t_final)
     n_omega = op.grid.omega.size
-    dq = (_expand_potential(q, nt, n_omega)[0]
-          - _expand_potential(q_background, nt, n_omega)[0])
+    qs, static = _expand_potential(q, nt, n_omega)
+    q_bg, bg_static = _expand_potential(q_background, nt, n_omega)
+    dq = qs - q_bg
     maps = _step_maps(op, q, dt, nt)
-    for start in range(0, len(states), CONTROL_BLOCK):
-        elements = slice(start, min(start + CONTROL_BLOCK, len(states)))
-        drive = _difference_drive(dq, states[elements].transpose(1, 0, 2), dt)
-        yield (elements, *_step_linear(maps, drive, dt, None, None))
+    plan = shift_plan(basis, dt, nt, static and bg_static)
+    return plan, _step_seeds(
+        maps, plan, lambda seeds: _difference_drive(dq, states[seeds].transpose(1, 0, 2), dt), dt)
 
 
 # Newton's stopping test on the max-norm step residual, and its iteration cap

@@ -242,6 +242,56 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     assert len(factored) == 3
 
 
+def _count_stepped_rows(monkeypatch):
+    """Rows of each _step_linear call, and of each lu_factor call one entry."""
+    stepped, factored = [], []
+    step, factor = solver._step_linear, solver.lu_factor
+
+    def counting_step(maps, drive, *rest):
+        stepped.append(drive.shape[1] if drive.ndim == 3 else 1)
+        return step(maps, drive, *rest)
+
+    def counting_factor(*args):
+        factored.append(1)
+        return factor(*args)
+
+    monkeypatch.setattr(solver, "_step_linear", counting_step)
+    monkeypatch.setattr(solver, "lu_factor", counting_factor)
+    return stepped, factored
+
+
+def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
+    # at 10 segments a knot is 5 of the 50 steps, so each spline is the
+    # first one delayed by whole steps: the three passes step one seed per
+    # window node, and the static potentials still factor once per pass
+    stepped, factored = _count_stepped_rows(monkeypatch)
+    cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10}})
+    run_scenario(cfg, str(tmp_path / "out"))
+    grid = _setup(cfg)[0]
+    bases = [ControlBasis(grid, w, cfg["t_final"], 10) for w in ("w1", "w2")]
+    n_nodes, n_seeds = len(bases[0].nodes), 1
+    assert n_nodes == len(bases[1].nodes) and len(bases[0]) == 5 * n_nodes
+    assert stepped == [n_nodes * n_seeds] * 3
+    assert len(factored) == 3
+
+
+def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
+    # a ramp potential shifts nothing: its difference pass steps every
+    # element, CONTROL_BLOCK rows at a time, while the q = 0 background
+    # passes step their seeds
+    stepped, _ = _count_stepped_rows(monkeypatch)
+    monkeypatch.setattr(solver, "CONTROL_BLOCK", 8)
+    cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10, "frame": "reversed",
+                                                "q_time_basis": 3},
+                                 "model": {"q": {"time": "ramp"}}})
+    run_scenario(cfg, str(tmp_path / "out"))
+    basis = ControlBasis(_setup(cfg)[0], "w1", cfg["t_final"], 10)
+    n_nodes = len(basis.nodes)
+    assert max(stepped) <= 8
+    assert sorted(stepped) == sorted([8] * (len(basis) // 8) + [len(basis) % 8]
+                                     + [n_nodes] * 2)
+
+
 def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
     # the data's difference record and the recovery read one w1 background,
     # bitwise what a fresh BackgroundStates of q = 0 holds
@@ -277,13 +327,14 @@ def _velocity_form_difference(op, q, basis1, basis2, dt, t_final):
     dq = np.broadcast_to(q, (nt + 1, op.grid.omega.size))[:, None, :]
     explicit, implicit = _linear_step(op, q, dt, nt)
     interior, _ = dnmap._basis_pairings(op, basis1, basis2, dt, t_final)
-    rows = []
-    for _, u, v in solver.solve_linear_basis(op, None, basis1, dt, t_final):
+    plan, blocks = solver.solve_linear_basis(op, None, basis1, dt, t_final)
+    stepped = []
+    for seeds, u, v in blocks:
         u_base = u[:-1] + hdt * v[:-1]
         drive = -hdt * ((dq[:-1] * u[:-1] + dq[1:] * u_base) + hdt * (dq[1:] * v[1:]))
-        rows.append(interior(*_crank_nicolson(op, drive, dt, None, None,
-                                              explicit, implicit)))
-    return np.concatenate(rows)
+        stepped.append((seeds, *_crank_nicolson(op, drive, dt, None, None,
+                                                explicit, implicit)))
+    return interior(plan, stepped)
 
 
 def test_noise_scale_is_that_of_the_background_plus_difference(tmp_path, monkeypatch):
@@ -478,6 +529,49 @@ def test_cli_noise_only_where_it_is_read(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: noise.level=0.1 is read by invert-linear only, not by invert-nonlinear"]
     validate_config(_linear_cfg(noise={"level": 1e-3}))
+
+
+def test_cli_identity_check_keys_its_variant_does_not_read_exit_two(tmp_path, capsys):
+    # self-adjoint reads neither the alessandrini potentials nor the
+    # nonlinear identity's amplitude; it ran with them and ignored them
+    exp = {"kind": "identity-check", "variant": "self-adjoint",
+           "q1": {"kind": "gaussian", "amplitude": 5}, "amplitude": 3}
+    path = write_yaml(tmp_path / "c.yaml", {"grid": {"n_nodes": 31}, "experiment": exp})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: experiment keys ['amplitude', 'q1'] are not read by identity-check "
+        "variant 'self-adjoint'"]
+    for variant, key in (("alessandrini", "amplitude"), ("nonlinear-integral", "q2"),
+                         (None, "q2")):
+        with pytest.raises(ConfigError, match=rf"keys \['{key}'\] are not read"):
+            validate_config(small_cfg(experiment={"kind": "identity-check",
+                                                  "variant": variant, key: 0.5}))
+    validate_config(small_cfg(experiment={"kind": "identity-check", "variant": "alessandrini",
+                                          "q1": {"kind": "zero"}, "q2": None}))
+    validate_config(small_cfg(experiment={"kind": "identity-check",
+                                          "variant": "nonlinear-integral", "amplitude": 0.2},
+                              model={"kind": "nonlinear"}))
+
+
+def test_exponent_outside_the_paper_range_is_a_report_warning(tmp_path, capsys):
+    # r = 3 exceeds 2s/(1-2s) = 1.5 at s = 0.3: the run goes on, and its
+    # report says so outside the metrics; a run inside the range writes the
+    # report keys it always did
+    cfg = {"grid": {"n_nodes": 31}, "dt": 0.02, "s": 0.3,
+           "model": {"kind": "nonlinear", "r": 3}}
+    reports = []
+    for name, r in (("outside", 3), ("inside", 1)):
+        path = write_yaml(tmp_path / f"{name}.yaml", _merge(cfg, {"model": {"r": r}}))
+        assert main(["run", path, "--out", str(tmp_path / name)]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    assert reports[0]["warnings"] == [
+        "homogeneity degree r=3.0 above the admissible bound 2s/(1-2s)=1.500 for s=0.3"]
+    assert "warnings" not in reports[0]["metrics"]
+    assert list(reports[1]) == ["experiment", "config", "metrics", "passed",
+                                "runtime_seconds"]
+    assert validate_config(small_cfg(s=0.3, model={"kind": "nonlinear", "r": 3})) \
+        == reports[0]["warnings"]
+    assert validate_config(small_cfg(s=0.3, model={"kind": "linear"})) == []
 
 
 def test_cli_non_finite_normal_equations_exit_one(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,8 @@ from viscowave import (NewtonDivergenceError, SolverError, StepFailureError,
                        power_nonlinearity, seminorm_hs, solve_linear,
                        solve_linearized, solve_nonlinear, trajectory_from_csv,
                        trajectory_to_csv, zero_nonlinearity)
-from viscowave import solver
+from viscowave import (BackgroundStates, dn_difference_linear, dn_matrix_linear, dnmap,
+                       solver)
 from viscowave.controls import ControlBasis, make_control, materialize
 from viscowave.solver import (_check_control, _expand_field, _expand_potential,
                               _step_inverses, _step_matrix, n_steps_for, trapezoid_weights)
@@ -555,12 +556,17 @@ def _potential(grid, kind):
 
 
 def _interior_responses(op, q, basis):
-    """(u, v) of solve_linear_basis, element-major, and the block sizes."""
+    """(u, v) of solve_linear_basis, element-major, and the block sizes.
+
+    The bases it is given shift no spline, so every element is a seed.
+    """
     u, v, sizes = [], [], []
-    for elements, bu, bv in solver.solve_linear_basis(op, q, basis, DT, T_FINAL):
+    plan, blocks = solver.solve_linear_basis(op, q, basis, DT, T_FINAL)
+    assert np.array_equal(plan.seeds, np.arange(len(basis))) and not plan.lag.any()
+    for seeds, bu, bv in blocks:
         assert not bu.flags.writeable and not bv.flags.writeable
         sizes.append(bu.shape[1])
-        assert elements == slice(sum(sizes[:-1]), sum(sizes))
+        assert np.array_equal(seeds, np.arange(sum(sizes[:-1]), sum(sizes)))
         u.append(bu.transpose(1, 0, 2))
         v.append(bv.transpose(1, 0, 2))
     return np.concatenate(u), np.concatenate(v), sizes
@@ -626,8 +632,9 @@ def test_difference_pass_matches_the_subtraction(op31, grid31, monkeypatch, kind
     q, q_bg = _potential(grid31, kind), 0.2 * np.ones(grid31.omega.size)
     with_q = _interior_responses(op31, q, basis)
     background = _interior_responses(op31, q_bg, basis)
-    passes = list(solver.solve_linear_difference(op31, q, q_bg, background[0], DT, T_FINAL))
-    assert [p[0] for p in passes] == [slice(0, 16), slice(16, len(basis))]
+    passes = list(solver.solve_linear_difference(op31, q, q_bg, basis, background[0],
+                                                 DT, T_FINAL)[1])
+    assert [p[0].tolist() for p in passes] == [list(range(16)), list(range(16, len(basis)))]
     for i in (0, 1):
         assert not any(p[1 + i].flags.writeable for p in passes)
         diff = np.concatenate([p[1 + i].transpose(1, 0, 2) for p in passes])
@@ -663,7 +670,7 @@ def _failing_step(call):
 def _failing_steps(op, q, basis, control, dt=DT):
     """Failing step of solve_linear on one control, and of the basis pass."""
     one = _failing_step(lambda: solve_linear(op, q, control, dt, T_FINAL))
-    block = _failing_step(lambda: list(solver.solve_linear_basis(op, q, basis, dt, T_FINAL)))
+    block = _failing_step(lambda: list(solver.solve_linear_basis(op, q, basis, dt, T_FINAL)[1]))
     return one, block
 
 
@@ -792,17 +799,18 @@ def test_step_maps_match_the_closure_loop(op101, grid101, monkeypatch, kind):
     monkeypatch.setattr(solver, "CONTROL_BLOCK", 32)
     basis = ControlBasis(grid101, "w1", T_FINAL, 8)
     q, q_bg = _potential(grid101, kind), 0.2 * np.ones(grid101.omega.size)
-    passes = list(solver.solve_linear_basis(op101, q, basis, DT, T_FINAL))
+    passes = list(solver.solve_linear_basis(op101, q, basis, DT, T_FINAL)[1])
     assert len(passes) == -(-len(basis) // 32) > 1
     for elements, u, v in passes:
         ref = _closure_loop(op101, q, solver._basis_drive(op101, basis, DT, NT, elements))
         _assert_within(u, ref[0])
         _assert_within(v, ref[1])
     states = np.concatenate([u.transpose(1, 0, 2) for _, u, _v in
-                             solver.solve_linear_basis(op101, q_bg, basis, DT, T_FINAL)])
+                             solver.solve_linear_basis(op101, q_bg, basis, DT, T_FINAL)[1]])
     dq = (_expand_potential(q, NT, grid101.omega.size)[0]
           - _expand_potential(q_bg, NT, grid101.omega.size)[0])
-    for elements, w, z in solver.solve_linear_difference(op101, q, q_bg, states, DT, T_FINAL):
+    for elements, w, z in solver.solve_linear_difference(op101, q, q_bg, basis, states,
+                                                         DT, T_FINAL)[1]:
         drive = solver._difference_drive(dq, states[elements].transpose(1, 0, 2), DT)
         ref = _closure_loop(op101, q, drive)
         _assert_within(w, ref[0])
@@ -825,9 +833,9 @@ def test_last_state_check_reports_the_first_failing_row(op31, grid31, rng, monke
     scans = []
     real = solver._non_finite_failure
 
-    def counting(v):
+    def counting(v, *rest):
         scans.append(v.shape)
-        return real(v)
+        return real(v, *rest)
 
     monkeypatch.setattr(solver, "_non_finite_failure", counting)
     q = _potential(grid31, kind)
@@ -843,3 +851,111 @@ def test_last_state_check_reports_the_first_failing_row(op31, grid31, rng, monke
         assert _failing_step(lambda: _closure_loop(op31, q, drive)) == step
         drive[40, 40, 3] = 0.0
         assert _failing_step(lambda: solver._step_linear(maps, drive, DT, None, None)) == 5
+
+
+# ------------------------------------- shift plan: one stepped spline per shift class
+
+
+def _every_element(op, q, basis, dt):
+    """Interior (u, v) of every element of a basis, each stepped: the basis
+    pass before the shift plan, as one block."""
+    nt = n_steps_for(dt, T_FINAL)
+    maps = solver._step_maps(op, q, dt, nt)
+    drive = solver._basis_drive(op, basis, dt, nt, np.arange(len(basis)))
+    return solver._step_linear(maps, drive, dt, None, None, np.arange(len(basis)))
+
+
+def _every_element_difference(op, q, q_bg, basis, states, dt):
+    """Interior (w, z) of the difference pass over every element."""
+    nt = n_steps_for(dt, T_FINAL)
+    n_omega = op.grid.omega.size
+    dq = _expand_potential(q, nt, n_omega)[0] - _expand_potential(q_bg, nt, n_omega)[0]
+    drive = solver._difference_drive(dq, states.transpose(1, 0, 2), dt)
+    return solver._step_linear(solver._step_maps(op, q, dt, nt), drive, dt, None, None)
+
+
+def _every_element_pairings(op, basis1, basis2, dt, u, v):
+    """Interior pairings of every element's full history, as dnmap made them."""
+    nt = n_steps_for(dt, T_FINAL)
+    weighted = basis2.time_matrix(dt, nt) * trapezoid_weights(nt)[None, :]
+    flux = (u + v) @ op.matrix[np.ix_(op.grid.omega, basis2.nodes)]
+    return dnmap._pair_fluxes(flux, weighted, op.grid.h, dt)
+
+
+# (grid, spline level, dt, time-dependent q, seeds per window node)
+SHIFT_CASES = {
+    "10-segments": (31, 10, DT, False, 1),
+    "16-segments-200-steps": (101, 16, 5e-3, False, 2),
+    "9-segments": (31, 9, DT, False, 4),
+    "time-dependent": (31, 10, DT, True, 5),
+}
+
+
+@pytest.mark.parametrize("case", list(SHIFT_CASES))
+def test_shifted_passes_match_stepping_every_element(request, case):
+    n_nodes, n_segments, dt, timed, n_seeds = SHIFT_CASES[case]
+    op = request.getfixturevalue(f"op{n_nodes}")
+    grid = op.grid
+    nt = n_steps_for(dt, T_FINAL)
+    basis1 = ControlBasis(grid, "w1", T_FINAL, n_segments)
+    basis2 = ControlBasis(grid, "w2", T_FINAL, n_segments)
+    prof = 0.4 * interior_bump(grid)[grid.omega]
+    q = np.outer(dt * np.arange(nt + 1), prof) if timed else prof
+    plan, _ = solver.solve_linear_basis(op, q, basis1, dt, T_FINAL)
+    assert len(plan.seeds) == n_seeds * len(basis1.nodes)
+    # the background states of q = 0, which always shift when the level does
+    background = BackgroundStates(op, None, basis1, dt, T_FINAL)
+    u0, _v0 = _every_element(op, None, basis1, dt)
+    _assert_within(background.states, u0.transpose(1, 0, 2))
+    # the measurement matrix of q
+    u, v = _every_element(op, q, basis1, dt)
+    _, exterior = dnmap._basis_pairings(op, basis1, basis2, dt, T_FINAL)
+    ref = _every_element_pairings(op, basis1, basis2, dt, u, v) + exterior
+    _assert_within(dn_matrix_linear(op, q, basis1, basis2, dt, T_FINAL).pairings, ref)
+    # the difference of q from the q = 0 background, driven by its states
+    w, z = _every_element_difference(op, q, None, basis1, u0.transpose(1, 0, 2), dt)
+    ref = _every_element_pairings(op, basis1, basis2, dt, w, z)
+    _assert_within(dn_difference_linear(q, background, basis2).pairings, ref)
+
+
+def test_shift_plan_of_a_level_and_of_a_horizon_off_by_rounding(grid101, grid31):
+    # at 16 segments and 200 steps a knot is 12.5 steps: splines 1, 3, 5, ...
+    # shift spline 1 by 25, 50, ... steps and splines 2, 4, ... spline 2
+    basis = ControlBasis(grid101, "w1", T_FINAL, 16)
+    plan = solver.shift_plan(basis, 5e-3, 200, True)
+    n_spl = len(basis.tsplines)
+    assert plan.seed[:n_spl].tolist() == [0, 1] * 5 + [0]
+    assert plan.lag[:n_spl].tolist() == [0, 0, 25, 25, 50, 50, 75, 75, 100, 100, 125]
+    assert plan.seed[n_spl:2 * n_spl].tolist() == (n_spl + plan.seed[:n_spl]).tolist()
+    assert plan.seeds.tolist() == [a * n_spl + c for a in range(len(basis.nodes))
+                                   for c in (0, 1)]
+    assert not solver.shift_plan(basis, 5e-3, 200, False).lag.any()
+    # n_steps_for takes a dt whose steps miss t_final by rounding; the samples
+    # then shift by other than whole knots, and nothing is shifted
+    basis = ControlBasis(grid31, "w1", T_FINAL, 10)
+    assert solver.shift_plan(basis, DT, NT, True).lag.any()
+    dt = DT + 1e-12
+    assert n_steps_for(dt, T_FINAL) == NT
+    plan = solver.shift_plan(basis, dt, NT, True)
+    assert not plan.lag.any() and len(plan.seeds) == len(basis)
+
+
+def test_shifted_pass_reports_the_first_failing_element(op31, grid31):
+    # a huge coupling from the second w1 node overflows the drive of its
+    # elements some steps after their splines start; the first of them fails
+    # first, in the pass over every element and in the shifted pass alike
+    basis = ControlBasis(grid31, "w1", T_FINAL, 10)
+    matrix = op31.matrix.copy()
+    matrix[basis.nodes[1], grid31.omega[4]] = 1e308
+    op = dataclasses.replace(op31, matrix=matrix)
+    plan, blocks = solver.solve_linear_basis(op, None, basis, DT, T_FINAL)
+    assert len(plan.seeds) == len(basis.nodes) < len(basis)
+    with np.errstate(all="ignore"), pytest.raises(StepFailureError) as every:
+        _every_element(op, None, basis, DT)
+    with np.errstate(all="ignore"), pytest.raises(StepFailureError) as shifted:
+        list(blocks)
+    assert every.value.element == len(basis.tsplines)
+    assert (shifted.value.element, shifted.value.step) == (every.value.element,
+                                                           every.value.step)
+    assert 1 < shifted.value.step < NT
+    assert f"of basis element {every.value.element}:" in str(shifted.value)
