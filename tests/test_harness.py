@@ -598,6 +598,31 @@ def test_cli_non_finite_normal_equations_exit_one(tmp_path, capsys, monkeypatch)
         "error: inversion normal equations not finite (condition estimate nan)"]
 
 
+def test_cli_indefinite_omega_block_exit_one(tmp_path, capsys, monkeypatch):
+    # the Gram's energy coordinates need a Cholesky factor of the omega
+    # block; an indefinite block is reported in one line, not a traceback
+    from viscowave.operator import FracLapOperator
+
+    block = FracLapOperator.omega_block.fget
+
+    def indefinite(op):
+        mat = block(op)
+        lam, vec = np.linalg.eigh(mat)
+        return mat - 2.0 * lam[0] * np.outer(vec[:, 0], vec[:, 0])
+
+    monkeypatch.setattr(FracLapOperator, "omega_block", property(indefinite))
+    path = write_yaml(tmp_path / "c.yaml", {
+        "grid": {"n_nodes": 31}, "dt": 0.02,
+        "model": {"kind": "linear", "q": {"kind": "gaussian", "amplitude": 0.5,
+                                          "center": 0.5, "width": 0.2}},
+        "experiment": {"kind": "invert-linear", "basis_segments": 8, "target_stride": 2},
+    })
+    code = main(["run", path, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: interior energy matrix is not finite and positive definite"]
+
+
 def test_cli_compare(tmp_path, capsys):
     cfg_path = write_yaml(tmp_path / "c.yaml",
                           {"grid": {"n_nodes": 31}, "dt": 0.02})

@@ -1,6 +1,7 @@
 """Recovery machinery: control synthesis, potential and nonlinearity estimates."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,17 +12,18 @@ from viscowave import (BackgroundStates, IllConditionedError,
                        InconclusiveError, InversionError, LocalizedTarget,
                        Reconstruction, bump_control,
                        dn_difference_linear, estimate_homogeneity_exponent,
-                       interior_targets, power_nonlinearity,
+                       interior_targets, potential_from_spec, power_nonlinearity,
                        recover_linear_potential, recover_nonlinear_coefficient,
                        solve_linear, synthesize_control, zero_nonlinearity)
 from viscowave import inversion
 from viscowave.controls import ControlBasis, materialize, time_bump
 from viscowave.dnmap import DNRecord
 from viscowave.inversion import _probing_kernel
-from viscowave.solver import n_steps_for, trapezoid_weights
+from viscowave.solver import n_steps_for, shift_plan, trapezoid_weights
 
 DT, NT = 0.02, 50
 T_FINAL = 1.0
+BENCH_DT = 5e-3
 
 
 def gaussian_target(grid, nt, dt=DT, center=0.35, width=0.22):
@@ -137,6 +139,22 @@ def test_localized_target_materialize(grid31):
     assert grid31.omega[peak] == node
 
 
+@pytest.mark.parametrize("n_nodes", [31, 101])
+def test_target_stack_is_materializing_each_bitwise(grid31, grid101, n_nodes):
+    grid = grid31 if n_nodes == 31 else grid101
+    dt = DT if n_nodes == 31 else BENCH_DT
+    nt = n_steps_for(dt, T_FINAL)
+    targets = interior_targets(grid, T_FINAL)
+    # windows out of order and repeated, and targets of another width
+    targets = (targets[::-1] + interior_targets(grid, T_FINAL, nodes=grid.omega[::5],
+                                                space_width=0.1)
+               + [LocalizedTarget(int(grid.omega[3]), 0.2, 0.6, 0.2)])
+    stack = inversion.materialize_targets(targets, grid, dt, nt)
+    ref = np.asarray([t.materialize(grid, dt, nt) for t in targets])
+    assert stack.shape == ref.shape
+    assert stack.tobytes() == ref.tobytes()
+
+
 def _reference_background(op, q, basis, dt, t_final):
     """States and Gram matrix of BackgroundStates.__init__ as they stood before
     the blocked pass, kept verbatim but for self."""
@@ -185,19 +203,21 @@ def test_background_states_match_reference_loop_bitwise(op31, grid31, window, st
 @pytest.mark.parametrize("static_q", [False, True])
 def test_synthesis_matches_reference_path(op31, grid31, static_q, monkeypatch):
     # the right-hand side weights the targets' energy in time, not a stored
-    # weighted copy of the states; coefficients are too ill-conditioned to pin
+    # weighted copy of the states; the Gram is a product of energy
+    # coordinates, so it matches the reference to rounding, and the reference
+    # solve uses it; coefficients are too ill-conditioned to pin
     from viscowave import inversion
 
     q = 0.3 * np.ones(grid31.omega.size) if static_q else None
     basis = ControlBasis(grid31, "w1", T_FINAL, 8)
     bg = BackgroundStates(op31, q, basis, DT, T_FINAL)
     gram, sw_flat = _reference_weighting(op31, bg.states, DT)
-    assert bg.gram.tobytes() == gram.tobytes()
+    _assert_close(bg.gram, gram, 1e-12)
     targets = interior_targets(grid31, T_FINAL, nodes=grid31.omega[::3])
     stack = np.asarray([t.materialize(grid31, DT, NT) for t in targets])
     rhs = sw_flat @ (stack @ (grid31.h * op31.omega_block)).reshape(len(stack), -1).T
-    scale = np.trace(gram) / np.trace(bg.control_gram)
-    coeffs = cho_solve(cho_factor(gram + 1e-8 * scale * bg.control_gram), rhs).T
+    scale = np.trace(bg.gram) / np.trace(bg.control_gram)
+    coeffs = cho_solve(cho_factor(bg.gram + 1e-8 * scale * bg.control_gram), rhs).T
     achieved = (coeffs @ bg.states.reshape(len(basis), -1)).reshape(stack.shape)
 
     solved = []
@@ -205,6 +225,54 @@ def test_synthesis_matches_reference_path(op31, grid31, static_q, monkeypatch):
                         lambda cho, b: solved.append(b) or cho_solve(cho, b))
     _assert_close(bg.synthesize(stack, 1e-8)[1], achieved, 1e-10)
     _assert_close(solved[0], rhs, 1e-15)
+
+
+def _benchmark_background(op101, grid101, ramp):
+    """BackgroundStates(w1) of the invert-linear benchmark: 101 nodes, 16
+    segments, 200 steps, with q = 0 or the ramp potential."""
+    basis = ControlBasis(grid101, "w1", T_FINAL, 16)
+    q = None
+    if ramp:
+        q = potential_from_spec(grid101, {"kind": "gaussian", "amplitude": 0.5,
+                                          "center": 0.5, "width": 0.141421356,
+                                          "time": "ramp"}, BENCH_DT, T_FINAL)
+    return BackgroundStates(op101, q, basis, BENCH_DT, T_FINAL)
+
+
+@pytest.mark.parametrize("ramp", [False, True])
+def test_gram_at_benchmark_size_matches_reference(op101, grid101, ramp):
+    # with q = 0 the pass steps 40 seeds and delays them into the other 180
+    # elements; the ramp steps all 220
+    bg = _benchmark_background(op101, grid101, ramp)
+    nt = n_steps_for(BENCH_DT, T_FINAL)
+    seeds = shift_plan(bg.basis, BENCH_DT, nt, not ramp).seeds
+    assert seeds.size == (len(bg.basis) if ramp else 40)
+    _assert_close(bg.gram, _reference_weighting(op101, bg.states, BENCH_DT)[0], 1e-12)
+    assert bg.gram.tobytes() == bg.gram.T.tobytes()
+
+
+def test_background_init_peak_is_states_and_one_more_array(op101, grid101):
+    # traced peak of one benchmark-size BackgroundStates(w1) with q = 0:
+    # measured 28.9 MB, 2.47 times its 11.7 MB states: the states, their
+    # energy coordinates and the basis pass's last block of 40 seeds (4.2 MB);
+    # one more element-major array would take it past 3.4 times
+    _benchmark_background(op101, grid101, False)
+    tracemalloc.start()
+    try:
+        bg = _benchmark_background(op101, grid101, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * bg.states.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_energy_factor_rejects_a_non_finite_or_indefinite_block(bad):
+    k_omega = np.eye(4)
+    k_omega[2, 2] = bad
+    with pytest.raises(InversionError,
+                       match="^interior energy matrix is not finite and positive definite$"):
+        inversion._energy_factor(k_omega)
 
 
 @pytest.mark.parametrize("nseg", [8, 16])
