@@ -10,8 +10,7 @@ from .grid import Grid, GridError, build_grid
 from .operator import (FracLapOperator, OperatorError, assemble_fraclap,
                        dualnorm_hminus, dump_matrix, fraclap_normalization,
                        norm_l2, seminorm_hs)
-from .nonlinearity import (GrowthReport, Nonlinearity, NonlinearityError,
-                           certify_growth, check_exponent_constraints,
+from .nonlinearity import (Nonlinearity, NonlinearityError, check_exponent_constraints,
                            power_nonlinearity, zero_nonlinearity)
 from .controls import (ControlBasis, ControlError, ExteriorControl, bump_control,
                        make_control, materialize, space_bump, time_bump)
@@ -21,8 +20,7 @@ from .solver import (EnergyLedger, NewtonDivergenceError, SolverError,
                      solve_linearized, solve_nonlinear, trajectory_from_csv,
                      trajectory_to_csv)
 from .dnmap import (DNMapError, DNRecord, alessandrini_residual,
-                    dn_difference_linear, dn_matrix_linear,
-                    dn_matrix_nonlinear, dn_pairing,
+                    dn_difference_linear, dn_matrix_linear, dn_pairing,
                     nonlinear_integral_identity_residual, reverse_potential,
                     self_adjointness_residual, time_reverse)
 from .inversion import (BackgroundStates, IllConditionedError,

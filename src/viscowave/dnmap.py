@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nonlinearity as nl
-from .controls import ControlBasis, ExteriorControl, materialize
+from .controls import ControlBasis, ExteriorControl
 from .solver import (Trajectory, _expand_potential, n_steps_for, solve_linear,
                      solve_linear_basis, solve_linear_difference, solve_nonlinear,
                      trapezoid_weights)
@@ -210,17 +210,6 @@ def dn_difference_linear(q, background, probe_basis, tag=""):
     interior, _exterior = _basis_pairings(op, control_basis, probe_basis, dt, t_final)
     rows = interior(*solve_linear_difference(op, q, background.q, control_basis,
                                              background.states, dt, t_final))
-    return _record(op, control_basis, probe_basis, dt, t_final, tag, rows)
-
-
-def dn_matrix_nonlinear(op, f, control_basis, probe_basis, dt, t_final, tag=""):
-    """Measurement matrix of the nonlinear model, one Newton-stepped solve per control."""
-    _basis_lists(control_basis, probe_basis)
-    nt = n_steps_for(dt, t_final)
-    time_mat = probe_basis.time_matrix(dt, nt)
-    rows = [_pair_against_basis(op, solve_nonlinear(op, f, materialize(control_basis, i, dt, nt),
-                                                    dt, t_final), probe_basis, time_mat)
-            for i in range(len(control_basis))]
     return _record(op, control_basis, probe_basis, dt, t_final, tag, rows)
 
 

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import time
-import warnings
 
 import numpy as np
 import yaml
@@ -196,9 +195,7 @@ def validate_config(cfg):
         return []
     # the paper's exponent range is sufficient, not necessary: the run goes on
     # and its report carries the messages
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return check_exponent_constraints(s, numbers["model.r"])
+    return check_exponent_constraints(s, numbers["model.r"])
 
 
 def _check_experiment_values(exp):

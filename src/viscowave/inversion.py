@@ -305,7 +305,7 @@ def _time_hats(n_coarse, dt, n_steps):
     knots = np.linspace(0.0, dt * n_steps, n_coarse)
     width = knots[1] - knots[0]
     rows = [np.clip(1.0 - np.abs(t - tk) / width, 0.0, None) for tk in knots]
-    return np.asarray(rows), knots
+    return np.asarray(rows)
 
 
 def _second_difference(n):
@@ -390,7 +390,7 @@ def recover_linear_potential(dn_difference, background, targets, alpha_inv,
     if q_time_basis is None:
         gamma = np.ones((1, n_steps + 1))
     else:
-        gamma, _ = _time_hats(int(q_time_basis), dt, n_steps)
+        gamma = _time_hats(int(q_time_basis), dt, n_steps)
     n_gamma = gamma.shape[0]
 
     if frame == "direct":

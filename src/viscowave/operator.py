@@ -71,13 +71,6 @@ class FracLapOperator:
         om = self.grid.omega
         return self.matrix[np.ix_(om, om)]
 
-    def apply(self, v):
-        return v @ self.matrix  # symmetric, so row/column application agree
-
-    def solve_omega(self, g):
-        """Solve the omega-restricted block against g (given on omega nodes)."""
-        return np.linalg.solve(self.omega_block, g)
-
 
 def assemble_fraclap(grid, s):
     """Assemble the operator matrix on the grid for order s in (0, 1)."""
@@ -132,5 +125,5 @@ def dualnorm_hminus(op, g):
     if outside.size and np.max(np.abs(outside)) != 0.0:
         raise OperatorError("dual norm argument has support outside omega")
     gom = g[..., op.grid.omega]
-    q = np.sum(gom * op.solve_omega(gom.T).T, axis=-1)
+    q = np.sum(gom * np.linalg.solve(op.omega_block, gom.T).T, axis=-1)
     return np.sqrt(op.grid.h * np.maximum(q, 0.0))

@@ -314,36 +314,6 @@ def _on_grid(grid, control, dt, nt, inner):
     return out
 
 
-def _solve_control(op, control, dt, nt, source, u0, v0, explicit, implicit):
-    """solve_nonlinear's step loop: one state under control and source from u0, v0.
-
-    Each step forms the explicit half of the update from the current state:
-    the flux of L's omega block, ``explicit(k, u_k, u_base)`` for the
-    interior term, where u_base = u_k + dt/2 v_k, and the control and
-    source drive.  ``implicit(k, rhs, v_k, u_base)`` then returns the new
-    velocity; it raises on a non-finite residual, so the states stay finite.
-    Returns full-grid (u, v).
-    """
-    grid = op.grid
-    drive = _control_drive(op, control, dt, nt, source)
-    L = op.omega_block
-    hdt = 0.5 * dt
-    u = np.empty((nt + 1, grid.omega.size))
-    v = np.empty_like(u)
-    u0, v0 = _expand_field(u0, nt, grid, "u0"), _expand_field(v0, nt, grid, "v0")
-    u[0] = 0.0 if u0 is None else u0
-    v[0] = 0.0 if v0 is None else v0
-    for k in range(nt):
-        u_k, v_k = u[k], v[k]
-        u_base = u_k + hdt * v_k
-        flux = ((u_k + v_k) + u_base) @ L
-        rhs = (v_k - hdt * (flux + explicit(k, u_k, u_base))) + drive[k]
-        w = implicit(k, rhs, v_k, u_base)
-        v[k + 1] = w
-        u[k + 1] = u_base + hdt * w
-    return _on_grid(grid, control, dt, nt, (u, v))
-
-
 def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
     """Integrate the linear equation with potential q and exterior control.
 
@@ -500,36 +470,50 @@ NEWTON_MAXIT = 25
 
 
 def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None):
-    """Integrate with interior term f(x, u) via per-step Newton iterations."""
+    """Integrate with interior term f(x, u) via per-step Newton iterations.
+
+    Step k forms its right-hand side from u_k, v_k and the drive; Newton then
+    solves for the new velocity w, and u_{k+1} = u_k + dt/2 (v_k + w).  A
+    non-finite residual raises, so the states stay finite.
+    """
     nt = n_steps_for(dt, t_final)
-    Lom = op.omega_block
+    grid = op.grid
+    drive = _control_drive(op, control, dt, nt, source)
+    L = op.omega_block
     base_mat = _step_matrix(op, dt)
+    hdt = 0.5 * dt
     iters = np.zeros(nt, dtype=int)
-
-    def explicit(k, u_k, u_base):
-        return nl.apply(f, u_k)
-
-    def implicit(k, rhs, v_k, u_base):
+    u = np.empty((nt + 1, grid.omega.size))
+    v = np.empty_like(u)
+    u0, v0 = _expand_field(u0, nt, grid, "u0"), _expand_field(v0, nt, grid, "v0")
+    u[0] = 0.0 if u0 is None else u0
+    v[0] = 0.0 if v0 is None else v0
+    for k in range(nt):
+        u_k, v_k = u[k], v[k]
+        u_base = u_k + hdt * v_k
+        flux = ((u_k + v_k) + u_base) @ L
+        rhs = (v_k - hdt * (flux + nl.apply(f, u_k))) + drive[k]
         w = v_k
         res_norm = np.inf
         for it in range(NEWTON_MAXIT):
-            u_new = u_base + 0.5 * dt * w
-            g = (w + (0.5 * dt + 0.25 * dt * dt) * (Lom @ w)
-                 + 0.5 * dt * nl.apply(f, u_new) - rhs)
+            u_new = u_base + hdt * w
+            g = (w + (hdt + 0.25 * dt * dt) * (L @ w) + hdt * nl.apply(f, u_new) - rhs)
             res_norm = np.max(np.abs(g))
             if not np.isfinite(res_norm):
                 raise NewtonDivergenceError(k + 1, res_norm, it)
             if res_norm <= NEWTON_TOL:
                 iters[k] = it
-                return w
+                break
             jac = base_mat + 0.25 * dt * dt * np.diag(nl.apply_derivative(f, u_new))
             try:
                 w = w - np.linalg.solve(jac, g)
             except np.linalg.LinAlgError as exc:
                 raise StepFailureError(k + 1, f"Newton linear solve failed: {exc}")
-        raise NewtonDivergenceError(k + 1, res_norm, NEWTON_MAXIT)
-
-    u, v = _solve_control(op, control, dt, nt, source, u0, v0, explicit, implicit)
+        else:
+            raise NewtonDivergenceError(k + 1, res_norm, NEWTON_MAXIT)
+        v[k + 1] = w
+        u[k + 1] = u_new
+    u, v = _on_grid(grid, control, dt, nt, (u, v))
     return Trajectory(u=u, v=v, dt=dt, newton_iters=iters)
 
 

@@ -10,10 +10,9 @@ from numpy.testing import assert_allclose
 
 from viscowave import (BackgroundStates, DNMapError, DNRecord, alessandrini_residual,
                        bump_control, dn_difference_linear, dn_matrix_linear,
-                       dn_matrix_nonlinear,
                        dn_pairing, nonlinear_integral_identity_residual,
                        power_nonlinearity, reverse_potential,
-                       self_adjointness_residual, solve_linear, solve_nonlinear,
+                       self_adjointness_residual, solve_linear,
                        time_reverse, zero_nonlinearity)
 from viscowave.controls import (ControlBasis, ControlError, ExteriorControl,
                                 materialize, spline_indices)
@@ -133,15 +132,6 @@ def test_pair_against_basis_matches_loop(op31, grid31):
     slow = np.array([dn_pairing(op31, traj, materialize(basis, i, DT, NT))
                      for i in range(len(basis))])
     assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
-
-
-def test_dn_matrix_zero_potential_equals_zero_nonlinearity(op31, grid31):
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    lin = dn_matrix_linear(op31, None, basis1, basis2, DT, T_FINAL)
-    nl = dn_matrix_nonlinear(op31, zero_nonlinearity(), basis1, basis2,
-                             DT, T_FINAL)
-    assert_allclose(nl.pairings, lin.pairings, rtol=1e-11, atol=1e-14)
 
 
 def test_dn_matrix_entries_match_pairing_oracle(op31, grid31):
@@ -370,12 +360,3 @@ def test_difference_record_keeps_its_accuracy_for_weak_potentials(op31, grid31):
     diffs = [dn_difference_linear(_potential(grid31, "static", a), background,
                                   basis2).pairings for a in (1e-9, 5e-10)]
     _assert_close(2.0 * diffs[1], diffs[0], 1e-8)
-
-
-def test_dn_matrix_nonlinear_matches_reference_loop_bitwise(op31, grid31):
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    f = power_nonlinearity(1.0, 2)
-    rec = dn_matrix_nonlinear(op31, f, basis1, basis2, DT, T_FINAL)
-    ref = _reference_dn_matrix(op31, solve_nonlinear, f, basis1, basis2, DT, T_FINAL, "")
-    assert rec.pairings.tobytes() == ref.pairings.tobytes()

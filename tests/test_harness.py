@@ -226,7 +226,7 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(dnmap, "materialize", counting(materialized, dnmap.materialize))
+    monkeypatch.setattr(ControlBasis, "control", counting(materialized, ControlBasis.control))
     monkeypatch.setattr(solver, "_step_linear", counting(
         stepped, solver._step_linear,
         lambda maps, drive, *rest: drive.shape[1] if drive.ndim == 3 else 1))

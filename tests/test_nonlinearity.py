@@ -1,4 +1,6 @@
-"""Power-law nonlinearities: worked values, homogeneity, growth certificates."""
+"""Power-law nonlinearities: worked values, homogeneity, exponent range."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from viscowave import (NonlinearityError, certify_growth,
-                       check_exponent_constraints, power_nonlinearity,
+from viscowave import (NonlinearityError, check_exponent_constraints, power_nonlinearity,
                        zero_nonlinearity)
-from viscowave.nonlinearity import Nonlinearity, _nonnegative_fit, apply, apply_derivative
+from viscowave.nonlinearity import apply, apply_derivative
 
 
 def test_worked_example_cubic():
@@ -154,68 +155,11 @@ def test_continuity_along_convergent_sequence(rng):
         prev = err
 
 
-def test_certify_growth_power_law_is_tight():
-    for r in (1, 2):
-        rep = certify_growth(power_nonlinearity(1.0, r), (-5.0, 5.0))
-        assert rep.A == pytest.approx(0.0, abs=1e-8)
-        assert rep.B == pytest.approx(r + 1.0, rel=1e-6)
-        assert rep.max_violation <= 1e-10
-
-
-def test_certify_growth_half_coefficient():
-    rep = certify_growth(power_nonlinearity(0.5, 1), (-4.0, 4.0))
-    assert rep.B == pytest.approx(1.0, rel=1e-6)
-
-
-def test_certify_growth_nodal_coefficient_takes_the_largest():
-    rep = certify_growth(power_nonlinearity(np.array([0.5, -2.0, 1.0]), 1), (-4.0, 4.0))
-    assert rep.B == pytest.approx(4.0, rel=1e-6)
-    assert rep.max_violation <= 1e-10
-
-
-def test_certify_growth_flags_exponential():
-    f = Nonlinearity(value_fn=np.expm1, dvalue_fn=np.exp, r=2.0)
-    rep = certify_growth(f, (0.0, 10.0), r=2)
-    assert rep.max_violation > 0.0
-
-
-def test_certify_growth_report_dict():
-    rep = certify_growth(power_nonlinearity(1.0, 1), (-2.0, 2.0))
-    d = rep.to_dict()
-    assert d["tau_range"] == [-2.0, 2.0]
-    assert set(d) == {"A", "B", "r", "max_violation", "tau_range"}
-
-
-@pytest.mark.parametrize("shift", [-2.0, 0.0, 2.0])
-def test_nonnegative_fit_matches_scipy_nnls(shift, rng):
-    # the closed form covers every case: an interior optimum, and an optimum
-    # on either face, which a negative or positive shift of the data forces
-    from scipy.optimize import nnls
-
-    tau = np.linspace(-3.0, 3.0, 40)
-    for r in (0.5, 1.0, 2.0):
-        design = np.column_stack([np.ones_like(tau), np.abs(tau) ** r])
-        for sign in (1.0, -1.0):
-            y = sign * np.abs(tau) ** r + shift + 0.1 * rng.standard_normal(tau.size)
-            got = _nonnegative_fit(design, y)
-            want, _ = nnls(design, y)
-            assert np.all(got >= 0.0)
-            assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-
-
-def test_certify_growth_needs_exponent():
-    f = Nonlinearity(value_fn=lambda tau: tau, dvalue_fn=np.ones_like)
-    with pytest.raises(NonlinearityError, match="exponent"):
-        certify_growth(f, (-1.0, 1.0))
-
-
-def test_exponent_constraint_warnings():
-    with pytest.warns(UserWarning, match="homogeneity degree"):
-        msgs = check_exponent_constraints(0.3, r=4.0)
-    assert len(msgs) == 1
-    with pytest.warns(UserWarning, match="integrability"):
-        check_exponent_constraints(0.3, p=2.0)
-    with pytest.warns(UserWarning, match="exceed 2"):
-        check_exponent_constraints(0.5, p=2.0)
-    assert check_exponent_constraints(0.5, r=10.0, p=3.0) == []
-    assert check_exponent_constraints(0.8, r=2.0, p=2.0) == []
+def test_exponent_constraints_return_messages_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_exponent_constraints(0.3, 4.0) == [
+            "homogeneity degree r=4.0 above the admissible bound 2s/(1-2s)=1.500 for s=0.3"]
+        assert check_exponent_constraints(0.3, 1.0) == []
+        assert check_exponent_constraints(0.5, 10.0) == []
+        assert check_exponent_constraints(0.8, 2.0) == []

@@ -205,14 +205,3 @@ def test_matrix_dump_round_trip(op31, tmp_path):
     dump_matrix(op31, path)
     loaded = np.loadtxt(path)
     assert np.array_equal(loaded, op31.matrix)
-
-
-def test_operator_apply_matches_matrix(op31, rng):
-    v = rng.normal(size=op31.grid.n_nodes)
-    assert_allclose(op31.apply(v), op31.matrix @ v, rtol=1e-14)
-
-
-def test_solve_omega_inverts_block(op31, rng):
-    b = rng.normal(size=op31.grid.omega.size)
-    x = op31.solve_omega(b)
-    assert_allclose(op31.omega_block @ x, b, rtol=1e-10, atol=1e-12)

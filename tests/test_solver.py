@@ -16,8 +16,10 @@ from viscowave import (NewtonDivergenceError, SolverError, StepFailureError,
 from viscowave import (BackgroundStates, dn_difference_linear, dn_matrix_linear, dnmap,
                        solver)
 from viscowave.controls import ControlBasis, make_control, materialize
-from viscowave.solver import (_check_control, _expand_field, _expand_potential,
-                              _step_inverses, _step_matrix, n_steps_for, trapezoid_weights)
+from viscowave.nonlinearity import apply, apply_derivative
+from viscowave.solver import (NEWTON_MAXIT, NEWTON_TOL, _check_control, _expand_field,
+                              _expand_potential, _step_inverses, _step_matrix, n_steps_for,
+                              trapezoid_weights)
 
 DT, NT = 0.02, 50
 T_FINAL = 1.0
@@ -425,17 +427,46 @@ def test_time_dependent_potential_matches_reference_loop_bitwise(op31, grid31):
     _assert_close(traj, *_reference_solve_linear(op31, q, ctl, DT, T_FINAL))
 
 
-def test_nonlinear_matches_reference_loop_bitwise(op31, grid31, monkeypatch):
+def _reference_newton(op, f, dt, nt):
+    """solve_nonlinear's interior term and Newton step as an (explicit, implicit) pair.
+
+    Returns them with the per-step iteration counts that implicit fills.
+    """
+    L = op.omega_block
+    base_mat = _step_matrix(op, dt)
+    iters = np.zeros(nt, dtype=int)
+
+    def explicit(k, u_k, u_base):
+        return apply(f, u_k)
+
+    def implicit(k, rhs, v_k, u_base):
+        w = v_k
+        for it in range(NEWTON_MAXIT):
+            u_new = u_base + 0.5 * dt * w
+            g = (w + (0.5 * dt + 0.25 * dt * dt) * (L @ w)
+                 + 0.5 * dt * apply(f, u_new) - rhs)
+            if np.max(np.abs(g)) <= NEWTON_TOL:
+                iters[k] = it
+                return w
+            jac = base_mat + 0.25 * dt * dt * np.diag(apply_derivative(f, u_new))
+            w = w - np.linalg.solve(jac, g)
+        raise AssertionError(f"reference Newton did not converge at step {k + 1}")
+
+    return explicit, implicit, iters
+
+
+def test_nonlinear_matches_reference_loop_bitwise(op31, grid31):
     f = power_nonlinearity(1.0, 2)
     ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT, amplitude=0.5)
     kwargs = _shared_inputs(grid31)
     traj = solve_nonlinear(op31, f, ctl, DT, T_FINAL, **kwargs)
-    # the Newton step is unchanged, so the old loop around it is the reference
-    monkeypatch.setattr(solver, "_solve_control", _reference_crank_nicolson)
-    ref = solve_nonlinear(op31, f, ctl, DT, T_FINAL, **kwargs)
-    assert ref.newton_iters.max() >= 1
-    _assert_close(traj, ref.u, ref.v)
-    assert np.array_equal(traj.newton_iters, ref.newton_iters)
+    # the same Newton step, driven by the old loop around it
+    explicit, implicit, iters = _reference_newton(op31, f, DT, NT)
+    ref_u, ref_v = _reference_crank_nicolson(op31, ctl, DT, NT, kwargs["source"], kwargs["u0"],
+                                             kwargs["v0"], explicit, implicit)
+    assert iters.max() >= 1
+    _assert_close(traj, ref_u, ref_v)
+    assert np.array_equal(traj.newton_iters, iters)
 
 
 def test_non_finite_update_reports_its_first_step(op31, grid31):
