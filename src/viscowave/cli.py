@@ -61,7 +61,7 @@ def main(argv=None):
             cfg = load_config(args.config)
             if args.seed is not None:
                 cfg["seed"] = args.seed
-            out = args.out or cfg.get("out_dir", "out")
+            out = args.out or cfg["out_dir"]
             report = run_scenario(cfg, out)
             print(json.dumps({"experiment": report["experiment"],
                               "passed": report["passed"],
@@ -76,13 +76,13 @@ def main(argv=None):
             cfg = load_config(args.config)
             if args.seed is not None:
                 cfg["seed"] = args.seed
-            out = args.out or cfg.get("out_dir", "out")
+            out = args.out or cfg["out_dir"]
             values = [_parse_value(v) for v in args.values]
             summary = sweep_scenario(cfg, args.param, values, out)
             print(json.dumps(summary, indent=2))
             return 0
         parser.error(f"unknown command {args.command}")
-    except (ConfigError, GridError, FileNotFoundError) as exc:
+    except (ConfigError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, InversionError, OperatorError, NonlinearityError) as exc:

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import time
+import types
 
 import numpy as np
 import yaml
@@ -50,46 +51,88 @@ DEFAULTS = {
     "out_dir": "out",
 }
 
-# The keys each experiment.kind and model.kind reads, besides "kind"; any
-# other key in those sections is rejected.
-_TARGET_KEYS = ("target_nodes", "target_stride", "target_width")
-EXPERIMENT_KEYS = {
-    "forward": ("window", "t0", "t1", "amplitude"),
-    "energy-check": ("t0", "t1", "center", "width", "tolerance"),
-    "identity-check": ("variant", "t0", "t1", "t2", "t3", "q1", "q2", "amplitude",
-                       "tolerance"),
-    "runge": ("levels", "window", "center", "width", "t0", "t1", "tolerance"),
-    "invert-linear": ("basis_segments", "frame", "q_time_basis", *_TARGET_KEYS,
-                      "tolerance"),
-    "invert-nonlinear": ("psi_amplitude", "eps_list", "eps0", "basis_segments",
-                         "round_exponent", *_TARGET_KEYS, "exponent_tolerance",
-                         "tolerance"),
-}
-# The identity-check keys only some variants read: the potentials of the
-# alessandrini identity and the control amplitude of the nonlinear one.
-VARIANT_KEYS = {"self-adjoint": (), "alessandrini": ("q1", "q2"),
-                "nonlinear-integral": ("amplitude",)}
-# Every model carries q: DEFAULTS merges a zero potential into it, and every
-# experiment that solves the linear equation reads it whatever the kind.
-MODEL_KEYS = {"linear": ("q",), "nonlinear": ("coeff", "r", "q")}
-EXPERIMENTS = tuple(EXPERIMENT_KEYS)
-# How validate_config checks experiment values other than null: a choice
-# must be listed; a key in _LEAST is an integer of at least that value (a
-# spline level needs 7 segments); any other key is a finite number, except the
-# profiles q1 and q2 (_check_profile) and round_exponent, which is read for
-# its truth.  _LISTS hold a nonempty list of such values.
-_CHOICES = {"window": ("w1", "w2"), "frame": ("direct", "reversed"),
-            "variant": ("self-adjoint", "alessandrini", "nonlinear-integral")}
-_LEAST = {"basis_segments": 7, "levels": 7, "q_time_basis": 2, "target_stride": 1,
-          "target_nodes": 0}
-_LISTS = ("levels", "eps_list", "target_nodes")
-# The parameters of each spatial profile kind (field_from_spec), all finite
-# numbers, besides "kind"; a constant needs its value, and a gaussian's width
-# is positive.  A potential (model.q, experiment.q1/q2) may also carry a
-# "time" dependence.
-PROFILE_KEYS = {"zero": (), "constant": ("value",), "gaussian": ("amplitude", "center", "width"),
-                "sine": ("offset", "amplitude", "frequency")}
-TIME_DEPENDENCE = ("constant", "ramp", "reversed-ramp")
+
+class _Section:
+    """One mapping of a scenario, read key by key.
+
+    A read returns the key's value, or its default when the key is missing or
+    null (None when the read has no default), checked as the read asks; a
+    value it cannot use raises ConfigError naming the key.  Every read records
+    its key, and ``done`` rejects the keys that no read asked for.
+    """
+
+    def __init__(self, name, mapping):
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"{name} must be a mapping, got {mapping!r}")
+        self.name, self.mapping, self.asked = name, mapping, set()
+
+    def get(self, key, default=None, what=None, convert=None, many=False):
+        """The value through convert, which returns None (or raises TypeError
+        or ValueError) for one that is not what; with many, each item of a
+        nonempty list through convert."""
+        self.asked.add(key)
+        value = self.mapping.get(key)
+        value = default if value is None else value
+        if value is None or convert is None:
+            return value
+        try:
+            if many and not (isinstance(value, list) and value):
+                raise TypeError
+            got = [convert(v) for v in value] if many else [convert(value)]
+            if None not in got:
+                return got if many else got[0]
+        except (TypeError, ValueError, OverflowError):
+            pass
+        what = f"a nonempty list, each {what}" if many else what
+        name = f"{self.name}.{key}" if self.name else key
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+    def number(self, key, default=None, sign="", many=False):
+        """A finite float, and positive or nonnegative if sign says so."""
+        def convert(value):
+            number = _finite(value)
+            return number if {"": True, "positive": number > 0,
+                              "nonnegative": number >= 0}[sign] else None
+        what = f"a {sign} finite number" if sign else "a finite number"
+        return self.get(key, default, what, convert, many)
+
+    def integer(self, key, default=None, least=None, many=False):
+        """An integral value as an int, not below least if given."""
+        def convert(value):
+            number = int(value)
+            return number if number == value and (least is None or number >= least) else None
+        what = "an integer" if least is None else f"an integer >= {least}"
+        return self.get(key, default, what, convert, many)
+
+    def choice(self, key, default, options):
+        return self.get(key, default, f"one of {options}",
+                        lambda value: value if value in options else None)
+
+    def pair(self, key):
+        """A list of two finite numbers, as a tuple."""
+        return self.get(key, None, "a pair of finite numbers", lambda value: tuple(
+            map(_finite, value)) if isinstance(value, list) and len(value) == 2 else None)
+
+    def text(self, key):
+        return self.get(key, None, "a nonempty string",
+                        lambda value: value if isinstance(value, str) and value else None)
+
+    def section(self, key):
+        """The mapping under key, read as a section of its own."""
+        return _Section(f"{self.name}.{key}" if self.name else key, self.get(key, {}))
+
+    def done(self, message=None):
+        """Reject the keys no read asked for; message has a {} for them."""
+        unread = sorted(set(self.mapping) - self.asked, key=str)
+        if unread:
+            raise ConfigError((message or f"unknown {self.name} keys {{}}").format(unread))
+
+
+def _finite(value):
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError
+    return number
 
 
 def _merge(base, override):
@@ -105,219 +148,200 @@ def _merge(base, override):
     return out
 
 
+def _read_bytes(path):
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def load_config(path):
-    with open(path) as fh:
-        try:
-            raw = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as exc:
-            detail = " ".join(str(exc).split())  # one line for the CLI
-            raise ConfigError(f"{path}: malformed YAML: {detail}") from exc
+    try:
+        # bytes, so that a file that is not UTF-8 is a YAML error
+        raw = yaml.safe_load(_read_bytes(path)) or {}
+    except yaml.YAMLError as exc:
+        detail = " ".join(str(exc).split())  # one line for the CLI
+        raise ConfigError(f"{path}: malformed YAML: {detail}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    unknown = set(raw) - set(DEFAULTS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     cfg = _merge(DEFAULTS, raw)
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg):
-    """Raise ConfigError on the first value a run could not use as written.
+    """Raise ConfigError on the first value of cfg, merged with DEFAULTS, that
+    a run could not use as written, or on a key that no run of it reads.
 
     Returns the warnings of the run, which do not stop it: the messages of
     ``nonlinearity.check_exponent_constraints`` for a nonlinear model.
     """
-    for key, default in DEFAULTS.items():
-        if isinstance(default, dict) and not isinstance(cfg[key], dict):
-            raise ConfigError(f"{key} must be a mapping, got {cfg[key]!r}")
-    # DEFAULTS lists every key of these sections; experiment and model keys
-    # depend on the kind
-    for key in ("grid", "regularization", "noise"):
-        unknown = set(cfg[key]) - set(DEFAULTS[key])
-        if unknown:
-            raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
-    for key, table in (("experiment", EXPERIMENT_KEYS), ("model", MODEL_KEYS)):
-        kind = cfg[key].get("kind")
-        if kind not in table:
-            raise ConfigError(f"{key}.kind must be one of {tuple(table)}, got {kind!r}")
-        unknown = set(cfg[key]) - {"kind", *table[kind]}
-        if unknown:
-            raise ConfigError(f"unknown {key} keys {sorted(unknown)} for kind {kind!r}")
-    _check_experiment_values(cfg["experiment"])
-    if cfg["experiment"]["kind"] == "identity-check":
-        _check_variant_keys(cfg["experiment"])
-    for section, key, timed in (("model", "q", True), ("model", "coeff", False),
-                                ("experiment", "q1", True), ("experiment", "q2", True)):
-        if cfg[section].get(key) is not None:
-            _check_profile(f"{section}.{key}", cfg[section][key], timed)
-    numbers = {"s": cfg["s"], "dt": cfg["dt"], "t_final": cfg["t_final"],
-               "noise.level": cfg["noise"]["level"],
-               "regularization.synth_alpha": cfg["regularization"]["synth_alpha"],
-               "regularization.alpha_inv": cfg["regularization"]["alpha_inv"],
-               "model.r": cfg["model"].get("r", 1)}
-    for name, value in numbers.items():
-        try:
-            numbers[name] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-        if not math.isfinite(numbers[name]):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
-    for name in ("noise.level", "regularization.synth_alpha", "regularization.alpha_inv"):
-        if numbers[name] < 0:
-            raise ConfigError(f"{name} must be nonnegative, got {numbers[name]!r}")
-    s, dt, t_final, level = (numbers[k] for k in ("s", "dt", "t_final", "noise.level"))
-    kind = cfg["experiment"]["kind"]
-    if level > 0 and kind != "invert-linear":
-        raise ConfigError(f"noise.level={level} is read by invert-linear only, "
-                          f"not by {kind}")
-    for name, value in (("grid.n_nodes", cfg["grid"]["n_nodes"]), ("seed", cfg["seed"])):
-        try:
-            int(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+    return _read_scenario(_merge(DEFAULTS, cfg)).warnings
+
+
+def _read_scenario(cfg):
+    """Every value a run of the merged scenario cfg reads, read once and before
+    any solve: the top-level and section values, the grid, the model's potential
+    q and nonlinearity f (None if linear), the warnings, and the runner's values."""
+    top = _Section("", cfg)
+    grid_cfg = top.section("grid")
+    corners = [grid_cfg.pair(key) for key in ("box", "omega", "w1", "w2")]
+    n_nodes = grid_cfg.integer("n_nodes")
+    grid_cfg.done()
+    grid = build_grid(*corners, n_nodes)
+    s = top.number("s")
     if not 0.0 < s < 1.0:
         raise ConfigError(f"s={cfg['s']} outside (0, 1)")
-    if dt <= 0 or t_final <= 0:
-        raise ConfigError("dt and t_final must be positive")
+    dt, t_final = top.number("dt", sign="positive"), top.number("t_final", sign="positive")
     try:
-        n_steps_for(dt, t_final)
+        nt = n_steps_for(dt, t_final)
     except SolverError as exc:
         raise ConfigError(str(exc)) from exc
-    nodes = cfg["experiment"].get("target_nodes")
-    if nodes is not None:
-        omega = _grid(cfg).omega
-        outside = sorted({int(n) for n in nodes} - set(omega.tolist()))
+    reg, noise = top.section("regularization"), top.section("noise")
+    run = {"grid": grid, "s": s, "dt": dt, "t_final": t_final, "nt": nt,
+           "synth_alpha": reg.number("synth_alpha", sign="nonnegative"),
+           "alpha_inv": reg.number("alpha_inv", sign="nonnegative"),
+           "level": noise.number("level", sign="nonnegative"),
+           "seed": top.integer("seed", least=0), "out_dir": top.text("out_dir")}
+    reg.done()
+    noise.done()
+
+    model = top.section("model")
+    kind = model.choice("kind", None, ("linear", "nonlinear"))
+    run["q"] = potential_from_spec(grid, model.get("q"), dt, t_final, name="model.q")
+    run["f"], run["warnings"] = None, []
+    if kind == "nonlinear":
+        coeff = field_from_spec(grid, model.get("coeff", {"kind": "constant", "value": 1.0}),
+                                name="model.coeff")
+        run["f"] = power_nonlinearity(coeff, model.number("r", 1.0, sign="nonnegative"))
+        # the paper's exponent range is sufficient, not necessary: the run
+        # goes on and its report carries the messages
+        run["warnings"] = check_exponent_constraints(s, run["f"].r)
+    model.done(f"unknown model keys {{}} for kind {kind!r}")
+
+    run.update(_read_experiment(top.section("experiment"), run))
+    if run["level"] > 0 and run["kind"] != "invert-linear":
+        raise ConfigError(f"noise.level={run['level']} is read by invert-linear only, "
+                          f"not by {run['kind']}")
+    top.done("unknown keys {}")
+    return types.SimpleNamespace(**run)
+
+
+def _read_experiment(exp, run):
+    """The values the experiment's runner reads, for its kind and variant,
+    from the experiment section and the values run holds."""
+    grid, dt, t_final, number = run["grid"], run["dt"], run["t_final"], exp.number
+    kind = exp.choice("kind", None, tuple(RUNNERS))
+    unread = f"unknown experiment keys {{}} for kind {kind!r}"
+    needs = None  # (what, model kind) if the experiment needs one model kind
+
+    def pulse(t0, t1, center, width):
+        """t0, t1, center and width of a gaussian times a time bump on (t0, t1)."""
+        return (number("t0", t0), number("t1", t1), number("center", center),
+                number("width", width, sign="positive"))
+
+    def targets():
+        nodes = exp.integer("target_nodes", least=0, many=True)
+        stride = exp.integer("target_stride", 1, least=1)
+        width = number("target_width", sign="positive")
+        if nodes is None:
+            nodes = grid.omega[::stride]
+        outside = sorted(set(nodes) - set(grid.omega.tolist()))
         if outside:
             raise ConfigError(f"experiment.target_nodes {outside} are not omega nodes "
-                              f"({int(omega[0])}..{int(omega[-1])})")
-    if cfg["model"]["kind"] != "nonlinear":
-        return []
-    # the paper's exponent range is sufficient, not necessary: the run goes on
-    # and its report carries the messages
-    return check_exponent_constraints(s, numbers["model.r"])
+                              f"({int(grid.omega[0])}..{int(grid.omega[-1])})")
+        return interior_targets(grid, t_final, nodes=nodes, space_width=width)
+
+    if kind == "forward":
+        values = {"window": exp.choice("window", "w1", ("w1", "w2")),
+                  "t0": number("t0", 0.1 * t_final), "t1": number("t1", 0.9 * t_final),
+                  "amplitude": number("amplitude", 1.0)}
+    elif kind == "energy-check":
+        values = {"pulse": pulse(0.1 * t_final, 0.6 * t_final, 0.5, 0.15),
+                  "tolerance": number("tolerance", 1e-3)}
+    elif kind == "identity-check":
+        variant = exp.choice("variant", "self-adjoint",
+                             ("self-adjoint", "alessandrini", "nonlinear-integral"))
+        values = {"variant": variant, "t0": number("t0", 0.05), "t1": number("t1", 0.65),
+                  "t2": number("t2", 0.25), "t3": number("t3", 0.90),
+                  "tolerance": number("tolerance", 1e-3), "amplitude": 1.0}
+        if variant == "alessandrini":
+            q1 = exp.get("q1")
+            values["q1"] = run["q"] if q1 is None else potential_from_spec(
+                grid, q1, dt, t_final, name="experiment.q1")
+            values["q2"] = potential_from_spec(grid, exp.get("q2"), dt, t_final,
+                                               name="experiment.q2")
+        elif variant == "nonlinear-integral":
+            values["amplitude"] = number("amplitude", 0.1)
+            needs = ("nonlinear-integral identity", "nonlinear")
+        unread = f"experiment keys {{}} are not read by identity-check variant {variant!r}"
+    elif kind == "runge":
+        values = {"levels": exp.integer("levels", [8, 16, 32], least=7, many=True),
+                  "window": exp.choice("window", "w1", ("w1", "w2")),
+                  "pulse": pulse(0.2 * t_final, 0.8 * t_final, 0.35, 0.22),
+                  "tolerance": number("tolerance", 0.2)}
+    elif kind == "invert-linear":
+        values = {"basis_segments": exp.integer("basis_segments", 16, least=7),
+                  "frame": exp.choice("frame", "direct", ("direct", "reversed")),
+                  "q_time_basis": exp.integer("q_time_basis", least=2),
+                  "targets": targets(), "tolerance": number("tolerance", 0.10)}
+        needs = ("invert-linear", "linear")
+    else:
+        values = {"psi_amplitude": number("psi_amplitude", 50.0),
+                  "eps_list": number("eps_list", [1e-1, 3e-2, 1e-2], "positive", many=True),
+                  "eps0": number("eps0", 1e-1, sign="positive"),
+                  "basis_segments": exp.integer("basis_segments", 16, least=7),
+                  "round_exponent": exp.choice("round_exponent", True, (True, False)),
+                  "targets": targets(),
+                  "exponent_tolerance": number("exponent_tolerance", 0.1),
+                  "tolerance": number("tolerance", 0.15)}
+        needs = ("invert-nonlinear", "nonlinear")
+    exp.done(unread)
+    if needs and needs[1] != ("linear" if run["f"] is None else "nonlinear"):
+        raise ConfigError(f"{needs[0]} needs model.kind {needs[1]}")
+    return {"kind": kind, **values}
 
 
-def _check_experiment_values(exp):
-    for key, value in exp.items():
-        if value is None or key in ("kind", "q1", "q2", "round_exponent"):
-            continue
-        if key in _CHOICES:
-            if value not in _CHOICES[key]:
-                raise ConfigError(f"experiment.{key} must be one of {_CHOICES[key]}, "
-                                  f"got {value!r}")
-            continue
-        least = _LEAST.get(key)
-        what = "a finite number" if least is None else f"an integer >= {least}"
-        if key in _LISTS:
-            what = f"a nonempty list, each {what}"
-        items = value if key in _LISTS else [value]
-        try:
-            if not isinstance(items, list) or not items:
-                raise TypeError
-            numbers = [float(v) if least is None else int(v) for v in items]
-            ok = (all(map(math.isfinite, numbers)) if least is None
-                  else min(numbers) >= least)
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ConfigError(f"experiment.{key} must be {what}, got {value!r}")
-
-
-def _check_variant_keys(exp):
-    variant = _param(exp, "variant", "self-adjoint")
-    unread = sorted(key for key in ("q1", "q2", "amplitude")
-                    if exp.get(key) is not None and key not in VARIANT_KEYS[variant])
-    if unread:
-        raise ConfigError(f"experiment keys {unread} are not read by identity-check "
-                          f"variant {variant!r}")
-
-
-def _check_profile(name, spec, timed):
-    """Reject a profile spec that field_from_spec (and, if timed,
-    potential_from_spec) would not sample as written."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be a mapping, got {spec!r}")
-    kind = _param(spec, "kind", "zero")
-    if kind not in PROFILE_KEYS:
-        raise ConfigError(f"{name}.kind must be one of {tuple(PROFILE_KEYS)}, got {kind!r}")
-    unknown = set(spec) - {"kind", *PROFILE_KEYS[kind], *(("time",) if timed else ())}
-    if unknown:
-        raise ConfigError(f"unknown {name} keys {sorted(unknown)} for kind {kind!r}")
-    if _param(spec, "time", "constant") not in TIME_DEPENDENCE:
-        raise ConfigError(f"{name}.time must be one of {TIME_DEPENDENCE}, "
-                          f"got {spec['time']!r}")
-    if kind == "constant" and spec.get("value") is None:
-        raise ConfigError(f"{name}.value is required for kind 'constant'")
-    for key in PROFILE_KEYS[kind]:
-        value = spec.get(key)
-        if value is None:
-            continue
-        try:
-            number = float(value)
-        except (TypeError, ValueError, OverflowError):
-            number = math.nan
-        if not math.isfinite(number) or (key == "width" and number <= 0):
-            what = "a positive finite number" if key == "width" else "a finite number"
-            raise ConfigError(f"{name}.{key} must be {what}, got {value!r}")
-
-
-def _param(spec, key, default):
-    """spec[key], or default when it is missing or null."""
-    value = spec.get(key)
-    return default if value is None else value
-
-
-def field_from_spec(grid, spec, nodes=None):
-    """Nodal samples of a named spatial profile on omega (or given nodes)."""
-    x = grid.x[grid.omega if nodes is None else nodes]
-    spec = spec or {}
-    kind = _param(spec, "kind", "zero")
+def _profile(grid, spec):
+    """Nodal samples on omega of the spatial profile that the section spec
+    describes; spec's other reads come before this one."""
+    x = grid.x[grid.omega]
+    kind = spec.choice("kind", "zero", ("zero", "constant", "gaussian", "sine"))
     if kind == "zero":
-        return np.zeros_like(x)
-    if kind == "constant":
-        return np.full_like(x, float(spec["value"]))
-    if kind == "gaussian":
-        amp = float(_param(spec, "amplitude", 1.0))
-        center = float(_param(spec, "center", 0.5))
-        width = float(_param(spec, "width", 0.1))
-        return amp * np.exp(-((x - center) / width) ** 2)
-    if kind == "sine":
-        off = float(_param(spec, "offset", 0.0))
-        amp = float(_param(spec, "amplitude", 1.0))
-        freq = float(_param(spec, "frequency", 1.0))
-        return off + amp * np.sin(2.0 * np.pi * freq * x)
-    raise ConfigError(f"unknown field kind {kind!r}")
+        values = np.zeros_like(x)
+    elif kind == "constant":
+        value = spec.number("value")
+        if value is None:
+            raise ConfigError(f"{spec.name}.value is required for kind 'constant'")
+        values = np.full_like(x, value)
+    elif kind == "gaussian":
+        amp, center = spec.number("amplitude", 1.0), spec.number("center", 0.5)
+        width = spec.number("width", 0.1, sign="positive")
+        values = amp * np.exp(-((x - center) / width) ** 2)
+    else:
+        off, amp = spec.number("offset", 0.0), spec.number("amplitude", 1.0)
+        freq = spec.number("frequency", 1.0)
+        values = off + amp * np.sin(2.0 * np.pi * freq * x)
+    spec.done(f"unknown {spec.name} keys {{}} for kind {kind!r}")
+    return values
 
 
-def potential_from_spec(grid, spec, dt, t_final):
-    """Potential samples: static omega vector, or (n_steps+1, n_omega) field."""
-    spec = spec or {"kind": "zero"}
-    tdep = _param(spec, "time", "constant")
-    prof = field_from_spec(grid, spec)
+def field_from_spec(grid, spec, name="profile"):
+    """Nodal samples on omega of a named spatial profile; name labels its errors."""
+    return _profile(grid, _Section(name, {} if spec is None else spec))
+
+
+def potential_from_spec(grid, spec, dt, t_final, name="potential"):
+    """Potential samples: static omega vector, or (n_steps+1, n_omega) field;
+    ``time: ramp`` is profile(x)·t, and ``reversed-ramp`` profile(x)·(t_final − t)."""
+    section = _Section(name, {} if spec is None else spec)
+    tdep = section.choice("time", "constant", ("constant", "ramp", "reversed-ramp"))
+    prof = _profile(grid, section)
     if tdep == "constant":
         return prof
-    nt = n_steps_for(dt, t_final)
-    t = dt * np.arange(nt + 1)
-    if tdep == "ramp":          # q(x, t) = profile(x) * t
-        return np.outer(t, prof)
-    if tdep == "reversed-ramp":  # q(x, t) = profile(x) * (t_final - t)
-        return np.outer(t_final - t, prof)
-    raise ConfigError(f"unknown time dependence {tdep!r}")
-
-
-def _model_pieces(grid, cfg, dt, t_final):
-    """The model's potential samples and its nonlinearity (None if linear)."""
-    model = cfg["model"]
-    q = potential_from_spec(grid, model.get("q"), dt, t_final)
-    if model["kind"] == "linear":
-        return q, None
-    coeff = field_from_spec(grid, model.get("coeff", {"kind": "constant", "value": 1.0}))
-    return q, power_nonlinearity(coeff, float(model.get("r", 1)))
-
-
-def _noise_rng(cfg):
-    return np.random.default_rng(int(cfg["seed"]))
+    t = dt * np.arange(n_steps_for(dt, t_final) + 1)
+    return np.outer(t if tdep == "ramp" else t_final - t, prof)
 
 
 def _add_noise(record, sigma, rng):
@@ -328,53 +352,28 @@ def _add_noise(record, sigma, rng):
     return dataclasses.replace(record, pairings=noisy, tag=record.tag + "+noise")
 
 
-def _grid(cfg):
-    g = cfg["grid"]
-    return build_grid(tuple(g["box"]), tuple(g["omega"]), tuple(g["w1"]),
-                      tuple(g["w2"]), int(g["n_nodes"]))
-
-
 def _setup(cfg):
-    """Grid, operator, dt, t_final and the step count of a scenario."""
-    grid = _grid(cfg)
-    op = assemble_fraclap(grid, float(cfg["s"]))
-    dt, t_final = float(cfg["dt"]), float(cfg["t_final"])
-    return grid, op, dt, t_final, n_steps_for(dt, t_final)
+    """The values a run of the merged scenario cfg reads, and its operator."""
+    run = _read_scenario(cfg)
+    return run, assemble_fraclap(run.grid, run.s)
 
 
-def _gaussian_pulse(grid, exp, dt, nt, t0, t1, center, width):
-    """Gaussian over omega times a time bump on (t0, t1), as (nt+1, n_omega)
-    samples; the experiment's t0, t1, center and width override the defaults."""
-    theta, _ = time_bump(dt * np.arange(nt + 1), float(exp.get("t0", t0)),
-                         float(exp.get("t1", t1)))
-    prof = field_from_spec(grid, {"kind": "gaussian", "center": exp.get("center", center),
-                                  "width": exp.get("width", width)})
+def _gaussian_pulse(grid, dt, nt, t0, t1, center, width):
+    """Gaussian over omega times a time bump on (t0, t1), as (nt+1, n_omega) samples."""
+    theta, _ = time_bump(dt * np.arange(nt + 1), t0, t1)
+    prof = field_from_spec(grid, {"kind": "gaussian", "center": center, "width": width})
     return np.outer(theta, prof)
 
 
-def _targets_from_cfg(grid, t_final, exp):
-    width = exp.get("target_width")
-    nodes = exp.get("target_nodes")
-    stride = int(exp.get("target_stride", 1))
-    if nodes is None:
-        nodes = grid.omega[::stride]
-    return interior_targets(grid, t_final, nodes=nodes, space_width=width)
-
-
-def run_forward(cfg, out_dir):
-    grid, op, dt, t_final, nt = _setup(cfg)
-    exp = cfg["experiment"]
-    ctrl = bump_control(grid, exp.get("window", "w1"),
-                        float(exp.get("t0", 0.1 * t_final)),
-                        float(exp.get("t1", 0.9 * t_final)),
-                        dt, nt, amplitude=float(exp.get("amplitude", 1.0)))
-    q, f = _model_pieces(grid, cfg, dt, t_final)
-    if f is None:
-        traj = solve_linear(op, q, ctrl, dt, t_final)
+def run_forward(run, op, out_dir):
+    ctrl = bump_control(run.grid, run.window, run.t0, run.t1, run.dt, run.nt,
+                        amplitude=run.amplitude)
+    if run.f is None:
+        traj = solve_linear(op, run.q, ctrl, run.dt, run.t_final)
     else:
-        traj = solve_nonlinear(op, f, ctrl, dt, t_final)
-    trajectory_to_csv(traj, grid, os.path.join(out_dir, "trajectory.csv"))
-    om = grid.omega
+        traj = solve_nonlinear(op, run.f, ctrl, run.dt, run.t_final)
+    trajectory_to_csv(traj, run.grid, os.path.join(out_dir, "trajectory.csv"))
+    om = run.grid.omega
     metrics = {
         "max_abs_u": float(np.abs(traj.u[:, om]).max()),
         "max_abs_v": float(np.abs(traj.v[:, om]).max()),
@@ -385,153 +384,107 @@ def run_forward(cfg, out_dir):
     return metrics, None
 
 
-def run_energy_check(cfg, out_dir):
-    grid, op, dt, t_final, nt = _setup(cfg)
-    exp = cfg["experiment"]
-    source = _gaussian_pulse(grid, exp, dt, nt, 0.1 * t_final, 0.6 * t_final, 0.5, 0.15)
-    q, _f = _model_pieces(grid, cfg, dt, t_final)
-    traj = solve_linear(op, q, None, dt, t_final, source=source)
-    ledger = energy_ledger(op, traj, q=q, source=source)
-    tol = float(exp.get("tolerance", 1e-3))
+def run_energy_check(run, op, out_dir):
+    source = _gaussian_pulse(run.grid, run.dt, run.nt, *run.pulse)
+    traj = solve_linear(op, run.q, None, run.dt, run.t_final, source=source)
+    ledger = energy_ledger(op, traj, q=run.q, source=source)
     res = float(ledger.max_relative_residual)
-    return {"max_relative_residual": res, "tolerance": tol}, res <= tol
+    return {"max_relative_residual": res, "tolerance": run.tolerance}, res <= run.tolerance
 
 
-def run_identity_check(cfg, out_dir):
-    grid, op, dt, t_final, nt = _setup(cfg)
-    exp = cfg["experiment"]
-    variant = exp.get("variant", "self-adjoint")
-    amp = float(exp.get("amplitude", 0.1)) if variant == "nonlinear-integral" else 1.0
-    phi1 = bump_control(grid, "w1", float(exp.get("t0", 0.05)),
-                        float(exp.get("t1", 0.65)), dt, nt, amplitude=amp)
-    phi2 = bump_control(grid, "w2", float(exp.get("t2", 0.25)),
-                        float(exp.get("t3", 0.90)), dt, nt)
-    tol = float(exp.get("tolerance", 1e-3))
-    q, f = _model_pieces(grid, cfg, dt, t_final)
-    if variant == "nonlinear-integral" and f is None:
-        raise ConfigError("nonlinear-integral identity needs model.kind nonlinear")
-    if variant == "self-adjoint":
-        res, lhs, rhs = self_adjointness_residual(op, q, phi1, phi2, dt, t_final)
-    elif variant == "alessandrini":
-        q1 = potential_from_spec(grid, exp["q1"], dt, t_final) if "q1" in exp else q
-        q2 = potential_from_spec(grid, exp.get("q2", {"kind": "zero"}), dt, t_final)
-        lhs, rhs, res = alessandrini_residual(op, q1, q2, phi1, phi2, dt, t_final)
+def run_identity_check(run, op, out_dir):
+    dt, t_final = run.dt, run.t_final
+    phi1 = bump_control(run.grid, "w1", run.t0, run.t1, dt, run.nt, amplitude=run.amplitude)
+    phi2 = bump_control(run.grid, "w2", run.t2, run.t3, dt, run.nt)
+    if run.variant == "self-adjoint":
+        res, lhs, rhs = self_adjointness_residual(op, run.q, phi1, phi2, dt, t_final)
+    elif run.variant == "alessandrini":
+        lhs, rhs, res = alessandrini_residual(op, run.q1, run.q2, phi1, phi2, dt, t_final)
     else:
         lhs, rhs, res = nonlinear_integral_identity_residual(
-            op, f, zero_nonlinearity(), phi1, phi2, dt, t_final)
+            op, run.f, zero_nonlinearity(), phi1, phi2, dt, t_final)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     rel = float(res / scale)
     metrics = {"lhs": float(lhs), "rhs": float(rhs), "residual": float(res),
-               "relative_residual": rel, "tolerance": tol, "variant": variant}
-    return metrics, rel <= tol
+               "relative_residual": rel, "tolerance": run.tolerance, "variant": run.variant}
+    return metrics, rel <= run.tolerance
 
 
-def run_runge(cfg, out_dir):
-    grid, op, dt, t_final, nt = _setup(cfg)
-    exp = cfg["experiment"]
-    target = _gaussian_pulse(grid, exp, dt, nt, 0.2 * t_final, 0.8 * t_final, 0.35, 0.22)
+def run_runge(run, op, out_dir):
+    grid, dt, t_final, nt = run.grid, run.dt, run.t_final, run.nt
+    target = _gaussian_pulse(grid, dt, nt, *run.pulse)
     wt = dt * trapezoid_weights(nt)
     k_om = grid.h * op.omega_block
     tnorm = float(np.sqrt(np.sum(wt * np.einsum("tj,tj->t", target, target @ k_om))))
 
-    levels = [int(v) for v in exp.get("levels", [8, 16, 32])]
-    alpha = float(cfg["regularization"]["synth_alpha"])
-    window = exp.get("window", "w1")
     errors = []
-    q, _f = _model_pieces(grid, cfg, dt, t_final)
-    for nseg in levels:
-        basis = ControlBasis(grid, window, t_final, nseg)
-        _coeffs, _achieved, err = BackgroundStates(op, q, basis, dt, t_final).synthesize(
-            target, alpha)
+    for nseg in run.levels:
+        basis = ControlBasis(grid, run.window, t_final, nseg)
+        _coeffs, _achieved, err = BackgroundStates(op, run.q, basis, dt, t_final).synthesize(
+            target, run.synth_alpha)
         errors.append(float(err))
     rel = [e / tnorm for e in errors]
-    tol = float(exp.get("tolerance", 0.2))
     monotone = all(rel[i + 1] <= rel[i] for i in range(len(rel) - 1))
-    metrics = {"levels": levels, "errors": errors, "relative_errors": rel,
-               "target_norm": tnorm, "monotone": monotone, "tolerance": tol}
-    return metrics, monotone and rel[-1] <= tol
+    metrics = {"levels": run.levels, "errors": errors, "relative_errors": rel,
+               "target_norm": tnorm, "monotone": monotone, "tolerance": run.tolerance}
+    return metrics, monotone and rel[-1] <= run.tolerance
 
 
-def run_invert_linear(cfg, out_dir):
-    grid, op, dt, t_final, nt = _setup(cfg)
-    exp = cfg["experiment"]
-    q_true, f = _model_pieces(grid, cfg, dt, t_final)
-    if f is not None:
-        raise ConfigError("invert-linear needs model.kind linear")
-
-    nseg = int(exp.get("basis_segments", 16))
-    basis1 = ControlBasis(grid, "w1", t_final, nseg)
-    basis2 = ControlBasis(grid, "w2", t_final, nseg)
+def run_invert_linear(run, op, out_dir):
+    grid, dt, t_final, nt, q_true = run.grid, run.dt, run.t_final, run.nt, run.q
+    basis1 = ControlBasis(grid, "w1", t_final, run.basis_segments)
+    basis2 = ControlBasis(grid, "w2", t_final, run.basis_segments)
     # the data enter as their difference from the q = 0 background, measured
     # by the difference equation driven from the w1 states the inversion
     # synthesizes with; the noise scales with the data themselves
     background = BackgroundStates(op, None, basis1, dt, t_final)
     rec_data = dn_difference_linear(q_true, background, basis2, tag="data")
-    level = float(cfg["noise"]["level"])
-    if level > 0:
+    if run.level > 0:
         p_bg = dn_matrix_linear(op, None, basis1, basis2, dt, t_final).pairings
-        rec_data = _add_noise(rec_data, level * np.std(p_bg + rec_data.pairings),
-                              _noise_rng(cfg))
+        rec_data = _add_noise(rec_data, run.level * np.std(p_bg + rec_data.pairings),
+                              np.random.default_rng(run.seed))
 
-    targets = _targets_from_cfg(grid, t_final, exp)
-    frame = exp.get("frame", "direct")
-    q_time_basis = exp.get("q_time_basis")
-    reg = cfg["regularization"]
     recon = recover_linear_potential(
-        rec_data, background, targets, float(reg["alpha_inv"]),
-        synth_alpha=float(reg["synth_alpha"]),
-        q_time_basis=None if q_time_basis is None else int(q_time_basis),
-        frame=frame)
+        rec_data, background, run.targets, run.alpha_inv, synth_alpha=run.synth_alpha,
+        q_time_basis=run.q_time_basis, frame=run.frame)
     recon.save(os.path.join(out_dir, "reconstruction.json"))
-    if q_time_basis is None and np.ndim(q_true) == 1:
+    if run.q_time_basis is None and np.ndim(q_true) == 1:
         recon.save_csv(os.path.join(out_dir, "reconstruction.csv"), q_true=q_true)
 
     # compare against the truth in the frame the experiment requested
-    if q_time_basis is None:
+    if run.q_time_basis is None:
         truth = q_true if np.ndim(q_true) == 1 else np.mean(q_true, axis=0)
         num = float(np.linalg.norm(recon.values - truth))
         den = float(max(np.linalg.norm(truth), 1e-300))
     else:
         truth = q_true if np.ndim(q_true) == 2 else np.tile(q_true, (nt + 1, 1))
         truth = truth.T  # (n_omega, nt+1) like recon.values
-        if frame == "reversed":
+        if run.frame == "reversed":
             truth = truth[:, ::-1]
         wt = trapezoid_weights(nt)
         num = float(np.sqrt(np.sum(wt[None, :] * (recon.values - truth) ** 2)))
         den = float(max(np.sqrt(np.sum(wt[None, :] * truth ** 2)), 1e-300))
     rel = num / den
-    tol = float(exp.get("tolerance", 0.10))
-    metrics = {"relative_l2_error": rel, "tolerance": tol, "frame": frame,
-               "noise_level": level,
+    metrics = {"relative_l2_error": rel, "tolerance": run.tolerance, "frame": run.frame,
+               "noise_level": run.level,
                "fit_residual": recon.diagnostics["fit_residual"],
                "rhs_norm": recon.diagnostics["rhs_norm"],
-               "n_targets": len(targets)}
-    return metrics, rel <= tol
+               "n_targets": len(run.targets)}
+    return metrics, rel <= run.tolerance
 
 
-def run_invert_nonlinear(cfg, out_dir):
-    grid, op, dt, t_final, nt = _setup(cfg)
-    exp = cfg["experiment"]
-    _q, f = _model_pieces(grid, cfg, dt, t_final)
-    if f is None:
-        raise ConfigError("invert-nonlinear needs model.kind nonlinear")
-
-    amp = float(exp.get("psi_amplitude", 50.0))
-    psi = bump_control(grid, "w1", 0.1 * t_final, 0.9 * t_final, dt, nt,
-                       amplitude=amp)
-    nseg = int(exp.get("basis_segments", 16))
-    basis2 = ControlBasis(grid, "w2", t_final, nseg)
-    eps_list = [float(e) for e in exp.get("eps_list", [1e-1, 3e-2, 1e-2])]
-    r_est, diag = estimate_homogeneity_exponent(op, f, psi, basis2, eps_list,
+def run_invert_nonlinear(run, op, out_dir):
+    grid, dt, t_final, f = run.grid, run.dt, run.t_final, run.f
+    psi = bump_control(grid, "w1", 0.1 * t_final, 0.9 * t_final, dt, run.nt,
+                       amplitude=run.psi_amplitude)
+    basis2 = ControlBasis(grid, "w2", t_final, run.basis_segments)
+    r_est, diag = estimate_homogeneity_exponent(op, f, psi, basis2, run.eps_list,
                                                 dt, t_final)
 
-    targets = _targets_from_cfg(grid, t_final, exp)
-    reg = cfg["regularization"]
-    eps0 = float(exp.get("eps0", 1e-1))
     recon = recover_nonlinear_coefficient(
-        op, f, round(r_est) if exp.get("round_exponent", True) else r_est,
-        targets, eps0, float(reg["alpha_inv"]), dt, t_final, psi=psi,
-        synth_alpha=float(reg["synth_alpha"]), n_segments=nseg)
+        op, f, round(r_est) if run.round_exponent else r_est,
+        run.targets, run.eps0, run.alpha_inv, dt, t_final, psi=psi,
+        synth_alpha=run.synth_alpha, n_segments=run.basis_segments)
     recon.save(os.path.join(out_dir, "reconstruction.json"))
     recon.save_csv(os.path.join(out_dir, "reconstruction.csv"), q_true=f.coeff)
 
@@ -539,14 +492,12 @@ def run_invert_nonlinear(cfg, out_dir):
     num = float(np.linalg.norm(recon.values[cov] - f.coeff[cov]))
     den = float(max(np.linalg.norm(f.coeff[cov]), 1e-300))
     rel = num / den
-    r_tol = float(exp.get("exponent_tolerance", 0.1))
-    c_tol = float(exp.get("tolerance", 0.15))
     metrics = {"r_true": f.r, "r_est": float(r_est),
-               "exponent_tolerance": r_tol,
-               "relative_l2_error_covered": rel, "tolerance": c_tol,
+               "exponent_tolerance": run.exponent_tolerance,
+               "relative_l2_error_covered": rel, "tolerance": run.tolerance,
                "n_covered": int(cov.sum()), "n_omega": int(len(cov)),
                "eps_differences": diag["differences"]}
-    return metrics, (abs(r_est - f.r) <= r_tol) and rel <= c_tol
+    return metrics, (abs(r_est - f.r) <= run.exponent_tolerance) and rel <= run.tolerance
 
 
 RUNNERS = {
@@ -562,32 +513,39 @@ RUNNERS = {
 def run_scenario(cfg, out_dir=None):
     """Run one experiment; returns the report dict and writes report.json."""
     cfg = _merge(DEFAULTS, cfg)
-    warned = validate_config(cfg)
-    out_dir = out_dir or cfg.get("out_dir", "out")
-    os.makedirs(out_dir, exist_ok=True)
-    kind = cfg["experiment"]["kind"]
     start = time.time()
-    metrics, passed = RUNNERS[kind](cfg, out_dir)
+    run, op = _setup(cfg)
+    out_dir = out_dir or run.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    metrics, passed = RUNNERS[run.kind](run, op, out_dir)
     report = {
-        "experiment": kind,
+        "experiment": run.kind,
         "config": cfg,
         "metrics": metrics,
         "passed": passed,
         "runtime_seconds": round(time.time() - start, 3),
     }
-    if warned:
-        report["warnings"] = warned
+    if run.warnings:
+        report["warnings"] = run.warnings
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2)
     return report
 
 
+def _read_report(path):
+    try:
+        report = json.loads(_read_bytes(path))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{path}: not JSON: {exc}") from exc
+    if not (isinstance(report, dict) and "experiment" in report
+            and isinstance(report.get("metrics"), dict)):
+        raise ConfigError(f"{path}: not a report, a mapping with 'experiment' and 'metrics'")
+    return report
+
+
 def compare_reports(path_a, path_b):
     """Metric-by-metric comparison of two report files."""
-    with open(path_a) as fh:
-        a = json.load(fh)
-    with open(path_b) as fh:
-        b = json.load(fh)
+    a, b = _read_report(path_a), _read_report(path_b)
     if a["experiment"] != b["experiment"]:
         raise ConfigError(f"cannot compare {a['experiment']} report "
                           f"with {b['experiment']} report")
@@ -621,7 +579,6 @@ def sweep_scenario(cfg, param, values, out_dir):
     for val in values:
         sub = copy.deepcopy(cfg)
         _set_by_path(sub, param, val)
-        validate_config(sub)
         sub_dir = os.path.join(out_dir, f"{param.replace('.', '_')}_{val}")
         reports.append(run_scenario(sub, sub_dir))
     summary = {

@@ -93,9 +93,9 @@ def check_exponent_constraints(s, r):
     satisfy r <= 2s/(1-2s) when 2s < 1.  Returns the list of messages, empty
     inside the range.
     """
-    if 2 * s < 1:
-        rmax = 2 * s / (1 - 2 * s)
-        if r > rmax:
-            return [f"homogeneity degree r={r} above the admissible bound "
-                    f"2s/(1-2s)={rmax:.3f} for s={s}"]
+    # r(1-2s) > 2s, with room for the rounding of decimal inputs: the double
+    # nearest 0.3 lies below 0.3, so r = 1.5 would exceed its exact bound
+    if 2 * s < 1 and r * (1 - 2 * s) > 2 * s * (1 + 1e-12):
+        return [f"homogeneity degree r={r} above the admissible bound "
+                f"2s/(1-2s)={2 * s / (1 - 2 * s):.3f} for s={s}"]
     return []

@@ -14,10 +14,9 @@ from viscowave import (BackgroundStates, ConfigError, ControlBasis, build_grid,
                        synthesize_control)
 from viscowave import dnmap, harness, inversion, solver
 from viscowave.cli import main
-from viscowave.harness import (DEFAULTS, EXPERIMENT_KEYS, MODEL_KEYS, _add_noise,
-                               _gaussian_pulse, _merge, _set_by_path, _setup,
-                               field_from_spec, potential_from_spec, sweep_scenario,
-                               validate_config)
+from viscowave.harness import (DEFAULTS, RUNNERS, _add_noise, _gaussian_pulse, _merge,
+                               _set_by_path, _setup, field_from_spec, potential_from_spec,
+                               sweep_scenario, validate_config)
 
 from test_solver import _crank_nicolson, _linear_step
 
@@ -69,6 +68,44 @@ def test_validate_config_errors():
         validate_config(small_cfg(dt=-0.01))
     with pytest.raises(ConfigError, match="nonnegative"):
         validate_config(small_cfg(noise={"level": -0.5}))
+    with pytest.raises(ConfigError, match=r"unknown keys \['bogus'\]"):
+        validate_config(small_cfg(bogus=1))
+
+
+VARIANTS = ("self-adjoint", "alessandrini", "nonlinear-integral")
+# A value each key's read accepts on the 31-node grid; any other key takes 0.5.
+SAMPLES = {"window": "w2", "frame": "reversed", "variant": "alessandrini",
+           "levels": [8, 16], "basis_segments": 8, "q_time_basis": 2, "target_stride": 2,
+           "target_nodes": [15], "eps_list": [0.1, 0.05], "round_exponent": False,
+           "q": {"kind": "zero"}, "q1": {"kind": "zero"}, "q2": {"kind": "zero"},
+           "coeff": {"kind": "constant", "value": 2.0}, "r": 2}
+
+
+def _scenarios():
+    """(section, kind, overrides) of each model kind's default scenario and
+    each experiment kind's, once per identity-check variant."""
+    for kind in ("linear", "nonlinear"):
+        yield "model", kind, {"model": {"kind": kind}}
+    for kind in RUNNERS:
+        for variant in VARIANTS if kind == "identity-check" else (None,):
+            nonlinear = kind == "invert-nonlinear" or variant == "nonlinear-integral"
+            yield "experiment", kind, {"experiment": {"kind": kind, "variant": variant},
+                                       "model": {"kind": "nonlinear" if nonlinear else "linear"}}
+
+
+def _keys_read(overrides):
+    """The keys besides kind that validating small_cfg(**overrides) reads, by section."""
+    read = {}
+    done = harness._Section.done
+
+    def recording(section, *args):
+        read[section.name] = section.asked - {"kind"}
+        return done(section, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness._Section, "done", recording)
+        validate_config(small_cfg(**overrides))
+    return read
 
 
 def test_accepted_keys_follow_the_kind():
@@ -77,19 +114,31 @@ def test_accepted_keys_follow_the_kind():
         validate_config(small_cfg(experiment={"kind": "forward", "levels": [8]}))
     with pytest.raises(ConfigError, match=r"unknown model keys \['coeff'\]"):
         validate_config(small_cfg(model={"kind": "linear", "coeff": {"kind": "zero"}}))
-    for kind, keys in EXPERIMENT_KEYS.items():
-        validate_config(small_cfg(experiment={"kind": kind, **dict.fromkeys(keys)}))
-    validate_config(small_cfg(model={"kind": "nonlinear", "r": 2}))
+    # every key a kind reads takes a value of its type, and a null
+    for section, kind, overrides in _scenarios():
+        for key in _keys_read(overrides)[section]:
+            for value in (SAMPLES.get(key, 0.5), None):
+                validate_config(small_cfg(**_merge(overrides, {section: {key: value}})))
 
 
 def test_readme_lists_the_accepted_keys():
+    # both ways: each key a kind's reads ask for is in its README bullet, and
+    # each key the bullet lists validates with a sample value
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     scenarios = text.split("### Scenario files")[1].split("### Output files")[0]
-    bullets = {b.split("`")[1]: set(b.split("`")[1::2])
-               for b in re.split(r"\n- ", scenarios)[1:]}
-    for kind, keys in {**EXPERIMENT_KEYS, **MODEL_KEYS}.items():
-        assert kind in bullets, kind
-        assert set(keys) <= bullets[kind], (kind, set(keys) - bullets[kind])
+    items = [b.split("\n\n")[0] for b in re.split(r"\n- ", scenarios)[1:]]
+    bullets = {b.split("`")[1]: set(b.split("Keys:")[1].split("`")[1::2])
+               for b in items if "Keys:" in b}
+    read = {}
+    for section, kind, overrides in _scenarios():
+        keys = _keys_read(overrides)[section]
+        read.setdefault(kind, set()).update(keys)
+        for key in keys & bullets.get(kind, set()):
+            sample = {section: {key: SAMPLES.get(key, 0.5)}}
+            validate_config(small_cfg(**_merge(overrides, sample)))
+    assert read.keys() == bullets.keys()
+    for kind, keys in read.items():
+        assert keys == bullets[kind], (kind, keys ^ bullets[kind])
 
 
 def test_field_from_spec_kinds(grid31):
@@ -102,7 +151,8 @@ def test_field_from_spec_kinds(grid31):
     s = field_from_spec(grid31, {"kind": "sine", "offset": 1.0,
                                  "amplitude": 0.3, "frequency": 1.0})
     assert_allclose(s, 1.0 + 0.3 * np.sin(2 * np.pi * x))
-    with pytest.raises(ConfigError, match="unknown field kind"):
+    with pytest.raises(ConfigError, match=r"^profile.kind must be one of \('zero', "
+                                          r"'constant', 'gaussian', 'sine'\), got 'sawtooth'$"):
         field_from_spec(grid31, {"kind": "sawtooth"})
 
 
@@ -118,7 +168,8 @@ def test_potential_from_spec_time_shapes(grid31):
     rev = potential_from_spec(grid31, {"kind": "constant", "value": 2.0,
                                        "time": "reversed-ramp"}, 0.02, 1.0)
     assert_allclose(rev, np.outer(1.0 - t, prof))
-    with pytest.raises(ConfigError, match="unknown time dependence"):
+    with pytest.raises(ConfigError, match=r"^potential.time must be one of \('constant', "
+                                          r"'ramp', 'reversed-ramp'\), got 'sinusoid'$"):
         potential_from_spec(grid31, {"kind": "zero", "time": "sinusoid"},
                             0.02, 1.0)
 
@@ -267,7 +318,7 @@ def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
     stepped, factored = _count_stepped_rows(monkeypatch)
     cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10}})
     run_scenario(cfg, str(tmp_path / "out"))
-    grid = _setup(cfg)[0]
+    grid = _setup(cfg)[0].grid
     bases = [ControlBasis(grid, w, cfg["t_final"], 10) for w in ("w1", "w2")]
     n_nodes, n_seeds = len(bases[0].nodes), 1
     assert n_nodes == len(bases[1].nodes) and len(bases[0]) == 5 * n_nodes
@@ -285,7 +336,7 @@ def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
                                                 "q_time_basis": 3},
                                  "model": {"q": {"time": "ramp"}}})
     run_scenario(cfg, str(tmp_path / "out"))
-    basis = ControlBasis(_setup(cfg)[0], "w1", cfg["t_final"], 10)
+    basis = ControlBasis(_setup(cfg)[0].grid, "w1", cfg["t_final"], 10)
     n_nodes = len(basis.nodes)
     assert max(stepped) <= 8
     assert sorted(stepped) == sorted([8] * (len(basis) // 8) + [len(basis) % 8]
@@ -309,8 +360,9 @@ def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
         monkeypatch.setattr(harness, name, spy(name))
     cfg = _linear_cfg()
     run_scenario(cfg, str(tmp_path / "out"))
-    _grid, op, dt, t_final, _nt = _setup(cfg)
-    fresh = BackgroundStates(op, None, ControlBasis(op.grid, "w1", t_final, 8), dt, t_final)
+    run, op = _setup(cfg)
+    fresh = BackgroundStates(op, None, ControlBasis(op.grid, "w1", run.t_final, 8), run.dt,
+                             run.t_final)
     shared = seen[0]
     assert len(seen) == 2 and seen[1] is shared and shared.q is None
     assert (shared.basis.window, shared.basis.n_segments) == ("w1", 8)
@@ -349,7 +401,8 @@ def test_noise_scale_is_that_of_the_background_plus_difference(tmp_path, monkeyp
     monkeypatch.setattr(harness, "_add_noise", spy)
     cfg = _linear_cfg(noise={"level": 1e-3})
     run_scenario(cfg, str(tmp_path / "out"))
-    grid, op, dt, t_final, _nt = _setup(cfg)
+    run, op = _setup(cfg)
+    grid, dt, t_final = run.grid, run.dt, run.t_final
     basis1, basis2 = (ControlBasis(grid, w, t_final, 8) for w in ("w1", "w2"))
     q = potential_from_spec(grid, cfg["model"]["q"], dt, t_final)
     p_bg = dn_matrix_linear(op, None, basis1, basis2, dt, t_final).pairings
@@ -365,8 +418,9 @@ def test_runge_errors_are_those_of_synthesize_control(tmp_path):
            "width": 0.2, "t0": 0.2, "t1": 0.8}
     cfg = small_cfg(experiment=exp)
     report = run_scenario(cfg, str(tmp_path / "out"))
-    grid, op, dt, t_final, nt = _setup(_merge(DEFAULTS, cfg))
-    target = _gaussian_pulse(grid, exp, dt, nt, None, None, None, None)
+    run, op = _setup(_merge(DEFAULTS, cfg))
+    dt, t_final = run.dt, run.t_final
+    target = _gaussian_pulse(run.grid, dt, run.nt, 0.2, 0.8, 0.4, 0.2)
     alpha = DEFAULTS["regularization"]["synth_alpha"]
     assert report["metrics"]["errors"] == [
         synthesize_control(op, None, target, "w2", dt, t_final, alpha, n)[1] for n in (8, 16)]
@@ -459,7 +513,21 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                                   "model: {kind: nonlinear,\n"
                                   "        coeff: {kind: constant, value: 1, time: ramp}}\n",
                                   "experiment: {kind: identity-check, variant: alessandrini,\n"
-                                  "             q1: {kind: sine, frequency: .inf}}\n"],
+                                  "             q1: {kind: sine, frequency: .inf}}\n",
+                                  "grid: {box: [-1.0, abc]}\n", "grid: {box: 3}\n",
+                                  "grid: {w1: [-0.8]}\n", "grid: {n_nodes: 31.7}\n",
+                                  "experiment: {kind: runge, levels: [8.5, 16]}\n",
+                                  "experiment: {kind: runge, width: 0}\n",
+                                  "grid: {n_nodes: 31}\n"
+                                  "experiment: {kind: invert-linear, target_width: 0}\n",
+                                  "model: {kind: nonlinear}\n"
+                                  "experiment: {kind: invert-nonlinear, eps0: 0}\n",
+                                  "model: {kind: nonlinear}\n"
+                                  "experiment: {kind: invert-nonlinear, eps_list: [0.1, -0.01]}\n",
+                                  "model: {kind: nonlinear, r: -1}\n", "seed: 1.5\n",
+                                  "grid: {n_nodes: 31}\nseed: -1\nnoise: {level: 0.001}\n"
+                                  "experiment: {kind: invert-linear}\n",
+                                  "out_dir: 3\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
                               "non-numeric-seed", "unknown-grid-key",
@@ -478,13 +546,42 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                               "zero-profile-width", "unknown-profile-key",
                               "unknown-profile-kind", "unknown-time-dependence",
                               "non-mapping-profile", "constant-without-value",
-                              "time-dependent-coefficient", "infinite-q1-frequency"])
-def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, text):
+                              "time-dependent-coefficient", "infinite-q1-frequency",
+                              "non-numeric-box-corner", "non-list-box", "one-number-window",
+                              "fractional-n_nodes", "fractional-level", "zero-runge-width",
+                              "zero-target-width", "zero-eps0", "negative-eps",
+                              "negative-r", "fractional-seed", "negative-seed-with-noise",
+                              "non-string-out_dir"])
+def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, monkeypatch, text):
+    # run without --out, so that the scenario's own out_dir is the one used
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "c.yaml"
     path.write_text(text)
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("scenario", ["directory", "not-utf8"])
+def test_cli_unreadable_scenario_exit_two_one_line(tmp_path, capsys, command, scenario):
+    path = tmp_path / "c.yaml"
+    if scenario == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"dt: 0.02  # \xff\xfe\n")
+    sweep = ["--param", "dt", "--values", "0.02"] if command == "sweep" else []
+    assert main([command, str(path), *sweep, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_sweep_unknown_param_exit_two(tmp_path, capsys):
+    path = write_yaml(tmp_path / "c.yaml", {"grid": {"n_nodes": 31}, "dt": 0.02})
+    assert main(["sweep", path, "--param", "foo", "--values", "1",
+                 "--out", str(tmp_path / "sw")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unknown keys ['foo']"]
+    assert not (tmp_path / "sw").exists()
 
 
 def test_null_means_the_default(tmp_path, capsys):
@@ -640,6 +737,21 @@ def test_cli_compare(tmp_path, capsys):
     code = main(["compare", str(tmp_path / "a" / "report.json"),
                  str(tmp_path / "c" / "report.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("content", [b"{not json", b'{"x": "\xff"}', b"[1, 2]",
+                                     b'{"metrics": {}}', b'{"experiment": "forward"}', None],
+                         ids=["not-json", "not-utf8", "not-a-mapping", "no-experiment",
+                              "no-metrics", "directory"])
+def test_cli_compare_bad_report_exit_two_one_line(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["compare", str(path), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_sweep(tmp_path, capsys):

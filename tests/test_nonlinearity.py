@@ -161,5 +161,7 @@ def test_exponent_constraints_return_messages_without_warning():
         assert check_exponent_constraints(0.3, 4.0) == [
             "homogeneity degree r=4.0 above the admissible bound 2s/(1-2s)=1.500 for s=0.3"]
         assert check_exponent_constraints(0.3, 1.0) == []
+        # the bound itself is admissible, though 2s/(1-2s) rounds below 1.5
+        assert check_exponent_constraints(0.3, 1.5) == []
         assert check_exponent_constraints(0.5, 10.0) == []
         assert check_exponent_constraints(0.8, 2.0) == []
