@@ -1,8 +1,8 @@
 """Command-line entry points: run, compare, and sweep scenario files.
 
 Exit codes: 0 the experiment completed (pass or fail is recorded in the
-report), 1 a solver or inversion stage failed, 2 the scenario file or
-arguments did not validate.
+report), 1 a solver, control or inversion stage failed, 2 the scenario
+file or arguments did not validate.
 """
 
 import argparse
@@ -10,6 +10,7 @@ import json
 import os
 import sys
 
+from .controls import ControlError
 from .grid import GridError
 from .harness import (ConfigError, compare_reports, load_config, run_scenario,
                       sweep_scenario)
@@ -85,7 +86,8 @@ def main(argv=None):
     except (ConfigError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, InversionError, OperatorError, NonlinearityError) as exc:
+    except (ControlError, SolverError, InversionError, OperatorError,
+            NonlinearityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

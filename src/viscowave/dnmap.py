@@ -77,23 +77,23 @@ def dn_pairing(op, traj, probe):
     return float(traj.dt * np.dot(w, series))
 
 
-def _pair_fluxes(flux, weighted_time, h, dt):
-    """Trapezoidal pairings of flux histories against a separable probe basis.
+def _pair_fluxes(flux, probe_basis, dt):
+    """Trapezoidal pairings of flux histories against every element of a probe basis.
 
-    flux holds L(u + v) at the probe nodes, time on the first axis and the
-    nodes on the last, and weighted_time the probe splines times the
-    trapezoid weights at the same time nodes; the result replaces both axes
-    by the basis elements, in their node-major, spline-minor order.
+    flux holds h L(u + v) at the probe nodes, time on the next-to-last axis
+    and the nodes on the last; the result replaces both axes by the basis
+    elements, in their node-major, spline-minor order.
     """
-    block = dt * np.tensordot(weighted_time, h * flux, axes=(1, 0))  # (n_tspl, ..., n_nodes_w)
-    return np.moveaxis(block, 0, -1).reshape(flux.shape[1:-1] + (-1,))
+    nt = flux.shape[-2] - 1
+    weighted = probe_basis.time_matrix(dt, nt) * trapezoid_weights(nt)[None, :]
+    block = dt * np.tensordot(weighted, flux, axes=(1, -2))  # (n_tspl, ..., n_nodes)
+    return np.moveaxis(block, 0, -1).reshape(flux.shape[:-2] + (-1,))
 
 
-def _pair_against_basis(op, traj, probe_basis, time_mat):
+def _pair_against_basis(op, traj, probe_basis):
     """Pairings of one trajectory against every element of a separable probe basis."""
     flux = (traj.u + traj.v) @ op.matrix[:, probe_basis.nodes]
-    weighted = time_mat * trapezoid_weights(traj.n_steps)[None, :]
-    return _pair_fluxes(flux, weighted, op.grid.h, traj.dt)
+    return _pair_fluxes(op.grid.h * flux, probe_basis, traj.dt)
 
 
 @dataclass(frozen=True)
@@ -140,58 +140,35 @@ class DNRecord:
                         pairings=np.asarray(d["pairings"], dtype=float))
 
 
-def _basis_lists(control_basis, probe_basis):
+def _probe_flux(op, control_basis, probe_basis):
+    """observe of a w1 basis pass measured against a w2 probe basis: h L(u + v)
+    through L's omega-to-probe columns.  Bases on other windows raise
+    :class:`DNMapError`."""
     if control_basis.window != "w1":
         raise DNMapError("control basis must live on window w1")
     if probe_basis.window != "w2":
         raise DNMapError("probe basis must live on window w2")
-
-
-def _record(op, control_basis, probe_basis, dt, t_final, tag, pairings):
-    return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag,
-                    controls=control_basis, probes=probe_basis,
-                    pairings=np.asarray(pairings))
-
-
-def _basis_pairings(op, control_basis, probe_basis, dt, t_final):
-    """Pairing functions of a w1 basis pass against a w2 probe basis.
-
-    Returns (interior, exterior): interior(plan, blocks) pairs the omega
-    histories of a basis or difference pass through L's omega-to-probe
-    columns, one row per control element; exterior is what each control's
-    own samples add through L's w1-to-w2 block, kron(L[w1 nodes, w2 nodes],
-    T) with T pairing the control splines (value plus derivative) against
-    the probe splines.
-    """
-    _basis_lists(control_basis, probe_basis)
-    grid = op.grid
-    nt = n_steps_for(dt, t_final)
-    time_mat = probe_basis.time_matrix(dt, nt)
-    weighted = time_mat * trapezoid_weights(nt)[None, :]
-    cols = op.matrix[np.ix_(grid.omega, probe_basis.nodes)]
-
-    def interior(plan, blocks):
-        # only the seeds are stepped: an element lag steps behind its seed
-        # pairs the seed's flux against the probe splines from step lag on
-        rows = np.empty((plan.seed.size, len(probe_basis)))
-        for seeds, u, v in blocks:
-            flux = (u + v) @ cols
-            for lag, elements, of_seed in plan.delays(seeds):
-                rows[elements] = _pair_fluxes(flux[:nt + 1 - lag, of_seed],
-                                              weighted[:, lag:], grid.h, dt)
-        return rows
-
-    x = control_basis.time_matrix(dt, nt) + control_basis.time_dmatrix(dt, nt)
-    t_pair = dt * grid.h * (x * trapezoid_weights(nt)[None, :]) @ time_mat.T
-    exterior = np.kron(op.matrix[np.ix_(control_basis.nodes, probe_basis.nodes)], t_pair)
-    return interior, exterior
+    cols = op.matrix[np.ix_(op.grid.omega, probe_basis.nodes)]
+    return lambda u, v: op.grid.h * ((u + v) @ cols)
 
 
 def dn_matrix_linear(op, q, control_basis, probe_basis, dt, t_final, tag=""):
-    """Measurement matrix of the linear model: controls on w1, probes on w2."""
-    interior, exterior = _basis_pairings(op, control_basis, probe_basis, dt, t_final)
-    rows = interior(*solve_linear_basis(op, q, control_basis, dt, t_final))
-    return _record(op, control_basis, probe_basis, dt, t_final, tag, rows + exterior)
+    """Measurement matrix of the linear model: controls on w1, probes on w2.
+
+    The pairings of the responses on omega, plus what each control's own
+    samples add through L's w1-to-w2 block: kron(L[w1 nodes, w2 nodes], T),
+    with T pairing the control splines (value plus derivative) against the
+    probe splines.
+    """
+    flux = solve_linear_basis(op, q, control_basis, dt, t_final,
+                              _probe_flux(op, control_basis, probe_basis))
+    nt = flux.shape[1] - 1
+    x = control_basis.time_matrix(dt, nt) + control_basis.time_dmatrix(dt, nt)
+    t_pair = (dt * op.grid.h * (x * trapezoid_weights(nt)[None, :])
+              @ probe_basis.time_matrix(dt, nt).T)
+    exterior = np.kron(op.matrix[np.ix_(control_basis.nodes, probe_basis.nodes)], t_pair)
+    return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag, controls=control_basis,
+                    probes=probe_basis, pairings=_pair_fluxes(flux, probe_basis, dt) + exterior)
 
 
 def dn_difference_linear(q, background, probe_basis, tag=""):
@@ -207,10 +184,10 @@ def dn_difference_linear(q, background, probe_basis, tag=""):
     """
     op, control_basis = background.op, background.basis
     dt, t_final = background.dt, background.t_final
-    interior, _exterior = _basis_pairings(op, control_basis, probe_basis, dt, t_final)
-    rows = interior(*solve_linear_difference(op, q, background.q, control_basis,
-                                             background.states, dt, t_final))
-    return _record(op, control_basis, probe_basis, dt, t_final, tag, rows)
+    flux = solve_linear_difference(op, q, background.q, control_basis, background.states,
+                                   dt, t_final, _probe_flux(op, control_basis, probe_basis))
+    return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag, controls=control_basis,
+                    probes=probe_basis, pairings=_pair_fluxes(flux, probe_basis, dt))
 
 
 def _check_windows(phi1, phi2):

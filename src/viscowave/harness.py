@@ -23,7 +23,8 @@ from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linea
                     self_adjointness_residual)
 from .grid import build_grid
 from .inversion import (BackgroundStates, estimate_homogeneity_exponent, interior_targets,
-                        recover_linear_potential, recover_nonlinear_coefficient)
+                        recover_linear_potential, recover_nonlinear_coefficient,
+                        synthesize_control)
 from .nonlinearity import check_exponent_constraints, power_nonlinearity, zero_nonlinearity
 from .operator import assemble_fraclap
 from .solver import (SolverError, energy_ledger, n_steps_for, solve_linear,
@@ -236,9 +237,20 @@ def _read_experiment(exp, run):
     unread = f"unknown experiment keys {{}} for kind {kind!r}"
     needs = None  # (what, model kind) if the experiment needs one model kind
 
+    def window(lo, hi, lo_default, hi_default, control=True):
+        """The times under keys lo < hi; a control's window starts no earlier
+        than dt, so that its bump vanishes on the first two time nodes."""
+        t0, t1 = number(lo, lo_default), number(hi, hi_default)
+        if not t0 < t1:
+            raise ConfigError(f"experiment.{hi} must be above experiment.{lo}={t0}, got {t1}")
+        if control and t0 < dt:
+            raise ConfigError(f"experiment.{lo} of a control window must be at least "
+                              f"dt={dt}, got {t0}")
+        return t0, t1
+
     def pulse(t0, t1, center, width):
         """t0, t1, center and width of a gaussian times a time bump on (t0, t1)."""
-        return (number("t0", t0), number("t1", t1), number("center", center),
+        return (*window("t0", "t1", t0, t1, control=False), number("center", center),
                 number("width", width, sign="positive"))
 
     def targets():
@@ -255,7 +267,7 @@ def _read_experiment(exp, run):
 
     if kind == "forward":
         values = {"window": exp.choice("window", "w1", ("w1", "w2")),
-                  "t0": number("t0", 0.1 * t_final), "t1": number("t1", 0.9 * t_final),
+                  "times": window("t0", "t1", 0.1 * t_final, 0.9 * t_final),
                   "amplitude": number("amplitude", 1.0)}
     elif kind == "energy-check":
         values = {"pulse": pulse(0.1 * t_final, 0.6 * t_final, 0.5, 0.15),
@@ -263,8 +275,8 @@ def _read_experiment(exp, run):
     elif kind == "identity-check":
         variant = exp.choice("variant", "self-adjoint",
                              ("self-adjoint", "alessandrini", "nonlinear-integral"))
-        values = {"variant": variant, "t0": number("t0", 0.05), "t1": number("t1", 0.65),
-                  "t2": number("t2", 0.25), "t3": number("t3", 0.90),
+        values = {"variant": variant, "times1": window("t0", "t1", 0.05, 0.65),
+                  "times2": window("t2", "t3", 0.25, 0.90),
                   "tolerance": number("tolerance", 1e-3), "amplitude": 1.0}
         if variant == "alessandrini":
             q1 = exp.get("q1")
@@ -277,7 +289,13 @@ def _read_experiment(exp, run):
             needs = ("nonlinear-integral identity", "nonlinear")
         unread = f"experiment keys {{}} are not read by identity-check variant {variant!r}"
     elif kind == "runge":
-        values = {"levels": exp.integer("levels", [8, 16, 32], least=7, many=True),
+        levels = exp.integer("levels", [8, 16, 32], least=7, many=True)
+        if max(levels) > run["nt"]:
+            # a first knot t_final / level before dt puts a control's second
+            # time node inside its first spline
+            raise ConfigError(f"experiment.levels must not exceed the {run['nt']} time "
+                              f"steps, got {levels}")
+        values = {"levels": levels,
                   "window": exp.choice("window", "w1", ("w1", "w2")),
                   "pulse": pulse(0.2 * t_final, 0.8 * t_final, 0.35, 0.22),
                   "tolerance": number("tolerance", 0.2)}
@@ -296,6 +314,10 @@ def _read_experiment(exp, run):
                   "targets": targets(),
                   "exponent_tolerance": number("exponent_tolerance", 0.1),
                   "tolerance": number("tolerance", 0.15)}
+        if len(set(values["eps_list"])) < 2:
+            # the exponent is the slope of a fit through the amplitudes
+            raise ConfigError("experiment.eps_list must hold at least two distinct "
+                              f"amplitudes, got {values['eps_list']}")
         needs = ("invert-nonlinear", "nonlinear")
     exp.done(unread)
     if needs and needs[1] != ("linear" if run["f"] is None else "nonlinear"):
@@ -366,7 +388,7 @@ def _gaussian_pulse(grid, dt, nt, t0, t1, center, width):
 
 
 def run_forward(run, op, out_dir):
-    ctrl = bump_control(run.grid, run.window, run.t0, run.t1, run.dt, run.nt,
+    ctrl = bump_control(run.grid, run.window, *run.times, run.dt, run.nt,
                         amplitude=run.amplitude)
     if run.f is None:
         traj = solve_linear(op, run.q, ctrl, run.dt, run.t_final)
@@ -394,8 +416,8 @@ def run_energy_check(run, op, out_dir):
 
 def run_identity_check(run, op, out_dir):
     dt, t_final = run.dt, run.t_final
-    phi1 = bump_control(run.grid, "w1", run.t0, run.t1, dt, run.nt, amplitude=run.amplitude)
-    phi2 = bump_control(run.grid, "w2", run.t2, run.t3, dt, run.nt)
+    phi1 = bump_control(run.grid, "w1", *run.times1, dt, run.nt, amplitude=run.amplitude)
+    phi2 = bump_control(run.grid, "w2", *run.times2, dt, run.nt)
     if run.variant == "self-adjoint":
         res, lhs, rhs = self_adjointness_residual(op, run.q, phi1, phi2, dt, t_final)
     elif run.variant == "alessandrini":
@@ -417,12 +439,8 @@ def run_runge(run, op, out_dir):
     k_om = grid.h * op.omega_block
     tnorm = float(np.sqrt(np.sum(wt * np.einsum("tj,tj->t", target, target @ k_om))))
 
-    errors = []
-    for nseg in run.levels:
-        basis = ControlBasis(grid, run.window, t_final, nseg)
-        _coeffs, _achieved, err = BackgroundStates(op, run.q, basis, dt, t_final).synthesize(
-            target, run.synth_alpha)
-        errors.append(float(err))
+    errors = [synthesize_control(op, run.q, target, run.window, dt, t_final, run.synth_alpha,
+                                 nseg)[1] for nseg in run.levels]
     rel = [e / tnorm for e in errors]
     monotone = all(rel[i + 1] <= rel[i] for i in range(len(rel) - 1))
     metrics = {"levels": run.levels, "errors": errors, "relative_errors": rel,

@@ -79,10 +79,9 @@ class BackgroundStates:
     """Interior states reached by each element of a control basis.
 
     Solves the evolution for the basis (background potential q, zero
-    source) in one basis pass, which steps only the seeds of its shift plan
-    (``solver.shift_plan``) and delays them into the other elements, and
-    caches the interior trajectories together with the Gram data needed for
-    control synthesis in the L2-in-time energy norm.  The Gram
+    source) in one basis pass, ``solver.solve_linear_basis``, keeping each
+    element's interior displacement history, together with the Gram data
+    needed for control synthesis in the L2-in-time energy norm.  The Gram
     sum_t w_t S_t K S_t^T, with K = h omega_block and w the trapezoid
     weights, is formed as E E^T of the energy coordinates
     E_t = sqrt(w_t) S_t C, where K = C C^T is the Cholesky factor; an omega
@@ -98,20 +97,13 @@ class BackgroundStates:
         self.dt = float(dt)
         self.t_final = float(t_final)
         self.n_steps = n_steps_for(dt, t_final)
-        grid = op.grid
-        n_times = self.n_steps + 1
-        # each element's state is its seed's, delayed by its lag (zero before)
-        self.states = np.zeros((len(basis), n_times, grid.omega.size))
-        plan, blocks = solve_linear_basis(op, q, basis, self.dt, self.t_final)
-        for seeds, u, _v in blocks:
-            for lag, elements, rows in plan.delays(seeds):
-                self.states[elements, lag:] = u[:n_times - lag, rows].transpose(1, 0, 2)
+        self.states = solve_linear_basis(op, q, basis, self.dt, self.t_final, lambda u, v: u)
         self.time_weights = self.dt * trapezoid_weights(self.n_steps)
         # one symmetric product of energy coordinates (numpy's SYRK, exactly
         # symmetric); it is within 1.1e-15 of its largest entry of the
         # time-weighted states against states @ K, which moves synthesized
         # states by up to 1.8e-8 relative at alpha 1e-8 and 9.3e-5 at 1e-12
-        energy = self.states @ _energy_factor(grid.h * op.omega_block)
+        energy = self.states @ _energy_factor(op.grid.h * op.omega_block)
         energy *= np.sqrt(self.time_weights)[None, :, None]
         flat = energy.reshape(len(basis), -1)
         self.gram = flat @ flat.T
@@ -447,14 +439,13 @@ def _nonlinear_remainders(op, f, psi, basis2, eps_list, dt, t_final):
     """
     lin = solve_linear(op, None, psi, dt, t_final)
     perm = basis2.reversal_permutation()
-    time_mat = basis2.time_matrix(dt, n_steps_for(dt, t_final))
-    p_lin = _pair_against_basis(op, lin, basis2, time_mat)[perm]
+    p_lin = _pair_against_basis(op, lin, basis2)[perm]
     remainders = []
     for eps in eps_list:
         scaled = ExteriorControl(values=eps * psi.values, dvalues=eps * psi.dvalues,
                                  window=psi.window, dt=psi.dt)
         nl = solve_nonlinear(op, f, scaled, dt, t_final)
-        p_nl = _pair_against_basis(op, nl, basis2, time_mat)[perm]
+        p_nl = _pair_against_basis(op, nl, basis2)[perm]
         remainders.append(p_nl - eps * p_lin)
     return lin, p_lin, remainders
 

@@ -22,10 +22,12 @@ first step that produced one, after the last step; a finite last state
 means there is none.
 
 A control basis goes through the loop a block of elements at a time, with
-no full-grid control, and only its seeds are stepped: with a static
-potential the step is the same at every step, so an element whose time
-spline is an earlier one delayed by a whole number of steps responds with
-that element's response delayed by as many steps (:func:`shift_plan`).
+no full-grid control, and returns one observed history per element: what a
+caller keeps of each block's (u, v), element first.  Only the seeds are
+stepped: with a static potential the step is the same at every step, so an
+element whose time spline is an earlier one delayed by a whole number of
+steps responds with that element's response delayed by as many steps
+(:func:`shift_plan`).  The plan stays inside this module.
 """
 
 import csv
@@ -350,38 +352,10 @@ CONTROL_BLOCK = 128
 SHIFT_RTOL = 1e-14
 
 
-@dataclass(frozen=True)
-class ShiftPlan:
-    """Which stepped response each element of a basis pass reuses.
-
-    The response to element e is that to element seed[e] delayed by lag[e]
-    steps, and zero before; a seed is its own seed at lag 0.
-    """
-
-    seed: np.ndarray
-    lag: np.ndarray
-
-    @property
-    def seeds(self):
-        """The elements a pass steps, in basis order."""
-        return np.flatnonzero(self.seed == np.arange(self.seed.size))
-
-    def delays(self, stepped):
-        """(lag, elements, rows) for each lag of the elements whose seed was stepped.
-
-        stepped are the seeds of one block, and rows index them: the
-        response to elements[i] is row rows[i] of the block, lag steps late.
-        """
-        row = np.full(self.seed.size, -1)
-        row[stepped] = np.arange(len(stepped))
-        row = row[self.seed]
-        for lag in np.unique(self.lag[row >= 0]):
-            elements = np.flatnonzero((row >= 0) & (self.lag == lag))
-            yield int(lag), elements, row[elements]
-
-
 def shift_plan(basis, dt, nt, static):
-    """The :class:`ShiftPlan` of a pass over a node x spline basis.
+    """(seed, lag) of a pass over a node x spline basis: the response to
+    element e is that to element seed[e] delayed by lag[e] steps, and zero
+    before; a seed is its own seed at lag 0.
 
     With a static potential the step is the same at every step, so when
     spline c is an earlier seed c0 delayed by lag steps, the response to
@@ -406,62 +380,76 @@ def shift_plan(basis, dt, nt, static):
                 seed[c], lag[c] = c0, steps
                 break
     first = n_spl * np.arange(len(basis.nodes))[:, None]
-    return ShiftPlan(seed=(first + seed).ravel(), lag=np.tile(lag, len(basis.nodes)))
+    return (first + seed).ravel(), np.tile(lag, len(basis.nodes))
 
 
-def _step_seeds(maps, plan, drive, dt):
-    """Yield (seeds, u, v) for each block of CONTROL_BLOCK seeds of plan.
+def _basis_pass(maps, plan, drive, dt, observe):
+    """observe(u, v) of every element of a pass, element first.
 
-    drive(seeds) gives the block's step drives; u, v are its read-only
-    (nt+1, m, n_omega) histories, one row per seed.
+    Only the seeds of the (seed, lag) plan are stepped, CONTROL_BLOCK at a
+    time: drive(block) gives a block's step drives, and observe maps its
+    read-only (nt+1, m, n_omega) histories to (nt+1, m, ...) values.  Each
+    element's rows are then its seed's, lag steps late, and zero before.
     """
-    seeds = plan.seeds
+    seed, lag = plan
+    seeds = np.flatnonzero(seed == np.arange(seed.size))
+    out = None
     for start in range(0, len(seeds), CONTROL_BLOCK):
         block = seeds[start:start + CONTROL_BLOCK]
-        yield (block, *_step_linear(maps, drive(block), dt, None, None, block))
+        seen = observe(*_step_linear(maps, drive(block), dt, None, None, block))
+        n_times = seen.shape[0]
+        if out is None:
+            out = np.zeros((seed.size, n_times) + seen.shape[2:])
+        of_block = np.isin(seed, block)
+        for steps in np.unique(lag[of_block]):
+            elements = np.flatnonzero(of_block & (lag == steps))
+            rows = seen[:n_times - steps, np.searchsorted(block, seed[elements])]
+            out[elements, steps:] = np.moveaxis(rows, 1, 0)
+    return out
 
 
-def solve_linear_basis(op, q, basis, dt, t_final):
-    """Interior responses of every element of a node x spline control basis.
+def solve_linear_basis(op, q, basis, dt, t_final, observe):
+    """observe(u, v) of the interior response to every element of a node x
+    spline control basis, element first: (n_elements, nt+1, ...).
 
-    Returns (plan, blocks): the :class:`ShiftPlan` of q on the basis, and
-    an iterator over blocks of its seeds, in basis order, that yields
-    (seeds, u, v) with u, v the read-only (nt+1, m, n_omega) histories on
-    omega, time-major, one row per seed.  Every other element's response is
-    its seed's, delayed as the plan says.  On the exterior, an element's
-    samples are its control.  q is normalized and inverted once for all
-    blocks.  A failing step raises :class:`StepFailureError` for the first
-    failing element, at its step.
+    observe maps a block of read-only (nt+1, m, n_omega) displacement and
+    velocity histories on omega, time-major, to (nt+1, m, ...) values; it
+    runs once per block of at most CONTROL_BLOCK stepped elements, so a pass
+    holds one block's histories at a time.  With a static q only the seeds
+    of the shift plan are stepped (:func:`shift_plan`); every other
+    element's values are its seed's, delayed, and zero before.  On the
+    exterior, an element's samples are its control.  q is normalized and
+    inverted once for all blocks.  A failing step raises
+    :class:`StepFailureError` for the first failing element, at its step.
     """
     nt = n_steps_for(dt, t_final)
-    maps = _step_maps(op, q, dt, nt)
     plan = shift_plan(basis, dt, nt, _expand_potential(q, nt, op.grid.omega.size)[1])
-    return plan, _step_seeds(maps, plan,
-                             lambda seeds: _basis_drive(op, basis, dt, nt, seeds), dt)
+    return _basis_pass(_step_maps(op, q, dt, nt), plan,
+                       lambda seeds: _basis_drive(op, basis, dt, nt, seeds), dt, observe)
 
 
-def solve_linear_difference(op, q, q_background, basis, states, dt, t_final):
-    """Change of a basis's responses when q replaces q_background.
+def solve_linear_difference(op, q, q_background, basis, states, dt, t_final, observe):
+    """Change of a basis's responses when q replaces q_background, observed.
 
     states holds the basis's background displacements on omega, element
     first, (n, nt+1, n_omega), as ``inversion.BackgroundStates`` keeps them.
-    Returns (plan, blocks) as :func:`solve_linear_basis` does, with the
-    seeds' read-only (nt+1, m, n_omega) displacement and velocity
-    differences w, z of the responses with q from the background ones; the
-    plan shifts only when both potentials are static.  They are not
-    subtracted: they step with q, zero initial data and zero exterior data,
-    driven by the seeds' background states (:func:`_difference_drive`), so
-    they keep their relative accuracy however small q - q_background is.
+    Returns observe(w, z) of every element as :func:`solve_linear_basis`
+    does, with w, z the displacement and velocity differences of the
+    responses with q from the background ones; elements shift only when both
+    potentials are static.  They are not subtracted: they step with q, zero
+    initial data and zero exterior data, driven by the background states
+    (:func:`_difference_drive`), so they keep their relative accuracy
+    however small q - q_background is.
     """
     nt = n_steps_for(dt, t_final)
     n_omega = op.grid.omega.size
     qs, static = _expand_potential(q, nt, n_omega)
     q_bg, bg_static = _expand_potential(q_background, nt, n_omega)
     dq = qs - q_bg
-    maps = _step_maps(op, q, dt, nt)
     plan = shift_plan(basis, dt, nt, static and bg_static)
-    return plan, _step_seeds(
-        maps, plan, lambda seeds: _difference_drive(dq, states[seeds].transpose(1, 0, 2), dt), dt)
+    return _basis_pass(
+        _step_maps(op, q, dt, nt), plan,
+        lambda seeds: _difference_drive(dq, states[seeds].transpose(1, 0, 2), dt), dt, observe)
 
 
 # Newton's stopping test on the max-norm step residual, and its iteration cap

@@ -16,8 +16,9 @@ from viscowave import (BackgroundStates, DNMapError, DNRecord, alessandrini_resi
                        time_reverse, zero_nonlinearity)
 from viscowave.controls import (ControlBasis, ControlError, ExteriorControl,
                                 materialize, spline_indices)
-from viscowave.dnmap import _basis_lists, _pair_against_basis
+from viscowave.dnmap import _pair_against_basis
 from viscowave.grid import GridError
+from viscowave import solver
 from viscowave.solver import Trajectory, n_steps_for
 
 DT, NT = 0.02, 50
@@ -128,7 +129,7 @@ def test_pair_against_basis_matches_loop(op31, grid31):
     ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
     traj = solve_linear(op31, None, ctl, DT, T_FINAL)
     basis = ControlBasis(grid31, "w2", T_FINAL, 8)
-    fast = _pair_against_basis(op31, traj, basis, basis.time_matrix(DT, NT))
+    fast = _pair_against_basis(op31, traj, basis)
     slow = np.array([dn_pairing(op31, traj, materialize(basis, i, DT, NT))
                      for i in range(len(basis))])
     assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
@@ -297,15 +298,13 @@ def test_spline_indices_consistency():
 
 
 def _reference_dn_matrix(op, solve, model, control_basis, probe_basis, dt, t_final, tag):
-    """dnmap._dn_matrix as it stood before the blocked pass, kept verbatim."""
-    _basis_lists(control_basis, probe_basis)
+    """dnmap._dn_matrix as it stood before the blocked pass, less its window check."""
     nt = n_steps_for(dt, t_final)
-    time_mat = probe_basis.time_matrix(dt, nt)
     rows = []
     for i in range(len(control_basis)):
         ctrl = materialize(control_basis, i, dt, nt)
         traj = solve(op, model, ctrl, dt, t_final)
-        rows.append(_pair_against_basis(op, traj, probe_basis, time_mat))
+        rows.append(_pair_against_basis(op, traj, probe_basis))
     return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag,
                     controls=control_basis, probes=probe_basis,
                     pairings=np.asarray(rows))
@@ -335,6 +334,19 @@ def test_dn_matrix_linear_matches_reference_loop_bitwise(op31, grid31, kind):
     ref = _reference_dn_matrix(op31, solve_linear, q, basis1, basis2, DT, T_FINAL, "t")
     _assert_close(rec.pairings, ref.pairings, 1e-12)
     assert {**rec.to_dict(), "pairings": None} == {**ref.to_dict(), "pairings": None}
+
+
+def test_records_check_the_windows_before_any_pass(op31, grid31, monkeypatch):
+    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    background = BackgroundStates(op31, None, basis1, DT, T_FINAL)
+    monkeypatch.setattr(solver, "_basis_pass", None)
+    with pytest.raises(DNMapError, match="^control basis must live on window w1$"):
+        dn_matrix_linear(op31, None, basis2, basis2, DT, T_FINAL)
+    with pytest.raises(DNMapError, match="^probe basis must live on window w2$"):
+        dn_matrix_linear(op31, None, basis1, basis1, DT, T_FINAL)
+    with pytest.raises(DNMapError, match="^probe basis must live on window w2$"):
+        dn_difference_linear(None, background, basis1)
 
 
 @pytest.mark.parametrize("kind", ["static", "time-dependent"])

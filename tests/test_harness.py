@@ -378,15 +378,14 @@ def _velocity_form_difference(op, q, basis1, basis2, dt, t_final):
     hdt = 0.5 * dt
     dq = np.broadcast_to(q, (nt + 1, op.grid.omega.size))[:, None, :]
     explicit, implicit = _linear_step(op, q, dt, nt)
-    interior, _ = dnmap._basis_pairings(op, basis1, basis2, dt, t_final)
-    plan, blocks = solver.solve_linear_basis(op, None, basis1, dt, t_final)
-    stepped = []
-    for seeds, u, v in blocks:
-        u_base = u[:-1] + hdt * v[:-1]
-        drive = -hdt * ((dq[:-1] * u[:-1] + dq[1:] * u_base) + hdt * (dq[1:] * v[1:]))
-        stepped.append((seeds, *_crank_nicolson(op, drive, dt, None, None,
-                                                explicit, implicit)))
-    return interior(plan, stepped)
+    both = solver.solve_linear_basis(op, None, basis1, dt, t_final,
+                                     lambda u, v: np.stack((u, v), axis=2))
+    u, v = both[:, :, 0].transpose(1, 0, 2), both[:, :, 1].transpose(1, 0, 2)
+    u_base = u[:-1] + hdt * v[:-1]
+    drive = -hdt * ((dq[:-1] * u[:-1] + dq[1:] * u_base) + hdt * (dq[1:] * v[1:]))
+    w, z = _crank_nicolson(op, drive, dt, None, None, explicit, implicit)
+    flux = op.grid.h * ((w + z) @ op.matrix[np.ix_(op.grid.omega, basis2.nodes)])
+    return dnmap._pair_fluxes(flux.transpose(1, 0, 2), basis2, dt)
 
 
 def test_noise_scale_is_that_of_the_background_plus_difference(tmp_path, monkeypatch):
@@ -527,7 +526,18 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                                   "model: {kind: nonlinear, r: -1}\n", "seed: 1.5\n",
                                   "grid: {n_nodes: 31}\nseed: -1\nnoise: {level: 0.001}\n"
                                   "experiment: {kind: invert-linear}\n",
-                                  "out_dir: 3\n"],
+                                  "out_dir: 3\n",
+                                  "experiment: {kind: forward, t0: 0.5, t1: 0.5}\n",
+                                  "experiment: {kind: forward, t0: 0}\n",
+                                  "experiment: {kind: energy-check, t0: 0.5, t1: 0.5}\n",
+                                  "experiment: {kind: runge, t0: 0.6, t1: 0.2}\n",
+                                  "experiment: {kind: identity-check, t2: 0.9, t3: 0.25}\n",
+                                  "experiment: {kind: identity-check, t0: 0.001}\n",
+                                  "experiment: {kind: runge, levels: [8, 300]}\n",
+                                  "model: {kind: nonlinear}\n"
+                                  "experiment: {kind: invert-nonlinear, eps_list: [0.1]}\n",
+                                  "model: {kind: nonlinear}\n"
+                                  "experiment: {kind: invert-nonlinear, eps_list: [0.1, 0.1]}\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
                               "non-numeric-seed", "unknown-grid-key",
@@ -551,7 +561,11 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                               "fractional-n_nodes", "fractional-level", "zero-runge-width",
                               "zero-target-width", "zero-eps0", "negative-eps",
                               "negative-r", "fractional-seed", "negative-seed-with-noise",
-                              "non-string-out_dir"])
+                              "non-string-out_dir", "empty-forward-window",
+                              "forward-window-before-dt", "empty-energy-pulse",
+                              "swapped-runge-pulse", "swapped-identity-window",
+                              "identity-window-before-dt", "runge-level-above-steps",
+                              "one-eps", "repeated-eps"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, monkeypatch, text):
     # run without --out, so that the scenario's own out_dir is the one used
     monkeypatch.chdir(tmp_path)
@@ -582,6 +596,41 @@ def test_cli_sweep_unknown_param_exit_two(tmp_path, capsys):
                  "--out", str(tmp_path / "sw")]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: unknown keys ['foo']"]
     assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("experiment,message", [
+    ({"kind": "forward", "t0": 0.5, "t1": 0.5},
+     "experiment.t1 must be above experiment.t0=0.5, got 0.5"),
+    ({"kind": "forward", "t0": 0.0},
+     "experiment.t0 of a control window must be at least dt=0.02, got 0.0"),
+    ({"kind": "identity-check", "t2": 0.01},
+     "experiment.t2 of a control window must be at least dt=0.02, got 0.01"),
+    ({"kind": "energy-check", "t0": 0.6, "t1": 0.2},
+     "experiment.t1 must be above experiment.t0=0.6, got 0.2"),
+    ({"kind": "runge", "levels": [8, 51]},
+     "experiment.levels must not exceed the 50 time steps, got [8, 51]"),
+    ({"kind": "invert-nonlinear", "eps_list": [0.1, 0.1]},
+     "experiment.eps_list must hold at least two distinct amplitudes, got [0.1, 0.1]")],
+    ids=["empty-window", "control-at-zero", "identity-t2-before-dt", "swapped-pulse",
+         "level-above-steps", "repeated-eps"])
+def test_reader_names_the_key_of_a_bad_window_or_amplitude_list(experiment, message):
+    # a pulse's window may start at 0, a control's only at dt: its bump must
+    # vanish on the first two time nodes
+    validate_config(small_cfg(experiment={"kind": "energy-check", "t0": 0.0}))
+    model = {"kind": "nonlinear" if experiment["kind"] == "invert-nonlinear" else "linear"}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        validate_config(small_cfg(experiment=experiment, model=model))
+
+
+def test_cli_control_failure_exit_one_line(tmp_path, capsys):
+    # the fixed probe psi of invert-nonlinear starts at 0.1 t_final, before dt
+    path = write_yaml(tmp_path / "c.yaml", {
+        "grid": {"n_nodes": 31}, "dt": 0.25, "model": {"kind": "nonlinear"},
+        "experiment": {"kind": "invert-nonlinear", "basis_segments": 7}})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: control incompatible with zero initial data: "
+        "values must vanish at the first two time nodes"]
 
 
 def test_null_means_the_default(tmp_path, capsys):

@@ -56,7 +56,6 @@ KEEP = {
     "operator.dump_matrix": "documented in the README",
     "solver.trajectory_from_csv": "documented in the README",
     "solver.solve_linearized": "the first-order linearization rate of the paper check",
-    "inversion.synthesize_control": "the Runge approximation paper check",
     "controls.materialize": "documented in the README; the benchmark tracer binds it",
     "inversion.LocalizedTarget.materialize": "the reference for materialize_targets",
 }
@@ -84,3 +83,23 @@ def test_every_definition_is_reached_or_kept():
                  for qualname, name in _definitions(tree) if name not in referenced}
     assert unreached - set(KEEP) == set()
     assert set(KEEP) - unreached == set()
+
+
+# How a basis pass is stepped and shifted: solver's own, so that a caller
+# sees one observed history per element
+SOLVER_ONLY = {"shift_plan", "CONTROL_BLOCK", "SHIFT_RTOL", "_step_linear", "_basis_pass"}
+
+
+def test_only_the_solver_knows_the_shift_plan():
+    src = pathlib.Path(viscowave.__file__).parent
+    seen = set()
+    for path in src.glob("*.py"):
+        if path.name == "solver.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [alias.name for alias in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
+            seen.update((path.stem, name) for name in SOLVER_ONLY.intersection(names))
+    assert seen == set()

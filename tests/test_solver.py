@@ -1,6 +1,7 @@
 """Time stepping: pinning, determinism, energy bookkeeping, Newton, linearization."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -586,21 +587,30 @@ def _potential(grid, kind):
             "time-dependent": np.outer(DT * np.arange(NT + 1), prof)}[kind]
 
 
+def _observed(run_pass):
+    """(u, v) of every element of the pass run_pass(observe), element-major,
+    and the rows of each _step_linear call it made.
+
+    observe keeps both histories, and checks that they are read-only.
+    """
+    def observe(u, v):
+        assert not u.flags.writeable and not v.flags.writeable
+        return np.stack((u, v), axis=2)
+
+    with mock.patch.object(solver, "_step_linear", wraps=solver._step_linear) as step:
+        both = run_pass(observe)
+    return both[:, :, 0], both[:, :, 1], [c.args[1].shape[1] for c in step.call_args_list]
+
+
 def _interior_responses(op, q, basis):
     """(u, v) of solve_linear_basis, element-major, and the block sizes.
 
-    The bases it is given shift no spline, so every element is a seed.
+    The bases it is given shift no spline, so every element is stepped.
     """
-    u, v, sizes = [], [], []
-    plan, blocks = solver.solve_linear_basis(op, q, basis, DT, T_FINAL)
-    assert np.array_equal(plan.seeds, np.arange(len(basis))) and not plan.lag.any()
-    for seeds, bu, bv in blocks:
-        assert not bu.flags.writeable and not bv.flags.writeable
-        sizes.append(bu.shape[1])
-        assert np.array_equal(seeds, np.arange(sum(sizes[:-1]), sum(sizes)))
-        u.append(bu.transpose(1, 0, 2))
-        v.append(bv.transpose(1, 0, 2))
-    return np.concatenate(u), np.concatenate(v), sizes
+    got = _observed(lambda observe: solver.solve_linear_basis(op, q, basis, DT, T_FINAL,
+                                                              observe))
+    assert sum(got[2]) == len(basis)
+    return got
 
 
 def _interior(responses, k):
@@ -663,12 +673,11 @@ def test_difference_pass_matches_the_subtraction(op31, grid31, monkeypatch, kind
     q, q_bg = _potential(grid31, kind), 0.2 * np.ones(grid31.omega.size)
     with_q = _interior_responses(op31, q, basis)
     background = _interior_responses(op31, q_bg, basis)
-    passes = list(solver.solve_linear_difference(op31, q, q_bg, basis, background[0],
-                                                 DT, T_FINAL)[1])
-    assert [p[0].tolist() for p in passes] == [list(range(16)), list(range(16, len(basis)))]
+    difference = _observed(lambda observe: solver.solve_linear_difference(
+        op31, q, q_bg, basis, background[0], DT, T_FINAL, observe))
+    assert difference[2] == [16, len(basis) - 16]
     for i in (0, 1):
-        assert not any(p[1 + i].flags.writeable for p in passes)
-        diff = np.concatenate([p[1 + i].transpose(1, 0, 2) for p in passes])
+        diff = difference[i]
         sub = with_q[i] - background[i]
         assert np.abs(sub).max() > 1e-3 * np.abs(background[i]).max()
         assert np.abs(diff - sub).max() <= 1e-11 * np.abs(sub).max()
@@ -701,7 +710,8 @@ def _failing_step(call):
 def _failing_steps(op, q, basis, control, dt=DT):
     """Failing step of solve_linear on one control, and of the basis pass."""
     one = _failing_step(lambda: solve_linear(op, q, control, dt, T_FINAL))
-    block = _failing_step(lambda: list(solver.solve_linear_basis(op, q, basis, dt, T_FINAL)[1]))
+    block = _failing_step(lambda: solver.solve_linear_basis(op, q, basis, dt, T_FINAL,
+                                                            lambda u, v: u))
     return one, block
 
 
@@ -830,22 +840,19 @@ def test_step_maps_match_the_closure_loop(op101, grid101, monkeypatch, kind):
     monkeypatch.setattr(solver, "CONTROL_BLOCK", 32)
     basis = ControlBasis(grid101, "w1", T_FINAL, 8)
     q, q_bg = _potential(grid101, kind), 0.2 * np.ones(grid101.omega.size)
-    passes = list(solver.solve_linear_basis(op101, q, basis, DT, T_FINAL)[1])
-    assert len(passes) == -(-len(basis) // 32) > 1
-    for elements, u, v in passes:
-        ref = _closure_loop(op101, q, solver._basis_drive(op101, basis, DT, NT, elements))
-        _assert_within(u, ref[0])
-        _assert_within(v, ref[1])
-    states = np.concatenate([u.transpose(1, 0, 2) for _, u, _v in
-                             solver.solve_linear_basis(op101, q_bg, basis, DT, T_FINAL)[1]])
+    u, v, sizes = _interior_responses(op101, q, basis)
+    assert len(sizes) == -(-len(basis) // 32) > 1
+    ref = _closure_loop(op101, q, solver._basis_drive(op101, basis, DT, NT, slice(None)))
+    _assert_within(u, ref[0].transpose(1, 0, 2))
+    _assert_within(v, ref[1].transpose(1, 0, 2))
+    states = solver.solve_linear_basis(op101, q_bg, basis, DT, T_FINAL, lambda u, v: u)
     dq = (_expand_potential(q, NT, grid101.omega.size)[0]
           - _expand_potential(q_bg, NT, grid101.omega.size)[0])
-    for elements, w, z in solver.solve_linear_difference(op101, q, q_bg, basis, states,
-                                                         DT, T_FINAL)[1]:
-        drive = solver._difference_drive(dq, states[elements].transpose(1, 0, 2), DT)
-        ref = _closure_loop(op101, q, drive)
-        _assert_within(w, ref[0])
-        _assert_within(z, ref[1])
+    w, z, _ = _observed(lambda observe: solver.solve_linear_difference(
+        op101, q, q_bg, basis, states, DT, T_FINAL, observe))
+    ref = _closure_loop(op101, q, solver._difference_drive(dq, states.transpose(1, 0, 2), DT))
+    _assert_within(w, ref[0].transpose(1, 0, 2))
+    _assert_within(z, ref[1].transpose(1, 0, 2))
     om = grid101.omega
     ctl = bump_control(grid101, "w1", 0.1, 0.8, DT, NT)
     kwargs = _shared_inputs(grid101)
@@ -905,12 +912,21 @@ def _every_element_difference(op, q, q_bg, basis, states, dt):
     return solver._step_linear(solver._step_maps(op, q, dt, nt), drive, dt, None, None)
 
 
-def _every_element_pairings(op, basis1, basis2, dt, u, v):
-    """Interior pairings of every element's full history, as dnmap made them."""
+def _every_element_pairings(op, basis1, basis2, dt, u, v, controls):
+    """Pairings of every element's full-grid history, one at a time: its
+    interior (u, v) and, with controls, its own control on the exterior."""
     nt = n_steps_for(dt, T_FINAL)
-    weighted = basis2.time_matrix(dt, nt) * trapezoid_weights(nt)[None, :]
-    flux = (u + v) @ op.matrix[np.ix_(op.grid.omega, basis2.nodes)]
-    return dnmap._pair_fluxes(flux, weighted, op.grid.h, dt)
+    rows = []
+    for e in range(len(basis1)):
+        control = materialize(basis1, e, dt, nt) if controls else None
+        full = solver._on_grid(op.grid, control, dt, nt, (u[:, e], v[:, e]))
+        rows.append(dnmap._pair_against_basis(op, solver.Trajectory(*full, dt=dt), basis2))
+    return np.array(rows)
+
+
+def _seeds(seed):
+    """The elements a pass with the plan's seed array steps."""
+    return np.flatnonzero(seed == np.arange(seed.size))
 
 
 # (grid, spline level, dt, time-dependent q, seeds per window node)
@@ -932,20 +948,20 @@ def test_shifted_passes_match_stepping_every_element(request, case):
     basis2 = ControlBasis(grid, "w2", T_FINAL, n_segments)
     prof = 0.4 * interior_bump(grid)[grid.omega]
     q = np.outer(dt * np.arange(nt + 1), prof) if timed else prof
-    plan, _ = solver.solve_linear_basis(op, q, basis1, dt, T_FINAL)
-    assert len(plan.seeds) == n_seeds * len(basis1.nodes)
+    stepped = _observed(lambda observe: solver.solve_linear_basis(op, q, basis1, dt, T_FINAL,
+                                                                  observe))[2]
+    assert sum(stepped) == n_seeds * len(basis1.nodes)
     # the background states of q = 0, which always shift when the level does
     background = BackgroundStates(op, None, basis1, dt, T_FINAL)
     u0, _v0 = _every_element(op, None, basis1, dt)
     _assert_within(background.states, u0.transpose(1, 0, 2))
     # the measurement matrix of q
     u, v = _every_element(op, q, basis1, dt)
-    _, exterior = dnmap._basis_pairings(op, basis1, basis2, dt, T_FINAL)
-    ref = _every_element_pairings(op, basis1, basis2, dt, u, v) + exterior
+    ref = _every_element_pairings(op, basis1, basis2, dt, u, v, True)
     _assert_within(dn_matrix_linear(op, q, basis1, basis2, dt, T_FINAL).pairings, ref)
     # the difference of q from the q = 0 background, driven by its states
     w, z = _every_element_difference(op, q, None, basis1, u0.transpose(1, 0, 2), dt)
-    ref = _every_element_pairings(op, basis1, basis2, dt, w, z)
+    ref = _every_element_pairings(op, basis1, basis2, dt, w, z, False)
     _assert_within(dn_difference_linear(q, background, basis2).pairings, ref)
 
 
@@ -953,22 +969,22 @@ def test_shift_plan_of_a_level_and_of_a_horizon_off_by_rounding(grid101, grid31)
     # at 16 segments and 200 steps a knot is 12.5 steps: splines 1, 3, 5, ...
     # shift spline 1 by 25, 50, ... steps and splines 2, 4, ... spline 2
     basis = ControlBasis(grid101, "w1", T_FINAL, 16)
-    plan = solver.shift_plan(basis, 5e-3, 200, True)
+    seed, lag = solver.shift_plan(basis, 5e-3, 200, True)
     n_spl = len(basis.tsplines)
-    assert plan.seed[:n_spl].tolist() == [0, 1] * 5 + [0]
-    assert plan.lag[:n_spl].tolist() == [0, 0, 25, 25, 50, 50, 75, 75, 100, 100, 125]
-    assert plan.seed[n_spl:2 * n_spl].tolist() == (n_spl + plan.seed[:n_spl]).tolist()
-    assert plan.seeds.tolist() == [a * n_spl + c for a in range(len(basis.nodes))
-                                   for c in (0, 1)]
-    assert not solver.shift_plan(basis, 5e-3, 200, False).lag.any()
+    assert seed[:n_spl].tolist() == [0, 1] * 5 + [0]
+    assert lag[:n_spl].tolist() == [0, 0, 25, 25, 50, 50, 75, 75, 100, 100, 125]
+    assert seed[n_spl:2 * n_spl].tolist() == (n_spl + seed[:n_spl]).tolist()
+    assert _seeds(seed).tolist() == [a * n_spl + c for a in range(len(basis.nodes))
+                                     for c in (0, 1)]
+    assert not solver.shift_plan(basis, 5e-3, 200, False)[1].any()
     # n_steps_for takes a dt whose steps miss t_final by rounding; the samples
     # then shift by other than whole knots, and nothing is shifted
     basis = ControlBasis(grid31, "w1", T_FINAL, 10)
-    assert solver.shift_plan(basis, DT, NT, True).lag.any()
+    assert solver.shift_plan(basis, DT, NT, True)[1].any()
     dt = DT + 1e-12
     assert n_steps_for(dt, T_FINAL) == NT
-    plan = solver.shift_plan(basis, dt, NT, True)
-    assert not plan.lag.any() and len(plan.seeds) == len(basis)
+    seed, lag = solver.shift_plan(basis, dt, NT, True)
+    assert not lag.any() and len(_seeds(seed)) == len(basis)
 
 
 def test_shifted_pass_reports_the_first_failing_element(op31, grid31):
@@ -979,12 +995,13 @@ def test_shifted_pass_reports_the_first_failing_element(op31, grid31):
     matrix = op31.matrix.copy()
     matrix[basis.nodes[1], grid31.omega[4]] = 1e308
     op = dataclasses.replace(op31, matrix=matrix)
-    plan, blocks = solver.solve_linear_basis(op, None, basis, DT, T_FINAL)
-    assert len(plan.seeds) == len(basis.nodes) < len(basis)
     with np.errstate(all="ignore"), pytest.raises(StepFailureError) as every:
         _every_element(op, None, basis, DT)
-    with np.errstate(all="ignore"), pytest.raises(StepFailureError) as shifted:
-        list(blocks)
+    with (np.errstate(all="ignore"), pytest.raises(StepFailureError) as shifted,
+          mock.patch.object(solver, "_step_linear", wraps=solver._step_linear) as step):
+        solver.solve_linear_basis(op, None, basis, DT, T_FINAL, lambda u, v: u)
+    assert [c.args[1].shape[1] for c in step.call_args_list] == [len(basis.nodes)]
+    assert len(basis.nodes) < len(basis)
     assert every.value.element == len(basis.tsplines)
     assert (shifted.value.element, shifted.value.step) == (every.value.element,
                                                            every.value.step)
