@@ -21,7 +21,7 @@ from .solver import (EnergyLedger, NewtonDivergenceError, SolverError,
                      trajectory_to_csv)
 from .dnmap import (DNMapError, DNRecord, alessandrini_residual,
                     dn_difference_linear, dn_matrix_linear, dn_pairing,
-                    nonlinear_integral_identity_residual, reverse_potential,
+                    dn_remainders_nonlinear, nonlinear_integral_identity_residual, reverse_potential,
                     self_adjointness_residual, time_reverse)
 from .inversion import (BackgroundStates, IllConditionedError,
                         InconclusiveError, InversionError, LocalizedTarget,

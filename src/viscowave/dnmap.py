@@ -190,6 +190,27 @@ def dn_difference_linear(q, background, probe_basis, tag=""):
                     probes=probe_basis, pairings=_pair_fluxes(flux, probe_basis, dt))
 
 
+def dn_remainders_nonlinear(op, f, psi, probe_basis, eps_list, dt, t_final):
+    """What the nonlinearity adds to the measurement of eps * psi, per amplitude.
+
+    Returns the linear trajectory driven by psi, its pairings p_lin against
+    the reversed elements of probe_basis, and a dict mapping each distinct
+    eps of eps_list to the reversed pairings of the nonlinear trajectory
+    driven by eps * psi minus eps * p_lin.
+    """
+    lin = solve_linear(op, None, psi, dt, t_final)
+    perm = probe_basis.reversal_permutation()
+    p_lin = _pair_against_basis(op, lin, probe_basis)[perm]
+    remainders = {}
+    for eps in sorted(set(eps_list)):
+        scaled = ExteriorControl(values=eps * psi.values, dvalues=eps * psi.dvalues,
+                                 window=psi.window, dt=psi.dt)
+        p_nl = _pair_against_basis(op, solve_nonlinear(op, f, scaled, dt, t_final),
+                                   probe_basis)[perm]
+        remainders[eps] = p_nl - eps * p_lin
+    return lin, p_lin, remainders
+
+
 def _check_windows(phi1, phi2):
     if phi1.window != "w1":
         raise DNMapError(f"phi1 must be supported on w1, got {phi1.window}")
@@ -243,9 +264,7 @@ def alessandrini_residual(op, q1, q2, phi1, phi2, dt, t_final):
            - dn_pairing(op, solve_linear(op, reverse_potential(q2), phi1, dt, t_final),
                         phi2_rev))
     diff = q1s - q2s[::-1]
-    rhs = _interior_weighted_sum(op.grid, dt, diff,
-                                 u1.u[:, om] - phi1.values[:, om],
-                                 u2.u[:, om] - phi2.values[:, om])
+    rhs = _interior_weighted_sum(op.grid, dt, diff, u1.u[:, om], u2.u[:, om])
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -266,6 +285,5 @@ def nonlinear_integral_identity_residual(op, f1, f2, phi1, phi2, dt, t_final):
     lhs = dn_pairing(op, u11, phi2_rev) - dn_pairing(op, u12, phi2_rev)
     u2 = solve_linear(op, None, phi2, dt, t_final)
     g = nl.apply(f1, u11.u[:, om]) - nl.apply(f2, u12.u[:, om])
-    rhs = _interior_weighted_sum(op.grid, dt, 1.0, g,
-                                 u2.u[:, om] - phi2.values[:, om])
+    rhs = _interior_weighted_sum(op.grid, dt, 1.0, g, u2.u[:, om])
     return lhs, rhs, abs(lhs - rhs)

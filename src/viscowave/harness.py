@@ -19,7 +19,7 @@ import yaml
 
 from .controls import ControlBasis, bump_control, time_bump
 from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linear,
-                    nonlinear_integral_identity_residual,
+                    dn_remainders_nonlinear, nonlinear_integral_identity_residual,
                     self_adjointness_residual)
 from .grid import build_grid
 from .inversion import (BackgroundStates, estimate_homogeneity_exponent, interior_targets,
@@ -253,6 +253,15 @@ def _read_experiment(exp, run):
         return (*window("t0", "t1", t0, t1, control=False), number("center", center),
                 number("width", width, sign="positive"))
 
+    def spline_levels(key, default, many=False):
+        """Time-spline levels under key; a first knot t_final / level before
+        dt puts a control's second time node inside its first spline."""
+        levels = exp.integer(key, default, least=7, many=many)
+        if max(levels if many else [levels]) > run["nt"]:
+            raise ConfigError(f"experiment.{key} must not exceed the {run['nt']} time "
+                              f"steps, got {levels}")
+        return levels
+
     def targets():
         nodes = exp.integer("target_nodes", least=0, many=True)
         stride = exp.integer("target_stride", 1, least=1)
@@ -289,18 +298,12 @@ def _read_experiment(exp, run):
             needs = ("nonlinear-integral identity", "nonlinear")
         unread = f"experiment keys {{}} are not read by identity-check variant {variant!r}"
     elif kind == "runge":
-        levels = exp.integer("levels", [8, 16, 32], least=7, many=True)
-        if max(levels) > run["nt"]:
-            # a first knot t_final / level before dt puts a control's second
-            # time node inside its first spline
-            raise ConfigError(f"experiment.levels must not exceed the {run['nt']} time "
-                              f"steps, got {levels}")
-        values = {"levels": levels,
+        values = {"levels": spline_levels("levels", [8, 16, 32], many=True),
                   "window": exp.choice("window", "w1", ("w1", "w2")),
                   "pulse": pulse(0.2 * t_final, 0.8 * t_final, 0.35, 0.22),
                   "tolerance": number("tolerance", 0.2)}
     elif kind == "invert-linear":
-        values = {"basis_segments": exp.integer("basis_segments", 16, least=7),
+        values = {"basis_segments": spline_levels("basis_segments", 16),
                   "frame": exp.choice("frame", "direct", ("direct", "reversed")),
                   "q_time_basis": exp.integer("q_time_basis", least=2),
                   "targets": targets(), "tolerance": number("tolerance", 0.10)}
@@ -309,11 +312,15 @@ def _read_experiment(exp, run):
         values = {"psi_amplitude": number("psi_amplitude", 50.0),
                   "eps_list": number("eps_list", [1e-1, 3e-2, 1e-2], "positive", many=True),
                   "eps0": number("eps0", 1e-1, sign="positive"),
-                  "basis_segments": exp.integer("basis_segments", 16, least=7),
+                  "basis_segments": spline_levels("basis_segments", 16),
                   "round_exponent": exp.choice("round_exponent", True, (True, False)),
                   "targets": targets(),
                   "exponent_tolerance": number("exponent_tolerance", 0.1),
                   "tolerance": number("tolerance", 0.15)}
+        if 0.1 * t_final < dt:
+            # the runner's fixed probe psi is a control on (0.1, 0.9) t_final
+            raise ConfigError("dt must be at most 0.1 * t_final, where the probe of "
+                              f"invert-nonlinear starts, got {dt}")
         if len(set(values["eps_list"])) < 2:
             # the exponent is the slope of a fit through the amplitudes
             raise ConfigError("experiment.eps_list must hold at least two distinct "
@@ -464,7 +471,12 @@ def run_invert_linear(run, op, out_dir):
 
     recon = recover_linear_potential(
         rec_data, background, run.targets, run.alpha_inv, synth_alpha=run.synth_alpha,
-        q_time_basis=run.q_time_basis, frame=run.frame)
+        q_time_basis=run.q_time_basis)
+    # the frame orients a time-dependent estimate: reversed, it is written as
+    # a function of t_final - t
+    if run.q_time_basis is not None and run.frame == "reversed":
+        recon.values = recon.values[:, ::-1]
+    recon.diagnostics = {"frame": run.frame, **recon.diagnostics}
     recon.save(os.path.join(out_dir, "reconstruction.json"))
     if run.q_time_basis is None and np.ndim(q_true) == 1:
         recon.save_csv(os.path.join(out_dir, "reconstruction.csv"), q_true=q_true)
@@ -496,13 +508,15 @@ def run_invert_nonlinear(run, op, out_dir):
     psi = bump_control(grid, "w1", 0.1 * t_final, 0.9 * t_final, dt, run.nt,
                        amplitude=run.psi_amplitude)
     basis2 = ControlBasis(grid, "w2", t_final, run.basis_segments)
-    r_est, diag = estimate_homogeneity_exponent(op, f, psi, basis2, run.eps_list,
-                                                dt, t_final)
+    # one sweep measures every amplitude that the exponent fit and the
+    # Richardson step read
+    lin, p_lin, remainders = dn_remainders_nonlinear(
+        op, f, psi, basis2, {*run.eps_list, run.eps0, 0.5 * run.eps0}, dt, t_final)
+    r_est, diag = estimate_homogeneity_exponent(run.eps_list, remainders, p_lin)
 
     recon = recover_nonlinear_coefficient(
-        op, f, round(r_est) if run.round_exponent else r_est,
-        run.targets, run.eps0, run.alpha_inv, dt, t_final, psi=psi,
-        synth_alpha=run.synth_alpha, n_segments=run.basis_segments)
+        op, lin, remainders, basis2, round(r_est) if run.round_exponent else r_est,
+        run.targets, run.eps0, run.alpha_inv, synth_alpha=run.synth_alpha)
     recon.save(os.path.join(out_dir, "reconstruction.json"))
     recon.save_csv(os.path.join(out_dir, "reconstruction.csv"), q_true=f.coeff)
 

@@ -12,10 +12,8 @@ import json
 
 import numpy as np
 
-from .controls import ControlBasis, ExteriorControl, bump_control, time_bump
-from .dnmap import _pair_against_basis
-from .solver import (n_steps_for, solve_linear, solve_linear_basis, solve_nonlinear,
-                     trapezoid_weights)
+from .controls import ControlBasis, time_bump
+from .solver import n_steps_for, solve_linear_basis, trapezoid_weights
 
 
 class InversionError(RuntimeError):
@@ -336,7 +334,7 @@ def _probing_kernel(fld1, fld2, weights):
 
 
 def recover_linear_potential(dn_difference, background, targets, alpha_inv,
-                             synth_alpha=1e-10, q_time_basis=None, frame="direct"):
+                             synth_alpha=1e-10, q_time_basis=None):
     """Potential increment from a difference record over a background.
 
     background is the :class:`BackgroundStates` of the record's w1 controls
@@ -350,14 +348,9 @@ def recover_linear_potential(dn_difference, background, targets, alpha_inv,
     measurement map at q_bg, so the returned values estimate q_data - q_bg).
     Smoothness-regularized least squares with weight alpha_inv picks the
     estimate.
-    frame="direct" parameterizes the unknown on the forward time axis;
-    frame="reversed" parameterizes its time reversal, the natural frame when
-    the unknown is modeled from the receiving side.  With q_time_basis=None
-    the unknown is static; an integer requests that many piecewise-linear
-    time profiles.
+    With q_time_basis=None the unknown is static; an integer requests that
+    many piecewise-linear time profiles on the forward time axis.
     """
-    if frame not in ("direct", "reversed"):
-        raise InversionError(f"unknown frame {frame!r}")
     if np.ndim(background.q) > 1:
         raise InversionError("background potential must be static (scalar or one row)")
     _check_record(dn_difference, background)
@@ -385,11 +378,7 @@ def recover_linear_potential(dn_difference, background, targets, alpha_inv,
         gamma = _time_hats(int(q_time_basis), dt, n_steps)
     n_gamma = gamma.shape[0]
 
-    if frame == "direct":
-        fld1, fld2 = achieved1, achieved2[:, ::-1, :]
-    else:
-        fld1, fld2 = achieved1[:, ::-1, :], achieved2
-    kern = grid.h * _probing_kernel(fld1, fld2, gamma * wt[None, :])
+    kern = grid.h * _probing_kernel(achieved1, achieved2[:, ::-1, :], gamma * wt[None, :])
     n_pairs = len(targets) ** 2
     rhs = m.reshape(-1)
 
@@ -418,7 +407,6 @@ def recover_linear_potential(dn_difference, background, targets, alpha_inv,
 
     residual = float(np.linalg.norm(kern @ qvec - rhs))
     diagnostics = {
-        "frame": frame,
         "runge_errors_w1": [float(e) for e in errs1],
         "runge_errors_w2": [float(e) for e in errs2],
         "fit_residual": residual,
@@ -430,39 +418,19 @@ def recover_linear_potential(dn_difference, background, targets, alpha_inv,
                           diagnostics=diagnostics)
 
 
-def _nonlinear_remainders(op, f, psi, basis2, eps_list, dt, t_final):
-    """What the nonlinearity adds to the measurement of eps * psi, per eps.
-
-    Returns the linear trajectory driven by psi, its pairings p_lin against
-    the reversed probe elements of basis2, and for each eps the reversed
-    pairings of the nonlinear trajectory driven by eps * psi minus eps * p_lin.
-    """
-    lin = solve_linear(op, None, psi, dt, t_final)
-    perm = basis2.reversal_permutation()
-    p_lin = _pair_against_basis(op, lin, basis2)[perm]
-    remainders = []
-    for eps in eps_list:
-        scaled = ExteriorControl(values=eps * psi.values, dvalues=eps * psi.dvalues,
-                                 window=psi.window, dt=psi.dt)
-        nl = solve_nonlinear(op, f, scaled, dt, t_final)
-        p_nl = _pair_against_basis(op, nl, basis2)[perm]
-        remainders.append(p_nl - eps * p_lin)
-    return lin, p_lin, remainders
-
-
-def estimate_homogeneity_exponent(op, f, psi, basis2, eps_list, dt, t_final):
+def estimate_homogeneity_exponent(eps_list, remainders, p_lin):
     """Homogeneity degree of the nonlinearity from the scaling of pairings.
 
-    Drives the system with eps * psi, measures the difference between the
-    nonlinear and linear responses against the reversed probe elements, and
-    reads the exponent off a log-log fit: slope minus one.
+    remainders maps each amplitude eps of eps_list to what the nonlinearity
+    adds to the measurement of eps * psi, and p_lin is the linear
+    measurement of psi, as ``dnmap.dn_remainders_nonlinear`` returns them.
+    The exponent is read off a log-log fit over eps_list, a repeated
+    amplitude counting once per entry: slope minus one.
     """
     eps_list = sorted(float(e) for e in eps_list)
     if len(eps_list) < 2:
         raise InversionError("need at least two amplitudes")
-    _lin, p_lin, remainders = _nonlinear_remainders(op, f, psi, basis2, eps_list,
-                                                    dt, t_final)
-    sizes = np.asarray([np.linalg.norm(d) for d in remainders])
+    sizes = np.asarray([np.linalg.norm(remainders[eps]) for eps in eps_list])
     floor = 1e-10 * max(np.linalg.norm(p_lin) * max(eps_list), 1e-300)
     if np.any(sizes < floor):
         raise InconclusiveError(
@@ -472,40 +440,32 @@ def estimate_homogeneity_exponent(op, f, psi, basis2, eps_list, dt, t_final):
                                 "slope": float(slope)}
 
 
-def recover_nonlinear_coefficient(op, f, r_known, targets, eps0, alpha_inv,
-                                  dt, t_final, psi=None, synth_alpha=1e-10,
-                                  n_segments=16):
+def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, targets, eps0,
+                                  alpha_inv, synth_alpha=1e-10):
     """Nodal coefficient of a homogeneous nonlinearity from small-amplitude data.
 
-    The leading pairing difference at amplitude eps scales like eps**(r+1) and
-    pairs q(x) |v0|^r v0 against reversed achieved probe states, where v0 is
-    the linear response to psi.  A two-amplitude Richardson step (eps0 and
-    eps0/2, error order r) removes the next correction before the moment
-    system is solved for q on the covered nodes.
+    lin and remainders are the linear response to a probe psi and, at eps0
+    and eps0/2, what the nonlinearity adds to the measurement of eps * psi
+    against the reversed elements of probe_basis, as
+    ``dnmap.dn_remainders_nonlinear`` returns them.  The leading remainder at
+    amplitude eps scales like eps**(r+1) and pairs q(x) |v0|^r v0 against
+    reversed achieved probe states, where v0 = lin on omega.  A two-amplitude
+    Richardson step (eps0 and eps0/2, error order r) removes the next
+    correction before the moment system is solved for q on the covered nodes.
     """
-    grid = op.grid
-    om = grid.omega
-    n_steps = n_steps_for(dt, t_final)
-    if psi is None:
-        psi = bump_control(grid, "w1", 0.1 * t_final, 0.9 * t_final, dt, n_steps)
-    basis2 = ControlBasis(grid, "w2", t_final, n_segments)
-    bg2 = BackgroundStates(op, None, basis2, dt, t_final)
-
+    grid, om, dt = op.grid, op.grid.omega, lin.dt
+    bg2 = BackgroundStates(op, None, probe_basis, dt, probe_basis.t_final)
     coeff2, achieved2, errs2 = bg2.synthesize(
-        materialize_targets(targets, grid, dt, n_steps), synth_alpha)
-
-    eps_pair = (eps0, 0.5 * eps0)
-    lin, _p_lin, remainders = _nonlinear_remainders(op, f, psi, basis2, eps_pair, dt, t_final)
-    v0 = lin.u[:, om]
+        materialize_targets(targets, grid, dt, bg2.n_steps), synth_alpha)
 
     r = float(r_known)
-    w1, w2m = [coeff2 @ d / eps ** (r + 1) for eps, d in zip(eps_pair, remainders)]
+    eps_pair = (eps0, 0.5 * eps0)
+    w1, w2m = [coeff2 @ remainders[eps] / eps ** (r + 1) for eps in eps_pair]
     y = (2.0 ** r * w2m - w1) / (2.0 ** r - 1.0)
 
-    wt = dt * trapezoid_weights(n_steps)
+    v0 = lin.u[:, om]
     gsrc = np.abs(v0) ** r * v0
-    v2_rev = achieved2[:, ::-1, :]
-    zeta = grid.h * np.einsum("tj,t,ktj->kj", gsrc, wt, v2_rev)
+    zeta = grid.h * np.einsum("tj,t,ktj->kj", gsrc, bg2.time_weights, achieved2[:, ::-1, :])
 
     colnorm = np.linalg.norm(zeta, axis=0)
     covered = colnorm >= 1e-8 * colnorm.max()

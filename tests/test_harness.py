@@ -9,9 +9,10 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from viscowave import (BackgroundStates, ConfigError, ControlBasis, build_grid,
-                       compare_reports, dn_matrix_linear, load_config, run_scenario,
-                       synthesize_control)
+from viscowave import (BackgroundStates, ConfigError, ControlBasis, build_grid, bump_control,
+                       compare_reports, dn_matrix_linear, dn_remainders_nonlinear,
+                       estimate_homogeneity_exponent, load_config,
+                       recover_nonlinear_coefficient, run_scenario, synthesize_control)
 from viscowave import dnmap, harness, inversion, solver
 from viscowave.cli import main
 from viscowave.harness import (DEFAULTS, RUNNERS, _add_noise, _gaussian_pulse, _merge,
@@ -410,9 +411,95 @@ def test_noise_scale_is_that_of_the_background_plus_difference(tmp_path, monkeyp
     assert abs(sigmas[0] - ref) <= 1e-12 * ref
 
 
+def _inversion_outputs(tmp_path, name, frame, q_time="ramp", q_time_basis=3):
+    """reconstruction.json of a small invert-linear run in the given frame."""
+    cfg = _merge(_linear_cfg(), {"experiment": {"frame": frame, "q_time_basis": q_time_basis},
+                                 "model": {"q": {"time": q_time}}})
+    run_scenario(cfg, str(tmp_path / name))
+    return json.loads((tmp_path / name / "reconstruction.json").read_text())
+
+
+def test_reversed_frame_writes_the_direct_estimate_reversed(tmp_path):
+    # the recovery estimates on the forward time axis and the runner orients
+    # a time-dependent estimate; a static one does not depend on the frame
+    direct = _inversion_outputs(tmp_path, "direct", "direct")
+    reversed_ = _inversion_outputs(tmp_path, "reversed", "reversed")
+    flipped = np.ascontiguousarray(np.asarray(direct["q_est"])[:, ::-1])
+    assert np.asarray(reversed_["q_est"]).tobytes() == flipped.tobytes()
+    assert direct["diagnostics"].pop("frame") == "direct"
+    assert reversed_["diagnostics"].pop("frame") == "reversed"
+    assert reversed_["diagnostics"] == direct["diagnostics"]
+    static = [_inversion_outputs(tmp_path, f"static-{frame}", frame, "constant", None)
+              for frame in ("direct", "reversed")]
+    assert static[0]["q_est"] == static[1]["q_est"]
+    assert list(static[1]["diagnostics"])[0] == "frame"
+
+
+def _nonlinear_cfg(**experiment):
+    """test_10's invert-nonlinear scenario at r = 2, with experiment overrides."""
+    return _merge(DEFAULTS, {
+        "grid": {"n_nodes": 101}, "dt": 5e-3,
+        "model": {"kind": "nonlinear", "r": 2,
+                  "coeff": {"kind": "sine", "offset": 1.0, "amplitude": 0.3,
+                            "frequency": 1.0}},
+        "experiment": {"kind": "invert-nonlinear", "psi_amplitude": 50.0, "eps0": 0.1,
+                       "eps_list": [0.1, 0.03, 0.01], "tolerance": 0.15,
+                       "exponent_tolerance": 0.1, **experiment},
+        "regularization": {"alpha_inv": 1e-2, "synth_alpha": 1e-12}})
+
+
+def test_invert_nonlinear_solves_each_amplitude_once(tmp_path, monkeypatch):
+    # one linear solve for psi and one nonlinear solve per distinct amplitude
+    # of eps_list and of the Richardson pair (0.1, 0.05): 0.1 is in both
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (dnmap, harness, inversion):
+        for name in ("solve_linear", "solve_nonlinear"):
+            monkeypatch.setattr(module, name, counting(name, getattr(solver, name)),
+                                raising=False)
+    report = run_scenario(_nonlinear_cfg(), str(tmp_path / "out"))
+    assert report["passed"] is True
+    assert sorted(calls) == ["solve_linear"] + ["solve_nonlinear"] * 4
+
+
+@pytest.mark.parametrize("eps_list", [[0.1, 0.03, 0.01], [0.1, 0.1, 0.03]],
+                         ids=["distinct", "repeated"])
+def test_invert_nonlinear_reads_what_two_sweeps_measure(tmp_path, eps_list):
+    # the exponent fit read a sweep over eps_list and the coefficient one
+    # over (eps0, eps0 / 2); one sweep over both gives them bitwise, and a
+    # repeated amplitude still counts once per entry in the fit
+    cfg = small_cfg(model={"kind": "nonlinear", "r": 2,
+                           "coeff": {"kind": "sine", "offset": 1.0, "amplitude": 0.3}},
+                    experiment={"kind": "invert-nonlinear", "basis_segments": 8,
+                                "eps_list": eps_list})
+    report = run_scenario(cfg, str(tmp_path / "out"))
+    run, op = _setup(cfg)
+    psi = bump_control(run.grid, "w1", 0.1 * run.t_final, 0.9 * run.t_final, run.dt, run.nt,
+                       amplitude=run.psi_amplitude)
+    basis2 = ControlBasis(run.grid, "w2", run.t_final, 8)
+    _, p_lin, fit = dn_remainders_nonlinear(op, run.f, psi, basis2, eps_list, run.dt,
+                                            run.t_final)
+    r_est, diag = estimate_homogeneity_exponent(eps_list, fit, p_lin)
+    lin, _, pair = dn_remainders_nonlinear(op, run.f, psi, basis2, (run.eps0, 0.5 * run.eps0),
+                                           run.dt, run.t_final)
+    recon = recover_nonlinear_coefficient(op, lin, pair, basis2, round(r_est), run.targets,
+                                          run.eps0, run.alpha_inv, synth_alpha=run.synth_alpha)
+    assert report["metrics"]["r_est"] == r_est
+    assert report["metrics"]["eps_differences"] == diag["differences"]
+    assert len(diag["differences"]) == len(eps_list)
+    saved = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
+    np.testing.assert_array_equal(np.asarray(saved["coeff"], dtype=float), recon.coeff)
+
+
 def test_runge_errors_are_those_of_synthesize_control(tmp_path):
-    # run_runge keeps only each level's tracking error, so it synthesizes
-    # without building the control; the errors are bitwise unchanged
+    # run_runge keeps each level's tracking error from synthesize_control,
+    # bitwise what a call of its own returns
     exp = {"kind": "runge", "levels": [8, 16], "window": "w2", "center": 0.4,
            "width": 0.2, "t0": 0.2, "t1": 0.8}
     cfg = small_cfg(experiment=exp)
@@ -537,7 +624,14 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                                   "model: {kind: nonlinear}\n"
                                   "experiment: {kind: invert-nonlinear, eps_list: [0.1]}\n",
                                   "model: {kind: nonlinear}\n"
-                                  "experiment: {kind: invert-nonlinear, eps_list: [0.1, 0.1]}\n"],
+                                  "experiment: {kind: invert-nonlinear, eps_list: [0.1, 0.1]}\n",
+                                  "grid: {n_nodes: 31}\ndt: 0.25\nmodel: {kind: nonlinear}\n"
+                                  "experiment: {kind: invert-nonlinear, basis_segments: 7}\n",
+                                  "dt: 0.125\nmodel: {kind: nonlinear}\n"
+                                  "experiment: {kind: invert-nonlinear, basis_segments: 7}\n",
+                                  "dt: 0.02\nexperiment: {kind: invert-linear, basis_segments: 51}\n",
+                                  "dt: 0.02\nmodel: {kind: nonlinear}\n"
+                                  "experiment: {kind: invert-nonlinear, basis_segments: 64}\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
                               "non-numeric-seed", "unknown-grid-key",
@@ -565,7 +659,9 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                               "forward-window-before-dt", "empty-energy-pulse",
                               "swapped-runge-pulse", "swapped-identity-window",
                               "identity-window-before-dt", "runge-level-above-steps",
-                              "one-eps", "repeated-eps"])
+                              "one-eps", "repeated-eps", "invert-nonlinear-at-four-steps",
+                              "probe-before-dt", "invert-linear-level-above-steps",
+                              "invert-nonlinear-level-above-steps"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, monkeypatch, text):
     # run without --out, so that the scenario's own out_dir is the one used
     monkeypatch.chdir(tmp_path)
@@ -610,9 +706,14 @@ def test_cli_sweep_unknown_param_exit_two(tmp_path, capsys):
     ({"kind": "runge", "levels": [8, 51]},
      "experiment.levels must not exceed the 50 time steps, got [8, 51]"),
     ({"kind": "invert-nonlinear", "eps_list": [0.1, 0.1]},
-     "experiment.eps_list must hold at least two distinct amplitudes, got [0.1, 0.1]")],
+     "experiment.eps_list must hold at least two distinct amplitudes, got [0.1, 0.1]"),
+    ({"kind": "invert-linear", "basis_segments": 51},
+     "experiment.basis_segments must not exceed the 50 time steps, got 51"),
+    ({"kind": "invert-nonlinear", "basis_segments": 56},
+     "experiment.basis_segments must not exceed the 50 time steps, got 56")],
     ids=["empty-window", "control-at-zero", "identity-t2-before-dt", "swapped-pulse",
-         "level-above-steps", "repeated-eps"])
+         "level-above-steps", "repeated-eps", "invert-linear-level-above-steps",
+         "invert-nonlinear-level-above-steps"])
 def test_reader_names_the_key_of_a_bad_window_or_amplitude_list(experiment, message):
     # a pulse's window may start at 0, a control's only at dt: its bump must
     # vanish on the first two time nodes
@@ -622,11 +723,23 @@ def test_reader_names_the_key_of_a_bad_window_or_amplitude_list(experiment, mess
         validate_config(small_cfg(experiment=experiment, model=model))
 
 
-def test_cli_control_failure_exit_one_line(tmp_path, capsys):
-    # the fixed probe psi of invert-nonlinear starts at 0.1 t_final, before dt
-    path = write_yaml(tmp_path / "c.yaml", {
-        "grid": {"n_nodes": 31}, "dt": 0.25, "model": {"kind": "nonlinear"},
-        "experiment": {"kind": "invert-nonlinear", "basis_segments": 7}})
+def test_reader_names_dt_when_the_probe_of_invert_nonlinear_starts_before_it():
+    # the runner's fixed probe psi is a control on (0.1, 0.9) t_final
+    with pytest.raises(ConfigError, match=re.escape(
+            "dt must be at most 0.1 * t_final, where the probe of invert-nonlinear "
+            "starts, got 0.125") + "$"):
+        validate_config(small_cfg(dt=0.125, model={"kind": "nonlinear"},
+                                  experiment={"kind": "invert-nonlinear",
+                                              "basis_segments": 7}))
+
+
+def test_cli_control_failure_exit_one_line(tmp_path, capsys, monkeypatch):
+    # a runner whose control starts at t = 0, which no reader rule foresees
+    def early_control(run, op, out_dir):
+        bump_control(run.grid, "w1", 0.0, 0.5, run.dt, run.nt)
+
+    monkeypatch.setitem(RUNNERS, "forward", early_control)
+    path = write_yaml(tmp_path / "c.yaml", {"grid": {"n_nodes": 31}, "dt": 0.02})
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: control incompatible with zero initial data: "

@@ -103,3 +103,22 @@ def test_only_the_solver_knows_the_shift_plan():
                      if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
             seen.update((path.stem, name) for name in SOLVER_ONLY.intersection(names))
     assert seen == set()
+
+
+# What inversion reads: measurements, made by dnmap, and its own basis passes
+# for synthesis; it makes no measurement and no single forward solve itself
+NOT_IN_INVERSION = {"dnmap", "solve_linear", "solve_nonlinear"}
+
+
+def test_inversion_reads_measurements_only():
+    path = pathlib.Path(viscowave.__file__).parent / "inversion.py"
+    seen = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        names = ([node.id] if isinstance(node, ast.Name)
+                 else [node.attr] if isinstance(node, ast.Attribute)
+                 else [part for alias in node.names for part in alias.name.split(".")]
+                 if isinstance(node, ast.Import)
+                 else [*(node.module or "").split("."), *(alias.name for alias in node.names)]
+                 if isinstance(node, ast.ImportFrom) else [])
+        seen.update(NOT_IN_INVERSION.intersection(names))
+    assert seen == set()

@@ -11,7 +11,8 @@ from scipy.linalg import cho_factor, cho_solve
 from viscowave import (BackgroundStates, IllConditionedError,
                        InconclusiveError, InversionError, LocalizedTarget,
                        Reconstruction, bump_control,
-                       dn_difference_linear, estimate_homogeneity_exponent,
+                       dn_difference_linear, dn_remainders_nonlinear,
+                       estimate_homogeneity_exponent,
                        interior_targets, potential_from_spec, power_nonlinearity,
                        recover_linear_potential, recover_nonlinear_coefficient,
                        solve_linear, synthesize_control, zero_nonlinearity)
@@ -325,8 +326,8 @@ def test_synthesis_of_a_target_stack_matches_one_at_a_time(op31, grid31):
 
 @pytest.mark.parametrize("n_profiles", [1, 3])
 def test_probing_kernel_matches_einsum(rng, n_profiles):
-    # the kernel was one einsum; the first field is reversed in time as the
-    # reversed frame passes it
+    # the kernel was one einsum; a field reversed in time is a strided view,
+    # as the recovery's second field is
     fld1 = rng.normal(size=(7, NT + 1, 5))[:, ::-1, :]
     fld2 = rng.normal(size=(6, NT + 1, 5))
     weights = rng.uniform(size=(n_profiles, NT + 1))
@@ -370,14 +371,15 @@ def test_time_reversal_consistency_of_estimates(op61, grid61):
     rec_f = dn_difference_linear(np.outer(tgrid, g), bg1, basis2)
     rec_r = dn_difference_linear(np.outer(T_FINAL - tgrid, g), bg1, basis2)
     targets = interior_targets(grid61, T_FINAL)
-    kwargs = dict(alpha_inv=1e-1, synth_alpha=1e-12, q_time_basis=3, frame="reversed")
-    est_f = recover_linear_potential(rec_f, bg1, targets, **kwargs)
-    est_r = recover_linear_potential(rec_r, bg1, targets, **kwargs)
-    mutual = (np.linalg.norm(est_f.values - est_r.values[:, ::-1])
-              / np.linalg.norm(est_f.values))
+    kwargs = dict(alpha_inv=1e-1, synth_alpha=1e-12, q_time_basis=3)
+    # each estimate read in the reversed frame, as a function of T - t
+    est_f, est_r = (recover_linear_potential(rec, bg1, targets, **kwargs).values[:, ::-1]
+                    for rec in (rec_f, rec_r))
+    mutual = (np.linalg.norm(est_f - est_r[:, ::-1])
+              / np.linalg.norm(est_f))
     assert mutual < 0.05
     truth_rev = np.outer(g, T_FINAL - tgrid)  # reversed frame estimates this
-    rel = np.linalg.norm(est_f.values - truth_rev) / np.linalg.norm(truth_rev)
+    rel = np.linalg.norm(est_f - truth_rev) / np.linalg.norm(truth_rev)
     assert rel < 0.10
 
 
@@ -435,7 +437,8 @@ def test_recover_checks_the_record_before_any_solve(op31, grid31, monkeypatch):
 def test_recover_rejects_bad_frame_and_background(op31, grid31):
     rec, bg = _zero_case(op31, grid31)
     targets = interior_targets(grid31, T_FINAL)
-    with pytest.raises(InversionError, match="unknown frame"):
+    # the recovery estimates on the forward time axis; the runner orients it
+    with pytest.raises(TypeError, match="frame"):
         recover_linear_potential(rec, bg, targets, 1e-6, frame="backwards")
     moving = BackgroundStates(op31, np.zeros((NT + 1, grid31.omega.size)), bg.basis,
                               DT, T_FINAL)
@@ -454,16 +457,20 @@ def test_recover_detects_zero_probing_system(op31, grid31):
 # --------------------------------------------------------- nonlinearity
 
 
+def _exponent(op, f, psi, basis2, eps_list):
+    """The exponent estimate from one remainder sweep over eps_list."""
+    _lin, p_lin, remainders = dn_remainders_nonlinear(op, f, psi, basis2, eps_list,
+                                                      DT, T_FINAL)
+    return estimate_homogeneity_exponent(eps_list, remainders, p_lin)
+
+
 def test_exponent_estimate_scale_invariant(op31, grid31):
     om = grid31.omega
     q0 = 1.0 + 0.3 * np.cos(np.pi * grid31.x[om])
     psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT)
     basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    r1, d1 = estimate_homogeneity_exponent(
-        op31, power_nonlinearity(q0, 1), psi, basis2, [0.1, 0.03], DT, T_FINAL)
-    r2, d2 = estimate_homogeneity_exponent(
-        op31, power_nonlinearity(7.0 * q0, 1), psi, basis2, [0.1, 0.03],
-        DT, T_FINAL)
+    r1, d1 = _exponent(op31, power_nonlinearity(q0, 1), psi, basis2, [0.1, 0.03])
+    r2, d2 = _exponent(op31, power_nonlinearity(7.0 * q0, 1), psi, basis2, [0.1, 0.03])
     assert abs(d1["slope"] - d2["slope"]) <= 0.02
     assert r1 == pytest.approx(1.0, abs=0.05)
 
@@ -472,16 +479,14 @@ def test_exponent_estimate_zero_nonlinearity_inconclusive(op31, grid31):
     psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT)
     basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
     with pytest.raises(InconclusiveError, match="noise floor"):
-        estimate_homogeneity_exponent(op31, zero_nonlinearity(), psi, basis2,
-                                      [0.1, 0.03], DT, T_FINAL)
+        _exponent(op31, zero_nonlinearity(), psi, basis2, [0.1, 0.03])
 
 
 def test_exponent_estimate_needs_two_amplitudes(op31, grid31):
     psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT)
     basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
     with pytest.raises(InversionError, match="two amplitudes"):
-        estimate_homogeneity_exponent(op31, power_nonlinearity(1.0, 2), psi,
-                                      basis2, [0.1], DT, T_FINAL)
+        _exponent(op31, power_nonlinearity(1.0, 2), psi, basis2, [0.1])
 
 
 def test_wrong_exponent_inflates_moment_residual(op31, grid31):
@@ -490,11 +495,14 @@ def test_wrong_exponent_inflates_moment_residual(op31, grid31):
     f = power_nonlinearity(coeff, 2)
     psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT, amplitude=50.0)
     targets = interior_targets(grid31, T_FINAL)
+    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    lin, _, remainders = dn_remainders_nonlinear(op31, f, psi, basis2, (0.1, 0.05),
+                                                 DT, T_FINAL)
     rel = {}
     for rk in (1, 2, 3):
         rec = recover_nonlinear_coefficient(
-            op31, f, rk, targets, eps0=0.1, alpha_inv=1e-2, dt=DT,
-            t_final=T_FINAL, psi=psi, synth_alpha=1e-12, n_segments=8)
+            op31, lin, remainders, basis2, rk, targets, eps0=0.1, alpha_inv=1e-2,
+            synth_alpha=1e-12)
         d = rec.diagnostics
         rel[rk] = d["moment_residual"] / d["moment_norm"]
     assert rel[2] < 0.1 * rel[1]
@@ -506,10 +514,12 @@ def test_nonlinear_coefficient_accuracy(op31, grid31):
     coeff = 1.0 + 0.3 * np.sin(np.pi * grid31.x[om] + 1.0)
     f = power_nonlinearity(coeff, 2)
     psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT, amplitude=50.0)
+    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    lin, _, remainders = dn_remainders_nonlinear(op31, f, psi, basis2, (0.1, 0.05),
+                                                 DT, T_FINAL)
     rec = recover_nonlinear_coefficient(
-        op31, f, 2, interior_targets(grid31, T_FINAL), eps0=0.1,
-        alpha_inv=1e-2, dt=DT, t_final=T_FINAL, psi=psi, synth_alpha=1e-12,
-        n_segments=8)
+        op31, lin, remainders, basis2, 2, interior_targets(grid31, T_FINAL), eps0=0.1,
+        alpha_inv=1e-2, synth_alpha=1e-12)
     cov = rec.covered
     assert cov.sum() >= 1
     rel = (np.linalg.norm(rec.values[cov] - coeff[cov])
