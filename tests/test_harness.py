@@ -435,22 +435,20 @@ def test_reversed_frame_writes_the_direct_estimate_reversed(tmp_path):
     assert list(static[1]["diagnostics"])[0] == "frame"
 
 
-def _nonlinear_cfg(**experiment):
-    """test_10's invert-nonlinear scenario at r = 2, with experiment overrides."""
-    return _merge(DEFAULTS, {
-        "grid": {"n_nodes": 101}, "dt": 5e-3,
-        "model": {"kind": "nonlinear", "r": 2,
-                  "coeff": {"kind": "sine", "offset": 1.0, "amplitude": 0.3,
-                            "frequency": 1.0}},
-        "experiment": {"kind": "invert-nonlinear", "psi_amplitude": 50.0, "eps0": 0.1,
-                       "eps_list": [0.1, 0.03, 0.01], "tolerance": 0.15,
-                       "exponent_tolerance": 0.1, **experiment},
-        "regularization": {"alpha_inv": 1e-2, "synth_alpha": 1e-12}})
-
-
-def test_invert_nonlinear_solves_each_amplitude_once(tmp_path, monkeypatch):
-    # one linear solve for psi and one nonlinear solve per distinct amplitude
-    # of eps_list and of the Richardson pair (0.1, 0.05): 0.1 is in both
+@pytest.mark.parametrize("eps_list, n_nonlinear",
+                         [([0.1, 0.03, 0.01], 4), ([0.1, 0.1, 0.03], 3)],
+                         ids=["distinct", "repeated"])
+def test_invert_nonlinear_reads_what_two_sweeps_measure(tmp_path, monkeypatch, eps_list,
+                                                        n_nonlinear):
+    # the exponent fit read a sweep over eps_list and the coefficient one
+    # over (eps0, eps0 / 2); one sweep over both gives them bitwise, and a
+    # repeated amplitude still counts once per entry in the fit.  The run
+    # solves psi once, and once each distinct amplitude of eps_list and of
+    # (eps0, eps0 / 2), where eps0 = 0.1 is in both
+    cfg = small_cfg(model={"kind": "nonlinear", "r": 2,
+                           "coeff": {"kind": "sine", "offset": 1.0, "amplitude": 0.3}},
+                    experiment={"kind": "invert-nonlinear", "basis_segments": 8,
+                                "eps_list": eps_list})
     calls = []
 
     def counting(name, fn):
@@ -459,26 +457,13 @@ def test_invert_nonlinear_solves_each_amplitude_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (dnmap, harness, inversion):
-        for name in ("solve_linear", "solve_nonlinear"):
-            monkeypatch.setattr(module, name, counting(name, getattr(solver, name)),
-                                raising=False)
-    report = run_scenario(_nonlinear_cfg(), str(tmp_path / "out"))
-    assert report["passed"] is True
-    assert sorted(calls) == ["solve_linear"] + ["solve_nonlinear"] * 4
-
-
-@pytest.mark.parametrize("eps_list", [[0.1, 0.03, 0.01], [0.1, 0.1, 0.03]],
-                         ids=["distinct", "repeated"])
-def test_invert_nonlinear_reads_what_two_sweeps_measure(tmp_path, eps_list):
-    # the exponent fit read a sweep over eps_list and the coefficient one
-    # over (eps0, eps0 / 2); one sweep over both gives them bitwise, and a
-    # repeated amplitude still counts once per entry in the fit
-    cfg = small_cfg(model={"kind": "nonlinear", "r": 2,
-                           "coeff": {"kind": "sine", "offset": 1.0, "amplitude": 0.3}},
-                    experiment={"kind": "invert-nonlinear", "basis_segments": 8,
-                                "eps_list": eps_list})
-    report = run_scenario(cfg, str(tmp_path / "out"))
+    with monkeypatch.context() as patch:
+        for module in (dnmap, harness, inversion):
+            for name in ("solve_linear", "solve_nonlinear"):
+                patch.setattr(module, name, counting(name, getattr(solver, name)),
+                              raising=False)
+        report = run_scenario(cfg, str(tmp_path / "out"))
+    assert sorted(calls) == ["solve_linear"] + ["solve_nonlinear"] * n_nonlinear
     run, op = _setup(cfg)
     psi = bump_control(run.grid, "w1", 0.1 * run.t_final, 0.9 * run.t_final, run.dt, run.nt,
                        amplitude=run.psi_amplitude)

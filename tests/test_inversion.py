@@ -437,9 +437,8 @@ def test_recover_checks_the_record_before_any_solve(op31, grid31, monkeypatch):
 def test_recover_rejects_bad_frame_and_background(op31, grid31):
     rec, bg = _zero_case(op31, grid31)
     targets = interior_targets(grid31, T_FINAL)
-    # the recovery estimates on the forward time axis; the runner orients it
-    with pytest.raises(TypeError, match="frame"):
-        recover_linear_potential(rec, bg, targets, 1e-6, frame="backwards")
+    # the recovery takes no frame: it estimates on the forward time axis, the
+    # runner orients the estimate, and the reader rejects an unknown frame
     moving = BackgroundStates(op31, np.zeros((NT + 1, grid31.omega.size)), bg.basis,
                               DT, T_FINAL)
     with pytest.raises(InversionError, match="must be static"):
