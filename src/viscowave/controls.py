@@ -7,10 +7,11 @@ B-splines whose supports stay strictly inside (0, T); the spline families are
 nested under dyadic refinement and map onto themselves under time reversal.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .solver import n_steps_for
 
 
 class ControlError(ValueError):
@@ -64,32 +65,15 @@ def _cubic_bspline(x):
             np.where(inside, np.where(x <= 2.0, slope, -slope), 0.0))
 
 
-def _spline_pair(t_final, n_segments, index):
-    """Cubic B-spline on uniform knots over [0, t_final] with support inside (0, T)."""
-    n_segments, index = int(n_segments), int(index)
-    if index not in spline_indices(n_segments):
-        raise ControlError(f"spline index {index} outside 1..{n_segments - 5}")
+def _spline_samples(t, t_final, n_segments):
+    """(values, derivatives) at the times t of every spline of a level, one row
+    per spline index: cubic B-splines on uniform knots over [0, t_final] with
+    supports inside (0, T), spline k starting at knot k."""
     delta = t_final / n_segments
-    start = delta * index  # the first knot
-
-    def value(t):
-        return _cubic_bspline((np.asarray(t, dtype=float) - start) / delta)[0]
-
-    def deriv(t):
-        return _cubic_bspline((np.asarray(t, dtype=float) - start) / delta)[1] / delta
-
-    return value, deriv
-
-
-@functools.lru_cache(maxsize=128)
-def _spline_samples(t_final, n_segments, index, dt, n_steps):
-    """Read-only (values, derivatives) of a time spline at k*dt, k = 0..n_steps."""
-    value, deriv = _spline_pair(t_final, n_segments, index)
-    t = dt * np.arange(n_steps + 1)
-    samples = value(t), deriv(t)
-    for arr in samples:
-        arr.setflags(write=False)
-    return samples
+    starts = delta * np.asarray(spline_indices(n_segments), dtype=float)
+    value, slope = _cubic_bspline((np.asarray(t, dtype=float)[None, :] - starts[:, None])
+                                  / delta)
+    return value, slope / delta
 
 
 def spline_indices(n_segments):
@@ -154,13 +138,13 @@ def make_control(grid, values, dvalues, window, dt):
     return ExteriorControl(values=values, dvalues=dvalues, window=window, dt=float(dt))
 
 
-def materialize(basis, index, dt, n_steps):
-    """Element index of a basis sampled on the time grid k*dt, k = 0..n_steps."""
+def materialize(basis, index):
+    """Element index of a basis, sampled on the basis's time grid."""
     if not 0 <= index < len(basis):
         raise ControlError(f"element {index} outside 0..{len(basis) - 1}")
     unit = np.zeros(len(basis))
     unit[index] = 1.0
-    return basis.control(unit, dt, n_steps)
+    return basis.control(unit)
 
 
 def bump_control(grid, window, t0, t1, dt, n_steps, amplitude=1.0, space=None):
@@ -173,40 +157,36 @@ def bump_control(grid, window, t0, t1, dt, n_steps, amplitude=1.0, space=None):
 
 
 class ControlBasis:
-    """Separable basis: one element per (window node) x (interior time spline).
+    """Separable basis: one element per (window node) x (interior time spline),
+    sampled on the time grid k*dt, k = 0..n_steps, of a horizon t_final.
 
-    The basis refines nestedly when n_segments doubles, and time reversal maps
-    the element list onto itself by permuting the spline index.
+    values and dvalues hold the read-only spline samples and time
+    derivatives, one row per spline, (n_tsplines, n_steps+1).  The basis
+    refines nestedly when n_segments doubles, and time reversal maps the
+    element list onto itself by permuting the spline index.
     """
 
-    def __init__(self, grid, window, t_final, n_segments):
+    def __init__(self, grid, window, dt, t_final, n_segments):
         self.grid = grid
         self.window = window
+        self.dt = float(dt)
         self.t_final = float(t_final)
+        self.n_steps = n_steps_for(self.dt, self.t_final)
         self.n_segments = int(n_segments)
         if self.n_segments != n_segments:
             raise ControlError(f"spline level {n_segments!r} is not an integer")
         self.nodes = list(grid.window(window).tolist())
         self.tsplines = spline_indices(self.n_segments)
+        self.values, self.dvalues = _spline_samples(
+            self.dt * np.arange(self.n_steps + 1), self.t_final, self.n_segments)
+        for arr in (self.values, self.dvalues):
+            arr.setflags(write=False)
 
     def __len__(self):
         return len(self.nodes) * len(self.tsplines)
 
-    def time_matrix(self, dt, n_steps):
-        """Spline values sampled on the time grid, shape (n_tsplines, n_steps+1)."""
-        return self._sample_splines(dt, n_steps, 0)
-
-    def time_dmatrix(self, dt, n_steps):
-        """Spline time derivatives, in the layout of :meth:`time_matrix`."""
-        return self._sample_splines(dt, n_steps, 1)
-
-    def _sample_splines(self, dt, n_steps, which):
-        return np.asarray([_spline_samples(self.t_final, self.n_segments, k, dt,
-                                           n_steps)[which]
-                           for k in self.tsplines])
-
-    def control(self, coeffs, dt, n_steps):
-        """The exterior control Sum_m coeffs[m] * element_m on the time grid k*dt.
+    def control(self, coeffs):
+        """The exterior control Sum_m coeffs[m] * element_m on the basis's time grid.
 
         Elements are node-major, spline-minor: element a * n_tsplines + k is
         spline tsplines[k] at window node nodes[a].
@@ -214,14 +194,12 @@ class ControlBasis:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (len(self),):
             raise ControlError(f"{coeffs.shape} coefficients for a basis of {len(self)}")
-        tm = self.time_matrix(dt, n_steps)
-        dtm = self.time_dmatrix(dt, n_steps)
-        values = np.zeros((n_steps + 1, self.grid.n_nodes))
+        values = np.zeros((self.n_steps + 1, self.grid.n_nodes))
         dvalues = np.zeros_like(values)
         for node, c_node in zip(self.nodes, coeffs.reshape(len(self.nodes), -1)):
-            values[:, node] = c_node @ tm
-            dvalues[:, node] = c_node @ dtm
-        return make_control(self.grid, values, dvalues, self.window, dt)
+            values[:, node] = c_node @ self.values
+            dvalues[:, node] = c_node @ self.dvalues
+        return make_control(self.grid, values, dvalues, self.window, self.dt)
 
     def reversal_permutation(self):
         """perm with element perm[i] the time reversal of element i.

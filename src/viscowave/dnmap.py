@@ -77,23 +77,22 @@ def dn_pairing(op, traj, probe):
     return float(traj.dt * np.dot(w, series))
 
 
-def _pair_fluxes(flux, probe_basis, dt):
+def _pair_fluxes(flux, probe_basis):
     """Trapezoidal pairings of flux histories against every element of a probe basis.
 
-    flux holds h L(u + v) at the probe nodes, time on the next-to-last axis
-    and the nodes on the last; the result replaces both axes by the basis
-    elements, in their node-major, spline-minor order.
+    flux holds h L(u + v) at the probe nodes, time on the next-to-last axis,
+    on the basis's time grid, and the nodes on the last; the result replaces
+    both axes by the basis elements, in their node-major, spline-minor order.
     """
-    nt = flux.shape[-2] - 1
-    weighted = probe_basis.time_matrix(dt, nt) * trapezoid_weights(nt)[None, :]
-    block = dt * np.tensordot(weighted, flux, axes=(1, -2))  # (n_tspl, ..., n_nodes)
+    weighted = probe_basis.values * trapezoid_weights(probe_basis.n_steps)[None, :]
+    block = probe_basis.dt * np.tensordot(weighted, flux, axes=(1, -2))  # (n_tspl, ..., n_nodes)
     return np.moveaxis(block, 0, -1).reshape(flux.shape[:-2] + (-1,))
 
 
 def _pair_against_basis(op, traj, probe_basis):
     """Pairings of one trajectory against every element of a separable probe basis."""
     flux = (traj.u + traj.v) @ op.matrix[:, probe_basis.nodes]
-    return _pair_fluxes(op.grid.h * flux, probe_basis, traj.dt)
+    return _pair_fluxes(op.grid.h * flux, probe_basis)
 
 
 @dataclass(frozen=True)
@@ -101,16 +100,16 @@ class DNRecord:
     """Measurement matrix of a model over a control basis and a probe basis.
 
     pairings[i, j] pairs the response to element i of controls with element
-    j of probes; both bases run over the record's own horizon t_final.
+    j of probes; the record's time grid is that of its control basis.
     """
 
     s: float
-    dt: float
-    t_final: float
     controls: ControlBasis
     probes: ControlBasis
     pairings: np.ndarray = field(repr=False)
     tag: str = ""
+    dt = property(lambda self: self.controls.dt)
+    t_final = property(lambda self: self.controls.t_final)
 
     def to_dict(self):
         """JSON layout: each basis as its window and spline level."""
@@ -131,44 +130,45 @@ class DNRecord:
         """Read a saved record and rebuild its two bases on grid."""
         with open(path) as fh:
             d = json.load(fh)
-        t_final = float(d["t_final"])
-        controls, probes = (ControlBasis(grid, d[key]["window"], t_final,
+        controls, probes = (ControlBasis(grid, d[key]["window"], d["dt"], d["t_final"],
                                          d[key]["n_segments"])
                             for key in ("controls", "probes"))
-        return DNRecord(s=float(d["s"]), dt=float(d["dt"]), t_final=t_final,
-                        tag=d.get("tag", ""), controls=controls, probes=probes,
-                        pairings=np.asarray(d["pairings"], dtype=float))
+        return DNRecord(s=float(d["s"]), tag=d.get("tag", ""), controls=controls,
+                        probes=probes, pairings=np.asarray(d["pairings"], dtype=float))
 
 
 def _probe_flux(op, control_basis, probe_basis):
     """observe of a w1 basis pass measured against a w2 probe basis: h L(u + v)
-    through L's omega-to-probe columns.  Bases on other windows raise
-    :class:`DNMapError`."""
+    through L's omega-to-probe columns.  Bases on other windows, or on two
+    time grids, raise :class:`DNMapError`."""
     if control_basis.window != "w1":
         raise DNMapError("control basis must live on window w1")
     if probe_basis.window != "w2":
         raise DNMapError("probe basis must live on window w2")
+    if (probe_basis.dt, probe_basis.n_steps) != (control_basis.dt, control_basis.n_steps):
+        raise DNMapError(f"probe basis time grid, {probe_basis.n_steps} steps of "
+                         f"{probe_basis.dt}, is not the control basis's")
     cols = op.matrix[np.ix_(op.grid.omega, probe_basis.nodes)]
     return lambda u, v: op.grid.h * ((u + v) @ cols)
 
 
-def dn_matrix_linear(op, q, control_basis, probe_basis, dt, t_final, tag=""):
+def dn_matrix_linear(op, q, control_basis, probe_basis, tag=""):
     """Measurement matrix of the linear model: controls on w1, probes on w2.
 
     The pairings of the responses on omega, plus what each control's own
     samples add through L's w1-to-w2 block: kron(L[w1 nodes, w2 nodes], T),
     with T pairing the control splines (value plus derivative) against the
-    probe splines.
+    probe splines.  Both bases share one time grid.
     """
-    flux = solve_linear_basis(op, q, control_basis, dt, t_final,
+    flux = solve_linear_basis(op, q, control_basis,
                               _probe_flux(op, control_basis, probe_basis))
-    nt = flux.shape[1] - 1
-    x = control_basis.time_matrix(dt, nt) + control_basis.time_dmatrix(dt, nt)
-    t_pair = (dt * op.grid.h * (x * trapezoid_weights(nt)[None, :])
-              @ probe_basis.time_matrix(dt, nt).T)
+    x = control_basis.values + control_basis.dvalues
+    t_pair = (control_basis.dt * op.grid.h
+              * (x * trapezoid_weights(control_basis.n_steps)[None, :])
+              @ probe_basis.values.T)
     exterior = np.kron(op.matrix[np.ix_(control_basis.nodes, probe_basis.nodes)], t_pair)
-    return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag, controls=control_basis,
-                    probes=probe_basis, pairings=_pair_fluxes(flux, probe_basis, dt) + exterior)
+    return DNRecord(s=op.s, tag=tag, controls=control_basis, probes=probe_basis,
+                    pairings=_pair_fluxes(flux, probe_basis) + exterior)
 
 
 def dn_difference_linear(q, background, probe_basis, tag=""):
@@ -183,21 +183,22 @@ def dn_difference_linear(q, background, probe_basis, tag=""):
     close q is to the background potential.
     """
     op, control_basis = background.op, background.basis
-    dt, t_final = background.dt, background.t_final
     flux = solve_linear_difference(op, q, background.q, control_basis, background.states,
-                                   dt, t_final, _probe_flux(op, control_basis, probe_basis))
-    return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag, controls=control_basis,
-                    probes=probe_basis, pairings=_pair_fluxes(flux, probe_basis, dt))
+                                   _probe_flux(op, control_basis, probe_basis))
+    return DNRecord(s=op.s, tag=tag, controls=control_basis, probes=probe_basis,
+                    pairings=_pair_fluxes(flux, probe_basis))
 
 
-def dn_remainders_nonlinear(op, f, psi, probe_basis, eps_list, dt, t_final):
+def dn_remainders_nonlinear(op, f, psi, probe_basis, eps_list):
     """What the nonlinearity adds to the measurement of eps * psi, per amplitude.
 
     Returns the linear trajectory driven by psi, its pairings p_lin against
     the reversed elements of probe_basis, and a dict mapping each distinct
     eps of eps_list to the reversed pairings of the nonlinear trajectory
-    driven by eps * psi minus eps * p_lin.
+    driven by eps * psi minus eps * p_lin.  The solves run on the probe
+    basis's time grid, which psi must be sampled on.
     """
+    dt, t_final = probe_basis.dt, probe_basis.t_final
     lin = solve_linear(op, None, psi, dt, t_final)
     perm = probe_basis.reversal_permutation()
     p_lin = _pair_against_basis(op, lin, probe_basis)[perm]

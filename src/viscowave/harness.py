@@ -236,6 +236,7 @@ def _read_experiment(exp, run):
     kind = exp.choice("kind", None, tuple(RUNNERS))
     unread = f"unknown experiment keys {{}} for kind {kind!r}"
     needs = None  # (what, model kind) if the experiment needs one model kind
+    q_unread_by = None  # the run's name in the error, if none of its solves reads model.q
 
     def window(lo, hi, lo_default, hi_default, control=True):
         """The times under keys lo < hi; a control's window starts no earlier
@@ -278,6 +279,8 @@ def _read_experiment(exp, run):
         values = {"window": exp.choice("window", "w1", ("w1", "w2")),
                   "times": window("t0", "t1", 0.1 * t_final, 0.9 * t_final),
                   "amplitude": number("amplitude", 1.0)}
+        if run["f"] is not None:
+            q_unread_by = "forward with model.kind nonlinear"
     elif kind == "energy-check":
         values = {"pulse": pulse(0.1 * t_final, 0.6 * t_final, 0.5, 0.15),
                   "tolerance": number("tolerance", 1e-3)}
@@ -296,6 +299,7 @@ def _read_experiment(exp, run):
         elif variant == "nonlinear-integral":
             values["amplitude"] = number("amplitude", 0.1)
             needs = ("nonlinear-integral identity", "nonlinear")
+            q_unread_by = "identity-check variant 'nonlinear-integral'"
         unread = f"experiment keys {{}} are not read by identity-check variant {variant!r}"
     elif kind == "runge":
         values = {"levels": spline_levels("levels", [8, 16, 32], many=True),
@@ -325,10 +329,13 @@ def _read_experiment(exp, run):
             # the exponent is the slope of a fit through the amplitudes
             raise ConfigError("experiment.eps_list must hold at least two distinct "
                               f"amplitudes, got {values['eps_list']}")
-        needs = ("invert-nonlinear", "nonlinear")
+        needs, q_unread_by = ("invert-nonlinear", "nonlinear"), "invert-nonlinear"
     exp.done(unread)
     if needs and needs[1] != ("linear" if run["f"] is None else "nonlinear"):
         raise ConfigError(f"{needs[0]} needs model.kind {needs[1]}")
+    if q_unread_by and np.any(run["q"]):
+        raise ConfigError(f"model.q must be zero for {q_unread_by}, whose solves read "
+                          "no potential")
     return {"kind": kind, **values}
 
 
@@ -457,15 +464,15 @@ def run_runge(run, op, out_dir):
 
 def run_invert_linear(run, op, out_dir):
     grid, dt, t_final, nt, q_true = run.grid, run.dt, run.t_final, run.nt, run.q
-    basis1 = ControlBasis(grid, "w1", t_final, run.basis_segments)
-    basis2 = ControlBasis(grid, "w2", t_final, run.basis_segments)
+    basis1 = ControlBasis(grid, "w1", dt, t_final, run.basis_segments)
+    basis2 = ControlBasis(grid, "w2", dt, t_final, run.basis_segments)
     # the data enter as their difference from the q = 0 background, measured
     # by the difference equation driven from the w1 states the inversion
     # synthesizes with; the noise scales with the data themselves
-    background = BackgroundStates(op, None, basis1, dt, t_final)
+    background = BackgroundStates(op, None, basis1)
     rec_data = dn_difference_linear(q_true, background, basis2, tag="data")
     if run.level > 0:
-        p_bg = dn_matrix_linear(op, None, basis1, basis2, dt, t_final).pairings
+        p_bg = dn_matrix_linear(op, None, basis1, basis2).pairings
         rec_data = _add_noise(rec_data, run.level * np.std(p_bg + rec_data.pairings),
                               np.random.default_rng(run.seed))
 
@@ -507,11 +514,11 @@ def run_invert_nonlinear(run, op, out_dir):
     grid, dt, t_final, f = run.grid, run.dt, run.t_final, run.f
     psi = bump_control(grid, "w1", 0.1 * t_final, 0.9 * t_final, dt, run.nt,
                        amplitude=run.psi_amplitude)
-    basis2 = ControlBasis(grid, "w2", t_final, run.basis_segments)
+    basis2 = ControlBasis(grid, "w2", dt, t_final, run.basis_segments)
     # one sweep measures every amplitude that the exponent fit and the
     # Richardson step read
     lin, p_lin, remainders = dn_remainders_nonlinear(
-        op, f, psi, basis2, {*run.eps_list, run.eps0, 0.5 * run.eps0}, dt, t_final)
+        op, f, psi, basis2, {*run.eps_list, run.eps0, 0.5 * run.eps0})
     r_est, diag = estimate_homogeneity_exponent(run.eps_list, remainders, p_lin)
 
     recon = recover_nonlinear_coefficient(
@@ -542,13 +549,22 @@ RUNNERS = {
 }
 
 
+def _make_out_dir(path):
+    """Make the output directory path, or raise ConfigError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def run_scenario(cfg, out_dir=None):
     """Run one experiment; returns the report dict and writes report.json."""
     cfg = _merge(DEFAULTS, cfg)
     start = time.time()
     run, op = _setup(cfg)
     out_dir = out_dir or run.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     metrics, passed = RUNNERS[run.kind](run, op, out_dir)
     report = {
         "experiment": run.kind,
@@ -606,20 +622,22 @@ def _set_by_path(cfg, dotted, value):
 
 
 def sweep_scenario(cfg, param, values, out_dir):
-    """Run the scenario once per value of a dotted config parameter."""
-    reports = []
+    """Run the scenario once per value of a dotted config parameter, every
+    value's scenario and the output directory checked before the first run."""
+    runs = []
     for val in values:
         sub = copy.deepcopy(cfg)
         _set_by_path(sub, param, val)
-        sub_dir = os.path.join(out_dir, f"{param.replace('.', '_')}_{val}")
-        reports.append(run_scenario(sub, sub_dir))
+        validate_config(sub)
+        runs.append((sub, os.path.join(out_dir, f"{param.replace('.', '_')}_{val}")))
+    _make_out_dir(out_dir)
+    reports = [run_scenario(sub, sub_dir) for sub, sub_dir in runs]
     summary = {
         "param": param,
         "values": list(values),
         "passed": [r["passed"] for r in reports],
         "metrics": [r["metrics"] for r in reports],
     }
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
     return summary

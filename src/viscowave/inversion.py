@@ -14,7 +14,7 @@ import numpy as np
 
 from . import solver
 from .controls import ControlBasis, time_bump
-from .solver import n_steps_for, solve_linear_basis, trapezoid_weights
+from .solver import solve_linear_basis, trapezoid_weights
 
 # Nothing here calls it: inversion reads measurements made by dnmap.  The name
 # stays bound because perfbench/test_smoke.py's tracer test restores it.
@@ -82,7 +82,8 @@ class BackgroundStates:
     """Interior states reached by each element of a control basis.
 
     Solves the evolution for the basis (background potential q, zero
-    source) in one basis pass, ``solver.solve_linear_basis``, keeping each
+    source) on the basis's time grid in one basis pass,
+    ``solver.solve_linear_basis``, keeping each
     element's interior displacement history, together with the Gram data
     needed for control synthesis in the L2-in-time energy norm.  The Gram
     sum_t w_t S_t K S_t^T, with K = h omega_block and w the trapezoid
@@ -93,15 +94,12 @@ class BackgroundStates:
     of ``dnmap.dn_difference_linear``, which reads q from here.
     """
 
-    def __init__(self, op, q, basis, dt, t_final):
+    def __init__(self, op, q, basis):
         self.op = op
         self.q = q
         self.basis = basis
-        self.dt = float(dt)
-        self.t_final = float(t_final)
-        self.n_steps = n_steps_for(dt, t_final)
-        self.states = solve_linear_basis(op, q, basis, self.dt, self.t_final, lambda u, v: u)
-        self.time_weights = self.dt * trapezoid_weights(self.n_steps)
+        self.states = solve_linear_basis(op, q, basis, lambda u, v: u)
+        self.time_weights = basis.dt * trapezoid_weights(basis.n_steps)
         # one symmetric product of energy coordinates (numpy's SYRK, exactly
         # symmetric); it is within 1.1e-15 of its largest entry of the
         # time-weighted states against states @ K, which moves synthesized
@@ -113,7 +111,7 @@ class BackgroundStates:
         self.control_gram = self._control_gram()
 
     def _control_gram(self):
-        tm = self.basis.time_matrix(self.dt, self.n_steps)
+        tm = self.basis.values
         gt = (tm * self.time_weights[None, :]) @ tm.T
         g = np.kron(np.eye(len(self.basis.nodes)), self.op.grid.h * gt)
         return 0.5 * (g + g.T)
@@ -130,7 +128,7 @@ class BackgroundStates:
         synthesis.
         """
         target = np.asarray(target, dtype=float)
-        shape = (self.n_steps + 1, len(self.op.grid.omega))
+        shape = (self.basis.n_steps + 1, len(self.op.grid.omega))
         if target.ndim not in (2, 3) or target.shape[-2:] != shape:
             raise InversionError(f"target shape {target.shape} does not match {shape}")
         k_omega = self.op.grid.h * self.op.omega_block
@@ -163,10 +161,9 @@ def synthesize_control(op, q_background, target, window, dt, t_final, alpha, n_s
     the control basis.  Returns (control, achieved_error) with the error
     measured in the L2-in-time interior energy norm.
     """
-    basis = ControlBasis(op.grid, window, t_final, n_segments)
-    bg = BackgroundStates(op, q_background, basis, dt, t_final)
-    coeffs, _, err = bg.synthesize(target, alpha)
-    return basis.control(coeffs, dt, bg.n_steps), float(err)
+    basis = ControlBasis(op.grid, window, dt, t_final, n_segments)
+    coeffs, _, err = BackgroundStates(op, q_background, basis).synthesize(target, alpha)
+    return basis.control(coeffs), float(err)
 
 
 @dataclass(frozen=True)
@@ -280,13 +277,11 @@ def _check_record(rec, background):
     op = background.op
     if abs(rec.s - op.s) > 1e-12:
         raise InversionError(f"record order {rec.s} does not match operator {op.s}")
-    horizons = (rec.t_final, rec.controls.t_final, rec.probes.t_final)
-    if (abs(rec.dt - background.dt) > 1e-12
-            or any(abs(t - background.t_final) > 1e-12 for t in horizons)):
+    basis = background.basis
+    if any((b.dt, b.n_steps) != (basis.dt, basis.n_steps) for b in (rec.controls, rec.probes)):
         raise InversionError("record time grid does not match the background's")
     if rec.controls.window != "w1" or rec.probes.window != "w2":
         raise InversionError("expected controls on w1 and probes on w2")
-    basis = background.basis
     if (basis.window, basis.n_segments) != (rec.controls.window, rec.controls.n_segments):
         raise InversionError("record controls are not the background's basis")
     shape = (len(rec.controls), len(rec.probes))
@@ -359,13 +354,12 @@ def recover_linear_potential(dn_difference, background, targets, alpha_inv,
     if np.ndim(background.q) > 1:
         raise InversionError("background potential must be static (scalar or one row)")
     _check_record(dn_difference, background)
-    op, dt, t_final = background.op, background.dt, background.t_final
-    n_steps = background.n_steps
+    op, dt, n_steps = background.op, background.basis.dt, background.basis.n_steps
     grid = op.grid
     om = grid.omega
 
     basis2 = dn_difference.probes
-    bg2 = BackgroundStates(op, background.q, basis2, dt, t_final)
+    bg2 = BackgroundStates(op, background.q, basis2)
 
     # achieved states: (n_targets, nt+1, n_omega)
     stack = materialize_targets(targets, grid, dt, n_steps)
@@ -458,10 +452,10 @@ def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, tar
     Richardson step (eps0 and eps0/2, error order r) removes the next
     correction before the moment system is solved for q on the covered nodes.
     """
-    grid, om, dt = op.grid, op.grid.omega, lin.dt
-    bg2 = BackgroundStates(op, None, probe_basis, dt, probe_basis.t_final)
+    grid, om = op.grid, op.grid.omega
+    bg2 = BackgroundStates(op, None, probe_basis)
     coeff2, achieved2, errs2 = bg2.synthesize(
-        materialize_targets(targets, grid, dt, bg2.n_steps), synth_alpha)
+        materialize_targets(targets, grid, probe_basis.dt, probe_basis.n_steps), synth_alpha)
 
     r = float(r_known)
     eps_pair = (eps0, 0.5 * eps0)

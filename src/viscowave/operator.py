@@ -84,8 +84,8 @@ def assemble_fraclap(grid, s):
     # diagonal = full lattice row sum 2*sum_j w_j, available in closed form
     diag = fraclap_normalization(s) * h ** (-2 * s) / (s * (1.0 - s))
     offsets = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    L = np.where(offsets > 0, -w[np.clip(offsets - 1, 0, n - 2)], diag)
-    L = 0.5 * (L + L.T)  # symmetric by construction; enforce bitwise symmetry
+    L = -w[np.clip(offsets - 1, 0, n - 2)]
+    np.fill_diagonal(L, diag)
     L.setflags(write=False)
 
     om = grid.omega

@@ -201,21 +201,21 @@ def _control_drive(op, control, dt, nt, source):
     return drive
 
 
-def _basis_drive(op, basis, dt, nt, elements):
+def _basis_drive(op, basis, elements):
     """Step right-hand sides on omega of some elements of a node x spline basis.
 
     Element (node j, spline c) drives step k by -dt/2 s_c[k] L[j, omega],
     with s_c[k] the spline's value plus derivative summed over both ends of
     the step: one product of the step samples with L's rows, no full-grid
-    control.  Returns (nt, m, n_omega).
+    control.  Returns (nt, m, n_omega) on the basis's time grid.
     """
-    x = basis.time_matrix(dt, nt) + basis.time_dmatrix(dt, nt)
+    x = basis.values + basis.dvalues
     s = x[:, :-1] + x[:, 1:]                                  # (n_splines, nt)
     index = np.arange(len(basis))[elements]
     n_spl = len(basis.tsplines)
     nodes = np.asarray(basis.nodes)[index // n_spl]
     rows = op.matrix[np.ix_(nodes, op.grid.omega)]          # (m, n_omega)
-    return -0.5 * dt * (s[index % n_spl].T[:, :, None] * rows[None])
+    return -0.5 * basis.dt * (s[index % n_spl].T[:, :, None] * rows[None])
 
 
 def _difference_drive(dq, u, dt):
@@ -352,7 +352,7 @@ CONTROL_BLOCK = 128
 SHIFT_RTOL = 1e-14
 
 
-def shift_plan(basis, dt, nt, static):
+def shift_plan(basis, static):
     """(seed, lag) of a pass over a node x spline basis: the response to
     element e is that to element seed[e] delayed by lag[e] steps, and zero
     before; a seed is its own seed at lag 0.
@@ -367,8 +367,8 @@ def shift_plan(basis, dt, nt, static):
     the first seed that matches; with a time-dependent potential, or no
     match, a spline is its own seed.
     """
-    x = basis.time_matrix(dt, nt) + basis.time_dmatrix(dt, nt)
-    n_spl = len(basis.tsplines)
+    x = basis.values + basis.dvalues
+    nt, n_spl = basis.n_steps, len(basis.tsplines)
     seed, lag = np.arange(n_spl), np.zeros(n_spl, dtype=int)
     for c in range(n_spl if static else 0):
         for c0 in np.flatnonzero(seed[:c] == np.arange(c)):
@@ -408,9 +408,10 @@ def _basis_pass(maps, plan, drive, dt, observe):
     return out
 
 
-def solve_linear_basis(op, q, basis, dt, t_final, observe):
+def solve_linear_basis(op, q, basis, observe):
     """observe(u, v) of the interior response to every element of a node x
-    spline control basis, element first: (n_elements, nt+1, ...).
+    spline control basis, element first: (n_elements, nt+1, ...) on the
+    basis's time grid.
 
     observe maps a block of read-only (nt+1, m, n_omega) displacement and
     velocity histories on omega, time-major, to (nt+1, m, ...) values; it
@@ -422,13 +423,13 @@ def solve_linear_basis(op, q, basis, dt, t_final, observe):
     inverted once for all blocks.  A failing step raises
     :class:`StepFailureError` for the first failing element, at its step.
     """
-    nt = n_steps_for(dt, t_final)
-    plan = shift_plan(basis, dt, nt, _expand_potential(q, nt, op.grid.omega.size)[1])
+    dt, nt = basis.dt, basis.n_steps
+    plan = shift_plan(basis, _expand_potential(q, nt, op.grid.omega.size)[1])
     return _basis_pass(_step_maps(op, q, dt, nt), plan,
-                       lambda seeds: _basis_drive(op, basis, dt, nt, seeds), dt, observe)
+                       lambda seeds: _basis_drive(op, basis, seeds), dt, observe)
 
 
-def solve_linear_difference(op, q, q_background, basis, states, dt, t_final, observe):
+def solve_linear_difference(op, q, q_background, basis, states, observe):
     """Change of a basis's responses when q replaces q_background, observed.
 
     states holds the basis's background displacements on omega, element
@@ -441,12 +442,12 @@ def solve_linear_difference(op, q, q_background, basis, states, dt, t_final, obs
     (:func:`_difference_drive`), so they keep their relative accuracy
     however small q - q_background is.
     """
-    nt = n_steps_for(dt, t_final)
+    dt, nt = basis.dt, basis.n_steps
     n_omega = op.grid.omega.size
     qs, static = _expand_potential(q, nt, n_omega)
     q_bg, bg_static = _expand_potential(q_background, nt, n_omega)
     dq = qs - q_bg
-    plan = shift_plan(basis, dt, nt, static and bg_static)
+    plan = shift_plan(basis, static and bg_static)
     return _basis_pass(
         _step_maps(op, q, dt, nt), plan,
         lambda seeds: _difference_drive(dq, states[seeds].transpose(1, 0, 2), dt), dt, observe)

@@ -18,8 +18,8 @@ from viscowave.controls import (ControlBasis, ControlError, ExteriorControl,
                                 materialize, spline_indices)
 from viscowave.dnmap import _pair_against_basis
 from viscowave.grid import GridError
-from viscowave import solver
-from viscowave.solver import Trajectory, n_steps_for
+from viscowave import dnmap, solver
+from viscowave.solver import Trajectory
 
 DT, NT = 0.02, 50
 T_FINAL = 1.0
@@ -128,22 +128,22 @@ def test_pairing_type_and_shape_errors(op31, grid31):
 def test_pair_against_basis_matches_loop(op31, grid31):
     ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
     traj = solve_linear(op31, None, ctl, DT, T_FINAL)
-    basis = ControlBasis(grid31, "w2", T_FINAL, 8)
+    basis = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     fast = _pair_against_basis(op31, traj, basis)
-    slow = np.array([dn_pairing(op31, traj, materialize(basis, i, DT, NT))
+    slow = np.array([dn_pairing(op31, traj, materialize(basis, i))
                      for i in range(len(basis))])
     assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
 
 def test_dn_matrix_entries_match_pairing_oracle(op31, grid31):
     # each matrix entry equals a solve followed by a single pairing
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     q = 0.3 * np.ones(grid31.omega.size)
-    rec = dn_matrix_linear(op31, q, basis1, basis2, DT, T_FINAL)
-    probes = [materialize(basis2, j, DT, NT) for j in range(len(basis2))]
+    rec = dn_matrix_linear(op31, q, basis1, basis2)
+    probes = [materialize(basis2, j) for j in range(len(basis2))]
     for i in (0, 7, len(basis1) - 1):
-        ctl = materialize(basis1, i, DT, NT)
+        ctl = materialize(basis1, i)
         traj = solve_linear(op31, q, ctl, DT, T_FINAL)
         oracle = np.array([dn_pairing(op31, traj, p) for p in probes])
         assert_allclose(rec.pairings[i], oracle, rtol=1e-12, atol=1e-15)
@@ -241,10 +241,10 @@ def test_nonlinear_identity_residual_converges(op31, grid31):
 
 
 def test_dn_record_round_trip(op31, grid31, tmp_path):
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     q = 0.3 * np.ones(grid31.omega.size)
-    rec = dn_matrix_linear(op31, q, basis1, basis2, DT, T_FINAL, tag="demo")
+    rec = dn_matrix_linear(op31, q, basis1, basis2, tag="demo")
     path = tmp_path / "dn_record.json"
     rec.save(path)
     loaded = DNRecord.load(path, grid31)
@@ -257,13 +257,13 @@ def test_dn_record_round_trip(op31, grid31, tmp_path):
         assert (got.window, got.t_final, got.n_segments) == \
             (saved.window, saved.t_final, saved.n_segments)
         assert got.nodes == saved.nodes and got.tsplines == saved.tsplines
-        assert np.array_equal(got.time_matrix(DT, NT), saved.time_matrix(DT, NT))
+        assert np.array_equal(got.values, saved.values)
 
 
 def test_dn_record_stores_each_basis_as_window_and_level(op31, grid31, tmp_path):
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 16)
-    rec = dn_matrix_linear(op31, None, basis1, basis2, DT, T_FINAL)
+    basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 16)
+    rec = dn_matrix_linear(op31, None, basis1, basis2)
     saved = rec.to_dict()
     assert saved["controls"] == {"window": "w1", "n_segments": 8}
     assert saved["probes"] == {"window": "w2", "n_segments": 16}
@@ -280,12 +280,12 @@ def test_dn_record_stores_each_basis_as_window_and_level(op31, grid31, tmp_path)
 
 
 def test_dn_matrix_window_validation(op31, grid31):
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     with pytest.raises(DNMapError, match="probe basis"):
-        dn_matrix_linear(op31, None, basis1, basis1, DT, T_FINAL)
+        dn_matrix_linear(op31, None, basis1, basis1)
     with pytest.raises(DNMapError, match="control basis"):
-        dn_matrix_linear(op31, None, basis2, basis2, DT, T_FINAL)
+        dn_matrix_linear(op31, None, basis2, basis2)
 
 
 def test_spline_indices_consistency():
@@ -299,13 +299,12 @@ def test_spline_indices_consistency():
 
 def _reference_dn_matrix(op, solve, model, control_basis, probe_basis, dt, t_final, tag):
     """dnmap._dn_matrix as it stood before the blocked pass, less its window check."""
-    nt = n_steps_for(dt, t_final)
     rows = []
     for i in range(len(control_basis)):
-        ctrl = materialize(control_basis, i, dt, nt)
+        ctrl = materialize(control_basis, i)
         traj = solve(op, model, ctrl, dt, t_final)
         rows.append(_pair_against_basis(op, traj, probe_basis))
-    return DNRecord(s=op.s, dt=dt, t_final=t_final, tag=tag,
+    return DNRecord(s=op.s, tag=tag,
                     controls=control_basis, probes=probe_basis,
                     pairings=np.asarray(rows))
 
@@ -327,37 +326,56 @@ def test_dn_matrix_linear_matches_reference_loop_bitwise(op31, grid31, kind):
     # the basis pass pairs the omega states through L's probe columns and
     # adds the controls' own exterior part: another summation order than
     # one full-grid flux per trajectory, so 1e-12, not equal bits
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     q = _potential(grid31, kind)
-    rec = dn_matrix_linear(op31, q, basis1, basis2, DT, T_FINAL, tag="t")
+    rec = dn_matrix_linear(op31, q, basis1, basis2, tag="t")
     ref = _reference_dn_matrix(op31, solve_linear, q, basis1, basis2, DT, T_FINAL, "t")
     _assert_close(rec.pairings, ref.pairings, 1e-12)
     assert {**rec.to_dict(), "pairings": None} == {**ref.to_dict(), "pairings": None}
 
 
 def test_records_check_the_windows_before_any_pass(op31, grid31, monkeypatch):
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    background = BackgroundStates(op31, None, basis1, DT, T_FINAL)
+    basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
+    background = BackgroundStates(op31, None, basis1)
     monkeypatch.setattr(solver, "_basis_pass", None)
     with pytest.raises(DNMapError, match="^control basis must live on window w1$"):
-        dn_matrix_linear(op31, None, basis2, basis2, DT, T_FINAL)
+        dn_matrix_linear(op31, None, basis2, basis2)
     with pytest.raises(DNMapError, match="^probe basis must live on window w2$"):
-        dn_matrix_linear(op31, None, basis1, basis1, DT, T_FINAL)
+        dn_matrix_linear(op31, None, basis1, basis1)
     with pytest.raises(DNMapError, match="^probe basis must live on window w2$"):
         dn_difference_linear(None, background, basis1)
 
 
+def test_records_check_the_probe_time_grid_before_any_pass(op31, grid31, monkeypatch):
+    # a probe basis sampled on another dt, or over another horizon, is
+    # refused before the basis pass that the control basis's grid would set
+    basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    background = BackgroundStates(op31, None, basis1)
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("a basis pass ran before the grids were checked")
+
+    for name in ("solve_linear_basis", "solve_linear_difference"):
+        monkeypatch.setattr(dnmap, name, unreached)
+    for probes in (ControlBasis(grid31, "w2", 0.01, T_FINAL, 8),
+                   ControlBasis(grid31, "w2", DT, 2 * T_FINAL, 8)):
+        with pytest.raises(DNMapError, match="^probe basis time grid"):
+            dn_matrix_linear(op31, None, basis1, probes)
+        with pytest.raises(DNMapError, match="^probe basis time grid"):
+            dn_difference_linear(None, background, probes)
+
+
 @pytest.mark.parametrize("kind", ["static", "time-dependent"])
 def test_difference_record_matches_the_subtraction(op31, grid31, kind):
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     q = _potential(grid31, kind)
-    background = BackgroundStates(op31, None, basis1, DT, T_FINAL)
+    background = BackgroundStates(op31, None, basis1)
     diff = dn_difference_linear(q, background, basis2, tag="d")
-    data = dn_matrix_linear(op31, q, basis1, basis2, DT, T_FINAL)
-    zero = dn_matrix_linear(op31, None, basis1, basis2, DT, T_FINAL)
+    data = dn_matrix_linear(op31, q, basis1, basis2)
+    zero = dn_matrix_linear(op31, None, basis1, basis2)
     _assert_close(diff.pairings, data.pairings - zero.pairings, 1e-11)
     assert diff.tag == "d"
     assert diff.controls == data.controls and diff.probes == data.probes
@@ -366,9 +384,9 @@ def test_difference_record_matches_the_subtraction(op31, grid31, kind):
 def test_difference_record_keeps_its_accuracy_for_weak_potentials(op31, grid31):
     # halving q halves the difference to first order, down to amplitudes
     # where a subtraction of two records would be mostly rounding
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    background = BackgroundStates(op31, None, basis1, DT, T_FINAL)
+    basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
+    background = BackgroundStates(op31, None, basis1)
     diffs = [dn_difference_linear(_potential(grid31, "static", a), background,
                                   basis2).pairings for a in (1e-9, 5e-10)]
     _assert_close(2.0 * diffs[1], diffs[0], 1e-8)

@@ -186,9 +186,9 @@ def test_add_noise_zero_level_is_identity(op31, grid31):
     from viscowave.controls import ControlBasis
     from viscowave.dnmap import dn_matrix_linear
 
-    basis1 = ControlBasis(grid31, "w1", 1.0, 8)
-    basis2 = ControlBasis(grid31, "w2", 1.0, 8)
-    rec = dn_matrix_linear(op31, None, basis1, basis2, 0.02, 1.0)
+    basis1 = ControlBasis(grid31, "w1", 0.02, 1.0, 8)
+    basis2 = ControlBasis(grid31, "w2", 0.02, 1.0, 8)
+    rec = dn_matrix_linear(op31, None, basis1, basis2)
     rng = np.random.default_rng(0)
     assert _add_noise(rec, 0.0, rng) is rec
     noisy = _add_noise(rec, 0.1, rng)
@@ -286,8 +286,8 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     cfg = _linear_cfg()
     run_scenario(cfg, str(tmp_path / "out"))
     grid = build_grid(*(cfg["grid"][k] for k in ("box", "omega", "w1", "w2", "n_nodes")))
-    n_basis = len(ControlBasis(grid, "w1", cfg["t_final"], 8))
-    assert n_basis == len(ControlBasis(grid, "w2", cfg["t_final"], 8))
+    n_basis = len(ControlBasis(grid, "w1", cfg["dt"], cfg["t_final"], 8))
+    assert n_basis == len(ControlBasis(grid, "w2", cfg["dt"], cfg["t_final"], 8))
     assert materialized == []
     assert sum(stepped) == 3 * n_basis
     # one static factorization per pass: q = 0 twice, the gaussian once
@@ -320,7 +320,7 @@ def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
     cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10}})
     run_scenario(cfg, str(tmp_path / "out"))
     grid = _setup(cfg)[0].grid
-    bases = [ControlBasis(grid, w, cfg["t_final"], 10) for w in ("w1", "w2")]
+    bases = [ControlBasis(grid, w, cfg["dt"], cfg["t_final"], 10) for w in ("w1", "w2")]
     n_nodes, n_seeds = len(bases[0].nodes), 1
     assert n_nodes == len(bases[1].nodes) and len(bases[0]) == 5 * n_nodes
     assert stepped == [n_nodes * n_seeds] * 3
@@ -337,7 +337,7 @@ def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
                                                 "q_time_basis": 3},
                                  "model": {"q": {"time": "ramp"}}})
     run_scenario(cfg, str(tmp_path / "out"))
-    basis = ControlBasis(_setup(cfg)[0].grid, "w1", cfg["t_final"], 10)
+    basis = ControlBasis(_setup(cfg)[0].grid, "w1", cfg["dt"], cfg["t_final"], 10)
     n_nodes = len(basis.nodes)
     assert max(stepped) <= 8
     assert sorted(stepped) == sorted([8] * (len(basis) // 8) + [len(basis) % 8]
@@ -362,8 +362,7 @@ def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
     cfg = _linear_cfg()
     run_scenario(cfg, str(tmp_path / "out"))
     run, op = _setup(cfg)
-    fresh = BackgroundStates(op, None, ControlBasis(op.grid, "w1", run.t_final, 8), run.dt,
-                             run.t_final)
+    fresh = BackgroundStates(op, None, ControlBasis(op.grid, "w1", run.dt, run.t_final, 8))
     shared = seen[0]
     assert len(seen) == 2 and seen[1] is shared and shared.q is None
     assert (shared.basis.window, shared.basis.n_segments) == ("w1", 8)
@@ -379,14 +378,14 @@ def _velocity_form_difference(op, q, basis1, basis2, dt, t_final):
     hdt = 0.5 * dt
     dq = np.broadcast_to(q, (nt + 1, op.grid.omega.size))[:, None, :]
     explicit, implicit = _linear_step(op, q, dt, nt)
-    both = solver.solve_linear_basis(op, None, basis1, dt, t_final,
+    both = solver.solve_linear_basis(op, None, basis1,
                                      lambda u, v: np.stack((u, v), axis=2))
     u, v = both[:, :, 0].transpose(1, 0, 2), both[:, :, 1].transpose(1, 0, 2)
     u_base = u[:-1] + hdt * v[:-1]
     drive = -hdt * ((dq[:-1] * u[:-1] + dq[1:] * u_base) + hdt * (dq[1:] * v[1:]))
     w, z = _crank_nicolson(op, drive, dt, None, None, explicit, implicit)
     flux = op.grid.h * ((w + z) @ op.matrix[np.ix_(op.grid.omega, basis2.nodes)])
-    return dnmap._pair_fluxes(flux.transpose(1, 0, 2), basis2, dt)
+    return dnmap._pair_fluxes(flux.transpose(1, 0, 2), basis2)
 
 
 def test_noise_scale_is_that_of_the_background_plus_difference(tmp_path, monkeypatch):
@@ -403,9 +402,9 @@ def test_noise_scale_is_that_of_the_background_plus_difference(tmp_path, monkeyp
     run_scenario(cfg, str(tmp_path / "out"))
     run, op = _setup(cfg)
     grid, dt, t_final = run.grid, run.dt, run.t_final
-    basis1, basis2 = (ControlBasis(grid, w, t_final, 8) for w in ("w1", "w2"))
+    basis1, basis2 = (ControlBasis(grid, w, dt, t_final, 8) for w in ("w1", "w2"))
     q = potential_from_spec(grid, cfg["model"]["q"], dt, t_final)
-    p_bg = dn_matrix_linear(op, None, basis1, basis2, dt, t_final).pairings
+    p_bg = dn_matrix_linear(op, None, basis1, basis2).pairings
     ref = 1e-3 * np.std(p_bg + _velocity_form_difference(op, q, basis1, basis2, dt, t_final))
     assert len(sigmas) == 1
     assert abs(sigmas[0] - ref) <= 1e-12 * ref
@@ -467,12 +466,10 @@ def test_invert_nonlinear_reads_what_two_sweeps_measure(tmp_path, monkeypatch, e
     run, op = _setup(cfg)
     psi = bump_control(run.grid, "w1", 0.1 * run.t_final, 0.9 * run.t_final, run.dt, run.nt,
                        amplitude=run.psi_amplitude)
-    basis2 = ControlBasis(run.grid, "w2", run.t_final, 8)
-    _, p_lin, fit = dn_remainders_nonlinear(op, run.f, psi, basis2, eps_list, run.dt,
-                                            run.t_final)
+    basis2 = ControlBasis(run.grid, "w2", run.dt, run.t_final, 8)
+    _, p_lin, fit = dn_remainders_nonlinear(op, run.f, psi, basis2, eps_list)
     r_est, diag = estimate_homogeneity_exponent(eps_list, fit, p_lin)
-    lin, _, pair = dn_remainders_nonlinear(op, run.f, psi, basis2, (run.eps0, 0.5 * run.eps0),
-                                           run.dt, run.t_final)
+    lin, _, pair = dn_remainders_nonlinear(op, run.f, psi, basis2, (run.eps0, 0.5 * run.eps0))
     recon = recover_nonlinear_coefficient(op, lin, pair, basis2, round(r_est), run.targets,
                                           run.eps0, run.alpha_inv, synth_alpha=run.synth_alpha)
     assert report["metrics"]["r_est"] == r_est
@@ -616,7 +613,14 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                                   "experiment: {kind: invert-nonlinear, basis_segments: 7}\n",
                                   "dt: 0.02\nexperiment: {kind: invert-linear, basis_segments: 51}\n",
                                   "dt: 0.02\nmodel: {kind: nonlinear}\n"
-                                  "experiment: {kind: invert-nonlinear, basis_segments: 64}\n"],
+                                  "experiment: {kind: invert-nonlinear, basis_segments: 64}\n",
+                                  "grid: {n_nodes: 31}\n"
+                                  "model: {kind: nonlinear, r: 2, q: {kind: constant, value: 50}}\n"
+                                  "experiment: {kind: forward}\n",
+                                  "model: {kind: nonlinear, q: {kind: gaussian}}\n"
+                                  "experiment: {kind: invert-nonlinear}\n",
+                                  "model: {kind: nonlinear, q: {kind: sine, time: ramp}}\n"
+                                  "experiment: {kind: identity-check, variant: nonlinear-integral}\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
                               "non-numeric-seed", "unknown-grid-key",
@@ -646,7 +650,10 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                               "identity-window-before-dt", "runge-level-above-steps",
                               "one-eps", "repeated-eps", "invert-nonlinear-at-four-steps",
                               "probe-before-dt", "invert-linear-level-above-steps",
-                              "invert-nonlinear-level-above-steps"])
+                              "invert-nonlinear-level-above-steps",
+                              "potential-of-a-nonlinear-forward-run",
+                              "potential-of-invert-nonlinear",
+                              "potential-of-the-nonlinear-integral-identity"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, monkeypatch, text):
     # run without --out, so that the scenario's own out_dir is the one used
     monkeypatch.chdir(tmp_path)
@@ -669,6 +676,35 @@ def test_cli_unreadable_scenario_exit_two_one_line(tmp_path, capsys, command, sc
     assert main([command, str(path), *sweep, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("out, reason", [("afile", "File exists"),
+                                         ("afile/sub", "Not a directory")])
+def test_cli_out_dir_that_cannot_be_made_exit_two_one_line(tmp_path, capsys, monkeypatch,
+                                                           command, out, reason):
+    # the directory is made, or refused, before any solve
+    def unreached(*args):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(harness.RUNNERS, "forward", unreached)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    path = write_yaml(tmp_path / "c.yaml", {"grid": {"n_nodes": 31}, "dt": 0.02})
+    sweep = ["--param", "dt", "--values", "0.02"] if command == "sweep" else []
+    assert main([command, path, *sweep, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot make output directory {out}: {reason}"]
+
+
+def test_cli_sweep_checks_every_value_before_the_first_run(tmp_path, capsys):
+    # dt = 0.03 does not divide t_final: refused before dt = 0.02 runs
+    path = write_yaml(tmp_path / "c.yaml", {"grid": {"n_nodes": 31}, "dt": 0.02})
+    assert main(["sweep", path, "--param", "dt", "--values", "0.02", "0.03",
+                 "--out", str(tmp_path / "sw")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: dt=0.03 does not divide t_final=1.0"]
+    assert not (tmp_path / "sw").exists()
 
 
 def test_cli_sweep_unknown_param_exit_two(tmp_path, capsys):
@@ -706,6 +742,26 @@ def test_reader_names_the_key_of_a_bad_window_or_amplitude_list(experiment, mess
     model = {"kind": "nonlinear" if experiment["kind"] == "invert-nonlinear" else "linear"}
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         validate_config(small_cfg(experiment=experiment, model=model))
+
+
+@pytest.mark.parametrize("experiment,what", [
+    ({"kind": "forward"}, "forward with model.kind nonlinear"),
+    ({"kind": "invert-nonlinear"}, "invert-nonlinear"),
+    ({"kind": "identity-check", "variant": "nonlinear-integral"},
+     "identity-check variant 'nonlinear-integral'")],
+    ids=["forward", "invert-nonlinear", "nonlinear-integral"])
+def test_reader_rejects_a_potential_that_no_solve_reads(experiment, what):
+    # these runs solve the nonlinear equation, and the linear one without a
+    # potential: a nonzero model.q would be ignored; a zero one is the default
+    model = {"kind": "nonlinear", "r": 2, "q": {"kind": "constant", "value": 50}}
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            f"model.q must be zero for {what}, whose solves read no potential") + "$"):
+        validate_config(small_cfg(model=model, experiment=experiment))
+    for q in (None, {"kind": "zero"}, {"kind": "constant", "value": 0}):
+        validate_config(small_cfg(model=dict(model, q=q), experiment=experiment))
+    # a linear forward run, and the other experiments of a nonlinear model, solve with q
+    validate_config(small_cfg(model={"q": model["q"]}, experiment={"kind": "forward"}))
+    validate_config(small_cfg(model=model, experiment={"kind": "energy-check"}))
 
 
 def test_reader_names_dt_when_the_probe_of_invert_nonlinear_starts_before_it():

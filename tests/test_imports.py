@@ -129,3 +129,31 @@ def test_inversion_reads_measurements_only():
         if isinstance(node, ast.Call) and _name(node.func) in FORWARD_SOLVES:
             seen.add(f"{_name(node.func)}()")
     assert seen == set()
+
+
+# The package keeps no process-wide cache: a control basis samples its
+# splines once, on its own time grid, and only controls samples splines
+CACHE_DECORATORS = {"lru_cache", "cache"}
+SPLINE_SAMPLERS = {"_cubic_bspline", "_spline_samples"}
+
+
+def test_no_process_wide_cache_and_only_controls_samples_splines():
+    src = pathlib.Path(viscowave.__file__).parent
+    seen = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                           else [node.module or ""])
+                seen.update((path.stem, "functools") for m in modules
+                            if m.split(".")[0] == "functools")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                for dec in node.decorator_list:
+                    name = _name(dec.func if isinstance(dec, ast.Call) else dec)
+                    if name in CACHE_DECORATORS:
+                        seen.add((path.stem, f"@{name}"))
+            if path.stem != "controls":
+                names = ([alias.name for alias in node.names]
+                         if isinstance(node, (ast.Import, ast.ImportFrom)) else [_name(node)])
+                seen.update((path.stem, n) for n in SPLINE_SAMPLERS.intersection(names))
+    assert seen == set()

@@ -35,10 +35,9 @@ def gaussian_target(grid, nt, dt=DT, center=0.35, width=0.22):
     return np.outer(theta, prof)
 
 
-def zero_record(op, basis1, basis2, dt, t_final):
+def zero_record(op, basis1, basis2):
     shape = (len(basis1), len(basis2))
-    return DNRecord(s=op.s, dt=dt, t_final=t_final,
-                    controls=basis1, probes=basis2, pairings=np.zeros(shape))
+    return DNRecord(s=op.s, controls=basis1, probes=basis2, pairings=np.zeros(shape))
 
 
 # ---------------------------------------------------------------- synthesis
@@ -63,8 +62,8 @@ def test_synthesis_error_decreases_with_nested_refinement(op31, grid31):
 
 def test_synthesis_error_nondecreasing_in_alpha(op31, grid31):
     target = gaussian_target(grid31, NT)
-    basis = ControlBasis(grid31, "w1", T_FINAL, 16)
-    bg = BackgroundStates(op31, None, basis, DT, T_FINAL)
+    basis = ControlBasis(grid31, "w1", DT, T_FINAL, 16)
+    bg = BackgroundStates(op31, None, basis)
     errs = [bg.synthesize(target, alpha)[2]
             for alpha in (1e-12, 1e-8, 1e-4, 1e0, 1e4)]
     assert np.all(np.diff(errs) >= -1e-12 * errs[-1])
@@ -74,8 +73,8 @@ def test_synthesis_factors_once_per_call(op31, grid31, monkeypatch):
     from viscowave import inversion
 
     target = gaussian_target(grid31, NT)
-    basis = ControlBasis(grid31, "w1", T_FINAL, 8)
-    bg = BackgroundStates(op31, None, basis, DT, T_FINAL)
+    basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    bg = BackgroundStates(op31, None, basis)
     factored = []
     real_factor = inversion.cho_factor
 
@@ -89,15 +88,15 @@ def test_synthesis_factors_once_per_call(op31, grid31, monkeypatch):
     bg.synthesize(np.stack([target, 0.5 * target]), 1e-6)
     assert len(factored) == 3
     # a call leaves nothing behind that changes the next one
-    fresh = BackgroundStates(op31, None, basis, DT, T_FINAL).synthesize(0.5 * target, 1e-10)
+    fresh = BackgroundStates(op31, None, basis).synthesize(0.5 * target, 1e-10)
     for a, b in zip(repeated, fresh):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_large_alpha_suppresses_control(op31, grid31):
     target = gaussian_target(grid31, NT)
-    basis = ControlBasis(grid31, "w1", T_FINAL, 16)
-    bg = BackgroundStates(op31, None, basis, DT, T_FINAL)
+    basis = ControlBasis(grid31, "w1", DT, T_FINAL, 16)
+    bg = BackgroundStates(op31, None, basis)
     k = grid31.h * op31.omega_block
     target_norm = np.sqrt(np.sum(
         bg.time_weights * np.einsum("tj,tj->t", target, target @ k)))
@@ -107,8 +106,8 @@ def test_large_alpha_suppresses_control(op31, grid31):
 
 
 def test_synthesize_rejects_bad_target_shape(op31, grid31):
-    basis = ControlBasis(grid31, "w1", T_FINAL, 8)
-    bg = BackgroundStates(op31, None, basis, DT, T_FINAL)
+    basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    bg = BackgroundStates(op31, None, basis)
     with pytest.raises(InversionError, match="target shape"):
         bg.synthesize(np.zeros((NT + 1, 3)), 1e-10)
 
@@ -164,7 +163,7 @@ def _reference_background(op, q, basis, dt, t_final):
     om = grid.omega
     states = np.empty((len(basis), n_steps + 1, om.size))
     for i in range(len(basis)):
-        control = materialize(basis, i, dt, n_steps)
+        control = materialize(basis, i)
         states[i] = solve_linear(op, q, control, dt, t_final).u[:, om]
     return states, _reference_weighting(op, states, dt)[0]
 
@@ -194,8 +193,8 @@ def _assert_close(got, ref, rtol):
 def test_background_states_match_reference_loop_bitwise(op31, grid31, window, static_q):
     # the basis pass sums in another order than one solve per control
     q = 0.3 * np.ones(grid31.omega.size) if static_q else None
-    basis = ControlBasis(grid31, window, T_FINAL, 8)
-    bg = BackgroundStates(op31, q, basis, DT, T_FINAL)
+    basis = ControlBasis(grid31, window, DT, T_FINAL, 8)
+    bg = BackgroundStates(op31, q, basis)
     states, gram = _reference_background(op31, q, basis, DT, T_FINAL)
     _assert_close(bg.states, states, 1e-12)
     _assert_close(bg.gram, gram, 1e-12)
@@ -210,8 +209,8 @@ def test_synthesis_matches_reference_path(op31, grid31, static_q, monkeypatch):
     from viscowave import inversion
 
     q = 0.3 * np.ones(grid31.omega.size) if static_q else None
-    basis = ControlBasis(grid31, "w1", T_FINAL, 8)
-    bg = BackgroundStates(op31, q, basis, DT, T_FINAL)
+    basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    bg = BackgroundStates(op31, q, basis)
     gram, sw_flat = _reference_weighting(op31, bg.states, DT)
     _assert_close(bg.gram, gram, 1e-12)
     targets = interior_targets(grid31, T_FINAL, nodes=grid31.omega[::3])
@@ -231,13 +230,13 @@ def test_synthesis_matches_reference_path(op31, grid31, static_q, monkeypatch):
 def _benchmark_background(op101, grid101, ramp):
     """BackgroundStates(w1) of the invert-linear benchmark: 101 nodes, 16
     segments, 200 steps, with q = 0 or the ramp potential."""
-    basis = ControlBasis(grid101, "w1", T_FINAL, 16)
+    basis = ControlBasis(grid101, "w1", BENCH_DT, T_FINAL, 16)
     q = None
     if ramp:
         q = potential_from_spec(grid101, {"kind": "gaussian", "amplitude": 0.5,
                                           "center": 0.5, "width": 0.141421356,
                                           "time": "ramp"}, BENCH_DT, T_FINAL)
-    return BackgroundStates(op101, q, basis, BENCH_DT, T_FINAL)
+    return BackgroundStates(op101, q, basis)
 
 
 @pytest.mark.parametrize("ramp", [False, True])
@@ -245,8 +244,7 @@ def test_gram_at_benchmark_size_matches_reference(op101, grid101, ramp):
     # with q = 0 the pass steps 40 seeds and delays them into the other 180
     # elements; the ramp steps all 220
     bg = _benchmark_background(op101, grid101, ramp)
-    nt = n_steps_for(BENCH_DT, T_FINAL)
-    seed, _lag = shift_plan(bg.basis, BENCH_DT, nt, not ramp)
+    seed, _lag = shift_plan(bg.basis, not ramp)
     assert np.count_nonzero(seed == np.arange(seed.size)) == (len(bg.basis) if ramp else 40)
     _assert_close(bg.gram, _reference_weighting(op101, bg.states, BENCH_DT)[0], 1e-12)
     assert bg.gram.tobytes() == bg.gram.T.tobytes()
@@ -278,8 +276,8 @@ def test_energy_factor_rejects_a_non_finite_or_indefinite_block(bad):
 
 @pytest.mark.parametrize("nseg", [8, 16])
 def test_cho_factor_is_scipys_upper_factor_bitwise(op31, nseg):
-    basis = ControlBasis(op31.grid, "w1", T_FINAL, nseg)
-    bg = BackgroundStates(op31, None, basis, DT, T_FINAL)
+    basis = ControlBasis(op31.grid, "w1", DT, T_FINAL, nseg)
+    bg = BackgroundStates(op31, None, basis)
     scale = np.trace(bg.gram) / np.trace(bg.control_gram)
     mat = bg.gram + 1e-8 * scale * bg.control_gram
     u, lower = inversion.cho_factor(mat, "control")
@@ -289,8 +287,8 @@ def test_cho_factor_is_scipys_upper_factor_bitwise(op31, nseg):
 
 def test_cho_solve_matches_scipys_achieved_states(op101, grid101, monkeypatch):
     nt = n_steps_for(DT, T_FINAL)
-    basis = ControlBasis(grid101, "w1", T_FINAL, 16)
-    bg = BackgroundStates(op101, None, basis, DT, T_FINAL)
+    basis = ControlBasis(grid101, "w1", DT, T_FINAL, 16)
+    bg = BackgroundStates(op101, None, basis)
     targets = interior_targets(grid101, T_FINAL, nodes=grid101.omega[::7])
     stack = np.asarray([t.materialize(grid101, DT, nt) for t in targets])
     achieved = bg.synthesize(stack, 1e-8)[1]
@@ -307,8 +305,8 @@ def test_cho_factor_rejects_non_finite_normal_equations(bad):
 
 
 def test_synthesis_of_a_target_stack_matches_one_at_a_time(op31, grid31):
-    basis = ControlBasis(grid31, "w1", T_FINAL, 8)
-    bg = BackgroundStates(op31, None, basis, DT, T_FINAL)
+    basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    bg = BackgroundStates(op31, None, basis)
     targets = interior_targets(grid31, T_FINAL, nodes=grid31.omega[::3])
     fields = np.asarray([t.materialize(grid31, DT, NT) for t in targets])
     coeffs, achieved, errors = bg.synthesize(fields, 1e-8)
@@ -338,18 +336,17 @@ def test_probing_kernel_matches_einsum(rng, n_profiles):
 def test_exact_recovery_from_synthetic_first_order_data(op31, grid31):
     # data built directly from the first-order model the solver inverts
     om = grid31.omega
-    basis1 = ControlBasis(grid31, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    bg1 = BackgroundStates(op31, None, basis1, DT, T_FINAL)
-    bg2 = BackgroundStates(op31, None, basis2, DT, T_FINAL)
+    basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
+    bg1 = BackgroundStates(op31, None, basis1)
+    bg2 = BackgroundStates(op31, None, basis2)
 
     q_true = 1.0 + 0.5 * np.sin(np.pi * grid31.x[om])
     wt = DT * trapezoid_weights(NT)
     inner = grid31.h * np.einsum("atj,j,t,btj->ab", bg1.states, q_true, wt,
                                  bg2.states[:, ::-1, :], optimize=True)
     perm = basis2.reversal_permutation()
-    rec_data = DNRecord(s=op31.s, dt=DT, t_final=T_FINAL,
-                        controls=basis1, probes=basis2, pairings=inner[:, perm])
+    rec_data = DNRecord(s=op31.s, controls=basis1, probes=basis2, pairings=inner[:, perm])
 
     est = recover_linear_potential(rec_data, bg1, interior_targets(grid31, T_FINAL),
                                    alpha_inv=1e-12, synth_alpha=1e-12)
@@ -365,9 +362,9 @@ def test_time_reversal_consistency_of_estimates(op61, grid61):
     dt, nt = 0.01, 100
     g = np.exp(-((grid61.x[om] - 0.5) / 0.2) ** 2)
     tgrid = np.linspace(0, T_FINAL, nt + 1)
-    basis1 = ControlBasis(grid61, "w1", T_FINAL, 16)
-    basis2 = ControlBasis(grid61, "w2", T_FINAL, 16)
-    bg1 = BackgroundStates(op61, None, basis1, dt, T_FINAL)
+    basis1 = ControlBasis(grid61, "w1", dt, T_FINAL, 16)
+    basis2 = ControlBasis(grid61, "w2", dt, T_FINAL, 16)
+    bg1 = BackgroundStates(op61, None, basis1)
     rec_f = dn_difference_linear(np.outer(tgrid, g), bg1, basis2)
     rec_r = dn_difference_linear(np.outer(T_FINAL - tgrid, g), bg1, basis2)
     targets = interior_targets(grid61, T_FINAL)
@@ -385,20 +382,20 @@ def test_time_reversal_consistency_of_estimates(op61, grid61):
 
 def _zero_case(op, grid):
     """A zero record over the w1 and w2 bases of level 8, and its q = 0 background."""
-    basis1 = ControlBasis(grid, "w1", T_FINAL, 8)
-    basis2 = ControlBasis(grid, "w2", T_FINAL, 8)
-    return (zero_record(op, basis1, basis2, DT, T_FINAL),
-            BackgroundStates(op, None, basis1, DT, T_FINAL))
+    basis1 = ControlBasis(grid, "w1", DT, T_FINAL, 8)
+    basis2 = ControlBasis(grid, "w2", DT, T_FINAL, 8)
+    return (zero_record(op, basis1, basis2),
+            BackgroundStates(op, None, basis1))
 
 
 def test_recover_rejects_mismatched_records(op31, grid31):
     rec, bg = _zero_case(op31, grid31)
     targets = interior_targets(grid31, T_FINAL)
-    bad_s = DNRecord(s=0.7, dt=DT, t_final=T_FINAL, controls=rec.controls,
+    bad_s = DNRecord(s=0.7, controls=rec.controls,
                      probes=rec.probes, pairings=rec.pairings)
     with pytest.raises(InversionError, match="record order"):
         recover_linear_potential(bad_s, bg, targets, 1e-6)
-    bad_dt = DNRecord(s=op31.s, dt=0.04, t_final=T_FINAL, controls=rec.controls,
+    bad_dt = DNRecord(s=op31.s, controls=ControlBasis(grid31, "w1", 0.04, T_FINAL, 8),
                       probes=rec.probes, pairings=rec.pairings)
     with pytest.raises(InversionError, match="time grid"):
         recover_linear_potential(bad_dt, bg, targets, 1e-6)
@@ -406,8 +403,8 @@ def test_recover_rejects_mismatched_records(op31, grid31):
 
 def test_recover_rejects_swapped_windows(op31, grid31):
     _, bg = _zero_case(op31, grid31)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    rec = DNRecord(s=op31.s, dt=DT, t_final=T_FINAL, controls=basis2, probes=basis2,
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
+    rec = DNRecord(s=op31.s, controls=basis2, probes=basis2,
                    pairings=np.zeros((len(basis2), len(basis2))))
     with pytest.raises(InversionError, match="expected controls on w1"):
         recover_linear_potential(rec, bg, interior_targets(grid31, T_FINAL), 1e-6)
@@ -423,15 +420,29 @@ def test_recover_checks_the_record_before_any_solve(op31, grid31, monkeypatch):
     short = dataclasses.replace(rec, pairings=rec.pairings[:, :-1])
     with pytest.raises(InversionError, match="pairings"):
         recover_linear_potential(short, bg, targets, 1e-6)
-    finer = dataclasses.replace(rec, probes=ControlBasis(grid31, "w2", T_FINAL, 16))
+    finer = dataclasses.replace(rec, probes=ControlBasis(grid31, "w2", DT, T_FINAL, 16))
     with pytest.raises(InversionError, match="pairings"):
         recover_linear_potential(finer, bg, targets, 1e-6)
-    longer = dataclasses.replace(rec, controls=ControlBasis(grid31, "w1", 2 * T_FINAL, 8))
+    longer = dataclasses.replace(rec, controls=ControlBasis(grid31, "w1", DT, 2 * T_FINAL, 8))
     with pytest.raises(InversionError, match="time grid"):
         recover_linear_potential(longer, bg, targets, 1e-6)
-    other = dataclasses.replace(rec, controls=ControlBasis(grid31, "w1", T_FINAL, 16))
+    other = dataclasses.replace(rec, controls=ControlBasis(grid31, "w1", DT, T_FINAL, 16))
     with pytest.raises(InversionError, match="not the background's basis"):
         recover_linear_potential(other, bg, targets, 1e-6)
+
+
+def test_recover_rejects_a_probe_basis_on_another_time_grid(op31, grid31, monkeypatch):
+    # same windows, level and pairings shape: only the probes' grid differs
+    # from the background's, and the record is refused before any solve
+    rec, bg = _zero_case(op31, grid31)
+    monkeypatch.setattr(inversion, "BackgroundStates", None)
+    targets = interior_targets(grid31, T_FINAL)
+    for probes in (ControlBasis(grid31, "w2", 0.01, T_FINAL, 8),
+                   ControlBasis(grid31, "w2", DT, 2 * T_FINAL, 8)):
+        assert len(probes) == len(rec.probes)
+        moved = dataclasses.replace(rec, probes=probes)
+        with pytest.raises(InversionError, match="^record time grid"):
+            recover_linear_potential(moved, bg, targets, 1e-6)
 
 
 def test_recover_rejects_bad_frame_and_background(op31, grid31):
@@ -439,8 +450,7 @@ def test_recover_rejects_bad_frame_and_background(op31, grid31):
     targets = interior_targets(grid31, T_FINAL)
     # the recovery takes no frame: it estimates on the forward time axis, the
     # runner orients the estimate, and the reader rejects an unknown frame
-    moving = BackgroundStates(op31, np.zeros((NT + 1, grid31.omega.size)), bg.basis,
-                              DT, T_FINAL)
+    moving = BackgroundStates(op31, np.zeros((NT + 1, grid31.omega.size)), bg.basis)
     with pytest.raises(InversionError, match="must be static"):
         recover_linear_potential(rec, moving, targets, 1e-6)
 
@@ -458,8 +468,7 @@ def test_recover_detects_zero_probing_system(op31, grid31):
 
 def _exponent(op, f, psi, basis2, eps_list):
     """The exponent estimate from one remainder sweep over eps_list."""
-    _lin, p_lin, remainders = dn_remainders_nonlinear(op, f, psi, basis2, eps_list,
-                                                      DT, T_FINAL)
+    _lin, p_lin, remainders = dn_remainders_nonlinear(op, f, psi, basis2, eps_list)
     return estimate_homogeneity_exponent(eps_list, remainders, p_lin)
 
 
@@ -467,7 +476,7 @@ def test_exponent_estimate_scale_invariant(op31, grid31):
     om = grid31.omega
     q0 = 1.0 + 0.3 * np.cos(np.pi * grid31.x[om])
     psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     r1, d1 = _exponent(op31, power_nonlinearity(q0, 1), psi, basis2, [0.1, 0.03])
     r2, d2 = _exponent(op31, power_nonlinearity(7.0 * q0, 1), psi, basis2, [0.1, 0.03])
     assert abs(d1["slope"] - d2["slope"]) <= 0.02
@@ -476,14 +485,14 @@ def test_exponent_estimate_scale_invariant(op31, grid31):
 
 def test_exponent_estimate_zero_nonlinearity_inconclusive(op31, grid31):
     psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     with pytest.raises(InconclusiveError, match="noise floor"):
         _exponent(op31, zero_nonlinearity(), psi, basis2, [0.1, 0.03])
 
 
 def test_exponent_estimate_needs_two_amplitudes(op31, grid31):
     psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     with pytest.raises(InversionError, match="two amplitudes"):
         _exponent(op31, power_nonlinearity(1.0, 2), psi, basis2, [0.1])
 
@@ -494,9 +503,8 @@ def test_wrong_exponent_inflates_moment_residual(op31, grid31):
     f = power_nonlinearity(coeff, 2)
     psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT, amplitude=50.0)
     targets = interior_targets(grid31, T_FINAL)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    lin, _, remainders = dn_remainders_nonlinear(op31, f, psi, basis2, (0.1, 0.05),
-                                                 DT, T_FINAL)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
+    lin, _, remainders = dn_remainders_nonlinear(op31, f, psi, basis2, (0.1, 0.05))
     rel = {}
     for rk in (1, 2, 3):
         rec = recover_nonlinear_coefficient(
@@ -513,9 +521,8 @@ def test_nonlinear_coefficient_accuracy(op31, grid31):
     coeff = 1.0 + 0.3 * np.sin(np.pi * grid31.x[om] + 1.0)
     f = power_nonlinearity(coeff, 2)
     psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT, amplitude=50.0)
-    basis2 = ControlBasis(grid31, "w2", T_FINAL, 8)
-    lin, _, remainders = dn_remainders_nonlinear(op31, f, psi, basis2, (0.1, 0.05),
-                                                 DT, T_FINAL)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
+    lin, _, remainders = dn_remainders_nonlinear(op31, f, psi, basis2, (0.1, 0.05))
     rec = recover_nonlinear_coefficient(
         op31, lin, remainders, basis2, 2, interior_targets(grid31, T_FINAL), eps0=0.1,
         alpha_inv=1e-2, synth_alpha=1e-12)
@@ -576,11 +583,11 @@ def test_ill_conditioned_error_carries_estimate():
 
 def _gaussian_case(grid, op, amplitude):
     """The difference record of a static gaussian, and its recovery error."""
-    basis1 = ControlBasis(grid, "w1", T_FINAL, 16)
-    basis2 = ControlBasis(grid, "w2", T_FINAL, 16)
     dt = 5e-3
+    basis1 = ControlBasis(grid, "w1", dt, T_FINAL, 16)
+    basis2 = ControlBasis(grid, "w2", dt, T_FINAL, 16)
     q = amplitude * np.exp(-((grid.x[grid.omega] - 0.5) / 0.141421356) ** 2)
-    background = BackgroundStates(op, None, basis1, dt, T_FINAL)
+    background = BackgroundStates(op, None, basis1)
     diff = dn_difference_linear(q, background, basis2)
     targets = interior_targets(grid, T_FINAL)
 

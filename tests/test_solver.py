@@ -577,8 +577,8 @@ def test_singular_static_step_matrix_fails_at_step_zero(op31, grid31):
 def _w1_basis(grid):
     # 6 window nodes x 3 splines: 18 elements, a block of 16 and one of 2, or
     # a block of 17 and a last block of one element
-    basis = ControlBasis(grid, "w1", T_FINAL, 8)
-    return basis, [materialize(basis, i, DT, NT) for i in range(len(basis))]
+    basis = ControlBasis(grid, "w1", DT, T_FINAL, 8)
+    return basis, [materialize(basis, i) for i in range(len(basis))]
 
 
 def _potential(grid, kind):
@@ -607,8 +607,7 @@ def _interior_responses(op, q, basis):
 
     The bases it is given shift no spline, so every element is stepped.
     """
-    got = _observed(lambda observe: solver.solve_linear_basis(op, q, basis, DT, T_FINAL,
-                                                              observe))
+    got = _observed(lambda observe: solver.solve_linear_basis(op, q, basis, observe))
     assert sum(got[2]) == len(basis)
     return got
 
@@ -674,7 +673,7 @@ def test_difference_pass_matches_the_subtraction(op31, grid31, monkeypatch, kind
     with_q = _interior_responses(op31, q, basis)
     background = _interior_responses(op31, q_bg, basis)
     difference = _observed(lambda observe: solver.solve_linear_difference(
-        op31, q, q_bg, basis, background[0], DT, T_FINAL, observe))
+        op31, q, q_bg, basis, background[0], observe))
     assert difference[2] == [16, len(basis) - 16]
     for i in (0, 1):
         diff = difference[i]
@@ -710,8 +709,7 @@ def _failing_step(call):
 def _failing_steps(op, q, basis, control, dt=DT):
     """Failing step of solve_linear on one control, and of the basis pass."""
     one = _failing_step(lambda: solve_linear(op, q, control, dt, T_FINAL))
-    block = _failing_step(lambda: solver.solve_linear_basis(op, q, basis, dt, T_FINAL,
-                                                            lambda u, v: u))
+    block = _failing_step(lambda: solver.solve_linear_basis(op, q, basis, lambda u, v: u))
     return one, block
 
 
@@ -729,14 +727,15 @@ def test_blocked_pass_fails_at_the_step_solve_linear_reports(op31, grid31):
     dt = 2.0 ** -5
     q_s = np.ones((n_steps_for(dt, T_FINAL) + 1, om.size))
     q_s[5, 3] = -4.0 / dt ** 2
-    assert _failing_steps(op0, q_s, basis, None, dt) == (5, 5)
+    assert _failing_steps(op0, q_s, ControlBasis(grid31, "w1", dt, T_FINAL, 8), None,
+                          dt) == (5, 5)
     # a NaN source, shared by every row of a block
     src = np.zeros((NT + 1, om.size))
     src[6, 3] = np.nan
     prof = _potential(grid31, "static")
     one = _failing_step(lambda: solve_linear(op31, prof, controls[0], DT, T_FINAL, source=src))
     maps = solver._step_maps(op31, prof, DT, NT)
-    drive = (solver._basis_drive(op31, basis, DT, NT, slice(0, 5))
+    drive = (solver._basis_drive(op31, basis, slice(0, 5))
              + solver._control_drive(op31, None, DT, NT, src)[:, None])
     block = _failing_step(lambda: solver._step_linear(maps, drive, DT, None, None))
     assert one == block == 6
@@ -838,18 +837,18 @@ def test_step_maps_match_the_closure_loop(op101, grid101, monkeypatch, kind):
     # a source and nonzero initial data, against the closure loop on the same
     # drives
     monkeypatch.setattr(solver, "CONTROL_BLOCK", 32)
-    basis = ControlBasis(grid101, "w1", T_FINAL, 8)
+    basis = ControlBasis(grid101, "w1", DT, T_FINAL, 8)
     q, q_bg = _potential(grid101, kind), 0.2 * np.ones(grid101.omega.size)
     u, v, sizes = _interior_responses(op101, q, basis)
     assert len(sizes) == -(-len(basis) // 32) > 1
-    ref = _closure_loop(op101, q, solver._basis_drive(op101, basis, DT, NT, slice(None)))
+    ref = _closure_loop(op101, q, solver._basis_drive(op101, basis, slice(None)))
     _assert_within(u, ref[0].transpose(1, 0, 2))
     _assert_within(v, ref[1].transpose(1, 0, 2))
-    states = solver.solve_linear_basis(op101, q_bg, basis, DT, T_FINAL, lambda u, v: u)
+    states = solver.solve_linear_basis(op101, q_bg, basis, lambda u, v: u)
     dq = (_expand_potential(q, NT, grid101.omega.size)[0]
           - _expand_potential(q_bg, NT, grid101.omega.size)[0])
     w, z, _ = _observed(lambda observe: solver.solve_linear_difference(
-        op101, q, q_bg, basis, states, DT, T_FINAL, observe))
+        op101, q, q_bg, basis, states, observe))
     ref = _closure_loop(op101, q, solver._difference_drive(dq, states.transpose(1, 0, 2), DT))
     _assert_within(w, ref[0].transpose(1, 0, 2))
     _assert_within(z, ref[1].transpose(1, 0, 2))
@@ -899,7 +898,7 @@ def _every_element(op, q, basis, dt):
     pass before the shift plan, as one block."""
     nt = n_steps_for(dt, T_FINAL)
     maps = solver._step_maps(op, q, dt, nt)
-    drive = solver._basis_drive(op, basis, dt, nt, np.arange(len(basis)))
+    drive = solver._basis_drive(op, basis, np.arange(len(basis)))
     return solver._step_linear(maps, drive, dt, None, None, np.arange(len(basis)))
 
 
@@ -918,7 +917,7 @@ def _every_element_pairings(op, basis1, basis2, dt, u, v, controls):
     nt = n_steps_for(dt, T_FINAL)
     rows = []
     for e in range(len(basis1)):
-        control = materialize(basis1, e, dt, nt) if controls else None
+        control = materialize(basis1, e) if controls else None
         full = solver._on_grid(op.grid, control, dt, nt, (u[:, e], v[:, e]))
         rows.append(dnmap._pair_against_basis(op, solver.Trajectory(*full, dt=dt), basis2))
     return np.array(rows)
@@ -944,21 +943,20 @@ def test_shifted_passes_match_stepping_every_element(request, case):
     op = request.getfixturevalue(f"op{n_nodes}")
     grid = op.grid
     nt = n_steps_for(dt, T_FINAL)
-    basis1 = ControlBasis(grid, "w1", T_FINAL, n_segments)
-    basis2 = ControlBasis(grid, "w2", T_FINAL, n_segments)
+    basis1 = ControlBasis(grid, "w1", dt, T_FINAL, n_segments)
+    basis2 = ControlBasis(grid, "w2", dt, T_FINAL, n_segments)
     prof = 0.4 * interior_bump(grid)[grid.omega]
     q = np.outer(dt * np.arange(nt + 1), prof) if timed else prof
-    stepped = _observed(lambda observe: solver.solve_linear_basis(op, q, basis1, dt, T_FINAL,
-                                                                  observe))[2]
+    stepped = _observed(lambda observe: solver.solve_linear_basis(op, q, basis1, observe))[2]
     assert sum(stepped) == n_seeds * len(basis1.nodes)
     # the background states of q = 0, which always shift when the level does
-    background = BackgroundStates(op, None, basis1, dt, T_FINAL)
+    background = BackgroundStates(op, None, basis1)
     u0, _v0 = _every_element(op, None, basis1, dt)
     _assert_within(background.states, u0.transpose(1, 0, 2))
     # the measurement matrix of q
     u, v = _every_element(op, q, basis1, dt)
     ref = _every_element_pairings(op, basis1, basis2, dt, u, v, True)
-    _assert_within(dn_matrix_linear(op, q, basis1, basis2, dt, T_FINAL).pairings, ref)
+    _assert_within(dn_matrix_linear(op, q, basis1, basis2).pairings, ref)
     # the difference of q from the q = 0 background, driven by its states
     w, z = _every_element_difference(op, q, None, basis1, u0.transpose(1, 0, 2), dt)
     ref = _every_element_pairings(op, basis1, basis2, dt, w, z, False)
@@ -968,22 +966,22 @@ def test_shifted_passes_match_stepping_every_element(request, case):
 def test_shift_plan_of_a_level_and_of_a_horizon_off_by_rounding(grid101, grid31):
     # at 16 segments and 200 steps a knot is 12.5 steps: splines 1, 3, 5, ...
     # shift spline 1 by 25, 50, ... steps and splines 2, 4, ... spline 2
-    basis = ControlBasis(grid101, "w1", T_FINAL, 16)
-    seed, lag = solver.shift_plan(basis, 5e-3, 200, True)
+    basis = ControlBasis(grid101, "w1", 5e-3, T_FINAL, 16)
+    seed, lag = solver.shift_plan(basis, True)
     n_spl = len(basis.tsplines)
     assert seed[:n_spl].tolist() == [0, 1] * 5 + [0]
     assert lag[:n_spl].tolist() == [0, 0, 25, 25, 50, 50, 75, 75, 100, 100, 125]
     assert seed[n_spl:2 * n_spl].tolist() == (n_spl + seed[:n_spl]).tolist()
     assert _seeds(seed).tolist() == [a * n_spl + c for a in range(len(basis.nodes))
                                      for c in (0, 1)]
-    assert not solver.shift_plan(basis, 5e-3, 200, False)[1].any()
+    assert not solver.shift_plan(basis, False)[1].any()
     # n_steps_for takes a dt whose steps miss t_final by rounding; the samples
     # then shift by other than whole knots, and nothing is shifted
-    basis = ControlBasis(grid31, "w1", T_FINAL, 10)
-    assert solver.shift_plan(basis, DT, NT, True)[1].any()
+    basis = ControlBasis(grid31, "w1", DT, T_FINAL, 10)
+    assert solver.shift_plan(basis, True)[1].any()
     dt = DT + 1e-12
     assert n_steps_for(dt, T_FINAL) == NT
-    seed, lag = solver.shift_plan(basis, dt, NT, True)
+    seed, lag = solver.shift_plan(ControlBasis(grid31, "w1", dt, T_FINAL, 10), True)
     assert not lag.any() and len(_seeds(seed)) == len(basis)
 
 
@@ -991,7 +989,7 @@ def test_shifted_pass_reports_the_first_failing_element(op31, grid31):
     # a huge coupling from the second w1 node overflows the drive of its
     # elements some steps after their splines start; the first of them fails
     # first, in the pass over every element and in the shifted pass alike
-    basis = ControlBasis(grid31, "w1", T_FINAL, 10)
+    basis = ControlBasis(grid31, "w1", DT, T_FINAL, 10)
     matrix = op31.matrix.copy()
     matrix[basis.nodes[1], grid31.omega[4]] = 1e308
     op = dataclasses.replace(op31, matrix=matrix)
@@ -999,7 +997,7 @@ def test_shifted_pass_reports_the_first_failing_element(op31, grid31):
         _every_element(op, None, basis, DT)
     with (np.errstate(all="ignore"), pytest.raises(StepFailureError) as shifted,
           mock.patch.object(solver, "_step_linear", wraps=solver._step_linear) as step):
-        solver.solve_linear_basis(op, None, basis, DT, T_FINAL, lambda u, v: u)
+        solver.solve_linear_basis(op, None, basis, lambda u, v: u)
     assert [c.args[1].shape[1] for c in step.call_args_list] == [len(basis.nodes)]
     assert len(basis.nodes) < len(basis)
     assert every.value.element == len(basis.tsplines)
