@@ -24,10 +24,10 @@ from .dnmap import (DNMapError, DNRecord, alessandrini_residual,
                     dn_remainders_nonlinear, nonlinear_integral_identity_residual, reverse_potential,
                     self_adjointness_residual, time_reverse)
 from .inversion import (BackgroundStates, IllConditionedError,
-                        InconclusiveError, InversionError, LocalizedTarget,
-                        Reconstruction, estimate_homogeneity_exponent,
-                        interior_targets, recover_linear_potential,
-                        recover_nonlinear_coefficient, synthesize_control)
+                        InconclusiveError, InversionError, Reconstruction,
+                        estimate_homogeneity_exponent, interior_targets,
+                        recover_linear_potential, recover_nonlinear_coefficient,
+                        synthesize_control)
 from .harness import (ConfigError, compare_reports, field_from_spec,
                       load_config, potential_from_spec, run_scenario,
                       sweep_scenario)

@@ -17,36 +17,24 @@ import numpy as np
 
 from . import nonlinearity as nl
 from .controls import ControlBasis, ExteriorControl
-from .solver import (Trajectory, _expand_potential, n_steps_for, solve_linear,
-                     solve_linear_basis, solve_linear_difference, solve_nonlinear,
-                     trapezoid_weights)
+from .solver import (_expand_potential, n_steps_for, solve_linear, solve_linear_basis,
+                     solve_linear_difference, solve_nonlinear, trapezoid_weights)
 
 
 class DNMapError(ValueError):
     pass
 
 
-def time_reverse(obj):
-    """Time reversal t -> T - t.
-
-    Arrays (time on the first axis) are flipped; a Trajectory flips u and
-    negates the flipped v; an ExteriorControl flips values and negates the
-    flipped dvalues.  Applying it twice returns the input.
+def time_reverse(control):
+    """Time reversal t -> T - t of an ExteriorControl: its values flipped and
+    its dvalues flipped and negated.  Applying it twice returns the input.
     """
-    if isinstance(obj, Trajectory):
-        return Trajectory(u=obj.u[::-1].copy(), v=-obj.v[::-1].copy(),
-                          dt=obj.dt,
-                          newton_iters=None if obj.newton_iters is None
-                          else obj.newton_iters[::-1].copy())
-    if isinstance(obj, ExteriorControl):
-        return ExteriorControl(values=obj.values[::-1].copy(),
-                               dvalues=-obj.dvalues[::-1].copy(),
-                               window=obj.window, dt=obj.dt)
-    arr = np.asarray(obj)
-    if arr.ndim == 0:
-        raise DNMapError("cannot time-reverse a scalar; pass an array, "
-                         "Trajectory, or ExteriorControl")
-    return arr[::-1].copy()
+    if not isinstance(control, ExteriorControl):
+        raise DNMapError(f"cannot time-reverse a {type(control).__name__}; "
+                         "pass an ExteriorControl")
+    return ExteriorControl(values=control.values[::-1].copy(),
+                           dvalues=-control.dvalues[::-1].copy(),
+                           window=control.window, dt=control.dt)
 
 
 def reverse_potential(q):

@@ -22,7 +22,7 @@ from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linea
                     dn_remainders_nonlinear, nonlinear_integral_identity_residual,
                     self_adjointness_residual)
 from .grid import build_grid
-from .inversion import (BackgroundStates, estimate_homogeneity_exponent, interior_targets,
+from .inversion import (TARGET_WINDOWS, BackgroundStates, estimate_homogeneity_exponent,
                         recover_linear_potential, recover_nonlinear_coefficient,
                         synthesize_control)
 from .nonlinearity import check_exponent_constraints, power_nonlinearity, zero_nonlinearity
@@ -264,6 +264,7 @@ def _read_experiment(exp, run):
         return levels
 
     def targets():
+        """The omega nodes and the width of the recovery's interior targets."""
         nodes = exp.integer("target_nodes", least=0, many=True)
         stride = exp.integer("target_stride", 1, least=1)
         width = number("target_width", sign="positive")
@@ -273,7 +274,7 @@ def _read_experiment(exp, run):
         if outside:
             raise ConfigError(f"experiment.target_nodes {outside} are not omega nodes "
                               f"({int(grid.omega[0])}..{int(grid.omega[-1])})")
-        return interior_targets(grid, t_final, nodes=nodes, space_width=width)
+        return {"target_nodes": nodes, "target_width": width}
 
     if kind == "forward":
         values = {"window": exp.choice("window", "w1", ("w1", "w2")),
@@ -292,8 +293,11 @@ def _read_experiment(exp, run):
                   "tolerance": number("tolerance", 1e-3), "amplitude": 1.0}
         if variant == "alessandrini":
             q1 = exp.get("q1")
-            values["q1"] = run["q"] if q1 is None else potential_from_spec(
-                grid, q1, dt, t_final, name="experiment.q1")
+            if q1 is None:
+                values["q1"] = run["q"]
+            else:
+                values["q1"] = potential_from_spec(grid, q1, dt, t_final, name="experiment.q1")
+                q_unread_by = "identity-check variant 'alessandrini' with experiment.q1"
             values["q2"] = potential_from_spec(grid, exp.get("q2"), dt, t_final,
                                                name="experiment.q2")
         elif variant == "nonlinear-integral":
@@ -310,7 +314,7 @@ def _read_experiment(exp, run):
         values = {"basis_segments": spline_levels("basis_segments", 16),
                   "frame": exp.choice("frame", "direct", ("direct", "reversed")),
                   "q_time_basis": exp.integer("q_time_basis", least=2),
-                  "targets": targets(), "tolerance": number("tolerance", 0.10)}
+                  **targets(), "tolerance": number("tolerance", 0.10)}
         needs = ("invert-linear", "linear")
     else:
         values = {"psi_amplitude": number("psi_amplitude", 50.0),
@@ -318,7 +322,7 @@ def _read_experiment(exp, run):
                   "eps0": number("eps0", 1e-1, sign="positive"),
                   "basis_segments": spline_levels("basis_segments", 16),
                   "round_exponent": exp.choice("round_exponent", True, (True, False)),
-                  "targets": targets(),
+                  **targets(),
                   "exponent_tolerance": number("exponent_tolerance", 0.1),
                   "tolerance": number("tolerance", 0.15)}
         if 0.1 * t_final < dt:
@@ -334,8 +338,8 @@ def _read_experiment(exp, run):
     if needs and needs[1] != ("linear" if run["f"] is None else "nonlinear"):
         raise ConfigError(f"{needs[0]} needs model.kind {needs[1]}")
     if q_unread_by and np.any(run["q"]):
-        raise ConfigError(f"model.q must be zero for {q_unread_by}, whose solves read "
-                          "no potential")
+        raise ConfigError(f"model.q must be zero for {q_unread_by}, whose solves do not "
+                          "read it")
     return {"kind": kind, **values}
 
 
@@ -477,8 +481,9 @@ def run_invert_linear(run, op, out_dir):
                               np.random.default_rng(run.seed))
 
     recon = recover_linear_potential(
-        rec_data, background, run.targets, run.alpha_inv, synth_alpha=run.synth_alpha,
-        q_time_basis=run.q_time_basis)
+        rec_data, background, run.alpha_inv, synth_alpha=run.synth_alpha,
+        q_time_basis=run.q_time_basis, target_nodes=run.target_nodes,
+        target_width=run.target_width)
     # the frame orients a time-dependent estimate: reversed, it is written as
     # a function of t_final - t
     if run.q_time_basis is not None and run.frame == "reversed":
@@ -506,7 +511,7 @@ def run_invert_linear(run, op, out_dir):
                "noise_level": run.level,
                "fit_residual": recon.diagnostics["fit_residual"],
                "rhs_norm": recon.diagnostics["rhs_norm"],
-               "n_targets": len(run.targets)}
+               "n_targets": len(TARGET_WINDOWS) * len(run.target_nodes)}
     return metrics, rel <= run.tolerance
 
 
@@ -523,7 +528,8 @@ def run_invert_nonlinear(run, op, out_dir):
 
     recon = recover_nonlinear_coefficient(
         op, lin, remainders, basis2, round(r_est) if run.round_exponent else r_est,
-        run.targets, run.eps0, run.alpha_inv, synth_alpha=run.synth_alpha)
+        run.eps0, run.alpha_inv, synth_alpha=run.synth_alpha, target_nodes=run.target_nodes,
+        target_width=run.target_width)
     recon.save(os.path.join(out_dir, "reconstruction.json"))
     recon.save_csv(os.path.join(out_dir, "reconstruction.csv"), q_true=f.coeff)
 

@@ -38,29 +38,27 @@ class InconclusiveError(InversionError):
 
 
 def cho_factor(mat, what):
-    """Upper Cholesky factor of the normal equations mat, as (u, False).
+    """Upper Cholesky factor u of the normal equations mat = u^T u.
 
-    The tuple has the (factor, lower) shape of ``scipy.linalg.cho_factor``, so
-    either library's ``cho_solve`` takes it.  A non-finite or indefinite
-    matrix raises :class:`IllConditionedError`, naming the system by what.
+    A non-finite or indefinite matrix raises :class:`IllConditionedError`,
+    naming the system by what.
     """
     if not np.isfinite(mat).all():
         raise IllConditionedError(f"{what} normal equations not finite", np.nan)
     try:
-        return np.linalg.cholesky(mat, upper=True), False
+        return np.linalg.cholesky(mat, upper=True)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"{what} normal equations failed",
                                   np.linalg.cond(mat)) from exc
 
 
-def cho_solve(cho, b):
-    """Solve u^T u x = b for the factor (u, False) of :func:`cho_factor`.
+def cho_solve(u, b):
+    """Solve u^T u x = b for the upper factor u of :func:`cho_factor`.
 
     Each triangular solve is a dense solve of an upper triangular matrix,
     whose LU is the matrix itself with no row swapped: the forward one on u^T
     with its rows and columns reversed, the back one on u.
     """
-    u, _lower = cho
     y = np.linalg.solve(u[::-1, ::-1].T, b[::-1])[::-1]
     return np.linalg.solve(u, y)
 
@@ -138,8 +136,9 @@ class BackgroundStates:
         energy = stack @ k_omega
         energy *= self.time_weights[None, :, None]
         flat = self.states.reshape(len(self.basis), -1)
-        coeffs = cho_solve(self._synthesis_factor(alpha),
-                           flat @ energy.reshape(len(stack), -1).T).T
+        scale = np.trace(self.gram) / np.trace(self.control_gram)
+        factor = cho_factor(self.gram + alpha * scale * self.control_gram, "control")
+        coeffs = cho_solve(factor, flat @ energy.reshape(len(stack), -1).T).T
         achieved = (coeffs @ flat).reshape(stack.shape)
         diff = achieved - stack
         err2 = np.einsum("itj,itj->it", diff, diff @ k_omega) @ self.time_weights
@@ -147,11 +146,6 @@ class BackgroundStates:
         if target.ndim == 2:
             return coeffs[0], achieved[0], errors[0]
         return coeffs, achieved, errors
-
-    def _synthesis_factor(self, alpha):
-        """Cholesky factor of gram + alpha * scale * control_gram."""
-        scale = np.trace(self.gram) / np.trace(self.control_gram)
-        return cho_factor(self.gram + alpha * scale * self.control_gram, "control")
 
 
 def synthesize_control(op, q_background, target, window, dt, t_final, alpha, n_segments):
@@ -166,56 +160,33 @@ def synthesize_control(op, q_background, target, window, dt, t_final, alpha, n_s
     return basis.control(coeffs), float(err)
 
 
-@dataclass(frozen=True)
-class LocalizedTarget:
-    """Spatial bump at one interior node times a smooth time bump."""
-
-    node: int
-    t0: float
-    t1: float
-    space_width: float
-
-    def profile(self, grid):
-        """The spatial bump on the omega nodes."""
-        x = grid.x
-        return np.exp(-((x[grid.omega] - x[self.node]) / self.space_width) ** 2)
-
-    def materialize(self, grid, dt, n_steps):
-        t = dt * np.arange(n_steps + 1)
-        theta, _ = time_bump(t, self.t0, self.t1)
-        return np.outer(theta, self.profile(grid))
+# Three overlapping time windows, as fractions of t_final, give the pairing
+# matrix enough temporal diversity to resolve the potential; a single window
+# flattens the system onto too small a subspace.
+TARGET_WINDOWS = ((0.10, 0.50), (0.30, 0.70), (0.50, 0.90))
 
 
-def materialize_targets(targets, grid, dt, n_steps):
-    """The targets' samples as one (n_targets, n_steps + 1, n_omega) stack.
+def interior_targets(basis, nodes=None, space_width=None):
+    """Localized interior targets, sampled on the time grid of basis.
 
-    Equal to materializing each target, with each distinct time window's
-    bump evaluated once.
+    Each is a gaussian of width space_width (default 2h) centred at one omega
+    node of nodes (default every omega node), times the smooth time bump on
+    one window of ``TARGET_WINDOWS``.  Returns the samples as one
+    (len(TARGET_WINDOWS) * len(nodes), n_steps + 1, n_omega) stack, ordered
+    node-major and window-minor.
     """
-    t = dt * np.arange(n_steps + 1)
-    thetas = {}
-    out = np.empty((len(targets), n_steps + 1, grid.omega.size))
-    for i, tgt in enumerate(targets):
-        window = (tgt.t0, tgt.t1)
-        if window not in thetas:
-            thetas[window] = time_bump(t, *window)[0]
-        np.multiply(thetas[window][:, None], tgt.profile(grid)[None, :], out=out[i])
-    return out
-
-
-def interior_targets(grid, t_final, nodes=None, space_width=None):
-    """Localized targets: interior nodes crossed with staggered time bumps.
-
-    Three overlapping time windows give the pairing matrix enough temporal
-    diversity to resolve the potential; a single window flattens the system
-    onto too small a subspace.
-    """
+    grid, n_steps, t_final = basis.grid, basis.n_steps, basis.t_final
+    x, om = grid.x, grid.omega
     if nodes is None:
-        nodes = grid.omega
+        nodes = om
     if space_width is None:
         space_width = 2.0 * grid.h
-    return [LocalizedTarget(int(n), a * t_final, b * t_final, float(space_width))
-            for n in nodes for (a, b) in ((0.10, 0.50), (0.30, 0.70), (0.50, 0.90))]
+    t = basis.dt * np.arange(n_steps + 1)
+    thetas = np.asarray([time_bump(t, a * t_final, b * t_final)[0]
+                         for a, b in TARGET_WINDOWS])
+    profiles = np.exp(-((x[om][None, :] - x[nodes][:, None]) / space_width) ** 2)
+    stack = thetas[None, :, :, None] * profiles[:, None, None, :]
+    return stack.reshape(-1, n_steps + 1, om.size)
 
 
 @dataclass
@@ -257,20 +228,6 @@ class Reconstruction:
             for i, xi in enumerate(np.asarray(self.node_coords)):
                 true_s = "" if q_true is None else repr(float(q_true[i]))
                 fh.write(f"{float(xi)!r},{true_s},{float(vals[i])!r}\n")
-
-    @staticmethod
-    def load(path):
-        with open(path) as fh:
-            raw = json.load(fh)
-        return Reconstruction(
-            values=np.asarray(raw["q_est"], dtype=float),
-            nodes=np.asarray(raw["nodes"], dtype=int),
-            node_coords=np.asarray(raw["node_coords"], dtype=float),
-            covered=np.asarray(raw["covered"], dtype=bool),
-            r=raw.get("r_est"),
-            coeff=None if raw.get("coeff") is None else np.asarray(raw["coeff"], dtype=float),
-            diagnostics=raw.get("diagnostics", {}),
-        )
 
 
 def _check_record(rec, background):
@@ -333,16 +290,17 @@ def _probing_kernel(fld1, fld2, weights):
     return kern.reshape(len(fld1) * len(fld2), -1)
 
 
-def recover_linear_potential(dn_difference, background, targets, alpha_inv,
-                             synth_alpha=1e-10, q_time_basis=None):
+def recover_linear_potential(dn_difference, background, alpha_inv, synth_alpha=1e-10,
+                             q_time_basis=None, target_nodes=None, target_width=None):
     """Potential increment from a difference record over a background.
 
     background is the :class:`BackgroundStates` of the record's w1 controls
     under a static potential q_bg, and dn_difference the measurement
     differences of the data from it, as ``dnmap.dn_difference_linear``
     measures them; the background's operator and time grid are the
-    recovery's.  targets is a list of LocalizedTarget; both windows
-    synthesize controls towards each of them, and the differences m_ij are
+    recovery's.  Both windows synthesize controls towards each of the
+    targets that :func:`interior_targets` samples on the background's time
+    grid at target_nodes and target_width, and the differences m_ij are
     matched to interior integrals of the potential against products of the
     achieved background states (the first-order expansion of the
     measurement map at q_bg, so the returned values estimate q_data - q_bg).
@@ -362,7 +320,7 @@ def recover_linear_potential(dn_difference, background, targets, alpha_inv,
     bg2 = BackgroundStates(op, background.q, basis2)
 
     # achieved states: (n_targets, nt+1, n_omega)
-    stack = materialize_targets(targets, grid, dt, n_steps)
+    stack = interior_targets(background.basis, target_nodes, target_width)
     coeff1, achieved1, errs1 = background.synthesize(stack, synth_alpha)
     coeff2, achieved2, errs2 = bg2.synthesize(stack, synth_alpha)
     del stack
@@ -378,7 +336,7 @@ def recover_linear_potential(dn_difference, background, targets, alpha_inv,
     n_gamma = gamma.shape[0]
 
     kern = grid.h * _probing_kernel(achieved1, achieved2[:, ::-1, :], gamma * wt[None, :])
-    n_pairs = len(targets) ** 2
+    n_pairs = len(coeff1) ** 2
     rhs = m.reshape(-1)
 
     col = np.sqrt(np.einsum("pj,pj->j", kern, kern)).reshape(len(om), n_gamma)
@@ -439,8 +397,8 @@ def estimate_homogeneity_exponent(eps_list, remainders, p_lin):
                                 "slope": float(slope)}
 
 
-def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, targets, eps0,
-                                  alpha_inv, synth_alpha=1e-10):
+def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, eps0, alpha_inv,
+                                  synth_alpha=1e-10, target_nodes=None, target_width=None):
     """Nodal coefficient of a homogeneous nonlinearity from small-amplitude data.
 
     lin and remainders are the linear response to a probe psi and, at eps0
@@ -451,11 +409,14 @@ def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, tar
     reversed achieved probe states, where v0 = lin on omega.  A two-amplitude
     Richardson step (eps0 and eps0/2, error order r) removes the next
     correction before the moment system is solved for q on the covered nodes.
+    The probe controls are synthesized towards the targets that
+    :func:`interior_targets` samples on probe_basis at target_nodes and
+    target_width.
     """
     grid, om = op.grid, op.grid.omega
     bg2 = BackgroundStates(op, None, probe_basis)
     coeff2, achieved2, errs2 = bg2.synthesize(
-        materialize_targets(targets, grid, probe_basis.dt, probe_basis.n_steps), synth_alpha)
+        interior_targets(probe_basis, target_nodes, target_width), synth_alpha)
 
     r = float(r_known)
     eps_pair = (eps0, 0.5 * eps0)

@@ -470,8 +470,10 @@ def test_invert_nonlinear_reads_what_two_sweeps_measure(tmp_path, monkeypatch, e
     _, p_lin, fit = dn_remainders_nonlinear(op, run.f, psi, basis2, eps_list)
     r_est, diag = estimate_homogeneity_exponent(eps_list, fit, p_lin)
     lin, _, pair = dn_remainders_nonlinear(op, run.f, psi, basis2, (run.eps0, 0.5 * run.eps0))
-    recon = recover_nonlinear_coefficient(op, lin, pair, basis2, round(r_est), run.targets,
-                                          run.eps0, run.alpha_inv, synth_alpha=run.synth_alpha)
+    recon = recover_nonlinear_coefficient(op, lin, pair, basis2, round(r_est), run.eps0,
+                                          run.alpha_inv, synth_alpha=run.synth_alpha,
+                                          target_nodes=run.target_nodes,
+                                          target_width=run.target_width)
     assert report["metrics"]["r_est"] == r_est
     assert report["metrics"]["eps_differences"] == diag["differences"]
     assert len(diag["differences"]) == len(eps_list)
@@ -620,7 +622,11 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                                   "model: {kind: nonlinear, q: {kind: gaussian}}\n"
                                   "experiment: {kind: invert-nonlinear}\n",
                                   "model: {kind: nonlinear, q: {kind: sine, time: ramp}}\n"
-                                  "experiment: {kind: identity-check, variant: nonlinear-integral}\n"],
+                                  "experiment: {kind: identity-check, variant: nonlinear-integral}\n",
+                                  "grid: {n_nodes: 31}\n"
+                                  "model: {kind: linear, q: {kind: constant, value: 50}}\n"
+                                  "experiment: {kind: identity-check, variant: alessandrini,\n"
+                                  "             q1: {kind: constant, value: 1}}\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
                               "non-numeric-seed", "unknown-grid-key",
@@ -653,7 +659,8 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                               "invert-nonlinear-level-above-steps",
                               "potential-of-a-nonlinear-forward-run",
                               "potential-of-invert-nonlinear",
-                              "potential-of-the-nonlinear-integral-identity"])
+                              "potential-of-the-nonlinear-integral-identity",
+                              "potential-beside-alessandrini-q1"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, monkeypatch, text):
     # run without --out, so that the scenario's own out_dir is the one used
     monkeypatch.chdir(tmp_path)
@@ -748,20 +755,26 @@ def test_reader_names_the_key_of_a_bad_window_or_amplitude_list(experiment, mess
     ({"kind": "forward"}, "forward with model.kind nonlinear"),
     ({"kind": "invert-nonlinear"}, "invert-nonlinear"),
     ({"kind": "identity-check", "variant": "nonlinear-integral"},
-     "identity-check variant 'nonlinear-integral'")],
-    ids=["forward", "invert-nonlinear", "nonlinear-integral"])
+     "identity-check variant 'nonlinear-integral'"),
+    ({"kind": "identity-check", "variant": "alessandrini", "q1": {"kind": "zero"}},
+     "identity-check variant 'alessandrini' with experiment.q1")],
+    ids=["forward", "invert-nonlinear", "nonlinear-integral", "alessandrini-q1"])
 def test_reader_rejects_a_potential_that_no_solve_reads(experiment, what):
-    # these runs solve the nonlinear equation, and the linear one without a
-    # potential: a nonzero model.q would be ignored; a zero one is the default
+    # these runs solve the nonlinear equation, the linear one without a
+    # potential, or (alessandrini given q1) the linear one with q1 and q2: a
+    # nonzero model.q would be ignored; a zero one is the default
     model = {"kind": "nonlinear", "r": 2, "q": {"kind": "constant", "value": 50}}
     with pytest.raises(ConfigError, match="^" + re.escape(
-            f"model.q must be zero for {what}, whose solves read no potential") + "$"):
+            f"model.q must be zero for {what}, whose solves do not read it") + "$"):
         validate_config(small_cfg(model=model, experiment=experiment))
     for q in (None, {"kind": "zero"}, {"kind": "constant", "value": 0}):
         validate_config(small_cfg(model=dict(model, q=q), experiment=experiment))
-    # a linear forward run, and the other experiments of a nonlinear model, solve with q
+    # a linear forward run, and the other experiments of a nonlinear model, solve with q;
+    # alessandrini without q1 solves with q in its place
     validate_config(small_cfg(model={"q": model["q"]}, experiment={"kind": "forward"}))
     validate_config(small_cfg(model=model, experiment={"kind": "energy-check"}))
+    validate_config(small_cfg(model=model, experiment={"kind": "identity-check",
+                                                       "variant": "alessandrini"}))
 
 
 def test_reader_names_dt_when_the_probe_of_invert_nonlinear_starts_before_it():

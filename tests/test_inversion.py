@@ -1,6 +1,11 @@
 """Recovery machinery: control synthesis, potential and nonlinearity estimates."""
 
+import contextlib
 import dataclasses
+import io
+import json
+import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +14,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 
 from viscowave import (BackgroundStates, IllConditionedError,
-                       InconclusiveError, InversionError, LocalizedTarget,
+                       InconclusiveError, InversionError,
                        Reconstruction, bump_control,
                        dn_difference_linear, dn_remainders_nonlinear,
                        estimate_homogeneity_exponent,
@@ -124,35 +129,48 @@ def test_synthesized_control_lives_on_requested_window(op31, grid31):
 
 
 def test_interior_targets_default_count(grid31):
-    targets = interior_targets(grid31, T_FINAL)
+    targets = interior_targets(ControlBasis(grid31, "w1", DT, T_FINAL, 8))
     assert len(targets) == 3 * grid31.omega.size
 
 
 def test_localized_target_materialize(grid31):
     node = int(grid31.omega[4])
-    tgt = LocalizedTarget(node=node, t0=0.2, t1=0.6, space_width=0.2)
-    field = tgt.materialize(grid31, DT, NT)
-    assert field.shape == (NT + 1, grid31.omega.size)
+    basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
     t = DT * np.arange(NT + 1)
-    assert np.abs(field[(t <= 0.2) | (t >= 0.6)]).max() == 0.0
-    peak = np.argmax(field[np.argmax(field.sum(axis=1))])
-    assert grid31.omega[peak] == node
+    for field, (t0, t1) in zip(interior_targets(basis, nodes=[node], space_width=0.2),
+                               inversion.TARGET_WINDOWS):
+        assert field.shape == (NT + 1, grid31.omega.size)
+        assert np.abs(field[(t <= t0) | (t >= t1)]).max() == 0.0
+        peak = np.argmax(field[np.argmax(field.sum(axis=1))])
+        assert grid31.omega[peak] == node
+
+
+def _target_loop(basis, nodes, space_width):
+    """Each target sampled on its own, node-major and window-minor, as one
+    gaussian at its node times one time bump on its window."""
+    grid = basis.grid
+    t = basis.dt * np.arange(basis.n_steps + 1)
+    fields = []
+    for node in nodes:
+        profile = np.exp(-((grid.x[grid.omega] - grid.x[node]) / space_width) ** 2)
+        for a, b in ((0.10, 0.50), (0.30, 0.70), (0.50, 0.90)):
+            theta, _ = time_bump(t, a * basis.t_final, b * basis.t_final)
+            fields.append(np.outer(theta, profile))
+    return np.asarray(fields)
 
 
 @pytest.mark.parametrize("n_nodes", [31, 101])
 def test_target_stack_is_materializing_each_bitwise(grid31, grid101, n_nodes):
     grid = grid31 if n_nodes == 31 else grid101
     dt = DT if n_nodes == 31 else BENCH_DT
-    nt = n_steps_for(dt, T_FINAL)
-    targets = interior_targets(grid, T_FINAL)
-    # windows out of order and repeated, and targets of another width
-    targets = (targets[::-1] + interior_targets(grid, T_FINAL, nodes=grid.omega[::5],
-                                                space_width=0.1)
-               + [LocalizedTarget(int(grid.omega[3]), 0.2, 0.6, 0.2)])
-    stack = inversion.materialize_targets(targets, grid, dt, nt)
-    ref = np.asarray([t.materialize(grid, dt, nt) for t in targets])
-    assert stack.shape == ref.shape
-    assert stack.tobytes() == ref.tobytes()
+    basis = ControlBasis(grid, "w1", dt, T_FINAL, 16)
+    # every node at the default width 2h, and nodes out of order at another width
+    for nodes, width in ((None, None), (grid.omega[::-5].tolist(), 0.1)):
+        stack = interior_targets(basis, nodes=nodes, space_width=width)
+        ref = _target_loop(basis, grid.omega if nodes is None else nodes,
+                           2.0 * grid.h if width is None else width)
+        assert stack.shape == ref.shape
+        assert stack.tobytes() == ref.tobytes()
 
 
 def _reference_background(op, q, basis, dt, t_final):
@@ -213,8 +231,7 @@ def test_synthesis_matches_reference_path(op31, grid31, static_q, monkeypatch):
     bg = BackgroundStates(op31, q, basis)
     gram, sw_flat = _reference_weighting(op31, bg.states, DT)
     _assert_close(bg.gram, gram, 1e-12)
-    targets = interior_targets(grid31, T_FINAL, nodes=grid31.omega[::3])
-    stack = np.asarray([t.materialize(grid31, DT, NT) for t in targets])
+    stack = interior_targets(basis, nodes=grid31.omega[::3])
     rhs = sw_flat @ (stack @ (grid31.h * op31.omega_block)).reshape(len(stack), -1).T
     scale = np.trace(bg.gram) / np.trace(bg.control_gram)
     coeffs = cho_solve(cho_factor(bg.gram + 1e-8 * scale * bg.control_gram), rhs).T
@@ -222,7 +239,7 @@ def test_synthesis_matches_reference_path(op31, grid31, static_q, monkeypatch):
 
     solved = []
     monkeypatch.setattr(inversion, "cho_solve",
-                        lambda cho, b: solved.append(b) or cho_solve(cho, b))
+                        lambda u, b: solved.append(b) or cho_solve((u, False), b))
     _assert_close(bg.synthesize(stack, 1e-8)[1], achieved, 1e-10)
     _assert_close(solved[0], rhs, 1e-15)
 
@@ -280,19 +297,16 @@ def test_cho_factor_is_scipys_upper_factor_bitwise(op31, nseg):
     bg = BackgroundStates(op31, None, basis)
     scale = np.trace(bg.gram) / np.trace(bg.control_gram)
     mat = bg.gram + 1e-8 * scale * bg.control_gram
-    u, lower = inversion.cho_factor(mat, "control")
-    assert lower is False
+    u = inversion.cho_factor(mat, "control")
     assert u.tobytes() == np.triu(cho_factor(mat)[0]).tobytes()
 
 
 def test_cho_solve_matches_scipys_achieved_states(op101, grid101, monkeypatch):
-    nt = n_steps_for(DT, T_FINAL)
     basis = ControlBasis(grid101, "w1", DT, T_FINAL, 16)
     bg = BackgroundStates(op101, None, basis)
-    targets = interior_targets(grid101, T_FINAL, nodes=grid101.omega[::7])
-    stack = np.asarray([t.materialize(grid101, DT, nt) for t in targets])
+    stack = interior_targets(basis, nodes=grid101.omega[::7])
     achieved = bg.synthesize(stack, 1e-8)[1]
-    monkeypatch.setattr(inversion, "cho_solve", cho_solve)
+    monkeypatch.setattr(inversion, "cho_solve", lambda u, b: cho_solve((u, False), b))
     _assert_close(achieved, bg.synthesize(stack, 1e-8)[1], 1e-11)
 
 
@@ -307,12 +321,11 @@ def test_cho_factor_rejects_non_finite_normal_equations(bad):
 def test_synthesis_of_a_target_stack_matches_one_at_a_time(op31, grid31):
     basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
     bg = BackgroundStates(op31, None, basis)
-    targets = interior_targets(grid31, T_FINAL, nodes=grid31.omega[::3])
-    fields = np.asarray([t.materialize(grid31, DT, NT) for t in targets])
+    fields = interior_targets(basis, nodes=grid31.omega[::3])
     coeffs, achieved, errors = bg.synthesize(fields, 1e-8)
-    assert coeffs.shape == (len(targets), len(basis))
-    assert achieved.shape == fields.shape and errors.shape == (len(targets),)
-    for i in (0, len(targets) - 1):
+    assert coeffs.shape == (len(fields), len(basis))
+    assert achieved.shape == fields.shape and errors.shape == (len(fields),)
+    for i in (0, len(fields) - 1):
         c, a, e = bg.synthesize(fields[i], 1e-8)
         _assert_close(coeffs[i], c, 1e-8)
         _assert_close(achieved[i], a, 1e-8)
@@ -348,12 +361,11 @@ def test_exact_recovery_from_synthetic_first_order_data(op31, grid31):
     perm = basis2.reversal_permutation()
     rec_data = DNRecord(s=op31.s, controls=basis1, probes=basis2, pairings=inner[:, perm])
 
-    est = recover_linear_potential(rec_data, bg1, interior_targets(grid31, T_FINAL),
-                                   alpha_inv=1e-12, synth_alpha=1e-12)
+    est = recover_linear_potential(rec_data, bg1, alpha_inv=1e-12, synth_alpha=1e-12)
     rel = np.linalg.norm(est.values - q_true) / np.linalg.norm(q_true)
     assert rel < 1e-5
     assert est.covered.all()
-    assert est.diagnostics["n_pairs"] == len(interior_targets(grid31, T_FINAL)) ** 2
+    assert est.diagnostics["n_pairs"] == (3 * om.size) ** 2
 
 
 def test_time_reversal_consistency_of_estimates(op61, grid61):
@@ -367,10 +379,9 @@ def test_time_reversal_consistency_of_estimates(op61, grid61):
     bg1 = BackgroundStates(op61, None, basis1)
     rec_f = dn_difference_linear(np.outer(tgrid, g), bg1, basis2)
     rec_r = dn_difference_linear(np.outer(T_FINAL - tgrid, g), bg1, basis2)
-    targets = interior_targets(grid61, T_FINAL)
     kwargs = dict(alpha_inv=1e-1, synth_alpha=1e-12, q_time_basis=3)
     # each estimate read in the reversed frame, as a function of T - t
-    est_f, est_r = (recover_linear_potential(rec, bg1, targets, **kwargs).values[:, ::-1]
+    est_f, est_r = (recover_linear_potential(rec, bg1, **kwargs).values[:, ::-1]
                     for rec in (rec_f, rec_r))
     mutual = (np.linalg.norm(est_f - est_r[:, ::-1])
               / np.linalg.norm(est_f))
@@ -390,15 +401,14 @@ def _zero_case(op, grid):
 
 def test_recover_rejects_mismatched_records(op31, grid31):
     rec, bg = _zero_case(op31, grid31)
-    targets = interior_targets(grid31, T_FINAL)
     bad_s = DNRecord(s=0.7, controls=rec.controls,
                      probes=rec.probes, pairings=rec.pairings)
     with pytest.raises(InversionError, match="record order"):
-        recover_linear_potential(bad_s, bg, targets, 1e-6)
+        recover_linear_potential(bad_s, bg, 1e-6)
     bad_dt = DNRecord(s=op31.s, controls=ControlBasis(grid31, "w1", 0.04, T_FINAL, 8),
                       probes=rec.probes, pairings=rec.pairings)
     with pytest.raises(InversionError, match="time grid"):
-        recover_linear_potential(bad_dt, bg, targets, 1e-6)
+        recover_linear_potential(bad_dt, bg, 1e-6)
 
 
 def test_recover_rejects_swapped_windows(op31, grid31):
@@ -407,7 +417,7 @@ def test_recover_rejects_swapped_windows(op31, grid31):
     rec = DNRecord(s=op31.s, controls=basis2, probes=basis2,
                    pairings=np.zeros((len(basis2), len(basis2))))
     with pytest.raises(InversionError, match="expected controls on w1"):
-        recover_linear_potential(rec, bg, interior_targets(grid31, T_FINAL), 1e-6)
+        recover_linear_potential(rec, bg, 1e-6)
 
 
 def test_recover_checks_the_record_before_any_solve(op31, grid31, monkeypatch):
@@ -416,19 +426,18 @@ def test_recover_checks_the_record_before_any_solve(op31, grid31, monkeypatch):
 
     rec, bg = _zero_case(op31, grid31)
     monkeypatch.setattr(inversion, "BackgroundStates", no_solve)
-    targets = interior_targets(grid31, T_FINAL)
     short = dataclasses.replace(rec, pairings=rec.pairings[:, :-1])
     with pytest.raises(InversionError, match="pairings"):
-        recover_linear_potential(short, bg, targets, 1e-6)
+        recover_linear_potential(short, bg, 1e-6)
     finer = dataclasses.replace(rec, probes=ControlBasis(grid31, "w2", DT, T_FINAL, 16))
     with pytest.raises(InversionError, match="pairings"):
-        recover_linear_potential(finer, bg, targets, 1e-6)
+        recover_linear_potential(finer, bg, 1e-6)
     longer = dataclasses.replace(rec, controls=ControlBasis(grid31, "w1", DT, 2 * T_FINAL, 8))
     with pytest.raises(InversionError, match="time grid"):
-        recover_linear_potential(longer, bg, targets, 1e-6)
+        recover_linear_potential(longer, bg, 1e-6)
     other = dataclasses.replace(rec, controls=ControlBasis(grid31, "w1", DT, T_FINAL, 16))
     with pytest.raises(InversionError, match="not the background's basis"):
-        recover_linear_potential(other, bg, targets, 1e-6)
+        recover_linear_potential(other, bg, 1e-6)
 
 
 def test_recover_rejects_a_probe_basis_on_another_time_grid(op31, grid31, monkeypatch):
@@ -436,31 +445,30 @@ def test_recover_rejects_a_probe_basis_on_another_time_grid(op31, grid31, monkey
     # from the background's, and the record is refused before any solve
     rec, bg = _zero_case(op31, grid31)
     monkeypatch.setattr(inversion, "BackgroundStates", None)
-    targets = interior_targets(grid31, T_FINAL)
     for probes in (ControlBasis(grid31, "w2", 0.01, T_FINAL, 8),
                    ControlBasis(grid31, "w2", DT, 2 * T_FINAL, 8)):
         assert len(probes) == len(rec.probes)
         moved = dataclasses.replace(rec, probes=probes)
         with pytest.raises(InversionError, match="^record time grid"):
-            recover_linear_potential(moved, bg, targets, 1e-6)
+            recover_linear_potential(moved, bg, 1e-6)
 
 
 def test_recover_rejects_bad_frame_and_background(op31, grid31):
     rec, bg = _zero_case(op31, grid31)
-    targets = interior_targets(grid31, T_FINAL)
     # the recovery takes no frame: it estimates on the forward time axis, the
     # runner orients the estimate, and the reader rejects an unknown frame
     moving = BackgroundStates(op31, np.zeros((NT + 1, grid31.omega.size)), bg.basis)
     with pytest.raises(InversionError, match="must be static"):
-        recover_linear_potential(rec, moving, targets, 1e-6)
+        recover_linear_potential(rec, moving, 1e-6)
 
 
-def test_recover_detects_zero_probing_system(op31, grid31):
+def test_recover_detects_zero_probing_system(op31, grid31, monkeypatch):
     rec, bg = _zero_case(op31, grid31)
-    # time window beyond t_final materializes to the zero target
-    dead = [LocalizedTarget(int(grid31.omega[4]), 2.0, 3.0, 0.2)]
+    # zero targets synthesize zero states on both windows
+    monkeypatch.setattr(inversion, "interior_targets",
+                        lambda basis, nodes, width: np.zeros((3, NT + 1, grid31.omega.size)))
     with pytest.raises(InversionError, match="identically zero"):
-        recover_linear_potential(rec, bg, dead, 1e-6)
+        recover_linear_potential(rec, bg, 1e-6)
 
 
 # --------------------------------------------------------- nonlinearity
@@ -502,13 +510,12 @@ def test_wrong_exponent_inflates_moment_residual(op31, grid31):
     coeff = 1.0 + 0.3 * np.sin(np.pi * grid31.x[om] + 1.0)
     f = power_nonlinearity(coeff, 2)
     psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT, amplitude=50.0)
-    targets = interior_targets(grid31, T_FINAL)
     basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     lin, _, remainders = dn_remainders_nonlinear(op31, f, psi, basis2, (0.1, 0.05))
     rel = {}
     for rk in (1, 2, 3):
         rec = recover_nonlinear_coefficient(
-            op31, lin, remainders, basis2, rk, targets, eps0=0.1, alpha_inv=1e-2,
+            op31, lin, remainders, basis2, rk, eps0=0.1, alpha_inv=1e-2,
             synth_alpha=1e-12)
         d = rec.diagnostics
         rel[rk] = d["moment_residual"] / d["moment_norm"]
@@ -524,8 +531,7 @@ def test_nonlinear_coefficient_accuracy(op31, grid31):
     basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     lin, _, remainders = dn_remainders_nonlinear(op31, f, psi, basis2, (0.1, 0.05))
     rec = recover_nonlinear_coefficient(
-        op31, lin, remainders, basis2, 2, interior_targets(grid31, T_FINAL), eps0=0.1,
-        alpha_inv=1e-2, synth_alpha=1e-12)
+        op31, lin, remainders, basis2, 2, eps0=0.1, alpha_inv=1e-2, synth_alpha=1e-12)
     cov = rec.covered
     assert cov.sum() >= 1
     rel = (np.linalg.norm(rec.values[cov] - coeff[cov])
@@ -546,13 +552,14 @@ def test_reconstruction_json_round_trip(tmp_path):
                          diagnostics={"fit_residual": 0.5})
     path = tmp_path / "reconstruction.json"
     rec.save(path)
-    loaded = Reconstruction.load(path)
-    assert np.array_equal(loaded.values, vals, equal_nan=True)
-    assert np.array_equal(loaded.nodes, rec.nodes)
-    assert np.array_equal(loaded.covered, rec.covered)
-    assert loaded.r == 2.0
-    assert np.array_equal(loaded.coeff, vals, equal_nan=True)
-    assert loaded.diagnostics == {"fit_residual": 0.5}
+    with open(path) as fh:
+        saved = json.load(fh)
+    assert np.array_equal(np.asarray(saved["q_est"], dtype=float), vals, equal_nan=True)
+    assert np.array_equal(saved["nodes"], rec.nodes)
+    assert np.array_equal(saved["covered"], rec.covered)
+    assert saved["r_est"] == 2.0
+    assert np.array_equal(np.asarray(saved["coeff"], dtype=float), vals, equal_nan=True)
+    assert saved["diagnostics"] == {"fit_residual": 0.5}
 
 
 def test_reconstruction_csv_format(tmp_path):
@@ -589,11 +596,9 @@ def _gaussian_case(grid, op, amplitude):
     q = amplitude * np.exp(-((grid.x[grid.omega] - 0.5) / 0.141421356) ** 2)
     background = BackgroundStates(op, None, basis1)
     diff = dn_difference_linear(q, background, basis2)
-    targets = interior_targets(grid, T_FINAL)
 
     def error(record):
-        est = recover_linear_potential(record, background, targets, alpha_inv=1e-1,
-                                       synth_alpha=1e-12)
+        est = recover_linear_potential(record, background, alpha_inv=1e-1, synth_alpha=1e-12)
         return np.linalg.norm(est.values - q) / np.linalg.norm(q)
 
     return diff, error
@@ -615,3 +620,18 @@ def test_recovery_is_stable_under_ulp_perturbation_of_the_record(grid101, op101)
         noisy = dataclasses.replace(
             diff, pairings=diff.pairings * (1 + 1e-16 * rng.normal(size=diff.pairings.shape)))
         assert abs(error(noisy) - base) < 0.01 * base
+
+
+# ------------------------------------------------- the README's library use
+
+
+def test_readme_library_example_runs():
+    # the README's one python block runs as written, so the documented calls
+    # stay those of the package; it prints its relative error, 0.1294
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(blocks[0], str(readme), "exec"), {})
+    assert float(printed.getvalue()) < 0.2
