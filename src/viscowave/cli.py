@@ -58,31 +58,24 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "compare":
+            print(compare_reports(args.report_a, args.report_b))
+            return 0
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        out = args.out or cfg["out_dir"]
         if args.command == "run":
-            cfg = load_config(args.config)
-            if args.seed is not None:
-                cfg["seed"] = args.seed
-            out = args.out or cfg["out_dir"]
             report = run_scenario(cfg, out)
             print(json.dumps({"experiment": report["experiment"],
                               "passed": report["passed"],
                               "metrics": report["metrics"],
                               "report": os.path.join(out, "report.json")},
                              indent=2))
-            return 0
-        if args.command == "compare":
-            print(compare_reports(args.report_a, args.report_b))
-            return 0
-        if args.command == "sweep":
-            cfg = load_config(args.config)
-            if args.seed is not None:
-                cfg["seed"] = args.seed
-            out = args.out or cfg["out_dir"]
+        else:
             values = [_parse_value(v) for v in args.values]
-            summary = sweep_scenario(cfg, args.param, values, out)
-            print(json.dumps(summary, indent=2))
-            return 0
-        parser.error(f"unknown command {args.command}")
+            print(json.dumps(sweep_scenario(cfg, args.param, values, out), indent=2))
+        return 0
     except (ConfigError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -90,7 +83,6 @@ def main(argv=None):
             NonlinearityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

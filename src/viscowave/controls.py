@@ -19,31 +19,24 @@ class ControlError(ValueError):
 
 
 def _mollifier(z):
-    """exp(1 - 1/(1-z^2)) on |z| < 1, zero outside; peak value 1 at z = 0."""
+    """exp(1 - 1/(1-z^2)) on |z| < 1, zero outside, and its derivative in z;
+    peak value 1 at z = 0."""
     z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    inside = np.abs(z) < 1.0
-    zi = z[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - zi * zi))
-    return out
-
-
-def _mollifier_dz(z):
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
+    val, der = np.zeros_like(z), np.zeros_like(z)
     inside = np.abs(z) < 1.0
     zi = z[inside]
     w = 1.0 - zi * zi
-    out[inside] = np.exp(1.0 - 1.0 / w) * (-2.0 * zi / (w * w))
-    return out
+    val[inside] = e = np.exp(1.0 - 1.0 / w)
+    der[inside] = e * (-2.0 * zi / (w * w))
+    return val, der
 
 
 def time_bump(t, t0, t1):
     """Mollifier bump supported on (t0, t1); returns (values, derivatives)."""
     mid = 0.5 * (t0 + t1)
     half = 0.5 * (t1 - t0)
-    z = (np.asarray(t, dtype=float) - mid) / half
-    return _mollifier(z), _mollifier_dz(z) / half
+    val, der = _mollifier((np.asarray(t, dtype=float) - mid) / half)
+    return val, der / half
 
 
 def _cubic_bspline(x):
@@ -92,7 +85,7 @@ def space_bump(grid, window, lo=None, hi=None):
         hi = grid.w1_hi if window == "w1" else grid.w2_hi
     prof = np.zeros(grid.n_nodes)
     z = (grid.x[idx] - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
-    prof[idx] = _mollifier(z)
+    prof[idx] = _mollifier(z)[0]
     return prof
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nonlinearity as nl
 from .controls import ControlBasis, ExteriorControl
 from .solver import (_expand_potential, n_steps_for, solve_linear, solve_linear_basis,
                      solve_linear_difference, solve_nonlinear, trapezoid_weights)
@@ -273,6 +272,6 @@ def nonlinear_integral_identity_residual(op, f1, f2, phi1, phi2, dt, t_final):
     phi2_rev = time_reverse(phi2)
     lhs = dn_pairing(op, u11, phi2_rev) - dn_pairing(op, u12, phi2_rev)
     u2 = solve_linear(op, None, phi2, dt, t_final)
-    g = nl.apply(f1, u11.u[:, om]) - nl.apply(f2, u12.u[:, om])
+    g = f1.value(u11.u[:, om]) - f2.value(u12.u[:, om])
     rhs = _interior_weighted_sum(op.grid, dt, 1.0, g, u2.u[:, om])
     return lhs, rhs, abs(lhs - rhs)

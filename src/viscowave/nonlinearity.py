@@ -1,7 +1,6 @@
-"""Pointwise (superposition) nonlinearities f(x, u) and their derivative pairs."""
+"""Homogeneous power-law nonlinearities f(x, u) = q(x) |u|^r u and their derivatives."""
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -12,37 +11,48 @@ class NonlinearityError(ValueError):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Carathéodory pair (value, dvalue) acting node-by-node.
+    """f(x, tau) = coeff(x) * |tau|^r * tau, acting node by node.
 
-    ``value_fn``/``dvalue_fn`` take a float array tau whose last axis runs
-    over the omega nodes (for the x-dependence) and return arrays of its
-    shape.  ``r``, when set, is the homogeneity degree minus one:
-    f(x, lam*tau) = lam^(r+1) f(x, tau) for lam > 0.
+    coeff is a scalar or holds one entry per omega node, matched against the
+    last axis of tau; f(x, lam*tau) = lam^(r+1) f(x, tau) for lam > 0.  Both
+    evaluations raise NonlinearityError on a result that is not finite.
     """
 
-    value_fn: Callable = field(repr=False)
-    dvalue_fn: Callable = field(repr=False)
-    r: Optional[float] = None
-    coeff: Optional[np.ndarray] = field(default=None, repr=False)
+    coeff: np.ndarray = field(repr=False)
+    r: float
+
+    def _tau(self, tau):
+        tau = np.asarray(tau, dtype=float)
+        if self.coeff.ndim and tau.shape[-1:] != self.coeff.shape:
+            raise NonlinearityError(f"coefficient length {self.coeff.size} matches neither "
+                                    f"a scalar nor the columns of a {tau.shape} field")
+        return tau
 
     def value(self, tau):
-        return self.value_fn(np.asarray(tau, dtype=float))
+        """f at tau, e.g. a spacetime field with time first and omega nodes last."""
+        tau = self._tau(tau)
+        return _finite(self.coeff * np.abs(tau) ** self.r * tau, "nonlinearity")
 
     def dvalue(self, tau):
-        return self.dvalue_fn(np.asarray(tau, dtype=float))
+        """d_tau f at tau: (r+1) coeff |tau|^r, the multiplier of the Fréchet differential."""
+        tau = self._tau(tau)
+        return _finite((self.r + 1.0) * self.coeff * np.abs(tau) ** self.r,
+                       "nonlinearity derivative")
+
+
+def _finite(out, what):
+    if not np.all(np.isfinite(out)):
+        raise NonlinearityError(f"{what} produced a non-finite value")
+    return out
 
 
 def zero_nonlinearity():
-    return Nonlinearity(value_fn=np.zeros_like, dvalue_fn=np.zeros_like,
-                        r=0.0, coeff=None)
+    return power_nonlinearity(0.0, 0.0)
 
 
 def power_nonlinearity(coeff, r):
-    """f(x, tau) = coeff(x) * |tau|^r * tau with d_tau f = (r+1) coeff(x) |tau|^r.
-
-    coeff is a scalar or holds one entry per omega node, matched against the
-    last axis of tau; r >= 0.
-    """
+    """The Nonlinearity coeff(x) * |tau|^r * tau, for r >= 0 and a finite coeff
+    that is a scalar or holds one entry per omega node."""
     if r < 0:
         raise NonlinearityError(f"power exponent r={r} must be nonnegative")
     coeff = np.asarray(coeff, dtype=float)
@@ -51,39 +61,7 @@ def power_nonlinearity(coeff, r):
                                 "nor one entry per node")
     if not np.all(np.isfinite(coeff)):
         raise NonlinearityError("power-law coefficient must be finite")
-
-    def pick(tau):
-        if coeff.ndim and tau.shape[-1:] != coeff.shape:
-            raise NonlinearityError(f"coefficient length {coeff.size} matches neither "
-                                    f"a scalar nor the columns of a {tau.shape} field")
-        return coeff
-
-    def value_fn(tau):
-        return pick(tau) * np.abs(tau) ** r * tau
-
-    def dvalue_fn(tau):
-        return (r + 1.0) * pick(tau) * np.abs(tau) ** r
-
-    return Nonlinearity(value_fn=value_fn, dvalue_fn=dvalue_fn, r=float(r),
-                        coeff=coeff)
-
-
-def apply(f, u):
-    """Evaluate f at a spacetime field u (time on the first axis, omega nodes on the last)."""
-    u = np.asarray(u, dtype=float)
-    out = f.value(u)
-    if not np.all(np.isfinite(out)):
-        raise NonlinearityError("nonlinearity produced a non-finite value")
-    return out
-
-
-def apply_derivative(f, u):
-    """Evaluate d_tau f at a spacetime field u; the multiplier of the Fréchet differential."""
-    u = np.asarray(u, dtype=float)
-    out = f.dvalue(u)
-    if not np.all(np.isfinite(out)):
-        raise NonlinearityError("nonlinearity derivative produced a non-finite value")
-    return out
+    return Nonlinearity(coeff, float(r))
 
 
 def check_exponent_constraints(s, r):

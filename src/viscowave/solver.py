@@ -36,7 +36,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import nonlinearity as nl
 from .operator import norm_l2, seminorm_hs
 
 
@@ -458,8 +457,8 @@ NEWTON_TOL = 1e-10
 NEWTON_MAXIT = 25
 
 
-def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None):
-    """Integrate with interior term f(x, u) via per-step Newton iterations.
+def solve_nonlinear(op, f, control, dt, t_final):
+    """Integrate from rest with interior term f(x, u) via per-step Newton iterations.
 
     Step k forms its right-hand side from u_k, v_k and the drive; Newton then
     solves for the new velocity w, and u_{k+1} = u_k + dt/2 (v_k + w).  A
@@ -467,33 +466,31 @@ def solve_nonlinear(op, f, control, dt, t_final, source=None, u0=None, v0=None):
     """
     nt = n_steps_for(dt, t_final)
     grid = op.grid
-    drive = _control_drive(op, control, dt, nt, source)
+    drive = _control_drive(op, control, dt, nt, None)
     L = op.omega_block
     base_mat = _step_matrix(op, dt)
     hdt = 0.5 * dt
     iters = np.zeros(nt, dtype=int)
     u = np.empty((nt + 1, grid.omega.size))
     v = np.empty_like(u)
-    u0, v0 = _expand_field(u0, nt, grid, "u0"), _expand_field(v0, nt, grid, "v0")
-    u[0] = 0.0 if u0 is None else u0
-    v[0] = 0.0 if v0 is None else v0
+    u[0] = v[0] = 0.0
     for k in range(nt):
         u_k, v_k = u[k], v[k]
         u_base = u_k + hdt * v_k
         flux = ((u_k + v_k) + u_base) @ L
-        rhs = (v_k - hdt * (flux + nl.apply(f, u_k))) + drive[k]
+        rhs = (v_k - hdt * (flux + f.value(u_k))) + drive[k]
         w = v_k
         res_norm = np.inf
         for it in range(NEWTON_MAXIT):
             u_new = u_base + hdt * w
-            g = (w + (hdt + 0.25 * dt * dt) * (L @ w) + hdt * nl.apply(f, u_new) - rhs)
+            g = (w + (hdt + 0.25 * dt * dt) * (L @ w) + hdt * f.value(u_new) - rhs)
             res_norm = np.max(np.abs(g))
             if not np.isfinite(res_norm):
                 raise NewtonDivergenceError(k + 1, res_norm, it)
             if res_norm <= NEWTON_TOL:
                 iters[k] = it
                 break
-            jac = base_mat + 0.25 * dt * dt * np.diag(nl.apply_derivative(f, u_new))
+            jac = base_mat + 0.25 * dt * dt * np.diag(f.dvalue(u_new))
             try:
                 w = w - np.linalg.solve(jac, g)
             except np.linalg.LinAlgError as exc:
@@ -519,7 +516,7 @@ def solve_linearized(op, f, base, control, dt, t_final):
         raise SolverError("base trajectory does not match the requested time grid")
     if abs(base.dt - dt) > 1e-12:
         raise SolverError(f"base trajectory dt={base.dt} != requested dt={dt}")
-    q_t = nl.apply_derivative(f, base.u[:, grid.omega])
+    q_t = f.dvalue(base.u[:, grid.omega])
     return solve_linear(op, q_t, control, dt, t_final)
 
 

@@ -142,6 +142,14 @@ def test_readme_lists_the_accepted_keys():
         assert keys == bullets[kind], (kind, keys ^ bullets[kind])
 
 
+def test_readme_scenario_block_is_the_defaults():
+    # the README's scenario block shows the defaults omitted keys take
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    scenarios = text.split("### Scenario files")[1].split("### Output files")[0]
+    block = scenarios.split("```yaml\n")[1].split("```")[0]
+    assert yaml.safe_load(block) == DEFAULTS
+
+
 def test_field_from_spec_kinds(grid31):
     x = grid31.x[grid31.omega]
     assert np.all(field_from_spec(grid31, {"kind": "zero"}) == 0.0)

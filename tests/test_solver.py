@@ -17,7 +17,6 @@ from viscowave import (NewtonDivergenceError, SolverError, StepFailureError,
 from viscowave import (BackgroundStates, dn_difference_linear, dn_matrix_linear, dnmap,
                        solver)
 from viscowave.controls import ControlBasis, make_control, materialize
-from viscowave.nonlinearity import apply, apply_derivative
 from viscowave.solver import (NEWTON_MAXIT, NEWTON_TOL, _check_control, _expand_field,
                               _expand_potential, _step_inverses, _step_matrix, n_steps_for,
                               trapezoid_weights)
@@ -213,16 +212,12 @@ def test_nonlinear_matches_linear_for_zero_nonlinearity(op31, grid31):
 
 def test_nonlinear_linear_power_matches_linear_with_shared_inputs(op31, grid31):
     # f = q u (r = 0): the Newton path must reproduce the linear path with
-    # the same potential, source and initial data.
+    # the same potential and control, both from rest.
     om = grid31.omega
     q = 0.4 * interior_bump(grid31)[om]
-    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
-    theta = np.sin(np.pi * DT * np.arange(NT + 1))
-    source = np.outer(theta, interior_bump(grid31, center=0.3)[om])
-    kwargs = dict(source=source, u0=interior_bump(grid31),
-                  v0=0.5 * interior_bump(grid31, center=0.7))
-    a = solve_linear(op31, q, ctl, DT, T_FINAL, **kwargs)
-    b = solve_nonlinear(op31, power_nonlinearity(q, 0), ctl, DT, T_FINAL, **kwargs)
+    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT, amplitude=2.0)
+    a = solve_linear(op31, q, ctl, DT, T_FINAL)
+    b = solve_nonlinear(op31, power_nonlinearity(q, 0), ctl, DT, T_FINAL)
     assert np.abs(a.u[:, om]).max() > 0.1
     assert_allclose(a.u, b.u, atol=1e-12)
     assert_allclose(a.v, b.v, atol=1e-12)
@@ -438,18 +433,18 @@ def _reference_newton(op, f, dt, nt):
     iters = np.zeros(nt, dtype=int)
 
     def explicit(k, u_k, u_base):
-        return apply(f, u_k)
+        return f.value(u_k)
 
     def implicit(k, rhs, v_k, u_base):
         w = v_k
         for it in range(NEWTON_MAXIT):
             u_new = u_base + 0.5 * dt * w
             g = (w + (0.5 * dt + 0.25 * dt * dt) * (L @ w)
-                 + 0.5 * dt * apply(f, u_new) - rhs)
+                 + 0.5 * dt * f.value(u_new) - rhs)
             if np.max(np.abs(g)) <= NEWTON_TOL:
                 iters[k] = it
                 return w
-            jac = base_mat + 0.25 * dt * dt * np.diag(apply_derivative(f, u_new))
+            jac = base_mat + 0.25 * dt * dt * np.diag(f.dvalue(u_new))
             w = w - np.linalg.solve(jac, g)
         raise AssertionError(f"reference Newton did not converge at step {k + 1}")
 
@@ -459,12 +454,11 @@ def _reference_newton(op, f, dt, nt):
 def test_nonlinear_matches_reference_loop_bitwise(op31, grid31):
     f = power_nonlinearity(1.0, 2)
     ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT, amplitude=0.5)
-    kwargs = _shared_inputs(grid31)
-    traj = solve_nonlinear(op31, f, ctl, DT, T_FINAL, **kwargs)
-    # the same Newton step, driven by the old loop around it
+    traj = solve_nonlinear(op31, f, ctl, DT, T_FINAL)
+    # the same Newton step, driven by the old loop around it, from rest
     explicit, implicit, iters = _reference_newton(op31, f, DT, NT)
-    ref_u, ref_v = _reference_crank_nicolson(op31, ctl, DT, NT, kwargs["source"], kwargs["u0"],
-                                             kwargs["v0"], explicit, implicit)
+    ref_u, ref_v = _reference_crank_nicolson(op31, ctl, DT, NT, None, None, None,
+                                             explicit, implicit)
     assert iters.max() >= 1
     _assert_close(traj, ref_u, ref_v)
     assert np.array_equal(traj.newton_iters, iters)
