@@ -8,8 +8,7 @@ nonlinearities from window measurements.
 
 from .grid import Grid, GridError, build_grid
 from .operator import (FracLapOperator, OperatorError, assemble_fraclap,
-                       dualnorm_hminus, dump_matrix, fraclap_normalization,
-                       norm_l2, seminorm_hs)
+                       dualnorm_hminus, fraclap_normalization, norm_l2, seminorm_hs)
 from .nonlinearity import (Nonlinearity, NonlinearityError, check_exponent_constraints,
                            power_nonlinearity, zero_nonlinearity)
 from .controls import (ControlBasis, ControlError, ExteriorControl, bump_control,
@@ -17,8 +16,7 @@ from .controls import (ControlBasis, ControlError, ExteriorControl, bump_control
 from .solver import (EnergyLedger, NewtonDivergenceError, SolverError,
                      StepFailureError, Trajectory, energy_ledger, solve_linear,
                      solve_linear_basis, solve_linear_difference,
-                     solve_linearized, solve_nonlinear, trajectory_from_csv,
-                     trajectory_to_csv)
+                     solve_linearized, solve_nonlinear, trajectory_to_csv)
 from .dnmap import (DNMapError, DNRecord, alessandrini_residual,
                     dn_difference_linear, dn_matrix_linear, dn_pairing,
                     dn_remainders_nonlinear, nonlinear_integral_identity_residual, reverse_potential,
@@ -26,8 +24,7 @@ from .dnmap import (DNMapError, DNRecord, alessandrini_residual,
 from .inversion import (BackgroundStates, IllConditionedError,
                         InconclusiveError, InversionError, Reconstruction,
                         estimate_homogeneity_exponent, interior_targets,
-                        recover_linear_potential, recover_nonlinear_coefficient,
-                        synthesize_control)
+                        recover_linear_potential, recover_nonlinear_coefficient)
 from .harness import (ConfigError, compare_reports, field_from_spec,
                       load_config, potential_from_spec, run_scenario,
                       sweep_scenario)

@@ -76,13 +76,10 @@ def spline_indices(n_segments):
     return list(range(1, n_segments - 4))
 
 
-def space_bump(grid, window, lo=None, hi=None):
-    """Smooth spatial bump over [lo, hi] (defaults to the window interval), sampled at nodes."""
+def space_bump(grid, window):
+    """Smooth spatial bump over the window interval, sampled at nodes."""
     idx = grid.window(window)
-    if lo is None:
-        lo = grid.w1_lo if window == "w1" else grid.w2_lo
-    if hi is None:
-        hi = grid.w1_hi if window == "w1" else grid.w2_hi
+    lo, hi = (grid.w1_lo, grid.w1_hi) if window == "w1" else (grid.w2_lo, grid.w2_hi)
     prof = np.zeros(grid.n_nodes)
     z = (grid.x[idx] - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
     prof[idx] = _mollifier(z)[0]
@@ -102,14 +99,6 @@ class ExteriorControl:
     dvalues: np.ndarray = field(repr=False)
     window: str
     dt: float
-
-    @property
-    def n_steps(self):
-        return self.values.shape[0] - 1
-
-    @property
-    def t_final(self):
-        return self.n_steps * self.dt
 
 
 def make_control(grid, values, dvalues, window, dt):
@@ -140,9 +129,9 @@ def materialize(basis, index):
     return basis.control(unit)
 
 
-def bump_control(grid, window, t0, t1, dt, n_steps, amplitude=1.0, space=None):
+def bump_control(grid, window, t0, t1, dt, n_steps, amplitude=1.0):
     """Convenience: smooth spatial bump over the window times a mollifier in time."""
-    prof = space_bump(grid, window, *(space or ()))
+    prof = space_bump(grid, window)
     tv, td = time_bump(dt * np.arange(n_steps + 1), float(t0), float(t1))
     amplitude = float(amplitude)
     return make_control(grid, amplitude * tv[:, None] * prof[None, :],

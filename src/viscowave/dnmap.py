@@ -10,7 +10,6 @@ verified here: the adjoint relation under time reversal of the potential, the
 potential-difference integral identity, and its nonlinear counterpart.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,34 +93,6 @@ class DNRecord:
     controls: ControlBasis
     probes: ControlBasis
     pairings: np.ndarray = field(repr=False)
-    tag: str = ""
-    dt = property(lambda self: self.controls.dt)
-    t_final = property(lambda self: self.controls.t_final)
-
-    def to_dict(self):
-        """JSON layout: each basis as its window and spline level."""
-        return {"s": self.s, "dt": self.dt, "t_final": self.t_final,
-                "tag": self.tag,
-                "controls": {"window": self.controls.window,
-                             "n_segments": self.controls.n_segments},
-                "probes": {"window": self.probes.window,
-                           "n_segments": self.probes.n_segments},
-                "pairings": self.pairings.tolist()}
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    @staticmethod
-    def load(path, grid):
-        """Read a saved record and rebuild its two bases on grid."""
-        with open(path) as fh:
-            d = json.load(fh)
-        controls, probes = (ControlBasis(grid, d[key]["window"], d["dt"], d["t_final"],
-                                         d[key]["n_segments"])
-                            for key in ("controls", "probes"))
-        return DNRecord(s=float(d["s"]), tag=d.get("tag", ""), controls=controls,
-                        probes=probes, pairings=np.asarray(d["pairings"], dtype=float))
 
 
 def _probe_flux(op, control_basis, probe_basis):
@@ -139,7 +110,7 @@ def _probe_flux(op, control_basis, probe_basis):
     return lambda u, v: op.grid.h * ((u + v) @ cols)
 
 
-def dn_matrix_linear(op, q, control_basis, probe_basis, tag=""):
+def dn_matrix_linear(op, q, control_basis, probe_basis):
     """Measurement matrix of the linear model: controls on w1, probes on w2.
 
     The pairings of the responses on omega, plus what each control's own
@@ -154,11 +125,11 @@ def dn_matrix_linear(op, q, control_basis, probe_basis, tag=""):
               * (x * trapezoid_weights(control_basis.n_steps)[None, :])
               @ probe_basis.values.T)
     exterior = np.kron(op.matrix[np.ix_(control_basis.nodes, probe_basis.nodes)], t_pair)
-    return DNRecord(s=op.s, tag=tag, controls=control_basis, probes=probe_basis,
+    return DNRecord(s=op.s, controls=control_basis, probes=probe_basis,
                     pairings=_pair_fluxes(flux, probe_basis) + exterior)
 
 
-def dn_difference_linear(q, background, probe_basis, tag=""):
+def dn_difference_linear(q, background, probe_basis):
     """Difference of q's measurement matrix from that of a background.
 
     background is the ``inversion.BackgroundStates`` of the control basis
@@ -172,7 +143,7 @@ def dn_difference_linear(q, background, probe_basis, tag=""):
     op, control_basis = background.op, background.basis
     flux = solve_linear_difference(op, q, background.q, control_basis, background.states,
                                    _probe_flux(op, control_basis, probe_basis))
-    return DNRecord(s=op.s, tag=tag, controls=control_basis, probes=probe_basis,
+    return DNRecord(s=op.s, controls=control_basis, probes=probe_basis,
                     pairings=_pair_fluxes(flux, probe_basis))
 
 

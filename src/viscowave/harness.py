@@ -23,8 +23,7 @@ from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linea
                     self_adjointness_residual)
 from .grid import build_grid
 from .inversion import (TARGET_WINDOWS, BackgroundStates, estimate_homogeneity_exponent,
-                        recover_linear_potential, recover_nonlinear_coefficient,
-                        synthesize_control)
+                        recover_linear_potential, recover_nonlinear_coefficient)
 from .nonlinearity import check_exponent_constraints, power_nonlinearity, zero_nonlinearity
 from .operator import assemble_fraclap
 from .solver import (SolverError, energy_ledger, n_steps_for, solve_linear,
@@ -100,14 +99,15 @@ class _Section:
     def integer(self, key, default=None, least=None, many=False):
         """An integral value as an int, not below least if given."""
         def convert(value):
-            number = int(value)
+            number = None if isinstance(value, bool) else int(value)
             return number if number == value and (least is None or number >= least) else None
         what = "an integer" if least is None else f"an integer >= {least}"
         return self.get(key, default, what, convert, many)
 
     def choice(self, key, default, options):
         return self.get(key, default, f"one of {options}",
-                        lambda value: value if value in options else None)
+                        lambda value: value if any(type(o) is type(value) and o == value
+                                                   for o in options) else None)
 
     def pair(self, key):
         """A list of two finite numbers, as a tuple."""
@@ -131,7 +131,7 @@ class _Section:
 
 def _finite(value):
     number = float(value)
-    if not math.isfinite(number):
+    if isinstance(value, bool) or not math.isfinite(number):
         raise ValueError
     return number
 
@@ -292,12 +292,6 @@ def _read_experiment(exp, run):
                   "times2": window("t2", "t3", 0.25, 0.90),
                   "tolerance": number("tolerance", 1e-3), "amplitude": 1.0}
         if variant == "alessandrini":
-            q1 = exp.get("q1")
-            if q1 is None:
-                values["q1"] = run["q"]
-            else:
-                values["q1"] = potential_from_spec(grid, q1, dt, t_final, name="experiment.q1")
-                q_unread_by = "identity-check variant 'alessandrini' with experiment.q1"
             values["q2"] = potential_from_spec(grid, exp.get("q2"), dt, t_final,
                                                name="experiment.q2")
         elif variant == "nonlinear-integral":
@@ -386,10 +380,8 @@ def potential_from_spec(grid, spec, dt, t_final, name="potential"):
 
 def _add_noise(record, sigma, rng):
     """The record with Gaussian noise of standard deviation sigma on its pairings."""
-    if sigma <= 0:
-        return record
     noisy = record.pairings + rng.normal(0.0, sigma, size=record.pairings.shape)
-    return dataclasses.replace(record, pairings=noisy, tag=record.tag + "+noise")
+    return dataclasses.replace(record, pairings=noisy)
 
 
 def _setup(cfg):
@@ -439,7 +431,7 @@ def run_identity_check(run, op, out_dir):
     if run.variant == "self-adjoint":
         res, lhs, rhs = self_adjointness_residual(op, run.q, phi1, phi2, dt, t_final)
     elif run.variant == "alessandrini":
-        lhs, rhs, res = alessandrini_residual(op, run.q1, run.q2, phi1, phi2, dt, t_final)
+        lhs, rhs, res = alessandrini_residual(op, run.q, run.q2, phi1, phi2, dt, t_final)
     else:
         lhs, rhs, res = nonlinear_integral_identity_residual(
             op, run.f, zero_nonlinearity(), phi1, phi2, dt, t_final)
@@ -457,8 +449,12 @@ def run_runge(run, op, out_dir):
     k_om = grid.h * op.omega_block
     tnorm = float(np.sqrt(np.sum(wt * np.einsum("tj,tj->t", target, target @ k_om))))
 
-    errors = [synthesize_control(op, run.q, target, run.window, dt, t_final, run.synth_alpha,
-                                 nseg)[1] for nseg in run.levels]
+    # each level's tracking error of the target in the L2-in-time energy norm
+    errors = []
+    for nseg in run.levels:
+        basis = ControlBasis(grid, run.window, dt, t_final, nseg)
+        errors.append(float(BackgroundStates(op, run.q, basis).synthesize(
+            target[None], run.synth_alpha)[2][0]))
     rel = [e / tnorm for e in errors]
     monotone = all(rel[i + 1] <= rel[i] for i in range(len(rel) - 1))
     metrics = {"levels": run.levels, "errors": errors, "relative_errors": rel,
@@ -474,7 +470,7 @@ def run_invert_linear(run, op, out_dir):
     # by the difference equation driven from the w1 states the inversion
     # synthesizes with; the noise scales with the data themselves
     background = BackgroundStates(op, None, basis1)
-    rec_data = dn_difference_linear(q_true, background, basis2, tag="data")
+    rec_data = dn_difference_linear(q_true, background, basis2)
     if run.level > 0:
         p_bg = dn_matrix_linear(op, None, basis1, basis2).pairings
         rec_data = _add_noise(rec_data, run.level * np.std(p_bg + rec_data.pairings),

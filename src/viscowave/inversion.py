@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from . import solver
-from .controls import ControlBasis, time_bump
+from .controls import time_bump
 from .solver import solve_linear_basis, trapezoid_weights
 
 # Nothing here calls it: inversion reads measurements made by dnmap.  The name
@@ -117,47 +117,30 @@ class BackgroundStates:
     def synthesize(self, target, alpha):
         """Coefficients minimizing tracking error plus alpha * control cost.
 
-        target is one (nt+1, n_omega) interior state or a stack of them,
-        (n, nt+1, n_omega); a stack is solved as one system with n right-hand
-        sides.  Returns the coefficients, the achieved states and the
-        tracking errors, one per target.  alpha is dimensionless: the
-        control-cost Gram is rescaled so its trace matches the state Gram
-        before weighting, making alpha the relative spectral cutoff of the
-        synthesis.
+        target is a stack of n interior states, (n, nt+1, n_omega), solved as
+        one system with n right-hand sides.  Returns the coefficients, the
+        achieved states and the tracking errors, one per target.  alpha is
+        dimensionless: the control-cost Gram is rescaled so its trace matches
+        the state Gram before weighting, making alpha the relative spectral
+        cutoff of the synthesis.
         """
         target = np.asarray(target, dtype=float)
         shape = (self.basis.n_steps + 1, len(self.op.grid.omega))
-        if target.ndim not in (2, 3) or target.shape[-2:] != shape:
+        if target.ndim != 3 or target.shape[1:] != shape:
             raise InversionError(f"target shape {target.shape} does not match {shape}")
         k_omega = self.op.grid.h * self.op.omega_block
-        stack = target.reshape((-1,) + shape)
         # the time weights go onto the targets' energy, in place, so that the
         # states are the only copy kept of them
-        energy = stack @ k_omega
+        energy = target @ k_omega
         energy *= self.time_weights[None, :, None]
         flat = self.states.reshape(len(self.basis), -1)
         scale = np.trace(self.gram) / np.trace(self.control_gram)
         factor = cho_factor(self.gram + alpha * scale * self.control_gram, "control")
-        coeffs = cho_solve(factor, flat @ energy.reshape(len(stack), -1).T).T
-        achieved = (coeffs @ flat).reshape(stack.shape)
-        diff = achieved - stack
+        coeffs = cho_solve(factor, flat @ energy.reshape(len(target), -1).T).T
+        achieved = (coeffs @ flat).reshape(target.shape)
+        diff = achieved - target
         err2 = np.einsum("itj,itj->it", diff, diff @ k_omega) @ self.time_weights
-        errors = np.sqrt(np.maximum(err2, 0.0))
-        if target.ndim == 2:
-            return coeffs[0], achieved[0], errors[0]
-        return coeffs, achieved, errors
-
-
-def synthesize_control(op, q_background, target, window, dt, t_final, alpha, n_segments):
-    """Control on window whose state tracks target, (n_steps + 1, n_omega).
-
-    alpha is the control-cost weight and n_segments the time-spline level of
-    the control basis.  Returns (control, achieved_error) with the error
-    measured in the L2-in-time interior energy norm.
-    """
-    basis = ControlBasis(op.grid, window, dt, t_final, n_segments)
-    coeffs, _, err = BackgroundStates(op, q_background, basis).synthesize(target, alpha)
-    return basis.control(coeffs), float(err)
+        return coeffs, achieved, np.sqrt(np.maximum(err2, 0.0))
 
 
 # Three overlapping time windows, as fractions of t_final, give the pairing

@@ -110,11 +110,6 @@ def seminorm_hs(op, v):
     return np.sqrt(op.grid.h * np.maximum(q, 0.0))
 
 
-def dump_matrix(op, path):
-    """Plain-text matrix dump, one row per line, full double precision."""
-    np.savetxt(path, op.matrix, fmt="%.17g")
-
-
 def dualnorm_hminus(op, g):
     """Dual norm sqrt(h * g·inv(L_omega)·g) of a functional supported on omega.
 

@@ -4,7 +4,7 @@ The second-order equation
 
     u_tt + L u_t + L u + q u = h      on the interior nodes,
     u = control                        on the exterior nodes,
-    u(0) = u0,  u_t(0) = v0,
+    u(0) = u0,  u_t(0) = 0,
 
 with L the assembled fractional Laplacian, is integrated as a first-order
 system (u, v = u_t) with the trapezoidal rule.  Exterior nodes carry the
@@ -30,7 +30,6 @@ steps responds with that element's response delayed by as many steps
 (:func:`shift_plan`).  The plan stays inside this module.
 """
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,10 +71,6 @@ class Trajectory:
     @property
     def n_steps(self):
         return self.u.shape[0] - 1
-
-    @property
-    def t_final(self):
-        return self.n_steps * self.dt
 
     @property
     def t(self):
@@ -148,8 +143,9 @@ def _non_finite_failure(v, elements=None):
                             None if elements is None else int(elements[first]))
 
 
-def _step_linear(maps, drive, dt, u0, v0, elements=None):
-    """The linear step loop on omega; returns read-only (u, v) histories.
+def _step_linear(maps, drive, dt, u0, elements=None):
+    """The linear step loop on omega from displacement u0 (zero if None) and
+    zero velocity; returns read-only (u, v) histories.
 
     maps are the (P, R, inv) stacks of :func:`_step_maps`.  drive[k] is the
     additive right-hand side of step k: (n_omega,) for one state, or
@@ -164,7 +160,7 @@ def _step_linear(maps, drive, dt, u0, v0, elements=None):
     u = np.empty((nt + 1,) + drive.shape[1:])
     v = np.empty_like(u)
     u[0] = 0.0 if u0 is None else u0
-    v[0] = 0.0 if v0 is None else v0
+    v[0] = 0.0
     for k in range(nt):
         u_next, v_next = u[k + 1], v[k + 1]
         np.matmul(u[k], P[k], out=v_next)
@@ -315,18 +311,19 @@ def _on_grid(grid, control, dt, nt, inner):
     return out
 
 
-def solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
+def solve_linear(op, q, control, dt, t_final, source=None, u0=None):
     """Integrate the linear equation with potential q and exterior control.
 
     q may be None, a scalar, a static omega vector, or (n_time_nodes, n_omega)
-    samples.  source/u0/v0 are interior fields (omega or full-grid layout).
+    samples.  source and u0 are interior fields (omega or full-grid layout);
+    the initial velocity is zero.
     Returns a :class:`Trajectory` whose exterior nodes carry the control
     samples exactly.
     """
     nt = n_steps_for(dt, t_final)
     grid = op.grid
     inner = _step_linear(_step_maps(op, q, dt, nt), _control_drive(op, control, dt, nt, source),
-                         dt, _expand_field(u0, nt, grid, "u0"), _expand_field(v0, nt, grid, "v0"))
+                         dt, _expand_field(u0, nt, grid, "u0"))
     u, v = _on_grid(grid, control, dt, nt, inner)
     return Trajectory(u=u, v=v, dt=dt)
 
@@ -395,7 +392,7 @@ def _basis_pass(maps, plan, drive, dt, observe):
     out = None
     for start in range(0, len(seeds), CONTROL_BLOCK):
         block = seeds[start:start + CONTROL_BLOCK]
-        seen = observe(*_step_linear(maps, drive(block), dt, None, None, block))
+        seen = observe(*_step_linear(maps, drive(block), dt, None, block))
         n_times = seen.shape[0]
         if out is None:
             out = np.zeros((seed.size, n_times) + seen.shape[2:])
@@ -594,16 +591,3 @@ def trajectory_to_csv(traj, grid, path):
             fh.write("".join([f"{t_}{p}{a!r},{b!r}\r\n" for p, a, b
                               in zip(node_x, traj.u[k].tolist(), traj.v[k].tolist())]))
 
-
-def trajectory_from_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = [(float(r[0]), int(r[1]), float(r[3]), float(r[4]))
-                for r in reader]
-    n = max(r[1] for r in rows) + 1
-    nt = len(rows) // n
-    t = np.asarray([rows[k * n][0] for k in range(nt)])
-    u = np.asarray([r[2] for r in rows]).reshape(nt, n)
-    v = np.asarray([r[3] for r in rows]).reshape(nt, n)
-    return Trajectory(u=u, v=v, dt=float(t[1] - t[0]))

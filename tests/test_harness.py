@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from viscowave import (BackgroundStates, ConfigError, ControlBasis, build_grid, bump_control,
                        compare_reports, dn_matrix_linear, dn_remainders_nonlinear,
                        estimate_homogeneity_exponent, load_config,
-                       recover_nonlinear_coefficient, run_scenario, synthesize_control)
+                       recover_nonlinear_coefficient, run_scenario)
 from viscowave import dnmap, harness, inversion, solver
 from viscowave.cli import main
 from viscowave.harness import (DEFAULTS, RUNNERS, _add_noise, _gaussian_pulse, _merge,
@@ -78,7 +78,7 @@ VARIANTS = ("self-adjoint", "alessandrini", "nonlinear-integral")
 SAMPLES = {"window": "w2", "frame": "reversed", "variant": "alessandrini",
            "levels": [8, 16], "basis_segments": 8, "q_time_basis": 2, "target_stride": 2,
            "target_nodes": [15], "eps_list": [0.1, 0.05], "round_exponent": False,
-           "q": {"kind": "zero"}, "q1": {"kind": "zero"}, "q2": {"kind": "zero"},
+           "q": {"kind": "zero"}, "q2": {"kind": "zero"},
            "coeff": {"kind": "constant", "value": 2.0}, "r": 2}
 
 
@@ -191,17 +191,17 @@ def test_set_by_path_creates_nested_keys():
 
 
 def test_add_noise_zero_level_is_identity(op31, grid31):
-    from viscowave.controls import ControlBasis
-    from viscowave.dnmap import dn_matrix_linear
-
+    # the runner adds noise only at a positive level; at zero the draws are
+    # zeros, and the pairings keep their values
     basis1 = ControlBasis(grid31, "w1", 0.02, 1.0, 8)
     basis2 = ControlBasis(grid31, "w2", 0.02, 1.0, 8)
     rec = dn_matrix_linear(op31, None, basis1, basis2)
-    rng = np.random.default_rng(0)
-    assert _add_noise(rec, 0.0, rng) is rec
-    noisy = _add_noise(rec, 0.1, rng)
-    assert noisy.tag.endswith("+noise")
-    assert not np.array_equal(noisy.pairings, rec.pairings)
+    assert np.array_equal(_add_noise(rec, 0.0, np.random.default_rng(0)).pairings,
+                          rec.pairings)
+    noisy = _add_noise(rec, 0.1, np.random.default_rng(0))
+    draw = np.random.default_rng(0).normal(0.0, 0.1, size=rec.pairings.shape)
+    assert np.array_equal(noisy.pairings, rec.pairings + draw)
+    assert (noisy.s, noisy.controls, noisy.probes) == (rec.s, rec.controls, rec.probes)
 
 
 # ---------------------------------------------------------- experiments
@@ -218,6 +218,40 @@ def test_forward_scenario_writes_report_and_trajectory(tmp_path):
     on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
     assert on_disk["experiment"] == "forward"
     assert on_disk["metrics"] == report["metrics"]
+
+
+NONLINEAR = {"kind": "nonlinear", "r": 2}
+
+
+@pytest.mark.parametrize("overrides, files", [
+    ({}, {"report.json", "trajectory.csv"}),
+    ({"experiment": {"kind": "energy-check"}}, {"report.json"}),
+    ({"experiment": {"kind": "identity-check", "variant": "self-adjoint"}}, {"report.json"}),
+    ({"experiment": {"kind": "identity-check", "variant": "alessandrini"}}, {"report.json"}),
+    ({"experiment": {"kind": "identity-check", "variant": "nonlinear-integral"},
+      "model": NONLINEAR}, {"report.json"}),
+    ({"experiment": {"kind": "runge", "levels": [8]}}, {"report.json"}),
+    ({"experiment": {"kind": "invert-linear", "basis_segments": 8, "target_stride": 4}},
+     {"report.json", "reconstruction.json", "reconstruction.csv"}),
+    ({"experiment": {"kind": "invert-linear", "basis_segments": 8, "target_stride": 4,
+                     "q_time_basis": 2}}, {"report.json", "reconstruction.json"}),
+    ({"experiment": {"kind": "invert-nonlinear", "basis_segments": 8, "target_stride": 4},
+      "model": NONLINEAR}, {"report.json", "reconstruction.json", "reconstruction.csv"})],
+    ids=["forward", "energy-check", "self-adjoint", "alessandrini", "nonlinear-integral",
+         "runge", "invert-linear", "invert-linear-time-basis", "invert-nonlinear"])
+def test_each_run_writes_the_files_the_readme_lists(tmp_path, overrides, files):
+    run_scenario(small_cfg(**overrides), str(tmp_path / "out"))
+    assert {p.name for p in (tmp_path / "out").iterdir()} == files
+
+
+def test_a_sweep_writes_its_summary_and_a_directory_per_value(tmp_path):
+    sweep_scenario(small_cfg(experiment={"kind": "energy-check"}), "experiment.tolerance",
+                   [1e-3, 1e-2], str(tmp_path / "sw"))
+    assert {p.name for p in (tmp_path / "sw").iterdir()} == {
+        "summary.json", "experiment_tolerance_0.001", "experiment_tolerance_0.01"}
+    for value in ("0.001", "0.01"):
+        assert [p.name for p in (tmp_path / "sw" / f"experiment_tolerance_{value}").iterdir()
+                ] == ["report.json"]
 
 
 def test_energy_check_scenario_passes(tmp_path):
@@ -391,7 +425,7 @@ def _velocity_form_difference(op, q, basis1, basis2, dt, t_final):
     u, v = both[:, :, 0].transpose(1, 0, 2), both[:, :, 1].transpose(1, 0, 2)
     u_base = u[:-1] + hdt * v[:-1]
     drive = -hdt * ((dq[:-1] * u[:-1] + dq[1:] * u_base) + hdt * (dq[1:] * v[1:]))
-    w, z = _crank_nicolson(op, drive, dt, None, None, explicit, implicit)
+    w, z = _crank_nicolson(op, drive, dt, None, explicit, implicit)
     flux = op.grid.h * ((w + z) @ op.matrix[np.ix_(op.grid.omega, basis2.nodes)])
     return dnmap._pair_fluxes(flux.transpose(1, 0, 2), basis2)
 
@@ -489,9 +523,9 @@ def test_invert_nonlinear_reads_what_two_sweeps_measure(tmp_path, monkeypatch, e
     np.testing.assert_array_equal(np.asarray(saved["coeff"], dtype=float), recon.coeff)
 
 
-def test_runge_errors_are_those_of_synthesize_control(tmp_path):
-    # run_runge keeps each level's tracking error from synthesize_control,
-    # bitwise what a call of its own returns
+def test_runge_errors_are_those_of_each_level_synthesis(tmp_path):
+    # run_runge keeps each level's tracking error of the target, bitwise what
+    # a synthesis over that level's basis on the window returns
     exp = {"kind": "runge", "levels": [8, 16], "window": "w2", "center": 0.4,
            "width": 0.2, "t0": 0.2, "t1": 0.8}
     cfg = small_cfg(experiment=exp)
@@ -501,7 +535,8 @@ def test_runge_errors_are_those_of_synthesize_control(tmp_path):
     target = _gaussian_pulse(run.grid, dt, run.nt, 0.2, 0.8, 0.4, 0.2)
     alpha = DEFAULTS["regularization"]["synth_alpha"]
     assert report["metrics"]["errors"] == [
-        synthesize_control(op, None, target, "w2", dt, t_final, alpha, n)[1] for n in (8, 16)]
+        BackgroundStates(op, None, ControlBasis(run.grid, "w2", dt, t_final, n))
+        .synthesize(target[None], alpha)[2][0] for n in (8, 16)]
 
 
 def test_sweep_refines_energy_residual(tmp_path):
@@ -591,7 +626,7 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                                   "model: {kind: nonlinear,\n"
                                   "        coeff: {kind: constant, value: 1, time: ramp}}\n",
                                   "experiment: {kind: identity-check, variant: alessandrini,\n"
-                                  "             q1: {kind: sine, frequency: .inf}}\n",
+                                  "             q2: {kind: sine, frequency: .inf}}\n",
                                   "grid: {box: [-1.0, abc]}\n", "grid: {box: 3}\n",
                                   "grid: {w1: [-0.8]}\n", "grid: {n_nodes: 31.7}\n",
                                   "experiment: {kind: runge, levels: [8.5, 16]}\n",
@@ -630,11 +665,7 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                                   "model: {kind: nonlinear, q: {kind: gaussian}}\n"
                                   "experiment: {kind: invert-nonlinear}\n",
                                   "model: {kind: nonlinear, q: {kind: sine, time: ramp}}\n"
-                                  "experiment: {kind: identity-check, variant: nonlinear-integral}\n",
-                                  "grid: {n_nodes: 31}\n"
-                                  "model: {kind: linear, q: {kind: constant, value: 50}}\n"
-                                  "experiment: {kind: identity-check, variant: alessandrini,\n"
-                                  "             q1: {kind: constant, value: 1}}\n"],
+                                  "experiment: {kind: identity-check, variant: nonlinear-integral}\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
                               "non-numeric-seed", "unknown-grid-key",
@@ -653,7 +684,7 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                               "zero-profile-width", "unknown-profile-key",
                               "unknown-profile-kind", "unknown-time-dependence",
                               "non-mapping-profile", "constant-without-value",
-                              "time-dependent-coefficient", "infinite-q1-frequency",
+                              "time-dependent-coefficient", "infinite-q2-frequency",
                               "non-numeric-box-corner", "non-list-box", "one-number-window",
                               "fractional-n_nodes", "fractional-level", "zero-runge-width",
                               "zero-target-width", "zero-eps0", "negative-eps",
@@ -667,8 +698,7 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                               "invert-nonlinear-level-above-steps",
                               "potential-of-a-nonlinear-forward-run",
                               "potential-of-invert-nonlinear",
-                              "potential-of-the-nonlinear-integral-identity",
-                              "potential-beside-alessandrini-q1"])
+                              "potential-of-the-nonlinear-integral-identity"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, monkeypatch, text):
     # run without --out, so that the scenario's own out_dir is the one used
     monkeypatch.chdir(tmp_path)
@@ -730,6 +760,39 @@ def test_cli_sweep_unknown_param_exit_two(tmp_path, capsys):
     assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("text, sweep, key", [
+    ("seed: true\n", None, "seed"),
+    ("experiment: {kind: energy-check, tolerance: true}\n", None, "experiment.tolerance"),
+    ("regularization: {alpha_inv: on}\n", None, "regularization.alpha_inv"),
+    ("noise: {level: false}\n", None, "noise.level"),
+    ("experiment: {kind: invert-linear, target_stride: yes}\n", None,
+     "experiment.target_stride"),
+    ("grid: {box: [true, 2.0]}\n", None, "grid.box"),
+    ("model: {kind: nonlinear}\nexperiment: {kind: invert-nonlinear, eps_list: [0.1, yes]}\n",
+     None, "experiment.eps_list"),
+    ("model: {kind: nonlinear}\nexperiment: {kind: invert-nonlinear, round_exponent: 1}\n",
+     None, "experiment.round_exponent"),
+    ("model: {kind: nonlinear}\nexperiment: {kind: invert-nonlinear, round_exponent: 0.0}\n",
+     None, "experiment.round_exponent"),
+    ("dt: 0.02\n", "true", "dt")],
+    ids=["integer-seed", "number-tolerance", "number-alpha_inv", "number-noise-level",
+         "integer-target_stride", "pair-box", "many-eps_list", "choice-one",
+         "choice-zero", "sweep-dt"])
+def test_cli_boolean_where_a_number_is_read_exit_two_one_line(tmp_path, capsys, text, sweep,
+                                                             key):
+    # YAML reads true/false, yes/no and on/off as booleans, which Python
+    # compares equal to 1 and 0; no number read takes one, and a choice
+    # matches its options by type as well as by value
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    args = ["run", str(path)] if sweep is None else ["sweep", str(path), "--param", key,
+                                                     "--values", sweep]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment,message", [
     ({"kind": "forward", "t0": 0.5, "t1": 0.5},
      "experiment.t1 must be above experiment.t0=0.5, got 0.5"),
@@ -763,14 +826,11 @@ def test_reader_names_the_key_of_a_bad_window_or_amplitude_list(experiment, mess
     ({"kind": "forward"}, "forward with model.kind nonlinear"),
     ({"kind": "invert-nonlinear"}, "invert-nonlinear"),
     ({"kind": "identity-check", "variant": "nonlinear-integral"},
-     "identity-check variant 'nonlinear-integral'"),
-    ({"kind": "identity-check", "variant": "alessandrini", "q1": {"kind": "zero"}},
-     "identity-check variant 'alessandrini' with experiment.q1")],
-    ids=["forward", "invert-nonlinear", "nonlinear-integral", "alessandrini-q1"])
+     "identity-check variant 'nonlinear-integral'")],
+    ids=["forward", "invert-nonlinear", "nonlinear-integral"])
 def test_reader_rejects_a_potential_that_no_solve_reads(experiment, what):
-    # these runs solve the nonlinear equation, the linear one without a
-    # potential, or (alessandrini given q1) the linear one with q1 and q2: a
-    # nonzero model.q would be ignored; a zero one is the default
+    # these runs solve the nonlinear equation, or the linear one without a
+    # potential: a nonzero model.q would be ignored; a zero one is the default
     model = {"kind": "nonlinear", "r": 2, "q": {"kind": "constant", "value": 50}}
     with pytest.raises(ConfigError, match="^" + re.escape(
             f"model.q must be zero for {what}, whose solves do not read it") + "$"):
@@ -778,7 +838,7 @@ def test_reader_rejects_a_potential_that_no_solve_reads(experiment, what):
     for q in (None, {"kind": "zero"}, {"kind": "constant", "value": 0}):
         validate_config(small_cfg(model=dict(model, q=q), experiment=experiment))
     # a linear forward run, and the other experiments of a nonlinear model, solve with q;
-    # alessandrini without q1 solves with q in its place
+    # alessandrini solves with q and q2
     validate_config(small_cfg(model={"q": model["q"]}, experiment={"kind": "forward"}))
     validate_config(small_cfg(model=model, experiment={"kind": "energy-check"}))
     validate_config(small_cfg(model=model, experiment={"kind": "identity-check",
@@ -853,22 +913,23 @@ def test_cli_noise_only_where_it_is_read(tmp_path, capsys):
 
 
 def test_cli_identity_check_keys_its_variant_does_not_read_exit_two(tmp_path, capsys):
-    # self-adjoint reads neither the alessandrini potentials nor the
+    # self-adjoint reads neither the second alessandrini potential nor the
     # nonlinear identity's amplitude; it ran with them and ignored them
     exp = {"kind": "identity-check", "variant": "self-adjoint",
-           "q1": {"kind": "gaussian", "amplitude": 5}, "amplitude": 3}
+           "q2": {"kind": "gaussian", "amplitude": 5}, "amplitude": 3}
     path = write_yaml(tmp_path / "c.yaml", {"grid": {"n_nodes": 31}, "experiment": exp})
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: experiment keys ['amplitude', 'q1'] are not read by identity-check "
+        "error: experiment keys ['amplitude', 'q2'] are not read by identity-check "
         "variant 'self-adjoint'"]
-    for variant, key in (("alessandrini", "amplitude"), ("nonlinear-integral", "q2"),
-                         (None, "q2")):
+    # alessandrini's first potential is model.q: it reads no experiment.q1
+    for variant, key in (("alessandrini", "amplitude"), ("alessandrini", "q1"),
+                         ("nonlinear-integral", "q2"), (None, "q2")):
         with pytest.raises(ConfigError, match=rf"keys \['{key}'\] are not read"):
             validate_config(small_cfg(experiment={"kind": "identity-check",
                                                   "variant": variant, key: 0.5}))
     validate_config(small_cfg(experiment={"kind": "identity-check", "variant": "alessandrini",
-                                          "q1": {"kind": "zero"}, "q2": None}))
+                                          "q2": None}))
     validate_config(small_cfg(experiment={"kind": "identity-check",
                                           "variant": "nonlinear-integral", "amplitude": 0.2},
                               model={"kind": "nonlinear"}))

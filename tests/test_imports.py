@@ -50,15 +50,14 @@ def test_every_imported_name_is_used():
     assert unused == set()
 
 
-# Definitions that no package module reaches, each with the reason it stays
+# Definitions that no package module reaches, each with the reason it stays:
+# a caller outside the package, which the README alone is not
 KEEP = {
-    "operator.dualnorm_hminus": "the paper's well-posedness estimate, checked under refinement",
-    "operator.dump_matrix": "documented in the README",
-    "solver.trajectory_from_csv": "documented in the README",
-    "solver.solve_linearized": "the first-order linearization rate of the paper check",
-    "controls.materialize": "documented in the README; the benchmark tracer binds it",
-    "dnmap.DNRecord.load": "documented in the README",
+    "operator.dualnorm_hminus": "a paper check: the well-posedness estimate under refinement",
+    "solver.solve_linearized": "acceptance test_07: the first-order linearization rate",
+    "controls.materialize": "the benchmark tracer binds it",
 }
+CALLERS = ("acceptance test", "paper check", "benchmark tracer")
 
 
 def _definitions(tree):
@@ -97,6 +96,8 @@ def test_every_definition_is_reached_or_kept():
                  for qualname, name in _definitions(tree) if name not in referenced}
     assert unreached - set(KEEP) == set()
     assert set(KEEP) - unreached == set()
+    assert {name for name, reason in KEEP.items()
+            if not any(caller in reason for caller in CALLERS)} == set()
 
 
 # How a basis pass is stepped and shifted: solver's own, so that a caller

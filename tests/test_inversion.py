@@ -20,7 +20,7 @@ from viscowave import (BackgroundStates, IllConditionedError,
                        estimate_homogeneity_exponent,
                        interior_targets, potential_from_spec, power_nonlinearity,
                        recover_linear_potential, recover_nonlinear_coefficient,
-                       solve_linear, synthesize_control, zero_nonlinearity)
+                       solve_linear, zero_nonlinearity)
 from viscowave import inversion
 from viscowave.controls import ControlBasis, materialize, time_bump
 from viscowave.dnmap import DNRecord
@@ -40,6 +40,14 @@ def gaussian_target(grid, nt, dt=DT, center=0.35, width=0.22):
     return np.outer(theta, prof)
 
 
+def synthesized(op, target, window, alpha, n_segments):
+    """(control, tracking error) of the synthesis towards one target over the
+    basis of a spline level on window, at q = 0."""
+    basis = ControlBasis(op.grid, window, DT, T_FINAL, n_segments)
+    coeffs, _, errors = BackgroundStates(op, None, basis).synthesize(target[None], alpha)
+    return basis.control(coeffs[0]), errors[0]
+
+
 def zero_record(op, basis1, basis2):
     shape = (len(basis1), len(basis2))
     return DNRecord(s=op.s, controls=basis1, probes=basis2, pairings=np.zeros(shape))
@@ -50,7 +58,7 @@ def zero_record(op, basis1, basis2):
 
 def test_synthesize_zero_target_gives_zero_control(op31, grid31):
     target = np.zeros((NT + 1, grid31.omega.size))
-    ctl, err = synthesize_control(op31, None, target, "w1", DT, T_FINAL, 1e-10, 8)
+    ctl, err = synthesized(op31, target, "w1", 1e-10, 8)
     assert err == 0.0
     assert np.abs(ctl.values).max() == 0.0
 
@@ -59,7 +67,7 @@ def test_synthesis_error_decreases_with_nested_refinement(op31, grid31):
     target = gaussian_target(grid31, NT)
     errs = []
     for nseg in (8, 16, 32):
-        _, err = synthesize_control(op31, None, target, "w1", DT, T_FINAL, 1e-10, nseg)
+        _, err = synthesized(op31, target, "w1", 1e-10, nseg)
         errs.append(err)
     assert errs[1] <= errs[0] * (1 + 1e-9)
     assert errs[2] <= errs[1] * (1 + 1e-9)
@@ -69,7 +77,7 @@ def test_synthesis_error_nondecreasing_in_alpha(op31, grid31):
     target = gaussian_target(grid31, NT)
     basis = ControlBasis(grid31, "w1", DT, T_FINAL, 16)
     bg = BackgroundStates(op31, None, basis)
-    errs = [bg.synthesize(target, alpha)[2]
+    errs = [bg.synthesize(target[None], alpha)[2][0]
             for alpha in (1e-12, 1e-8, 1e-4, 1e0, 1e4)]
     assert np.all(np.diff(errs) >= -1e-12 * errs[-1])
 
@@ -88,12 +96,12 @@ def test_synthesis_factors_once_per_call(op31, grid31, monkeypatch):
         return real_factor(a, *args, **kwargs)
 
     monkeypatch.setattr(inversion, "cho_factor", counting_factor)
-    bg.synthesize(target, 1e-10)
-    repeated = bg.synthesize(0.5 * target, 1e-10)
+    bg.synthesize(target[None], 1e-10)
+    repeated = bg.synthesize(0.5 * target[None], 1e-10)
     bg.synthesize(np.stack([target, 0.5 * target]), 1e-6)
     assert len(factored) == 3
     # a call leaves nothing behind that changes the next one
-    fresh = BackgroundStates(op31, None, basis).synthesize(0.5 * target, 1e-10)
+    fresh = BackgroundStates(op31, None, basis).synthesize(0.5 * target[None], 1e-10)
     for a, b in zip(repeated, fresh):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
@@ -105,7 +113,7 @@ def test_large_alpha_suppresses_control(op31, grid31):
     k = grid31.h * op31.omega_block
     target_norm = np.sqrt(np.sum(
         bg.time_weights * np.einsum("tj,tj->t", target, target @ k)))
-    ctl, err = synthesize_control(op31, None, target, "w1", DT, T_FINAL, 1e8, 16)
+    ctl, err = synthesized(op31, target, "w1", 1e8, 16)
     assert err == pytest.approx(target_norm, rel=1e-4)
     assert np.abs(ctl.values).max() < 1e-4 * np.abs(target).max()
 
@@ -113,13 +121,15 @@ def test_large_alpha_suppresses_control(op31, grid31):
 def test_synthesize_rejects_bad_target_shape(op31, grid31):
     basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
     bg = BackgroundStates(op31, None, basis)
-    with pytest.raises(InversionError, match="target shape"):
-        bg.synthesize(np.zeros((NT + 1, 3)), 1e-10)
+    # a single target is a stack of one
+    for shape in ((1, NT + 1, 3), (NT + 1, 3), (NT + 1, grid31.omega.size)):
+        with pytest.raises(InversionError, match="target shape"):
+            bg.synthesize(np.zeros(shape), 1e-10)
 
 
 def test_synthesized_control_lives_on_requested_window(op31, grid31):
     target = gaussian_target(grid31, NT)
-    ctl, _ = synthesize_control(op31, None, target, "w2", DT, T_FINAL, 1e-8, 8)
+    ctl, _ = synthesized(op31, target, "w2", 1e-8, 8)
     assert ctl.window == "w2"
     outside = np.setdiff1d(np.arange(grid31.n_nodes), grid31.w2)
     assert np.abs(ctl.values[:, outside]).max() == 0.0
@@ -326,10 +336,10 @@ def test_synthesis_of_a_target_stack_matches_one_at_a_time(op31, grid31):
     assert coeffs.shape == (len(fields), len(basis))
     assert achieved.shape == fields.shape and errors.shape == (len(fields),)
     for i in (0, len(fields) - 1):
-        c, a, e = bg.synthesize(fields[i], 1e-8)
-        _assert_close(coeffs[i], c, 1e-8)
-        _assert_close(achieved[i], a, 1e-8)
-        assert errors[i] == pytest.approx(e, rel=1e-8)
+        c, a, e = bg.synthesize(fields[i:i + 1], 1e-8)
+        _assert_close(coeffs[i], c[0], 1e-8)
+        _assert_close(achieved[i], a[0], 1e-8)
+        assert errors[i] == pytest.approx(e[0], rel=1e-8)
 
 
 # ------------------------------------------------------ linear potential

@@ -9,8 +9,7 @@ from scipy.integrate import quad
 
 from conftest import OMEGA, W1, W2, standard_grid
 from viscowave import (GridError, OperatorError, assemble_fraclap, build_grid,
-                       dualnorm_hminus, dump_matrix, fraclap_normalization,
-                       norm_l2, seminorm_hs)
+                       dualnorm_hminus, fraclap_normalization, norm_l2, seminorm_hs)
 
 ORDERS = (0.3, 0.5, 0.8)
 
@@ -223,10 +222,3 @@ def test_assemble_rejects_bad_inputs(grid31):
         assemble_fraclap(grid31, 1.2)
     with pytest.raises(OperatorError, match="needs a Grid"):
         assemble_fraclap("not a grid", 0.5)
-
-
-def test_matrix_dump_round_trip(op31, tmp_path):
-    path = tmp_path / "matrix.txt"
-    dump_matrix(op31, path)
-    loaded = np.loadtxt(path)
-    assert np.array_equal(loaded, op31.matrix)

@@ -12,8 +12,8 @@ from scipy.linalg import lu_factor, lu_solve
 from viscowave import (NewtonDivergenceError, SolverError, StepFailureError,
                        bump_control, dualnorm_hminus, energy_ledger, norm_l2,
                        power_nonlinearity, seminorm_hs, solve_linear,
-                       solve_linearized, solve_nonlinear, trajectory_from_csv,
-                       trajectory_to_csv, zero_nonlinearity)
+                       solve_linearized, solve_nonlinear, trajectory_to_csv,
+                       zero_nonlinearity)
 from viscowave import (BackgroundStates, dn_difference_linear, dn_matrix_linear, dnmap,
                        solver)
 from viscowave.controls import ControlBasis, make_control, materialize
@@ -102,7 +102,10 @@ _COEF = st.floats(-10.0, 10.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-3)
        kind=st.sampled_from(["none", "static", "time-dependent"]))
 def test_solve_linear_is_linear_in_the_control(op31, grid31, a, b, t0, length, kind):
     phi1 = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
-    phi2 = bump_control(grid31, "w1", t0, t0 + length, DT, NT, space=(-0.7, -0.4))
+    # a second spatial profile: the window bump, tilted across the window
+    bump = bump_control(grid31, "w1", t0, t0 + length, DT, NT)
+    tilt = np.linspace(0.5, 1.5, grid31.n_nodes)
+    phi2 = make_control(grid31, bump.values * tilt, bump.dvalues * tilt, "w1", DT)
     both = make_control(grid31, a * phi1.values + b * phi2.values,
                         a * phi1.dvalues + b * phi2.dvalues, "w1", DT)
     q = _potential(grid31, kind)
@@ -305,19 +308,24 @@ def test_trajectory_csv_round_trip(op31, grid31, tmp_path):
     traj = solve_linear(op31, None, ctl, DT, T_FINAL)
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, grid31, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,node,x,u,v"
-    loaded = trajectory_from_csv(path)
-    assert np.array_equal(loaded.u, traj.u)
-    assert np.array_equal(loaded.v, traj.v)
-    assert loaded.dt == traj.dt
+    header, *rows, last = path.read_bytes().decode().split("\r\n")
+    assert header == "t,node,x,u,v" and last == ""
+    # each float is written as its repr, so float() reads it back bit for bit
+    table = np.array([[float(x) for x in row.split(",")] for row in rows])
+    shape = traj.u.shape
+    columns = (np.broadcast_to(traj.t[:, None], shape),
+               np.broadcast_to(np.arange(grid31.n_nodes), shape),
+               np.broadcast_to(grid31.x, shape), traj.u, traj.v)
+    for got, want in zip(table.T, columns):
+        assert got.tobytes() == np.ascontiguousarray(want, dtype=float).ravel().tobytes()
 
 
 # ------------------------------------- reference: the step loop before its rewrite
 
 
-def _reference_crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit):
-    """The step loop as it stood before the omega-slice rewrite, kept verbatim."""
+def _reference_crank_nicolson(op, control, dt, nt, source, u0, explicit, implicit):
+    """The step loop as it stood before the omega-slice rewrite, kept verbatim
+    but for the initial velocity, which solve_linear no longer takes."""
     grid = op.grid
     om = grid.omega
     ext = grid.exterior
@@ -328,11 +336,8 @@ def _reference_crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, imp
     u = np.zeros((nt + 1, n))
     v = np.zeros((nt + 1, n))
     u0om = _expand_field(u0, nt, grid, "u0")
-    v0om = _expand_field(v0, nt, grid, "v0")
     if u0om is not None:
         u[0, om] = u0om
-    if v0om is not None:
-        v[0, om] = v0om
     u[0, ext] = phi[0, ext]
     v[0, ext] = dphi[0, ext]
 
@@ -364,7 +369,7 @@ def _reference_crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, imp
     return u, v
 
 
-def _reference_solve_linear(op, q, control, dt, t_final, source=None, u0=None, v0=None):
+def _reference_solve_linear(op, q, control, dt, t_final, source=None, u0=None):
     """solve_linear as it stood before the rewrite, minus its error wrapping:
     lu_solve on every static step."""
     nt = n_steps_for(dt, t_final)
@@ -382,7 +387,7 @@ def _reference_solve_linear(op, q, control, dt, t_final, source=None, u0=None, v
             return lu_solve(factor, rhs)
         return np.linalg.solve(base_mat + 0.25 * dt * dt * np.diag(qs[k + 1]), rhs)
 
-    return _reference_crank_nicolson(op, control, dt, nt, source, u0, v0, explicit, implicit)
+    return _reference_crank_nicolson(op, control, dt, nt, source, u0, explicit, implicit)
 
 
 def _assert_close(traj, ref_u, ref_v):
@@ -402,8 +407,7 @@ def _shared_inputs(grid):
     theta = np.sin(np.pi * DT * np.arange(NT + 1))
     u0 = interior_bump(grid)
     u0[om[:3]] = -0.0
-    return dict(source=np.outer(theta, interior_bump(grid, center=0.3)[om]),
-                u0=u0, v0=0.5 * interior_bump(grid, center=0.7))
+    return dict(source=np.outer(theta, interior_bump(grid, center=0.3)[om]), u0=u0)
 
 
 def test_static_potential_matches_reference_loop_bitwise(op31, grid31):
@@ -457,7 +461,7 @@ def test_nonlinear_matches_reference_loop_bitwise(op31, grid31):
     traj = solve_nonlinear(op31, f, ctl, DT, T_FINAL)
     # the same Newton step, driven by the old loop around it, from rest
     explicit, implicit, iters = _reference_newton(op31, f, DT, NT)
-    ref_u, ref_v = _reference_crank_nicolson(op31, ctl, DT, NT, None, None, None,
+    ref_u, ref_v = _reference_crank_nicolson(op31, ctl, DT, NT, None, None,
                                              explicit, implicit)
     assert iters.max() >= 1
     _assert_close(traj, ref_u, ref_v)
@@ -731,7 +735,7 @@ def test_blocked_pass_fails_at_the_step_solve_linear_reports(op31, grid31):
     maps = solver._step_maps(op31, prof, DT, NT)
     drive = (solver._basis_drive(op31, basis, slice(0, 5))
              + solver._control_drive(op31, None, DT, NT, src)[:, None])
-    block = _failing_step(lambda: solver._step_linear(maps, drive, DT, None, None))
+    block = _failing_step(lambda: solver._step_linear(maps, drive, DT, None))
     assert one == block == 6
 
 
@@ -748,14 +752,14 @@ def test_blocked_pass_reports_its_first_failing_control(op31, grid31):
         assert _failing_step(lambda: solve_linear(op31, None, controls[9], DT, T_FINAL)) < one
         drive = np.stack([solver._control_drive(op31, c, DT, NT, None) for c in controls],
                          axis=1)
-        block = _failing_step(lambda: solver._step_linear(maps, drive, DT, None, None))
+        block = _failing_step(lambda: solver._step_linear(maps, drive, DT, None))
     assert block == one
 
 
 # ------------------------------------- reference: the closure loop before the step maps
 
 
-def _crank_nicolson(op, drive, dt, u0, v0, explicit, implicit):
+def _crank_nicolson(op, drive, dt, u0, explicit, implicit):
     """The shared trapezoidal step loop on omega; returns read-only (u, v) histories.
 
     drive[k] is the additive right-hand side of step k: (n_omega,) for one
@@ -775,7 +779,7 @@ def _crank_nicolson(op, drive, dt, u0, v0, explicit, implicit):
     u = np.empty((nt + 1,) + drive.shape[1:])
     v = np.empty_like(u)
     u[0] = 0.0 if u0 is None else u0
-    v[0] = 0.0 if v0 is None else v0
+    v[0] = 0.0
     for k in range(nt):
         u_k, v_k = u[k], v[k]
         u_base = u_k + hdt * v_k
@@ -814,9 +818,9 @@ def _linear_step(op, q, dt, nt):
     return explicit, implicit
 
 
-def _closure_loop(op, q, drive, u0=None, v0=None):
+def _closure_loop(op, q, drive, u0=None):
     """Interior (u, v) of the closure loop under the given step drives."""
-    return _crank_nicolson(op, drive, DT, u0, v0, *_linear_step(op, q, DT, NT))
+    return _crank_nicolson(op, drive, DT, u0, *_linear_step(op, q, DT, NT))
 
 
 def _assert_within(got, ref):
@@ -828,7 +832,7 @@ def _assert_within(got, ref):
 @pytest.mark.parametrize("kind", ["none", "static", "time-dependent"])
 def test_step_maps_match_the_closure_loop(op101, grid101, monkeypatch, kind):
     # the basis and difference passes, in blocks of 32, and solve_linear with
-    # a source and nonzero initial data, against the closure loop on the same
+    # a source and a nonzero initial displacement, against the closure loop on the same
     # drives
     monkeypatch.setattr(solver, "CONTROL_BLOCK", 32)
     basis = ControlBasis(grid101, "w1", DT, T_FINAL, 8)
@@ -851,7 +855,7 @@ def test_step_maps_match_the_closure_loop(op101, grid101, monkeypatch, kind):
     kwargs = _shared_inputs(grid101)
     traj = solve_linear(op101, q, ctl, DT, T_FINAL, **kwargs)
     drive = solver._control_drive(op101, ctl, DT, NT, kwargs["source"])
-    ref = _closure_loop(op101, q, drive, kwargs["u0"][om], kwargs["v0"][om])
+    ref = _closure_loop(op101, q, drive, kwargs["u0"][om])
     _assert_within(traj.u[:, om], ref[0])
     _assert_within(traj.v[:, om], ref[1])
 
@@ -872,16 +876,16 @@ def test_last_state_check_reports_the_first_failing_row(op31, grid31, rng, monke
     q = _potential(grid31, kind)
     maps = solver._step_maps(op31, q, DT, NT)
     drive = rng.standard_normal((NT, 128, grid31.omega.size))
-    _, v = solver._step_linear(maps, drive, DT, None, None)
+    _, v = solver._step_linear(maps, drive, DT, None)
     assert np.isfinite(v).all() and scans == []
     drive[40, 40, 3] = np.nan
     drive[4, 90, 5] = np.inf
     with np.errstate(all="ignore"):
-        step = _failing_step(lambda: solver._step_linear(maps, drive, DT, None, None))
+        step = _failing_step(lambda: solver._step_linear(maps, drive, DT, None))
         assert step == 41 and len(scans) == 1
         assert _failing_step(lambda: _closure_loop(op31, q, drive)) == step
         drive[40, 40, 3] = 0.0
-        assert _failing_step(lambda: solver._step_linear(maps, drive, DT, None, None)) == 5
+        assert _failing_step(lambda: solver._step_linear(maps, drive, DT, None)) == 5
 
 
 # ------------------------------------- shift plan: one stepped spline per shift class
@@ -893,7 +897,7 @@ def _every_element(op, q, basis, dt):
     nt = n_steps_for(dt, T_FINAL)
     maps = solver._step_maps(op, q, dt, nt)
     drive = solver._basis_drive(op, basis, np.arange(len(basis)))
-    return solver._step_linear(maps, drive, dt, None, None, np.arange(len(basis)))
+    return solver._step_linear(maps, drive, dt, None, np.arange(len(basis)))
 
 
 def _every_element_difference(op, q, q_bg, basis, states, dt):
@@ -902,7 +906,7 @@ def _every_element_difference(op, q, q_bg, basis, states, dt):
     n_omega = op.grid.omega.size
     dq = _expand_potential(q, nt, n_omega)[0] - _expand_potential(q_bg, nt, n_omega)[0]
     drive = solver._difference_drive(dq, states.transpose(1, 0, 2), dt)
-    return solver._step_linear(solver._step_maps(op, q, dt, nt), drive, dt, None, None)
+    return solver._step_linear(solver._step_maps(op, q, dt, nt), drive, dt, None)
 
 
 def _every_element_pairings(op, basis1, basis2, dt, u, v, controls):
