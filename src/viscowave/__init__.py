@@ -17,9 +17,9 @@ from .solver import (EnergyLedger, NewtonDivergenceError, SolverError,
                      StepFailureError, Trajectory, energy_ledger, solve_linear,
                      solve_linear_basis, solve_linear_difference,
                      solve_linearized, solve_nonlinear, trajectory_to_csv)
-from .dnmap import (DNMapError, DNRecord, alessandrini_residual,
-                    dn_difference_linear, dn_matrix_linear, dn_pairing,
-                    dn_remainders_nonlinear, nonlinear_integral_identity_residual, reverse_potential,
+from .dnmap import (DNMapError, alessandrini_residual, dn_difference_linear,
+                    dn_matrix_linear, dn_pairing, dn_remainders_nonlinear,
+                    nonlinear_integral_identity_residual, reverse_potential,
                     self_adjointness_residual, time_reverse)
 from .inversion import (BackgroundStates, IllConditionedError,
                         InconclusiveError, InversionError, Reconstruction,

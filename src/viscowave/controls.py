@@ -144,8 +144,9 @@ class ControlBasis:
 
     values and dvalues hold the read-only spline samples and time
     derivatives, one row per spline, (n_tsplines, n_steps+1).  The basis
-    refines nestedly when n_segments doubles, and time reversal maps the
-    element list onto itself by permuting the spline index.
+    refines nestedly when n_segments doubles, and spline k reversed in time is
+    spline n_segments - 4 - k: the rows read backwards are the splines
+    reversed in time, up to rounding.
     """
 
     def __init__(self, grid, window, dt, t_final, n_segments):
@@ -182,11 +183,3 @@ class ControlBasis:
             values[:, node] = c_node @ self.values
             dvalues[:, node] = c_node @ self.dvalues
         return make_control(self.grid, values, dvalues, self.window, self.dt)
-
-    def reversal_permutation(self):
-        """perm with element perm[i] the time reversal of element i.
-
-        Spline k reverses to spline n_segments - 4 - k at the same node, so
-        perm reads the spline axis of the node-major layout backwards.
-        """
-        return np.arange(len(self)).reshape(len(self.nodes), -1)[:, ::-1].ravel()

@@ -10,11 +10,9 @@ verified here: the adjoint relation under time reversal of the potential, the
 potential-difference integral identity, and its nonlinear counterpart.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .controls import ControlBasis, ExteriorControl
+from .controls import ExteriorControl
 from .solver import (_expand_potential, n_steps_for, solve_linear, solve_linear_basis,
                      solve_linear_difference, solve_nonlinear, trapezoid_weights)
 
@@ -64,7 +62,7 @@ def dn_pairing(op, traj, probe):
 
 
 def _pair_fluxes(flux, probe_basis):
-    """Trapezoidal pairings of flux histories against every element of a probe basis.
+    """Trapezoidal pairings of flux histories against time-reversed probe elements.
 
     flux holds h L(u + v) at the probe nodes, time on the next-to-last axis,
     on the basis's time grid, and the nodes on the last; the result replaces
@@ -72,27 +70,14 @@ def _pair_fluxes(flux, probe_basis):
     """
     weighted = probe_basis.values * trapezoid_weights(probe_basis.n_steps)[None, :]
     block = probe_basis.dt * np.tensordot(weighted, flux, axes=(1, -2))  # (n_tspl, ..., n_nodes)
-    return np.moveaxis(block, 0, -1).reshape(flux.shape[:-2] + (-1,))
+    # a level's spline rows read backwards are its splines reversed in time
+    return np.moveaxis(block[::-1], 0, -1).reshape(flux.shape[:-2] + (-1,))
 
 
 def _pair_against_basis(op, traj, probe_basis):
-    """Pairings of one trajectory against every element of a separable probe basis."""
+    """Pairings of one trajectory against every time-reversed probe element."""
     flux = (traj.u + traj.v) @ op.matrix[:, probe_basis.nodes]
     return _pair_fluxes(op.grid.h * flux, probe_basis)
-
-
-@dataclass(frozen=True)
-class DNRecord:
-    """Measurement matrix of a model over a control basis and a probe basis.
-
-    pairings[i, j] pairs the response to element i of controls with element
-    j of probes; the record's time grid is that of its control basis.
-    """
-
-    s: float
-    controls: ControlBasis
-    probes: ControlBasis
-    pairings: np.ndarray = field(repr=False)
 
 
 def _probe_flux(op, control_basis, probe_basis):
@@ -111,11 +96,12 @@ def _probe_flux(op, control_basis, probe_basis):
 
 
 def dn_matrix_linear(op, q, control_basis, probe_basis):
-    """Measurement matrix of the linear model: controls on w1, probes on w2.
+    """Measurement matrix P of the linear model: controls on w1, probes on w2.
 
-    The pairings of the responses on omega, plus what each control's own
-    samples add through L's w1-to-w2 block: kron(L[w1 nodes, w2 nodes], T),
-    with T pairing the control splines (value plus derivative) against the
+    P[i, j] = <M_q phi_i, psi_j*> pairs control i with probe j reversed in
+    time: the responses on omega, plus what the control's own samples add
+    through L's w1-to-w2 block, kron(L[w1 nodes, w2 nodes], T), with T
+    pairing the control splines (value plus derivative) against the reversed
     probe splines.  Both bases share one time grid.
     """
     flux = solve_linear_basis(op, q, control_basis,
@@ -124,27 +110,25 @@ def dn_matrix_linear(op, q, control_basis, probe_basis):
     t_pair = (control_basis.dt * op.grid.h
               * (x * trapezoid_weights(control_basis.n_steps)[None, :])
               @ probe_basis.values.T)
-    exterior = np.kron(op.matrix[np.ix_(control_basis.nodes, probe_basis.nodes)], t_pair)
-    return DNRecord(s=op.s, controls=control_basis, probes=probe_basis,
-                    pairings=_pair_fluxes(flux, probe_basis) + exterior)
+    block = op.matrix[np.ix_(control_basis.nodes, probe_basis.nodes)]
+    return _pair_fluxes(flux, probe_basis) + np.kron(block, t_pair[:, ::-1])
 
 
 def dn_difference_linear(q, background, probe_basis):
     """Difference of q's measurement matrix from that of a background.
 
     background is the ``inversion.BackgroundStates`` of the control basis
-    under the background potential; the record holds the pairings of
-    dn_matrix_linear of q minus those of the background potential.  They are
-    measured, not subtracted: they pair the responses of the difference
-    equation (:func:`solver.solve_linear_difference`), driven by the
-    background's stored states, so they keep their relative accuracy however
-    close q is to the background potential.
+    under the background potential; the result is dn_matrix_linear of q minus
+    that of the background potential, in the same layout.  It is measured,
+    not subtracted: it pairs the responses of the difference equation
+    (:func:`solver.solve_linear_difference`), driven by the background's
+    stored states, so it keeps its relative accuracy however close q is to
+    the background potential.
     """
     op, control_basis = background.op, background.basis
     flux = solve_linear_difference(op, q, background.q, control_basis, background.states,
                                    _probe_flux(op, control_basis, probe_basis))
-    return DNRecord(s=op.s, controls=control_basis, probes=probe_basis,
-                    pairings=_pair_fluxes(flux, probe_basis))
+    return _pair_fluxes(flux, probe_basis)
 
 
 def dn_remainders_nonlinear(op, f, psi, probe_basis, eps_list):
@@ -158,14 +142,13 @@ def dn_remainders_nonlinear(op, f, psi, probe_basis, eps_list):
     """
     dt, t_final = probe_basis.dt, probe_basis.t_final
     lin = solve_linear(op, None, psi, dt, t_final)
-    perm = probe_basis.reversal_permutation()
-    p_lin = _pair_against_basis(op, lin, probe_basis)[perm]
+    p_lin = _pair_against_basis(op, lin, probe_basis)
     remainders = {}
     for eps in sorted(set(eps_list)):
         scaled = ExteriorControl(values=eps * psi.values, dvalues=eps * psi.dvalues,
                                  window=psi.window, dt=psi.dt)
         p_nl = _pair_against_basis(op, solve_nonlinear(op, f, scaled, dt, t_final),
-                                   probe_basis)[perm]
+                                   probe_basis)
         remainders[eps] = p_nl - eps * p_lin
     return lin, p_lin, remainders
 

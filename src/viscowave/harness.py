@@ -7,7 +7,6 @@ tolerance still exits cleanly with ``passed: false`` in the report.
 """
 
 import copy
-import dataclasses
 import json
 import math
 import os
@@ -378,10 +377,9 @@ def potential_from_spec(grid, spec, dt, t_final, name="potential"):
     return np.outer(t if tdep == "ramp" else t_final - t, prof)
 
 
-def _add_noise(record, sigma, rng):
-    """The record with Gaussian noise of standard deviation sigma on its pairings."""
-    noisy = record.pairings + rng.normal(0.0, sigma, size=record.pairings.shape)
-    return dataclasses.replace(record, pairings=noisy)
+def _add_noise(pairings, sigma, rng):
+    """The pairings with Gaussian noise of standard deviation sigma."""
+    return pairings + rng.normal(0.0, sigma, size=pairings.shape)
 
 
 def _setup(cfg):
@@ -393,8 +391,7 @@ def _setup(cfg):
 def _gaussian_pulse(grid, dt, nt, t0, t1, center, width):
     """Gaussian over omega times a time bump on (t0, t1), as (nt+1, n_omega) samples."""
     theta, _ = time_bump(dt * np.arange(nt + 1), t0, t1)
-    prof = field_from_spec(grid, {"kind": "gaussian", "center": center, "width": width})
-    return np.outer(theta, prof)
+    return np.outer(theta, np.exp(-((grid.x[grid.omega] - center) / width) ** 2))
 
 
 def run_forward(run, op, out_dir):
@@ -470,14 +467,14 @@ def run_invert_linear(run, op, out_dir):
     # by the difference equation driven from the w1 states the inversion
     # synthesizes with; the noise scales with the data themselves
     background = BackgroundStates(op, None, basis1)
-    rec_data = dn_difference_linear(q_true, background, basis2)
+    data = dn_difference_linear(q_true, background, basis2)
     if run.level > 0:
-        p_bg = dn_matrix_linear(op, None, basis1, basis2).pairings
-        rec_data = _add_noise(rec_data, run.level * np.std(p_bg + rec_data.pairings),
-                              np.random.default_rng(run.seed))
+        p_bg = dn_matrix_linear(op, None, basis1, basis2)
+        data = _add_noise(data, run.level * np.std(p_bg + data),
+                          np.random.default_rng(run.seed))
 
     recon = recover_linear_potential(
-        rec_data, background, run.alpha_inv, synth_alpha=run.synth_alpha,
+        data, background, basis2, run.alpha_inv, synth_alpha=run.synth_alpha,
         q_time_basis=run.q_time_basis, target_nodes=run.target_nodes,
         target_width=run.target_width)
     # the frame orients a time-dependent estimate: reversed, it is written as

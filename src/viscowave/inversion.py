@@ -202,31 +202,13 @@ class Reconstruction:
             json.dump(self.to_dict(), fh, indent=2)
 
     def save_csv(self, path, q_true=None):
-        """Rows x,q_true,q_est (q_true column empty when unknown)."""
+        """Rows x,q_true,q_est of a static estimate (q_true empty when unknown)."""
         vals = np.asarray(self.values)
-        if vals.ndim > 1:
-            vals = vals[:, 0]  # static column of a time-dependent estimate
         with open(path, "w") as fh:
             fh.write("x,q_true,q_est\n")
             for i, xi in enumerate(np.asarray(self.node_coords)):
                 true_s = "" if q_true is None else repr(float(q_true[i]))
                 fh.write(f"{float(xi)!r},{true_s},{float(vals[i])!r}\n")
-
-
-def _check_record(rec, background):
-    op = background.op
-    if abs(rec.s - op.s) > 1e-12:
-        raise InversionError(f"record order {rec.s} does not match operator {op.s}")
-    basis = background.basis
-    if any((b.dt, b.n_steps) != (basis.dt, basis.n_steps) for b in (rec.controls, rec.probes)):
-        raise InversionError("record time grid does not match the background's")
-    if rec.controls.window != "w1" or rec.probes.window != "w2":
-        raise InversionError("expected controls on w1 and probes on w2")
-    if (basis.window, basis.n_segments) != (rec.controls.window, rec.controls.n_segments):
-        raise InversionError("record controls are not the background's basis")
-    shape = (len(rec.controls), len(rec.probes))
-    if rec.pairings.shape != shape:
-        raise InversionError(f"record pairings are {rec.pairings.shape}, its bases {shape}")
 
 
 def _time_hats(n_coarse, dt, n_steps):
@@ -273,43 +255,49 @@ def _probing_kernel(fld1, fld2, weights):
     return kern.reshape(len(fld1) * len(fld2), -1)
 
 
-def recover_linear_potential(dn_difference, background, alpha_inv, synth_alpha=1e-10,
+def recover_linear_potential(pairings, background, probe_basis, alpha_inv, synth_alpha=1e-10,
                              q_time_basis=None, target_nodes=None, target_width=None):
-    """Potential increment from a difference record over a background.
+    """Potential increment from measured pairing differences over a background.
 
-    background is the :class:`BackgroundStates` of the record's w1 controls
-    under a static potential q_bg, and dn_difference the measurement
-    differences of the data from it, as ``dnmap.dn_difference_linear``
-    measures them; the background's operator and time grid are the
-    recovery's.  Both windows synthesize controls towards each of the
-    targets that :func:`interior_targets` samples on the background's time
-    grid at target_nodes and target_width, and the differences m_ij are
-    matched to interior integrals of the potential against products of the
-    achieved background states (the first-order expansion of the
-    measurement map at q_bg, so the returned values estimate q_data - q_bg).
-    Smoothness-regularized least squares with weight alpha_inv picks the
-    estimate.
+    background is the :class:`BackgroundStates` of the w1 controls under a
+    static potential q_bg, probe_basis the w2 probes on its time grid, and
+    pairings[i, j] the difference of the data from the background in the
+    pairing of control i with probe j reversed in time, as
+    ``dnmap.dn_difference_linear`` measures them; the background's operator
+    and time grid are the recovery's.  Both windows synthesize controls
+    towards each of the targets that :func:`interior_targets` samples on the
+    background's time grid at target_nodes and target_width, and the
+    differences m_ij are matched to interior integrals of the potential
+    against products of the achieved background states (the first-order
+    expansion of the measurement map at q_bg, so the returned values estimate
+    q_data - q_bg).  Smoothness-regularized least squares with weight
+    alpha_inv picks the estimate.
     With q_time_basis=None the unknown is static; an integer requests that
     many piecewise-linear time profiles on the forward time axis.
     """
     if np.ndim(background.q) > 1:
         raise InversionError("background potential must be static (scalar or one row)")
-    _check_record(dn_difference, background)
-    op, dt, n_steps = background.op, background.basis.dt, background.basis.n_steps
+    basis1 = background.basis
+    if (probe_basis.dt, probe_basis.n_steps) != (basis1.dt, basis1.n_steps):
+        raise InversionError("probe basis time grid does not match the background's")
+    if basis1.window != "w1" or probe_basis.window != "w2":
+        raise InversionError("expected controls on w1 and probes on w2")
+    shape = (len(basis1), len(probe_basis))
+    if np.shape(pairings) != shape:
+        raise InversionError(f"pairings are {np.shape(pairings)}, the bases {shape}")
+    op, dt, n_steps = background.op, basis1.dt, basis1.n_steps
     grid = op.grid
     om = grid.omega
 
-    basis2 = dn_difference.probes
-    bg2 = BackgroundStates(op, background.q, basis2)
+    bg2 = BackgroundStates(op, background.q, probe_basis)
 
     # achieved states: (n_targets, nt+1, n_omega)
-    stack = interior_targets(background.basis, target_nodes, target_width)
+    stack = interior_targets(basis1, target_nodes, target_width)
     coeff1, achieved1, errs1 = background.synthesize(stack, synth_alpha)
     coeff2, achieved2, errs2 = bg2.synthesize(stack, synth_alpha)
     del stack
 
-    perm = basis2.reversal_permutation()
-    m = coeff1 @ dn_difference.pairings[:, perm] @ coeff2.T  # (n_targets, n_targets)
+    m = coeff1 @ pairings @ coeff2.T  # (n_targets, n_targets)
 
     wt = dt * trapezoid_weights(n_steps)
     if q_time_basis is None:

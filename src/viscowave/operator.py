@@ -64,7 +64,6 @@ class FracLapOperator:
     s: float
     matrix: np.ndarray = field(repr=False, compare=False)
     lambda_min: float
-    poincare_constant: float
 
     @property
     def omega_block(self):
@@ -93,8 +92,7 @@ def assemble_fraclap(grid, s):
     lam = float(np.linalg.eigvalsh(block)[0])
     if not lam > 0.0:
         raise OperatorError(f"interior block not positive definite: lambda_min={lam}")
-    return FracLapOperator(grid=grid, s=s, matrix=L, lambda_min=lam,
-                           poincare_constant=1.0 / lam)
+    return FracLapOperator(grid=grid, s=s, matrix=L, lambda_min=lam)
 
 
 def norm_l2(grid, v):

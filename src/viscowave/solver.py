@@ -79,8 +79,11 @@ class Trajectory:
 
 def n_steps_for(dt, t_final):
     nt = int(round(t_final / dt))
-    if nt < 2 or abs(nt * dt - t_final) > 1e-9 * max(1.0, t_final):
+    if abs(nt * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise SolverError(f"dt={dt} does not divide t_final={t_final}")
+    if nt < 2:
+        raise SolverError(f"dt={dt} gives {nt} step(s) over t_final={t_final}; "
+                          "need at least 2")
     return nt
 
 

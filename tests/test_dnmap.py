@@ -1,4 +1,4 @@
-"""Boundary pairings: time reversal, adjoint identities, measurement records."""
+"""Boundary pairings: time reversal, adjoint identities, measurement matrices."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from viscowave import (BackgroundStates, DNMapError, DNRecord, alessandrini_residual,
+from viscowave import (BackgroundStates, DNMapError, alessandrini_residual,
                        bump_control, dn_difference_linear, dn_matrix_linear,
-                       dn_pairing, nonlinear_integral_identity_residual,
+                       dn_pairing, dn_remainders_nonlinear,
+                       nonlinear_integral_identity_residual,
                        power_nonlinearity, reverse_potential,
                        self_adjointness_residual, solve_linear,
                        time_reverse, zero_nonlinearity)
@@ -106,23 +107,50 @@ def test_pair_against_basis_matches_loop(op31, grid31):
     traj = solve_linear(op31, None, ctl, DT, T_FINAL)
     basis = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     fast = _pair_against_basis(op31, traj, basis)
-    slow = np.array([dn_pairing(op31, traj, materialize(basis, i))
+    slow = np.array([dn_pairing(op31, traj, time_reverse(materialize(basis, i)))
                      for i in range(len(basis))])
     assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
 
 def test_dn_matrix_entries_match_pairing_oracle(op31, grid31):
-    # each matrix entry equals a solve followed by a single pairing
+    # each matrix row equals a solve followed by pairings against the
+    # reversed probes
     basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
     basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     q = 0.3 * np.ones(grid31.omega.size)
-    rec = dn_matrix_linear(op31, q, basis1, basis2)
-    probes = [materialize(basis2, j) for j in range(len(basis2))]
+    pairings = dn_matrix_linear(op31, q, basis1, basis2)
+    probes = [time_reverse(materialize(basis2, j)) for j in range(len(basis2))]
     for i in (0, 7, len(basis1) - 1):
         ctl = materialize(basis1, i)
         traj = solve_linear(op31, q, ctl, DT, T_FINAL)
         oracle = np.array([dn_pairing(op31, traj, p) for p in probes])
-        assert_allclose(rec.pairings[i], oracle, rtol=1e-12, atol=1e-15)
+        assert_allclose(pairings[i], oracle, rtol=1e-12, atol=1e-15)
+
+
+PAIRS = ((0, 0), (4, 10), (10, 4), (13, 17), (17, 2))
+
+
+@pytest.mark.parametrize("kind", ["static", "ramp"])
+def test_dn_matrix_pairs_each_control_with_the_reversed_probe(op31, grid31, kind):
+    # P[i, j] = <M_q phi_i, psi_j*>: the probe enters reversed in time
+    basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
+    q = _potential(grid31, {"static": "static", "ramp": "time-dependent"}[kind])
+    pairings = dn_matrix_linear(op31, q, basis1, basis2)
+    for i, j in PAIRS:
+        traj = solve_linear(op31, q, materialize(basis1, i), DT, T_FINAL)
+        oracle = dn_pairing(op31, traj, time_reverse(materialize(basis2, j)))
+        assert pairings[i, j] == pytest.approx(oracle, rel=1e-12)
+
+
+def test_remainder_sweep_pairs_against_the_reversed_probes(op31, grid31):
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
+    psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT)
+    lin, p_lin, _ = dn_remainders_nonlinear(op31, power_nonlinearity(1.0, 2), psi,
+                                            basis2, [0.1, 0.05])
+    for _, j in PAIRS:
+        oracle = dn_pairing(op31, lin, time_reverse(materialize(basis2, j)))
+        assert p_lin[j] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_self_adjointness_residual_converges(op61, grid61):
@@ -241,8 +269,7 @@ def _reference_dn_matrix(op, solve, model, control_basis, probe_basis, dt, t_fin
         ctrl = materialize(control_basis, i)
         traj = solve(op, model, ctrl, dt, t_final)
         rows.append(_pair_against_basis(op, traj, probe_basis))
-    return DNRecord(s=op.s, controls=control_basis, probes=probe_basis,
-                    pairings=np.asarray(rows))
+    return np.asarray(rows)
 
 
 def _potential(grid, kind, amplitude=0.3):
@@ -265,10 +292,9 @@ def test_dn_matrix_linear_matches_reference_loop_bitwise(op31, grid31, kind):
     basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
     basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     q = _potential(grid31, kind)
-    rec = dn_matrix_linear(op31, q, basis1, basis2)
+    pairings = dn_matrix_linear(op31, q, basis1, basis2)
     ref = _reference_dn_matrix(op31, solve_linear, q, basis1, basis2, DT, T_FINAL)
-    _assert_close(rec.pairings, ref.pairings, 1e-12)
-    assert (rec.s, rec.controls, rec.probes) == (ref.s, ref.controls, ref.probes)
+    _assert_close(pairings, ref, 1e-12)
 
 
 def test_records_check_the_windows_before_any_pass(op31, grid31, monkeypatch):
@@ -312,16 +338,15 @@ def test_difference_record_matches_the_subtraction(op31, grid31, kind):
     diff = dn_difference_linear(q, background, basis2)
     data = dn_matrix_linear(op31, q, basis1, basis2)
     zero = dn_matrix_linear(op31, None, basis1, basis2)
-    _assert_close(diff.pairings, data.pairings - zero.pairings, 1e-11)
-    assert diff.controls == data.controls and diff.probes == data.probes
+    _assert_close(diff, data - zero, 1e-11)
 
 
 def test_difference_record_keeps_its_accuracy_for_weak_potentials(op31, grid31):
     # halving q halves the difference to first order, down to amplitudes
-    # where a subtraction of two records would be mostly rounding
+    # where a subtraction of two matrices would be mostly rounding
     basis1 = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
     basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
     background = BackgroundStates(op31, None, basis1)
     diffs = [dn_difference_linear(_potential(grid31, "static", a), background,
-                                  basis2).pairings for a in (1e-9, 5e-10)]
+                                  basis2) for a in (1e-9, 5e-10)]
     _assert_close(2.0 * diffs[1], diffs[0], 1e-8)

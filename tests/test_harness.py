@@ -195,13 +195,11 @@ def test_add_noise_zero_level_is_identity(op31, grid31):
     # zeros, and the pairings keep their values
     basis1 = ControlBasis(grid31, "w1", 0.02, 1.0, 8)
     basis2 = ControlBasis(grid31, "w2", 0.02, 1.0, 8)
-    rec = dn_matrix_linear(op31, None, basis1, basis2)
-    assert np.array_equal(_add_noise(rec, 0.0, np.random.default_rng(0)).pairings,
-                          rec.pairings)
-    noisy = _add_noise(rec, 0.1, np.random.default_rng(0))
-    draw = np.random.default_rng(0).normal(0.0, 0.1, size=rec.pairings.shape)
-    assert np.array_equal(noisy.pairings, rec.pairings + draw)
-    assert (noisy.s, noisy.controls, noisy.probes) == (rec.s, rec.controls, rec.probes)
+    pairings = dn_matrix_linear(op31, None, basis1, basis2)
+    assert np.array_equal(_add_noise(pairings, 0.0, np.random.default_rng(0)), pairings)
+    noisy = _add_noise(pairings, 0.1, np.random.default_rng(0))
+    draw = np.random.default_rng(0).normal(0.0, 0.1, size=pairings.shape)
+    assert np.array_equal(noisy, pairings + draw)
 
 
 # ---------------------------------------------------------- experiments
@@ -387,16 +385,16 @@ def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
 
 
 def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
-    # the data's difference record and the recovery read one w1 background,
+    # the data's difference matrix and the recovery read one w1 background,
     # bitwise what a fresh BackgroundStates of q = 0 holds
     seen = []
 
     def spy(name):
         fn = getattr(harness, name)
 
-        def wrapper(record_or_q, background, *args, **kwargs):
+        def wrapper(pairings_or_q, background, *args, **kwargs):
             seen.append(background)
-            return fn(record_or_q, background, *args, **kwargs)
+            return fn(pairings_or_q, background, *args, **kwargs)
         return wrapper
 
     for name in ("dn_difference_linear", "recover_linear_potential"):
@@ -432,12 +430,12 @@ def _velocity_form_difference(op, q, basis1, basis2, dt, t_final):
 
 def test_noise_scale_is_that_of_the_background_plus_difference(tmp_path, monkeypatch):
     # sigma = level * std(P_bg + dP), as when the data pass measured the
-    # background record itself and drove the difference from (u, v)
+    # background matrix itself and drove the difference from (u, v)
     sigmas = []
 
-    def spy(record, sigma, rng):
+    def spy(pairings, sigma, rng):
         sigmas.append(sigma)
-        return _add_noise(record, sigma, rng)
+        return _add_noise(pairings, sigma, rng)
 
     monkeypatch.setattr(harness, "_add_noise", spy)
     cfg = _linear_cfg(noise={"level": 1e-3})
@@ -446,7 +444,7 @@ def test_noise_scale_is_that_of_the_background_plus_difference(tmp_path, monkeyp
     grid, dt, t_final = run.grid, run.dt, run.t_final
     basis1, basis2 = (ControlBasis(grid, w, dt, t_final, 8) for w in ("w1", "w2"))
     q = potential_from_spec(grid, cfg["model"]["q"], dt, t_final)
-    p_bg = dn_matrix_linear(op, None, basis1, basis2).pairings
+    p_bg = dn_matrix_linear(op, None, basis1, basis2)
     ref = 1e-3 * np.std(p_bg + _velocity_form_difference(op, q, basis1, basis2, dt, t_final))
     assert len(sigmas) == 1
     assert abs(sigmas[0] - ref) <= 1e-12 * ref
@@ -665,7 +663,8 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                                   "model: {kind: nonlinear, q: {kind: gaussian}}\n"
                                   "experiment: {kind: invert-nonlinear}\n",
                                   "model: {kind: nonlinear, q: {kind: sine, time: ramp}}\n"
-                                  "experiment: {kind: identity-check, variant: nonlinear-integral}\n"],
+                                  "experiment: {kind: identity-check, variant: nonlinear-integral}\n",
+                                  "dt: 1.0\n"],
                          ids=["malformed-yaml", "non-numeric-dt", "dt-not-dividing-t_final",
                               "non-mapping-section", "non-numeric-n_nodes",
                               "non-numeric-seed", "unknown-grid-key",
@@ -698,7 +697,8 @@ def test_cli_invalid_config_exit_two(tmp_path, capsys):
                               "invert-nonlinear-level-above-steps",
                               "potential-of-a-nonlinear-forward-run",
                               "potential-of-invert-nonlinear",
-                              "potential-of-the-nonlinear-integral-identity"])
+                              "potential-of-the-nonlinear-integral-identity",
+                              "one-step-horizon"])
 def test_cli_bad_value_exit_two_one_line(tmp_path, capsys, monkeypatch, text):
     # run without --out, so that the scenario's own out_dir is the one used
     monkeypatch.chdir(tmp_path)

@@ -44,8 +44,10 @@ def _unused_imports(path):
 
 
 def test_every_imported_name_is_used():
+    # in the package, whose __init__ imports to re-export, and in the tests
     src = pathlib.Path(viscowave.__file__).parent
-    unused = {(path.stem, name) for path in src.glob("*.py") if path.name != "__init__.py"
+    paths = [*src.glob("*.py"), *pathlib.Path(__file__).parent.glob("*.py")]
+    unused = {(path.stem, name) for path in paths if path.name != "__init__.py"
               for name in _unused_imports(path)}
     assert unused == set()
 

@@ -1,7 +1,6 @@
 """Recovery machinery: control synthesis, potential and nonlinearity estimates."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import pathlib
@@ -10,7 +9,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 
 from viscowave import (BackgroundStates, IllConditionedError,
@@ -23,7 +21,6 @@ from viscowave import (BackgroundStates, IllConditionedError,
                        solve_linear, zero_nonlinearity)
 from viscowave import inversion
 from viscowave.controls import ControlBasis, materialize, time_bump
-from viscowave.dnmap import DNRecord
 from viscowave.inversion import _probing_kernel
 from viscowave.solver import n_steps_for, shift_plan, trapezoid_weights
 
@@ -46,11 +43,6 @@ def synthesized(op, target, window, alpha, n_segments):
     basis = ControlBasis(op.grid, window, DT, T_FINAL, n_segments)
     coeffs, _, errors = BackgroundStates(op, None, basis).synthesize(target[None], alpha)
     return basis.control(coeffs[0]), errors[0]
-
-
-def zero_record(op, basis1, basis2):
-    shape = (len(basis1), len(basis2))
-    return DNRecord(s=op.s, controls=basis1, probes=basis2, pairings=np.zeros(shape))
 
 
 # ---------------------------------------------------------------- synthesis
@@ -368,10 +360,7 @@ def test_exact_recovery_from_synthetic_first_order_data(op31, grid31):
     wt = DT * trapezoid_weights(NT)
     inner = grid31.h * np.einsum("atj,j,t,btj->ab", bg1.states, q_true, wt,
                                  bg2.states[:, ::-1, :], optimize=True)
-    perm = basis2.reversal_permutation()
-    rec_data = DNRecord(s=op31.s, controls=basis1, probes=basis2, pairings=inner[:, perm])
-
-    est = recover_linear_potential(rec_data, bg1, alpha_inv=1e-12, synth_alpha=1e-12)
+    est = recover_linear_potential(inner, bg1, basis2, alpha_inv=1e-12, synth_alpha=1e-12)
     rel = np.linalg.norm(est.values - q_true) / np.linalg.norm(q_true)
     assert rel < 1e-5
     assert est.covered.all()
@@ -391,7 +380,7 @@ def test_time_reversal_consistency_of_estimates(op61, grid61):
     rec_r = dn_difference_linear(np.outer(T_FINAL - tgrid, g), bg1, basis2)
     kwargs = dict(alpha_inv=1e-1, synth_alpha=1e-12, q_time_basis=3)
     # each estimate read in the reversed frame, as a function of T - t
-    est_f, est_r = (recover_linear_potential(rec, bg1, **kwargs).values[:, ::-1]
+    est_f, est_r = (recover_linear_potential(rec, bg1, basis2, **kwargs).values[:, ::-1]
                     for rec in (rec_f, rec_r))
     mutual = (np.linalg.norm(est_f - est_r[:, ::-1])
               / np.linalg.norm(est_f))
@@ -402,83 +391,75 @@ def test_time_reversal_consistency_of_estimates(op61, grid61):
 
 
 def _zero_case(op, grid):
-    """A zero record over the w1 and w2 bases of level 8, and its q = 0 background."""
+    """Zero pairings over the w1 and w2 bases of level 8, the q = 0 background
+    of the w1 basis, and the w2 basis."""
     basis1 = ControlBasis(grid, "w1", DT, T_FINAL, 8)
     basis2 = ControlBasis(grid, "w2", DT, T_FINAL, 8)
-    return (zero_record(op, basis1, basis2),
-            BackgroundStates(op, None, basis1))
+    return (np.zeros((len(basis1), len(basis2))),
+            BackgroundStates(op, None, basis1), basis2)
 
 
 def test_recover_rejects_mismatched_records(op31, grid31):
-    rec, bg = _zero_case(op31, grid31)
-    bad_s = DNRecord(s=0.7, controls=rec.controls,
-                     probes=rec.probes, pairings=rec.pairings)
-    with pytest.raises(InversionError, match="record order"):
-        recover_linear_potential(bad_s, bg, 1e-6)
-    bad_dt = DNRecord(s=op31.s, controls=ControlBasis(grid31, "w1", 0.04, T_FINAL, 8),
-                      probes=rec.probes, pairings=rec.pairings)
-    with pytest.raises(InversionError, match="time grid"):
-        recover_linear_potential(bad_dt, bg, 1e-6)
+    # pairings measured over other controls than the background's basis
+    pairings, _, basis2 = _zero_case(op31, grid31)
+    finer = BackgroundStates(op31, None, ControlBasis(grid31, "w1", DT, T_FINAL, 16))
+    with pytest.raises(InversionError, match=r"^pairings are \(18, 18\), the bases \(66, 18\)$"):
+        recover_linear_potential(pairings, finer, basis2, 1e-6)
 
 
 def test_recover_rejects_swapped_windows(op31, grid31):
-    _, bg = _zero_case(op31, grid31)
-    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
-    rec = DNRecord(s=op31.s, controls=basis2, probes=basis2,
-                   pairings=np.zeros((len(basis2), len(basis2))))
+    pairings, bg, basis2 = _zero_case(op31, grid31)
     with pytest.raises(InversionError, match="expected controls on w1"):
-        recover_linear_potential(rec, bg, 1e-6)
+        recover_linear_potential(pairings, bg, bg.basis, 1e-6)
+    on_w2 = BackgroundStates(op31, None, basis2)
+    with pytest.raises(InversionError, match="expected controls on w1"):
+        recover_linear_potential(pairings, on_w2, basis2, 1e-6)
 
 
 def test_recover_checks_the_record_before_any_solve(op31, grid31, monkeypatch):
     def no_solve(*args, **kwargs):
-        raise AssertionError("solved before the record was checked")
+        raise AssertionError("solved before the pairings were checked")
 
-    rec, bg = _zero_case(op31, grid31)
+    pairings, bg, basis2 = _zero_case(op31, grid31)
     monkeypatch.setattr(inversion, "BackgroundStates", no_solve)
-    short = dataclasses.replace(rec, pairings=rec.pairings[:, :-1])
     with pytest.raises(InversionError, match="pairings"):
-        recover_linear_potential(short, bg, 1e-6)
-    finer = dataclasses.replace(rec, probes=ControlBasis(grid31, "w2", DT, T_FINAL, 16))
+        recover_linear_potential(pairings[:, :-1], bg, basis2, 1e-6)
+    finer = ControlBasis(grid31, "w2", DT, T_FINAL, 16)
     with pytest.raises(InversionError, match="pairings"):
-        recover_linear_potential(finer, bg, 1e-6)
-    longer = dataclasses.replace(rec, controls=ControlBasis(grid31, "w1", DT, 2 * T_FINAL, 8))
+        recover_linear_potential(pairings, bg, finer, 1e-6)
+    longer = ControlBasis(grid31, "w2", DT, 2 * T_FINAL, 8)
     with pytest.raises(InversionError, match="time grid"):
-        recover_linear_potential(longer, bg, 1e-6)
-    other = dataclasses.replace(rec, controls=ControlBasis(grid31, "w1", DT, T_FINAL, 16))
-    with pytest.raises(InversionError, match="not the background's basis"):
-        recover_linear_potential(other, bg, 1e-6)
+        recover_linear_potential(pairings, bg, longer, 1e-6)
 
 
 def test_recover_rejects_a_probe_basis_on_another_time_grid(op31, grid31, monkeypatch):
     # same windows, level and pairings shape: only the probes' grid differs
-    # from the background's, and the record is refused before any solve
-    rec, bg = _zero_case(op31, grid31)
+    # from the background's, and the probes are refused before any solve
+    pairings, bg, basis2 = _zero_case(op31, grid31)
     monkeypatch.setattr(inversion, "BackgroundStates", None)
     for probes in (ControlBasis(grid31, "w2", 0.01, T_FINAL, 8),
                    ControlBasis(grid31, "w2", DT, 2 * T_FINAL, 8)):
-        assert len(probes) == len(rec.probes)
-        moved = dataclasses.replace(rec, probes=probes)
-        with pytest.raises(InversionError, match="^record time grid"):
-            recover_linear_potential(moved, bg, 1e-6)
+        assert len(probes) == len(basis2)
+        with pytest.raises(InversionError, match="^probe basis time grid"):
+            recover_linear_potential(pairings, bg, probes, 1e-6)
 
 
 def test_recover_rejects_bad_frame_and_background(op31, grid31):
-    rec, bg = _zero_case(op31, grid31)
+    pairings, bg, basis2 = _zero_case(op31, grid31)
     # the recovery takes no frame: it estimates on the forward time axis, the
     # runner orients the estimate, and the reader rejects an unknown frame
     moving = BackgroundStates(op31, np.zeros((NT + 1, grid31.omega.size)), bg.basis)
     with pytest.raises(InversionError, match="must be static"):
-        recover_linear_potential(rec, moving, 1e-6)
+        recover_linear_potential(pairings, moving, basis2, 1e-6)
 
 
 def test_recover_detects_zero_probing_system(op31, grid31, monkeypatch):
-    rec, bg = _zero_case(op31, grid31)
+    pairings, bg, basis2 = _zero_case(op31, grid31)
     # zero targets synthesize zero states on both windows
     monkeypatch.setattr(inversion, "interior_targets",
                         lambda basis, nodes, width: np.zeros((3, NT + 1, grid31.omega.size)))
     with pytest.raises(InversionError, match="identically zero"):
-        recover_linear_potential(rec, bg, 1e-6)
+        recover_linear_potential(pairings, bg, basis2, 1e-6)
 
 
 # --------------------------------------------------------- nonlinearity
@@ -592,14 +573,14 @@ def test_ill_conditioned_error_carries_estimate():
     assert "3.200e+17" in str(err)
 
 
-# ------------------------------------------ the difference record at 101 nodes
+# ----------------------------------------- the difference pairings at 101 nodes
 # The test_09 static configuration.  Measurements are about 960 times their
-# difference from the background, so a subtracted record would carry every
+# difference from the background, so a subtracted matrix would carry every
 # rounding change of either side into the estimate.
 
 
 def _gaussian_case(grid, op, amplitude):
-    """The difference record of a static gaussian, and its recovery error."""
+    """The difference pairings of a static gaussian, and its recovery error."""
     dt = 5e-3
     basis1 = ControlBasis(grid, "w1", dt, T_FINAL, 16)
     basis2 = ControlBasis(grid, "w2", dt, T_FINAL, 16)
@@ -607,28 +588,28 @@ def _gaussian_case(grid, op, amplitude):
     background = BackgroundStates(op, None, basis1)
     diff = dn_difference_linear(q, background, basis2)
 
-    def error(record):
-        est = recover_linear_potential(record, background, alpha_inv=1e-1, synth_alpha=1e-12)
+    def error(pairings):
+        est = recover_linear_potential(pairings, background, basis2, alpha_inv=1e-1,
+                                       synth_alpha=1e-12)
         return np.linalg.norm(est.values - q) / np.linalg.norm(q)
 
     return diff, error
 
 
 def test_weak_static_potential_is_recovered(grid101, op101):
-    # a subtracted record gave 48% here
+    # a subtracted matrix gave 48% here
     diff, error = _gaussian_case(grid101, op101, 0.05)
     assert error(diff) <= 0.10
 
 
 def test_recovery_is_stable_under_ulp_perturbation_of_the_record(grid101, op101):
-    # a subtracted record moved from 0.020 to between 0.013 and 0.037
+    # a subtracted matrix moved from 0.020 to between 0.013 and 0.037
     diff, error = _gaussian_case(grid101, op101, 0.5)
     base = error(diff)
     assert base <= 0.10
     rng = np.random.default_rng(5)
     for _ in range(3):
-        noisy = dataclasses.replace(
-            diff, pairings=diff.pairings * (1 + 1e-16 * rng.normal(size=diff.pairings.shape)))
+        noisy = diff * (1 + 1e-16 * rng.normal(size=diff.shape))
         assert abs(error(noisy) - base) < 0.01 * base
 
 

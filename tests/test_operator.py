@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from conftest import OMEGA, W1, W2, standard_grid
-from viscowave import (GridError, OperatorError, assemble_fraclap, build_grid,
+from viscowave import (OperatorError, assemble_fraclap, build_grid,
                        dualnorm_hminus, fraclap_normalization, norm_l2, seminorm_hs)
 
 ORDERS = (0.3, 0.5, 0.8)
@@ -175,7 +175,7 @@ def test_seminorm_parallelogram(op31, rng):
 
 def test_poincare_ratio_bounded_by_recorded_constant(op61, rng):
     g = op61.grid
-    bound = np.sqrt(op61.poincare_constant)
+    bound = np.sqrt(1.0 / op61.lambda_min)
     for _ in range(100):
         v = np.zeros(g.n_nodes)
         v[g.omega] = rng.normal(size=g.omega.size)
@@ -183,13 +183,13 @@ def test_poincare_ratio_bounded_by_recorded_constant(op61, rng):
 
 
 def test_poincare_constant_is_sharp(op61):
-    # the recorded constant is attained by the lowest interior eigenvector
+    # the constant 1 / lambda_min is attained by the lowest interior eigenvector
     evals, evecs = np.linalg.eigh(op61.omega_block)
     g = op61.grid
     v = np.zeros(g.n_nodes)
     v[g.omega] = evecs[:, 0]
     ratio = norm_l2(g, v) / seminorm_hs(op61, v)
-    assert_allclose(ratio, np.sqrt(op61.poincare_constant), rtol=1e-8)
+    assert_allclose(ratio, np.sqrt(1.0 / op61.lambda_min), rtol=1e-8)
 
 
 def test_dual_norm_inverts_seminorm(op31, rng):

@@ -61,6 +61,12 @@ def test_n_steps_for_divisibility():
     assert n_steps_for(0.0025, 1.0) == 400
     with pytest.raises(SolverError, match="does not divide"):
         n_steps_for(0.03, 1.0)
+    with pytest.raises(SolverError, match="does not divide"):
+        n_steps_for(0.6, 1.0)
+    # a horizon of one step divides, and is too short
+    with pytest.raises(SolverError, match=r"^dt=1.0 gives 1 step\(s\) over t_final=1.0; "
+                                          "need at least 2$"):
+        n_steps_for(1.0, 1.0)
 
 
 def test_trapezoid_weights_sum():
@@ -910,8 +916,9 @@ def _every_element_difference(op, q, q_bg, basis, states, dt):
 
 
 def _every_element_pairings(op, basis1, basis2, dt, u, v, controls):
-    """Pairings of every element's full-grid history, one at a time: its
-    interior (u, v) and, with controls, its own control on the exterior."""
+    """Pairings of every element's full-grid history, one at a time, against
+    the reversed probes: its interior (u, v) and, with controls, its own
+    control on the exterior."""
     nt = n_steps_for(dt, T_FINAL)
     rows = []
     for e in range(len(basis1)):
@@ -954,11 +961,11 @@ def test_shifted_passes_match_stepping_every_element(request, case):
     # the measurement matrix of q
     u, v = _every_element(op, q, basis1, dt)
     ref = _every_element_pairings(op, basis1, basis2, dt, u, v, True)
-    _assert_within(dn_matrix_linear(op, q, basis1, basis2).pairings, ref)
+    _assert_within(dn_matrix_linear(op, q, basis1, basis2), ref)
     # the difference of q from the q = 0 background, driven by its states
     w, z = _every_element_difference(op, q, None, basis1, u0.transpose(1, 0, 2), dt)
     ref = _every_element_pairings(op, basis1, basis2, dt, w, z, False)
-    _assert_within(dn_difference_linear(q, background, basis2).pairings, ref)
+    _assert_within(dn_difference_linear(q, background, basis2), ref)
 
 
 def test_shift_plan_of_a_level_and_of_a_horizon_off_by_rounding(grid101, grid31):
