@@ -69,9 +69,9 @@ def _pair_fluxes(flux, probe_basis):
     both axes by the basis elements, in their node-major, spline-minor order.
     """
     weighted = probe_basis.values * trapezoid_weights(probe_basis.n_steps)[None, :]
-    block = probe_basis.dt * np.tensordot(weighted, flux, axes=(1, -2))  # (n_tspl, ..., n_nodes)
+    block = probe_basis.dt * (weighted @ flux)                  # (..., n_tspl, n_nodes)
     # a level's spline rows read backwards are its splines reversed in time
-    return np.moveaxis(block[::-1], 0, -1).reshape(flux.shape[:-2] + (-1,))
+    return np.swapaxes(block[..., ::-1, :], -1, -2).reshape(flux.shape[:-2] + (-1,))
 
 
 def _pair_against_basis(op, traj, probe_basis):
@@ -122,11 +122,11 @@ def dn_difference_linear(q, background, probe_basis):
     that of the background potential, in the same layout.  It is measured,
     not subtracted: it pairs the responses of the difference equation
     (:func:`solver.solve_linear_difference`), driven by the background's
-    stored states, so it keeps its relative accuracy however close q is to
+    states, so it keeps its relative accuracy however close q is to
     the background potential.
     """
     op, control_basis = background.op, background.basis
-    flux = solve_linear_difference(op, q, background.q, control_basis, background.states,
+    flux = solve_linear_difference(op, q, background.q, control_basis, background.states_of,
                                    _probe_flux(op, control_basis, probe_basis))
     return _pair_fluxes(flux, probe_basis)
 

@@ -219,14 +219,17 @@ def _basis_drive(op, basis, elements):
 def _difference_drive(dq, u, dt):
     """Step right-hand sides of w = u_q - u_bg, from the background displacements.
 
-    u is a background displacement history on omega, (nt+1, m, n_omega),
-    and dq the (nt+1, n_omega) samples of q - q_bg.  Subtracting the
-    background step from the q step leaves w stepping with q and the forcing
+    u is a fresh time-major block of background displacements on omega,
+    (nt+1, m, n_omega), which the drive overwrites, and dq the
+    (nt+1, n_omega) samples of q - q_bg.  Subtracting the background step
+    from the q step leaves w stepping with q and the forcing
     -dt/2 (dq_k u_k + dq_{k+1} u_{k+1}) at step k; the background velocity
     enters only through u_{k+1} = u_k + dt/2 (v_k + v_{k+1}).
     """
-    dq_u = dq[:, None, :] * u
-    return -0.5 * dt * (dq_u[:-1] + dq_u[1:])
+    u *= dq[:, None, :]
+    drive = u[:-1] + u[1:]
+    drive *= -0.5 * dt
+    return drive
 
 
 def _step_matrix(op, dt):
@@ -431,8 +434,10 @@ def solve_linear_basis(op, q, basis, observe):
 def solve_linear_difference(op, q, q_background, basis, states, observe):
     """Change of a basis's responses when q replaces q_background, observed.
 
-    states holds the basis's background displacements on omega, element
-    first, (n, nt+1, n_omega), as ``inversion.BackgroundStates`` keeps them.
+    states(elements) returns the background displacements on omega of the
+    basis elements at the indices elements as a fresh time-major
+    (nt+1, len(elements), n_omega) block, as
+    ``inversion.BackgroundStates.states_of`` does.
     Returns observe(w, z) of every element as :func:`solve_linear_basis`
     does, with w, z the displacement and velocity differences of the
     responses with q from the background ones; elements shift only when both
@@ -449,7 +454,7 @@ def solve_linear_difference(op, q, q_background, basis, states, observe):
     plan = shift_plan(basis, static and bg_static)
     return _basis_pass(
         _step_maps(op, q, dt, nt), plan,
-        lambda seeds: _difference_drive(dq, states[seeds].transpose(1, 0, 2), dt), dt, observe)
+        lambda seeds: _difference_drive(dq, states(seeds), dt), dt, observe)
 
 
 # Newton's stopping test on the max-norm step residual, and its iteration cap

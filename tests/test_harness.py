@@ -306,11 +306,11 @@ def _linear_cfg(**overrides):
 
 
 def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
-    # three passes over a basis: the background states on w1, which the data
-    # and the synthesis share, the data's difference from them on w1, and the
-    # background states on w2 for the synthesis; none samples a control on
-    # the full grid
-    materialized, stepped, factored = [], [], []
+    # one pass over a basis, the data's difference on w1 from the q = 0
+    # background states, which the data and the synthesis share; they and
+    # the background states on w2 come from one eigendecomposition each, and
+    # nothing samples a control on the full grid
+    materialized, stepped, factored, decomposed = [], [], [], []
 
     def counting(calls, fn, size=lambda *a: 1):
         def wrapper(*args, **kwargs):
@@ -323,15 +323,18 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
         stepped, solver._step_linear,
         lambda maps, drive, *rest: drive.shape[1] if drive.ndim == 3 else 1))
     monkeypatch.setattr(solver, "lu_factor", counting(factored, solver.lu_factor))
+    monkeypatch.setattr(inversion, "_energy_modes",
+                        counting(decomposed, inversion._energy_modes))
     cfg = _linear_cfg()
     run_scenario(cfg, str(tmp_path / "out"))
     grid = build_grid(*(cfg["grid"][k] for k in ("box", "omega", "w1", "w2", "n_nodes")))
     n_basis = len(ControlBasis(grid, "w1", cfg["dt"], cfg["t_final"], 8))
     assert n_basis == len(ControlBasis(grid, "w2", cfg["dt"], cfg["t_final"], 8))
     assert materialized == []
-    assert sum(stepped) == 3 * n_basis
-    # one static factorization per pass: q = 0 twice, the gaussian once
-    assert len(factored) == 3
+    assert sum(stepped) == n_basis
+    # one static factorization, the gaussian's, and one decomposition per window
+    assert len(factored) == 1
+    assert len(decomposed) == 2
 
 
 def _count_stepped_rows(monkeypatch):
@@ -354,8 +357,8 @@ def _count_stepped_rows(monkeypatch):
 
 def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
     # at 10 segments a knot is 5 of the 50 steps, so each spline is the
-    # first one delayed by whole steps: the three passes step one seed per
-    # window node, and the static potentials still factor once per pass
+    # first one delayed by whole steps: the one pass, the difference, steps
+    # one seed per window node, and the static potential factors once
     stepped, factored = _count_stepped_rows(monkeypatch)
     cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10}})
     run_scenario(cfg, str(tmp_path / "out"))
@@ -363,14 +366,14 @@ def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
     bases = [ControlBasis(grid, w, cfg["dt"], cfg["t_final"], 10) for w in ("w1", "w2")]
     n_nodes, n_seeds = len(bases[0].nodes), 1
     assert n_nodes == len(bases[1].nodes) and len(bases[0]) == 5 * n_nodes
-    assert stepped == [n_nodes * n_seeds] * 3
-    assert len(factored) == 3
+    assert stepped == [n_nodes * n_seeds]
+    assert len(factored) == 1
 
 
 def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
     # a ramp potential shifts nothing: its difference pass steps every
-    # element, CONTROL_BLOCK rows at a time, while the q = 0 background
-    # passes step their seeds
+    # element, CONTROL_BLOCK rows at a time, and the q = 0 backgrounds step
+    # nothing
     stepped, _ = _count_stepped_rows(monkeypatch)
     monkeypatch.setattr(solver, "CONTROL_BLOCK", 8)
     cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10, "frame": "reversed",
@@ -378,10 +381,8 @@ def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
                                  "model": {"q": {"time": "ramp"}}})
     run_scenario(cfg, str(tmp_path / "out"))
     basis = ControlBasis(_setup(cfg)[0].grid, "w1", cfg["dt"], cfg["t_final"], 10)
-    n_nodes = len(basis.nodes)
     assert max(stepped) <= 8
-    assert sorted(stepped) == sorted([8] * (len(basis) // 8) + [len(basis) % 8]
-                                     + [n_nodes] * 2)
+    assert sorted(stepped) == sorted([8] * (len(basis) // 8) + [len(basis) % 8])
 
 
 def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
@@ -406,8 +407,10 @@ def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
     shared = seen[0]
     assert len(seen) == 2 and seen[1] is shared and shared.q is None
     assert (shared.basis.window, shared.basis.n_segments) == ("w1", 8)
-    for name in ("states", "gram", "control_gram", "time_weights"):
+    for name in ("gram", "control_gram", "time_weights"):
         assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), name
+    every = np.arange(len(fresh.basis))
+    assert shared.states_of(every).tobytes() == fresh.states_of(every).tobytes()
 
 
 def _velocity_form_difference(op, q, basis1, basis2, dt, t_final):

@@ -1,11 +1,13 @@
 """Recovery machinery: control synthesis, potential and nonlinearity estimates."""
 
 import contextlib
+import gc
 import io
 import json
 import pathlib
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from viscowave import (BackgroundStates, IllConditionedError,
 from viscowave import inversion
 from viscowave.controls import ControlBasis, materialize, time_bump
 from viscowave.inversion import _probing_kernel
-from viscowave.solver import n_steps_for, shift_plan, trapezoid_weights
+from viscowave.solver import n_steps_for, shift_plan, solve_linear_basis, trapezoid_weights
 
 DT, NT = 0.02, 50
 T_FINAL = 1.0
@@ -208,15 +210,32 @@ def _assert_close(got, ref, rtol):
     assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
 
 
+def _all_states(bg):
+    """Every element's displacement history of a background, element first."""
+    return bg.states_of(np.arange(len(bg.basis))).transpose(1, 0, 2)
+
+
+def _reference_synthesis(bg, states, stack, dt):
+    """Right-hand side and achieved states of the synthesis at alpha 1e-8 from
+    the reference weighting of states, solved with bg's Gram."""
+    op = bg.op
+    sw_flat = _reference_weighting(op, states, dt)[1]
+    rhs = sw_flat @ (stack @ (op.grid.h * op.omega_block)).reshape(len(stack), -1).T
+    scale = np.trace(bg.gram) / np.trace(bg.control_gram)
+    coeffs = cho_solve(cho_factor(bg.gram + 1e-8 * scale * bg.control_gram), rhs).T
+    return rhs, (coeffs @ states.reshape(len(states), -1)).reshape(stack.shape)
+
+
 @pytest.mark.parametrize("window", ["w1", "w2"])
 @pytest.mark.parametrize("static_q", [False, True])
 def test_background_states_match_reference_loop_bitwise(op31, grid31, window, static_q):
-    # the basis pass sums in another order than one solve per control
+    # the basis pass, and at q = 0 the modes, sum in another order than one
+    # solve per control
     q = 0.3 * np.ones(grid31.omega.size) if static_q else None
     basis = ControlBasis(grid31, window, DT, T_FINAL, 8)
     bg = BackgroundStates(op31, q, basis)
     states, gram = _reference_background(op31, q, basis, DT, T_FINAL)
-    _assert_close(bg.states, states, 1e-12)
+    _assert_close(_all_states(bg), states, 1e-12)
     _assert_close(bg.gram, gram, 1e-12)
 
 
@@ -224,20 +243,18 @@ def test_background_states_match_reference_loop_bitwise(op31, grid31, window, st
 def test_synthesis_matches_reference_path(op31, grid31, static_q, monkeypatch):
     # the right-hand side weights the targets' energy in time, not a stored
     # weighted copy of the states; the Gram is a product of energy
-    # coordinates, so it matches the reference to rounding, and the reference
-    # solve uses it; coefficients are too ill-conditioned to pin
+    # coordinates, or at q = 0 a sum over modes, so it matches the reference
+    # to rounding, and the reference solve uses it; coefficients are too
+    # ill-conditioned to pin
     from viscowave import inversion
 
     q = 0.3 * np.ones(grid31.omega.size) if static_q else None
     basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
     bg = BackgroundStates(op31, q, basis)
-    gram, sw_flat = _reference_weighting(op31, bg.states, DT)
-    _assert_close(bg.gram, gram, 1e-12)
+    states = _all_states(bg)
+    _assert_close(bg.gram, _reference_weighting(op31, states, DT)[0], 1e-12)
     stack = interior_targets(basis, nodes=grid31.omega[::3])
-    rhs = sw_flat @ (stack @ (grid31.h * op31.omega_block)).reshape(len(stack), -1).T
-    scale = np.trace(bg.gram) / np.trace(bg.control_gram)
-    coeffs = cho_solve(cho_factor(bg.gram + 1e-8 * scale * bg.control_gram), rhs).T
-    achieved = (coeffs @ bg.states.reshape(len(basis), -1)).reshape(stack.shape)
+    rhs, achieved = _reference_synthesis(bg, states, stack, DT)
 
     solved = []
     monkeypatch.setattr(inversion, "cho_solve",
@@ -260,20 +277,20 @@ def _benchmark_background(op101, grid101, ramp):
 
 @pytest.mark.parametrize("ramp", [False, True])
 def test_gram_at_benchmark_size_matches_reference(op101, grid101, ramp):
-    # with q = 0 the pass steps 40 seeds and delays them into the other 180
-    # elements; the ramp steps all 220
+    # with q = 0 the Gram is a sum over the modes of L_omega, with no pass;
+    # the ramp's pass steps all 220 elements
     bg = _benchmark_background(op101, grid101, ramp)
+    assert bg.modal is not ramp
     seed, _lag = shift_plan(bg.basis, not ramp)
     assert np.count_nonzero(seed == np.arange(seed.size)) == (len(bg.basis) if ramp else 40)
-    _assert_close(bg.gram, _reference_weighting(op101, bg.states, BENCH_DT)[0], 1e-12)
+    _assert_close(bg.gram, _reference_weighting(op101, _all_states(bg), BENCH_DT)[0], 1e-12)
     assert bg.gram.tobytes() == bg.gram.T.tobytes()
 
 
-def test_background_init_peak_is_states_and_one_more_array(op101, grid101):
+def test_modal_background_init_peak_holds_no_state_stack(op101, grid101):
     # traced peak of one benchmark-size BackgroundStates(w1) with q = 0:
-    # measured 28.9 MB, 2.47 times its 11.7 MB states: the states, their
-    # energy coordinates and the basis pass's last block of 40 seeds (4.2 MB);
-    # one more element-major array would take it past 3.4 times
+    # measured 1.8 MB, against 24.8 MB for the nodal pass at a static
+    # q = 0.3; the 220-element state stack alone would be 11.7 MB
     _benchmark_background(op101, grid101, False)
     tracemalloc.start()
     try:
@@ -281,7 +298,49 @@ def test_background_init_peak_is_states_and_one_more_array(op101, grid101):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.0 * bg.states.nbytes
+    assert bg.modal and not hasattr(bg, "states")
+    assert peak < 3.0e6
+
+
+# measured maxima, relative to the largest entry, of the q = 0 background's
+# modal Gram, states and achieved states (alpha 1e-8, the same Gram) against
+# the nodal pass: 31 nodes 1.5e-15, 1.9e-15, 1.5e-12; 101 nodes 5.2e-15,
+# 6.4e-15, 8.9e-12
+MODAL_RTOL = {31: (3e-15, 3e-15, 3e-12), 101: (1e-14, 1e-14, 2e-11)}
+
+
+@pytest.mark.parametrize("window", ["w1", "w2"])
+@pytest.mark.parametrize("n_nodes", [31, 101])
+def test_modal_background_matches_the_nodal_pass(request, window, n_nodes):
+    op = request.getfixturevalue(f"op{n_nodes}")
+    dt, n_segments = (DT, 8) if n_nodes == 31 else (BENCH_DT, 16)
+    basis = ControlBasis(op.grid, window, dt, T_FINAL, n_segments)
+    bg = BackgroundStates(op, None, basis)
+    assert bg.modal
+    states = solve_linear_basis(op, None, basis, lambda u, v: u)
+    gram_rtol, states_rtol, achieved_rtol = MODAL_RTOL[n_nodes]
+    _assert_close(bg.gram, _reference_weighting(op, states, dt)[0], gram_rtol)
+    _assert_close(_all_states(bg), states, states_rtol)
+    stack = interior_targets(basis, nodes=op.grid.omega[::3])
+    achieved = _reference_synthesis(bg, states, stack, dt)[1]
+    _assert_close(bg.synthesize(stack, 1e-8)[1], achieved, achieved_rtol)
+
+
+@pytest.mark.parametrize("q", [None, 0.3])
+def test_background_is_freed_without_the_cyclic_gc(op31, grid31, q):
+    # a background holds nothing that refers back to it, so dropping the last
+    # reference frees it at once, states and all
+    bg = BackgroundStates(op31, q, ControlBasis(grid31, "w1", DT, T_FINAL, 8))
+    assert bg.modal is (q is None)
+    ref = weakref.ref(bg)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del bg
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
@@ -291,6 +350,9 @@ def test_energy_factor_rejects_a_non_finite_or_indefinite_block(bad):
     with pytest.raises(InversionError,
                        match="^interior energy matrix is not finite and positive definite$"):
         inversion._energy_factor(k_omega)
+    with pytest.raises(InversionError,
+                       match="^interior energy matrix is not finite and positive definite$"):
+        inversion._energy_modes(k_omega)
 
 
 @pytest.mark.parametrize("nseg", [8, 16])
@@ -358,8 +420,8 @@ def test_exact_recovery_from_synthetic_first_order_data(op31, grid31):
 
     q_true = 1.0 + 0.5 * np.sin(np.pi * grid31.x[om])
     wt = DT * trapezoid_weights(NT)
-    inner = grid31.h * np.einsum("atj,j,t,btj->ab", bg1.states, q_true, wt,
-                                 bg2.states[:, ::-1, :], optimize=True)
+    inner = grid31.h * np.einsum("atj,j,t,btj->ab", _all_states(bg1), q_true, wt,
+                                 _all_states(bg2)[:, ::-1, :], optimize=True)
     est = recover_linear_potential(inner, bg1, basis2, alpha_inv=1e-12, synth_alpha=1e-12)
     rel = np.linalg.norm(est.values - q_true) / np.linalg.norm(q_true)
     assert rel < 1e-5
