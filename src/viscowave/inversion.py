@@ -63,36 +63,6 @@ def cho_solve(u, b):
     return np.linalg.solve(u, y)
 
 
-_NOT_ENERGY = "interior energy matrix is not finite and positive definite"
-
-
-def _energy_factor(k_omega):
-    """Lower Cholesky factor C of the interior energy matrix, k_omega = C C^T.
-
-    A non-finite or indefinite k_omega raises :class:`InversionError`.
-    """
-    if np.isfinite(k_omega).all():
-        try:
-            return np.linalg.cholesky(k_omega)
-        except np.linalg.LinAlgError:
-            pass
-    raise InversionError(_NOT_ENERGY)
-
-
-def _energy_modes(l_omega):
-    """Eigenvalues lam and orthonormal eigenvectors V of L's omega block,
-    l_omega = V diag(lam) V^T, lam ascending.
-
-    A block that is not finite and positive definite raises
-    :class:`InversionError`, as :func:`_energy_factor` does.
-    """
-    if np.isfinite(l_omega).all():
-        lam, vecs = np.linalg.eigh(l_omega)
-        if lam[0] > 0.0:
-            return lam, vecs
-    raise InversionError(_NOT_ENERGY)
-
-
 def _modal_responses(lam, basis):
     """g[m, c, t]: the displacement of the mode of L_omega with eigenvalue
     lam[m] driven by time spline c of basis, per unit of the coupling a[j, m]
@@ -128,19 +98,19 @@ class BackgroundStates:
     time grid: the Gram sum_t w_t S_t K S_t^T, with K = h omega_block and w
     the trapezoid weights, and the states themselves, which also drive the
     difference equation of ``dnmap.dn_difference_linear`` (through
-    :meth:`states_of`; it reads q from here).  An omega block that is not
-    finite and positive definite raises :class:`InversionError`.
+    :meth:`states_of`; it reads q from here).
 
-    At a static q that is zero everywhere, the damping and the stiffness are
-    both L, so the states live in the eigenbasis L_omega = V diag(lam) V^T:
-    element (node j, spline c) reaches sum_m a[j, m] g[m, c, t] V[:, m], with
-    a = -dt/2 L[basis nodes, omega] V and g of :func:`_modal_responses`.  K
-    is diag(h lam) there, so the Gram is sum_m h lam_m (a_m a_m^T) kron
-    (g_m W g_m^T), with W = diag(w), and no state history is kept.  Any other q steps the
-    basis in one pass, ``solver.solve_linear_basis``, keeps every element's
-    displacement history, and forms the Gram as E E^T of the energy
-    coordinates E_t = sqrt(w_t) S_t C, where K = C C^T is the Cholesky
-    factor.
+    Both work in the operator's eigenbasis L_omega = V diag(lam) V^T, where K
+    is diag(h lam): a state S_t is held by its mode coordinates S_t V.  At a
+    static q that is zero everywhere, the damping and the stiffness are both
+    L, so each mode steps on its own: element (node j, spline c) reaches
+    sum_m a[j, m] g[m, c, t] V[:, m], with a = -dt/2 L[basis nodes, omega] V
+    and g of :func:`_modal_responses`.  The Gram is then sum_m h lam_m
+    (a_m a_m^T) kron (g_m W g_m^T), with W = diag(w), and no state history is
+    kept.  Any other q steps the basis in one pass,
+    ``solver.solve_linear_basis``, keeps every element's mode coordinates, and
+    forms the Gram as E E^T of the energy coordinates
+    E_t = S_t V diag(sqrt(w_t h lam)).
     """
 
     def __init__(self, op, q, basis):
@@ -148,18 +118,20 @@ class BackgroundStates:
         self.q = q
         self.basis = basis
         self.time_weights = basis.dt * trapezoid_weights(basis.n_steps)
+        self._weights = op.grid.h * op.eigenvalues
         qs, static = solver._expand_potential(q, basis.n_steps, op.grid.omega.size)
         self.modal = static and not qs[0].any()
         if self.modal:
-            lam, self._modes = _energy_modes(op.omega_block)
-            self._weights = op.grid.h * lam
             self._coupling = -0.5 * basis.dt * (
-                op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ self._modes)
-            self._responses = _modal_responses(lam, basis)
+                op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes)
+            self._responses = _modal_responses(op.eigenvalues, basis)
             self.gram = self._modal_gram()
         else:
-            self.states = solve_linear_basis(op, q, basis, lambda u, v: u)
-            self.gram = self._nodal_gram()
+            self.states = solve_linear_basis(op, q, basis, lambda u, v: u @ op.modes)
+            # one symmetric product (numpy's SYRK, exactly symmetric)
+            energy = self.states * np.sqrt(self.time_weights[:, None] * self._weights)
+            flat = energy.reshape(len(basis), -1)
+            self.gram = flat @ flat.T
         self.control_gram = self._control_gram()
 
     def _modal_gram(self):
@@ -174,16 +146,6 @@ class BackgroundStates:
         gram = gram.reshape(len(self.basis), len(self.basis))
         return 0.5 * (gram + gram.T)
 
-    def _nodal_gram(self):
-        # one symmetric product of energy coordinates (numpy's SYRK, exactly
-        # symmetric); it is within 1.1e-15 of its largest entry of the
-        # time-weighted states against states @ K, which moves synthesized
-        # states by up to 1.8e-8 relative at alpha 1e-8 and 9.3e-5 at 1e-12
-        energy = self.states @ _energy_factor(self.op.grid.h * self.op.omega_block)
-        energy *= np.sqrt(self.time_weights)[None, :, None]
-        flat = energy.reshape(len(self.basis), -1)
-        return flat @ flat.T
-
     def _control_gram(self):
         tm = self.basis.values
         gt = (tm * self.time_weights[None, :]) @ tm.T
@@ -193,12 +155,14 @@ class BackgroundStates:
     def states_of(self, elements):
         """Displacements on omega of the basis elements at the indices
         elements: a fresh time-major (nt+1, len(elements), n_omega) block."""
-        if not self.modal:
-            return self.states[elements].transpose(1, 0, 2)
-        node, spline = np.divmod(np.asarray(elements), self._responses.shape[1])
-        modal = self._responses[:, spline]                              # (m, e, t)
-        modal *= self._coupling[node].T[:, :, None]
-        return modal.transpose(2, 1, 0) @ self._modes.T
+        if self.modal:
+            node, spline = np.divmod(np.asarray(elements), self._responses.shape[1])
+            modal = self._responses[:, spline]                          # (m, e, t)
+            modal *= self._coupling[node].T[:, :, None]
+            modal = modal.transpose(2, 1, 0)
+        else:
+            modal = self.states[elements].transpose(1, 0, 2)
+        return modal @ self.op.modes.T
 
     def synthesize(self, target, alpha):
         """Coefficients minimizing tracking error plus alpha * control cost.
@@ -208,7 +172,8 @@ class BackgroundStates:
         achieved states and the tracking errors, one per target.  alpha is
         dimensionless: the control-cost Gram is rescaled so its trace matches
         the state Gram before weighting, making alpha the relative spectral
-        cutoff of the synthesis.
+        cutoff of the synthesis.  The solve runs in the eigenbasis of
+        L_omega, where K is diagonal.
         """
         target = np.asarray(target, dtype=float)
         shape = (self.basis.n_steps + 1, len(self.op.grid.omega))
@@ -216,30 +181,22 @@ class BackgroundStates:
             raise InversionError(f"target shape {target.shape} does not match {shape}")
         scale = np.trace(self.gram) / np.trace(self.control_gram)
         factor = cho_factor(self.gram + alpha * scale * self.control_gram, "control")
+        modal = target @ self.op.modes                                     # (n, t, m)
         if self.modal:
-            return self._synthesize_modal(target, factor)
-        k_omega = self.op.grid.h * self.op.omega_block
-        # the time weights go onto the targets' energy, in place, so that the
-        # states are the only copy kept of them
-        energy = target @ k_omega
-        energy *= self.time_weights[None, :, None]
-        flat = self.states.reshape(len(self.basis), -1)
-        coeffs = cho_solve(factor, flat @ energy.reshape(len(target), -1).T).T
-        achieved = (coeffs @ flat).reshape(target.shape)
-        diff = achieved - target
-        err2 = np.einsum("itj,itj->it", diff, diff @ k_omega) @ self.time_weights
-        return coeffs, achieved, np.sqrt(np.maximum(err2, 0.0))
-
-    def _synthesize_modal(self, target, factor):
-        """synthesize's solve in the eigenbasis of L_omega, where K is diagonal."""
-        g, n_spl = self._responses, self._responses.shape[1]
-        modal = target @ self._modes                                       # (n, t, m)
-        paired = (g * self.time_weights) @ modal.transpose(2, 1, 0)        # (m, c, n)
-        rhs = np.einsum("jm,mcn->jcn", self._coupling * self._weights, paired)
+            g, n_spl = self._responses, self._responses.shape[1]
+            paired = (g * self.time_weights) @ modal.transpose(2, 1, 0)    # (m, c, n)
+            rhs = np.einsum("jm,mcn->jcn", self._coupling * self._weights, paired)
+        else:
+            flat = self.states.reshape(len(self.basis), -1)
+            energy = modal * (self.time_weights[:, None] * self._weights)
+            rhs = flat @ energy.reshape(len(target), -1).T
         coeffs = cho_solve(factor, rhs.reshape(len(self.basis), -1)).T
-        per_mode = self._coupling.T @ coeffs.reshape(len(target), -1, n_spl)  # (n, m, c)
-        reached = (per_mode.transpose(1, 0, 2) @ g).transpose(1, 2, 0)      # (n, t, m)
-        achieved = reached @ self._modes.T
+        if self.modal:
+            per_mode = self._coupling.T @ coeffs.reshape(len(target), -1, n_spl)  # (n, m, c)
+            reached = (per_mode.transpose(1, 0, 2) @ g).transpose(1, 2, 0)  # (n, t, m)
+        else:
+            reached = (coeffs @ flat).reshape(modal.shape)
+        achieved = reached @ self.op.modes.T
         modal -= reached
         modal *= modal
         err2 = (modal @ self._weights) @ self.time_weights

@@ -58,12 +58,21 @@ def _collocation_weights(s, h, nmax):
 
 @dataclass(frozen=True)
 class FracLapOperator:
-    """Assembled operator with its grid, order, and interior spectral data."""
+    """Assembled operator with its grid, order, and the eigenpairs of its
+    omega block.
+
+    omega_block = modes diag(eigenvalues) modes^T, with the eigenvalues
+    ascending and the modes orthonormal columns; lambda_min is the smallest
+    eigenvalue.  Everything that works in the interior energy basis reads
+    them here, so each operator is decomposed once.
+    """
 
     grid: Grid
     s: float
     matrix: np.ndarray = field(repr=False, compare=False)
     lambda_min: float
+    eigenvalues: np.ndarray = field(repr=False, compare=False)
+    modes: np.ndarray = field(repr=False, compare=False)
 
     @property
     def omega_block(self):
@@ -88,11 +97,13 @@ def assemble_fraclap(grid, s):
     L.setflags(write=False)
 
     om = grid.omega
-    block = L[np.ix_(om, om)]
-    lam = float(np.linalg.eigvalsh(block)[0])
-    if not lam > 0.0:
-        raise OperatorError(f"interior block not positive definite: lambda_min={lam}")
-    return FracLapOperator(grid=grid, s=s, matrix=L, lambda_min=lam)
+    lam, modes = np.linalg.eigh(L[np.ix_(om, om)])
+    if not lam[0] > 0.0:
+        raise OperatorError(f"interior block not positive definite: lambda_min={lam[0]}")
+    lam.setflags(write=False)
+    modes.setflags(write=False)
+    return FracLapOperator(grid=grid, s=s, matrix=L, lambda_min=float(lam[0]),
+                           eigenvalues=lam, modes=modes)
 
 
 def norm_l2(grid, v):

@@ -308,9 +308,9 @@ def _linear_cfg(**overrides):
 def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     # one pass over a basis, the data's difference on w1 from the q = 0
     # background states, which the data and the synthesis share; they and
-    # the background states on w2 come from one eigendecomposition each, and
-    # nothing samples a control on the full grid
-    materialized, stepped, factored, decomposed = [], [], [], []
+    # the background states on w2 read the eigenpairs that assembly made, the
+    # run's only decomposition, and nothing samples a control on the full grid
+    materialized, stepped, factored, eigh, eigvalsh = [], [], [], [], []
 
     def counting(calls, fn, size=lambda *a: 1):
         def wrapper(*args, **kwargs):
@@ -323,8 +323,8 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
         stepped, solver._step_linear,
         lambda maps, drive, *rest: drive.shape[1] if drive.ndim == 3 else 1))
     monkeypatch.setattr(solver, "lu_factor", counting(factored, solver.lu_factor))
-    monkeypatch.setattr(inversion, "_energy_modes",
-                        counting(decomposed, inversion._energy_modes))
+    monkeypatch.setattr(np.linalg, "eigh", counting(eigh, np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(eigvalsh, np.linalg.eigvalsh))
     cfg = _linear_cfg()
     run_scenario(cfg, str(tmp_path / "out"))
     grid = build_grid(*(cfg["grid"][k] for k in ("box", "omega", "w1", "w2", "n_nodes")))
@@ -332,9 +332,10 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     assert n_basis == len(ControlBasis(grid, "w2", cfg["dt"], cfg["t_final"], 8))
     assert materialized == []
     assert sum(stepped) == n_basis
-    # one static factorization, the gaussian's, and one decomposition per window
+    # one static factorization, the gaussian's, and one eigendecomposition,
+    # the operator's
     assert len(factored) == 1
-    assert len(decomposed) == 2
+    assert (len(eigh), len(eigvalsh)) == (1, 0)
 
 
 def _count_stepped_rows(monkeypatch):
@@ -538,6 +539,23 @@ def test_runge_errors_are_those_of_each_level_synthesis(tmp_path):
     assert report["metrics"]["errors"] == [
         BackgroundStates(op, None, ControlBasis(run.grid, "w2", dt, t_final, n))
         .synthesize(target[None], alpha)[2][0] for n in (8, 16)]
+
+
+# run_runge's relative_errors at a nonzero model.q (the gaussian at 61 nodes,
+# dt 5e-3) when the nodal Gram was the product of Cholesky energy
+# coordinates; synthesis in the eigenbasis moved them by at most 3.5e-6
+# relative with the constant q and 9.9e-6 with the ramp
+RUNGE_AT_Q = {"constant": [0.2137793234137749, 0.0939225411227234, 0.09002664523797661],
+              "ramp": [0.21453219275273372, 0.09357205409332076, 0.08968647356441706]}
+
+
+@pytest.mark.parametrize("time", sorted(RUNGE_AT_Q))
+def test_runge_at_a_nonzero_potential_keeps_its_errors(tmp_path, time):
+    q = {"kind": "gaussian", "amplitude": 0.5, "center": 0.5, "width": 0.2, "time": time}
+    cfg = _merge(DEFAULTS, {"dt": 5e-3, "model": {"kind": "linear", "q": q},
+                            "experiment": {"kind": "runge"}})
+    report = run_scenario(cfg, str(tmp_path / "out"))
+    assert_allclose(report["metrics"]["relative_errors"], RUNGE_AT_Q[time], rtol=2e-5, atol=0)
 
 
 def test_sweep_refines_energy_residual(tmp_path):
@@ -984,18 +1002,14 @@ def test_cli_non_finite_normal_equations_exit_one(tmp_path, capsys, monkeypatch)
 
 
 def test_cli_indefinite_omega_block_exit_one(tmp_path, capsys, monkeypatch):
-    # the Gram's energy coordinates need a Cholesky factor of the omega
-    # block; an indefinite block is reported in one line, not a traceback
-    from viscowave.operator import FracLapOperator
+    # assembly decomposes the omega block once and checks it there; weights
+    # ten times too strong make the 31-node block indefinite (its smallest
+    # eigenvalue near -90), reported in one line, not a traceback
+    from viscowave import operator
 
-    block = FracLapOperator.omega_block.fget
-
-    def indefinite(op):
-        mat = block(op)
-        lam, vec = np.linalg.eigh(mat)
-        return mat - 2.0 * lam[0] * np.outer(vec[:, 0], vec[:, 0])
-
-    monkeypatch.setattr(FracLapOperator, "omega_block", property(indefinite))
+    weights = operator._collocation_weights
+    monkeypatch.setattr(operator, "_collocation_weights",
+                        lambda s, h, nmax: 10.0 * weights(s, h, nmax))
     path = write_yaml(tmp_path / "c.yaml", {
         "grid": {"n_nodes": 31}, "dt": 0.02,
         "model": {"kind": "linear", "q": {"kind": "gaussian", "amplitude": 0.5,
@@ -1004,8 +1018,10 @@ def test_cli_indefinite_omega_block_exit_one(tmp_path, capsys, monkeypatch):
     })
     code = main(["run", path, "--out", str(tmp_path / "out")])
     assert code == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "error: interior energy matrix is not finite and positive definite"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: interior block not positive definite: lambda_min=-90\.15\d*",
+                        err[0])
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -107,19 +107,34 @@ def test_every_definition_is_reached_or_kept():
 SOLVER_ONLY = {"shift_plan", "CONTROL_BLOCK", "SHIFT_RTOL", "_step_linear", "_basis_pass"}
 
 
+def _named(path):
+    """Each name, attribute and imported name in the module at path."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+
+
 def test_only_the_solver_knows_the_shift_plan():
     src = pathlib.Path(viscowave.__file__).parent
-    seen = set()
-    for path in src.glob("*.py"):
-        if path.name == "solver.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = ([node.id] if isinstance(node, ast.Name)
-                     else [node.attr] if isinstance(node, ast.Attribute)
-                     else [alias.name for alias in node.names]
-                     if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
-            seen.update((path.stem, name) for name in SOLVER_ONLY.intersection(names))
+    seen = {(path.stem, name) for path in src.glob("*.py") if path.name != "solver.py"
+            for name in SOLVER_ONLY.intersection(_named(path))}
     assert seen == set()
+
+
+# The omega block is decomposed once per operator, at assembly; everything
+# that works in its eigenbasis reads the operator's eigenpairs
+DECOMPOSITIONS = {"eigh", "eigvalsh"}
+
+
+def test_only_the_operator_decomposes_the_omega_block():
+    src = pathlib.Path(viscowave.__file__).parent
+    seen = {(path.stem, name) for path in src.glob("*.py")
+            for name in DECOMPOSITIONS.intersection(_named(path))}
+    assert seen == {("operator", "eigh")}
 
 
 # What inversion reads: measurements, made by dnmap, and its own basis passes
