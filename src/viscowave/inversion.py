@@ -14,7 +14,7 @@ import numpy as np
 
 from . import solver
 from .controls import time_bump
-from .solver import solve_linear_basis, trapezoid_weights
+from .solver import solve_linear_basis, solve_modal_basis, trapezoid_weights
 
 # Nothing here calls it: inversion reads measurements made by dnmap.  The name
 # stays bound because perfbench/test_smoke.py's tracer test restores it.
@@ -63,33 +63,6 @@ def cho_solve(u, b):
     return np.linalg.solve(u, y)
 
 
-def _modal_responses(lam, basis):
-    """g[m, c, t]: the displacement of the mode of L_omega with eigenvalue
-    lam[m] driven by time spline c of basis, per unit of the coupling a[j, m]
-    of the window node, at q = 0.
-
-    At q = 0 the damping and the stiffness are both L, so each mode steps on
-    its own: the step of ``solver._step_maps`` with L replaced by lam[m], and
-    the drive of ``solver._basis_drive`` without its row of L.  A response
-    that is not finite raises :class:`InversionError`.
-    """
-    h = 0.5 * basis.dt
-    inv = 1.0 / (1.0 + (h + h * h) * lam)[:, None]
-    p = -2.0 * h * lam[:, None] * inv
-    r = (1.0 - h * (1.0 + h) * lam)[:, None] * inv
-    x = basis.values + basis.dvalues
-    drive = (x[:, :-1] + x[:, 1:]).T[:, None, :] * inv        # (nt, n_modes, n_splines)
-    u = np.zeros((basis.n_steps + 1,) + drive.shape[1:])
-    v = np.zeros(drive.shape[1:])
-    for k in range(basis.n_steps):
-        v_next = u[k] * p + v * r + drive[k]
-        u[k + 1] = u[k] + h * (v + v_next)
-        v = v_next
-    if not np.isfinite(u).all():
-        raise InversionError("modal background responses are not finite")
-    return np.ascontiguousarray(u.transpose(1, 2, 0))
-
-
 class BackgroundStates:
     """Interior states reached by each element of a control basis.
 
@@ -102,15 +75,15 @@ class BackgroundStates:
 
     Both work in the operator's eigenbasis L_omega = V diag(lam) V^T, where K
     is diag(h lam): a state S_t is held by its mode coordinates S_t V.  At a
-    static q that is zero everywhere, the damping and the stiffness are both
-    L, so each mode steps on its own: element (node j, spline c) reaches
-    sum_m a[j, m] g[m, c, t] V[:, m], with a = -dt/2 L[basis nodes, omega] V
-    and g of :func:`_modal_responses`.  The Gram is then sum_m h lam_m
-    (a_m a_m^T) kron (g_m W g_m^T), with W = diag(w), and no state history is
-    kept.  Any other q steps the basis in one pass,
-    ``solver.solve_linear_basis``, keeps every element's mode coordinates, and
-    forms the Gram as E E^T of the energy coordinates
-    E_t = S_t V diag(sqrt(w_t h lam)).
+    static q that is zero everywhere it holds no state history, only the
+    coupling a[j, m] of each window node to each mode and each mode's
+    response g[m, c, t] to each spline, from ``solver.solve_modal_basis``
+    (which says how g is stepped): element (node j, spline c) reaches
+    sum_m a[j, m] g[m, c, t] V[:, m], and the Gram is
+    sum_m h lam_m (a_m a_m^T) kron (g_m W g_m^T), with W = diag(w).  Any
+    other q steps the basis in one pass, ``solver.solve_linear_basis``, keeps
+    every element's mode coordinates, and forms the Gram as E E^T of the
+    energy coordinates E_t = S_t V diag(sqrt(w_t h lam)).
     """
 
     def __init__(self, op, q, basis):
@@ -122,9 +95,7 @@ class BackgroundStates:
         qs, static = solver._expand_potential(q, basis.n_steps, op.grid.omega.size)
         self.modal = static and not qs[0].any()
         if self.modal:
-            self._coupling = -0.5 * basis.dt * (
-                op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes)
-            self._responses = _modal_responses(op.eigenvalues, basis)
+            self._coupling, self._responses = solve_modal_basis(op, basis)
             self.gram = self._modal_gram()
         else:
             self.states = solve_linear_basis(op, q, basis, lambda u, v: u @ op.modes)
@@ -281,10 +252,7 @@ def _time_hats(n_coarse, dt, n_steps):
 
 
 def _second_difference(n):
-    d2 = np.zeros((max(n - 2, 0), n))
-    for i in range(n - 2):
-        d2[i, i:i + 3] = (1.0, -2.0, 1.0)
-    return d2
+    return np.diff(np.eye(n), 2, axis=0)
 
 
 def _regularized_solve(kern, rhs, pen, alpha, what):
@@ -335,9 +303,10 @@ def recover_linear_potential(pairings, background, probe_basis, alpha_inv, synth
     With q_time_basis=None the unknown is static; an integer requests that
     many piecewise-linear time profiles on the forward time axis.
     """
-    if np.ndim(background.q) > 1:
-        raise InversionError("background potential must be static (scalar or one row)")
     basis1 = background.basis
+    if not solver._expand_potential(background.q, basis1.n_steps,
+                                    background.op.grid.omega.size)[1]:
+        raise InversionError("background potential must be static")
     if (probe_basis.dt, probe_basis.n_steps) != (basis1.dt, basis1.n_steps):
         raise InversionError("probe basis time grid does not match the background's")
     if basis1.window != "w1" or probe_basis.window != "w2":
@@ -359,7 +328,7 @@ def recover_linear_potential(pairings, background, probe_basis, alpha_inv, synth
 
     m = coeff1 @ pairings @ coeff2.T  # (n_targets, n_targets)
 
-    wt = dt * trapezoid_weights(n_steps)
+    wt = background.time_weights
     if q_time_basis is None:
         gamma = np.ones((1, n_steps + 1))
     else:

@@ -199,16 +199,22 @@ def _control_drive(op, control, dt, nt, source):
     return drive
 
 
+def _spline_steps(basis):
+    """(n_splines, nt) drive samples of a basis's splines: s_c[k] is spline
+    c's value plus derivative summed over both ends of step k."""
+    x = basis.values + basis.dvalues
+    return x[:, :-1] + x[:, 1:]
+
+
 def _basis_drive(op, basis, elements):
     """Step right-hand sides on omega of some elements of a node x spline basis.
 
     Element (node j, spline c) drives step k by -dt/2 s_c[k] L[j, omega],
-    with s_c[k] the spline's value plus derivative summed over both ends of
-    the step: one product of the step samples with L's rows, no full-grid
-    control.  Returns (nt, m, n_omega) on the basis's time grid.
+    with s_c[k] of :func:`_spline_steps`: one product of the step samples
+    with L's rows, no full-grid control.  Returns (nt, m, n_omega) on the
+    basis's time grid.
     """
-    x = basis.values + basis.dvalues
-    s = x[:, :-1] + x[:, 1:]                                  # (n_splines, nt)
+    s = _spline_steps(basis)
     index = np.arange(len(basis))[elements]
     n_spl = len(basis.tsplines)
     nodes = np.asarray(basis.nodes)[index // n_spl]
@@ -232,9 +238,9 @@ def _difference_drive(dq, u, dt):
     return drive
 
 
-def _step_matrix(op, dt):
-    """Interior step matrix I + (dt/2 + dt^2/4) L_omega, before the potential."""
-    return np.eye(op.grid.omega.size) + (0.5 * dt + 0.25 * dt * dt) * op.omega_block
+def _step_matrix(L, dt):
+    """Step matrix I + (dt/2 + dt^2/4) L of the block L, before the potential."""
+    return np.eye(L.shape[0]) + (0.5 * dt + 0.25 * dt * dt) * L
 
 
 def lu_factor(stack):
@@ -276,8 +282,9 @@ def _step_inverses(base_mat, qs, q_static, dt):
     return np.ascontiguousarray(inv.transpose(0, 2, 1))
 
 
-def _step_maps(op, q, dt, nt):
-    """The (P, R, inv) maps of the linear step with potential q, (nt, n, n) each.
+def _step_maps(L, q, dt, nt):
+    """The (P, R, inv) maps of the linear step with the (n, n) block L and
+    potential q, (nt, n, n) each.
 
     With h = dt/2 and states as rows, step k of :func:`_step_linear` is
 
@@ -285,17 +292,17 @@ def _step_maps(op, q, dt, nt):
         u_{k+1} = u_k + h (v_k + v_{k+1}),
 
     where P_k = -h (2L + diag(q_k + q_{k+1})) inv_k,
-    R_k = (I - h (1 + h) L - h^2 diag(q_{k+1})) inv_k, L is the omega block
-    and inv_k the transposed step inverse of :func:`_step_inverses`: the
-    trapezoidal step, solved for the new velocity.  A static q gives one
-    matrix of each, broadcast over the steps.
+    R_k = (I - h (1 + h) L - h^2 diag(q_{k+1})) inv_k and inv_k is the
+    transposed step inverse of :func:`_step_inverses`: the trapezoidal step,
+    solved for the new velocity.  L is the omega block, or diag(lam) for its
+    modes (:func:`solve_modal_basis`).  A static q gives one matrix of each,
+    broadcast over the steps.
     """
-    n = op.grid.omega.size
+    n = L.shape[0]
     qs, q_static = _expand_potential(q, nt, n)
-    inv = _step_inverses(_step_matrix(op, dt), qs, q_static, dt)
+    inv = _step_inverses(_step_matrix(L, dt), qs, q_static, dt)
     q_k, q_k1 = (qs[:1], qs[:1]) if q_static else (qs[:-1], qs[1:])
     hdt = 0.5 * dt
-    L = op.omega_block
     d = np.arange(n)
     a_u = np.empty(inv.shape)
     a_u[:] = -2.0 * hdt * L
@@ -328,8 +335,9 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None):
     """
     nt = n_steps_for(dt, t_final)
     grid = op.grid
-    inner = _step_linear(_step_maps(op, q, dt, nt), _control_drive(op, control, dt, nt, source),
-                         dt, _expand_field(u0, nt, grid, "u0"))
+    inner = _step_linear(_step_maps(op.omega_block, q, dt, nt),
+                         _control_drive(op, control, dt, nt, source), dt,
+                         _expand_field(u0, nt, grid, "u0"))
     u, v = _on_grid(grid, control, dt, nt, inner)
     return Trajectory(u=u, v=v, dt=dt)
 
@@ -427,7 +435,7 @@ def solve_linear_basis(op, q, basis, observe):
     """
     dt, nt = basis.dt, basis.n_steps
     plan = shift_plan(basis, _expand_potential(q, nt, op.grid.omega.size)[1])
-    return _basis_pass(_step_maps(op, q, dt, nt), plan,
+    return _basis_pass(_step_maps(op.omega_block, q, dt, nt), plan,
                        lambda seeds: _basis_drive(op, basis, seeds), dt, observe)
 
 
@@ -453,8 +461,25 @@ def solve_linear_difference(op, q, q_background, basis, states, observe):
     dq = qs - q_bg
     plan = shift_plan(basis, static and bg_static)
     return _basis_pass(
-        _step_maps(op, q, dt, nt), plan,
+        _step_maps(op.omega_block, q, dt, nt), plan,
         lambda seeds: _difference_drive(dq, states(seeds), dt), dt, observe)
+
+
+def solve_modal_basis(op, basis):
+    """(a, g): the q = 0 responses to a node x spline basis, in L_omega's modes.
+
+    At q = 0 the damping and the stiffness are both L, so in its eigenbasis
+    L_omega = V diag(lam) V^T each mode steps on its own: element (node j,
+    spline c) reaches sum_m a[j, m] g[m, c, t] V[:, m], with the coupling
+    a = -dt/2 L[basis nodes, omega] V and g stepped on diag(lam), one row
+    per spline, driven by its :func:`_spline_steps` in every mode.
+    """
+    dt, nt = basis.dt, basis.n_steps
+    s = _spline_steps(basis)
+    drive = np.broadcast_to(s.T[:, :, None], (nt, len(s), op.eigenvalues.size))
+    u, _ = _step_linear(_step_maps(np.diag(op.eigenvalues), None, dt, nt), drive, dt, None)
+    a = -0.5 * dt * (op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes)
+    return a, np.ascontiguousarray(u.transpose(2, 1, 0))
 
 
 # Newton's stopping test on the max-norm step residual, and its iteration cap
@@ -473,7 +498,7 @@ def solve_nonlinear(op, f, control, dt, t_final):
     grid = op.grid
     drive = _control_drive(op, control, dt, nt, None)
     L = op.omega_block
-    base_mat = _step_matrix(op, dt)
+    base_mat = _step_matrix(L, dt)
     hdt = 0.5 * dt
     iters = np.zeros(nt, dtype=int)
     u = np.empty((nt + 1, grid.omega.size))

@@ -1,5 +1,6 @@
 """Scenario configs, experiment drivers, report files, and the CLI."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -307,9 +308,10 @@ def _linear_cfg(**overrides):
 
 def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     # one pass over a basis, the data's difference on w1 from the q = 0
-    # background states, which the data and the synthesis share; they and
-    # the background states on w2 read the eigenpairs that assembly made, the
-    # run's only decomposition, and nothing samples a control on the full grid
+    # background states, which the data and the synthesis share, and one
+    # modal pass per q = 0 background, w1 and w2, a row per spline; they read
+    # the eigenpairs that assembly made, the run's only decomposition, and
+    # nothing samples a control on the full grid
     materialized, stepped, factored, eigh, eigvalsh = [], [], [], [], []
 
     def counting(calls, fn, size=lambda *a: 1):
@@ -328,13 +330,14 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     cfg = _linear_cfg()
     run_scenario(cfg, str(tmp_path / "out"))
     grid = build_grid(*(cfg["grid"][k] for k in ("box", "omega", "w1", "w2", "n_nodes")))
-    n_basis = len(ControlBasis(grid, "w1", cfg["dt"], cfg["t_final"], 8))
+    basis = ControlBasis(grid, "w1", cfg["dt"], cfg["t_final"], 8)
+    n_basis, n_splines = len(basis), len(basis.tsplines)
     assert n_basis == len(ControlBasis(grid, "w2", cfg["dt"], cfg["t_final"], 8))
     assert materialized == []
-    assert sum(stepped) == n_basis
-    # one static factorization, the gaussian's, and one eigendecomposition,
-    # the operator's
-    assert len(factored) == 1
+    assert sum(stepped) == n_basis + 2 * n_splines
+    # three static factorizations, the gaussian's and one per modal pass, and
+    # one eigendecomposition, the operator's
+    assert len(factored) == 3
     assert (len(eigh), len(eigvalsh)) == (1, 0)
 
 
@@ -358,8 +361,9 @@ def _count_stepped_rows(monkeypatch):
 
 def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
     # at 10 segments a knot is 5 of the 50 steps, so each spline is the
-    # first one delayed by whole steps: the one pass, the difference, steps
-    # one seed per window node, and the static potential factors once
+    # first one delayed by whole steps: the one basis pass, the difference,
+    # steps one seed per window node, between the modal passes of the w1 and
+    # w2 backgrounds, a row per spline; each of the three factors once
     stepped, factored = _count_stepped_rows(monkeypatch)
     cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10}})
     run_scenario(cfg, str(tmp_path / "out"))
@@ -367,14 +371,15 @@ def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
     bases = [ControlBasis(grid, w, cfg["dt"], cfg["t_final"], 10) for w in ("w1", "w2")]
     n_nodes, n_seeds = len(bases[0].nodes), 1
     assert n_nodes == len(bases[1].nodes) and len(bases[0]) == 5 * n_nodes
-    assert stepped == [n_nodes * n_seeds]
-    assert len(factored) == 1
+    n_splines = len(bases[0].tsplines)
+    assert stepped == [n_splines, n_nodes * n_seeds, n_splines]
+    assert len(factored) == 3
 
 
 def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
     # a ramp potential shifts nothing: its difference pass steps every
-    # element, CONTROL_BLOCK rows at a time, and the q = 0 backgrounds step
-    # nothing
+    # element, CONTROL_BLOCK rows at a time, and each q = 0 background steps
+    # one row per spline
     stepped, _ = _count_stepped_rows(monkeypatch)
     monkeypatch.setattr(solver, "CONTROL_BLOCK", 8)
     cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10, "frame": "reversed",
@@ -382,8 +387,10 @@ def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
                                  "model": {"q": {"time": "ramp"}}})
     run_scenario(cfg, str(tmp_path / "out"))
     basis = ControlBasis(_setup(cfg)[0].grid, "w1", cfg["dt"], cfg["t_final"], 10)
+    n_splines = len(basis.tsplines)
     assert max(stepped) <= 8
-    assert sorted(stepped) == sorted([8] * (len(basis) // 8) + [len(basis) % 8])
+    assert sorted(stepped) == sorted([8] * (len(basis) // 8) + [len(basis) % 8]
+                                     + [n_splines] * 2)
 
 
 def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
@@ -1022,6 +1029,29 @@ def test_cli_indefinite_omega_block_exit_one(tmp_path, capsys, monkeypatch):
     assert len(err) == 1
     assert re.fullmatch(r"error: interior block not positive definite: lambda_min=-90\.15\d*",
                         err[0])
+
+
+def test_cli_non_finite_modal_step_exit_one(tmp_path, capsys, monkeypatch):
+    # a NaN eigenvalue fails the q = 0 background's modal pass at step 0,
+    # a solver failure reported in one line
+    assemble = harness.assemble_fraclap
+
+    def with_nan(*args):
+        op = assemble(*args)
+        lam = op.eigenvalues.copy()
+        lam[4] = np.nan
+        return dataclasses.replace(op, eigenvalues=lam)
+
+    monkeypatch.setattr(harness, "assemble_fraclap", with_nan)
+    path = write_yaml(tmp_path / "c.yaml", {
+        "grid": {"n_nodes": 31}, "dt": 0.02,
+        "model": {"kind": "linear", "q": {"kind": "gaussian", "amplitude": 0.5,
+                                          "center": 0.5, "width": 0.2}},
+        "experiment": {"kind": "invert-linear", "basis_segments": 8, "target_stride": 2},
+    })
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: time step 0: factorization failed: non-finite step matrix"]
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -125,6 +125,25 @@ def test_only_the_solver_knows_the_shift_plan():
     assert seen == set()
 
 
+# Only the solver steps: a loop over the time steps, a range that names
+# the step count, is the solver's own
+STEP_COUNTS = {"n_steps", "nt"}
+
+
+def test_only_the_solver_loops_over_the_time_steps():
+    src = pathlib.Path(viscowave.__file__).parent
+    seen = set()
+    for path in src.glob("*.py"):
+        if path.name == "solver.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+                    and _name(node.iter.func) == "range"
+                    and STEP_COUNTS.intersection(map(_name, ast.walk(node.iter)))):
+                seen.add((path.stem, node.lineno))
+    assert seen == set()
+
+
 # The omega block is decomposed once per operator, at assembly; everything
 # that works in its eigenbasis reads the operator's eigenpairs
 DECOMPOSITIONS = {"eigh", "eigvalsh"}

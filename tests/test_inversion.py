@@ -1,6 +1,7 @@
 """Recovery machinery: control synthesis, potential and nonlinearity estimates."""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -20,11 +21,12 @@ from viscowave import (BackgroundStates, IllConditionedError,
                        estimate_homogeneity_exponent,
                        interior_targets, potential_from_spec, power_nonlinearity,
                        recover_linear_potential, recover_nonlinear_coefficient,
-                       solve_linear, zero_nonlinearity)
+                       StepFailureError, solve_linear, zero_nonlinearity)
 from viscowave import inversion
 from viscowave.controls import ControlBasis, materialize, time_bump
 from viscowave.inversion import _probing_kernel
-from viscowave.solver import n_steps_for, shift_plan, solve_linear_basis, trapezoid_weights
+from viscowave.solver import (n_steps_for, shift_plan, solve_linear_basis, solve_modal_basis,
+                              trapezoid_weights)
 
 DT, NT = 0.02, 50
 T_FINAL = 1.0
@@ -352,6 +354,60 @@ def test_modal_background_matches_the_nodal_pass(request, window, n_nodes):
     _assert_close(bg.synthesize(stack, 1e-8)[1], achieved, achieved_rtol)
 
 
+def _reference_modal_responses(lam, basis):
+    """g[m, c, t]: the displacement of the mode of L_omega with eigenvalue
+    lam[m] driven by time spline c of basis, per unit of the coupling a[j, m]
+    of the window node, at q = 0.
+
+    At q = 0 the damping and the stiffness are both L, so each mode steps on
+    its own: the step of ``solver._step_maps`` with L replaced by lam[m], and
+    the drive of ``solver._basis_drive`` without its row of L.  A response
+    that is not finite raises :class:`InversionError`.
+    """
+    h = 0.5 * basis.dt
+    inv = 1.0 / (1.0 + (h + h * h) * lam)[:, None]
+    p = -2.0 * h * lam[:, None] * inv
+    r = (1.0 - h * (1.0 + h) * lam)[:, None] * inv
+    x = basis.values + basis.dvalues
+    drive = (x[:, :-1] + x[:, 1:]).T[:, None, :] * inv        # (nt, n_modes, n_splines)
+    u = np.zeros((basis.n_steps + 1,) + drive.shape[1:])
+    v = np.zeros(drive.shape[1:])
+    for k in range(basis.n_steps):
+        v_next = u[k] * p + v * r + drive[k]
+        u[k + 1] = u[k] + h * (v + v_next)
+        v = v_next
+    if not np.isfinite(u).all():
+        raise InversionError("modal background responses are not finite")
+    return np.ascontiguousarray(u.transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("window", ["w1", "w2"])
+@pytest.mark.parametrize("n_nodes", [31, 101])
+def test_modal_pass_steps_the_modes_as_the_elementwise_loop(request, window, n_nodes):
+    # the modal responses stepped through the solver's loop on diag(lam) are
+    # those of the elementwise loop that stepped them before, bit for bit: a
+    # product with a diagonal map adds only exact zeros
+    op = request.getfixturevalue(f"op{n_nodes}")
+    dt, n_segments = (DT, 8) if n_nodes == 31 else (BENCH_DT, 16)
+    basis = ControlBasis(op.grid, window, dt, T_FINAL, n_segments)
+    a, g = solve_modal_basis(op, basis)
+    ref = _reference_modal_responses(op.eigenvalues, basis)
+    assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+    coupling = -0.5 * basis.dt * (op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes)
+    assert a.tobytes() == coupling.tobytes()
+
+
+def test_non_finite_modal_step_fails_at_step_zero(op31, grid31):
+    # a NaN eigenvalue makes the modal step matrix non-finite, which the
+    # solver refuses before the first step
+    lam = op31.eigenvalues.copy()
+    lam[4] = np.nan
+    op = dataclasses.replace(op31, eigenvalues=lam)
+    with pytest.raises(StepFailureError, match="non-finite step matrix") as err:
+        BackgroundStates(op, None, ControlBasis(grid31, "w1", DT, T_FINAL, 8))
+    assert err.value.step == 0
+
+
 @pytest.mark.parametrize("q", ["static", "ramp"])
 @pytest.mark.parametrize("n_nodes", [31, 101])
 def test_nodal_gram_matches_the_cholesky_product(request, n_nodes, q):
@@ -538,9 +594,26 @@ def test_recover_rejects_bad_frame_and_background(op31, grid31):
     pairings, bg, basis2 = _zero_case(op31, grid31)
     # the recovery takes no frame: it estimates on the forward time axis, the
     # runner orients the estimate, and the reader rejects an unknown frame
-    moving = BackgroundStates(op31, np.zeros((NT + 1, grid31.omega.size)), bg.basis)
+    moving = BackgroundStates(op31, np.outer(DT * np.arange(NT + 1),
+                                             np.ones(grid31.omega.size)), bg.basis)
     with pytest.raises(InversionError, match="must be static"):
         recover_linear_potential(pairings, moving, basis2, 1e-6)
+
+
+def test_recover_takes_a_static_background_given_as_time_samples(op31, grid31):
+    # a background potential sampled on the time nodes but the same at each
+    # is static, as the background states and the data pass take it: its
+    # recovery is that of its one-row form, bit for bit
+    basis1, basis2 = (ControlBasis(grid31, w, DT, T_FINAL, 8) for w in ("w1", "w2"))
+    row = np.full(grid31.omega.size, 0.3)
+    q = row + 0.2 * np.exp(-((grid31.x[grid31.omega] - 0.5) / 0.2) ** 2)
+    values = []
+    for q_bg in (row, np.tile(row, (NT + 1, 1))):
+        background = BackgroundStates(op31, q_bg, basis1)
+        pairings = dn_difference_linear(q, background, basis2)
+        values.append(recover_linear_potential(pairings, background, basis2, 1e-1).values)
+    assert np.isfinite(values[0]).all() and values[0].any()
+    assert values[1].tobytes() == values[0].tobytes()
 
 
 def test_recover_detects_zero_probing_system(op31, grid31, monkeypatch):

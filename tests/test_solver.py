@@ -380,7 +380,7 @@ def _reference_solve_linear(op, q, control, dt, t_final, source=None, u0=None):
     lu_solve on every static step."""
     nt = n_steps_for(dt, t_final)
     qs, q_static = _expand_potential(q, nt, op.grid.omega.size)
-    base_mat = _step_matrix(op, dt)
+    base_mat = _step_matrix(op.omega_block, dt)
     factor = lu_factor(base_mat + 0.25 * dt * dt * np.diag(qs[0])) if q_static else None
 
     def explicit(k, u_k, u_base):
@@ -439,7 +439,7 @@ def _reference_newton(op, f, dt, nt):
     Returns them with the per-step iteration counts that implicit fills.
     """
     L = op.omega_block
-    base_mat = _step_matrix(op, dt)
+    base_mat = _step_matrix(op.omega_block, dt)
     iters = np.zeros(nt, dtype=int)
 
     def explicit(k, u_k, u_base):
@@ -556,7 +556,7 @@ def test_singular_time_dependent_step_reports_its_step(op31, grid31):
 def test_static_step_inverse_matches_lu_solve(op_name, request, counted_inverses):
     op = request.getfixturevalue(op_name)
     q = 0.4 * interior_bump(op.grid)[op.grid.omega]
-    base_mat = _step_matrix(op, DT)
+    base_mat = _step_matrix(op.omega_block, DT)
     qs, q_static = _expand_potential(q, NT, op.grid.omega.size)
     inv = solver._step_inverses(base_mat, qs, q_static, DT)
     mat = base_mat + 0.25 * DT * DT * np.diag(q)
@@ -738,7 +738,7 @@ def test_blocked_pass_fails_at_the_step_solve_linear_reports(op31, grid31):
     src[6, 3] = np.nan
     prof = _potential(grid31, "static")
     one = _failing_step(lambda: solve_linear(op31, prof, controls[0], DT, T_FINAL, source=src))
-    maps = solver._step_maps(op31, prof, DT, NT)
+    maps = solver._step_maps(op31.omega_block, prof, DT, NT)
     drive = (solver._basis_drive(op31, basis, slice(0, 5))
              + solver._control_drive(op31, None, DT, NT, src)[:, None])
     block = _failing_step(lambda: solver._step_linear(maps, drive, DT, None))
@@ -752,7 +752,7 @@ def test_blocked_pass_reports_its_first_failing_control(op31, grid31):
         values = controls[i].values.copy()
         values[k:, grid31.w1[0]] = np.inf
         controls[i] = dataclasses.replace(controls[i], values=values)
-    maps = solver._step_maps(op31, None, DT, NT)
+    maps = solver._step_maps(op31.omega_block, None, DT, NT)
     with np.errstate(all="ignore"):
         one = _failing_step(lambda: solve_linear(op31, None, controls[3], DT, T_FINAL))
         assert _failing_step(lambda: solve_linear(op31, None, controls[9], DT, T_FINAL)) < one
@@ -812,7 +812,7 @@ def _linear_step(op, q, dt, nt):
     once for all the states the closures serve.
     """
     qs, q_static = _expand_potential(q, nt, op.grid.omega.size)
-    inv = _step_inverses(_step_matrix(op, dt), qs, q_static, dt)
+    inv = _step_inverses(_step_matrix(op.omega_block, dt), qs, q_static, dt)
     inv = np.broadcast_to(inv, (nt,) + inv.shape[1:])
 
     def explicit(k, u_k, u_base):
@@ -881,7 +881,7 @@ def test_last_state_check_reports_the_first_failing_row(op31, grid31, rng, monke
 
     monkeypatch.setattr(solver, "_non_finite_failure", counting)
     q = _potential(grid31, kind)
-    maps = solver._step_maps(op31, q, DT, NT)
+    maps = solver._step_maps(op31.omega_block, q, DT, NT)
     drive = rng.standard_normal((NT, 128, grid31.omega.size))
     _, v = solver._step_linear(maps, drive, DT, None)
     assert np.isfinite(v).all() and scans == []
@@ -902,7 +902,7 @@ def _every_element(op, q, basis, dt):
     """Interior (u, v) of every element of a basis, each stepped: the basis
     pass before the shift plan, as one block."""
     nt = n_steps_for(dt, T_FINAL)
-    maps = solver._step_maps(op, q, dt, nt)
+    maps = solver._step_maps(op.omega_block, q, dt, nt)
     drive = solver._basis_drive(op, basis, np.arange(len(basis)))
     return solver._step_linear(maps, drive, dt, None, np.arange(len(basis)))
 
@@ -913,7 +913,7 @@ def _every_element_difference(op, q, q_bg, basis, states, dt):
     n_omega = op.grid.omega.size
     dq = _expand_potential(q, nt, n_omega)[0] - _expand_potential(q_bg, nt, n_omega)[0]
     drive = solver._difference_drive(dq, states.transpose(1, 0, 2).copy(), dt)
-    return solver._step_linear(solver._step_maps(op, q, dt, nt), drive, dt, None)
+    return solver._step_linear(solver._step_maps(op.omega_block, q, dt, nt), drive, dt, None)
 
 
 def _every_element_pairings(op, basis1, basis2, dt, u, v, controls):
