@@ -19,8 +19,8 @@ from .solver import (EnergyLedger, NewtonDivergenceError, SolverError,
                      solve_linearized, solve_nonlinear, trajectory_to_csv)
 from .dnmap import (DNMapError, alessandrini_residual, dn_difference_linear,
                     dn_matrix_linear, dn_pairing, dn_remainders_nonlinear,
-                    nonlinear_integral_identity_residual, reverse_potential,
-                    self_adjointness_residual, time_reverse)
+                    nonlinear_integral_identity_residual, self_adjointness_residual,
+                    time_reverse)
 from .inversion import (BackgroundStates, IllConditionedError,
                         InconclusiveError, InversionError, Reconstruction,
                         estimate_homogeneity_exponent, interior_targets,

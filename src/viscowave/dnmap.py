@@ -33,16 +33,6 @@ def time_reverse(control):
                            window=control.window, dt=control.dt)
 
 
-def reverse_potential(q):
-    """Reversal of potential samples; static potentials are fixed points."""
-    if q is None:
-        return None
-    q = np.asarray(q, dtype=float)
-    if q.ndim <= 1:
-        return q
-    return q[::-1].copy()
-
-
 def dn_pairing(op, traj, probe):
     """Trapezoidal pairing of a trajectory against a window probe.
 
@@ -167,9 +157,10 @@ def self_adjointness_residual(op, q, phi1, phi2, dt, t_final):
     model driven from w2, each paired against the other control reversed.
     """
     _check_windows(phi1, phi2)
+    q_rev = _expand_potential(q, n_steps_for(dt, t_final), op.grid.omega.size)[0][::-1]
     lhs = dn_pairing(op, solve_linear(op, q, phi1, dt, t_final),
                      time_reverse(phi2))
-    rhs = dn_pairing(op, solve_linear(op, reverse_potential(q), phi2, dt, t_final),
+    rhs = dn_pairing(op, solve_linear(op, q_rev, phi2, dt, t_final),
                      time_reverse(phi1))
     return abs(lhs - rhs), lhs, rhs
 
@@ -203,7 +194,7 @@ def alessandrini_residual(op, q1, q2, phi1, phi2, dt, t_final):
     u2 = solve_linear(op, q2, phi2, dt, t_final)
     phi2_rev = time_reverse(phi2)
     lhs = (dn_pairing(op, u1, phi2_rev)
-           - dn_pairing(op, solve_linear(op, reverse_potential(q2), phi1, dt, t_final),
+           - dn_pairing(op, solve_linear(op, q2s[::-1], phi1, dt, t_final),
                         phi2_rev))
     diff = q1s - q2s[::-1]
     rhs = _interior_weighted_sum(op.grid, dt, diff, u1.u[:, om], u2.u[:, om])

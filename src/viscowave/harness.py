@@ -25,8 +25,8 @@ from .inversion import (TARGET_WINDOWS, BackgroundStates, estimate_homogeneity_e
                         recover_linear_potential, recover_nonlinear_coefficient)
 from .nonlinearity import check_exponent_constraints, power_nonlinearity, zero_nonlinearity
 from .operator import assemble_fraclap
-from .solver import (SolverError, energy_ledger, n_steps_for, solve_linear,
-                     solve_nonlinear, trajectory_to_csv, trapezoid_weights)
+from .solver import (SolverError, _expand_potential, energy_ledger, n_steps_for,
+                     solve_linear, solve_nonlinear, trajectory_to_csv, trapezoid_weights)
 
 
 class ConfigError(ValueError):
@@ -483,17 +483,17 @@ def run_invert_linear(run, op, out_dir):
         recon.values = recon.values[:, ::-1]
     recon.diagnostics = {"frame": run.frame, **recon.diagnostics}
     recon.save(os.path.join(out_dir, "reconstruction.json"))
-    if run.q_time_basis is None and np.ndim(q_true) == 1:
-        recon.save_csv(os.path.join(out_dir, "reconstruction.csv"), q_true=q_true)
+    qs, static = _expand_potential(q_true, nt, grid.omega.size)
+    if run.q_time_basis is None and static:
+        recon.save_csv(os.path.join(out_dir, "reconstruction.csv"), q_true=qs[0])
 
     # compare against the truth in the frame the experiment requested
     if run.q_time_basis is None:
-        truth = q_true if np.ndim(q_true) == 1 else np.mean(q_true, axis=0)
+        truth = qs[0] if static else np.mean(qs, axis=0)
         num = float(np.linalg.norm(recon.values - truth))
         den = float(max(np.linalg.norm(truth), 1e-300))
     else:
-        truth = q_true if np.ndim(q_true) == 2 else np.tile(q_true, (nt + 1, 1))
-        truth = truth.T  # (n_omega, nt+1) like recon.values
+        truth = np.ascontiguousarray(qs).T  # (n_omega, nt+1), laid out as tiled samples
         if run.frame == "reversed":
             truth = truth[:, ::-1]
         wt = trapezoid_weights(nt)

@@ -77,13 +77,14 @@ class BackgroundStates:
     is diag(h lam): a state S_t is held by its mode coordinates S_t V.  At a
     static q that is zero everywhere it holds no state history, only the
     coupling a[j, m] of each window node to each mode and each mode's
-    response g[m, c, t] to each spline, from ``solver.solve_modal_basis``
-    (which says how g is stepped): element (node j, spline c) reaches
-    sum_m a[j, m] g[m, c, t] V[:, m], and the Gram is
+    response g[t, c, m] to each spline, time-major as
+    ``solver.solve_modal_basis`` steps it: element (node j, spline c)
+    reaches sum_m a[j, m] g[t, c, m] V[:, m], and the Gram is
     sum_m h lam_m (a_m a_m^T) kron (g_m W g_m^T), with W = diag(w).  Any
     other q steps the basis in one pass, ``solver.solve_linear_basis``, keeps
     every element's mode coordinates, and forms the Gram as E E^T of the
-    energy coordinates E_t = S_t V diag(sqrt(w_t h lam)).
+    energy coordinates E_t = S_t V diag(sqrt(w_t h lam)).  static is the
+    solver's reading of q.
     """
 
     def __init__(self, op, q, basis):
@@ -92,8 +93,8 @@ class BackgroundStates:
         self.basis = basis
         self.time_weights = basis.dt * trapezoid_weights(basis.n_steps)
         self._weights = op.grid.h * op.eigenvalues
-        qs, static = solver._expand_potential(q, basis.n_steps, op.grid.omega.size)
-        self.modal = static and not qs[0].any()
+        qs, self.static = solver._expand_potential(q, basis.n_steps, op.grid.omega.size)
+        self.modal = self.static and not qs[0].any()
         if self.modal:
             self._coupling, self._responses = solve_modal_basis(op, basis)
             self.gram = self._modal_gram()
@@ -107,7 +108,7 @@ class BackgroundStates:
 
     def _modal_gram(self):
         """sum_m h lam_m (a_m a_m^T) kron (g_m W g_m^T), made exactly symmetric."""
-        g, a = self._responses, self._coupling.T
+        g, a = np.ascontiguousarray(self._responses.transpose(2, 1, 0)), self._coupling.T
         n_modes, n_spl = g.shape[:2]
         n_nodes = a.shape[1]
         spline_gram = (g * self.time_weights) @ g.transpose(0, 2, 1)      # (m, c, c')
@@ -128,9 +129,7 @@ class BackgroundStates:
         elements: a fresh time-major (nt+1, len(elements), n_omega) block."""
         if self.modal:
             node, spline = np.divmod(np.asarray(elements), self._responses.shape[1])
-            modal = self._responses[:, spline]                          # (m, e, t)
-            modal *= self._coupling[node].T[:, :, None]
-            modal = modal.transpose(2, 1, 0)
+            modal = self._responses[:, spline] * self._coupling[node]     # (t, e, m)
         else:
             modal = self.states[elements].transpose(1, 0, 2)
         return modal @ self.op.modes.T
@@ -154,7 +153,7 @@ class BackgroundStates:
         factor = cho_factor(self.gram + alpha * scale * self.control_gram, "control")
         modal = target @ self.op.modes                                     # (n, t, m)
         if self.modal:
-            g, n_spl = self._responses, self._responses.shape[1]
+            g = np.ascontiguousarray(self._responses.transpose(2, 1, 0))  # (m, c, t)
             paired = (g * self.time_weights) @ modal.transpose(2, 1, 0)    # (m, c, n)
             rhs = np.einsum("jm,mcn->jcn", self._coupling * self._weights, paired)
         else:
@@ -163,7 +162,7 @@ class BackgroundStates:
             rhs = flat @ energy.reshape(len(target), -1).T
         coeffs = cho_solve(factor, rhs.reshape(len(self.basis), -1)).T
         if self.modal:
-            per_mode = self._coupling.T @ coeffs.reshape(len(target), -1, n_spl)  # (n, m, c)
+            per_mode = self._coupling.T @ coeffs.reshape(len(target), -1, g.shape[1])  # (n, m, c)
             reached = (per_mode.transpose(1, 0, 2) @ g).transpose(1, 2, 0)  # (n, t, m)
         else:
             reached = (coeffs @ flat).reshape(modal.shape)
@@ -301,12 +300,13 @@ def recover_linear_potential(pairings, background, probe_basis, alpha_inv, synth
     q_data - q_bg).  Smoothness-regularized least squares with weight
     alpha_inv picks the estimate.
     With q_time_basis=None the unknown is static; an integer requests that
-    many piecewise-linear time profiles on the forward time axis.
+    many piecewise-linear time profiles, at least 2, on the forward time axis.
     """
     basis1 = background.basis
-    if not solver._expand_potential(background.q, basis1.n_steps,
-                                    background.op.grid.omega.size)[1]:
+    if not background.static:
         raise InversionError("background potential must be static")
+    if q_time_basis is not None and int(q_time_basis) < 2:
+        raise InversionError(f"q_time_basis must be at least 2, got {q_time_basis}")
     if (probe_basis.dt, probe_basis.n_steps) != (basis1.dt, basis1.n_steps):
         raise InversionError("probe basis time grid does not match the background's")
     if basis1.window != "w1" or probe_basis.window != "w2":
@@ -413,13 +413,21 @@ def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, eps
     :func:`interior_targets` samples on probe_basis at target_nodes and
     target_width.
     """
+    eps_pair = (eps0, 0.5 * eps0)
+    if probe_basis.window != "w2":
+        raise InversionError(f"expected probes on w2, got {probe_basis.window}")
+    if (lin.dt, lin.n_steps) != (probe_basis.dt, probe_basis.n_steps):
+        raise InversionError("linear response time grid does not match the probe basis's")
+    for eps in eps_pair:
+        if np.shape(remainders[eps]) != (len(probe_basis),):
+            raise InversionError(f"remainder at eps={eps} is {np.shape(remainders[eps])}, "
+                                 f"the probe basis has {len(probe_basis)} elements")
     grid, om = op.grid, op.grid.omega
     bg2 = BackgroundStates(op, None, probe_basis)
     coeff2, achieved2, errs2 = bg2.synthesize(
         interior_targets(probe_basis, target_nodes, target_width), synth_alpha)
 
     r = float(r_known)
-    eps_pair = (eps0, 0.5 * eps0)
     w1, w2m = [coeff2 @ remainders[eps] / eps ** (r + 1) for eps in eps_pair]
     y = (2.0 ** r * w2m - w1) / (2.0 ** r - 1.0)
 

@@ -343,18 +343,16 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None):
 
 
 # Seeds stepped together by a basis or difference pass.  A static pass steps
-# few seeds (40 on the benchmark's 220-element basis, one block at any size
-# from 64 up), so the size matters only where nothing shifts: the ramp's
+# few seeds (40 on the benchmark's 220-element basis, one block at either size
+# below), so the size matters only where nothing shifts: the ramp's
 # difference pass, 220 rows.  Measured with perfbench/run.py at seed 0 on a
-# 2-vCPU VM (101 nodes, 200 steps, BLAS at one thread; one 20 s run per size,
-# wall_s as the benchmark scales it, and peak RSS):
-#   block   invert-linear-ramp   invert-linear-static
-#     32    0.27 s, 129 MB       0.19 s, 126 MB
-#     64    0.30 s, 125 MB       0.20 s, 123 MB
-#    128    0.28 s, 125 MB       0.20 s, 123 MB
-#    220    0.31 s, 139 MB       0.19 s, 123 MB
+# 2-vCPU VM (101 nodes, 200 steps, BLAS at one thread; 20 s runs, three per
+# size on the ramp and one on the static; wall_s as the benchmark scales it):
+#   block   invert-linear-ramp               invert-linear-static
+#    128    0.195-0.212 s, 113.9-114.1 MB    0.098 s, 99.0 MB
+#    220    0.202-0.204 s, 118.5-118.6 MB    0.098 s, 99.1 MB
 # The times differ by less than the runs spread; a whole basis per block
-# costs 13 MB of peak RSS on the ramp, so 128 stays.
+# costs 4.6 MB of peak RSS on the ramp, so 128 stays.
 CONTROL_BLOCK = 128
 
 # Largest difference, relative to a spline's largest sample, between its drive
@@ -470,16 +468,17 @@ def solve_modal_basis(op, basis):
 
     At q = 0 the damping and the stiffness are both L, so in its eigenbasis
     L_omega = V diag(lam) V^T each mode steps on its own: element (node j,
-    spline c) reaches sum_m a[j, m] g[m, c, t] V[:, m], with the coupling
+    spline c) reaches sum_m a[j, m] g[t, c, m] V[:, m], with the coupling
     a = -dt/2 L[basis nodes, omega] V and g stepped on diag(lam), one row
-    per spline, driven by its :func:`_spline_steps` in every mode.
+    per spline, driven by its :func:`_spline_steps` in every mode.  g is
+    the read-only time-major history of that pass, (nt+1, n_splines, n_modes).
     """
     dt, nt = basis.dt, basis.n_steps
     s = _spline_steps(basis)
     drive = np.broadcast_to(s.T[:, :, None], (nt, len(s), op.eigenvalues.size))
     u, _ = _step_linear(_step_maps(np.diag(op.eigenvalues), None, dt, nt), drive, dt, None)
     a = -0.5 * dt * (op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes)
-    return a, np.ascontiguousarray(u.transpose(2, 1, 0))
+    return a, u
 
 
 # Newton's stopping test on the max-norm step residual, and its iteration cap

@@ -10,8 +10,7 @@ from viscowave import (BackgroundStates, DNMapError, alessandrini_residual,
                        bump_control, dn_difference_linear, dn_matrix_linear,
                        dn_pairing, dn_remainders_nonlinear,
                        nonlinear_integral_identity_residual,
-                       power_nonlinearity, reverse_potential,
-                       self_adjointness_residual, solve_linear,
+                       power_nonlinearity, self_adjointness_residual, solve_linear,
                        time_reverse, zero_nonlinearity)
 from viscowave.controls import (ControlBasis, ExteriorControl,
                                 materialize, spline_indices)
@@ -54,16 +53,6 @@ def test_time_reverse_rejects_scalars():
                 Trajectory(u=np.zeros((3, 2)), v=np.zeros((3, 2)), dt=DT)):
         with pytest.raises(DNMapError, match="^cannot time-reverse a "):
             time_reverse(obj)
-
-
-def test_reverse_potential_static_fixed_point():
-    q = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(reverse_potential(q), q)
-
-
-def test_reverse_potential_flips_time_axis():
-    q = np.arange(12.0).reshape(4, 3)
-    assert np.array_equal(reverse_potential(q), q[::-1])
 
 
 def test_pairing_zero_trajectory_is_zero(op31, grid31):
@@ -167,6 +156,24 @@ def test_self_adjointness_residual_converges(op61, grid61):
         rels.append(abs(res) / max(abs(lhs), abs(rhs)))
     assert rels[1] < rels[0]
     assert rels[1] < 1e-2
+
+
+def test_identity_checks_read_tiled_static_potentials_as_their_row(op31, grid31):
+    # samples the same at every time node are static, as the solver reads
+    # them: both checks give the bytes of the one row they repeat
+    om = grid31.omega
+    q1 = np.exp(-((grid31.x[om] - 0.4) / 0.2) ** 2)
+    q2 = 0.5 * np.sin(np.pi * grid31.x[om])
+    phi1 = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
+    phi2 = bump_control(grid31, "w2", 0.2, 0.9, DT, NT)
+
+    def checks(a, b):
+        return np.array([*self_adjointness_residual(op31, a, phi1, phi2, DT, T_FINAL),
+                         *alessandrini_residual(op31, a, b, phi1, phi2, DT, T_FINAL)])
+
+    row = checks(q1, q2)
+    tiled = checks(*(np.tile(q, (NT + 1, 1)) for q in (q1, q2)))
+    assert np.isfinite(row).all() and tiled.tobytes() == row.tobytes()
 
 
 def test_alessandrini_static_antisymmetry(op31, grid31, rng):

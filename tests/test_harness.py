@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -483,6 +484,25 @@ def test_reversed_frame_writes_the_direct_estimate_reversed(tmp_path):
               for frame in ("direct", "reversed")]
     assert static[0]["q_est"] == static[1]["q_est"]
     assert list(static[1]["diagnostics"])[0] == "frame"
+
+
+@pytest.mark.parametrize("q_time_basis", [None, 2])
+def test_invert_linear_reads_a_tiled_static_truth_as_its_row(tmp_path, q_time_basis):
+    # a static truth given by its samples at every time node is static, as
+    # the solver reads it: the run writes the files and metrics of its row
+    cfg = _linear_cfg()
+    if q_time_basis is not None:
+        cfg = _merge(cfg, {"experiment": {"q_time_basis": q_time_basis}})
+    run, op = _setup(cfg)
+    outputs = []
+    for name, q in (("row", run.q), ("tiled", np.tile(run.q, (run.nt + 1, 1)))):
+        (tmp_path / name).mkdir()
+        metrics, _ = harness.run_invert_linear(types.SimpleNamespace(**{**vars(run), "q": q}),
+                                               op, str(tmp_path / name))
+        outputs.append((metrics, {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}))
+    names = {"reconstruction.json"} | ({"reconstruction.csv"} if q_time_basis is None else set())
+    assert set(outputs[0][1]) == names
+    assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("eps_list, n_nonlinear",

@@ -208,3 +208,34 @@ def test_no_process_wide_cache_and_only_controls_samples_splines():
                          if isinstance(node, (ast.Import, ast.ImportFrom)) else [_name(node)])
                 seen.update((path.stem, n) for n in SPLINE_SAMPLERS.intersection(names))
     assert seen == set()
+
+
+# Where the package reads an array's rank, each with its reason.  Whether a
+# potential is static, and its shape, is decided by the solver's normalizer
+# alone: no other code tells a potential's form by its rank
+RANK_READS = {
+    "solver._expand_potential": "the one place that normalizes a potential",
+    "solver._expand_field": "a source or initial state in omega or full-grid layout",
+    "controls.make_control": "control samples are (time node, grid node)",
+    "nonlinearity.Nonlinearity._tau": "a scalar coefficient broadcasts, a nodal one is checked",
+    "nonlinearity.power_nonlinearity": "a coefficient is a scalar or a nodal row",
+    "inversion.BackgroundStates.synthesize": "a target stack is (target, time node, omega)",
+}
+
+
+def _rank_readers(node, scope):
+    """The qualified name of the function, method or module around each
+    .ndim, np.ndim or bare ndim under node, whose own name is scope."""
+    for child in ast.iter_child_nodes(node):
+        if ((isinstance(child, ast.Attribute) and child.attr == "ndim")
+                or (isinstance(child, ast.Name) and child.id == "ndim")):
+            yield scope
+        named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        yield from _rank_readers(child, f"{scope}.{child.name}" if named else scope)
+
+
+def test_only_listed_functions_read_an_array_rank():
+    src = pathlib.Path(viscowave.__file__).parent
+    readers = {scope for path in src.glob("*.py")
+               for scope in _rank_readers(ast.parse(path.read_text()), path.stem)}
+    assert readers == set(RANK_READS)

@@ -355,7 +355,7 @@ def test_modal_background_matches_the_nodal_pass(request, window, n_nodes):
 
 
 def _reference_modal_responses(lam, basis):
-    """g[m, c, t]: the displacement of the mode of L_omega with eigenvalue
+    """g[t, c, m]: the displacement of the mode of L_omega with eigenvalue
     lam[m] driven by time spline c of basis, per unit of the coupling a[j, m]
     of the window node, at q = 0.
 
@@ -378,7 +378,7 @@ def _reference_modal_responses(lam, basis):
         v = v_next
     if not np.isfinite(u).all():
         raise InversionError("modal background responses are not finite")
-    return np.ascontiguousarray(u.transpose(1, 2, 0))
+    return np.ascontiguousarray(u.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("window", ["w1", "w2"])
@@ -616,6 +616,17 @@ def test_recover_takes_a_static_background_given_as_time_samples(op31, grid31):
     assert values[1].tobytes() == values[0].tobytes()
 
 
+@pytest.mark.parametrize("q_time_basis", [1, 0])
+def test_recover_rejects_fewer_than_two_time_profiles(op31, grid31, monkeypatch, q_time_basis):
+    # a time profile is a hat between two knots: the count is refused before
+    # any synthesis
+    pairings, bg, basis2 = _zero_case(op31, grid31)
+    monkeypatch.setattr(inversion, "BackgroundStates", None)
+    with pytest.raises(InversionError,
+                       match=f"^q_time_basis must be at least 2, got {q_time_basis}$"):
+        recover_linear_potential(pairings, bg, basis2, 1e-6, q_time_basis=q_time_basis)
+
+
 def test_recover_detects_zero_probing_system(op31, grid31, monkeypatch):
     pairings, bg, basis2 = _zero_case(op31, grid31)
     # zero targets synthesize zero states on both windows
@@ -692,6 +703,26 @@ def test_nonlinear_coefficient_accuracy(op31, grid31):
            / np.linalg.norm(coeff[cov]))
     assert rel < 0.05
     assert rec.r == 2.0
+
+
+@pytest.mark.parametrize("probes, message", [
+    (("w1", DT, 8), "^expected probes on w2, got w1$"),
+    (("w2", 0.01, 8), "^linear response time grid does not match the probe basis's$"),
+    (("w2", DT, 16), r"^remainder at eps=0.1 is \(18,\), the probe basis has 66 elements$")])
+def test_nonlinear_recovery_checks_its_probes_before_any_synthesis(op31, grid31, monkeypatch,
+                                                                    probes, message):
+    # remainders measured on the level-8 w2 basis, read against probes on
+    # the other window, on another time grid, or of another level
+    psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT, amplitude=50.0)
+    measured = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
+    lin, _, remainders = dn_remainders_nonlinear(op31, power_nonlinearity(1.0, 2), psi,
+                                                 measured, (0.1, 0.05))
+    monkeypatch.setattr(inversion, "BackgroundStates", None)
+    window, dt, n_segments = probes
+    with pytest.raises(InversionError, match=message):
+        recover_nonlinear_coefficient(op31, lin, remainders,
+                                      ControlBasis(grid31, window, dt, T_FINAL, n_segments),
+                                      2, eps0=0.1, alpha_inv=1e-2)
 
 
 # -------------------------------------------------------- serialization
