@@ -90,7 +90,8 @@ def n_steps_for(dt, t_final):
 def _expand_potential(q, nt, n_omega):
     """Normalize q to (nt+1, n_omega) samples plus a static flag.
 
-    A static q is one row broadcast over the time nodes.
+    A static q is one row broadcast over the time nodes; samples whose rows
+    are all equal, NaN matching NaN, are that row.
     """
     shape = (nt + 1, n_omega)
     q = np.asarray(0.0 if q is None else q, dtype=float)
@@ -99,7 +100,7 @@ def _expand_potential(q, nt, n_omega):
     if q.ndim >= 2:
         if q.shape != shape:
             raise SolverError(f"potential shape {q.shape} != {shape}")
-        if not np.all(q == q[0]):
+        if not np.array_equal(q, np.broadcast_to(q[0], shape), equal_nan=True):
             return q, False
         q = q[0]
     return np.broadcast_to(q, shape), True
@@ -463,22 +464,33 @@ def solve_linear_difference(op, q, q_background, basis, states, observe):
         lambda seeds: _difference_drive(dq, states(seeds), dt), dt, observe)
 
 
+def modal_coupling(op, basis):
+    """a = -dt/2 L[basis nodes, omega] V: how each window node of a basis
+    drives each mode of L_omega (:func:`solve_modal_basis`)."""
+    return -0.5 * basis.dt * (op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes)
+
+
+def same_splines(basis, other):
+    """Whether two bases step the same spline drives on the same time grid,
+    so that their modal responses g (:func:`solve_modal_basis`) are equal."""
+    return basis.dt == other.dt and np.array_equal(_spline_steps(basis), _spline_steps(other))
+
+
 def solve_modal_basis(op, basis):
     """(a, g): the q = 0 responses to a node x spline basis, in L_omega's modes.
 
     At q = 0 the damping and the stiffness are both L, so in its eigenbasis
     L_omega = V diag(lam) V^T each mode steps on its own: element (node j,
     spline c) reaches sum_m a[j, m] g[t, c, m] V[:, m], with the coupling
-    a = -dt/2 L[basis nodes, omega] V and g stepped on diag(lam), one row
-    per spline, driven by its :func:`_spline_steps` in every mode.  g is
-    the read-only time-major history of that pass, (nt+1, n_splines, n_modes).
+    a of :func:`modal_coupling` and g stepped on diag(lam), one row per
+    spline, driven by its :func:`_spline_steps` in every mode.  g is the
+    read-only time-major history of that pass, (nt+1, n_splines, n_modes).
     """
     dt, nt = basis.dt, basis.n_steps
     s = _spline_steps(basis)
     drive = np.broadcast_to(s.T[:, :, None], (nt, len(s), op.eigenvalues.size))
     u, _ = _step_linear(_step_maps(np.diag(op.eigenvalues), None, dt, nt), drive, dt, None)
-    a = -0.5 * dt * (op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes)
-    return a, u
+    return modal_coupling(op, basis), u
 
 
 # Newton's stopping test on the max-norm step residual, and its iteration cap

@@ -310,10 +310,10 @@ def _linear_cfg(**overrides):
 def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     # one pass over a basis, the data's difference on w1 from the q = 0
     # background states, which the data and the synthesis share, and one
-    # modal pass per q = 0 background, w1 and w2, a row per spline; they read
-    # the eigenpairs that assembly made, the run's only decomposition, and
-    # nothing samples a control on the full grid
-    materialized, stepped, factored, eigh, eigvalsh = [], [], [], [], []
+    # modal pass, a row per spline, whose responses the w1 and w2
+    # backgrounds share; they read the eigenpairs that assembly made, the
+    # run's only decomposition, and nothing samples a control on the full grid
+    materialized, stepped, factored, eigh, eigvalsh, modal = [], [], [], [], [], []
 
     def counting(calls, fn, size=lambda *a: 1):
         def wrapper(*args, **kwargs):
@@ -328,6 +328,8 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "lu_factor", counting(factored, solver.lu_factor))
     monkeypatch.setattr(np.linalg, "eigh", counting(eigh, np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(eigvalsh, np.linalg.eigvalsh))
+    monkeypatch.setattr(inversion, "solve_modal_basis",
+                        counting(modal, inversion.solve_modal_basis))
     cfg = _linear_cfg()
     run_scenario(cfg, str(tmp_path / "out"))
     grid = build_grid(*(cfg["grid"][k] for k in ("box", "omega", "w1", "w2", "n_nodes")))
@@ -335,10 +337,10 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     n_basis, n_splines = len(basis), len(basis.tsplines)
     assert n_basis == len(ControlBasis(grid, "w2", cfg["dt"], cfg["t_final"], 8))
     assert materialized == []
-    assert sum(stepped) == n_basis + 2 * n_splines
-    # three static factorizations, the gaussian's and one per modal pass, and
+    assert sum(stepped) == n_basis + n_splines and len(modal) == 1
+    # two static factorizations, the gaussian's and the modal pass's, and
     # one eigendecomposition, the operator's
-    assert len(factored) == 3
+    assert len(factored) == 2
     assert (len(eigh), len(eigvalsh)) == (1, 0)
 
 
@@ -363,8 +365,8 @@ def _count_stepped_rows(monkeypatch):
 def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
     # at 10 segments a knot is 5 of the 50 steps, so each spline is the
     # first one delayed by whole steps: the one basis pass, the difference,
-    # steps one seed per window node, between the modal passes of the w1 and
-    # w2 backgrounds, a row per spline; each of the three factors once
+    # steps one seed per window node, after the one modal pass, a row per
+    # spline, that the w1 and w2 backgrounds share; each of the two factors once
     stepped, factored = _count_stepped_rows(monkeypatch)
     cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10}})
     run_scenario(cfg, str(tmp_path / "out"))
@@ -373,14 +375,14 @@ def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
     n_nodes, n_seeds = len(bases[0].nodes), 1
     assert n_nodes == len(bases[1].nodes) and len(bases[0]) == 5 * n_nodes
     n_splines = len(bases[0].tsplines)
-    assert stepped == [n_splines, n_nodes * n_seeds, n_splines]
-    assert len(factored) == 3
+    assert stepped == [n_splines, n_nodes * n_seeds]
+    assert len(factored) == 2
 
 
 def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
     # a ramp potential shifts nothing: its difference pass steps every
-    # element, CONTROL_BLOCK rows at a time, and each q = 0 background steps
-    # one row per spline
+    # element, CONTROL_BLOCK rows at a time, and the q = 0 backgrounds step
+    # one modal pass, a row per spline
     stepped, _ = _count_stepped_rows(monkeypatch)
     monkeypatch.setattr(solver, "CONTROL_BLOCK", 8)
     cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10, "frame": "reversed",
@@ -391,7 +393,7 @@ def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
     n_splines = len(basis.tsplines)
     assert max(stepped) <= 8
     assert sorted(stepped) == sorted([8] * (len(basis) // 8) + [len(basis) % 8]
-                                     + [n_splines] * 2)
+                                     + [n_splines])
 
 
 def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
@@ -561,11 +563,11 @@ def test_runge_errors_are_those_of_each_level_synthesis(tmp_path):
     report = run_scenario(cfg, str(tmp_path / "out"))
     run, op = _setup(_merge(DEFAULTS, cfg))
     dt, t_final = run.dt, run.t_final
-    target = _gaussian_pulse(run.grid, dt, run.nt, 0.2, 0.8, 0.4, 0.2)
+    theta, profile = _gaussian_pulse(run.grid, dt, run.nt, 0.2, 0.8, 0.4, 0.2)
     alpha = DEFAULTS["regularization"]["synth_alpha"]
     assert report["metrics"]["errors"] == [
         BackgroundStates(op, None, ControlBasis(run.grid, "w2", dt, t_final, n))
-        .synthesize(target[None], alpha)[2][0] for n in (8, 16)]
+        .synthesize(theta[None], profile[None], alpha)[2][0] for n in (8, 16)]
 
 
 # run_runge's relative_errors at a nonzero model.q (the gaussian at 61 nodes,

@@ -219,7 +219,6 @@ RANK_READS = {
     "controls.make_control": "control samples are (time node, grid node)",
     "nonlinearity.Nonlinearity._tau": "a scalar coefficient broadcasts, a nodal one is checked",
     "nonlinearity.power_nonlinearity": "a coefficient is a scalar or a nodal row",
-    "inversion.BackgroundStates.synthesize": "a target stack is (target, time node, omega)",
 }
 
 

@@ -34,18 +34,29 @@ BENCH_DT = 5e-3
 
 
 def gaussian_target(grid, nt, dt=DT, center=0.35, width=0.22):
+    """The factors (thetas, profiles) of one target: a time bump, (1, nt+1),
+    times a gaussian on omega, (1, n_omega)."""
     om = grid.omega
     t = dt * np.arange(nt + 1)
     theta, _ = time_bump(t, 0.2 * T_FINAL, 0.8 * T_FINAL)
     prof = np.exp(-((grid.x[om] - center) / width) ** 2)
-    return np.outer(theta, prof)
+    return theta[None], prof[None]
+
+
+def _stack(targets):
+    """The (n, nt+1, n_omega) samples of the targets of factors (thetas,
+    profiles), node-major and window-minor, as interior_targets once
+    returned them."""
+    thetas, profiles = targets
+    stack = thetas[None, :, :, None] * profiles[:, None, None, :]
+    return stack.reshape(-1, thetas.shape[1], profiles.shape[1])
 
 
 def synthesized(op, target, window, alpha, n_segments):
-    """(control, tracking error) of the synthesis towards one target over the
-    basis of a spline level on window, at q = 0."""
+    """(control, tracking error) of the synthesis towards one target, given by
+    its factors, over the basis of a spline level on window, at q = 0."""
     basis = ControlBasis(op.grid, window, DT, T_FINAL, n_segments)
-    coeffs, _, errors = BackgroundStates(op, None, basis).synthesize(target[None], alpha)
+    coeffs, _, errors = BackgroundStates(op, None, basis).synthesize(*target, alpha)
     return basis.control(coeffs[0]), errors[0]
 
 
@@ -53,10 +64,24 @@ def synthesized(op, target, window, alpha, n_segments):
 
 
 def test_synthesize_zero_target_gives_zero_control(op31, grid31):
-    target = np.zeros((NT + 1, grid31.omega.size))
+    target = (np.zeros((1, NT + 1)), np.zeros((1, grid31.omega.size)))
     ctl, err = synthesized(op31, target, "w1", 1e-10, 8)
     assert err == 0.0
     assert np.abs(ctl.values).max() == 0.0
+
+
+@pytest.mark.parametrize("q", [None, 0.3])
+def test_zero_target_among_others_gives_exactly_zero(op31, grid31, q):
+    # the errors are formed in place from the reached states of every
+    # target: a zero profile's row stays exactly zero on both paths
+    basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    thetas, profile = gaussian_target(grid31, NT)
+    profiles = np.concatenate([profile, np.zeros_like(profile), 0.5 * profile])
+    coeffs, achieved, errors = BackgroundStates(op31, q, basis).synthesize(
+        np.concatenate([thetas, 0.5 * thetas]), profiles, 1e-10)
+    assert errors[2] == errors[3] == 0.0
+    assert not coeffs[2:4].any() and not achieved[2:4].any()
+    assert (errors[[0, 1, 4, 5]] > 0.0).all()
 
 
 def test_synthesis_error_decreases_with_nested_refinement(op31, grid31):
@@ -73,7 +98,7 @@ def test_synthesis_error_nondecreasing_in_alpha(op31, grid31):
     target = gaussian_target(grid31, NT)
     basis = ControlBasis(grid31, "w1", DT, T_FINAL, 16)
     bg = BackgroundStates(op31, None, basis)
-    errs = [bg.synthesize(target[None], alpha)[2][0]
+    errs = [bg.synthesize(*target, alpha)[2][0]
             for alpha in (1e-12, 1e-8, 1e-4, 1e0, 1e4)]
     assert np.all(np.diff(errs) >= -1e-12 * errs[-1])
 
@@ -81,7 +106,7 @@ def test_synthesis_error_nondecreasing_in_alpha(op31, grid31):
 def test_synthesis_factors_once_per_call(op31, grid31, monkeypatch):
     from viscowave import inversion
 
-    target = gaussian_target(grid31, NT)
+    theta, profile = gaussian_target(grid31, NT)
     basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
     bg = BackgroundStates(op31, None, basis)
     factored = []
@@ -92,12 +117,12 @@ def test_synthesis_factors_once_per_call(op31, grid31, monkeypatch):
         return real_factor(a, *args, **kwargs)
 
     monkeypatch.setattr(inversion, "cho_factor", counting_factor)
-    bg.synthesize(target[None], 1e-10)
-    repeated = bg.synthesize(0.5 * target[None], 1e-10)
-    bg.synthesize(np.stack([target, 0.5 * target]), 1e-6)
+    bg.synthesize(theta, profile, 1e-10)
+    repeated = bg.synthesize(theta, 0.5 * profile, 1e-10)
+    bg.synthesize(theta, np.concatenate([profile, 0.5 * profile]), 1e-6)
     assert len(factored) == 3
     # a call leaves nothing behind that changes the next one
-    fresh = BackgroundStates(op31, None, basis).synthesize(0.5 * target[None], 1e-10)
+    fresh = BackgroundStates(op31, None, basis).synthesize(theta, 0.5 * profile, 1e-10)
     for a, b in zip(repeated, fresh):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
@@ -107,20 +132,24 @@ def test_large_alpha_suppresses_control(op31, grid31):
     basis = ControlBasis(grid31, "w1", DT, T_FINAL, 16)
     bg = BackgroundStates(op31, None, basis)
     k = grid31.h * op31.omega_block
+    sampled = _stack(target)[0]
     target_norm = np.sqrt(np.sum(
-        bg.time_weights * np.einsum("tj,tj->t", target, target @ k)))
+        bg.time_weights * np.einsum("tj,tj->t", sampled, sampled @ k)))
     ctl, err = synthesized(op31, target, "w1", 1e8, 16)
     assert err == pytest.approx(target_norm, rel=1e-4)
-    assert np.abs(ctl.values).max() < 1e-4 * np.abs(target).max()
+    assert np.abs(ctl.values).max() < 1e-4 * np.abs(sampled).max()
 
 
 def test_synthesize_rejects_bad_target_shape(op31, grid31):
     basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
     bg = BackgroundStates(op31, None, basis)
-    # a single target is a stack of one
-    for shape in ((1, NT + 1, 3), (NT + 1, 3), (NT + 1, grid31.omega.size)):
-        with pytest.raises(InversionError, match="target shape"):
-            bg.synthesize(np.zeros(shape), 1e-10)
+    n_omega = grid31.omega.size
+    # one target is a row of each factor: (windows, nt+1) and (nodes, n_omega)
+    for shapes in (((1, NT + 1), (1, 3)), ((1, NT), (1, n_omega)),
+                   ((NT + 1,), (1, n_omega)), ((1, NT + 1), (n_omega,)),
+                   ((1, 1, NT + 1), (1, n_omega)), ((1, NT + 1), (1, NT + 1, n_omega))):
+        with pytest.raises(InversionError, match="^target factors "):
+            bg.synthesize(*(np.zeros(shape) for shape in shapes), 1e-10)
 
 
 def test_synthesized_control_lives_on_requested_window(op31, grid31):
@@ -135,15 +164,16 @@ def test_synthesized_control_lives_on_requested_window(op31, grid31):
 
 
 def test_interior_targets_default_count(grid31):
-    targets = interior_targets(ControlBasis(grid31, "w1", DT, T_FINAL, 8))
-    assert len(targets) == 3 * grid31.omega.size
+    thetas, profiles = interior_targets(ControlBasis(grid31, "w1", DT, T_FINAL, 8))
+    assert thetas.shape == (3, NT + 1)
+    assert profiles.shape == (grid31.omega.size, grid31.omega.size)
 
 
 def test_localized_target_materialize(grid31):
     node = int(grid31.omega[4])
     basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
     t = DT * np.arange(NT + 1)
-    for field, (t0, t1) in zip(interior_targets(basis, nodes=[node], space_width=0.2),
+    for field, (t0, t1) in zip(_stack(interior_targets(basis, nodes=[node], space_width=0.2)),
                                inversion.TARGET_WINDOWS):
         assert field.shape == (NT + 1, grid31.omega.size)
         assert np.abs(field[(t <= t0) | (t >= t1)]).max() == 0.0
@@ -172,7 +202,7 @@ def test_target_stack_is_materializing_each_bitwise(grid31, grid101, n_nodes):
     basis = ControlBasis(grid, "w1", dt, T_FINAL, 16)
     # every node at the default width 2h, and nodes out of order at another width
     for nodes, width in ((None, None), (grid.omega[::-5].tolist(), 0.1)):
-        stack = interior_targets(basis, nodes=nodes, space_width=width)
+        stack = _stack(interior_targets(basis, nodes=nodes, space_width=width))
         ref = _target_loop(basis, grid.omega if nodes is None else nodes,
                            2.0 * grid.h if width is None else width)
         assert stack.shape == ref.shape
@@ -248,14 +278,19 @@ def _all_states(bg):
 
 
 def _reference_synthesis(bg, states, stack, dt):
-    """Right-hand side and achieved states of the synthesis at alpha 1e-8 from
-    the reference weighting of states, solved with bg's Gram."""
+    """Right-hand side, achieved states and tracking errors of the synthesis
+    at alpha 1e-8 towards a sampled target stack, from the reference
+    weighting of states, solved with bg's Gram."""
     op = bg.op
+    k_omega = op.grid.h * op.omega_block
     sw_flat = _reference_weighting(op, states, dt)[1]
-    rhs = sw_flat @ (stack @ (op.grid.h * op.omega_block)).reshape(len(stack), -1).T
+    rhs = sw_flat @ (stack @ k_omega).reshape(len(stack), -1).T
     scale = np.trace(bg.gram) / np.trace(bg.control_gram)
     coeffs = cho_solve(cho_factor(bg.gram + 1e-8 * scale * bg.control_gram), rhs).T
-    return rhs, (coeffs @ states.reshape(len(states), -1)).reshape(stack.shape)
+    achieved = (coeffs @ states.reshape(len(states), -1)).reshape(stack.shape)
+    miss = stack - achieved
+    errors = np.sqrt(np.einsum("ntj,ntj,t->n", miss, miss @ k_omega, bg.time_weights))
+    return rhs, achieved, errors
 
 
 @pytest.mark.parametrize("window", ["w1", "w2"])
@@ -285,14 +320,36 @@ def test_synthesis_matches_reference_path(op31, grid31, static_q, monkeypatch):
     bg = BackgroundStates(op31, q, basis)
     states = _all_states(bg)
     _assert_close(bg.gram, _reference_weighting(op31, states, DT)[0], 1e-12)
-    stack = interior_targets(basis, nodes=grid31.omega[::3])
-    rhs, achieved = _reference_synthesis(bg, states, stack, DT)
+    targets = interior_targets(basis, nodes=grid31.omega[::3])
+    rhs, achieved = _reference_synthesis(bg, states, _stack(targets), DT)[:2]
 
     solved = []
     monkeypatch.setattr(inversion, "cho_solve",
                         lambda u, b: solved.append(b) or cho_solve((u, False), b))
-    _assert_close(bg.synthesize(stack, 1e-8)[1], achieved, 1e-10)
+    _assert_close(bg.synthesize(*targets, 1e-8)[1], achieved, 1e-10)
     _assert_close(solved[0], rhs, 1e-15)
+
+
+# measured maxima, relative to the largest entry, of the factor synthesis's
+# achieved states and tracking errors against the reference stack path at
+# alpha 1e-8, 31 nodes: 3.2e-13 and 2.8e-14 at q = 0, 3.9e-13 and 5.6e-14
+# at the static q = 0.3
+FACTOR_RTOL = 1e-10
+
+
+@pytest.mark.parametrize("q", [None, 0.3])
+def test_factor_synthesis_matches_the_sampled_stack_path(op31, grid31, q):
+    # the synthesis from the targets' factors, p V and thetas, against the
+    # reference's sampled target stack, on the modal (q = 0) and the nodal
+    # (static q) paths, each with its own blocked solve
+    basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
+    bg = BackgroundStates(op31, q, basis)
+    assert bg.modal is (q is None)
+    targets = interior_targets(basis, nodes=grid31.omega[::2], space_width=0.1)
+    _rhs, achieved, errors = _reference_synthesis(bg, _all_states(bg), _stack(targets), DT)
+    _coeffs, got_achieved, got_errors = bg.synthesize(*targets, 1e-8)
+    _assert_close(got_achieved, achieved, FACTOR_RTOL)
+    _assert_close(got_errors, errors, FACTOR_RTOL)
 
 
 def _benchmark_background(op101, grid101, ramp):
@@ -330,6 +387,24 @@ def test_modal_background_init_peak_holds_no_state_stack(op101, grid101):
     assert peak < 3.0e6
 
 
+def test_synthesis_peak_holds_no_target_stack(op101, grid101):
+    # traced peak of one benchmark-size synthesis at q = 0 towards its 99
+    # targets: measured 12.1 MB, the reached and the achieved states (5.3 MB
+    # each) and small arrays; the sampled-stack synthesis peaked at 17.8 MB
+    # beside its 5.3 MB target stack
+    bg = _benchmark_background(op101, grid101, False)
+    targets = interior_targets(bg.basis)
+    bg.synthesize(*targets, 1e-12)
+    tracemalloc.start()
+    try:
+        achieved = bg.synthesize(*targets, 1e-12)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert achieved.shape == (99, 201, 33)
+    assert peak < 2.5 * achieved.nbytes
+
+
 # measured maxima, relative to the largest entry, of the q = 0 background's
 # modal Gram, states and achieved states (alpha 1e-8, the same Gram) against
 # the nodal pass: 31 nodes 1.5e-15, 1.9e-15, 1.5e-12; 101 nodes 5.2e-15,
@@ -349,9 +424,9 @@ def test_modal_background_matches_the_nodal_pass(request, window, n_nodes):
     gram_rtol, states_rtol, achieved_rtol = MODAL_RTOL[n_nodes]
     _assert_close(bg.gram, _reference_weighting(op, states, dt)[0], gram_rtol)
     _assert_close(_all_states(bg), states, states_rtol)
-    stack = interior_targets(basis, nodes=op.grid.omega[::3])
-    achieved = _reference_synthesis(bg, states, stack, dt)[1]
-    _assert_close(bg.synthesize(stack, 1e-8)[1], achieved, achieved_rtol)
+    targets = interior_targets(basis, nodes=op.grid.omega[::3])
+    achieved = _reference_synthesis(bg, states, _stack(targets), dt)[1]
+    _assert_close(bg.synthesize(*targets, 1e-8)[1], achieved, achieved_rtol)
 
 
 def _reference_modal_responses(lam, basis):
@@ -422,6 +497,32 @@ def test_nodal_gram_matches_the_cholesky_product(request, n_nodes, q):
     assert bg.gram.tobytes() == bg.gram.T.tobytes()
 
 
+def test_w2_background_reuses_the_w1_modal_responses(op31, grid31, monkeypatch):
+    # bases on the two windows at one spline level and time grid drive the
+    # modes alike: the w2 background takes the w1 responses, which are
+    # bitwise a fresh pass over the w2 basis, and only its own coupling
+    basis1, basis2 = (ControlBasis(grid31, w, DT, T_FINAL, 8) for w in ("w1", "w2"))
+    bg1, fresh = (BackgroundStates(op31, None, basis) for basis in (basis1, basis2))
+    a, g = solve_modal_basis(op31, basis2)
+    passes = []
+    monkeypatch.setattr(inversion, "solve_modal_basis",
+                        lambda op, basis: passes.append(basis) or solve_modal_basis(op, basis))
+    bg2 = BackgroundStates(op31, None, basis2, like=bg1)
+    assert passes == []
+    assert bg2._responses is bg1._responses
+    assert bg2._responses.tobytes() == g.tobytes()
+    assert bg2._coupling.tobytes() == a.tobytes()
+    for name in ("gram", "control_gram"):
+        assert getattr(bg2, name).tobytes() == getattr(fresh, name).tobytes(), name
+    # a basis on another spline level, or a lender at a nonzero q, steps its own pass
+    finer = ControlBasis(grid31, "w2", DT, T_FINAL, 16)
+    own = BackgroundStates(op31, None, finer, like=bg1)
+    assert passes == [finer] and own._responses is not bg1._responses
+    nodal = BackgroundStates(op31, 0.3, basis1)
+    BackgroundStates(op31, None, basis2, like=nodal)
+    assert passes == [finer, basis2]
+
+
 @pytest.mark.parametrize("q", [None, 0.3])
 def test_background_is_freed_without_the_cyclic_gc(op31, grid31, q):
     # a background holds nothing that refers back to it, so dropping the last
@@ -452,10 +553,24 @@ def test_cho_factor_is_scipys_upper_factor_bitwise(op31, nseg):
 def test_cho_solve_matches_scipys_achieved_states(op101, grid101, monkeypatch):
     basis = ControlBasis(grid101, "w1", DT, T_FINAL, 16)
     bg = BackgroundStates(op101, None, basis)
-    stack = interior_targets(basis, nodes=grid101.omega[::7])
-    achieved = bg.synthesize(stack, 1e-8)[1]
+    targets = interior_targets(basis, nodes=grid101.omega[::7])
+    achieved = bg.synthesize(*targets, 1e-8)[1]
     monkeypatch.setattr(inversion, "cho_solve", lambda u, b: cho_solve((u, False), b))
-    _assert_close(achieved, bg.synthesize(stack, 1e-8)[1], 1e-11)
+    _assert_close(achieved, bg.synthesize(*targets, 1e-8)[1], 1e-11)
+
+
+@pytest.mark.parametrize("n", [1, inversion.CHO_BLOCK - 1, inversion.CHO_BLOCK,
+                               inversion.CHO_BLOCK + 1, 220, 660])
+def test_blocked_cho_solve_matches_scipy(rng, n):
+    # blocks of CHO_BLOCK rows: one row, a block short of a row, a full
+    # block, a block and a row, and the benchmark's 220 and the 301-node
+    # rung's 660 unknowns; one right-hand
+    # side and many.  Measured: at most 8.8e-16 relative to the largest entry
+    a = rng.normal(size=(n, n))
+    u = inversion.cho_factor(a @ a.T + n * np.eye(n), "control")
+    for b in (rng.normal(size=n), rng.normal(size=(n, 33))):
+        ref = cho_solve((u, False), b)
+        _assert_close(inversion.cho_solve(u, b), ref, 1e-14)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -469,12 +584,14 @@ def test_cho_factor_rejects_non_finite_normal_equations(bad):
 def test_synthesis_of_a_target_stack_matches_one_at_a_time(op31, grid31):
     basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
     bg = BackgroundStates(op31, None, basis)
-    fields = interior_targets(basis, nodes=grid31.omega[::3])
-    coeffs, achieved, errors = bg.synthesize(fields, 1e-8)
-    assert coeffs.shape == (len(fields), len(basis))
-    assert achieved.shape == fields.shape and errors.shape == (len(fields),)
-    for i in (0, len(fields) - 1):
-        c, a, e = bg.synthesize(fields[i:i + 1], 1e-8)
+    thetas, profiles = interior_targets(basis, nodes=grid31.omega[::3])
+    n = len(profiles) * len(thetas)
+    coeffs, achieved, errors = bg.synthesize(thetas, profiles, 1e-8)
+    assert coeffs.shape == (n, len(basis))
+    assert achieved.shape == (n, NT + 1, grid31.omega.size) and errors.shape == (n,)
+    for i in (0, n - 1):
+        node, window = divmod(i, len(thetas))
+        c, a, e = bg.synthesize(thetas[window:window + 1], profiles[node:node + 1], 1e-8)
         _assert_close(coeffs[i], c[0], 1e-8)
         _assert_close(achieved[i], a[0], 1e-8)
         assert errors[i] == pytest.approx(e[0], rel=1e-8)
@@ -631,7 +748,8 @@ def test_recover_detects_zero_probing_system(op31, grid31, monkeypatch):
     pairings, bg, basis2 = _zero_case(op31, grid31)
     # zero targets synthesize zero states on both windows
     monkeypatch.setattr(inversion, "interior_targets",
-                        lambda basis, nodes, width: np.zeros((3, NT + 1, grid31.omega.size)))
+                        lambda basis, nodes, width: (np.zeros((3, NT + 1)),
+                                                     np.zeros((1, grid31.omega.size))))
     with pytest.raises(InversionError, match="identically zero"):
         recover_linear_potential(pairings, bg, basis2, 1e-6)
 
@@ -723,6 +841,22 @@ def test_nonlinear_recovery_checks_its_probes_before_any_synthesis(op31, grid31,
         recover_nonlinear_coefficient(op31, lin, remainders,
                                       ControlBasis(grid31, window, dt, T_FINAL, n_segments),
                                       2, eps0=0.1, alpha_inv=1e-2)
+
+
+def test_nonlinear_recovery_names_a_missing_amplitude(op31, grid31, monkeypatch):
+    # the Richardson step reads eps0 and eps0/2: remainders measured at other
+    # amplitudes are refused before any synthesis
+    psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT, amplitude=50.0)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
+    lin, _, remainders = dn_remainders_nonlinear(op31, power_nonlinearity(1.0, 2), psi,
+                                                 basis2, (0.1, 0.03))
+    monkeypatch.setattr(inversion, "BackgroundStates", None)
+    with pytest.raises(InversionError, match="^no remainder measured at eps=0.05$"):
+        recover_nonlinear_coefficient(op31, lin, remainders, basis2, 2, eps0=0.1,
+                                      alpha_inv=1e-2)
+    with pytest.raises(InversionError, match="^no remainder measured at eps=0.2$"):
+        recover_nonlinear_coefficient(op31, lin, remainders, basis2, 2, eps0=0.2,
+                                      alpha_inv=1e-2)
 
 
 # -------------------------------------------------------- serialization

@@ -497,6 +497,18 @@ def test_non_finite_update_reports_its_first_step(op31, grid31):
     assert err.value.step == 6
 
 
+def test_a_nan_static_potential_fails_alike_as_a_row_or_tiled(op31, grid31):
+    # samples whose rows all equal one row are that static row, NaN and all:
+    # both forms fail where the static step matrix is factored
+    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
+    q = 0.3 * interior_bump(grid31)[grid31.omega]
+    q[2] = np.nan
+    for form in (q, np.tile(q, (NT + 1, 1))):
+        with pytest.raises(StepFailureError,
+                           match="^time step 0: factorization failed: non-finite step matrix$"):
+            solve_linear(op31, form, ctl, DT, T_FINAL)
+
+
 # ------------------------------------- the inverse stack: one matrix per potential or per step
 
 
