@@ -15,7 +15,8 @@ class Nonlinearity:
 
     coeff is a scalar or holds one entry per omega node, matched against the
     last axis of tau; f(x, lam*tau) = lam^(r+1) f(x, tau) for lam > 0.  Both
-    evaluations raise NonlinearityError on a result that is not finite.
+    evaluations raise NonlinearityError on a result that is not finite, and
+    so evaluate with numpy's overflow and invalid-value warnings off.
     """
 
     coeff: np.ndarray = field(repr=False)
@@ -31,17 +32,20 @@ class Nonlinearity:
     def value(self, tau):
         """f at tau, e.g. a spacetime field with time first and omega nodes last."""
         tau = self._tau(tau)
-        return _finite(self.coeff * np.abs(tau) ** self.r * tau, "nonlinearity")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.coeff * np.abs(tau) ** self.r * tau
+        return _finite(out, "nonlinearity")
 
     def dvalue(self, tau):
         """d_tau f at tau: (r+1) coeff |tau|^r, the multiplier of the Fréchet differential."""
         tau = self._tau(tau)
-        return _finite((self.r + 1.0) * self.coeff * np.abs(tau) ** self.r,
-                       "nonlinearity derivative")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (self.r + 1.0) * self.coeff * np.abs(tau) ** self.r
+        return _finite(out, "nonlinearity derivative")
 
 
 def _finite(out, what):
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonlinearityError(f"{what} produced a non-finite value")
     return out
 

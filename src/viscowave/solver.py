@@ -16,10 +16,11 @@ three products with precomputed maps, v_{k+1} = u_k P_k + v_k R_k + d_k inv_k,
 and three adds for u_{k+1} = u_k + dt/2 (v_k + v_{k+1}); the maps carry L's
 omega block, the potential and the inverse of the step matrix, inverted once
 per potential (once per step for a time-dependent one).  Nonlinear runs
-replace q u by f(x, u) and solve each step with a Newton iteration on the
-same Jacobian structure.  A non-finite interior update is reported, by the
-first step that produced one, after the last step; a finite last state
-means there is none.
+replace q u by f(x, u) and solve each step with a Newton iteration whose
+Jacobian is the step matrix plus the diagonal dt^2/4 f'(u): its corrections
+are split on the step matrix, inverted once per run.  A non-finite interior
+update is reported, by the first step that produced one, after the last
+step; a finite last state means there is none.
 
 A control basis goes through the loop a block of elements at a time, with
 no full-grid control, and returns one observed history per element: what a
@@ -247,8 +248,9 @@ def _step_matrix(L, dt):
 def lu_factor(stack):
     """Inverses of a (k, n, n) stack of step matrices, one LU each.
 
-    The one place the linear solver factors; ``perfbench/tracer.py`` counts
-    the factorizations through this name.
+    Every step inverse the solver keeps, for linear steps and Newton
+    corrections alike, is made here; ``perfbench/tracer.py`` counts the
+    factorizations through this name.
     """
     return np.linalg.inv(stack)
 
@@ -497,43 +499,85 @@ def solve_modal_basis(op, basis):
 NEWTON_TOL = 1e-10
 NEWTON_MAXIT = 25
 
+# Largest contraction rho = ||B^-1||_inf max|d| at which a Newton correction
+# is split on the step matrix inverted once (:func:`_newton_correction`); it
+# takes floor(log(u) / log(rho)) sweeps, 6 at 5e-3, and above it a correction
+# is a dense solve.  Measured with BLAS at one thread on a 2-vCPU VM, a random
+# diagonal and the step matrices of 101 nodes at dt 5e-3 and 301 at 1e-3,
+# min of 7 rounds of 2000 calls, three runs:
+#   interior nodes   dense solve   sweeps: 0       2        4        6        8
+#        33          30-33 us              2-3     9-10     18       25-26    33-34 us
+#        99          92-164 us             3-4     10-16    19-27    31-39    46-51 us
+# so 6 sweeps beat the dense solve at both sizes, and 8 tie it at 33 nodes
+NEWTON_SPLIT_RHO = 5e-3
+UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
+
+
+def _newton_correction(g, d, inv, inv_norm, base_mat):
+    """x solving (B + diag(d)) x = g, the Newton correction, for the step
+    matrix B with transposed inverse inv and ||B^-1||_inf = inv_norm.
+
+    With rho = inv_norm max|d| at most NEWTON_SPLIT_RHO, x is split as
+    x <- B^-1 (g - d x) from x = B^-1 g: each sweep shrinks the error by
+    rho, and x = B^-1 g is rho ||x|| from the solution, so the
+    floor(log(u) / log(rho)) sweeps taken leave it below unit roundoff u
+    relative to ||x||.  Above the switch x is a dense solve.
+    """
+    rho = inv_norm * np.max(np.abs(d))
+    if rho > NEWTON_SPLIT_RHO:
+        return np.linalg.solve(base_mat + np.diag(d), g)
+    x = g @ inv
+    for _ in range(int(np.log(UNIT_ROUNDOFF) / np.log(rho)) if rho > 0.0 else 0):
+        x = (g - d * x) @ inv
+    return x
+
 
 def solve_nonlinear(op, f, control, dt, t_final):
     """Integrate from rest with interior term f(x, u) via per-step Newton iterations.
 
-    Step k forms its right-hand side from u_k, v_k and the drive; Newton then
-    solves for the new velocity w, and u_{k+1} = u_k + dt/2 (v_k + w).  A
-    non-finite residual raises, so the states stay finite.
+    Step k forms its right-hand side from u_k, v_k, f(u_k) and the drive;
+    Newton then solves for the new velocity w, and
+    u_{k+1} = u_k + dt/2 (v_k + w).  Its Jacobian is the step matrix
+    B = I + (dt/2 + dt^2/4) L plus dt^2/4 diag(f'(u)), so B is inverted
+    once per call (:func:`_step_inverses`) and each correction is split on
+    it, or solved densely where f'(u) is large (:func:`_newton_correction`).
+    f at the accepted iterate is carried into the next step's right-hand
+    side.  A non-finite residual raises, so the states stay finite.
     """
     nt = n_steps_for(dt, t_final)
     grid = op.grid
     drive = _control_drive(op, control, dt, nt, None)
     L = op.omega_block
+    n = L.shape[0]
     base_mat = _step_matrix(L, dt)
+    inv = _step_inverses(base_mat, np.zeros((1, n)), True, dt)[0]
+    inv_norm = np.abs(inv).sum(axis=0).max()       # inv is B^-1 transposed
     hdt = 0.5 * dt
     iters = np.zeros(nt, dtype=int)
-    u = np.empty((nt + 1, grid.omega.size))
+    u = np.empty((nt + 1, n))
     v = np.empty_like(u)
     u[0] = v[0] = 0.0
+    f_u = f.value(u[0])
     for k in range(nt):
         u_k, v_k = u[k], v[k]
         u_base = u_k + hdt * v_k
         flux = ((u_k + v_k) + u_base) @ L
-        rhs = (v_k - hdt * (flux + f.value(u_k))) + drive[k]
+        rhs = (v_k - hdt * (flux + f_u)) + drive[k]
         w = v_k
         res_norm = np.inf
         for it in range(NEWTON_MAXIT):
             u_new = u_base + hdt * w
-            g = (w + (hdt + 0.25 * dt * dt) * (L @ w) + hdt * f.value(u_new) - rhs)
+            f_u = f.value(u_new)
+            g = (w + (hdt + 0.25 * dt * dt) * (L @ w) + hdt * f_u - rhs)
             res_norm = np.max(np.abs(g))
             if not np.isfinite(res_norm):
                 raise NewtonDivergenceError(k + 1, res_norm, it)
             if res_norm <= NEWTON_TOL:
                 iters[k] = it
                 break
-            jac = base_mat + 0.25 * dt * dt * np.diag(f.dvalue(u_new))
+            d = 0.25 * dt * dt * f.dvalue(u_new)
             try:
-                w = w - np.linalg.solve(jac, g)
+                w = w - _newton_correction(g, d, inv, inv_norm, base_mat)
             except np.linalg.LinAlgError as exc:
                 raise StepFailureError(k + 1, f"Newton linear solve failed: {exc}")
         else:

@@ -1,9 +1,10 @@
-"""Shared fixtures: the standard desk geometry at a few resolutions."""
+"""Shared fixtures: the standard desk geometry at a few resolutions, and a
+count of the solver's factorizations."""
 
 import numpy as np
 import pytest
 
-from viscowave import assemble_fraclap, build_grid
+from viscowave import assemble_fraclap, build_grid, solver
 
 BOX = (-1.0, 2.0)
 OMEGA = (0.0, 1.0)
@@ -48,3 +49,19 @@ def grid101():
 @pytest.fixture(scope="session")
 def op101(grid101):
     return assemble_fraclap(grid101, 0.5)
+
+
+@pytest.fixture()
+def counted_linalg(monkeypatch):
+    """The number of lu_factor and np.linalg.solve calls, by name."""
+    calls = {"lu_factor": 0, "solve": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "lu_factor", counting("lu_factor", solver.lu_factor))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    return calls

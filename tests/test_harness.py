@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -943,6 +946,36 @@ def test_cli_solver_failure_exit_one(tmp_path, capsys):
         code = main(["run", path, "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_nonlinear_forward_run_factors_once_and_solves_nothing_dense(tmp_path,
+                                                                     counted_linalg):
+    # the benchmark's forward run at 31 nodes: dt^2/4 f'(u) stays far below
+    # the switch, so every Newton correction is split on the one step inverse
+    report = run_scenario(small_cfg(dt=0.01, model={"kind": "nonlinear", "r": 2},
+                                    experiment={"kind": "forward", "amplitude": 20.0}),
+                          str(tmp_path))
+    assert report["metrics"]["newton_iterations_total"] > 0
+    assert counted_linalg == {"lu_factor": 1, "solve": 0}
+
+
+@pytest.mark.parametrize("amplitude", [1e155, 1e200])
+def test_cli_overflowing_nonlinearity_prints_one_line(tmp_path, amplitude):
+    # |u|^2 u overflows in the product at 1e155 and in the power at 1e200:
+    # the nonlinearity's finiteness check reports it, and numpy warns nothing
+    path = write_yaml(tmp_path / "c.yaml", {
+        "grid": {"n_nodes": 31}, "dt": 0.02,
+        "model": {"kind": "nonlinear", "r": 2,
+                  "coeff": {"kind": "constant", "value": -1.0}},
+        "experiment": {"kind": "forward", "amplitude": amplitude},
+    })
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               PYTHONWARNINGS="default")
+    out = subprocess.run([sys.executable, "-m", "viscowave.cli", "run", path,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 1
+    assert out.stderr == "error: nonlinearity produced a non-finite value\n"
 
 
 def test_cli_noise_only_where_it_is_read(tmp_path, capsys):

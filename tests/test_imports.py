@@ -222,19 +222,56 @@ RANK_READS = {
 }
 
 
-def _rank_readers(node, scope):
-    """The qualified name of the function, method or module around each
-    .ndim, np.ndim or bare ndim under node, whose own name is scope."""
+def _scopes_of(node, scope, hit):
+    """The qualified name of the function, method or module around each node
+    under node for which hit holds, whose own name is scope."""
     for child in ast.iter_child_nodes(node):
-        if ((isinstance(child, ast.Attribute) and child.attr == "ndim")
-                or (isinstance(child, ast.Name) and child.id == "ndim")):
+        if hit(child):
             yield scope
         named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
-        yield from _rank_readers(child, f"{scope}.{child.name}" if named else scope)
+        yield from _scopes_of(child, f"{scope}.{child.name}" if named else scope, hit)
+
+
+def _reads_rank(node):
+    """.ndim, np.ndim or a bare ndim."""
+    return ((isinstance(node, ast.Attribute) and node.attr == "ndim")
+            or (isinstance(node, ast.Name) and node.id == "ndim"))
+
+
+def _scopes_in_package(hit):
+    src = pathlib.Path(viscowave.__file__).parent
+    return {scope for path in src.glob("*.py")
+            for scope in _scopes_of(ast.parse(path.read_text()), path.stem, hit)}
 
 
 def test_only_listed_functions_read_an_array_rank():
-    src = pathlib.Path(viscowave.__file__).parent
-    readers = {scope for path in src.glob("*.py")
-               for scope in _rank_readers(ast.parse(path.read_text()), path.stem)}
-    assert readers == set(RANK_READS)
+    assert _scopes_in_package(_reads_rank) == set(RANK_READS)
+
+
+# Where the package factors or inverts a matrix, each with its reason: a
+# factorization per step or per Newton iteration is a cost to be listed here,
+# not one to slip into a loop
+FACTORIZATIONS = {
+    "solver.lu_factor": "the step inverses, one stack per potential",
+    "solver._step_inverses": "the search for the first singular step of a failed stack",
+    "solver._newton_correction": "the Newton switch: a dense solve where dt^2/4 f'(u) is "
+                                 "too large to split on the step inverse",
+    "inversion.cho_factor": "the Cholesky factor of each normal-equation system",
+    "inversion.cho_solve": "the small diagonal blocks of the blocked substitution",
+    "operator.dualnorm_hminus": "a paper check's dual norm, one solve per call",
+}
+LINALG_FACTORS = {"solve", "inv", "cholesky"}
+
+
+def _factors(node):
+    """A reference to np.linalg.solve, inv or cholesky, called or not, or an
+    import of one of them by name."""
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").endswith("linalg") and any(
+            alias.name in LINALG_FACTORS for alias in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in LINALG_FACTORS
+            and _name(node.value) == "linalg")
+
+
+def test_only_listed_functions_factor_a_matrix():
+    assert _scopes_in_package(_factors) == set(FACTORIZATIONS)

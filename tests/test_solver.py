@@ -17,9 +17,9 @@ from viscowave import (NewtonDivergenceError, SolverError, StepFailureError,
 from viscowave import (BackgroundStates, dn_difference_linear, dn_matrix_linear, dnmap,
                        solver)
 from viscowave.controls import ControlBasis, make_control, materialize
-from viscowave.solver import (NEWTON_MAXIT, NEWTON_TOL, _check_control, _expand_field,
-                              _expand_potential, _step_inverses, _step_matrix, n_steps_for,
-                              trapezoid_weights)
+from viscowave.solver import (NEWTON_MAXIT, NEWTON_SPLIT_RHO, NEWTON_TOL, _check_control,
+                              _expand_field, _expand_potential, _newton_correction,
+                              _step_inverses, _step_matrix, n_steps_for, trapezoid_weights)
 
 DT, NT = 0.02, 50
 T_FINAL = 1.0
@@ -507,6 +507,59 @@ def test_a_nan_static_potential_fails_alike_as_a_row_or_tiled(op31, grid31):
         with pytest.raises(StepFailureError,
                            match="^time step 0: factorization failed: non-finite step matrix$"):
             solve_linear(op31, form, ctl, DT, T_FINAL)
+
+
+# ------------------------------------- Newton corrections split on the step inverse
+
+
+def _assert_newton_matches_the_reference(op, f, ctl, traj):
+    """traj within 1e-12 of the dense reference Newton loop from rest, with
+    the same iteration count at every step."""
+    explicit, implicit, iters = _reference_newton(op, f, DT, NT)
+    ref_u, ref_v = _reference_crank_nicolson(op, ctl, DT, NT, None, None, explicit, implicit)
+    assert iters.max() >= 1
+    _assert_close(traj, ref_u, ref_v)
+    assert np.array_equal(traj.newton_iters, iters)
+
+
+@pytest.mark.parametrize("coeff", [1.0, "nodal"])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("op_name", ["op31", "op101"])
+def test_split_newton_matches_the_dense_reference(op_name, r, coeff, request, counted_linalg):
+    op = request.getfixturevalue(op_name)
+    grid = op.grid
+    if coeff == "nodal":
+        coeff = 1.0 + 0.5 * np.sin(np.pi * grid.x[grid.omega])
+    f = power_nonlinearity(coeff, r)
+    ctl = bump_control(grid, "w1", 0.1, 0.8, DT, NT, amplitude=5.0)
+    traj = solve_nonlinear(op, f, ctl, DT, T_FINAL)
+    assert counted_linalg == {"lu_factor": 1, "solve": 0}
+    _assert_newton_matches_the_reference(op, f, ctl, traj)
+
+
+def test_newton_above_the_switch_solves_densely(op31, counted_linalg):
+    # dt^2/4 f'(u) reaches 5e-2 along the run, past NEWTON_SPLIT_RHO
+    f = power_nonlinearity(1000.0, 2)
+    ctl = bump_control(op31.grid, "w1", 0.1, 0.8, DT, NT, amplitude=20.0)
+    traj = solve_nonlinear(op31, f, ctl, DT, T_FINAL)
+    assert counted_linalg["solve"] > 0 and counted_linalg["lu_factor"] == 1
+    assert 0.25 * DT * DT * f.dvalue(traj.u[:, op31.grid.omega]).max() > NEWTON_SPLIT_RHO
+    _assert_newton_matches_the_reference(op31, f, ctl, traj)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1e-12, 1e-6, 1e-3, 0.99 * NEWTON_SPLIT_RHO])
+def test_split_correction_is_the_dense_solve_to_roundoff(op101, rng, rho):
+    base_mat = _step_matrix(op101.omega_block, DT)
+    n = base_mat.shape[0]
+    inv = _step_inverses(base_mat, np.zeros((1, n)), True, DT)[0]
+    inv_norm = np.abs(inv).sum(axis=0).max()
+    assert inv_norm <= 1.0
+    d = rho / inv_norm * rng.uniform(-1.0, 1.0, n)
+    d[0] = rho / inv_norm
+    g = rng.standard_normal(n)
+    x = _newton_correction(g, d, inv, inv_norm, base_mat)
+    want = np.linalg.solve(base_mat + np.diag(d), g)
+    assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # ------------------------------------- the inverse stack: one matrix per potential or per step
