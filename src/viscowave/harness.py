@@ -308,6 +308,9 @@ def _read_experiment(exp, run):
                   "frame": exp.choice("frame", "direct", ("direct", "reversed")),
                   "q_time_basis": exp.integer("q_time_basis", least=2),
                   **targets(), "tolerance": number("tolerance", 0.10)}
+        if (values["q_time_basis"] or 0) > run["nt"] + 1:   # some hats would vanish at every node
+            raise ConfigError(f"experiment.q_time_basis must not exceed the {run['nt'] + 1} "
+                              f"time nodes, got {values['q_time_basis']}")
         needs = ("invert-linear", "linear")
     else:
         values = {"psi_amplitude": number("psi_amplitude", 50.0),

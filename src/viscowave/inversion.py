@@ -93,18 +93,19 @@ class BackgroundStates:
     :meth:`states_of`; it reads q from here).
 
     Both work in the operator's eigenbasis L_omega = V diag(lam) V^T, where K
-    is diag(h lam): a state S_t is held by its mode coordinates S_t V.  At a
-    static q that is zero everywhere it holds no state history, only the
-    coupling a[j, m] of each window node to each mode and each mode's
-    response g[t, c, m] to each spline, time-major as
-    ``solver.solve_modal_basis`` steps it, and once mode-major, g[m, c, t]:
-    element (node j, spline c) reaches sum_m a[j, m] g[t, c, m] V[:, m], and
-    the Gram is sum_m h lam_m (a_m a_m^T) kron (g_m W g_m^T), with
-    W = diag(w).  A background of the same operator over a basis with the
-    same spline drives, like, lends its responses, so a second window steps
-    no pass of its own.  Any other q steps the basis in one pass,
-    ``solver.solve_linear_basis``, keeps every element's mode coordinates,
-    and forms the Gram as E E^T of the energy coordinates
+    is diag(h lam), and in one form, whatever q: a coupling a[i, m] of each
+    node i to each mode and each mode's response g[m, c, t] to each spline,
+    so that element (node i, spline c) reaches sum_m a[i, m] g[m, c, t] V[:, m].
+    At a static q that is zero everywhere each mode steps on its own
+    (``solver.solve_modal_basis``): the nodes are the window's, a is
+    ``solver.modal_coupling`` and the Gram is
+    sum_m h lam_m (a_m a_m^T) kron (g_m W g_m^T), with W = diag(w).  A
+    background of the same operator over a basis with the same dt, t_final
+    and n_segments, whose splines are then the same, lends its g, like, so a
+    second window steps no pass of its own.  Any other q steps the basis in
+    one pass, ``solver.solve_linear_basis``, and is one node with unit
+    coupling whose splines are the basis elements: g holds every element's
+    mode coordinates, and the Gram is E E^T of the energy coordinates
     E_t = S_t V diag(sqrt(w_t h lam)).  static is the solver's reading of q.
     """
 
@@ -113,25 +114,33 @@ class BackgroundStates:
         self.q = q
         self.basis = basis
         self.time_weights = basis.dt * trapezoid_weights(basis.n_steps)
-        self._weights = op.grid.h * op.eigenvalues
         qs, self.static = solver._expand_potential(q, basis.n_steps, op.grid.omega.size)
         self.modal = self.static and not qs[0].any()
         if self.modal:
-            if (like is not None and like.modal and like.op is op
-                    and solver.same_splines(like.basis, basis)):
-                self._coupling = solver.modal_coupling(op, basis)
-                self._responses, self._by_mode = like._responses, like._by_mode
+            self._coupling = solver.modal_coupling(op, basis)
+            if like is not None and like.modal and like.op is op and all(
+                    getattr(like.basis, k) == getattr(basis, k)
+                    for k in ("dt", "t_final", "n_segments")):
+                self._by_mode = like._by_mode
             else:
-                self._coupling, self._responses = solve_modal_basis(op, basis)
-                self._by_mode = np.ascontiguousarray(self._responses.transpose(2, 1, 0))
+                self._by_mode = np.ascontiguousarray(solve_modal_basis(op, basis).T)
             self.gram = self._modal_gram()
         else:
-            self.states = solve_linear_basis(op, q, basis, lambda u, v: u @ op.modes)
-            # one symmetric product (numpy's SYRK, exactly symmetric)
-            energy = self.states * np.sqrt(self.time_weights[:, None] * self._weights)
-            flat = energy.reshape(len(basis), -1)
+            coords = solve_linear_basis(op, q, basis, lambda u, v: u @ op.modes)  # (e, t, m)
+            self._by_mode = np.ascontiguousarray(coords.transpose(2, 0, 1))
+            # one symmetric product (numpy's SYRK, exactly symmetric) of the energy
+            # coordinates, weighted in place; the pass's array goes before the control Gram
+            coords *= np.sqrt(self.time_weights[:, None] * self._weights)
+            flat = coords.reshape(len(basis), -1)
             self.gram = flat @ flat.T
+            del coords, flat
+            self._coupling = np.ones((1, op.eigenvalues.size))
         self.control_gram = self._control_gram()
+
+    @property
+    def _weights(self):
+        """h lam: K = h omega_block in the eigenbasis of L_omega."""
+        return self.op.grid.h * self.op.eigenvalues
 
     def _modal_gram(self):
         """sum_m h lam_m (a_m a_m^T) kron (g_m W g_m^T), made exactly symmetric."""
@@ -154,11 +163,9 @@ class BackgroundStates:
     def states_of(self, elements):
         """Displacements on omega of the basis elements at the indices
         elements: a fresh time-major (nt+1, len(elements), n_omega) block."""
-        if self.modal:
-            node, spline = np.divmod(np.asarray(elements), self._responses.shape[1])
-            modal = self._responses[:, spline] * self._coupling[node]     # (t, e, m)
-        else:
-            modal = self.states[elements].transpose(1, 0, 2)
+        g = self._by_mode
+        node, spline = np.divmod(np.asarray(elements), g.shape[1])
+        modal = np.multiply(g[:, spline].T, self._coupling[node], order="C")  # (t, e, m)
         return modal @ self.op.modes.T
 
     def synthesize(self, thetas, profiles, alpha):
@@ -185,23 +192,16 @@ class BackgroundStates:
         scale = np.trace(self.gram) / np.trace(self.control_gram)
         factor = cho_factor(self.gram + alpha * scale * self.control_gram, "control")
         p = profiles @ self.op.modes                                       # (j, m)
-        kp = p * self._weights
+        kp = p * (weights := self._weights)
         paced = thetas * self.time_weights                                 # (w, t)
-        if self.modal:
-            # element (node i, spline c): sum_m a[i, m] h lam_m p[j, m] (g_m W theta_w)[c]
-            g = self._by_mode                                              # (m, c, t)
-            paired = g @ paced.T                                           # (m, c, w)
-            per_target = kp.T[:, None, :, None] * paired[:, :, None, :]    # (m, c, j, w)
-            rhs = self._coupling @ per_target.reshape(n_modes, -1)         # (i, (c, j, w))
-        else:
-            rhs = ((paced @ self.states) @ kp.T).transpose(0, 2, 1)        # (e, j, w)
+        # element (node i, spline c): sum_m a[i, m] h lam_m p[j, m] (g_m W theta_w)[c]
+        g = self._by_mode                                                  # (m, c, t)
+        paired = g @ paced.T                                               # (m, c, w)
+        per_target = kp.T[:, None, :, None] * paired[:, :, None, :]        # (m, c, j, w)
+        rhs = self._coupling @ per_target.reshape(n_modes, -1)             # (i, (c, j, w))
         coeffs = cho_solve(factor, rhs.reshape(len(self.basis), n)).T
-        if self.modal:
-            per_mode = self._coupling.T @ coeffs.reshape(n, -1, g.shape[1])  # (n, m, c)
-            reached = per_mode.transpose(1, 0, 2) @ g                      # (m, n, t)
-        else:
-            flat = self.states.reshape(len(self.basis), -1)
-            reached = (coeffs @ flat).reshape(n, n_times, n_modes).transpose(2, 0, 1)
+        per_mode = self._coupling.T @ coeffs.reshape(n, -1, g.shape[1])    # (n, m, c)
+        reached = per_mode.transpose(1, 0, 2) @ g                          # (m, n, t)
         achieved = self.op.modes @ reached.reshape(n_modes, -1)
         achieved = achieved.reshape(n_omega, n, n_times).transpose(1, 2, 0)
         # each mode's misses of the targets, in place over its reached states
@@ -209,7 +209,7 @@ class BackgroundStates:
         for m, miss in enumerate(reached):
             miss -= np.multiply.outer(p[:, m], thetas).reshape(n, n_times)
             miss *= miss
-            err2 += self._weights[m] * (miss @ self.time_weights)
+            err2 += weights[m] * (miss @ self.time_weights)
         return coeffs, achieved, np.sqrt(err2)
 
 
@@ -325,7 +325,7 @@ def _probing_kernel(fld1, fld2, weights):
     return kern.reshape(len(fld1) * len(fld2), -1)
 
 
-def recover_linear_potential(pairings, background, probe_basis, alpha_inv, synth_alpha=1e-10,
+def recover_linear_potential(pairings, background, probe_basis, alpha_inv, synth_alpha,
                              q_time_basis=None, target_nodes=None, target_width=None):
     """Potential increment from measured pairing differences over a background.
 
@@ -334,14 +334,14 @@ def recover_linear_potential(pairings, background, probe_basis, alpha_inv, synth
     pairings[i, j] the difference of the data from the background in the
     pairing of control i with probe j reversed in time, as
     ``dnmap.dn_difference_linear`` measures them; the background's operator
-    and time grid are the recovery's.  Both windows synthesize controls
-    towards each of the targets that :func:`interior_targets` samples on the
-    background's time grid at target_nodes and target_width, and the
-    differences m_ij are matched to interior integrals of the potential
-    against products of the achieved background states (the first-order
-    expansion of the measurement map at q_bg, so the returned values estimate
-    q_data - q_bg).  Smoothness-regularized least squares with weight
-    alpha_inv picks the estimate.
+    and time grid are the recovery's.  Both windows synthesize controls at
+    synth_alpha towards each target that :func:`interior_targets` samples on
+    the background's time grid at target_nodes and target_width, and the
+    differences m_ij, which must be finite, are matched to interior integrals
+    of the potential against products of the achieved background states (the
+    first-order expansion of the measurement map at q_bg, so the returned
+    values estimate q_data - q_bg).  Least squares regularized for
+    smoothness with weight alpha_inv picks the estimate.
     With q_time_basis=None the unknown is static; an integer requests that
     many piecewise-linear time profiles, at least 2, on the forward time axis.
     """
@@ -357,6 +357,8 @@ def recover_linear_potential(pairings, background, probe_basis, alpha_inv, synth
     shape = (len(basis1), len(probe_basis))
     if np.shape(pairings) != shape:
         raise InversionError(f"pairings are {np.shape(pairings)}, the bases {shape}")
+    if not np.isfinite(pairings).all():
+        raise InversionError("pairings are not finite")
     op, dt, n_steps = background.op, basis1.dt, basis1.n_steps
     grid = op.grid
     om = grid.omega
@@ -368,7 +370,10 @@ def recover_linear_potential(pairings, background, probe_basis, alpha_inv, synth
     coeff1, achieved1, errs1 = background.synthesize(*targets, synth_alpha)
     coeff2, achieved2, errs2 = bg2.synthesize(*targets, synth_alpha)
 
-    m = coeff1 @ pairings @ coeff2.T  # (n_targets, n_targets)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported just below
+        m = coeff1 @ pairings @ coeff2.T  # (n_targets, n_targets)
+    if not np.isfinite(m).all():
+        raise InversionError("moment data are not finite")
 
     wt = background.time_weights
     if q_time_basis is None:
@@ -440,7 +445,7 @@ def estimate_homogeneity_exponent(eps_list, remainders, p_lin):
 
 
 def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, eps0, alpha_inv,
-                                  synth_alpha=1e-10, target_nodes=None, target_width=None):
+                                  synth_alpha, target_nodes=None, target_width=None):
     """Nodal coefficient of a homogeneous nonlinearity from small-amplitude data.
 
     lin and remainders are the linear response to a probe psi and, at eps0
@@ -451,8 +456,8 @@ def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, eps
     reversed achieved probe states, where v0 = lin on omega.  A two-amplitude
     Richardson step (eps0 and eps0/2, error order r) removes the next
     correction before the moment system is solved for q on the covered nodes.
-    The probe controls are synthesized towards the targets that
-    :func:`interior_targets` samples on probe_basis at target_nodes and
+    The probe controls are synthesized at synth_alpha towards the targets
+    that :func:`interior_targets` samples on probe_basis at target_nodes and
     target_width.
     """
     eps_pair = (eps0, 0.5 * eps0)

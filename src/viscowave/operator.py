@@ -120,14 +120,12 @@ def seminorm_hs(op, v):
 
 
 def dualnorm_hminus(op, g):
-    """Dual norm sqrt(h * g·inv(L_omega)·g) of a functional supported on omega.
-
-    g is given on the full grid and must vanish outside omega.
-    """
+    """Dual norm sqrt(h * g·inv(L_omega)·g) = sqrt(h sum_m (V^T g)_m^2 / lam_m) of a
+    functional g supported on omega, given on the full grid (zero outside omega)."""
     g = np.asarray(g, dtype=float)
     outside = np.delete(g, op.grid.omega, axis=-1)
     if outside.size and np.max(np.abs(outside)) != 0.0:
         raise OperatorError("dual norm argument has support outside omega")
-    gom = g[..., op.grid.omega]
-    q = np.sum(gom * np.linalg.solve(op.omega_block, gom.T).T, axis=-1)
+    coords = g[..., op.grid.omega] @ op.modes
+    q = np.sum(coords * coords / op.eigenvalues, axis=-1)
     return np.sqrt(op.grid.h * np.maximum(q, 0.0))

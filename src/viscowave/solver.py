@@ -472,14 +472,8 @@ def modal_coupling(op, basis):
     return -0.5 * basis.dt * (op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes)
 
 
-def same_splines(basis, other):
-    """Whether two bases step the same spline drives on the same time grid,
-    so that their modal responses g (:func:`solve_modal_basis`) are equal."""
-    return basis.dt == other.dt and np.array_equal(_spline_steps(basis), _spline_steps(other))
-
-
 def solve_modal_basis(op, basis):
-    """(a, g): the q = 0 responses to a node x spline basis, in L_omega's modes.
+    """g: the q = 0 responses to a node x spline basis, in L_omega's modes.
 
     At q = 0 the damping and the stiffness are both L, so in its eigenbasis
     L_omega = V diag(lam) V^T each mode steps on its own: element (node j,
@@ -491,8 +485,7 @@ def solve_modal_basis(op, basis):
     dt, nt = basis.dt, basis.n_steps
     s = _spline_steps(basis)
     drive = np.broadcast_to(s.T[:, :, None], (nt, len(s), op.eigenvalues.size))
-    u, _ = _step_linear(_step_maps(np.diag(op.eigenvalues), None, dt, nt), drive, dt, None)
-    return modal_coupling(op, basis), u
+    return _step_linear(_step_maps(np.diag(op.eigenvalues), None, dt, nt), drive, dt, None)[0]
 
 
 # Newton's stopping test on the max-norm step residual, and its iteration cap

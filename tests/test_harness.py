@@ -875,6 +875,15 @@ def test_reader_names_the_key_of_a_bad_window_or_amplitude_list(experiment, mess
         validate_config(small_cfg(experiment=experiment, model=model))
 
 
+def test_reader_bounds_the_time_profiles_by_the_time_nodes():
+    # above one hat per time node, some hats vanish at every node, and the
+    # kernel grows with the count: 50 steps allow 51
+    validate_config(small_cfg(experiment={"kind": "invert-linear", "q_time_basis": 51}))
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            "experiment.q_time_basis must not exceed the 51 time nodes, got 52") + "$"):
+        validate_config(small_cfg(experiment={"kind": "invert-linear", "q_time_basis": 52}))
+
+
 @pytest.mark.parametrize("experiment,what", [
     ({"kind": "forward"}, "forward with model.kind nonlinear"),
     ({"kind": "invert-nonlinear"}, "invert-nonlinear"),
@@ -976,6 +985,25 @@ def test_cli_overflowing_nonlinearity_prints_one_line(tmp_path, amplitude):
                          capture_output=True, text=True, timeout=120, env=env)
     assert out.returncode == 1
     assert out.stderr == "error: nonlinearity produced a non-finite value\n"
+
+
+def test_cli_overflowing_moment_data_prints_one_line(tmp_path):
+    # noise at 1e300 leaves the pairings finite but overflows the moment data
+    # formed from them: the run fails with one line, and no report holds NaN
+    path = write_yaml(tmp_path / "c.yaml", {
+        "grid": {"n_nodes": 31}, "dt": 0.02,
+        "model": {"kind": "linear", "q": {"kind": "gaussian"}},
+        "experiment": {"kind": "invert-linear", "basis_segments": 8},
+        "noise": {"level": 1.0e300},
+    })
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               PYTHONWARNINGS="default")
+    out = subprocess.run([sys.executable, "-m", "viscowave.cli", "run", path,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 1
+    assert out.stderr == "error: moment data are not finite\n"
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_cli_noise_only_where_it_is_read(tmp_path, capsys):

@@ -258,7 +258,6 @@ FACTORIZATIONS = {
                                  "too large to split on the step inverse",
     "inversion.cho_factor": "the Cholesky factor of each normal-equation system",
     "inversion.cho_solve": "the small diagonal blocks of the blocked substitution",
-    "operator.dualnorm_hminus": "a paper check's dual norm, one solve per call",
 }
 LINALG_FACTORS = {"solve", "inv", "cholesky"}
 
@@ -275,3 +274,16 @@ def _factors(node):
 
 def test_only_listed_functions_factor_a_matrix():
     assert _scopes_in_package(_factors) == set(FACTORIZATIONS)
+
+
+def _reads_modal(node):
+    """A load of .modal: which form a background holds."""
+    return (isinstance(node, ast.Attribute) and node.attr == "modal"
+            and isinstance(node.ctx, ast.Load))
+
+
+def test_only_the_background_constructor_decides_its_form():
+    # a background holds window couplings and mode-major responses whatever
+    # its potential: its constructor picks how to fill them, and nothing
+    # downstream branches on the form
+    assert _scopes_in_package(_reads_modal) == {"inversion.BackgroundStates.__init__"}

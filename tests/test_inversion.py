@@ -8,6 +8,7 @@ import json
 import pathlib
 import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -25,8 +26,8 @@ from viscowave import (BackgroundStates, IllConditionedError,
 from viscowave import inversion
 from viscowave.controls import ControlBasis, materialize, time_bump
 from viscowave.inversion import _probing_kernel
-from viscowave.solver import (n_steps_for, shift_plan, solve_linear_basis, solve_modal_basis,
-                              trapezoid_weights)
+from viscowave.solver import (modal_coupling, n_steps_for, shift_plan, solve_linear_basis,
+                              solve_modal_basis, trapezoid_weights)
 
 DT, NT = 0.02, 50
 T_FINAL = 1.0
@@ -465,7 +466,7 @@ def test_modal_pass_steps_the_modes_as_the_elementwise_loop(request, window, n_n
     op = request.getfixturevalue(f"op{n_nodes}")
     dt, n_segments = (DT, 8) if n_nodes == 31 else (BENCH_DT, 16)
     basis = ControlBasis(op.grid, window, dt, T_FINAL, n_segments)
-    a, g = solve_modal_basis(op, basis)
+    g, a = solve_modal_basis(op, basis), modal_coupling(op, basis)
     ref = _reference_modal_responses(op.eigenvalues, basis)
     assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
     coupling = -0.5 * basis.dt * (op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes)
@@ -503,24 +504,113 @@ def test_w2_background_reuses_the_w1_modal_responses(op31, grid31, monkeypatch):
     # bitwise a fresh pass over the w2 basis, and only its own coupling
     basis1, basis2 = (ControlBasis(grid31, w, DT, T_FINAL, 8) for w in ("w1", "w2"))
     bg1, fresh = (BackgroundStates(op31, None, basis) for basis in (basis1, basis2))
-    a, g = solve_modal_basis(op31, basis2)
+    g, a = solve_modal_basis(op31, basis2), modal_coupling(op31, basis2)
     passes = []
     monkeypatch.setattr(inversion, "solve_modal_basis",
                         lambda op, basis: passes.append(basis) or solve_modal_basis(op, basis))
     bg2 = BackgroundStates(op31, None, basis2, like=bg1)
     assert passes == []
-    assert bg2._responses is bg1._responses
-    assert bg2._responses.tobytes() == g.tobytes()
+    assert bg2._by_mode is bg1._by_mode
+    assert bg2._by_mode.tobytes() == np.ascontiguousarray(g.T).tobytes()
     assert bg2._coupling.tobytes() == a.tobytes()
     for name in ("gram", "control_gram"):
         assert getattr(bg2, name).tobytes() == getattr(fresh, name).tobytes(), name
     # a basis on another spline level, or a lender at a nonzero q, steps its own pass
     finer = ControlBasis(grid31, "w2", DT, T_FINAL, 16)
     own = BackgroundStates(op31, None, finer, like=bg1)
-    assert passes == [finer] and own._responses is not bg1._responses
+    assert passes == [finer] and own._by_mode is not bg1._by_mode
     nodal = BackgroundStates(op31, 0.3, basis1)
     BackgroundStates(op31, None, basis2, like=nodal)
     assert passes == [finer, basis2]
+
+
+def _reference_nodal_synthesis(bg, thetas, profiles, alpha):
+    """Coefficients, achieved states and tracking errors of the synthesis at a
+    nonzero potential as it stood with its own element-first state stack:
+    the right-hand side (paced @ states) @ kp^T and the reached states
+    coeffs @ states, kept verbatim but for self."""
+    op, basis = bg.op, bg.basis
+    states = solve_linear_basis(op, bg.q, basis, lambda u, v: u @ op.modes)   # (e, t, m)
+    weights = op.grid.h * op.eigenvalues
+    n_times, (n_omega, n_modes) = basis.n_steps + 1, op.modes.shape
+    n = len(profiles) * len(thetas)
+    scale = np.trace(bg.gram) / np.trace(bg.control_gram)
+    factor = inversion.cho_factor(bg.gram + alpha * scale * bg.control_gram, "control")
+    p = profiles @ op.modes
+    kp = p * weights
+    paced = thetas * bg.time_weights
+    rhs = ((paced @ states) @ kp.T).transpose(0, 2, 1)                        # (e, j, w)
+    coeffs = inversion.cho_solve(factor, rhs.reshape(len(basis), n)).T
+    flat = states.reshape(len(basis), -1)
+    reached = (coeffs @ flat).reshape(n, n_times, n_modes).transpose(2, 0, 1)
+    achieved = op.modes @ reached.reshape(n_modes, -1)
+    achieved = achieved.reshape(n_omega, n, n_times).transpose(1, 2, 0)
+    err2 = np.zeros(n)
+    for m, miss in enumerate(reached):
+        miss -= np.multiply.outer(p[:, m], thetas).reshape(n, n_times)
+        miss *= miss
+        err2 += weights[m] * (miss @ bg.time_weights)
+    return coeffs, achieved, np.sqrt(err2)
+
+
+# measured maxima, relative to the largest entry, of the synthesis of a
+# nonzero-q background, one node with unit coupling, against the stack
+# formulas at synth_alpha 1e-4, 31 and 101 nodes, static and ramp q:
+# achieved states 5.7e-14, tracking errors 1.1e-14, coefficients 5.0e-12;
+# at 1e-8 and 1e-12 the achieved states moved by 4.7e-12 and 3.4e-10
+ACHIEVED_RTOL, COEFF_RTOL = 1e-12, 1e-10
+
+
+@pytest.mark.parametrize("q", ["static", "ramp"])
+@pytest.mark.parametrize("n_nodes", [31, 101])
+def test_nodal_synthesis_matches_the_stack_formulas(request, n_nodes, q):
+    # a nonzero q is one node with unit coupling whose splines are the
+    # elements: the modal formulas then differ from the stack's only in the
+    # order of their sums
+    op = request.getfixturevalue(f"op{n_nodes}")
+    dt, n_segments = (DT, 8) if n_nodes == 31 else (BENCH_DT, 16)
+    basis = ControlBasis(op.grid, "w1", dt, T_FINAL, n_segments)
+    bg = BackgroundStates(op, _potential(op.grid, dt, q), basis)
+    assert not bg.modal and bg._coupling.tobytes() == np.ones((1, op.eigenvalues.size)).tobytes()
+    assert bg._by_mode.shape == (op.eigenvalues.size, len(basis), basis.n_steps + 1)
+    targets = interior_targets(basis)
+    coeffs, achieved, errors = bg.synthesize(*targets, 1e-4)
+    ref_coeffs, ref_achieved, ref_errors = _reference_nodal_synthesis(bg, *targets, 1e-4)
+    _assert_close(achieved, ref_achieved, ACHIEVED_RTOL)
+    _assert_close(errors, ref_errors, ACHIEVED_RTOL)
+    _assert_close(coeffs, ref_coeffs, COEFF_RTOL)
+
+
+def _time_major_states(bg, elements):
+    """states_of as it stood, from a time-major copy of the responses: at
+    q = 0 the modal pass's (t, c, m) history times each element's coupling,
+    at any other q the element-first pass's rows, transposed."""
+    op, basis = bg.op, bg.basis
+    if bg.modal:
+        responses = solve_modal_basis(op, basis)
+        node, spline = np.divmod(np.asarray(elements), responses.shape[1])
+        modal = responses[:, spline] * modal_coupling(op, basis)[node]
+    else:
+        states = solve_linear_basis(op, bg.q, basis, lambda u, v: u @ op.modes)
+        modal = states[elements].transpose(1, 0, 2)
+    return modal @ op.modes.T
+
+
+@pytest.mark.parametrize("q", [None, "static", "ramp"])
+@pytest.mark.parametrize("n_nodes", [31, 101])
+def test_states_of_is_the_time_major_product_bitwise(request, n_nodes, q):
+    # a scattered selection, repeats and all, and a block of the benchmark's
+    # passes, from the mode-major responses gathered time-major
+    op = request.getfixturevalue(f"op{n_nodes}")
+    dt, n_segments = (DT, 8) if n_nodes == 31 else (BENCH_DT, 16)
+    basis = ControlBasis(op.grid, "w1", dt, T_FINAL, n_segments)
+    bg = BackgroundStates(op, _potential(op.grid, dt, q), basis)
+    assert bg.modal is (q is None)
+    scattered = np.random.default_rng(7).integers(0, len(basis), 20)
+    for elements in (scattered, np.arange(len(basis))[1::2], np.arange(len(basis))[-92:]):
+        got = bg.states_of(elements)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == _time_major_states(bg, elements).tobytes()
 
 
 @pytest.mark.parametrize("q", [None, 0.3])
@@ -667,16 +757,16 @@ def test_recover_rejects_mismatched_records(op31, grid31):
     pairings, _, basis2 = _zero_case(op31, grid31)
     finer = BackgroundStates(op31, None, ControlBasis(grid31, "w1", DT, T_FINAL, 16))
     with pytest.raises(InversionError, match=r"^pairings are \(18, 18\), the bases \(66, 18\)$"):
-        recover_linear_potential(pairings, finer, basis2, 1e-6)
+        recover_linear_potential(pairings, finer, basis2, 1e-6, 1e-10)
 
 
 def test_recover_rejects_swapped_windows(op31, grid31):
     pairings, bg, basis2 = _zero_case(op31, grid31)
     with pytest.raises(InversionError, match="expected controls on w1"):
-        recover_linear_potential(pairings, bg, bg.basis, 1e-6)
+        recover_linear_potential(pairings, bg, bg.basis, 1e-6, 1e-10)
     on_w2 = BackgroundStates(op31, None, basis2)
     with pytest.raises(InversionError, match="expected controls on w1"):
-        recover_linear_potential(pairings, on_w2, basis2, 1e-6)
+        recover_linear_potential(pairings, on_w2, basis2, 1e-6, 1e-10)
 
 
 def test_recover_checks_the_record_before_any_solve(op31, grid31, monkeypatch):
@@ -686,13 +776,33 @@ def test_recover_checks_the_record_before_any_solve(op31, grid31, monkeypatch):
     pairings, bg, basis2 = _zero_case(op31, grid31)
     monkeypatch.setattr(inversion, "BackgroundStates", no_solve)
     with pytest.raises(InversionError, match="pairings"):
-        recover_linear_potential(pairings[:, :-1], bg, basis2, 1e-6)
+        recover_linear_potential(pairings[:, :-1], bg, basis2, 1e-6, 1e-10)
     finer = ControlBasis(grid31, "w2", DT, T_FINAL, 16)
     with pytest.raises(InversionError, match="pairings"):
-        recover_linear_potential(pairings, bg, finer, 1e-6)
+        recover_linear_potential(pairings, bg, finer, 1e-6, 1e-10)
     longer = ControlBasis(grid31, "w2", DT, 2 * T_FINAL, 8)
     with pytest.raises(InversionError, match="time grid"):
-        recover_linear_potential(pairings, bg, longer, 1e-6)
+        recover_linear_potential(pairings, bg, longer, 1e-6, 1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_recover_rejects_non_finite_pairings_before_any_solve(op31, grid31, monkeypatch, bad):
+    pairings, bg, basis2 = _zero_case(op31, grid31)
+    pairings[3, 4] = bad
+    monkeypatch.setattr(inversion, "BackgroundStates", None)
+    with pytest.raises(InversionError, match="^pairings are not finite$"):
+        recover_linear_potential(pairings, bg, basis2, 1e-6, 1e-10)
+
+
+def test_recover_rejects_moments_that_overflow_without_a_warning(op31, grid31):
+    # finite pairings near the top of the float range overflow the moment
+    # data m = coeff1 pairings coeff2^T, which would fill the report with NaN
+    pairings, bg, basis2 = _zero_case(op31, grid31)
+    pairings[:] = 1e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InversionError, match="^moment data are not finite$"):
+            recover_linear_potential(pairings, bg, basis2, 1e-6, 1e-10)
 
 
 def test_recover_rejects_a_probe_basis_on_another_time_grid(op31, grid31, monkeypatch):
@@ -704,7 +814,7 @@ def test_recover_rejects_a_probe_basis_on_another_time_grid(op31, grid31, monkey
                    ControlBasis(grid31, "w2", DT, 2 * T_FINAL, 8)):
         assert len(probes) == len(basis2)
         with pytest.raises(InversionError, match="^probe basis time grid"):
-            recover_linear_potential(pairings, bg, probes, 1e-6)
+            recover_linear_potential(pairings, bg, probes, 1e-6, 1e-10)
 
 
 def test_recover_rejects_bad_frame_and_background(op31, grid31):
@@ -714,7 +824,7 @@ def test_recover_rejects_bad_frame_and_background(op31, grid31):
     moving = BackgroundStates(op31, np.outer(DT * np.arange(NT + 1),
                                              np.ones(grid31.omega.size)), bg.basis)
     with pytest.raises(InversionError, match="must be static"):
-        recover_linear_potential(pairings, moving, basis2, 1e-6)
+        recover_linear_potential(pairings, moving, basis2, 1e-6, 1e-10)
 
 
 def test_recover_takes_a_static_background_given_as_time_samples(op31, grid31):
@@ -728,7 +838,7 @@ def test_recover_takes_a_static_background_given_as_time_samples(op31, grid31):
     for q_bg in (row, np.tile(row, (NT + 1, 1))):
         background = BackgroundStates(op31, q_bg, basis1)
         pairings = dn_difference_linear(q, background, basis2)
-        values.append(recover_linear_potential(pairings, background, basis2, 1e-1).values)
+        values.append(recover_linear_potential(pairings, background, basis2, 1e-1, 1e-10).values)
     assert np.isfinite(values[0]).all() and values[0].any()
     assert values[1].tobytes() == values[0].tobytes()
 
@@ -741,7 +851,8 @@ def test_recover_rejects_fewer_than_two_time_profiles(op31, grid31, monkeypatch,
     monkeypatch.setattr(inversion, "BackgroundStates", None)
     with pytest.raises(InversionError,
                        match=f"^q_time_basis must be at least 2, got {q_time_basis}$"):
-        recover_linear_potential(pairings, bg, basis2, 1e-6, q_time_basis=q_time_basis)
+        recover_linear_potential(pairings, bg, basis2, 1e-6, 1e-10,
+                                 q_time_basis=q_time_basis)
 
 
 def test_recover_detects_zero_probing_system(op31, grid31, monkeypatch):
@@ -751,7 +862,7 @@ def test_recover_detects_zero_probing_system(op31, grid31, monkeypatch):
                         lambda basis, nodes, width: (np.zeros((3, NT + 1)),
                                                      np.zeros((1, grid31.omega.size))))
     with pytest.raises(InversionError, match="identically zero"):
-        recover_linear_potential(pairings, bg, basis2, 1e-6)
+        recover_linear_potential(pairings, bg, basis2, 1e-6, 1e-10)
 
 
 # --------------------------------------------------------- nonlinearity
@@ -840,7 +951,7 @@ def test_nonlinear_recovery_checks_its_probes_before_any_synthesis(op31, grid31,
     with pytest.raises(InversionError, match=message):
         recover_nonlinear_coefficient(op31, lin, remainders,
                                       ControlBasis(grid31, window, dt, T_FINAL, n_segments),
-                                      2, eps0=0.1, alpha_inv=1e-2)
+                                      2, eps0=0.1, alpha_inv=1e-2, synth_alpha=1e-10)
 
 
 def test_nonlinear_recovery_names_a_missing_amplitude(op31, grid31, monkeypatch):
@@ -853,10 +964,10 @@ def test_nonlinear_recovery_names_a_missing_amplitude(op31, grid31, monkeypatch)
     monkeypatch.setattr(inversion, "BackgroundStates", None)
     with pytest.raises(InversionError, match="^no remainder measured at eps=0.05$"):
         recover_nonlinear_coefficient(op31, lin, remainders, basis2, 2, eps0=0.1,
-                                      alpha_inv=1e-2)
+                                      alpha_inv=1e-2, synth_alpha=1e-10)
     with pytest.raises(InversionError, match="^no remainder measured at eps=0.2$"):
         recover_nonlinear_coefficient(op31, lin, remainders, basis2, 2, eps0=0.2,
-                                      alpha_inv=1e-2)
+                                      alpha_inv=1e-2, synth_alpha=1e-10)
 
 
 # -------------------------------------------------------- serialization
