@@ -35,7 +35,9 @@ def time_bump(t, t0, t1):
     """Mollifier bump supported on (t0, t1); returns (values, derivatives)."""
     mid = 0.5 * (t0 + t1)
     half = 0.5 * (t1 - t0)
-    val, der = _mollifier((np.asarray(t, dtype=float) - mid) / half)
+    with np.errstate(over="ignore"):   # a window far below the spacing of t: z = +-inf, outside
+        z = (np.asarray(t, dtype=float) - mid) / half
+    val, der = _mollifier(z)
     return val, der / half
 
 
@@ -107,6 +109,8 @@ def make_control(grid, values, dvalues, window, dt):
     dvalues = np.asarray(dvalues, dtype=float)
     if values.shape != dvalues.shape or values.ndim != 2 or values.shape[1] != grid.n_nodes:
         raise ControlError("control arrays must both be (n_time_nodes, n_grid_nodes)")
+    if not (np.isfinite(values).all() and np.isfinite(dvalues).all()):
+        raise ControlError("control samples are not finite")
     idx = grid.window(window)
     mask = np.ones(grid.n_nodes, dtype=bool)
     mask[idx] = False
@@ -134,8 +138,9 @@ def bump_control(grid, window, t0, t1, dt, n_steps, amplitude=1.0):
     prof = space_bump(grid, window)
     tv, td = time_bump(dt * np.arange(n_steps + 1), float(t0), float(t1))
     amplitude = float(amplitude)
-    return make_control(grid, amplitude * tv[:, None] * prof[None, :],
-                        amplitude * td[:, None] * prof[None, :], window, dt)
+    with np.errstate(over="ignore", invalid="ignore"):   # make_control rejects inf and NaN
+        values, dvalues = [amplitude * x[:, None] * prof[None, :] for x in (tv, td)]
+    return make_control(grid, values, dvalues, window, dt)
 
 
 class ControlBasis:

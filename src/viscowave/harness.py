@@ -246,12 +246,20 @@ def _read_experiment(exp, run):
         if control and t0 < dt:
             raise ConfigError(f"experiment.{lo} of a control window must be at least "
                               f"dt={dt}, got {t0}")
+        if not time_bump(dt * np.arange(run["nt"] + 1), t0, t1)[0].any():
+            raise ConfigError(f"experiment.{lo}={t0} and experiment.{hi}={t1} give a time "
+                              f"bump that is zero at every time node, dt={dt} apart")
         return t0, t1
 
     def pulse(t0, t1, center, width):
-        """t0, t1, center and width of a gaussian times a time bump on (t0, t1)."""
-        return (*window("t0", "t1", t0, t1, control=False), number("center", center),
-                number("width", width, sign="positive"))
+        """t0, t1, center and width of a gaussian times a time bump on (t0, t1),
+        the gaussian not zero at every omega node."""
+        times = window("t0", "t1", t0, t1, control=False)
+        center, width = number("center", center), number("width", width, sign="positive")
+        if not _gaussian(grid.x[grid.omega], center, width).any():
+            raise ConfigError(f"experiment.center={center} and experiment.width={width} give "
+                              "a gaussian that is zero at every omega node")
+        return (*times, center, width)
 
     def spline_levels(key, default, many=False):
         """Time-spline levels under key; a first knot t_final / level before
@@ -354,13 +362,20 @@ def _profile(grid, spec):
     elif kind == "gaussian":
         amp, center = spec.number("amplitude", 1.0), spec.number("center", 0.5)
         width = spec.number("width", 0.1, sign="positive")
-        values = amp * np.exp(-((x - center) / width) ** 2)
+        values = amp * _gaussian(x, center, width)
     else:
         off, amp = spec.number("offset", 0.0), spec.number("amplitude", 1.0)
         freq = spec.number("frequency", 1.0)
         values = off + amp * np.sin(2.0 * np.pi * freq * x)
     spec.done(f"unknown {spec.name} keys {{}} for kind {kind!r}")
     return values
+
+
+def _gaussian(x, center, width):
+    """exp(-((x - center) / width)^2); at a width far below the node spacing
+    the square overflows to exp(-inf) = 0, the value wanted, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.exp(-((x - center) / width) ** 2)
 
 
 def field_from_spec(grid, spec, name="profile"):
@@ -395,7 +410,7 @@ def _gaussian_pulse(grid, dt, nt, t0, t1, center, width):
     """Gaussian over omega times a time bump on (t0, t1), as its two factors:
     the bump's (nt+1,) samples and the gaussian's (n_omega,)."""
     theta, _ = time_bump(dt * np.arange(nt + 1), t0, t1)
-    return theta, np.exp(-((grid.x[grid.omega] - center) / width) ** 2)
+    return theta, _gaussian(grid.x[grid.omega], center, width)
 
 
 def run_forward(run, op, out_dir):

@@ -239,7 +239,8 @@ def interior_targets(basis, nodes=None, space_width=None):
     t = basis.dt * np.arange(n_steps + 1)
     thetas = np.asarray([time_bump(t, a * t_final, b * t_final)[0]
                          for a, b in TARGET_WINDOWS])
-    profiles = np.exp(-((x[om][None, :] - x[nodes][:, None]) / space_width) ** 2)
+    with np.errstate(over="ignore"):    # a width far below h: exp(-inf) = 0 off the node
+        profiles = np.exp(-((x[om][None, :] - x[nodes][:, None]) / space_width) ** 2)
     return thetas, profiles
 
 
@@ -313,15 +314,16 @@ def _probing_kernel(fld1, fld2, weights):
     """Sum over t of fld1[i, t, j] fld2[k, t, j] weights[m, t].
 
     Rows are the pairs (i, k), columns (node j, time profile m); each time
-    profile is one matmul batched over the nodes.  Achieved states as
+    profile is one matmul batched over the nodes, whose right operand is
+    fld2's (j, t, k) view times the profile's weights.  Achieved states as
     :meth:`BackgroundStates.synthesize` returns them are already laid out
-    (j, i, t), so the left operand is not copied.
+    (j, i, t), so no operand is copied but the weighted one.
     """
-    right = np.ascontiguousarray(fld2.transpose(2, 1, 0))       # (j, t, k)
+    right = fld2.transpose(2, 1, 0)                             # (j, t, k)
     left = np.ascontiguousarray(fld1.transpose(2, 0, 1))        # (j, i, t)
     kern = np.empty((len(fld1), len(fld2), fld1.shape[2], len(weights)))
     for m, w in enumerate(weights):
-        kern[..., m] = ((left * w) @ right).transpose(1, 2, 0)
+        kern[..., m] = (left @ (right * w[:, None])).transpose(1, 2, 0)
     return kern.reshape(len(fld1) * len(fld2), -1)
 
 

@@ -24,7 +24,9 @@ step; a finite last state means there is none.
 
 A control basis goes through the loop a block of elements at a time, with
 no full-grid control, and returns one observed history per element: what a
-caller keeps of each block's (u, v), element first.  Only the seeds are
+caller keeps of each block's (u, v), element first.  One spline pass steps
+a basis: on L_omega with a row of L per window node, or at q = 0 on
+diag(lam) with one unit row (:func:`_spline_pass`).  Only the seeds are
 stepped: with a static potential the step is the same at every step, so an
 element whose time spline is an earlier one delayed by a whole number of
 steps responds with that element's response delayed by as many steps
@@ -201,29 +203,6 @@ def _control_drive(op, control, dt, nt, source):
     return drive
 
 
-def _spline_steps(basis):
-    """(n_splines, nt) drive samples of a basis's splines: s_c[k] is spline
-    c's value plus derivative summed over both ends of step k."""
-    x = basis.values + basis.dvalues
-    return x[:, :-1] + x[:, 1:]
-
-
-def _basis_drive(op, basis, elements):
-    """Step right-hand sides on omega of some elements of a node x spline basis.
-
-    Element (node j, spline c) drives step k by -dt/2 s_c[k] L[j, omega],
-    with s_c[k] of :func:`_spline_steps`: one product of the step samples
-    with L's rows, no full-grid control.  Returns (nt, m, n_omega) on the
-    basis's time grid.
-    """
-    s = _spline_steps(basis)
-    index = np.arange(len(basis))[elements]
-    n_spl = len(basis.tsplines)
-    nodes = np.asarray(basis.nodes)[index // n_spl]
-    rows = op.matrix[np.ix_(nodes, op.grid.omega)]          # (m, n_omega)
-    return -0.5 * basis.dt * (s[index % n_spl].T[:, :, None] * rows[None])
-
-
 def _difference_drive(dq, u, dt):
     """Step right-hand sides of w = u_q - u_bg, from the background displacements.
 
@@ -363,14 +342,14 @@ CONTROL_BLOCK = 128
 SHIFT_RTOL = 1e-14
 
 
-def shift_plan(basis, static):
-    """(seed, lag) of a pass over a node x spline basis: the response to
-    element e is that to element seed[e] delayed by lag[e] steps, and zero
-    before; a seed is its own seed at lag 0.
+def shift_plan(basis, static, n_rows):
+    """(seed, lag) of a pass over n_rows rows times a basis's splines: the
+    response to pair e = (row, spline) is that to pair seed[e] delayed by
+    lag[e] steps, and zero before; a seed is its own seed at lag 0.
 
     With a static potential the step is the same at every step, so when
     spline c is an earlier seed c0 delayed by lag steps, the response to
-    (node, c) is that to (node, c0) delayed by lag steps.  A lag is looked
+    (row, c) is that to (row, c0) delayed by lag steps.  A lag is looked
     for where the knots put one, lag = (c - c0) nt / n_segments whole, and
     taken only if c's value-plus-derivative samples, which make its drive,
     are zero before it and match c0's after it to SHIFT_RTOL: a dt that
@@ -390,8 +369,8 @@ def shift_plan(basis, static):
                     <= SHIFT_RTOL * np.abs(x[c]).max()):
                 seed[c], lag[c] = c0, steps
                 break
-    first = n_spl * np.arange(len(basis.nodes))[:, None]
-    return (first + seed).ravel(), np.tile(lag, len(basis.nodes))
+    first = n_spl * np.arange(n_rows)[:, None]
+    return (first + seed).ravel(), np.tile(lag, n_rows)
 
 
 def _basis_pass(maps, plan, drive, dt, observe):
@@ -419,6 +398,27 @@ def _basis_pass(maps, plan, drive, dt, observe):
     return out
 
 
+def _spline_pass(L, q, basis, rows, observe):
+    """observe(u, v) of every (row r, spline c) pair, stepped on the block L
+    with potential q, pair first: (len(rows) * n_splines, nt+1, ...).
+
+    Pair (r, c) drives step k by -dt/2 s_c[k] rows[r], with s_c[k] spline
+    c's value plus derivative summed over both ends of step k; only the
+    seeds of :func:`shift_plan` are stepped, through :func:`_basis_pass`,
+    and q is inverted once for all blocks.
+    """
+    dt, nt = basis.dt, basis.n_steps
+    x = basis.values + basis.dvalues
+    s = x[:, :-1] + x[:, 1:]
+    plan = shift_plan(basis, _expand_potential(q, nt, L.shape[0])[1], len(rows))
+
+    def drive(seeds):
+        row, spline = np.divmod(seeds, len(s))
+        return -0.5 * dt * (s[spline].T[:, :, None] * rows[row][None])
+
+    return _basis_pass(_step_maps(L, q, dt, nt), plan, drive, dt, observe)
+
+
 def solve_linear_basis(op, q, basis, observe):
     """observe(u, v) of the interior response to every element of a node x
     spline control basis, element first: (n_elements, nt+1, ...) on the
@@ -427,17 +427,15 @@ def solve_linear_basis(op, q, basis, observe):
     observe maps a block of read-only (nt+1, m, n_omega) displacement and
     velocity histories on omega, time-major, to (nt+1, m, ...) values; it
     runs once per block of at most CONTROL_BLOCK stepped elements, so a pass
-    holds one block's histories at a time.  With a static q only the seeds
-    of the shift plan are stepped (:func:`shift_plan`); every other
-    element's values are its seed's, delayed, and zero before.  On the
-    exterior, an element's samples are its control.  q is normalized and
-    inverted once for all blocks.  A failing step raises
-    :class:`StepFailureError` for the first failing element, at its step.
+    holds one block's histories at a time.  Element (node j, spline c) is
+    the pair of :func:`_spline_pass` on L_omega whose row is L[j, omega];
+    every element but a seed takes its seed's values, delayed, and zero
+    before.  On the exterior, an element's samples are its control.  A
+    failing step raises :class:`StepFailureError` for the first failing
+    element, at its step.
     """
-    dt, nt = basis.dt, basis.n_steps
-    plan = shift_plan(basis, _expand_potential(q, nt, op.grid.omega.size)[1])
-    return _basis_pass(_step_maps(op.omega_block, q, dt, nt), plan,
-                       lambda seeds: _basis_drive(op, basis, seeds), dt, observe)
+    rows = op.matrix[np.ix_(basis.nodes, op.grid.omega)]
+    return _spline_pass(op.omega_block, q, basis, rows, observe)
 
 
 def solve_linear_difference(op, q, q_background, basis, states, observe):
@@ -460,32 +458,31 @@ def solve_linear_difference(op, q, q_background, basis, states, observe):
     qs, static = _expand_potential(q, nt, n_omega)
     q_bg, bg_static = _expand_potential(q_background, nt, n_omega)
     dq = qs - q_bg
-    plan = shift_plan(basis, static and bg_static)
+    plan = shift_plan(basis, static and bg_static, len(basis.nodes))
     return _basis_pass(
         _step_maps(op.omega_block, q, dt, nt), plan,
         lambda seeds: _difference_drive(dq, states(seeds), dt), dt, observe)
 
 
 def modal_coupling(op, basis):
-    """a = -dt/2 L[basis nodes, omega] V: how each window node of a basis
-    drives each mode of L_omega (:func:`solve_modal_basis`)."""
-    return -0.5 * basis.dt * (op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes)
+    """a = L[basis nodes, omega] V: how each window node of a basis drives
+    each mode of L_omega (:func:`solve_modal_basis`)."""
+    return op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes
 
 
 def solve_modal_basis(op, basis):
-    """g: the q = 0 responses to a node x spline basis, in L_omega's modes.
+    """g: the q = 0 responses to a basis's splines, in L_omega's modes.
 
     At q = 0 the damping and the stiffness are both L, so in its eigenbasis
     L_omega = V diag(lam) V^T each mode steps on its own: element (node j,
     spline c) reaches sum_m a[j, m] g[t, c, m] V[:, m], with the coupling
-    a of :func:`modal_coupling` and g stepped on diag(lam), one row per
-    spline, driven by its :func:`_spline_steps` in every mode.  g is the
-    read-only time-major history of that pass, (nt+1, n_splines, n_modes).
+    a of :func:`modal_coupling` and g the :func:`_spline_pass` on diag(lam)
+    with one unit row, which drives every mode alike; it steps only its
+    shift plan's seeds.  g is time-major, (nt+1, n_splines, n_modes).
     """
-    dt, nt = basis.dt, basis.n_steps
-    s = _spline_steps(basis)
-    drive = np.broadcast_to(s.T[:, :, None], (nt, len(s), op.eigenvalues.size))
-    return _step_linear(_step_maps(np.diag(op.eigenvalues), None, dt, nt), drive, dt, None)[0]
+    unit = np.ones((1, op.eigenvalues.size))
+    g = _spline_pass(np.diag(op.eigenvalues), None, basis, unit, lambda u, v: u)
+    return g.transpose(1, 0, 2)
 
 
 # Newton's stopping test on the max-norm step residual, and its iteration cap

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -368,8 +369,9 @@ def _count_stepped_rows(monkeypatch):
 def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
     # at 10 segments a knot is 5 of the 50 steps, so each spline is the
     # first one delayed by whole steps: the one basis pass, the difference,
-    # steps one seed per window node, after the one modal pass, a row per
-    # spline, that the w1 and w2 backgrounds share; each of the two factors once
+    # steps one seed per window node, after the one modal pass, one seed of
+    # its unit row, that the w1 and w2 backgrounds share; each of the two
+    # factors once
     stepped, factored = _count_stepped_rows(monkeypatch)
     cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10}})
     run_scenario(cfg, str(tmp_path / "out"))
@@ -377,15 +379,14 @@ def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
     bases = [ControlBasis(grid, w, cfg["dt"], cfg["t_final"], 10) for w in ("w1", "w2")]
     n_nodes, n_seeds = len(bases[0].nodes), 1
     assert n_nodes == len(bases[1].nodes) and len(bases[0]) == 5 * n_nodes
-    n_splines = len(bases[0].tsplines)
-    assert stepped == [n_splines, n_nodes * n_seeds]
+    assert stepped == [n_seeds, n_nodes * n_seeds]
     assert len(factored) == 2
 
 
 def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
     # a ramp potential shifts nothing: its difference pass steps every
     # element, CONTROL_BLOCK rows at a time, and the q = 0 backgrounds step
-    # one modal pass, a row per spline
+    # one modal pass, the seeds of its unit row
     stepped, _ = _count_stepped_rows(monkeypatch)
     monkeypatch.setattr(solver, "CONTROL_BLOCK", 8)
     cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10, "frame": "reversed",
@@ -393,10 +394,11 @@ def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
                                  "model": {"q": {"time": "ramp"}}})
     run_scenario(cfg, str(tmp_path / "out"))
     basis = ControlBasis(_setup(cfg)[0].grid, "w1", cfg["dt"], cfg["t_final"], 10)
-    n_splines = len(basis.tsplines)
-    assert max(stepped) <= 8
+    seed, _lag = solver.shift_plan(basis, True, 1)
+    n_modal = np.count_nonzero(seed == np.arange(seed.size))
+    assert max(stepped) <= 8 and n_modal == 1
     assert sorted(stepped) == sorted([8] * (len(basis) // 8) + [len(basis) % 8]
-                                     + [n_splines])
+                                     + [n_modal])
 
 
 def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
@@ -882,6 +884,51 @@ def test_reader_bounds_the_time_profiles_by_the_time_nodes():
     with pytest.raises(ConfigError, match="^" + re.escape(
             "experiment.q_time_basis must not exceed the 51 time nodes, got 52") + "$"):
         validate_config(small_cfg(experiment={"kind": "invert-linear", "q_time_basis": 52}))
+
+
+@pytest.mark.parametrize("experiment,message", [
+    ({"kind": "runge", "center": 40.0}, "experiment.center=40.0 and experiment.width=0.22 "
+     "give a gaussian that is zero at every omega node"),
+    ({"kind": "runge", "t0": 0.5, "t1": 0.51}, "experiment.t0=0.5 and experiment.t1=0.51 "
+     "give a time bump that is zero at every time node, dt=0.02 apart"),
+    ({"kind": "energy-check", "center": 40.0}, "experiment.center=40.0 and "
+     "experiment.width=0.15 give a gaussian that is zero at every omega node"),
+    ({"kind": "identity-check", "t0": 0.1, "t1": 0.11}, "experiment.t0=0.1 and "
+     "experiment.t1=0.11 give a time bump that is zero at every time node, dt=0.02 apart")],
+    ids=["runge-gaussian", "runge-window", "energy-gaussian", "identity-window"])
+def test_reader_rejects_data_zero_at_every_node(tmp_path, capsys, experiment, message):
+    # a zero runge target divided its errors by a zero norm, and a zero source
+    # or control passed its check with a zero residual
+    cfg = small_cfg(experiment=experiment)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        validate_config(cfg)
+    path = write_yaml(tmp_path / "c.yaml", cfg)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides,code,err", [
+    ({"experiment": {"kind": "invert-linear", "basis_segments": 8, "target_stride": 4,
+                     "target_width": 1e-300}}, 0, []),
+    ({"experiment": {"kind": "energy-check", "center": 0.5, "width": 1e-300}}, 0, []),
+    ({"model": {"kind": "linear", "q": {"kind": "gaussian", "width": 1e-300}}}, 0, []),
+    ({"experiment": {"kind": "forward", "amplitude": 1e308}}, 1,
+     ["error: control samples are not finite"]),
+    ({"experiment": {"kind": "energy-check", "t0": 0.0, "t1": 1e-310}}, 2,
+     ["error: experiment.t0=0.0 and experiment.t1=1e-310 give a time bump that is zero "
+      "at every time node, dt=0.02 apart"])],
+    ids=["target-width", "pulse-width", "potential-width", "forward-amplitude",
+         "subnormal-window"])
+def test_cli_overflowing_inputs_print_no_warning(tmp_path, capsys, overrides, code, err):
+    # a gaussian far narrower than h is exp(-inf) = 0 off its centre, a time
+    # bump far narrower than dt is zero at every node, and a control whose
+    # samples overflow is refused as not finite; a numpy warning would raise here
+    path = write_yaml(tmp_path / "c.yaml", small_cfg(**overrides))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.splitlines() == err
 
 
 @pytest.mark.parametrize("experiment,what", [

@@ -149,6 +149,18 @@ def test_only_the_solver_loops_over_the_time_steps():
 DECOMPOSITIONS = {"eigh", "eigvalsh"}
 
 
+def test_one_function_sets_up_every_stepped_pass():
+    # the step loop has two callers: the single solve, and the pass that
+    # every basis, modal and difference pass goes through
+    src = pathlib.Path(viscowave.__file__).parent
+    seen = set()
+    for path in src.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            seen.update((path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                        if isinstance(node, ast.Call) and _name(node.func) == "_step_linear")
+    assert seen == {("solver", "solve_linear"), ("solver", "_basis_pass")}
+
+
 def test_only_the_operator_decomposes_the_omega_block():
     src = pathlib.Path(viscowave.__file__).parent
     seen = {(path.stem, name) for path in src.glob("*.py")

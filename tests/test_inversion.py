@@ -10,6 +10,7 @@ import re
 import tracemalloc
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from viscowave import (BackgroundStates, IllConditionedError,
                        interior_targets, potential_from_spec, power_nonlinearity,
                        recover_linear_potential, recover_nonlinear_coefficient,
                        StepFailureError, solve_linear, zero_nonlinearity)
-from viscowave import inversion
+from conftest import standard_grid
+from viscowave import assemble_fraclap, inversion, solver
 from viscowave.controls import ControlBasis, materialize, time_bump
 from viscowave.inversion import _probing_kernel
 from viscowave.solver import (modal_coupling, n_steps_for, shift_plan, solve_linear_basis,
@@ -367,7 +369,7 @@ def test_gram_at_benchmark_size_matches_reference(op101, grid101, ramp):
     # the ramp's pass steps all 220 elements
     bg = _benchmark_background(op101, grid101, ramp)
     assert bg.modal is not ramp
-    seed, _lag = shift_plan(bg.basis, not ramp)
+    seed, _lag = shift_plan(bg.basis, not ramp, len(bg.basis.nodes))
     assert np.count_nonzero(seed == np.arange(seed.size)) == (len(bg.basis) if ramp else 40)
     _assert_close(bg.gram, _reference_weighting(op101, _all_states(bg), BENCH_DT)[0], 1e-12)
     assert bg.gram.tobytes() == bg.gram.T.tobytes()
@@ -430,47 +432,59 @@ def test_modal_background_matches_the_nodal_pass(request, window, n_nodes):
     _assert_close(bg.synthesize(*targets, 1e-8)[1], achieved, achieved_rtol)
 
 
-def _reference_modal_responses(lam, basis):
-    """g[t, c, m]: the displacement of the mode of L_omega with eigenvalue
-    lam[m] driven by time spline c of basis, per unit of the coupling a[j, m]
-    of the window node, at q = 0.
+def _modal_states_deviation(op, got, ref):
+    """Largest deviation of the element states a g V^T of modal responses
+    and couplings got = (g, a) from those of ref, and ref's largest entry;
+    one window node at a time, so no stack of every element is held."""
+    dev = top = 0.0
+    for a_got, a_ref in zip(got[1], ref[1]):
+        s_got, s_ref = (a_got * got[0]) @ op.modes.T, (a_ref * ref[0]) @ op.modes.T
+        dev, top = max(dev, np.abs(s_got - s_ref).max()), max(top, np.abs(s_ref).max())
+    return dev, top
 
-    At q = 0 the damping and the stiffness are both L, so each mode steps on
-    its own: the step of ``solver._step_maps`` with L replaced by lam[m], and
-    the drive of ``solver._basis_drive`` without its row of L.  A response
-    that is not finite raises :class:`InversionError`.
-    """
-    h = 0.5 * basis.dt
-    inv = 1.0 / (1.0 + (h + h * h) * lam)[:, None]
-    p = -2.0 * h * lam[:, None] * inv
-    r = (1.0 - h * (1.0 + h) * lam)[:, None] * inv
+
+def _dense_modal_pass(op, basis):
+    """(g, a) of the modal pass as it stood: every spline stepped on
+    diag(lam) in one dense block, driven by its step samples in every mode,
+    and the coupling -dt/2 L[basis nodes, omega] V."""
     x = basis.values + basis.dvalues
-    drive = (x[:, :-1] + x[:, 1:]).T[:, None, :] * inv        # (nt, n_modes, n_splines)
-    u = np.zeros((basis.n_steps + 1,) + drive.shape[1:])
-    v = np.zeros(drive.shape[1:])
-    for k in range(basis.n_steps):
-        v_next = u[k] * p + v * r + drive[k]
-        u[k + 1] = u[k] + h * (v + v_next)
-        v = v_next
-    if not np.isfinite(u).all():
-        raise InversionError("modal background responses are not finite")
-    return np.ascontiguousarray(u.transpose(0, 2, 1))
+    s = x[:, :-1] + x[:, 1:]
+    lam = op.eigenvalues
+    drive = np.broadcast_to(s.T[:, :, None], (basis.n_steps, len(s), lam.size))
+    maps = solver._step_maps(np.diag(lam), None, basis.dt, basis.n_steps)
+    g = solver._step_linear(maps, drive, basis.dt, None)[0]
+    rows = op.matrix[np.ix_(basis.nodes, op.grid.omega)]
+    return g, -0.5 * basis.dt * (rows @ op.modes)
+
+
+# measured maxima of the element states a g V^T of the modal pass, which
+# steps its shift plan's seeds with the -dt/2 in their drive, against the
+# dense pass of every spline with the -dt/2 in the coupling, relative to the
+# largest entry, on either window: 5.9e-16 at 31 nodes, 2.5e-15 at 101,
+# 2.6e-15 at 301
+MODAL_PASS_RTOL = 1e-14
 
 
 @pytest.mark.parametrize("window", ["w1", "w2"])
-@pytest.mark.parametrize("n_nodes", [31, 101])
-def test_modal_pass_steps_the_modes_as_the_elementwise_loop(request, window, n_nodes):
-    # the modal responses stepped through the solver's loop on diag(lam) are
-    # those of the elementwise loop that stepped them before, bit for bit: a
-    # product with a diagonal map adds only exact zeros
-    op = request.getfixturevalue(f"op{n_nodes}")
+@pytest.mark.parametrize("n_nodes", [31, 101, 301])
+def test_modal_pass_matches_the_dense_pass_of_every_spline(request, window, n_nodes):
+    # the modal pass steps only its seeds, 2 of the 11 splines at 16
+    # segments and 200 steps; nothing shifts at 31 nodes
+    op = (assemble_fraclap(standard_grid(301), 0.5) if n_nodes == 301
+          else request.getfixturevalue(f"op{n_nodes}"))
     dt, n_segments = (DT, 8) if n_nodes == 31 else (BENCH_DT, 16)
     basis = ControlBasis(op.grid, window, dt, T_FINAL, n_segments)
-    g, a = solve_modal_basis(op, basis), modal_coupling(op, basis)
-    ref = _reference_modal_responses(op.eigenvalues, basis)
-    assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
-    coupling = -0.5 * basis.dt * (op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes)
-    assert a.tobytes() == coupling.tobytes()
+    with mock.patch.object(solver, "_step_linear", wraps=solver._step_linear) as step:
+        g = solve_modal_basis(op, basis)
+    a = modal_coupling(op, basis)
+    seed, _lag = shift_plan(basis, True, 1)
+    n_seeds = np.count_nonzero(seed == np.arange(seed.size))
+    assert [c.args[1].shape[1] for c in step.call_args_list] == [n_seeds]
+    assert n_seeds == (len(basis.tsplines) if n_nodes == 31 else 2)
+    assert g.shape == (basis.n_steps + 1, len(basis.tsplines), op.eigenvalues.size)
+    assert a.tobytes() == (op.matrix[np.ix_(basis.nodes, op.grid.omega)] @ op.modes).tobytes()
+    dev, top = _modal_states_deviation(op, (g, a), _dense_modal_pass(op, basis))
+    assert dev <= MODAL_PASS_RTOL * top
 
 
 def test_non_finite_modal_step_fails_at_step_zero(op31, grid31):
@@ -699,6 +713,42 @@ def test_probing_kernel_matches_einsum(rng, n_profiles):
     weights = rng.uniform(size=(n_profiles, NT + 1))
     ref = np.einsum("itj,ktj,mt->ikjm", fld1, fld2, weights, optimize=True)
     _assert_close(_probing_kernel(fld1, fld2, weights), ref.reshape(7 * 6, -1), 1e-12)
+
+
+def _copying_probing_kernel(fld1, fld2, weights):
+    """_probing_kernel as it stood: a contiguous copy of the reversed right
+    operand, and each time profile's weights on the left one."""
+    right = np.ascontiguousarray(fld2.transpose(2, 1, 0))       # (j, t, k)
+    left = np.ascontiguousarray(fld1.transpose(2, 0, 1))        # (j, i, t)
+    kern = np.empty((len(fld1), len(fld2), fld1.shape[2], len(weights)))
+    for m, w in enumerate(weights):
+        kern[..., m] = ((left * w) @ right).transpose(1, 2, 0)
+    return kern.reshape(len(fld1) * len(fld2), -1)
+
+
+# measured maxima, relative to the largest entry, of the kernel weighting
+# its right operand against the copying one, on the achieved states of the
+# recovery, one and three time profiles: 4.7e-16 at 31 nodes, 3.9e-16 at 101
+KERNEL_RTOL = 2e-15
+
+
+@pytest.mark.parametrize("n_profiles", [None, 3])
+@pytest.mark.parametrize("n_nodes", [31, 101])
+def test_probing_kernel_matches_the_copying_kernel(request, n_nodes, n_profiles):
+    op = request.getfixturevalue(f"op{n_nodes}")
+    dt, n_segments = (DT, 8) if n_nodes == 31 else (BENCH_DT, 16)
+    bases = [ControlBasis(op.grid, w, dt, T_FINAL, n_segments) for w in ("w1", "w2")]
+    bg1 = BackgroundStates(op, None, bases[0])
+    bg2 = BackgroundStates(op, None, bases[1], like=bg1)
+    targets = interior_targets(bases[0])
+    achieved1, achieved2 = (bg.synthesize(*targets, 1e-12)[1] for bg in (bg1, bg2))
+    nt = bases[0].n_steps
+    gamma = (np.ones((1, nt + 1)) if n_profiles is None
+             else inversion._time_hats(n_profiles, dt, nt))
+    weights = gamma * bg1.time_weights
+    fld2 = achieved2[:, ::-1, :]
+    _assert_close(_probing_kernel(achieved1, fld2, weights),
+                  _copying_probing_kernel(achieved1, fld2, weights), KERNEL_RTOL)
 
 
 def test_exact_recovery_from_synthetic_first_order_data(op31, grid31):

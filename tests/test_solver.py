@@ -656,6 +656,20 @@ def _potential(grid, kind):
             "time-dependent": np.outer(DT * np.arange(NT + 1), prof)}[kind]
 
 
+def _basis_drive(op, basis, elements):
+    """Step right-hand sides on omega of some elements of a node x spline
+    basis, (nt, m, n_omega): element (node j, spline c) drives step k by
+    -dt/2 s_c[k] L[j, omega], s_c[k] spline c's value plus derivative
+    summed over both ends of step k."""
+    x = basis.values + basis.dvalues
+    s = x[:, :-1] + x[:, 1:]
+    index = np.arange(len(basis))[elements]
+    n_spl = len(basis.tsplines)
+    nodes = np.asarray(basis.nodes)[index // n_spl]
+    rows = op.matrix[np.ix_(nodes, op.grid.omega)]
+    return -0.5 * basis.dt * (s[index % n_spl].T[:, :, None] * rows[None])
+
+
 def _observed(run_pass):
     """(u, v) of every element of the pass run_pass(observe), element-major,
     and the rows of each _step_linear call it made.
@@ -804,7 +818,7 @@ def test_blocked_pass_fails_at_the_step_solve_linear_reports(op31, grid31):
     prof = _potential(grid31, "static")
     one = _failing_step(lambda: solve_linear(op31, prof, controls[0], DT, T_FINAL, source=src))
     maps = solver._step_maps(op31.omega_block, prof, DT, NT)
-    drive = (solver._basis_drive(op31, basis, slice(0, 5))
+    drive = (_basis_drive(op31, basis, slice(0, 5))
              + solver._control_drive(op31, None, DT, NT, src)[:, None])
     block = _failing_step(lambda: solver._step_linear(maps, drive, DT, None))
     assert one == block == 6
@@ -910,7 +924,7 @@ def test_step_maps_match_the_closure_loop(op101, grid101, monkeypatch, kind):
     q, q_bg = _potential(grid101, kind), 0.2 * np.ones(grid101.omega.size)
     u, v, sizes = _interior_responses(op101, q, basis)
     assert len(sizes) == -(-len(basis) // 32) > 1
-    ref = _closure_loop(op101, q, solver._basis_drive(op101, basis, slice(None)))
+    ref = _closure_loop(op101, q, _basis_drive(op101, basis, slice(None)))
     _assert_within(u, ref[0].transpose(1, 0, 2))
     _assert_within(v, ref[1].transpose(1, 0, 2))
     states = solver.solve_linear_basis(op101, q_bg, basis, lambda u, v: u)
@@ -968,7 +982,7 @@ def _every_element(op, q, basis, dt):
     pass before the shift plan, as one block."""
     nt = n_steps_for(dt, T_FINAL)
     maps = solver._step_maps(op.omega_block, q, dt, nt)
-    drive = solver._basis_drive(op, basis, np.arange(len(basis)))
+    drive = _basis_drive(op, basis, np.arange(len(basis)))
     return solver._step_linear(maps, drive, dt, None, np.arange(len(basis)))
 
 
@@ -1038,21 +1052,22 @@ def test_shift_plan_of_a_level_and_of_a_horizon_off_by_rounding(grid101, grid31)
     # at 16 segments and 200 steps a knot is 12.5 steps: splines 1, 3, 5, ...
     # shift spline 1 by 25, 50, ... steps and splines 2, 4, ... spline 2
     basis = ControlBasis(grid101, "w1", 5e-3, T_FINAL, 16)
-    seed, lag = solver.shift_plan(basis, True)
+    seed, lag = solver.shift_plan(basis, True, len(basis.nodes))
     n_spl = len(basis.tsplines)
     assert seed[:n_spl].tolist() == [0, 1] * 5 + [0]
     assert lag[:n_spl].tolist() == [0, 0, 25, 25, 50, 50, 75, 75, 100, 100, 125]
     assert seed[n_spl:2 * n_spl].tolist() == (n_spl + seed[:n_spl]).tolist()
     assert _seeds(seed).tolist() == [a * n_spl + c for a in range(len(basis.nodes))
                                      for c in (0, 1)]
-    assert not solver.shift_plan(basis, False)[1].any()
+    assert not solver.shift_plan(basis, False, len(basis.nodes))[1].any()
     # n_steps_for takes a dt whose steps miss t_final by rounding; the samples
     # then shift by other than whole knots, and nothing is shifted
     basis = ControlBasis(grid31, "w1", DT, T_FINAL, 10)
-    assert solver.shift_plan(basis, True)[1].any()
+    assert solver.shift_plan(basis, True, len(basis.nodes))[1].any()
     dt = DT + 1e-12
     assert n_steps_for(dt, T_FINAL) == NT
-    seed, lag = solver.shift_plan(ControlBasis(grid31, "w1", dt, T_FINAL, 10), True)
+    basis = ControlBasis(grid31, "w1", dt, T_FINAL, 10)
+    seed, lag = solver.shift_plan(basis, True, len(basis.nodes))
     assert not lag.any() and len(_seeds(seed)) == len(basis)
 
 
