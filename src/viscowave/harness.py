@@ -18,15 +18,17 @@ import yaml
 
 from .controls import ControlBasis, bump_control, time_bump
 from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linear,
-                    dn_remainders_nonlinear, nonlinear_integral_identity_residual,
-                    self_adjointness_residual)
+                    dn_moments_linear, dn_remainders_nonlinear,
+                    nonlinear_integral_identity_residual, self_adjointness_residual)
 from .grid import build_grid
-from .inversion import (TARGET_WINDOWS, BackgroundStates, estimate_homogeneity_exponent,
-                        recover_linear_potential, recover_nonlinear_coefficient)
+from .inversion import (TARGET_WINDOWS, BackgroundStates, LinearRecovery,
+                        estimate_homogeneity_exponent, recover_linear_potential,
+                        recover_nonlinear_coefficient)
 from .nonlinearity import check_exponent_constraints, power_nonlinearity, zero_nonlinearity
 from .operator import assemble_fraclap
 from .solver import (SolverError, _expand_potential, energy_ledger, n_steps_for,
-                     solve_linear, solve_nonlinear, trajectory_to_csv, trapezoid_weights)
+                     solve_linear, solve_nonlinear, steps_controls, trajectory_to_csv,
+                     trapezoid_weights)
 
 
 class ConfigError(ValueError):
@@ -281,6 +283,8 @@ def _read_experiment(exp, run):
         if outside:
             raise ConfigError(f"experiment.target_nodes {outside} are not omega nodes "
                               f"({int(grid.omega[0])}..{int(grid.omega[-1])})")
+        if len(set(nodes)) < len(nodes):    # a repeated node's targets would weigh double
+            raise ConfigError(f"experiment.target_nodes must not repeat a node, got {nodes}")
         return {"target_nodes": nodes, "target_width": width}
 
     if kind == "forward":
@@ -481,20 +485,28 @@ def run_invert_linear(run, op, out_dir):
     grid, dt, t_final, nt, q_true = run.grid, run.dt, run.t_final, run.nt, run.q
     basis1 = ControlBasis(grid, "w1", dt, t_final, run.basis_segments)
     basis2 = ControlBasis(grid, "w2", dt, t_final, run.basis_segments)
+    n_targets = len(TARGET_WINDOWS) * len(run.target_nodes)
     # the data enter as their difference from the q = 0 background, measured
     # by the difference equation driven from the w1 states the inversion
-    # synthesizes with; the noise scales with the data themselves
+    # synthesizes with
     background = BackgroundStates(op, None, basis1)
-    data = dn_difference_linear(q_true, background, basis2)
-    if run.level > 0:
-        p_bg = dn_matrix_linear(op, None, basis1, basis2)
-        data = _add_noise(data, run.level * np.std(p_bg + data),
-                          np.random.default_rng(run.seed))
-
-    recon = recover_linear_potential(
-        data, background, basis2, run.alpha_inv, synth_alpha=run.synth_alpha,
-        q_time_basis=run.q_time_basis, target_nodes=run.target_nodes,
-        target_width=run.target_width)
+    settings = dict(alpha_inv=run.alpha_inv, synth_alpha=run.synth_alpha,
+                    q_time_basis=run.q_time_basis, target_nodes=run.target_nodes,
+                    target_width=run.target_width)
+    if run.level > 0 or not steps_controls(basis1, q_true, background.q, n_targets):
+        # the pairings of every element: noise is drawn on them, scaled with
+        # the q = 0 measurements plus the data, and a pass of the elements
+        # runs before the recovery's arrays are alive
+        data = dn_difference_linear(q_true, background, basis2)
+        if run.level > 0:
+            p_bg = dn_matrix_linear(op, None, basis1, basis2)
+            data = _add_noise(data, run.level * np.std(p_bg + data),
+                              np.random.default_rng(run.seed))
+        recon = recover_linear_potential(data, background, basis2, **settings)
+    else:
+        # the pass steps the synthesized controls, after the recovery is built
+        recovery = LinearRecovery(background, basis2, **settings)
+        recon = recovery.estimate(dn_moments_linear(q_true, recovery))
     # the frame orients a time-dependent estimate: reversed, it is written as
     # a function of t_final - t
     if run.q_time_basis is not None and run.frame == "reversed":
@@ -522,7 +534,7 @@ def run_invert_linear(run, op, out_dir):
                "noise_level": run.level,
                "fit_residual": recon.diagnostics["fit_residual"],
                "rhs_norm": recon.diagnostics["rhs_norm"],
-               "n_targets": len(TARGET_WINDOWS) * len(run.target_nodes)}
+               "n_targets": n_targets}
     return metrics, rel <= run.tolerance
 
 

@@ -196,12 +196,21 @@ class BackgroundStates:
         paced = thetas * self.time_weights                                 # (w, t)
         # element (node i, spline c): sum_m a[i, m] h lam_m p[j, m] (g_m W theta_w)[c]
         g = self._by_mode                                                  # (m, c, t)
+        n_spl = g.shape[1]
         paired = g @ paced.T                                               # (m, c, w)
-        per_target = kp.T[:, None, :, None] * paired[:, :, None, :]        # (m, c, j, w)
-        rhs = self._coupling @ per_target.reshape(n_modes, -1)             # (i, (c, j, w))
+        # the right-hand side, a chunk of target nodes at a time, and the
+        # reached states, a chunk of modes at a time, so that no product
+        # over (mode, element, target) is held whole
+        rhs = np.empty((len(self._coupling), n_spl, len(p), len(thetas)))  # (i, c, j, w)
+        for j in _chunks(len(p), n_modes * n_spl * len(thetas)):
+            per_target = kp.T[:, None, j, None] * paired[:, :, None, :]    # (m, c, j, w)
+            rhs[:, :, j] = (self._coupling @ per_target.reshape(n_modes, -1)).reshape(
+                rhs[:, :, j].shape)
         coeffs = cho_solve(factor, rhs.reshape(len(self.basis), n)).T
-        per_mode = self._coupling.T @ coeffs.reshape(n, -1, g.shape[1])    # (n, m, c)
-        reached = per_mode.transpose(1, 0, 2) @ g                          # (m, n, t)
+        reached = np.empty((n_modes, n, n_times))
+        for m in _chunks(n_modes, n * n_spl):
+            per_mode = self._coupling[:, m].T @ coeffs.reshape(n, -1, n_spl)  # (n, m, c)
+            np.matmul(per_mode.transpose(1, 0, 2), g[m], out=reached[m])      # (m, n, t)
         achieved = self.op.modes @ reached.reshape(n_modes, -1)
         achieved = achieved.reshape(n_omega, n, n_times).transpose(1, 2, 0)
         # each mode's misses of the targets, in place over its reached states
@@ -211,6 +220,19 @@ class BackgroundStates:
             miss *= miss
             err2 += weights[m] * (miss @ self.time_weights)
         return coeffs, achieved, np.sqrt(err2)
+
+
+# Entries of the largest product that synthesis forms a chunk at a time: a
+# modal background fits whole (36k entries at 101 nodes), while a nodal
+# background's (mode, element, target) products, 5.7 MB each at 101 nodes,
+# are formed in chunks of about 1 MB
+SYNTH_CHUNK = 1 << 17
+
+
+def _chunks(n, size):
+    """Slices covering range(n), each of at most SYNTH_CHUNK // size items (at least one)."""
+    step = max(1, SYNTH_CHUNK // size)
+    return [slice(k, k + step) for k in range(0, n, step)]
 
 
 # Three overlapping time windows, as fractions of t_final, give the pairing
@@ -296,8 +318,9 @@ def _second_difference(n):
     return np.diff(np.eye(n), 2, axis=0)
 
 
-def _regularized_solve(kern, rhs, pen, alpha, what):
-    """Least squares kern x ~ rhs penalized by alpha * pen, via Cholesky.
+def _regularized_factor(kern, pen, alpha, what):
+    """Cholesky factor of the normal equations of kern x ~ rhs penalized by
+    alpha * pen, for :func:`cho_solve` with kern^T rhs.
 
     alpha is dimensionless: pen is rescaled so its trace matches the Gram
     matrix, and a 1e-12 relative ridge keeps the factorization defined.
@@ -306,8 +329,7 @@ def _regularized_solve(kern, rhs, pen, alpha, what):
     n = gram.shape[0]
     scale = np.trace(gram) / max(np.trace(pen), 1e-300)
     ridge = 1e-12 * np.trace(gram) / max(n, 1)
-    cho = cho_factor(gram + alpha * scale * pen + ridge * np.eye(n), what)
-    return cho_solve(cho, kern.T @ rhs)
+    return cho_factor(gram + alpha * scale * pen + ridge * np.eye(n), what)
 
 
 def _probing_kernel(fld1, fld2, weights):
@@ -327,101 +349,121 @@ def _probing_kernel(fld1, fld2, weights):
     return kern.reshape(len(fld1) * len(fld2), -1)
 
 
+class LinearRecovery:
+    """A recovery of a potential increment over a background, built once.
+
+    background is the :class:`BackgroundStates` of the w1 controls under a
+    static potential q_bg, and probe_basis the w2 probes on its time grid;
+    the background's operator and time grid are the recovery's.  Both
+    windows synthesize controls at synth_alpha towards each target that
+    :func:`interior_targets` samples on the background's time grid at
+    target_nodes and target_width: coeff1 and coeff2, one row of basis
+    coefficients per target, and achieved1, the w1 controls' achieved
+    background states, (n, nt+1, n_omega).  To first order at q_bg, the
+    moments m = coeff1 dP coeff2^T of a pairing difference dP are interior
+    integrals of the potential increment against products of the achieved
+    states of both windows: the probing kernel, built here with the
+    Cholesky factor of its normal equations, regularized for smoothness
+    with weight alpha_inv; the w2 states go once it is formed.
+    :meth:`estimate` returns the estimate of an m.  With q_time_basis=None
+    the unknown is static; an integer requests that many piecewise-linear
+    time profiles, at least 2, on the forward time axis.
+    """
+
+    def __init__(self, background, probe_basis, alpha_inv, synth_alpha, q_time_basis=None,
+                 target_nodes=None, target_width=None):
+        basis1 = background.basis
+        if not background.static:
+            raise InversionError("background potential must be static")
+        if q_time_basis is not None and int(q_time_basis) < 2:
+            raise InversionError(f"q_time_basis must be at least 2, got {q_time_basis}")
+        if (probe_basis.dt, probe_basis.n_steps) != (basis1.dt, basis1.n_steps):
+            raise InversionError("probe basis time grid does not match the background's")
+        if basis1.window != "w1" or probe_basis.window != "w2":
+            raise InversionError("expected controls on w1 and probes on w2")
+        self.background, self.probe_basis = background, probe_basis
+        grid, om = background.op.grid, background.op.grid.omega
+
+        bg2 = BackgroundStates(background.op, background.q, probe_basis, like=background)
+        targets = interior_targets(basis1, target_nodes, target_width)
+        self.coeff1, self.achieved1, self._errs1 = background.synthesize(*targets, synth_alpha)
+        self.coeff2, achieved2, self._errs2 = bg2.synthesize(*targets, synth_alpha)
+
+        # the time profiles of a time-dependent unknown, None for a static one
+        self._hats = (None if q_time_basis is None
+                      else _time_hats(int(q_time_basis), basis1.dt, basis1.n_steps))
+        gamma = np.ones((1, basis1.n_steps + 1)) if self._hats is None else self._hats
+        n_gamma = len(gamma)
+        self.kernel = grid.h * _probing_kernel(self.achieved1, achieved2[:, ::-1, :],
+                                               gamma * background.time_weights[None, :])
+        del achieved2
+
+        col = np.sqrt(np.einsum("pj,pj->j", self.kernel, self.kernel)).reshape(len(om), n_gamma)
+        colnorm = np.sqrt(np.sum(col ** 2, axis=1))
+        if colnorm.max() == 0.0:
+            raise InversionError("probing system is identically zero")
+        unresolved = np.flatnonzero(colnorm == 0.0)
+        if unresolved.size:
+            raise InversionError("probing system leaves omega nodes unresolved: "
+                                 f"{[int(om[j]) for j in unresolved]}")
+        self.covered = colnorm >= 1e-8 * colnorm.max()
+
+        d2s = _second_difference(len(om))
+        pen = np.kron(d2s.T @ d2s, np.eye(n_gamma))
+        if n_gamma >= 3:
+            d2t = _second_difference(n_gamma)
+            pen = pen + np.kron(np.eye(len(om)), d2t.T @ d2t)
+        self._factor = _regularized_factor(self.kernel, pen, alpha_inv, "inversion")
+
+    def moments(self, pairings):
+        """m = coeff1 pairings coeff2^T of a (controls, probes) pairing matrix."""
+        with np.errstate(over="ignore", invalid="ignore"):   # estimate reports it
+            return self.coeff1 @ pairings @ self.coeff2.T
+
+    def estimate(self, m):
+        """The :class:`Reconstruction` of the potential increment whose
+        moments are m, (n_targets, n_targets), which must be finite."""
+        n = len(self.coeff1)
+        if np.shape(m) != (n, n):
+            raise InversionError(f"moments are {np.shape(m)}, the targets {(n, n)}")
+        if not np.isfinite(m).all():
+            raise InversionError("moment data are not finite")
+        grid = self.background.op.grid
+        om = grid.omega
+        rhs = np.asarray(m, dtype=float).reshape(-1)
+        qvec = cho_solve(self._factor, self.kernel.T @ rhs)
+        qmat = qvec.reshape(len(om), -1)
+        values = qmat[:, 0] if self._hats is None else qmat @ self._hats
+        diagnostics = {
+            "runge_errors_w1": [float(e) for e in self._errs1],
+            "runge_errors_w2": [float(e) for e in self._errs2],
+            "fit_residual": float(np.linalg.norm(self.kernel @ qvec - rhs)),
+            "rhs_norm": float(np.linalg.norm(rhs)),
+            "n_pairs": n * n,
+        }
+        return Reconstruction(values=values, nodes=om.copy(), node_coords=grid.x[om].copy(),
+                              covered=self.covered.copy(), diagnostics=diagnostics)
+
+
 def recover_linear_potential(pairings, background, probe_basis, alpha_inv, synth_alpha,
                              q_time_basis=None, target_nodes=None, target_width=None):
     """Potential increment from measured pairing differences over a background.
 
-    background is the :class:`BackgroundStates` of the w1 controls under a
-    static potential q_bg, probe_basis the w2 probes on its time grid, and
-    pairings[i, j] the difference of the data from the background in the
-    pairing of control i with probe j reversed in time, as
-    ``dnmap.dn_difference_linear`` measures them; the background's operator
-    and time grid are the recovery's.  Both windows synthesize controls at
-    synth_alpha towards each target that :func:`interior_targets` samples on
-    the background's time grid at target_nodes and target_width, and the
-    differences m_ij, which must be finite, are matched to interior integrals
-    of the potential against products of the achieved background states (the
-    first-order expansion of the measurement map at q_bg, so the returned
-    values estimate q_data - q_bg).  Least squares regularized for
-    smoothness with weight alpha_inv picks the estimate.
-    With q_time_basis=None the unknown is static; an integer requests that
-    many piecewise-linear time profiles, at least 2, on the forward time axis.
+    pairings[i, j] is the difference of the data from the background in the
+    pairing of control i of background's basis with probe j of probe_basis
+    reversed in time, as ``dnmap.dn_difference_linear`` measures them; they
+    must be finite.  Returns the estimate of the :class:`LinearRecovery`
+    built with the other arguments from the moments of the pairings, which
+    estimates q_data - q_bg.
     """
-    basis1 = background.basis
-    if not background.static:
-        raise InversionError("background potential must be static")
-    if q_time_basis is not None and int(q_time_basis) < 2:
-        raise InversionError(f"q_time_basis must be at least 2, got {q_time_basis}")
-    if (probe_basis.dt, probe_basis.n_steps) != (basis1.dt, basis1.n_steps):
-        raise InversionError("probe basis time grid does not match the background's")
-    if basis1.window != "w1" or probe_basis.window != "w2":
-        raise InversionError("expected controls on w1 and probes on w2")
-    shape = (len(basis1), len(probe_basis))
+    shape = (len(background.basis), len(probe_basis))
     if np.shape(pairings) != shape:
         raise InversionError(f"pairings are {np.shape(pairings)}, the bases {shape}")
     if not np.isfinite(pairings).all():
         raise InversionError("pairings are not finite")
-    op, dt, n_steps = background.op, basis1.dt, basis1.n_steps
-    grid = op.grid
-    om = grid.omega
-
-    bg2 = BackgroundStates(op, background.q, probe_basis, like=background)
-
-    # achieved states: (n_targets, nt+1, n_omega)
-    targets = interior_targets(basis1, target_nodes, target_width)
-    coeff1, achieved1, errs1 = background.synthesize(*targets, synth_alpha)
-    coeff2, achieved2, errs2 = bg2.synthesize(*targets, synth_alpha)
-
-    with np.errstate(over="ignore", invalid="ignore"):   # reported just below
-        m = coeff1 @ pairings @ coeff2.T  # (n_targets, n_targets)
-    if not np.isfinite(m).all():
-        raise InversionError("moment data are not finite")
-
-    wt = background.time_weights
-    if q_time_basis is None:
-        gamma = np.ones((1, n_steps + 1))
-    else:
-        gamma = _time_hats(int(q_time_basis), dt, n_steps)
-    n_gamma = gamma.shape[0]
-
-    kern = grid.h * _probing_kernel(achieved1, achieved2[:, ::-1, :], gamma * wt[None, :])
-    n_pairs = len(coeff1) ** 2
-    rhs = m.reshape(-1)
-
-    col = np.sqrt(np.einsum("pj,pj->j", kern, kern)).reshape(len(om), n_gamma)
-    colnorm = np.sqrt(np.sum(col ** 2, axis=1))
-    if colnorm.max() == 0.0:
-        raise InversionError("probing system is identically zero")
-    unresolved = np.flatnonzero(colnorm == 0.0)
-    if unresolved.size:
-        raise InversionError("probing system leaves omega nodes unresolved: "
-                             f"{[int(om[j]) for j in unresolved]}")
-    covered = colnorm >= 1e-8 * colnorm.max()
-
-    d2s = _second_difference(len(om))
-    pen = np.kron(d2s.T @ d2s, np.eye(n_gamma))
-    if n_gamma >= 3:
-        d2t = _second_difference(n_gamma)
-        pen = pen + np.kron(np.eye(len(om)), d2t.T @ d2t)
-    qvec = _regularized_solve(kern, rhs, pen, alpha_inv, "inversion")
-
-    qmat = qvec.reshape(len(om), n_gamma)
-    if q_time_basis is None:
-        values = qmat[:, 0]
-    else:
-        values = qmat @ gamma  # (n_omega, nt+1) sampled profile
-
-    residual = float(np.linalg.norm(kern @ qvec - rhs))
-    diagnostics = {
-        "runge_errors_w1": [float(e) for e in errs1],
-        "runge_errors_w2": [float(e) for e in errs2],
-        "fit_residual": residual,
-        "rhs_norm": float(np.linalg.norm(rhs)),
-        "n_pairs": n_pairs,
-    }
-    return Reconstruction(values=values, nodes=om.copy(),
-                          node_coords=grid.x[om].copy(), covered=covered,
-                          diagnostics=diagnostics)
+    recovery = LinearRecovery(background, probe_basis, alpha_inv, synth_alpha, q_time_basis,
+                              target_nodes, target_width)
+    return recovery.estimate(recovery.moments(pairings))
 
 
 def estimate_homogeneity_exponent(eps_list, remainders, p_lin):
@@ -491,7 +533,8 @@ def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, eps
     values = np.full(len(om), np.nan)
     sub = zeta[:, covered]
     d2 = _second_difference(sub.shape[1])
-    values[covered] = _regularized_solve(sub, y, d2.T @ d2, alpha_inv, "moment")
+    values[covered] = cho_solve(_regularized_factor(sub, d2.T @ d2, alpha_inv, "moment"),
+                                sub.T @ y)
 
     diagnostics = {
         "r": r,

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from viscowave import (BackgroundStates, DNMapError, alessandrini_residual,
+from viscowave import (BackgroundStates, DNMapError, LinearRecovery, alessandrini_residual,
                        bump_control, dn_difference_linear, dn_matrix_linear,
-                       dn_pairing, dn_remainders_nonlinear,
+                       dn_moments_linear, dn_pairing, dn_remainders_nonlinear,
                        nonlinear_integral_identity_residual,
                        power_nonlinearity, self_adjointness_residual, solve_linear,
                        time_reverse, zero_nonlinearity)
@@ -357,3 +357,36 @@ def test_difference_record_keeps_its_accuracy_for_weak_potentials(op31, grid31):
     diffs = [dn_difference_linear(_potential(grid31, "static", a), background,
                                   basis2) for a in (1e-9, 5e-10)]
     _assert_close(2.0 * diffs[1], diffs[0], 1e-8)
+
+
+# measured maxima, relative to the largest entry, of the moments measured on
+# the synthesized controls against c1 dP c2^T of the element pass, at
+# synth_alpha 1e-4: 31 nodes 1.8e-13 static and 1.6e-13 ramp, 101 nodes
+# 2.3e-12 static and 2.5e-12 ramp.  At the default 1e-12, where ||c1||_2 is
+# about 3e8 at 101 nodes, the ramp's reached 4.7e-5: both paths sum the
+# large coefficients, each at another place
+MOMENTS_RTOL = 1e-11
+
+
+@pytest.mark.parametrize("kind", ["static", "ramp"])
+@pytest.mark.parametrize("n_nodes", [31, 101])
+def test_moments_of_the_synthesized_controls_match_the_element_pass(request, n_nodes, kind):
+    # the measurement is linear in the control, so the pass of the
+    # synthesized w1 controls, driven by their achieved states, measures
+    # c1 dP; with every second or third omega node a target they are fewer
+    # rows than a static q's seeds, as the runner then chooses
+    op = request.getfixturevalue(f"op{n_nodes}")
+    grid = op.grid
+    dt, n_segments, stride = (DT, 8, 2) if n_nodes == 31 else (5e-3, 16, 3)
+    basis1, basis2 = (ControlBasis(grid, w, dt, T_FINAL, n_segments) for w in ("w1", "w2"))
+    profile = 0.5 * np.exp(-((grid.x[grid.omega] - 0.5) / 0.141421356) ** 2)
+    q = profile if kind == "static" else np.outer(dt * np.arange(basis1.n_steps + 1), profile)
+    background = BackgroundStates(op, None, basis1)
+    recovery = LinearRecovery(background, basis2, 1e-1, 1e-4,
+                              q_time_basis=None if kind == "static" else 3,
+                              target_nodes=grid.omega[::stride])
+    assert solver.steps_controls(basis1, q, None, len(recovery.coeff1))
+    got = dn_moments_linear(q, recovery)
+    ref = recovery.coeff1 @ dn_difference_linear(q, background, basis2) @ recovery.coeff2.T
+    _assert_close(got, ref, MOMENTS_RTOL)
+

@@ -312,11 +312,13 @@ def _linear_cfg(**overrides):
 
 
 def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
-    # one pass over a basis, the data's difference on w1 from the q = 0
-    # background states, which the data and the synthesis share, and one
-    # modal pass, a row per spline, whose responses the w1 and w2
-    # backgrounds share; they read the eigenpairs that assembly made, the
-    # run's only decomposition, and nothing samples a control on the full grid
+    # one data pass, the difference on w1 from the q = 0 background states,
+    # which the data and the synthesis share: with nothing shifting at 8
+    # segments and 50 steps, the 15 synthesized controls are fewer rows than
+    # the 18 elements, so it steps the controls; and one modal pass, a row
+    # per spline, whose responses the w1 and w2 backgrounds share; they read
+    # the eigenpairs that assembly made, the run's only decomposition, and
+    # nothing samples a control on the full grid
     materialized, stepped, factored, eigh, eigvalsh, modal = [], [], [], [], [], []
 
     def counting(calls, fn, size=lambda *a: 1):
@@ -339,9 +341,10 @@ def test_invert_linear_solves_each_control_once_per_pass(tmp_path, monkeypatch):
     grid = build_grid(*(cfg["grid"][k] for k in ("box", "omega", "w1", "w2", "n_nodes")))
     basis = ControlBasis(grid, "w1", cfg["dt"], cfg["t_final"], 8)
     n_basis, n_splines = len(basis), len(basis.tsplines)
+    n_targets = len(inversion.TARGET_WINDOWS) * len(harness._read_scenario(cfg).target_nodes)
     assert n_basis == len(ControlBasis(grid, "w2", cfg["dt"], cfg["t_final"], 8))
-    assert materialized == []
-    assert sum(stepped) == n_basis + n_splines and len(modal) == 1
+    assert materialized == [] and n_targets < n_basis
+    assert sum(stepped) == n_targets + n_splines and len(modal) == 1
     # two static factorizations, the gaussian's and the modal pass's, and
     # one eigendecomposition, the operator's
     assert len(factored) == 2
@@ -384,38 +387,63 @@ def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
 
 
 def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
-    # a ramp potential shifts nothing: its difference pass steps every
-    # element, CONTROL_BLOCK rows at a time, and the q = 0 backgrounds step
-    # one modal pass, the seeds of its unit row
+    # a ramp potential shifts nothing: its difference pass steps the
+    # synthesized controls, fewer than the elements, SYNTHESIZED_BLOCK rows
+    # at a time, and the q = 0 backgrounds step one modal pass, the seeds of
+    # its unit row
     stepped, _ = _count_stepped_rows(monkeypatch)
     monkeypatch.setattr(solver, "CONTROL_BLOCK", 8)
+    monkeypatch.setattr(solver, "SYNTHESIZED_BLOCK", 4)
     cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10, "frame": "reversed",
                                                 "q_time_basis": 3},
                                  "model": {"q": {"time": "ramp"}}})
     run_scenario(cfg, str(tmp_path / "out"))
-    basis = ControlBasis(_setup(cfg)[0].grid, "w1", cfg["dt"], cfg["t_final"], 10)
+    run = _setup(cfg)[0]
+    basis = ControlBasis(run.grid, "w1", cfg["dt"], cfg["t_final"], 10)
+    n_targets = len(inversion.TARGET_WINDOWS) * len(run.target_nodes)
     seed, _lag = solver.shift_plan(basis, True, 1)
     n_modal = np.count_nonzero(seed == np.arange(seed.size))
-    assert max(stepped) <= 8 and n_modal == 1
-    assert sorted(stepped) == sorted([8] * (len(basis) // 8) + [len(basis) % 8]
-                                     + [n_modal])
+    assert max(stepped) <= 8 and n_modal == 1 and n_targets < len(basis)
+    assert sorted(stepped) == sorted([4] * (n_targets // 4) + [n_targets % 4] + [n_modal])
+
+
+@pytest.mark.parametrize("time, data_blocks", [("constant", [40]), ("ramp", [64, 35])])
+def test_data_pass_steps_the_fewer_rows(tmp_path, monkeypatch, time, data_blocks):
+    # at 101 nodes, 16 segments and 200 steps the w1 basis has 220 elements
+    # and the recovery 99 targets: a static q's difference pass steps the 40
+    # seeds of its shift plan, fewer than the targets; a ramp's shifts
+    # nothing, so it steps the 99 synthesized controls, SYNTHESIZED_BLOCK at
+    # a time.  The modal pass before it steps the 2 seeds of its unit row
+    stepped, factored = _count_stepped_rows(monkeypatch)
+    cfg = _merge(DEFAULTS, {
+        "grid": {"n_nodes": 101},
+        "model": {"kind": "linear", "q": {"kind": "gaussian", "amplitude": 0.5,
+                                          "width": 0.141421356, "time": time}},
+        "experiment": {"kind": "invert-linear", "basis_segments": 16,
+                       "q_time_basis": None if time == "constant" else 3},
+        "regularization": {"alpha_inv": 1e-1}})
+    report = run_scenario(cfg, str(tmp_path / "out"))
+    assert report["metrics"]["n_targets"] == 99 and report["passed"]
+    assert stepped == [2, *data_blocks]
+    assert len(factored) == 2
 
 
 def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
-    # the data's difference matrix and the recovery read one w1 background,
-    # bitwise what a fresh BackgroundStates of q = 0 holds
+    # the recovery and the data's moments, measured on it, read one w1
+    # background, bitwise what a fresh BackgroundStates of q = 0 holds
     seen = []
+    recovery, moments = harness.LinearRecovery, harness.dn_moments_linear
 
-    def spy(name):
-        fn = getattr(harness, name)
+    def built(background, *args, **kwargs):
+        seen.append(background)
+        return recovery(background, *args, **kwargs)
 
-        def wrapper(pairings_or_q, background, *args, **kwargs):
-            seen.append(background)
-            return fn(pairings_or_q, background, *args, **kwargs)
-        return wrapper
+    def measured(q, built_recovery):
+        seen.append(built_recovery.background)
+        return moments(q, built_recovery)
 
-    for name in ("dn_difference_linear", "recover_linear_potential"):
-        monkeypatch.setattr(harness, name, spy(name))
+    monkeypatch.setattr(harness, "LinearRecovery", built)
+    monkeypatch.setattr(harness, "dn_moments_linear", measured)
     cfg = _linear_cfg()
     run_scenario(cfg, str(tmp_path / "out"))
     run, op = _setup(cfg)
@@ -875,6 +903,24 @@ def test_reader_names_the_key_of_a_bad_window_or_amplitude_list(experiment, mess
     model = {"kind": "nonlinear" if experiment["kind"] == "invert-nonlinear" else "linear"}
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         validate_config(small_cfg(experiment=experiment, model=model))
+
+
+@pytest.mark.parametrize("kind", ["invert-linear", "invert-nonlinear"])
+def test_reader_rejects_repeated_target_nodes(tmp_path, capsys, kind):
+    # a repeated node would add a twin of each of its targets, weighing it
+    # double in the recovery: refused with one line naming the key
+    model = {"kind": "nonlinear" if kind == "invert-nonlinear" else "linear"}
+    message = "experiment.target_nodes must not repeat a node, got [12, 14, 12]"
+    validate_config(small_cfg(model=model, experiment={"kind": kind, "target_nodes": [12, 14]}))
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        validate_config(small_cfg(model=model,
+                                  experiment={"kind": kind, "target_nodes": [12, 14, 12]}))
+    path = write_yaml(tmp_path / "c.yaml", {"grid": {"n_nodes": 31}, "dt": 0.02, "model": model,
+                                            "experiment": {"kind": kind,
+                                                           "target_nodes": [12, 14, 12]}})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_reader_bounds_the_time_profiles_by_the_time_nodes():

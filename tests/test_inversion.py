@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from viscowave import (BackgroundStates, IllConditionedError,
-                       InconclusiveError, InversionError,
+                       InconclusiveError, InversionError, LinearRecovery,
                        Reconstruction, bump_control,
                        dn_difference_linear, dn_remainders_nonlinear,
                        estimate_homogeneity_exponent,
@@ -408,6 +408,49 @@ def test_synthesis_peak_holds_no_target_stack(op101, grid101):
     assert peak < 2.5 * achieved.nbytes
 
 
+def test_nodal_synthesis_peak_holds_no_mode_element_target_product(op101, grid101):
+    # traced peak of one benchmark-size synthesis over a nodal background (a
+    # static q = 0.3) towards its 99 targets: measured 12.2 MB, against
+    # 22.2 MB when its right-hand side and its reached states each formed a
+    # (mode, element, target) product whole, 5.7 MB apiece
+    basis = ControlBasis(grid101, "w1", BENCH_DT, T_FINAL, 16)
+    bg = BackgroundStates(op101, _potential(grid101, BENCH_DT, "static"), basis)
+    targets = interior_targets(basis)
+    bg.synthesize(*targets, 1e-12)
+    tracemalloc.start()
+    try:
+        achieved = bg.synthesize(*targets, 1e-12)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not bg.modal and achieved.shape == (99, 201, 33)
+    assert peak < 2.5 * achieved.nbytes
+
+
+# measured maxima, relative to the largest entry, of a nodal synthesis in
+# chunks against the whole products, at alpha 1e-8 (coefficients, achieved
+# states, errors): 0 with BLAS at one thread, where each chunk's entries are
+# the whole product's; with two threads, 1.0e-13 to 5.0e-13, 5.3e-13 to
+# 7.5e-13 and 5.1e-15 at 101 nodes, static and ramp
+CHUNK_RTOL = 1e-11
+
+
+@pytest.mark.parametrize("q", [None, "static", "ramp"])
+def test_synthesis_in_chunks_matches_the_whole_products(op101, grid101, monkeypatch, q):
+    # a modal background's products fit one chunk, so its synthesis is the
+    # whole products' bit for bit
+    basis = ControlBasis(grid101, "w1", BENCH_DT, T_FINAL, 16)
+    bg = BackgroundStates(op101, _potential(grid101, BENCH_DT, q), basis)
+    targets = interior_targets(basis)
+    got = bg.synthesize(*targets, 1e-8)
+    monkeypatch.setattr(inversion, "SYNTH_CHUNK", 1 << 62)
+    ref = bg.synthesize(*targets, 1e-8)
+    for g, r in zip(got, ref):
+        if q is None:
+            assert np.array_equal(g, r)
+        _assert_close(g, r, CHUNK_RTOL)
+
+
 # measured maxima, relative to the largest entry, of the q = 0 background's
 # modal Gram, states and achieved states (alpha 1e-8, the same Gram) against
 # the nodal pass: 31 nodes 1.5e-15, 1.9e-15, 1.5e-12; 101 nodes 5.2e-15,
@@ -749,6 +792,43 @@ def test_probing_kernel_matches_the_copying_kernel(request, n_nodes, n_profiles)
     fld2 = achieved2[:, ::-1, :]
     _assert_close(_probing_kernel(achieved1, fld2, weights),
                   _copying_probing_kernel(achieved1, fld2, weights), KERNEL_RTOL)
+
+
+@pytest.mark.parametrize("q_time_basis", [None, 3])
+def test_recover_linear_potential_is_the_built_recovery_estimate(op31, grid31, q_time_basis):
+    # the recovery is built once over the background and reads the data only
+    # through their moments, c1 pairings c2^T
+    basis1, basis2 = (ControlBasis(grid31, w, DT, T_FINAL, 8) for w in ("w1", "w2"))
+    background = BackgroundStates(op31, None, basis1)
+    pairings = dn_difference_linear(_potential(grid31, DT, "ramp"), background, basis2)
+    kwargs = dict(q_time_basis=q_time_basis, target_nodes=grid31.omega[::2])
+    got = recover_linear_potential(pairings, background, basis2, 1e-1, 1e-10, **kwargs)
+    recovery = LinearRecovery(background, basis2, 1e-1, 1e-10, **kwargs)
+    ref = recovery.estimate(recovery.coeff1 @ pairings @ recovery.coeff2.T)
+    assert got.values.tobytes() == ref.values.tobytes()
+    assert got.covered.tobytes() == ref.covered.tobytes()
+    assert got.diagnostics == ref.diagnostics
+    # the second estimate of one recovery is its first
+    again = recovery.estimate(recovery.moments(pairings))
+    assert again.values.tobytes() == ref.values.tobytes()
+
+
+def test_built_recovery_keeps_the_w1_synthesis(op31, grid31):
+    # coeff1, coeff2 and achieved1 are those of the two syntheses; of the
+    # achieved states only the w1 ones stay once the kernel is formed
+    basis1, basis2 = (ControlBasis(grid31, w, DT, T_FINAL, 8) for w in ("w1", "w2"))
+    background = BackgroundStates(op31, None, basis1)
+    recovery = LinearRecovery(background, basis2, 1e-1, 1e-10)
+    targets = interior_targets(basis1)
+    coeff1, achieved1, _ = background.synthesize(*targets, 1e-10)
+    coeff2 = BackgroundStates(op31, None, basis2).synthesize(*targets, 1e-10)[0]
+    assert recovery.coeff1.tobytes() == coeff1.tobytes()
+    assert recovery.coeff2.tobytes() == coeff2.tobytes()
+    assert np.array_equal(recovery.achieved1, achieved1)
+    held = [v for v in vars(recovery).values() if isinstance(v, np.ndarray) and v.ndim == 3]
+    assert len(held) == 1 and held[0] is recovery.achieved1
+    with pytest.raises(InversionError, match=r"^moments are \(2, 2\), the targets \(27, 27\)$"):
+        recovery.estimate(np.zeros((2, 2)))
 
 
 def test_exact_recovery_from_synthetic_first_order_data(op31, grid31):

@@ -766,6 +766,30 @@ def test_difference_pass_matches_the_subtraction(op31, grid31, monkeypatch, kind
 
 
 @pytest.mark.parametrize("kind", ["static", "time-dependent"])
+def test_controls_difference_is_the_coefficients_times_the_elements(op31, grid31, rng, kind):
+    # at 8 segments and 50 steps nothing shifts: the 18 elements are 18
+    # seeds.  The controls' pass steps each control, driven by its
+    # background states, and its differences are the coefficients times the
+    # elements'; it steps fewer rows only for fewer controls than seeds
+    basis, _ = _w1_basis(grid31)
+    q, q_bg = _potential(grid31, kind), 0.2 * np.ones(grid31.omega.size)
+    u_bg = _interior_responses(op31, q_bg, basis)[0]          # (element, t, n_omega)
+    elements = _observed(lambda observe: solver.solve_linear_difference(
+        op31, q, q_bg, basis, lambda e: u_bg[e].transpose(1, 0, 2), observe))
+    assert elements[2] == [len(basis)]
+    for n in (len(basis) - 1, len(basis)):
+        coeffs = rng.normal(size=(n, len(basis)))
+        achieved = np.einsum("ce,etj->ctj", coeffs, u_bg)
+        got = _observed(lambda observe: solver.solve_controls_difference(
+            op31, q, q_bg, basis, achieved, observe))
+        assert got[2] == [n]
+        assert solver.steps_controls(basis, q, q_bg, n) == (n < len(basis))
+        for i in (0, 1):
+            ref = np.einsum("ce,et...->ct...", coeffs, elements[i])
+            assert np.abs(got[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind", ["static", "time-dependent"])
 def test_difference_drive_matches_its_velocity_form(op31, grid31, kind):
     # the drive once read the background velocity as well:
     # -dt/2 (dq_k u_k + dq_{k+1} u_base_k) - dt^2/4 dq_{k+1} v_{k+1},
