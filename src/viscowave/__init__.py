@@ -14,9 +14,9 @@ from .nonlinearity import (Nonlinearity, NonlinearityError, check_exponent_const
 from .controls import (ControlBasis, ControlError, ExteriorControl, bump_control,
                        make_control, materialize, space_bump, time_bump)
 from .solver import (EnergyLedger, NewtonDivergenceError, SolverError,
-                     StepFailureError, Trajectory, energy_ledger, solve_controls_difference,
-                     solve_linear, solve_linear_basis, solve_linear_difference,
-                     solve_linearized, solve_nonlinear, trajectory_to_csv)
+                     StepFailureError, Trajectory, energy_ledger, solve_linear,
+                     solve_linear_basis, solve_linear_difference, solve_linearized,
+                     solve_nonlinear, trajectory_to_csv)
 from .dnmap import (DNMapError, alessandrini_residual, dn_difference_linear,
                     dn_matrix_linear, dn_moments_linear, dn_pairing, dn_remainders_nonlinear,
                     nonlinear_integral_identity_residual, self_adjointness_residual,

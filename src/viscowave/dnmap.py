@@ -13,9 +13,8 @@ potential-difference integral identity, and its nonlinear counterpart.
 import numpy as np
 
 from .controls import ExteriorControl
-from .solver import (_expand_potential, n_steps_for, solve_controls_difference, solve_linear,
-                     solve_linear_basis, solve_linear_difference, solve_nonlinear,
-                     trapezoid_weights)
+from .solver import (_expand_potential, n_steps_for, solve_linear, solve_linear_basis,
+                     solve_linear_difference, solve_nonlinear, trapezoid_weights)
 
 
 class DNMapError(ValueError):
@@ -128,16 +127,17 @@ def dn_moments_linear(q, recovery):
 
     recovery is an ``inversion.LinearRecovery``: its background, probe
     basis, synthesis coefficients and w1 achieved states.  The measurement
-    is linear in the control, so coeff1 dP is the difference pass of the
-    synthesized w1 controls, driven by their achieved states
-    (:func:`solver.solve_controls_difference`), paired against the probes;
+    is linear in the control, so coeff1 dP is the difference pass
+    (:func:`solver.solve_linear_difference`) of the synthesized w1
+    controls, driven by their achieved states, paired against the probes;
     it steps fewer rows than :func:`dn_difference_linear` where
     ``solver.steps_controls`` says so.
     """
     background, probe_basis = recovery.background, recovery.probe_basis
     op, control_basis = background.op, background.basis
-    flux = solve_controls_difference(op, q, background.q, control_basis, recovery.achieved1,
-                                     _probe_flux(op, control_basis, probe_basis))
+    flux = solve_linear_difference(op, q, background.q, control_basis, recovery.states_of,
+                                   _probe_flux(op, control_basis, probe_basis),
+                                   n_controls=len(recovery.coeff1))
     return _pair_fluxes(flux, probe_basis) @ recovery.coeff2.T
 
 

@@ -652,13 +652,19 @@ def _set_by_path(cfg, dotted, value):
 
 def sweep_scenario(cfg, param, values, out_dir):
     """Run the scenario once per value of a dotted config parameter, every
-    value's scenario and the output directory checked before the first run."""
-    runs = []
+    value's scenario and directory, and the output directory, checked
+    before the first run: two values that name one directory are refused."""
+    runs, named = [], {}
     for val in values:
+        name = f"{param.replace('.', '_')}_{val}"
+        if name in named:
+            raise ConfigError(f"sweep values {named[name]!r} and {val!r} both name "
+                              f"the directory {name}")
+        named[name] = val
         sub = copy.deepcopy(cfg)
         _set_by_path(sub, param, val)
         validate_config(sub)
-        runs.append((sub, os.path.join(out_dir, f"{param.replace('.', '_')}_{val}")))
+        runs.append((sub, os.path.join(out_dir, name)))
     _make_out_dir(out_dir)
     reports = [run_scenario(sub, sub_dir) for sub, sub_dir in runs]
     summary = {

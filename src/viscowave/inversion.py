@@ -415,6 +415,13 @@ class LinearRecovery:
             pen = pen + np.kron(np.eye(len(om)), d2t.T @ d2t)
         self._factor = _regularized_factor(self.kernel, pen, alpha_inv, "inversion")
 
+    def states_of(self, rows):
+        """Achieved w1 background states of the controls at the indices rows:
+        a fresh time-major (nt+1, len(rows), n_omega) block, as
+        :meth:`BackgroundStates.states_of` gives those of elements, for the
+        difference pass of ``dnmap.dn_moments_linear``, which overwrites it."""
+        return np.ascontiguousarray(self.achieved1[rows].transpose(1, 0, 2))
+
     def moments(self, pairings):
         """m = coeff1 pairings coeff2^T of a (controls, probes) pairing matrix."""
         with np.errstate(over="ignore", invalid="ignore"):   # estimate reports it
@@ -505,6 +512,9 @@ def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, eps
     target_width.
     """
     eps_pair = (eps0, 0.5 * eps0)
+    r = float(r_known)
+    if not r > 0.0:     # the Richardson step divides by 2**r - 1
+        raise InversionError(f"nonlinearity exponent must be positive, got r={r!r}")
     if probe_basis.window != "w2":
         raise InversionError(f"expected probes on w2, got {probe_basis.window}")
     if (lin.dt, lin.n_steps) != (probe_basis.dt, probe_basis.n_steps):
@@ -520,7 +530,6 @@ def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, eps
     coeff2, achieved2, errs2 = bg2.synthesize(
         *interior_targets(probe_basis, target_nodes, target_width), synth_alpha)
 
-    r = float(r_known)
     w1, w2m = [coeff2 @ remainders[eps] / eps ** (r + 1) for eps in eps_pair]
     y = (2.0 ** r * w2m - w1) / (2.0 ** r - 1.0)
 

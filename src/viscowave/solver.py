@@ -31,9 +31,8 @@ stepped: with a static potential the step is the same at every step, so an
 element whose time spline is an earlier one delayed by a whole number of
 steps responds with that element's response delayed by as many steps
 (:func:`shift_plan`).  The plan stays inside this module, and so does the
-choice between the difference pass of a basis's elements and that of the
-controls synthesized over it, whichever steps fewer rows
-(:func:`steps_controls`).
+count that says whether a difference pass steps fewer rows for a basis's
+elements or for the controls synthesized over it (:func:`steps_controls`).
 """
 
 from dataclasses import dataclass, field
@@ -327,32 +326,25 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None):
     return Trajectory(u=u, v=v, dt=dt)
 
 
-# Seeds stepped together by a basis or difference pass.  A static pass steps
-# few seeds (40 on the benchmark's 220-element basis, one block at either size
-# below), so the size matters only where nothing shifts: a time-dependent
-# potential's element pass, 220 rows (the ramp's noisy runs).  Measured with perfbench/run.py at seed 0 on a
-# 2-vCPU VM (101 nodes, 200 steps, BLAS at one thread; 20 s runs, three per
-# size on the ramp and one on the static; wall_s as the benchmark scales it):
-#   block   invert-linear-ramp               invert-linear-static
-#    128    0.195-0.212 s, 113.9-114.1 MB    0.098 s, 99.0 MB
-#    220    0.202-0.204 s, 118.5-118.6 MB    0.098 s, 99.1 MB
-# The times differ by less than the runs spread; a whole basis per block
-# costs 4.6 MB of peak RSS on the ramp, so 128 stays.  The blocks also fix
-# which BLAS kernel computes each row of a step's products, so they fix the
-# rows' bits: blocks of 64 move a noisy ramp run's outputs (101 nodes, noise
-# 1e-8, seed 0: relative_l2_error ...7521591 -> ...7525497).
-CONTROL_BLOCK = 128
-
-# Controls stepped together by a pass of synthesized controls
-# (solve_controls_difference), which runs while a recovery's kernel and w1
-# achieved states are alive.  Measured with perfbench/run.py on the ramp's 99
-# controls, seeds 1 and 2 (same setup, 8 s runs):
+# Rows stepped together by a basis or difference pass.  A static pass steps
+# few seeds (40 on the benchmark's 220-element basis, 2 in a modal pass), so
+# the size matters where nothing shifts: the 99 synthesized controls of a
+# ramp's data pass, which runs while a recovery's kernel and w1 achieved
+# states are alive, and a time-dependent potential's element pass, 220 rows
+# (the ramp's noisy runs).  Measured with perfbench/run.py on the ramp's
+# controls pass at seeds 1 and 2 (101 nodes, 200 steps, BLAS at one thread,
+# 2-vCPU VM, 8 s runs; wall_s as the benchmark scales it):
 #   block   invert-linear-ramp
 #     64    0.119-0.122 s, 101.0 MB
 #    128    0.112-0.119 s, 112.7-112.8 MB
-# against 108.2-108.8 MB with the 220-row element pass it replaces; the
-# times differ by less than the runs spread.
-SYNTHESIZED_BLOCK = 64
+# so 64 saves 11.7 MB of peak RSS at a time inside the runs' spread.  On the
+# noisy ramp (noise 1e-8, seed 0), whose element pass steps 64, 64, 64 and
+# 28 rows, the fastest of 8 runs in each of 8 alternating processes took
+# 0.144-0.162 s at 64 and 0.140-0.200 s at 128.  The blocks fix which BLAS
+# kernel computes each row of a step's products, so they fix the rows' bits:
+# that run's relative_l2_error is 1915894.0428721718 at 64 and
+# 1915894.0428705208 at 128.
+CONTROL_BLOCK = 64
 
 # Largest difference, relative to a spline's largest sample, between its drive
 # samples and the delayed samples of an earlier spline that it may reuse
@@ -455,59 +447,33 @@ def solve_linear_basis(op, q, basis, observe):
     return _spline_pass(op.omega_block, q, basis, rows, observe)
 
 
-def solve_linear_difference(op, q, q_background, basis, states, observe):
-    """Change of a basis's responses when q replaces q_background, observed.
+def solve_linear_difference(op, q, q_background, basis, states, observe, n_controls=None):
+    """Change of the responses of a basis's elements, or of n_controls
+    controls synthesized over it, when q replaces q_background, observed.
 
-    states(elements) returns the background displacements on omega of the
-    basis elements at the indices elements as a fresh time-major
-    (nt+1, len(elements), n_omega) block, as
-    ``inversion.BackgroundStates.states_of`` does.
-    Returns observe(w, z) of every element as :func:`solve_linear_basis`
-    does, with w, z the displacement and velocity differences of the
-    responses with q from the background ones; elements shift only when both
-    potentials are static.  They are not subtracted: they step with q, zero
-    initial data and zero exterior data, driven by the background states
-    (:func:`_difference_drive`), so they keep their relative accuracy
-    however small q - q_background is.
+    states(rows) returns the background displacements on omega of the rows
+    at the indices rows as a fresh time-major (nt+1, len(rows), n_omega)
+    block, as ``inversion.BackgroundStates.states_of`` does for elements
+    and ``inversion.LinearRecovery.states_of`` for controls.  Returns
+    observe(w, z) of every row as :func:`solve_linear_basis` does, row
+    first, with w, z the displacement and velocity differences of the
+    responses with q from the background ones.  Elements shift only when
+    both potentials are static; controls never shift, and the difference
+    equation is linear in its drive, so a control's difference is its
+    coefficients times its elements'.  The differences are not
+    subtracted: they step with q, zero initial data and zero exterior data,
+    driven by the background states (:func:`_difference_drive`), so they
+    keep their relative accuracy however small q - q_background is.
     """
     dt, nt = basis.dt, basis.n_steps
     dq, static = _potential_difference(basis, q, q_background)
-    plan = shift_plan(basis, static, len(basis.nodes))
+    if n_controls is None:
+        plan = shift_plan(basis, static, len(basis.nodes))
+    else:
+        plan = np.arange(n_controls), np.zeros(n_controls, dtype=int)
     return _basis_pass(
         _step_maps(op.omega_block, q, dt, nt), plan,
-        lambda seeds: _difference_drive(dq, states(seeds), dt), dt, observe)
-
-
-def solve_controls_difference(op, q, q_background, basis, achieved, observe):
-    """The difference pass of :func:`solve_linear_difference` for controls
-    synthesized over a basis, observed per control: (n, nt+1, ...).
-
-    achieved holds the background displacements on omega of the controls,
-    (n, nt+1, n_omega), as ``inversion.BackgroundStates.synthesize`` returns
-    them.  The difference equation is linear in its drive, so a control's
-    difference is its coefficients times its elements'; no control shifts.
-    :func:`steps_controls` says when this pass steps fewer rows than that
-    of the elements.
-    """
-    dt, nt, n_omega = basis.dt, basis.n_steps, op.grid.omega.size
-    dq = _potential_difference(basis, q, q_background)[0]
-    maps = _step_maps(op.omega_block, q, dt, nt)
-
-    def drive(controls):
-        # a block of a pass of controls is a run of them: one time-major copy
-        def of_rows(rows):
-            block = np.empty((nt + 1, len(rows), n_omega))
-            block[...] = np.moveaxis(controls[rows[0]:rows[-1] + 1], 0, 1)
-            return _difference_drive(dq, block, dt)
-        return of_rows
-
-    parts = []
-    for start in range(0, len(achieved), SYNTHESIZED_BLOCK):
-        controls = achieved[start:start + SYNTHESIZED_BLOCK]
-        # every control is a seed at lag 0
-        plan = np.arange(len(controls)), np.zeros(len(controls), dtype=int)
-        parts.append(_basis_pass(maps, plan, drive(controls), dt, observe))
-    return np.concatenate(parts)
+        lambda rows: _difference_drive(dq, states(rows), dt), dt, observe)
 
 
 def _potential_difference(basis, q, q_background):
@@ -520,10 +486,9 @@ def _potential_difference(basis, q, q_background):
 
 
 def steps_controls(basis, q, q_background, n_controls):
-    """Whether the difference pass of n_controls controls synthesized over a
-    basis (:func:`solve_controls_difference`) steps fewer rows than that of
-    the basis's elements (:func:`solve_linear_difference`), which steps only
-    the seeds of its shift plan."""
+    """Whether the difference pass (:func:`solve_linear_difference`) of
+    n_controls controls synthesized over a basis steps fewer rows than that
+    of the basis's elements, which steps only the seeds of its shift plan."""
     static = _potential_difference(basis, q, q_background)[1]
     seed = shift_plan(basis, static, len(basis.nodes))[0]
     return n_controls < np.count_nonzero(seed == np.arange(seed.size))

@@ -390,3 +390,23 @@ def test_moments_of_the_synthesized_controls_match_the_element_pass(request, n_n
     ref = recovery.coeff1 @ dn_difference_linear(q, background, basis2) @ recovery.coeff2.T
     _assert_close(got, ref, MOMENTS_RTOL)
 
+
+@pytest.mark.parametrize("kind", ["static", "ramp"])
+def test_controls_pass_leaves_the_achieved_states_unchanged(op31, grid31, kind):
+    # the difference drive overwrites the block of states it is given, so the
+    # recovery hands the pass fresh copies of its w1 achieved states
+    basis1, basis2 = (ControlBasis(grid31, w, DT, T_FINAL, 8) for w in ("w1", "w2"))
+    profile = 0.5 * np.exp(-((grid31.x[grid31.omega] - 0.5) / 0.141421356) ** 2)
+    q = profile if kind == "static" else np.outer(DT * np.arange(NT + 1), profile)
+    recovery = LinearRecovery(BackgroundStates(op31, None, basis1), basis2, 1e-1, 1e-4,
+                              q_time_basis=None if kind == "static" else 3,
+                              target_nodes=grid31.omega[::2])
+    before = recovery.achieved1.tobytes()
+    dn_moments_linear(q, recovery)
+    assert recovery.achieved1.tobytes() == before
+    rows = np.array([4, 0, 1, len(recovery.coeff1) - 1])
+    block = recovery.states_of(rows)
+    assert block.flags.writeable and not np.shares_memory(block, recovery.achieved1)
+    assert _same(block, recovery.achieved1[rows].transpose(1, 0, 2))
+    block[...] = 0.0
+    assert recovery.achieved1.tobytes() == before

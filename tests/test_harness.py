@@ -388,12 +388,11 @@ def test_invert_linear_steps_the_seeds_once_per_pass(tmp_path, monkeypatch):
 
 def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
     # a ramp potential shifts nothing: its difference pass steps the
-    # synthesized controls, fewer than the elements, SYNTHESIZED_BLOCK rows
-    # at a time, and the q = 0 backgrounds step one modal pass, the seeds of
-    # its unit row
+    # synthesized controls, fewer than the elements, CONTROL_BLOCK rows at a
+    # time, and the q = 0 backgrounds step one modal pass, the seeds of its
+    # unit row
     stepped, _ = _count_stepped_rows(monkeypatch)
-    monkeypatch.setattr(solver, "CONTROL_BLOCK", 8)
-    monkeypatch.setattr(solver, "SYNTHESIZED_BLOCK", 4)
+    monkeypatch.setattr(solver, "CONTROL_BLOCK", 4)
     cfg = _merge(_linear_cfg(), {"experiment": {"basis_segments": 10, "frame": "reversed",
                                                 "q_time_basis": 3},
                                  "model": {"q": {"time": "ramp"}}})
@@ -403,7 +402,7 @@ def test_time_dependent_pass_steps_at_most_a_block(tmp_path, monkeypatch):
     n_targets = len(inversion.TARGET_WINDOWS) * len(run.target_nodes)
     seed, _lag = solver.shift_plan(basis, True, 1)
     n_modal = np.count_nonzero(seed == np.arange(seed.size))
-    assert max(stepped) <= 8 and n_modal == 1 and n_targets < len(basis)
+    assert max(stepped) <= 4 and n_modal == 1 and n_targets < len(basis)
     assert sorted(stepped) == sorted([4] * (n_targets // 4) + [n_targets % 4] + [n_modal])
 
 
@@ -412,8 +411,8 @@ def test_data_pass_steps_the_fewer_rows(tmp_path, monkeypatch, time, data_blocks
     # at 101 nodes, 16 segments and 200 steps the w1 basis has 220 elements
     # and the recovery 99 targets: a static q's difference pass steps the 40
     # seeds of its shift plan, fewer than the targets; a ramp's shifts
-    # nothing, so it steps the 99 synthesized controls, SYNTHESIZED_BLOCK at
-    # a time.  The modal pass before it steps the 2 seeds of its unit row
+    # nothing, so it steps the 99 synthesized controls, CONTROL_BLOCK at a
+    # time.  The modal pass before it steps the 2 seeds of its unit row
     stepped, factored = _count_stepped_rows(monkeypatch)
     cfg = _merge(DEFAULTS, {
         "grid": {"n_nodes": 101},
@@ -657,6 +656,18 @@ def test_cli_run_exit_zero(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_cli_invert_nonlinear_at_exponent_zero_exit_one_line(tmp_path, capsys):
+    # r = 0 leaves nothing for the Richardson step to divide by: one error
+    # line, exit 1, and no reconstruction written
+    path = write_yaml(tmp_path / "c.yaml", {
+        "grid": {"n_nodes": 31}, "dt": 0.02, "model": {"kind": "nonlinear", "r": 0},
+        "experiment": {"kind": "invert-nonlinear", "basis_segments": 8}})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: nonlinearity exponent must be positive, got r=0.0"]
+    assert not (tmp_path / "out" / "reconstruction.json").exists()
+
+
 def test_cli_missing_config_exit_two(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.yaml")])
     assert code == 2
@@ -832,6 +843,17 @@ def test_cli_sweep_checks_every_value_before_the_first_run(tmp_path, capsys):
                  "--out", str(tmp_path / "sw")]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: dt=0.03 does not divide t_final=1.0"]
+    assert not (tmp_path / "sw").exists()
+
+
+def test_cli_sweep_refuses_values_that_name_one_directory(tmp_path, capsys):
+    # 0.02 and 2e-2 parse to one float, whose runs would both write dt_0.02
+    # while summary.json listed two: refused before any run
+    path = write_yaml(tmp_path / "c.yaml", {"grid": {"n_nodes": 31}, "dt": 0.02})
+    assert main(["sweep", path, "--param", "dt", "--values", "0.01", "0.02", "2e-2",
+                 "--out", str(tmp_path / "sw")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sweep values 0.02 and 0.02 both name the directory dt_0.02"]
     assert not (tmp_path / "sw").exists()
 
 

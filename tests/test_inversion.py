@@ -1100,6 +1100,21 @@ def test_nonlinear_recovery_names_a_missing_amplitude(op31, grid31, monkeypatch)
                                       alpha_inv=1e-2, synth_alpha=1e-10)
 
 
+@pytest.mark.parametrize("r_known", [0, 0.0, -1.0])
+def test_nonlinear_recovery_refuses_a_non_positive_exponent(op31, grid31, monkeypatch, r_known):
+    # the Richardson step divides by 2**r - 1, which is zero at r = 0: refused
+    # before any synthesis, not turned into a NaN reconstruction
+    psi = bump_control(grid31, "w1", 0.1, 0.9, DT, NT, amplitude=50.0)
+    basis2 = ControlBasis(grid31, "w2", DT, T_FINAL, 8)
+    lin, _, remainders = dn_remainders_nonlinear(op31, power_nonlinearity(1.0, 2), psi,
+                                                 basis2, (0.1, 0.05))
+    monkeypatch.setattr(inversion, "BackgroundStates", None)
+    with pytest.raises(InversionError, match="^" + re.escape(
+            f"nonlinearity exponent must be positive, got r={float(r_known)!r}") + "$"):
+        recover_nonlinear_coefficient(op31, lin, remainders, basis2, r_known, eps0=0.1,
+                                      alpha_inv=1e-2, synth_alpha=1e-10)
+
+
 # -------------------------------------------------------- serialization
 
 

@@ -780,8 +780,9 @@ def test_controls_difference_is_the_coefficients_times_the_elements(op31, grid31
     for n in (len(basis) - 1, len(basis)):
         coeffs = rng.normal(size=(n, len(basis)))
         achieved = np.einsum("ce,etj->ctj", coeffs, u_bg)
-        got = _observed(lambda observe: solver.solve_controls_difference(
-            op31, q, q_bg, basis, achieved, observe))
+        got = _observed(lambda observe: solver.solve_linear_difference(
+            op31, q, q_bg, basis, lambda rows: achieved[rows].transpose(1, 0, 2), observe,
+            n_controls=n))
         assert got[2] == [n]
         assert solver.steps_controls(basis, q, q_bg, n) == (n < len(basis))
         for i in (0, 1):
