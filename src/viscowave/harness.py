@@ -22,7 +22,7 @@ from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linea
                     nonlinear_integral_identity_residual, self_adjointness_residual)
 from .grid import build_grid
 from .inversion import (TARGET_WINDOWS, BackgroundStates, LinearRecovery,
-                        estimate_homogeneity_exponent, recover_linear_potential,
+                        estimate_homogeneity_exponent, l2_norm, recover_linear_potential,
                         recover_nonlinear_coefficient)
 from .nonlinearity import check_exponent_constraints, power_nonlinearity, zero_nonlinearity
 from .operator import assemble_fraclap
@@ -504,9 +504,14 @@ def run_invert_linear(run, op, out_dir):
                               np.random.default_rng(run.seed))
         recon = recover_linear_potential(data, background, basis2, **settings)
     else:
-        # the pass steps the synthesized controls, after the recovery is built
+        # the pass steps the synthesized controls, after the recovery is built;
+        # the recovery's probing kernel depends on the syntheses alone, so a
+        # worker thread forms it meanwhile.  The element path above forms its
+        # kernel inline, with no pass left to overlap
         recovery = LinearRecovery(background, basis2, **settings)
-        recon = recovery.estimate(dn_moments_linear(q_true, recovery))
+        with recovery.kernel_alongside():
+            moments = dn_moments_linear(q_true, recovery)
+        recon = recovery.estimate(moments)
     # the frame orients a time-dependent estimate: reversed, it is written as
     # a function of t_final - t
     if run.q_time_basis is not None and run.frame == "reversed":
@@ -520,15 +525,15 @@ def run_invert_linear(run, op, out_dir):
     # compare against the truth in the frame the experiment requested
     if run.q_time_basis is None:
         truth = qs[0] if static else np.mean(qs, axis=0)
-        num = float(np.linalg.norm(recon.values - truth))
-        den = float(max(np.linalg.norm(truth), 1e-300))
+        num = float(l2_norm(recon.values - truth))
+        den = float(max(l2_norm(truth), 1e-300))
     else:
         truth = np.ascontiguousarray(qs).T  # (n_omega, nt+1), laid out as tiled samples
         if run.frame == "reversed":
             truth = truth[:, ::-1]
         wt = trapezoid_weights(nt)
-        num = float(np.sqrt(np.sum(wt[None, :] * (recon.values - truth) ** 2)))
-        den = float(max(np.sqrt(np.sum(wt[None, :] * truth ** 2)), 1e-300))
+        num = float(l2_norm(recon.values - truth, wt[None, :]))
+        den = float(max(l2_norm(truth, wt[None, :]), 1e-300))
     rel = num / den
     metrics = {"relative_l2_error": rel, "tolerance": run.tolerance, "frame": run.frame,
                "noise_level": run.level,

@@ -7,8 +7,10 @@ two operators then turn into interior integrals against products of achieved
 states, and a small regularized least-squares problem returns the coefficient.
 """
 
+import contextlib
 from dataclasses import dataclass, field
 import json
+import threading
 
 import numpy as np
 
@@ -80,6 +82,27 @@ def cho_solve(u, b):
         x[d] = np.linalg.solve(u[d, d], x[d])
         x[:s] -= u[:s, d] @ x[d]
     return x
+
+
+# Largest float whose square is a float: a vector whose largest magnitude is
+# below SQUARE_LIMIT / sqrt(its size) has a norm whose sum of squares is finite
+SQUARE_LIMIT = np.sqrt(np.finfo(float).max)
+
+
+def l2_norm(x, weights=None):
+    """sqrt(sum(weights * x**2)) over every entry of x, weights broadcast
+    against x and at most 1 (numpy's norm of x when weights is None).
+
+    Where the squares could overflow, x is first divided by its largest
+    magnitude and the norm multiplied by it, so that a finite x has a finite
+    norm up to the largest float; elsewhere the norm is formed as written.
+    """
+    x = np.asarray(x, dtype=float)
+    peak = np.max(np.abs(x), initial=0.0)
+    if peak < SQUARE_LIMIT / np.sqrt(max(x.size, 1)) or not np.isfinite(peak):
+        return np.linalg.norm(x) if weights is None else np.sqrt(np.sum(weights * x ** 2))
+    with np.errstate(over="ignore"):    # a norm past the largest float is inf
+        return peak * l2_norm(x / peak, weights)
 
 
 class BackgroundStates:
@@ -332,21 +355,50 @@ def _regularized_factor(kern, pen, alpha, what):
     return cho_factor(gram + alpha * scale * pen + ridge * np.eye(n), what)
 
 
-def _probing_kernel(fld1, fld2, weights):
-    """Sum over t of fld1[i, t, j] fld2[k, t, j] weights[m, t].
+# Omega nodes whose products the probing kernel forms at a time: at 101
+# nodes its two buffers hold 1.3 and 0.6 MB, where products over all 33
+# nodes held 5.2 and 2.6 MB
+KERNEL_CHUNK = 8
 
-    Rows are the pairs (i, k), columns (node j, time profile m); each time
-    profile is one matmul batched over the nodes, whose right operand is
-    fld2's (j, t, k) view times the profile's weights.  Achieved states as
-    :meth:`BackgroundStates.synthesize` returns them are already laid out
-    (j, i, t), so no operand is copied but the weighted one.
+
+def _kernel_arrays(n1, n2, n_times, n_nodes, n_profiles):
+    """The probing kernel's array, (n1, n2, n_nodes, n_profiles), and the two
+    buffers that :func:`_probing_kernel` forms it through, unfilled.  The
+    weighted right operand, (chunk, n_times, n2), is laid out time-minor,
+    as numpy lays out the weights times the time-reversed (j, t, k) view of
+    achieved states: BLAS sums a time-major one differently at 31 nodes
+    (5e-16 relative), though not at 101."""
+    chunk = min(KERNEL_CHUNK, n_nodes)
+    return (np.empty((n1, n2, n_nodes, n_profiles)),
+            np.empty((chunk, n2, n_times)).transpose(0, 2, 1), np.empty((chunk, n1, n2)))
+
+
+def _probing_kernel(fld1, fld2, weights, scale, kern, weighted, product, failed):
+    """Fill kern[i, k, j, m] with scale times the sum over t of
+    fld1[i, t, j] fld2[k, t, j] weights[m, t].
+
+    Each time profile is one matmul batched over a chunk of nodes, as many
+    as the buffers of :func:`_kernel_arrays` hold: fld1's (j, i, t) view
+    times fld2's (j, t, k) view weighted into the buffer weighted, into the
+    buffer product, scaled there and copied into kern.  Achieved states as
+    :meth:`BackgroundStates.synthesize` returns them are laid out (j, i, t),
+    so the left operand is contiguous.  It may run on
+    :class:`LinearRecovery`'s worker thread, so it allocates no array but
+    views, calls numpy alone, and appends what it raises to failed, for the
+    thread that reads kern to raise.
     """
-    right = fld2.transpose(2, 1, 0)                             # (j, t, k)
-    left = np.ascontiguousarray(fld1.transpose(2, 0, 1))        # (j, i, t)
-    kern = np.empty((len(fld1), len(fld2), fld1.shape[2], len(weights)))
-    for m, w in enumerate(weights):
-        kern[..., m] = (left @ (right * w[:, None])).transpose(1, 2, 0)
-    return kern.reshape(len(fld1) * len(fld2), -1)
+    try:
+        left, right = fld1.transpose(2, 0, 1), fld2.transpose(2, 1, 0)
+        step = len(product)
+        for s in range(0, len(left), step):
+            j, n = slice(s, s + step), min(step, len(left) - s)
+            for m, w in enumerate(weights):
+                np.multiply(right[j], w[:, None], out=weighted[:n])
+                np.matmul(left[j], weighted[:n], out=product[:n])
+                product[:n] *= scale
+                kern[:, :, j, m] = product[:n].transpose(1, 2, 0)
+    except BaseException as exc:
+        failed.append(exc)
 
 
 class LinearRecovery:
@@ -362,12 +414,14 @@ class LinearRecovery:
     background states, (n, nt+1, n_omega).  To first order at q_bg, the
     moments m = coeff1 dP coeff2^T of a pairing difference dP are interior
     integrals of the potential increment against products of the achieved
-    states of both windows: the probing kernel, built here with the
-    Cholesky factor of its normal equations, regularized for smoothness
-    with weight alpha_inv; the w2 states go once it is formed.
-    :meth:`estimate` returns the estimate of an m.  With q_time_basis=None
-    the unknown is static; an integer requests that many piecewise-linear
-    time profiles, at least 2, on the forward time axis.
+    states of both windows: the probing kernel, formed from the achieved
+    states of both syntheses on its first read, or alongside a block of
+    :meth:`kernel_alongside`, then checked and factored with the Cholesky
+    factor of its normal equations, regularized for smoothness with weight
+    alpha_inv; the w2 states go once it is formed.  :meth:`estimate`
+    returns the estimate of an m, and is the kernel's first reader.  With
+    q_time_basis=None the unknown is static; an integer requests that many
+    piecewise-linear time profiles, at least 2, on the forward time axis.
     """
 
     def __init__(self, background, probe_basis, alpha_inv, synth_alpha, q_time_basis=None,
@@ -393,27 +447,74 @@ class LinearRecovery:
         self._hats = (None if q_time_basis is None
                       else _time_hats(int(q_time_basis), basis1.dt, basis1.n_steps))
         gamma = np.ones((1, basis1.n_steps + 1)) if self._hats is None else self._hats
-        n_gamma = len(gamma)
-        self.kernel = grid.h * _probing_kernel(self.achieved1, achieved2[:, ::-1, :],
-                                               gamma * background.time_weights[None, :])
-        del achieved2
+        self._alpha_inv = alpha_inv
+        # what _probing_kernel forms the kernel from and into, held until the
+        # kernel is formed: on the first read, or on the worker of kernel_alongside
+        n = len(self.coeff1)
+        self._kernel_job = (self.achieved1, achieved2[:, ::-1, :],
+                            gamma * background.time_weights[None, :], grid.h,
+                            *_kernel_arrays(n, n, basis1.n_steps + 1, len(om), len(gamma)), [])
+        self._worker = self._factor = None
 
-        col = np.sqrt(np.einsum("pj,pj->j", self.kernel, self.kernel)).reshape(len(om), n_gamma)
-        colnorm = np.sqrt(np.sum(col ** 2, axis=1))
-        if colnorm.max() == 0.0:
-            raise InversionError("probing system is identically zero")
-        unresolved = np.flatnonzero(colnorm == 0.0)
-        if unresolved.size:
-            raise InversionError("probing system leaves omega nodes unresolved: "
-                                 f"{[int(om[j]) for j in unresolved]}")
-        self.covered = colnorm >= 1e-8 * colnorm.max()
+    @contextlib.contextmanager
+    def kernel_alongside(self):
+        """Form the probing kernel on a worker thread while the block runs.
 
-        d2s = _second_difference(len(om))
-        pen = np.kron(d2s.T @ d2s, np.eye(n_gamma))
-        if n_gamma >= 3:
-            d2t = _second_difference(n_gamma)
-            pen = pen + np.kron(np.eye(len(om)), d2t.T @ d2t)
-        self._factor = _regularized_factor(self.kernel, pen, alpha_inv, "inversion")
+        The worker runs :func:`_probing_kernel` into the arrays that the
+        constructor allocated, so that the thread allocates nothing large
+        (glibc keeps the blocks a thread frees in that thread's own arena,
+        and the process's peak grows), and calls no other function of the
+        package (the benchmark tracer, which wraps some, keeps one span stack
+        for the process).  The kernel's first reader, :meth:`estimate`, joins
+        it; so does leaving the block, by an exception too, so that no worker
+        outlives it.  Outside such a block the kernel is formed on the thread
+        that first reads it.
+        """
+        if self._kernel_job is not None and self._worker is None:
+            self._worker = threading.Thread(target=_probing_kernel, args=self._kernel_job,
+                                            name="probing-kernel")
+            self._worker.start()
+        try:
+            yield self
+        finally:
+            if self._worker is not None:
+                self._worker.join()
+
+    def _normal_equations(self):
+        """The probing kernel and the Cholesky factor of its normal equations,
+        formed, checked and factored on the first call; the w2 states go once
+        the kernel is formed."""
+        if self._factor is None:
+            if self._kernel_job is not None:
+                if self._worker is None:
+                    _probing_kernel(*self._kernel_job)
+                else:
+                    self._worker.join()
+                    self._worker = None
+                failed = self._kernel_job[-1]
+                if failed:
+                    raise failed.pop()
+                self.kernel = self._kernel_job[4].reshape(len(self.coeff1) ** 2, -1)
+                self._kernel_job = None
+            om = self.background.op.grid.omega
+            col = np.sqrt(np.einsum("pj,pj->j", self.kernel, self.kernel)).reshape(len(om), -1)
+            colnorm = np.sqrt(np.sum(col ** 2, axis=1))
+            if colnorm.max() == 0.0:
+                raise InversionError("probing system is identically zero")
+            unresolved = np.flatnonzero(colnorm == 0.0)
+            if unresolved.size:
+                raise InversionError("probing system leaves omega nodes unresolved: "
+                                     f"{[int(om[j]) for j in unresolved]}")
+            self.covered = colnorm >= 1e-8 * colnorm.max()
+
+            n_gamma = col.shape[1]
+            d2s = _second_difference(len(om))
+            pen = np.kron(d2s.T @ d2s, np.eye(n_gamma))
+            if n_gamma >= 3:
+                d2t = _second_difference(n_gamma)
+                pen = pen + np.kron(np.eye(len(om)), d2t.T @ d2t)
+            self._factor = _regularized_factor(self.kernel, pen, self._alpha_inv, "inversion")
+        return self.kernel, self._factor
 
     def states_of(self, rows):
         """Achieved w1 background states of the controls at the indices rows:
@@ -435,17 +536,18 @@ class LinearRecovery:
             raise InversionError(f"moments are {np.shape(m)}, the targets {(n, n)}")
         if not np.isfinite(m).all():
             raise InversionError("moment data are not finite")
+        kernel, factor = self._normal_equations()
         grid = self.background.op.grid
         om = grid.omega
         rhs = np.asarray(m, dtype=float).reshape(-1)
-        qvec = cho_solve(self._factor, self.kernel.T @ rhs)
+        qvec = cho_solve(factor, kernel.T @ rhs)
         qmat = qvec.reshape(len(om), -1)
         values = qmat[:, 0] if self._hats is None else qmat @ self._hats
         diagnostics = {
             "runge_errors_w1": [float(e) for e in self._errs1],
             "runge_errors_w2": [float(e) for e in self._errs2],
-            "fit_residual": float(np.linalg.norm(self.kernel @ qvec - rhs)),
-            "rhs_norm": float(np.linalg.norm(rhs)),
+            "fit_residual": float(l2_norm(kernel @ qvec - rhs)),
+            "rhs_norm": float(l2_norm(rhs)),
             "n_pairs": n * n,
         }
         return Reconstruction(values=values, nodes=om.copy(), node_coords=grid.x[om].copy(),

@@ -1,5 +1,7 @@
 """Boundary pairings: time reversal, adjoint identities, measurement matrices."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from viscowave import (BackgroundStates, DNMapError, LinearRecovery, alessandrin
 from viscowave.controls import (ControlBasis, ExteriorControl,
                                 materialize, spline_indices)
 from viscowave.dnmap import _pair_against_basis
-from viscowave import dnmap, solver
+from viscowave import dnmap, inversion, solver
 from viscowave.solver import Trajectory
 
 DT, NT = 0.02, 50
@@ -410,3 +412,88 @@ def test_controls_pass_leaves_the_achieved_states_unchanged(op31, grid31, kind):
     assert _same(block, recovery.achieved1[rows].transpose(1, 0, 2))
     block[...] = 0.0
     assert recovery.achieved1.tobytes() == before
+
+
+def _recovery_and_potential(op, kind):
+    """A recovery over the q = 0 background at every second (31 nodes) or
+    third (101) omega node, and a static or ramp potential on its time grid,
+    at the settings of the benchmark's invert-linear runs at 101 nodes."""
+    grid = op.grid
+    dt, n_segments, stride = (DT, 8, 2) if grid.n_nodes == 31 else (5e-3, 16, 3)
+    basis1, basis2 = (ControlBasis(grid, w, dt, T_FINAL, n_segments) for w in ("w1", "w2"))
+    profile = 0.5 * np.exp(-((grid.x[grid.omega] - 0.5) / 0.141421356) ** 2)
+    q = profile if kind == "static" else np.outer(dt * np.arange(basis1.n_steps + 1), profile)
+    recovery = LinearRecovery(BackgroundStates(op, None, basis1), basis2, 1e-1, 1e-12,
+                              q_time_basis=None if kind == "static" else 3,
+                              target_nodes=grid.omega[::stride])
+    return recovery, q
+
+
+@pytest.mark.parametrize("kind", ["static", "ramp"])
+@pytest.mark.parametrize("n_nodes", [31, 101])
+def test_kernel_formed_alongside_the_data_pass_is_the_inline_one(request, monkeypatch,
+                                                                 n_nodes, kind):
+    # one function forms the kernel on either thread, into arrays the
+    # constructor allocated, so the estimate is bitwise the same
+    op = request.getfixturevalue(f"op{n_nodes}")
+    baseline = threading.active_count()
+    kernel, threads = inversion._probing_kernel, []
+
+    def recording_kernel(*args):
+        threads.append(threading.current_thread())
+        kernel(*args)
+
+    monkeypatch.setattr(inversion, "_probing_kernel", recording_kernel)
+    inline, q = _recovery_and_potential(op, kind)
+    ref = inline.estimate(dn_moments_linear(q, inline))
+    aside = _recovery_and_potential(op, kind)[0]
+    with aside.kernel_alongside():
+        moments = dn_moments_linear(q, aside)
+    got = aside.estimate(moments)
+    assert threads[0] is threading.main_thread() and threads[1] is not threads[0]
+    assert len(threads) == 2 and threading.active_count() == baseline
+    assert _same(aside.kernel, inline.kernel)
+    assert _same(got.values, ref.values) and _same(got.covered, ref.covered)
+    assert got.diagnostics == ref.diagnostics
+    # the w2 states and the kernel's buffers go once it is formed
+    held = [v for v in vars(aside).values() if isinstance(v, np.ndarray) and v.ndim == 3]
+    assert held == [aside.achieved1] and aside._kernel_job is None
+
+
+def test_step_failure_in_the_data_pass_leaves_no_worker(op31):
+    # the data pass raises on the caller's thread; leaving the block joins
+    # the worker, and the kernel it formed is still read
+    baseline = threading.active_count()
+    recovery, q = _recovery_and_potential(op31, "ramp")
+    q[20] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(solver.StepFailureError) as err:
+        with recovery.kernel_alongside():
+            dn_moments_linear(q, recovery)
+    assert err.value.step == 20
+    assert threading.active_count() == baseline
+    n = len(recovery.coeff1)
+    est = recovery.estimate(np.zeros((n, n)))
+    assert not est.values.any()
+
+
+def test_kernel_errors_surface_on_the_reading_thread(op31, monkeypatch):
+    # a zero probing system is refused by the kernel's first reader with the
+    # message it had when the constructor formed it; what the worker raises
+    # is raised there too, not lost on the worker
+    baseline = threading.active_count()
+    zero_targets = (np.zeros((3, NT + 1)), np.zeros((1, op31.grid.omega.size)))
+    monkeypatch.setattr(inversion, "interior_targets", lambda basis, nodes, width: zero_targets)
+    recovery, q = _recovery_and_potential(op31, "ramp")
+    with recovery.kernel_alongside():
+        moments = dn_moments_linear(q, recovery)
+    with pytest.raises(inversion.InversionError, match="^probing system is identically zero$"):
+        recovery.estimate(moments)
+    monkeypatch.undo()
+
+    recovery, q = _recovery_and_potential(op31, "ramp")
+    recovery._kernel_job[4].flags.writeable = False
+    with recovery.kernel_alongside():
+        moments = dn_moments_linear(q, recovery)
+    with pytest.raises(ValueError, match="read-only"):
+        recovery.estimate(moments)
+    assert threading.active_count() == baseline

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -1121,6 +1122,40 @@ def test_cli_overflowing_moment_data_prints_one_line(tmp_path):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+OVERFLOWING_NORMS = {
+    "ramp": ({"q": {"kind": "gaussian", "amplitude": 1.0e300, "time": "ramp"}},
+             {"q_time_basis": 3}, {}),
+    "static": ({"q": {"kind": "gaussian", "amplitude": 1.0e300}}, {}, {}),
+    "noise": ({"q": {"kind": "gaussian"}}, {}, {"level": 1.0e200}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_NORMS))
+def test_cli_norms_whose_squares_overflow_stay_finite(tmp_path, case):
+    # a potential of 1e300 overflows the squares in the truth's norm, noise
+    # of 1e200 those in the moments' and the fit's: each norm is taken over
+    # the largest magnitude instead, so the metrics are finite and numpy
+    # warns nothing
+    model, experiment, noise = OVERFLOWING_NORMS[case]
+    path = write_yaml(tmp_path / "c.yaml", {
+        "grid": {"n_nodes": 31}, "dt": 0.02, "model": {"kind": "linear", **model},
+        "experiment": {"kind": "invert-linear", "basis_segments": 8, **experiment},
+        "noise": noise,
+    })
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               PYTHONWARNINGS="default")
+    out = subprocess.run([sys.executable, "-m", "viscowave.cli", "run", path,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert (out.returncode, out.stderr) == (0, "")
+    metrics = json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]
+    assert all(math.isfinite(metrics[k]) for k in ("relative_l2_error", "fit_residual",
+                                                   "rhs_norm"))
+    # the estimate misses a potential of 1e300 whole; noise of 1e200 swamps it
+    rel = metrics["relative_l2_error"]
+    assert rel > 1e200 if case == "noise" else rel == pytest.approx(1.0, rel=1e-12)
+
+
 def test_cli_noise_only_where_it_is_read(tmp_path, capsys):
     # only invert-linear adds noise; any other kind would run noise-free
     for kind in ("forward", "energy-check", "identity-check", "runge", "invert-nonlinear"):
@@ -1187,10 +1222,9 @@ def test_cli_non_finite_normal_equations_exit_one(tmp_path, capsys, monkeypatch)
     # equations; the factorization reports it instead of a traceback
     kernel = inversion._probing_kernel
 
-    def nan_kernel(*args):
-        kern = kernel(*args)
+    def nan_kernel(fld1, fld2, weights, scale, kern, *rest):
+        kernel(fld1, fld2, weights, scale, kern, *rest)
         kern[0, 0] = np.nan
-        return kern
 
     monkeypatch.setattr(inversion, "_probing_kernel", nan_kernel)
     path = write_yaml(tmp_path / "c.yaml", {

@@ -1,6 +1,7 @@
 """What importing the package loads, and what its modules import."""
 
 import ast
+import builtins
 import os
 import pathlib
 import subprocess
@@ -286,6 +287,59 @@ def _factors(node):
 
 def test_only_listed_functions_factor_a_matrix():
     assert _scopes_in_package(_factors) == set(FACTORIZATIONS)
+
+
+# Where the package starts a thread, each with its reason: a second core is
+# a cost in CPU time and memory to be listed here
+THREADS = {
+    "inversion.LinearRecovery.kernel_alongside": "the ramp's probing kernel, formed while "
+                                                 "its data pass runs on the caller's thread",
+}
+THREAD_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
+
+
+def _starts_thread(node):
+    """A reference to a Thread, or an import of a module that starts
+    threads or processes other than threading."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                   else [node.module or ""])
+        names = [alias.name for alias in node.names]
+        return (any(m.split(".")[0] in THREAD_MODULES - {"threading"} for m in modules)
+                or "Thread" in names)
+    return _name(node) == "Thread"
+
+
+def test_only_listed_functions_start_a_thread():
+    assert _scopes_in_package(_starts_thread) == set(THREADS)
+
+
+def _thread_targets(tree):
+    """The names that target= of each Thread(...) call in tree passes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "Thread":
+            yield from (_name(kw.value) for kw in node.keywords if kw.arg == "target")
+
+
+def test_a_worker_runs_numpy_alone():
+    # a worker calls no function of the package: the benchmark tracer wraps
+    # some of them, and its spans are one stack for the process.  Its target
+    # is a module-level function whose free names are numpy and builtins
+    src = pathlib.Path(viscowave.__file__).parent
+    free = {}
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for target in _thread_targets(tree):
+            fn = functions[target]
+            bound = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+            bound |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Store)}
+            bound |= {h.name for h in ast.walk(fn) if isinstance(h, ast.ExceptHandler) and h.name}
+            loaded = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Load)}
+            free[f"{path.stem}.{target}"] = loaded - bound - set(dir(builtins))
+    assert free == {"inversion._probing_kernel": {"np"}}
 
 
 def _reads_modal(node):

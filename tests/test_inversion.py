@@ -747,6 +747,32 @@ def test_synthesis_of_a_target_stack_matches_one_at_a_time(op31, grid31):
 # ------------------------------------------------------ linear potential
 
 
+def test_l2_norm_is_numpys_unless_the_squares_overflow(rng):
+    # the runner's norms keep their bits below the overflow, and above it
+    # read the norm of x over its largest magnitude, times that magnitude
+    x = rng.normal(size=(9, 51))
+    w = solver.trapezoid_weights(50)[None, :]
+    assert inversion.l2_norm(x) == np.linalg.norm(x)
+    assert inversion.l2_norm(x, w) == np.sqrt(np.sum(w * x ** 2))
+    big = 1e300 * x
+    assert inversion.l2_norm(big) == pytest.approx(1e300 * np.linalg.norm(x), rel=1e-14)
+    assert inversion.l2_norm(big, w) == pytest.approx(1e300 * inversion.l2_norm(x, w),
+                                                      rel=1e-14)
+    assert inversion.l2_norm(np.full(4, 1e308)) == np.inf     # 2e308, past the largest float
+    assert np.isnan(inversion.l2_norm(np.array([1.0, np.nan])))
+
+
+def _kernel(fld1, fld2, weights, scale=1.0):
+    """The probing kernel of two fields, formed into the arrays that
+    LinearRecovery allocates for it."""
+    n1, n_times, n_nodes = fld1.shape
+    kern, *buffers = inversion._kernel_arrays(n1, len(fld2), n_times, n_nodes, len(weights))
+    failed = []
+    _probing_kernel(fld1, fld2, weights, scale, kern, *buffers, failed)
+    assert failed == []
+    return kern.reshape(n1 * len(fld2), -1)
+
+
 @pytest.mark.parametrize("n_profiles", [1, 3])
 def test_probing_kernel_matches_einsum(rng, n_profiles):
     # the kernel was one einsum; a field reversed in time is a strided view,
@@ -755,7 +781,20 @@ def test_probing_kernel_matches_einsum(rng, n_profiles):
     fld2 = rng.normal(size=(6, NT + 1, 5))
     weights = rng.uniform(size=(n_profiles, NT + 1))
     ref = np.einsum("itj,ktj,mt->ikjm", fld1, fld2, weights, optimize=True)
-    _assert_close(_probing_kernel(fld1, fld2, weights), ref.reshape(7 * 6, -1), 1e-12)
+    _assert_close(_kernel(fld1, fld2, weights), ref.reshape(7 * 6, -1), 1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4])
+def test_probing_kernel_is_the_same_a_chunk_of_nodes_at_a_time(rng, monkeypatch, chunk):
+    # each node's product is one matmul whatever the chunk, so the kernel is
+    # bitwise that of one chunk over all five nodes (the last chunk part
+    # full at 2 and 4), and the scale is applied as h * x was
+    fld1 = rng.normal(size=(5, 7, NT + 1)).transpose(1, 2, 0)     # laid out (j, i, t)
+    fld2 = rng.normal(size=(5, 6, NT + 1)).transpose(1, 2, 0)[:, ::-1, :]
+    weights = rng.uniform(size=(3, NT + 1))
+    whole = 0.3 * _kernel(fld1, fld2, weights)
+    monkeypatch.setattr(inversion, "KERNEL_CHUNK", chunk)
+    assert _kernel(fld1, fld2, weights, 0.3).tobytes() == whole.tobytes()
 
 
 def _copying_probing_kernel(fld1, fld2, weights):
@@ -790,7 +829,7 @@ def test_probing_kernel_matches_the_copying_kernel(request, n_nodes, n_profiles)
              else inversion._time_hats(n_profiles, dt, nt))
     weights = gamma * bg1.time_weights
     fld2 = achieved2[:, ::-1, :]
-    _assert_close(_probing_kernel(achieved1, fld2, weights),
+    _assert_close(_kernel(achieved1, fld2, weights),
                   _copying_probing_kernel(achieved1, fld2, weights), KERNEL_RTOL)
 
 
