@@ -125,13 +125,13 @@ def dn_moments_linear(q, recovery):
     """The moments m = coeff1 dP coeff2^T that ``recovery.estimate`` reads,
     of dP, the difference of q's measurement matrix from the background's.
 
-    recovery is an ``inversion.LinearRecovery``: its background, probe
-    basis, synthesis coefficients and w1 achieved states.  The measurement
-    is linear in the control, so coeff1 dP is the difference pass
-    (:func:`solver.solve_linear_difference`) of the synthesized w1
-    controls, driven by their achieved states, paired against the probes;
-    it steps fewer rows than :func:`dn_difference_linear` where
-    ``solver.steps_controls`` says so.
+    recovery is an ``inversion.LinearRecovery`` built by its constructor:
+    its background, probe basis, synthesis coefficients and w1 achieved
+    states.  The measurement is linear in the control, so coeff1 dP is the
+    difference pass (:func:`solver.solve_linear_difference`) of the
+    synthesized w1 controls, driven by their achieved states, paired
+    against the probes; it steps fewer rows than :func:`dn_difference_linear`
+    where ``solver.steps_controls`` says so.
     """
     background, probe_basis = recovery.background, recovery.probe_basis
     op, control_basis = background.op, background.basis

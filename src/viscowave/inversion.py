@@ -341,9 +341,9 @@ def _second_difference(n):
     return np.diff(np.eye(n), 2, axis=0)
 
 
-def _regularized_factor(kern, pen, alpha, what):
-    """Cholesky factor of the normal equations of kern x ~ rhs penalized by
-    alpha * pen, for :func:`cho_solve` with kern^T rhs.
+def _regularized_factor(kern, pen, alpha):
+    """Cholesky factor of the inversion's normal equations, those of
+    kern x ~ rhs penalized by alpha * pen, for :func:`cho_solve` with kern^T rhs.
 
     alpha is dimensionless: pen is rescaled so its trace matches the Gram
     matrix, and a 1e-12 relative ridge keeps the factorization defined.
@@ -352,7 +352,7 @@ def _regularized_factor(kern, pen, alpha, what):
     n = gram.shape[0]
     scale = np.trace(gram) / max(np.trace(pen), 1e-300)
     ridge = 1e-12 * np.trace(gram) / max(n, 1)
-    return cho_factor(gram + alpha * scale * pen + ridge * np.eye(n), what)
+    return cho_factor(gram + alpha * scale * pen + ridge * np.eye(n), "inversion")
 
 
 # Omega nodes whose products the probing kernel forms at a time: at 101
@@ -402,26 +402,26 @@ def _probing_kernel(fld1, fld2, weights, scale, kern, weighted, product, failed)
 
 
 class LinearRecovery:
-    """A recovery of a potential increment over a background, built once.
+    """A recovery of a coefficient from its moments, built once.
 
-    background is the :class:`BackgroundStates` of the w1 controls under a
-    static potential q_bg, and probe_basis the w2 probes on its time grid;
-    the background's operator and time grid are the recovery's.  Both
-    windows synthesize controls at synth_alpha towards each target that
-    :func:`interior_targets` samples on the background's time grid at
-    target_nodes and target_width: coeff1 and coeff2, one row of basis
-    coefficients per target, and achieved1, the w1 controls' achieved
-    background states, (n, nt+1, n_omega).  To first order at q_bg, the
-    moments m = coeff1 dP coeff2^T of a pairing difference dP are interior
-    integrals of the potential increment against products of the achieved
-    states of both windows: the probing kernel, formed from the achieved
-    states of both syntheses on its first read, or alongside a block of
-    :meth:`kernel_alongside`, then checked and factored with the Cholesky
-    factor of its normal equations, regularized for smoothness with weight
-    alpha_inv; the w2 states go once it is formed.  :meth:`estimate`
-    returns the estimate of an m, and is the kernel's first reader.  With
-    q_time_basis=None the unknown is static; an integer requests that many
-    piecewise-linear time profiles, at least 2, on the forward time axis.
+    The moments integrate the unknown against products of two sides' states
+    on omega.  The probe side is the w2 probe controls, synthesized at
+    synth_alpha towards each target that :func:`interior_targets` samples
+    at target_nodes and target_width (coeff2, one row per target), and the
+    states they achieve, reversed in time.  The constructor's source side
+    is the w1 controls synthesized towards the same targets, over
+    background, the :class:`BackgroundStates` of the w1 basis under a
+    static q_bg, with probe_basis on its time grid: coeff1, and achieved1,
+    their achieved states (n, nt+1, n_omega).  To first order at q_bg, the
+    moments m = coeff1 dP coeff2^T of a pairing difference dP are those of
+    the potential increment.  :meth:`from_source` takes one given row as
+    the source side.  The probing kernel is formed on its first read, by
+    :meth:`estimate`, or alongside a block of :meth:`kernel_alongside`,
+    then checked and factored with the Cholesky factor of its normal
+    equations, regularized for smoothness with weight alpha_inv; the w2
+    states go once it is formed.  With q_time_basis=None the unknown is
+    static; an integer requests that many piecewise-linear time profiles,
+    at least 2, on the forward time axis.
     """
 
     def __init__(self, background, probe_basis, alpha_inv, synth_alpha, q_time_basis=None,
@@ -435,25 +435,40 @@ class LinearRecovery:
             raise InversionError("probe basis time grid does not match the background's")
         if basis1.window != "w1" or probe_basis.window != "w2":
             raise InversionError("expected controls on w1 and probes on w2")
-        self.background, self.probe_basis = background, probe_basis
-        grid, om = background.op.grid, background.op.grid.omega
-
-        bg2 = BackgroundStates(background.op, background.q, probe_basis, like=background)
+        self.background = background
+        probes = BackgroundStates(background.op, background.q, probe_basis, like=background)
         targets = interior_targets(basis1, target_nodes, target_width)
         self.coeff1, self.achieved1, self._errs1 = background.synthesize(*targets, synth_alpha)
-        self.coeff2, achieved2, self._errs2 = bg2.synthesize(*targets, synth_alpha)
+        self._probe_side(self.achieved1, probes, targets, synth_alpha, alpha_inv, q_time_basis)
 
+    @classmethod
+    def from_source(cls, source, probes, alpha_inv, synth_alpha, target_nodes, target_width):
+        """The recovery of a static unknown whose source side is one row,
+        source, (nt+1, n_omega) on the time grid of probes, the
+        :class:`BackgroundStates` of the w2 basis: its moments are
+        (1, n_targets).  background, coeff1 and achieved1 are None."""
+        self = cls.__new__(cls)
+        self.background = self.coeff1 = self.achieved1 = None
+        self._errs1 = ()
+        targets = interior_targets(probes.basis, target_nodes, target_width)
+        self._probe_side(np.asarray(source)[None], probes, targets, synth_alpha, alpha_inv, None)
+        return self
+
+    def _probe_side(self, fld1, probes, targets, synth_alpha, alpha_inv, q_time_basis):
+        """Synthesize the probes, and hold what :func:`_probing_kernel` forms
+        the kernel of the source states fld1 from and into until it is formed."""
+        basis = self.probe_basis = probes.basis
+        self.grid = probes.op.grid
+        self.coeff2, achieved2, self._errs2 = probes.synthesize(*targets, synth_alpha)
         # the time profiles of a time-dependent unknown, None for a static one
         self._hats = (None if q_time_basis is None
-                      else _time_hats(int(q_time_basis), basis1.dt, basis1.n_steps))
-        gamma = np.ones((1, basis1.n_steps + 1)) if self._hats is None else self._hats
+                      else _time_hats(int(q_time_basis), basis.dt, basis.n_steps))
+        gamma = np.ones((1, basis.n_steps + 1)) if self._hats is None else self._hats
         self._alpha_inv = alpha_inv
-        # what _probing_kernel forms the kernel from and into, held until the
-        # kernel is formed: on the first read, or on the worker of kernel_alongside
-        n = len(self.coeff1)
-        self._kernel_job = (self.achieved1, achieved2[:, ::-1, :],
-                            gamma * background.time_weights[None, :], grid.h,
-                            *_kernel_arrays(n, n, basis1.n_steps + 1, len(om), len(gamma)), [])
+        self._shape = (len(fld1), len(self.coeff2))
+        self._kernel_job = (fld1, achieved2[:, ::-1, :], gamma * probes.time_weights[None, :],
+                            self.grid.h, *_kernel_arrays(*self._shape, basis.n_steps + 1,
+                                                         self.grid.omega.size, len(gamma)), [])
         self._worker = self._factor = None
 
     @contextlib.contextmanager
@@ -494,9 +509,9 @@ class LinearRecovery:
                 failed = self._kernel_job[-1]
                 if failed:
                     raise failed.pop()
-                self.kernel = self._kernel_job[4].reshape(len(self.coeff1) ** 2, -1)
+                self.kernel = self._kernel_job[4].reshape(self._shape[0] * self._shape[1], -1)
                 self._kernel_job = None
-            om = self.background.op.grid.omega
+            om = self.grid.omega
             col = np.sqrt(np.einsum("pj,pj->j", self.kernel, self.kernel)).reshape(len(om), -1)
             colnorm = np.sqrt(np.sum(col ** 2, axis=1))
             if colnorm.max() == 0.0:
@@ -513,7 +528,7 @@ class LinearRecovery:
             if n_gamma >= 3:
                 d2t = _second_difference(n_gamma)
                 pen = pen + np.kron(np.eye(len(om)), d2t.T @ d2t)
-            self._factor = _regularized_factor(self.kernel, pen, self._alpha_inv, "inversion")
+            self._factor = _regularized_factor(self.kernel, pen, self._alpha_inv)
         return self.kernel, self._factor
 
     def states_of(self, rows):
@@ -529,16 +544,16 @@ class LinearRecovery:
             return self.coeff1 @ pairings @ self.coeff2.T
 
     def estimate(self, m):
-        """The :class:`Reconstruction` of the potential increment whose
-        moments are m, (n_targets, n_targets), which must be finite."""
-        n = len(self.coeff1)
-        if np.shape(m) != (n, n):
-            raise InversionError(f"moments are {np.shape(m)}, the targets {(n, n)}")
+        """The :class:`Reconstruction` of the unknown whose moments are m,
+        (source rows, n_targets), which must be finite: its values on every
+        omega node, and covered where the kernel reaches the node at 1e-8 of
+        its best-reached node or more."""
+        if np.shape(m) != self._shape:
+            raise InversionError(f"moments are {np.shape(m)}, the targets {self._shape}")
         if not np.isfinite(m).all():
             raise InversionError("moment data are not finite")
         kernel, factor = self._normal_equations()
-        grid = self.background.op.grid
-        om = grid.omega
+        grid, om = self.grid, self.grid.omega
         rhs = np.asarray(m, dtype=float).reshape(-1)
         qvec = cho_solve(factor, kernel.T @ rhs)
         qmat = qvec.reshape(len(om), -1)
@@ -548,7 +563,7 @@ class LinearRecovery:
             "runge_errors_w2": [float(e) for e in self._errs2],
             "fit_residual": float(l2_norm(kernel @ qvec - rhs)),
             "rhs_norm": float(l2_norm(rhs)),
-            "n_pairs": n * n,
+            "n_pairs": self._shape[0] * self._shape[1],
         }
         return Reconstruction(values=values, nodes=om.copy(), node_coords=grid.x[om].copy(),
                               covered=self.covered.copy(), diagnostics=diagnostics)
@@ -606,12 +621,12 @@ def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, eps
     against the reversed elements of probe_basis, as
     ``dnmap.dn_remainders_nonlinear`` returns them.  The leading remainder at
     amplitude eps scales like eps**(r+1) and pairs q(x) |v0|^r v0 against
-    reversed achieved probe states, where v0 = lin on omega.  A two-amplitude
-    Richardson step (eps0 and eps0/2, error order r) removes the next
-    correction before the moment system is solved for q on the covered nodes.
-    The probe controls are synthesized at synth_alpha towards the targets
-    that :func:`interior_targets` samples on probe_basis at target_nodes and
-    target_width.
+    reversed achieved probe states, where v0 = lin on omega: it has the
+    moments of the :class:`LinearRecovery` from source |v0|^r v0 over the
+    q = 0 background of probe_basis, which takes synth_alpha, target_nodes
+    and target_width.  A two-amplitude Richardson step (eps0 and eps0/2,
+    error order r) removes the next correction before that recovery
+    estimates q on every omega node, covered as by any recovery.
     """
     eps_pair = (eps0, 0.5 * eps0)
     r = float(r_known)
@@ -627,34 +642,17 @@ def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, eps
         if np.shape(remainders[eps]) != (len(probe_basis),):
             raise InversionError(f"remainder at eps={eps} is {np.shape(remainders[eps])}, "
                                  f"the probe basis has {len(probe_basis)} elements")
-    grid, om = op.grid, op.grid.omega
-    bg2 = BackgroundStates(op, None, probe_basis)
-    coeff2, achieved2, errs2 = bg2.synthesize(
-        *interior_targets(probe_basis, target_nodes, target_width), synth_alpha)
-
-    w1, w2m = [coeff2 @ remainders[eps] / eps ** (r + 1) for eps in eps_pair]
+    v0 = lin.u[:, op.grid.omega]
+    recovery = LinearRecovery.from_source(np.abs(v0) ** r * v0,
+                                          BackgroundStates(op, None, probe_basis),
+                                          alpha_inv, synth_alpha, target_nodes, target_width)
+    w1, w2m = [recovery.coeff2 @ remainders[eps] / eps ** (r + 1) for eps in eps_pair]
     y = (2.0 ** r * w2m - w1) / (2.0 ** r - 1.0)
-
-    v0 = lin.u[:, om]
-    gsrc = np.abs(v0) ** r * v0
-    zeta = grid.h * np.einsum("tj,t,ktj->kj", gsrc, bg2.time_weights, achieved2[:, ::-1, :])
-
-    colnorm = np.linalg.norm(zeta, axis=0)
-    covered = colnorm >= 1e-8 * colnorm.max()
-    values = np.full(len(om), np.nan)
-    sub = zeta[:, covered]
-    d2 = _second_difference(sub.shape[1])
-    values[covered] = cho_solve(_regularized_factor(sub, d2.T @ d2, alpha_inv, "moment"),
-                                sub.T @ y)
-
-    diagnostics = {
-        "r": r,
-        "eps": [float(eps0), float(0.5 * eps0)],
-        "runge_errors_w2": [float(e) for e in errs2],
-        "moment_residual": float(np.linalg.norm(sub @ values[covered] - y)),
-        "moment_norm": float(np.linalg.norm(y)),
-        "n_covered": int(np.sum(covered)),
-    }
-    return Reconstruction(values=values, nodes=om.copy(),
-                          node_coords=grid.x[om].copy(), covered=covered,
-                          r=r, coeff=values.copy(), diagnostics=diagnostics)
+    recon = recovery.estimate(y[None])
+    d = recon.diagnostics
+    recon.r, recon.coeff = r, recon.values.copy()
+    recon.diagnostics = {"r": r, "eps": [float(eps0), float(0.5 * eps0)],
+                         "runge_errors_w2": d["runge_errors_w2"],
+                         "moment_residual": d["fit_residual"], "moment_norm": d["rhs_norm"],
+                         "n_covered": int(np.sum(recon.covered))}
+    return recon

@@ -289,6 +289,22 @@ def test_only_listed_functions_factor_a_matrix():
     assert _scopes_in_package(_factors) == set(FACTORIZATIONS)
 
 
+# The recovery's kernel and its regularized factor, each with the one scope
+# that calls it: both experiments estimate through one LinearRecovery, and a
+# second recovery would call them from a second scope
+RECOVERY_STEPS = {
+    "_probing_kernel": "inversion.LinearRecovery._normal_equations",
+    "_regularized_factor": "inversion.LinearRecovery._normal_equations",
+}
+
+
+def test_one_scope_calls_each_recovery_step():
+    for step, scope in RECOVERY_STEPS.items():
+        calls = _scopes_in_package(
+            lambda node: isinstance(node, ast.Call) and _name(node.func) == step)
+        assert calls == {scope}, step
+
+
 # Where the package starts a thread, each with its reason: a second core is
 # a cost in CPU time and memory to be listed here
 THREADS = {

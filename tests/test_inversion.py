@@ -27,6 +27,7 @@ from viscowave import (BackgroundStates, IllConditionedError,
 from conftest import standard_grid
 from viscowave import assemble_fraclap, inversion, solver
 from viscowave.controls import ControlBasis, materialize, time_bump
+from viscowave.harness import DEFAULTS, _merge, _setup
 from viscowave.inversion import _probing_kernel
 from viscowave.solver import (modal_coupling, n_steps_for, shift_plan, solve_linear_basis,
                               solve_modal_basis, trapezoid_weights)
@@ -1101,6 +1102,115 @@ def test_nonlinear_coefficient_accuracy(op31, grid31):
            / np.linalg.norm(coeff[cov]))
     assert rel < 0.05
     assert rec.r == 2.0
+
+
+def _einsum_source_kernel(source, achieved2, time_weights, h):
+    """The nonlinear recovery's kernel as it stood, one einsum: h times the
+    sum over t of source[t, j] w_t achieved2[k, nt - t, j]."""
+    return h * np.einsum("tj,t,ktj->kj", source, time_weights, achieved2[:, ::-1, :])
+
+
+def _runner_probe(op, dt, n_segments):
+    """The invert-nonlinear runner's probe psi, amplitude 50, and the w2
+    basis of n_segments it is paired against."""
+    psi = bump_control(op.grid, "w1", 0.1, 0.9, dt, n_steps_for(dt, T_FINAL), amplitude=50.0)
+    return psi, ControlBasis(op.grid, "w2", dt, T_FINAL, n_segments)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("n_nodes", [31, 101])
+def test_source_kernel_matches_the_einsum_kernel(request, n_nodes, r):
+    # the recovery's one kernel function forms the nonlinear kernel from one
+    # source row, |v0|^r v0, against the reversed achieved probe states;
+    # the matmul and the einsum sum in different orders
+    op = request.getfixturevalue(f"op{n_nodes}")
+    dt, n_segments = (DT, 8) if n_nodes == 31 else (BENCH_DT, 16)
+    psi, basis2 = _runner_probe(op, dt, n_segments)
+    v0 = solve_linear(op, None, psi, dt, T_FINAL).u[:, op.grid.omega]
+    source = np.abs(v0) ** r * v0
+    probes = BackgroundStates(op, None, basis2)
+    recovery = LinearRecovery.from_source(source, probes, 1e-2, 1e-12, None, None)
+    kernel, _ = recovery._normal_equations()
+    achieved2 = probes.synthesize(*interior_targets(basis2), 1e-12)[1]
+    _assert_close(kernel, _einsum_source_kernel(source, achieved2, probes.time_weights,
+                                                op.grid.h), 1e-14)
+
+
+def _subset_estimate(zeta, y, alpha_inv):
+    """The nonlinear estimate as it stood: zeta q ~ y solved, penalized by
+    alpha_inv times the second differences, on the nodes whose columns of
+    zeta reach 1e-8 of the largest, NaN elsewhere; and those nodes."""
+    colnorm = np.linalg.norm(zeta, axis=0)
+    covered = colnorm >= 1e-8 * colnorm.max()
+    sub = zeta[:, covered]
+    d2 = np.diff(np.eye(sub.shape[1]), 2, axis=0)
+    gram, pen = sub.T @ sub, d2.T @ d2
+    n = len(gram)
+    mat = (gram + alpha_inv * np.trace(gram) / np.trace(pen) * pen
+           + 1e-12 * np.trace(gram) / n * np.eye(n))
+    values = np.full(zeta.shape[1], np.nan)
+    values[covered] = np.linalg.solve(mat, sub.T @ y)
+    return values, covered
+
+
+# r_est of the acceptance configs, measured before the nonlinear estimate
+# went through LinearRecovery; the exponent fit reads no recovery
+TEST_10_R_EST = {1: 0.9968640985013004, 2: 1.9987179534351776}
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_nonlinear_estimate_is_the_subset_solve_on_the_acceptance_configs(r):
+    # test_10's configs: every omega node is covered, so the recovery's
+    # all-node solve under the smoothness penalty is the subset solve it
+    # replaced.  Measured against it, with BLAS at one and at two threads:
+    # values within 8e-12 of the largest, the coefficient error within
+    # 7.5e-10 relative
+    run, op = _setup(_merge(DEFAULTS, {
+        "grid": {"n_nodes": 101}, "dt": 5e-3,
+        "model": {"kind": "nonlinear", "r": r,
+                  "coeff": {"kind": "sine", "offset": 1.0, "amplitude": 0.3, "frequency": 1.0}},
+        "experiment": {"kind": "invert-nonlinear", "psi_amplitude": 50.0, "eps0": 0.1,
+                       "eps_list": [0.1, 0.03, 0.01]},
+        "regularization": {"alpha_inv": 1e-2, "synth_alpha": 1e-12}}))
+    psi, basis2 = _runner_probe(op, run.dt, run.basis_segments)
+    lin, p_lin, remainders = dn_remainders_nonlinear(op, run.f, psi, basis2,
+                                                     [0.1, 0.05, 0.03, 0.01])
+    r_est, _ = estimate_homogeneity_exponent(run.eps_list, remainders, p_lin)
+    assert r_est == pytest.approx(TEST_10_R_EST[r], abs=1e-6)
+    rec = recover_nonlinear_coefficient(op, lin, remainders, basis2, r, run.eps0, run.alpha_inv,
+                                        run.synth_alpha, run.target_nodes, run.target_width)
+
+    probes = BackgroundStates(op, None, basis2)
+    coeff2, achieved2, _ = probes.synthesize(
+        *interior_targets(basis2, run.target_nodes, run.target_width), run.synth_alpha)
+    w1, w2m = [coeff2 @ remainders[eps] / eps ** (r + 1) for eps in (0.1, 0.05)]
+    v0 = lin.u[:, op.grid.omega]
+    zeta = _einsum_source_kernel(np.abs(v0) ** r * v0, achieved2, probes.time_weights, op.grid.h)
+    ref, covered = _subset_estimate(zeta, (2.0 ** r * w2m - w1) / (2.0 ** r - 1.0), 1e-2)
+    assert covered.all() and rec.covered.all() and rec.diagnostics["n_covered"] == 33
+    _assert_close(rec.values, ref, 1e-10)
+    coeff = run.f.coeff
+    err, ref_err = (np.linalg.norm(v - coeff) / np.linalg.norm(coeff) for v in (rec.values, ref))
+    assert err == pytest.approx(ref_err, rel=1e-8)
+
+
+def test_nonlinear_source_with_a_zero_column_leaves_its_node_unresolved(op31):
+    # a node where the linear response vanishes at every time is one the
+    # source side cannot reach: refused as invert-linear refuses it
+    psi, basis2 = _runner_probe(op31, DT, 8)
+    lin = solve_linear(op31, None, psi, DT, T_FINAL)
+    remainders = {eps: np.ones(len(basis2)) for eps in (0.1, 0.05)}
+    om = op31.grid.omega
+    u = lin.u.copy()
+    u[:, om[4]] = 0.0
+    with pytest.raises(InversionError, match=re.escape(
+            f"probing system leaves omega nodes unresolved: [{om[4]}]")):
+        recover_nonlinear_coefficient(op31, dataclasses.replace(lin, u=u), remainders,
+                                      basis2, 2, eps0=0.1, alpha_inv=1e-2, synth_alpha=1e-10)
+    with pytest.raises(InversionError, match="^probing system is identically zero$"):
+        recover_nonlinear_coefficient(op31, dataclasses.replace(lin, u=np.zeros_like(u)),
+                                      remainders, basis2, 2, eps0=0.1, alpha_inv=1e-2,
+                                      synth_alpha=1e-10)
 
 
 @pytest.mark.parametrize("probes, message", [
