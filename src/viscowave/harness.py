@@ -21,9 +21,8 @@ from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linea
                     dn_moments_linear, dn_remainders_nonlinear,
                     nonlinear_integral_identity_residual, self_adjointness_residual)
 from .grid import build_grid
-from .inversion import (TARGET_WINDOWS, BackgroundStates, LinearRecovery,
-                        estimate_homogeneity_exponent, l2_norm, recover_linear_potential,
-                        recover_nonlinear_coefficient)
+from .inversion import (TARGET_WINDOWS, BackgroundStates, InconclusiveError, LinearRecovery,
+                        estimate_homogeneity_exponent, l2_norm, recover_nonlinear_coefficient)
 from .nonlinearity import check_exponent_constraints, power_nonlinearity, zero_nonlinearity
 from .operator import assemble_fraclap
 from .solver import (SolverError, _expand_potential, energy_ledger, n_steps_for,
@@ -116,8 +115,9 @@ class _Section:
             map(_finite, value)) if isinstance(value, list) and len(value) == 2 else None)
 
     def text(self, key):
-        return self.get(key, None, "a nonempty string",
-                        lambda value: value if isinstance(value, str) and value else None)
+        return self.get(key, None, "a nonempty string without a NUL byte",  # no path holds one
+                        lambda value: value if isinstance(value, str) and value
+                        and "\0" not in value else None)
 
     def section(self, key):
         """The mapping under key, read as a section of its own."""
@@ -399,11 +399,6 @@ def potential_from_spec(grid, spec, dt, t_final, name="potential"):
     return np.outer(t if tdep == "ramp" else t_final - t, prof)
 
 
-def _add_noise(pairings, sigma, rng):
-    """The pairings with Gaussian noise of standard deviation sigma."""
-    return pairings + rng.normal(0.0, sigma, size=pairings.shape)
-
-
 def _setup(cfg):
     """The values a run of the merged scenario cfg reads, and its operator."""
     run = _read_scenario(cfg)
@@ -493,25 +488,25 @@ def run_invert_linear(run, op, out_dir):
     settings = dict(alpha_inv=run.alpha_inv, synth_alpha=run.synth_alpha,
                     q_time_basis=run.q_time_basis, target_nodes=run.target_nodes,
                     target_width=run.target_width)
-    if run.level > 0 or not steps_controls(basis1, q_true, background.q, n_targets):
-        # the pairings of every element: noise is drawn on them, scaled with
-        # the q = 0 measurements plus the data, and a pass of the elements
-        # runs before the recovery's arrays are alive
-        data = dn_difference_linear(q_true, background, basis2)
-        if run.level > 0:
-            p_bg = dn_matrix_linear(op, None, basis1, basis2)
-            data = _add_noise(data, run.level * np.std(p_bg + data),
-                              np.random.default_rng(run.seed))
-        recon = recover_linear_potential(data, background, basis2, **settings)
-    else:
-        # the pass steps the synthesized controls, after the recovery is built;
-        # the recovery's probing kernel depends on the syntheses alone, so a
-        # worker thread forms it meanwhile.  The element path above forms its
-        # kernel inline, with no pass left to overlap
+    if run.level > 0:
+        # noise iid on the (controls, probes) pairings at the scale of the q = 0
+        # ones, drawn before any recovery array is alive; it enters as its moments
+        p_bg = dn_matrix_linear(op, None, basis1, basis2)
+        noise = np.random.default_rng(run.seed).normal(0.0, run.level * np.std(p_bg), p_bg.shape)
+    if steps_controls(basis1, q_true, background.q, n_targets):
+        # the pass steps the synthesized controls of the built recovery, whose
+        # kernel a worker thread forms meanwhile from the syntheses alone
         recovery = LinearRecovery(background, basis2, **settings)
         with recovery.kernel_alongside():
             moments = dn_moments_linear(q_true, recovery)
-        recon = recovery.estimate(moments)
+    else:
+        # the pass steps the elements before the recovery's arrays are alive
+        data = dn_difference_linear(q_true, background, basis2)
+        recovery = LinearRecovery(background, basis2, **settings)
+        moments = recovery.moments(data)
+    if run.level > 0:
+        moments += recovery.moments(noise)
+    recon = recovery.estimate(moments)
     # the frame orients a time-dependent estimate: reversed, it is written as
     # a function of t_final - t
     if run.q_time_basis is not None and run.frame == "reversed":
@@ -553,10 +548,14 @@ def run_invert_nonlinear(run, op, out_dir):
     lin, p_lin, remainders = dn_remainders_nonlinear(
         op, f, psi, basis2, {*run.eps_list, run.eps0, 0.5 * run.eps0})
     r_est, diag = estimate_homogeneity_exponent(run.eps_list, remainders, p_lin)
+    r = round(r_est) if run.round_exponent else r_est
+    if not r > 0:   # remainders that scale like eps, as rounding errors do, fit slope 1
+        raise InconclusiveError(f"no positive exponent to recover with: r={r} from "
+                                f"r_est={r_est:.3g}, slope {diag['slope']:.3f}")
 
     recon = recover_nonlinear_coefficient(
-        op, lin, remainders, basis2, round(r_est) if run.round_exponent else r_est,
-        run.eps0, run.alpha_inv, synth_alpha=run.synth_alpha, target_nodes=run.target_nodes,
+        op, lin, remainders, basis2, r, run.eps0, run.alpha_inv,
+        synth_alpha=run.synth_alpha, target_nodes=run.target_nodes,
         target_width=run.target_width)
     recon.save(os.path.join(out_dir, "reconstruction.json"))
     recon.save_csv(os.path.join(out_dir, "reconstruction.csv"), q_true=f.coeff)

@@ -330,16 +330,16 @@ def solve_linear(op, q, control, dt, t_final, source=None, u0=None):
 # few seeds (40 on the benchmark's 220-element basis, 2 in a modal pass), so
 # the size matters where nothing shifts: the 99 synthesized controls of a
 # ramp's data pass, which runs while a recovery's kernel and w1 achieved
-# states are alive, and a time-dependent potential's element pass, 220 rows
-# (the ramp's noisy runs).  Measured with perfbench/run.py on the ramp's
+# states are alive, and a time-dependent potential's element pass, where the
+# targets outnumber the elements.  Measured with perfbench/run.py on the ramp's
 # controls pass at seeds 1 and 2 (101 nodes, 200 steps, BLAS at one thread,
 # 2-vCPU VM, 8 s runs; wall_s as the benchmark scales it):
 #   block   invert-linear-ramp
 #     64    0.119-0.122 s, 101.0 MB
 #    128    0.112-0.119 s, 112.7-112.8 MB
-# so 64 saves 11.7 MB of peak RSS at a time inside the runs' spread.  On the
-# noisy ramp (noise 1e-8, seed 0), whose element pass steps 64, 64, 64 and
-# 28 rows, the fastest of 8 runs in each of 8 alternating processes took
+# so 64 saves 11.7 MB of peak RSS at a time inside the runs' spread.  On a
+# ramp run (noise 1e-8, seed 0, its noise then drawn on the element
+# pairings) whose element pass stepped 64, 64, 64 and 28 rows, the fastest of 8 runs in each of 8 alternating processes took
 # 0.144-0.162 s at 64 and 0.140-0.200 s at 128.  The blocks fix which BLAS
 # kernel computes each row of a step's products, so they fix the rows' bits:
 # that run's relative_l2_error is 1915894.0428721718 at 64 and

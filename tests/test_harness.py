@@ -22,11 +22,9 @@ from viscowave import (BackgroundStates, ConfigError, ControlBasis, build_grid, 
                        recover_nonlinear_coefficient, run_scenario)
 from viscowave import dnmap, harness, inversion, solver
 from viscowave.cli import main
-from viscowave.harness import (DEFAULTS, RUNNERS, _add_noise, _gaussian_pulse, _merge,
+from viscowave.harness import (DEFAULTS, RUNNERS, _gaussian_pulse, _merge,
                                _set_by_path, _setup, field_from_spec, potential_from_spec,
                                sweep_scenario, validate_config)
-
-from test_solver import _crank_nicolson, _linear_step
 
 
 def small_cfg(**overrides):
@@ -195,18 +193,6 @@ def test_set_by_path_creates_nested_keys():
     _set_by_path(cfg, "a.b", 2)
     _set_by_path(cfg, "c.d.e", 3)
     assert cfg == {"a": {"b": 2}, "c": {"d": {"e": 3}}}
-
-
-def test_add_noise_zero_level_is_identity(op31, grid31):
-    # the runner adds noise only at a positive level; at zero the draws are
-    # zeros, and the pairings keep their values
-    basis1 = ControlBasis(grid31, "w1", 0.02, 1.0, 8)
-    basis2 = ControlBasis(grid31, "w2", 0.02, 1.0, 8)
-    pairings = dn_matrix_linear(op31, None, basis1, basis2)
-    assert np.array_equal(_add_noise(pairings, 0.0, np.random.default_rng(0)), pairings)
-    noisy = _add_noise(pairings, 0.1, np.random.default_rng(0))
-    draw = np.random.default_rng(0).normal(0.0, 0.1, size=pairings.shape)
-    assert np.array_equal(noisy, pairings + draw)
 
 
 # ---------------------------------------------------------- experiments
@@ -413,7 +399,9 @@ def test_data_pass_steps_the_fewer_rows(tmp_path, monkeypatch, time, data_blocks
     # and the recovery 99 targets: a static q's difference pass steps the 40
     # seeds of its shift plan, fewer than the targets; a ramp's shifts
     # nothing, so it steps the 99 synthesized controls, CONTROL_BLOCK at a
-    # time.  The modal pass before it steps the 2 seeds of its unit row
+    # time.  The modal pass before it steps the 2 seeds of its unit row.
+    # With noise the data pass is the same; the q = 0 pass that scales the
+    # noise steps its 40 seeds between the two
     stepped, factored = _count_stepped_rows(monkeypatch)
     cfg = _merge(DEFAULTS, {
         "grid": {"n_nodes": 101},
@@ -426,6 +414,11 @@ def test_data_pass_steps_the_fewer_rows(tmp_path, monkeypatch, time, data_blocks
     assert report["metrics"]["n_targets"] == 99 and report["passed"]
     assert stepped == [2, *data_blocks]
     assert len(factored) == 2
+    stepped.clear()
+    factored.clear()
+    run_scenario(_merge(cfg, {"noise": {"level": 1e-8}}), str(tmp_path / "noisy"))
+    assert stepped == [2, 40, *data_blocks]
+    assert len(factored) == 3
 
 
 def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
@@ -457,44 +450,31 @@ def test_invert_linear_shares_a_fresh_background(tmp_path, monkeypatch):
     assert shared.states_of(every).tobytes() == fresh.states_of(every).tobytes()
 
 
-def _velocity_form_difference(op, q, basis1, basis2, dt, t_final):
-    """Difference pairings stepped from the background (u, v), the drive's
-    form before it read the displacements alone, through the closure loop
-    that stepped the linear equation before the step maps."""
-    nt = solver.n_steps_for(dt, t_final)
-    hdt = 0.5 * dt
-    dq = np.broadcast_to(q, (nt + 1, op.grid.omega.size))[:, None, :]
-    explicit, implicit = _linear_step(op, q, dt, nt)
-    both = solver.solve_linear_basis(op, None, basis1,
-                                     lambda u, v: np.stack((u, v), axis=2))
-    u, v = both[:, :, 0].transpose(1, 0, 2), both[:, :, 1].transpose(1, 0, 2)
-    u_base = u[:-1] + hdt * v[:-1]
-    drive = -hdt * ((dq[:-1] * u[:-1] + dq[1:] * u_base) + hdt * (dq[1:] * v[1:]))
-    w, z = _crank_nicolson(op, drive, dt, None, explicit, implicit)
-    flux = op.grid.h * ((w + z) @ op.matrix[np.ix_(op.grid.omega, basis2.nodes)])
-    return dnmap._pair_fluxes(flux.transpose(1, 0, 2), basis2)
+@pytest.mark.parametrize("stride, n_moments", [(1, 2), (2, 1)])
+def test_noise_scale_is_that_of_the_background(tmp_path, monkeypatch, stride, n_moments):
+    # sigma = level * std(P_bg), the q = 0 measurements alone, times the
+    # seed's standard normal draw on the (controls, probes) pairings; the
+    # recovery reads the draw through its moments, after the data's: at 31
+    # nodes every omega node a target (stride 1) gives 27 targets, more than
+    # the 18 elements, whose pairings the element pass hands over first
+    seen = []
 
+    class Recording(harness.LinearRecovery):
+        def moments(self, pairings):
+            seen.append(pairings)
+            return super().moments(pairings)
 
-def test_noise_scale_is_that_of_the_background_plus_difference(tmp_path, monkeypatch):
-    # sigma = level * std(P_bg + dP), as when the data pass measured the
-    # background matrix itself and drove the difference from (u, v)
-    sigmas = []
-
-    def spy(pairings, sigma, rng):
-        sigmas.append(sigma)
-        return _add_noise(pairings, sigma, rng)
-
-    monkeypatch.setattr(harness, "_add_noise", spy)
-    cfg = _linear_cfg(noise={"level": 1e-3})
+    monkeypatch.setattr(harness, "LinearRecovery", Recording)
+    cfg = _merge(_linear_cfg(noise={"level": 1e-3}, seed=5),
+                 {"experiment": {"target_stride": stride}})
     run_scenario(cfg, str(tmp_path / "out"))
     run, op = _setup(cfg)
-    grid, dt, t_final = run.grid, run.dt, run.t_final
-    basis1, basis2 = (ControlBasis(grid, w, dt, t_final, 8) for w in ("w1", "w2"))
-    q = potential_from_spec(grid, cfg["model"]["q"], dt, t_final)
+    basis1, basis2 = (ControlBasis(run.grid, w, run.dt, run.t_final, 8) for w in ("w1", "w2"))
     p_bg = dn_matrix_linear(op, None, basis1, basis2)
-    ref = 1e-3 * np.std(p_bg + _velocity_form_difference(op, q, basis1, basis2, dt, t_final))
-    assert len(sigmas) == 1
-    assert abs(sigmas[0] - ref) <= 1e-12 * ref
+    ref = 1e-3 * np.std(p_bg)
+    sigmas = seen[-1] / np.random.default_rng(5).standard_normal(p_bg.shape)
+    assert len(seen) == n_moments
+    assert np.max(np.abs(sigmas - ref)) <= 1e-12 * ref
 
 
 def _inversion_outputs(tmp_path, name, frame, q_time="ramp", q_time_basis=3):
@@ -658,14 +638,16 @@ def test_cli_run_exit_zero(tmp_path, capsys):
 
 
 def test_cli_invert_nonlinear_at_exponent_zero_exit_one_line(tmp_path, capsys):
-    # r = 0 leaves nothing for the Richardson step to divide by: one error
-    # line, exit 1, and no reconstruction written
+    # r = 0 leaves nothing for the Richardson step to divide by: its
+    # remainders scale like eps, and the fit's exponent about 0 is refused
+    # with one error line, exit 1, and no reconstruction written
     path = write_yaml(tmp_path / "c.yaml", {
         "grid": {"n_nodes": 31}, "dt": 0.02, "model": {"kind": "nonlinear", "r": 0},
         "experiment": {"kind": "invert-nonlinear", "basis_segments": 8}})
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "error: nonlinearity exponent must be positive, got r=0.0"]
+    [line] = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"error: no positive exponent to recover with: r=0 from "
+                        r"r_est=\S+, slope 1\.000", line)
     assert not (tmp_path / "out" / "reconstruction.json").exists()
 
 
@@ -1119,6 +1101,45 @@ def test_cli_overflowing_moment_data_prints_one_line(tmp_path):
                          capture_output=True, text=True, timeout=120, env=env)
     assert out.returncode == 1
     assert out.stderr == "error: moment data are not finite\n"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_out_dir_with_a_nul_byte_exit_two_one_line(tmp_path, command):
+    # no path holds a NUL byte: the scenario's out_dir, or a swept one (a
+    # JSON value may spell it), is refused as it is read, before any solve
+    out_dir, scenario = "a\0b", {"grid": {"n_nodes": 31}, "dt": 0.02}
+    sweep = ["--param", "out_dir", "--values", json.dumps(out_dir), "--out", "sw"]
+    if command == "run":
+        scenario["out_dir"], sweep = out_dir, []
+    path = write_yaml(tmp_path / "c.yaml", scenario)
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               PYTHONWARNINGS="default")
+    out = subprocess.run([sys.executable, "-m", "viscowave.cli", command, path, *sweep],
+                         capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+    assert out.returncode == 2
+    assert out.stderr == ("error: out_dir must be a nonempty string without a NUL byte, "
+                          "got 'a\\x00b'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
+
+
+def test_cli_invert_nonlinear_without_a_positive_exponent_exit_one(tmp_path):
+    # at psi amplitude 1e-60 the remainders are rounding errors, which scale
+    # like eps: the fit reads r_est about 0 from slope 1, no exponent to
+    # recover with, and the message names both
+    path = write_yaml(tmp_path / "c.yaml", {
+        "grid": {"n_nodes": 31}, "dt": 0.02, "model": {"kind": "nonlinear", "r": 2},
+        "experiment": {"kind": "invert-nonlinear", "basis_segments": 8,
+                       "psi_amplitude": 1e-60}})
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               PYTHONWARNINGS="default")
+    out = subprocess.run([sys.executable, "-m", "viscowave.cli", "run", path,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 1
+    match = re.fullmatch(r"error: no positive exponent to recover with: r=0 from "
+                         r"r_est=(\S+), slope 1\.000\n", out.stderr)
+    assert match and abs(float(match[1])) < 1e-6
     assert not (tmp_path / "out" / "report.json").exists()
 
 

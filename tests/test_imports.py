@@ -59,6 +59,7 @@ KEEP = {
     "operator.dualnorm_hminus": "a paper check: the well-posedness estimate under refinement",
     "solver.solve_linearized": "acceptance test_07: the first-order linearization rate",
     "controls.materialize": "the benchmark tracer binds it",
+    "inversion.recover_linear_potential": "the benchmark tracer binds it",
 }
 CALLERS = ("acceptance test", "paper check", "benchmark tracer")
 
