@@ -1,8 +1,8 @@
 """Command-line entry points: run, compare, and sweep scenario files.
 
 Exit codes: 0 the experiment completed (pass or fail is recorded in the
-report), 1 a solver, control or inversion stage failed, 2 the scenario
-file or arguments did not validate.
+report), 1 a solver, control or inversion stage failed or the run could not
+allocate its arrays, 2 the scenario file or arguments did not validate.
 """
 
 import argparse
@@ -82,6 +82,9 @@ def main(argv=None):
     except (ControlError, SolverError, InversionError, OperatorError,
             NonlinearityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:      # numpy's names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

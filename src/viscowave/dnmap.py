@@ -14,7 +14,8 @@ import numpy as np
 
 from .controls import ExteriorControl
 from .solver import (_expand_potential, n_steps_for, solve_linear, solve_linear_basis,
-                     solve_linear_difference, solve_nonlinear, trapezoid_weights)
+                     solve_linear_difference, solve_nonlinear, steps_controls,
+                     trapezoid_weights)
 
 
 class DNMapError(ValueError):
@@ -125,20 +126,25 @@ def dn_moments_linear(q, recovery):
     """The moments m = coeff1 dP coeff2^T that ``recovery.estimate`` reads,
     of dP, the difference of q's measurement matrix from the background's.
 
-    recovery is an ``inversion.LinearRecovery`` built by its constructor:
-    its background, probe basis, synthesis coefficients and w1 achieved
-    states.  The measurement is linear in the control, so coeff1 dP is the
-    difference pass (:func:`solver.solve_linear_difference`) of the
-    synthesized w1 controls, driven by their achieved states, paired
-    against the probes; it steps fewer rows than :func:`dn_difference_linear`
-    where ``solver.steps_controls`` says so.
+    recovery is an ``inversion.LinearRecovery`` built by its constructor.
+    Where ``solver.steps_controls`` finds its synthesized w1 controls fewer
+    rows than the elements, and it still holds their achieved states, coeff1
+    dP is measured directly, while a worker forms its kernel: the measurement
+    is linear in the control, so it is the difference pass
+    (:func:`solver.solve_linear_difference`) of those controls, driven by
+    their states, paired against the probes.  Otherwise the recovery forms
+    its kernel and releases its states first, and the elements give dP
+    (:func:`dn_difference_linear`) with no synthesized state alive.
     """
     background, probe_basis = recovery.background, recovery.probe_basis
-    op, control_basis = background.op, background.basis
-    flux = solve_linear_difference(op, q, background.q, control_basis, recovery.states_of,
-                                   _probe_flux(op, control_basis, probe_basis),
-                                   n_controls=len(recovery.coeff1))
-    return _pair_fluxes(flux, probe_basis) @ recovery.coeff2.T
+    op, basis, n = background.op, background.basis, len(recovery.coeff1)
+    if recovery.achieved1 is None or not steps_controls(basis, q, background.q, n):
+        recovery.release_states()
+        return recovery.moments(dn_difference_linear(q, background, probe_basis))
+    with recovery.kernel_alongside():
+        flux = solve_linear_difference(op, q, background.q, basis, recovery.states_of,
+                                       _probe_flux(op, basis, probe_basis), n_controls=n)
+        return _pair_fluxes(flux, probe_basis) @ recovery.coeff2.T
 
 
 def dn_remainders_nonlinear(op, f, psi, probe_basis, eps_list):

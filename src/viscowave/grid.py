@@ -96,8 +96,6 @@ def build_grid(box, omega, w1, w2, n_nodes):
         raise GridError("empty window w1: no node falls in [w1_lo, w1_hi)")
     if i2.size == 0:
         raise GridError("empty window w2: no node falls in [w2_lo, w2_hi)")
-    if om[0] == 0 or om[-1] == n_nodes - 1:
-        raise GridError("no exterior collar: interior nodes touch the box boundary")
 
     for arr in (x, om, i1, i2):
         arr.setflags(write=False)

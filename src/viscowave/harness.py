@@ -17,17 +17,16 @@ import numpy as np
 import yaml
 
 from .controls import ControlBasis, bump_control, time_bump
-from .dnmap import (alessandrini_residual, dn_difference_linear, dn_matrix_linear,
-                    dn_moments_linear, dn_remainders_nonlinear,
-                    nonlinear_integral_identity_residual, self_adjointness_residual)
+from .dnmap import (alessandrini_residual, dn_matrix_linear, dn_moments_linear,
+                    dn_remainders_nonlinear, nonlinear_integral_identity_residual,
+                    self_adjointness_residual)
 from .grid import build_grid
-from .inversion import (TARGET_WINDOWS, BackgroundStates, InconclusiveError, LinearRecovery,
+from .inversion import (BackgroundStates, InconclusiveError, LinearRecovery,
                         estimate_homogeneity_exponent, l2_norm, recover_nonlinear_coefficient)
 from .nonlinearity import check_exponent_constraints, power_nonlinearity, zero_nonlinearity
 from .operator import assemble_fraclap
 from .solver import (SolverError, _expand_potential, energy_ledger, n_steps_for,
-                     solve_linear, solve_nonlinear, steps_controls, trajectory_to_csv,
-                     trapezoid_weights)
+                     solve_linear, solve_nonlinear, trajectory_to_csv, trapezoid_weights)
 
 
 class ConfigError(ValueError):
@@ -480,30 +479,17 @@ def run_invert_linear(run, op, out_dir):
     grid, dt, t_final, nt, q_true = run.grid, run.dt, run.t_final, run.nt, run.q
     basis1 = ControlBasis(grid, "w1", dt, t_final, run.basis_segments)
     basis2 = ControlBasis(grid, "w2", dt, t_final, run.basis_segments)
-    n_targets = len(TARGET_WINDOWS) * len(run.target_nodes)
-    # the data enter as their difference from the q = 0 background, measured
-    # by the difference equation driven from the w1 states the inversion
-    # synthesizes with
+    # the data enter as the moments of their difference from the q = 0 background
     background = BackgroundStates(op, None, basis1)
-    settings = dict(alpha_inv=run.alpha_inv, synth_alpha=run.synth_alpha,
-                    q_time_basis=run.q_time_basis, target_nodes=run.target_nodes,
-                    target_width=run.target_width)
     if run.level > 0:
         # noise iid on the (controls, probes) pairings at the scale of the q = 0
         # ones, drawn before any recovery array is alive; it enters as its moments
         p_bg = dn_matrix_linear(op, None, basis1, basis2)
         noise = np.random.default_rng(run.seed).normal(0.0, run.level * np.std(p_bg), p_bg.shape)
-    if steps_controls(basis1, q_true, background.q, n_targets):
-        # the pass steps the synthesized controls of the built recovery, whose
-        # kernel a worker thread forms meanwhile from the syntheses alone
-        recovery = LinearRecovery(background, basis2, **settings)
-        with recovery.kernel_alongside():
-            moments = dn_moments_linear(q_true, recovery)
-    else:
-        # the pass steps the elements before the recovery's arrays are alive
-        data = dn_difference_linear(q_true, background, basis2)
-        recovery = LinearRecovery(background, basis2, **settings)
-        moments = recovery.moments(data)
+    recovery = LinearRecovery(background, basis2, run.alpha_inv, run.synth_alpha,
+                              q_time_basis=run.q_time_basis, target_nodes=run.target_nodes,
+                              target_width=run.target_width)
+    moments = dn_moments_linear(q_true, recovery)
     if run.level > 0:
         moments += recovery.moments(noise)
     recon = recovery.estimate(moments)
@@ -534,7 +520,7 @@ def run_invert_linear(run, op, out_dir):
                "noise_level": run.level,
                "fit_residual": recon.diagnostics["fit_residual"],
                "rhs_norm": recon.diagnostics["rhs_norm"],
-               "n_targets": n_targets}
+               "n_targets": len(recovery.coeff1)}
     return metrics, rel <= run.tolerance
 
 

@@ -416,12 +416,12 @@ class LinearRecovery:
     moments m = coeff1 dP coeff2^T of a pairing difference dP are those of
     the potential increment.  :meth:`from_source` takes one given row as
     the source side.  The probing kernel is formed on its first read, by
-    :meth:`estimate`, or alongside a block of :meth:`kernel_alongside`,
-    then checked and factored with the Cholesky factor of its normal
-    equations, regularized for smoothness with weight alpha_inv; the w2
-    states go once it is formed.  With q_time_basis=None the unknown is
-    static; an integer requests that many piecewise-linear time profiles,
-    at least 2, on the forward time axis.
+    :meth:`estimate` or :meth:`release_states`, or alongside a block of
+    :meth:`kernel_alongside`, then checked and factored with the Cholesky
+    factor of its normal equations, regularized for smoothness with weight
+    alpha_inv; the w2 states go once it is formed.  With q_time_basis=None
+    the unknown is static; an integer requests that many piecewise-linear
+    time profiles, at least 2, on the forward time axis.
     """
 
     def __init__(self, background, probe_basis, alpha_inv, synth_alpha, q_time_basis=None,
@@ -537,6 +537,12 @@ class LinearRecovery:
         :meth:`BackgroundStates.states_of` gives those of elements, for the
         difference pass of ``dnmap.dn_moments_linear``, which overwrites it."""
         return np.ascontiguousarray(self.achieved1[rows].transpose(1, 0, 2))
+
+    def release_states(self):
+        """Form the kernel and its factor on this thread, if not yet formed,
+        and release the w1 states: the recovery then holds no achieved state."""
+        self._normal_equations()
+        self.achieved1 = None
 
     def moments(self, pairings):
         """m = coeff1 pairings coeff2^T of a (controls, probes) pairing matrix."""

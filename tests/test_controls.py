@@ -220,6 +220,8 @@ def test_basis_rejects_bad_level_and_window(grid31):
         ControlBasis(grid31, "w1", 0.02, 1.0, 6)
     with pytest.raises(GridError, match="unknown window"):
         ControlBasis(grid31, "omega", 0.02, 1.0, 8)
+    with pytest.raises(ControlError, match="^spline level 8.5 is not an integer$"):
+        ControlBasis(grid31, "w1", 0.02, 1.0, 8.5)
 
 
 def test_control_arrays_immutable(grid31):

@@ -178,6 +178,21 @@ def test_identity_checks_read_tiled_static_potentials_as_their_row(op31, grid31)
     assert np.isfinite(row).all() and tiled.tobytes() == row.tobytes()
 
 
+def test_identity_checks_refuse_controls_on_the_other_window(op31, grid31):
+    # every check drives phi1 from w1 and phi2 from w2, before any solve
+    phi1 = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
+    phi2 = bump_control(grid31, "w2", 0.2, 0.9, DT, NT)
+    f = power_nonlinearity(1.0, 2)
+    checks = (lambda a, b: self_adjointness_residual(op31, None, a, b, DT, T_FINAL),
+              lambda a, b: alessandrini_residual(op31, None, None, a, b, DT, T_FINAL),
+              lambda a, b: nonlinear_integral_identity_residual(op31, f, f, a, b, DT, T_FINAL))
+    for check in checks:
+        with pytest.raises(DNMapError, match="^phi1 must be supported on w1, got w2$"):
+            check(phi2, phi1)
+        with pytest.raises(DNMapError, match="^phi2 must be supported on w2, got w1$"):
+            check(phi1, phi1)
+
+
 def test_alessandrini_static_antisymmetry(op31, grid31, rng):
     om = grid31.omega
     q1 = np.exp(-((grid31.x[om] - 0.4) / 0.2) ** 2)
@@ -433,8 +448,10 @@ def _recovery_and_potential(op, kind):
 @pytest.mark.parametrize("n_nodes", [31, 101])
 def test_kernel_formed_alongside_the_data_pass_is_the_inline_one(request, monkeypatch,
                                                                  n_nodes, kind):
-    # one function forms the kernel on either thread, into arrays the
-    # constructor allocated, so the estimate is bitwise the same
+    # these targets make the controls fewer than a static q's seeds, so the
+    # controls pass runs while a worker forms the kernel; one function forms
+    # it on either thread, into arrays the constructor allocated, so the
+    # estimate is bitwise that of a kernel formed inline before the pass
     op = request.getfixturevalue(f"op{n_nodes}")
     baseline = threading.active_count()
     kernel, threads = inversion._probing_kernel, []
@@ -445,19 +462,98 @@ def test_kernel_formed_alongside_the_data_pass_is_the_inline_one(request, monkey
 
     monkeypatch.setattr(inversion, "_probing_kernel", recording_kernel)
     inline, q = _recovery_and_potential(op, kind)
+    inline.estimate(np.zeros((len(inline.coeff1), len(inline.coeff2))))
     ref = inline.estimate(dn_moments_linear(q, inline))
     aside = _recovery_and_potential(op, kind)[0]
-    with aside.kernel_alongside():
-        moments = dn_moments_linear(q, aside)
-    got = aside.estimate(moments)
+    got = aside.estimate(dn_moments_linear(q, aside))
     assert threads[0] is threading.main_thread() and threads[1] is not threads[0]
     assert len(threads) == 2 and threading.active_count() == baseline
     assert _same(aside.kernel, inline.kernel)
     assert _same(got.values, ref.values) and _same(got.covered, ref.covered)
     assert got.diagnostics == ref.diagnostics
-    # the w2 states and the kernel's buffers go once it is formed
+    # the w2 states and the kernel's buffers go once it is formed; the w1
+    # states stay for a later controls pass
     held = [v for v in vars(aside).values() if isinstance(v, np.ndarray) and v.ndim == 3]
     assert held == [aside.achieved1] and aside._kernel_job is None
+
+
+def test_controls_pass_runs_while_the_worker_forms_the_kernel(op31, monkeypatch):
+    # a ramp shifts nothing, so its 15 controls step, fewer than the 18
+    # elements: the worker forms the kernel while the pass runs, and waits
+    # for the pass to start before it begins
+    baseline = threading.active_count()
+    recovery, q = _recovery_and_potential(op31, "ramp")
+    in_pass, overlapped = threading.Event(), []
+    kernel, difference = inversion._probing_kernel, dnmap.solve_linear_difference
+
+    def waiting_kernel(*args):
+        overlapped.append((threading.current_thread(), in_pass.wait(30)))
+        kernel(*args)
+
+    def signalling_difference(*args, **kwargs):
+        in_pass.set()
+        return difference(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "_probing_kernel", waiting_kernel)
+    monkeypatch.setattr(dnmap, "solve_linear_difference", signalling_difference)
+    dn_moments_linear(q, recovery)
+    [(worker, waited)] = overlapped
+    assert worker is not threading.main_thread() and waited
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("n_nodes", [31, 101])
+def test_element_pass_runs_with_no_synthesized_state_alive(request, monkeypatch, n_nodes):
+    # with every omega node a target the controls outnumber a static q's
+    # seeds, so the elements step: first the recovery forms its kernel on
+    # this thread and releases both sides' achieved states, and the moments
+    # are bitwise those of the elements' pairings
+    op = request.getfixturevalue(f"op{n_nodes}")
+    grid = op.grid
+    dt, n_segments = (DT, 8) if n_nodes == 31 else (5e-3, 16)
+    basis1, basis2 = (ControlBasis(grid, w, dt, T_FINAL, n_segments) for w in ("w1", "w2"))
+    q = 0.5 * np.exp(-((grid.x[grid.omega] - 0.5) / 0.141421356) ** 2)
+    background = BackgroundStates(op, None, basis1)
+    recovery = LinearRecovery(background, basis2, 1e-1, 1e-12)
+    assert not solver.steps_controls(basis1, q, None, len(recovery.coeff1))
+    threads, entered = [], []
+    kernel, difference = inversion._probing_kernel, dnmap.solve_linear_difference
+
+    def recording_kernel(*args):
+        threads.append(threading.current_thread())
+        kernel(*args)
+
+    def recording_difference(*args, **kwargs):
+        entered.append(([v for v in vars(recovery).values()
+                         if isinstance(v, np.ndarray) and v.ndim == 3],
+                        recovery._kernel_job, recovery.achieved1))
+        return difference(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "_probing_kernel", recording_kernel)
+    monkeypatch.setattr(dnmap, "solve_linear_difference", recording_difference)
+    got = dn_moments_linear(q, recovery)
+    monkeypatch.undo()
+    assert threads == [threading.main_thread()] and entered == [([], None, None)]
+    assert _same(got, recovery.moments(dn_difference_linear(q, background, basis2)))
+    # the estimate is bitwise that of a recovery built after the element pass
+    late = LinearRecovery(background, basis2, 1e-1, 1e-12)
+    ref = late.estimate(late.moments(dn_difference_linear(q, background, basis2)))
+    est = recovery.estimate(got)
+    assert _same(est.values, ref.values) and est.diagnostics == ref.diagnostics
+
+
+@pytest.mark.parametrize("kind", ["static", "ramp"])
+def test_a_recovery_without_its_states_measures_through_the_elements(op31, kind):
+    # once the states are released the controls cannot step, whatever the
+    # rows: a later potential is measured by the element pass, bitwise
+    recovery, q = _recovery_and_potential(op31, kind)
+    background, basis2 = recovery.background, recovery.probe_basis
+    recovery.release_states()
+    assert recovery.achieved1 is None and recovery._kernel_job is None
+    assert solver.steps_controls(background.basis, q, None, len(recovery.coeff1))
+    got = dn_moments_linear(q, recovery)
+    assert _same(got, recovery.moments(dn_difference_linear(q, background, basis2)))
+    assert _same(dn_moments_linear(q, recovery), got)
 
 
 def test_step_failure_in_the_data_pass_leaves_no_worker(op31):

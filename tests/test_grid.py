@@ -71,6 +71,14 @@ def test_too_few_nodes_rejected():
 def test_empty_window_rejected():
     with pytest.raises(GridError, match="empty window"):
         build_grid(BOX, OMEGA, (-0.213, -0.211), W2, 61)
+    with pytest.raises(GridError, match="^empty window w2"):
+        build_grid(BOX, OMEGA, W1, (1.21, 1.22), 31)
+
+
+def test_empty_omega_rejected():
+    # nodes 0.0 and 0.05 straddle the interior interval
+    with pytest.raises(GridError, match="^empty omega"):
+        build_grid(BOX, (0.01, 0.04), W1, W2, 61)
 
 
 def test_degenerate_intervals_rejected():

@@ -1261,6 +1261,23 @@ def test_cli_non_finite_normal_equations_exit_one(tmp_path, capsys, monkeypatch)
         "error: inversion normal equations not finite (condition estimate nan)"]
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 728. TiB for an array with shape (10000000, 10000000) and data "
+     "type float64", "error: Unable to allocate 728. TiB for an array with shape "
+     "(10000000, 10000000) and data type float64"),
+    ("", "error: out of memory")])
+def test_cli_allocation_failure_exit_one(tmp_path, capsys, monkeypatch, message, line):
+    # grid.n_nodes 10000000 asks assembly for 728 TiB; the failure is one
+    # line, not numpy's traceback.  Here assembly raises before it allocates
+    def unallocatable(grid, s):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "assemble_fraclap", unallocatable)
+    path = write_yaml(tmp_path / "c.yaml", {"grid": {"n_nodes": 31}, "dt": 0.02})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_cli_indefinite_omega_block_exit_one(tmp_path, capsys, monkeypatch):
     # assembly decomposes the omega block once and checks it there; weights
     # ten times too strong make the 31-node block indefinite (its smallest

@@ -297,20 +297,34 @@ RECOVERY_STEPS = {
     "_probing_kernel": "inversion.LinearRecovery._normal_equations",
     "_regularized_factor": "inversion.LinearRecovery._normal_equations",
 }
+# Where the recovery's kernel is formed, beside a controls pass or before an
+# element pass: the one measurement of the moments chooses the data pass,
+# and with it the kernel's schedule
+KERNEL_SCHEDULES = {
+    "kernel_alongside": "dnmap.dn_moments_linear",
+    "release_states": "dnmap.dn_moments_linear",
+}
 
 
 def test_one_scope_calls_each_recovery_step():
-    for step, scope in RECOVERY_STEPS.items():
+    for step, scope in {**RECOVERY_STEPS, **KERNEL_SCHEDULES}.items():
         calls = _scopes_in_package(
             lambda node: isinstance(node, ast.Call) and _name(node.func) == step)
         assert calls == {scope}, step
 
 
+def test_the_runner_leaves_the_data_pass_to_the_moments():
+    # the invert-linear runner builds the recovery and asks for its moments:
+    # which rows step, and what it takes to step them, is not its to know
+    path = pathlib.Path(viscowave.__file__).parent / "harness.py"
+    assert {"steps_controls", "dn_difference_linear"}.intersection(_named(path)) == set()
+
+
 # Where the package starts a thread, each with its reason: a second core is
 # a cost in CPU time and memory to be listed here
 THREADS = {
-    "inversion.LinearRecovery.kernel_alongside": "the ramp's probing kernel, formed while "
-                                                 "its data pass runs on the caller's thread",
+    "inversion.LinearRecovery.kernel_alongside": "the probing kernel, formed while a "
+                                                 "controls pass runs on the caller's thread",
 }
 THREAD_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
 

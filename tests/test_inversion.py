@@ -729,6 +729,15 @@ def test_cho_factor_rejects_non_finite_normal_equations(bad):
         inversion.cho_factor(mat, "moment")
 
 
+def test_cho_factor_reports_the_condition_of_an_indefinite_matrix():
+    # a finite matrix with eigenvalues 3 and -1 has no Cholesky factor; the
+    # error carries its condition number, 3
+    with pytest.raises(IllConditionedError, match=r"^control normal equations failed "
+                                                  r"\(condition estimate 3\.000e\+00\)$") as err:
+        inversion.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), "control")
+    assert err.value.cond_estimate == pytest.approx(3.0, rel=1e-12)
+
+
 def test_synthesis_of_a_target_stack_matches_one_at_a_time(op31, grid31):
     basis = ControlBasis(grid31, "w1", DT, T_FINAL, 8)
     bg = BackgroundStates(op31, None, basis)

@@ -96,6 +96,18 @@ def test_control_time_grid_mismatch(op31, grid31):
     ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT)
     with pytest.raises(SolverError, match="solver wants"):
         solve_linear(op31, None, ctl, DT, 2.0)
+    # the same step count at another step size
+    ctl = bump_control(grid31, "w1", 0.2, 1.6, 2 * DT, NT)
+    with pytest.raises(SolverError, match=f"^control dt={2 * DT} != solver dt={DT}$"):
+        solve_linear(op31, None, ctl, DT, T_FINAL)
+
+
+def test_source_of_another_length_or_rank_rejected(op31, grid31):
+    with pytest.raises(SolverError, match="^source length 7 matches neither grid nor omega$"):
+        solve_linear(op31, None, None, DT, T_FINAL, source=np.zeros(7))
+    for shape in ((NT, grid31.n_nodes), (2, NT + 1, grid31.n_nodes)):
+        with pytest.raises(SolverError, match=rf"^source shape \({shape[0]}, .* not understood$"):
+            solve_linear(op31, None, None, DT, T_FINAL, source=np.zeros(shape))
 
 
 # a combination coefficient: zero, or far enough from it that a*S(phi) stays
@@ -277,6 +289,10 @@ def test_linearized_base_mismatch_rejected(op31, grid31):
     base = solve_nonlinear(op31, f, None, 0.04, T_FINAL)
     eta = bump_control(grid31, "w1", 0.2, 0.9, DT, NT)
     with pytest.raises(SolverError, match="time grid"):
+        solve_linearized(op31, f, base, eta, DT, T_FINAL)
+    # the same step count at another step size
+    base = solve_nonlinear(op31, f, None, 2 * DT, 2 * T_FINAL)
+    with pytest.raises(SolverError, match=f"^base trajectory dt={2 * DT} != requested dt={DT}$"):
         solve_linearized(op31, f, base, eta, DT, T_FINAL)
 
 
