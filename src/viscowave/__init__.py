@@ -21,8 +21,8 @@ from .dnmap import (DNMapError, alessandrini_residual, dn_difference_linear,
                     dn_matrix_linear, dn_moments_linear, dn_pairing, dn_remainders_nonlinear,
                     nonlinear_integral_identity_residual, self_adjointness_residual,
                     time_reverse)
-from .inversion import (BackgroundStates, IllConditionedError,
-                        InconclusiveError, InversionError, LinearRecovery, Reconstruction,
+from .inversion import (BackgroundStates, IllConditionedError, InconclusiveError,
+                        InversionError, LinearRecovery, Reconstruction, Recovery,
                         estimate_homogeneity_exponent, interior_targets,
                         recover_linear_potential, recover_nonlinear_coefficient)
 from .harness import (ConfigError, compare_reports, field_from_spec,

@@ -126,22 +126,19 @@ def dn_moments_linear(q, recovery):
     """The moments m = coeff1 dP coeff2^T that ``recovery.estimate`` reads,
     of dP, the difference of q's measurement matrix from the background's.
 
-    recovery is an ``inversion.LinearRecovery`` built by its constructor.
-    Where ``solver.steps_controls`` finds its synthesized w1 controls fewer
-    rows than the elements, and it still holds their achieved states, coeff1
-    dP is measured directly, while a worker forms its kernel: the measurement
-    is linear in the control, so it is the difference pass
-    (:func:`solver.solve_linear_difference`) of those controls, driven by
-    their states, paired against the probes.  Otherwise the recovery forms
-    its kernel and releases its states first, and the elements give dP
-    (:func:`dn_difference_linear`) with no synthesized state alive.
+    recovery is an ``inversion.LinearRecovery``, whose ``data_pass`` says
+    which rows step, given the answer of ``solver.steps_controls``, and
+    schedules its kernel.  Where the synthesized w1 controls step, coeff1 dP
+    is measured directly: the measurement is linear in the control, so it
+    is the difference pass (:func:`solver.solve_linear_difference`) of those
+    controls, driven by their states, paired against the probes.  Otherwise
+    the elements give dP (:func:`dn_difference_linear`).
     """
     background, probe_basis = recovery.background, recovery.probe_basis
     op, basis, n = background.op, background.basis, len(recovery.coeff1)
-    if recovery.achieved1 is None or not steps_controls(basis, q, background.q, n):
-        recovery.release_states()
-        return recovery.moments(dn_difference_linear(q, background, probe_basis))
-    with recovery.kernel_alongside():
+    with recovery.data_pass(steps_controls(basis, q, background.q, n)) as controls:
+        if not controls:
+            return recovery.moments(dn_difference_linear(q, background, probe_basis))
         flux = solve_linear_difference(op, q, background.q, basis, recovery.states_of,
                                        _probe_flux(op, basis, probe_basis), n_controls=n)
         return _pair_fluxes(flux, probe_basis) @ recovery.coeff2.T

@@ -620,7 +620,7 @@ def compare_reports(path_a, path_b):
     keys = sorted(set(a["metrics"]) | set(b["metrics"]))
     for key in keys:
         va, vb = a["metrics"].get(key), b["metrics"].get(key)
-        if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
+        if {type(va), type(vb)} <= {int, float}:     # a bool is a value, not a number
             denom = max(abs(va), abs(vb), 1e-300)
             lines.append(f"  {key}: {va!r} vs {vb!r} "
                          f"(rel diff {abs(va - vb) / denom:.3e})")

@@ -401,99 +401,43 @@ def _probing_kernel(fld1, fld2, weights, scale, kern, weighted, product, failed)
         failed.append(exc)
 
 
-class LinearRecovery:
+class Recovery:
     """A recovery of a coefficient from its moments, built once.
 
     The moments integrate the unknown against products of two sides' states
-    on omega.  The probe side is the w2 probe controls, synthesized at
-    synth_alpha towards each target that :func:`interior_targets` samples
-    at target_nodes and target_width (coeff2, one row per target), and the
-    states they achieve, reversed in time.  The constructor's source side
-    is the w1 controls synthesized towards the same targets, over
-    background, the :class:`BackgroundStates` of the w1 basis under a
-    static q_bg, with probe_basis on its time grid: coeff1, and achieved1,
-    their achieved states (n, nt+1, n_omega).  To first order at q_bg, the
-    moments m = coeff1 dP coeff2^T of a pairing difference dP are those of
-    the potential increment.  :meth:`from_source` takes one given row as
-    the source side.  The probing kernel is formed on its first read, by
-    :meth:`estimate` or :meth:`release_states`, or alongside a block of
-    :meth:`kernel_alongside`, then checked and factored with the Cholesky
-    factor of its normal equations, regularized for smoothness with weight
+    on omega: the given source rows, (rows, nt+1, n_omega) on the time grid
+    of probes, the :class:`BackgroundStates` of the w2 basis, and the states
+    achieved by the w2 probe controls, synthesized at synth_alpha towards
+    each target that :func:`interior_targets` samples at target_nodes and
+    target_width (coeff2, one row per target), reversed in time; the
+    moments are (rows, n_targets).  The probing kernel of the two sides is
+    formed on its first read, checked and factored with the Cholesky factor
+    of its normal equations, regularized for smoothness with weight
     alpha_inv; the w2 states go once it is formed.  With q_time_basis=None
     the unknown is static; an integer requests that many piecewise-linear
     time profiles, at least 2, on the forward time axis.
     """
 
-    def __init__(self, background, probe_basis, alpha_inv, synth_alpha, q_time_basis=None,
+    _errs1 = ()     # a given source side misses no target
+
+    def __init__(self, source, probes, alpha_inv, synth_alpha, q_time_basis=None,
                  target_nodes=None, target_width=None):
-        basis1 = background.basis
-        if not background.static:
-            raise InversionError("background potential must be static")
-        if q_time_basis is not None and int(q_time_basis) < 2:
-            raise InversionError(f"q_time_basis must be at least 2, got {q_time_basis}")
-        if (probe_basis.dt, probe_basis.n_steps) != (basis1.dt, basis1.n_steps):
-            raise InversionError("probe basis time grid does not match the background's")
-        if basis1.window != "w1" or probe_basis.window != "w2":
-            raise InversionError("expected controls on w1 and probes on w2")
-        self.background = background
-        probes = BackgroundStates(background.op, background.q, probe_basis, like=background)
-        targets = interior_targets(basis1, target_nodes, target_width)
-        self.coeff1, self.achieved1, self._errs1 = background.synthesize(*targets, synth_alpha)
-        self._probe_side(self.achieved1, probes, targets, synth_alpha, alpha_inv, q_time_basis)
-
-    @classmethod
-    def from_source(cls, source, probes, alpha_inv, synth_alpha, target_nodes, target_width):
-        """The recovery of a static unknown whose source side is one row,
-        source, (nt+1, n_omega) on the time grid of probes, the
-        :class:`BackgroundStates` of the w2 basis: its moments are
-        (1, n_targets).  background, coeff1 and achieved1 are None."""
-        self = cls.__new__(cls)
-        self.background = self.coeff1 = self.achieved1 = None
-        self._errs1 = ()
-        targets = interior_targets(probes.basis, target_nodes, target_width)
-        self._probe_side(np.asarray(source)[None], probes, targets, synth_alpha, alpha_inv, None)
-        return self
-
-    def _probe_side(self, fld1, probes, targets, synth_alpha, alpha_inv, q_time_basis):
-        """Synthesize the probes, and hold what :func:`_probing_kernel` forms
-        the kernel of the source states fld1 from and into until it is formed."""
         basis = self.probe_basis = probes.basis
         self.grid = probes.op.grid
+        states = (basis.n_steps + 1, self.grid.omega.size)
+        if np.shape(source)[1:] != states:
+            raise InversionError(f"source is {np.shape(source)}, not (rows, *{states})")
+        targets = interior_targets(basis, target_nodes, target_width)
         self.coeff2, achieved2, self._errs2 = probes.synthesize(*targets, synth_alpha)
         # the time profiles of a time-dependent unknown, None for a static one
         self._hats = (None if q_time_basis is None
                       else _time_hats(int(q_time_basis), basis.dt, basis.n_steps))
         gamma = np.ones((1, basis.n_steps + 1)) if self._hats is None else self._hats
         self._alpha_inv = alpha_inv
-        self._shape = (len(fld1), len(self.coeff2))
-        self._kernel_job = (fld1, achieved2[:, ::-1, :], gamma * probes.time_weights[None, :],
-                            self.grid.h, *_kernel_arrays(*self._shape, basis.n_steps + 1,
-                                                         self.grid.omega.size, len(gamma)), [])
+        self._shape = (len(source), len(self.coeff2))
+        self._kernel_job = (source, achieved2[:, ::-1, :], gamma * probes.time_weights[None, :],
+                            self.grid.h, *_kernel_arrays(*self._shape, *states, len(gamma)), [])
         self._worker = self._factor = None
-
-    @contextlib.contextmanager
-    def kernel_alongside(self):
-        """Form the probing kernel on a worker thread while the block runs.
-
-        The worker runs :func:`_probing_kernel` into the arrays that the
-        constructor allocated, so that the thread allocates nothing large
-        (glibc keeps the blocks a thread frees in that thread's own arena,
-        and the process's peak grows), and calls no other function of the
-        package (the benchmark tracer, which wraps some, keeps one span stack
-        for the process).  The kernel's first reader, :meth:`estimate`, joins
-        it; so does leaving the block, by an exception too, so that no worker
-        outlives it.  Outside such a block the kernel is formed on the thread
-        that first reads it.
-        """
-        if self._kernel_job is not None and self._worker is None:
-            self._worker = threading.Thread(target=_probing_kernel, args=self._kernel_job,
-                                            name="probing-kernel")
-            self._worker.start()
-        try:
-            yield self
-        finally:
-            if self._worker is not None:
-                self._worker.join()
 
     def _normal_equations(self):
         """The probing kernel and the Cholesky factor of its normal equations,
@@ -531,24 +475,6 @@ class LinearRecovery:
             self._factor = _regularized_factor(self.kernel, pen, self._alpha_inv)
         return self.kernel, self._factor
 
-    def states_of(self, rows):
-        """Achieved w1 background states of the controls at the indices rows:
-        a fresh time-major (nt+1, len(rows), n_omega) block, as
-        :meth:`BackgroundStates.states_of` gives those of elements, for the
-        difference pass of ``dnmap.dn_moments_linear``, which overwrites it."""
-        return np.ascontiguousarray(self.achieved1[rows].transpose(1, 0, 2))
-
-    def release_states(self):
-        """Form the kernel and its factor on this thread, if not yet formed,
-        and release the w1 states: the recovery then holds no achieved state."""
-        self._normal_equations()
-        self.achieved1 = None
-
-    def moments(self, pairings):
-        """m = coeff1 pairings coeff2^T of a (controls, probes) pairing matrix."""
-        with np.errstate(over="ignore", invalid="ignore"):   # estimate reports it
-            return self.coeff1 @ pairings @ self.coeff2.T
-
     def estimate(self, m):
         """The :class:`Reconstruction` of the unknown whose moments are m,
         (source rows, n_targets), which must be finite: its values on every
@@ -573,6 +499,79 @@ class LinearRecovery:
         }
         return Reconstruction(values=values, nodes=om.copy(), node_coords=grid.x[om].copy(),
                               covered=self.covered.copy(), diagnostics=diagnostics)
+
+
+class LinearRecovery(Recovery):
+    """The :class:`Recovery` of a potential increment, whose source side is
+    the w1 controls synthesized towards the probes' targets over background,
+    the :class:`BackgroundStates` of the w1 basis under a static q_bg, with
+    probe_basis on its time grid: coeff1, and achieved1, their achieved
+    states (n, nt+1, n_omega).  To first order at q_bg, the moments
+    m = coeff1 dP coeff2^T of a pairing difference dP are those of the
+    potential increment; each data pass that measures them runs in
+    :meth:`data_pass`, which schedules the kernel beside it.
+    """
+
+    def __init__(self, background, probe_basis, alpha_inv, synth_alpha, q_time_basis=None,
+                 target_nodes=None, target_width=None):
+        basis1 = background.basis
+        if not background.static:
+            raise InversionError("background potential must be static")
+        if q_time_basis is not None and int(q_time_basis) < 2:
+            raise InversionError(f"q_time_basis must be at least 2, got {q_time_basis}")
+        if (probe_basis.dt, probe_basis.n_steps) != (basis1.dt, basis1.n_steps):
+            raise InversionError("probe basis time grid does not match the background's")
+        if basis1.window != "w1" or probe_basis.window != "w2":
+            raise InversionError("expected controls on w1 and probes on w2")
+        self.background = background
+        probes = BackgroundStates(background.op, background.q, probe_basis, like=background)
+        targets = interior_targets(basis1, target_nodes, target_width)
+        self.coeff1, self.achieved1, self._errs1 = background.synthesize(*targets, synth_alpha)
+        super().__init__(self.achieved1, probes, alpha_inv, synth_alpha, q_time_basis,
+                         target_nodes, target_width)
+
+    @contextlib.contextmanager
+    def data_pass(self, controls):
+        """Schedule the probing kernel beside a data pass, and yield whether
+        the pass steps the synthesized controls: controls, the answer of
+        ``solver.steps_controls``, while the recovery still holds achieved1.
+
+        If so, a worker thread runs :func:`_probing_kernel` while the block
+        runs, into the arrays the constructor allocated, so that the thread
+        allocates nothing large (glibc keeps the blocks a thread frees in
+        its own arena, and the process's peak grows), and calls no other
+        function of the package (the benchmark tracer, which wraps some,
+        keeps one span stack for the process).  :meth:`estimate` joins it,
+        and so does leaving the block, by an exception too.  If not, the
+        kernel and its factor are formed on this thread first and the w1
+        states released, so that no achieved state is alive over the pass;
+        every later pass then steps the elements.
+        """
+        controls = bool(controls) and self.achieved1 is not None
+        if not controls:
+            self._normal_equations()
+            self.achieved1 = None
+        elif self._kernel_job is not None and self._worker is None:
+            self._worker = threading.Thread(target=_probing_kernel, args=self._kernel_job,
+                                            name="probing-kernel")
+            self._worker.start()
+        try:
+            yield controls
+        finally:
+            if self._worker is not None:
+                self._worker.join()
+
+    def states_of(self, rows):
+        """Achieved w1 background states of the controls at the indices rows:
+        a fresh time-major (nt+1, len(rows), n_omega) block, as
+        :meth:`BackgroundStates.states_of` gives those of elements, for the
+        difference pass of ``dnmap.dn_moments_linear``, which overwrites it."""
+        return np.ascontiguousarray(self.achieved1[rows].transpose(1, 0, 2))
+
+    def moments(self, pairings):
+        """m = coeff1 pairings coeff2^T of a (controls, probes) pairing matrix."""
+        with np.errstate(over="ignore", invalid="ignore"):   # estimate reports it
+            return self.coeff1 @ pairings @ self.coeff2.T
 
 
 def recover_linear_potential(pairings, background, probe_basis, alpha_inv, synth_alpha,
@@ -628,7 +627,7 @@ def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, eps
     ``dnmap.dn_remainders_nonlinear`` returns them.  The leading remainder at
     amplitude eps scales like eps**(r+1) and pairs q(x) |v0|^r v0 against
     reversed achieved probe states, where v0 = lin on omega: it has the
-    moments of the :class:`LinearRecovery` from source |v0|^r v0 over the
+    moments of the :class:`Recovery` from source |v0|^r v0 over the
     q = 0 background of probe_basis, which takes synth_alpha, target_nodes
     and target_width.  A two-amplitude Richardson step (eps0 and eps0/2,
     error order r) removes the next correction before that recovery
@@ -649,9 +648,8 @@ def recover_nonlinear_coefficient(op, lin, remainders, probe_basis, r_known, eps
             raise InversionError(f"remainder at eps={eps} is {np.shape(remainders[eps])}, "
                                  f"the probe basis has {len(probe_basis)} elements")
     v0 = lin.u[:, op.grid.omega]
-    recovery = LinearRecovery.from_source(np.abs(v0) ** r * v0,
-                                          BackgroundStates(op, None, probe_basis),
-                                          alpha_inv, synth_alpha, target_nodes, target_width)
+    recovery = Recovery((np.abs(v0) ** r * v0)[None], BackgroundStates(op, None, probe_basis),
+                        alpha_inv, synth_alpha, None, target_nodes, target_width)
     w1, w2m = [recovery.coeff2 @ remainders[eps] / eps ** (r + 1) for eps in eps_pair]
     y = (2.0 ** r * w2m - w1) / (2.0 ** r - 1.0)
     recon = recovery.estimate(y[None])

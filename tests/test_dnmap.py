@@ -548,7 +548,8 @@ def test_a_recovery_without_its_states_measures_through_the_elements(op31, kind)
     # rows: a later potential is measured by the element pass, bitwise
     recovery, q = _recovery_and_potential(op31, kind)
     background, basis2 = recovery.background, recovery.probe_basis
-    recovery.release_states()
+    with recovery.data_pass(False) as controls:
+        assert controls is False
     assert recovery.achieved1 is None and recovery._kernel_job is None
     assert solver.steps_controls(background.basis, q, None, len(recovery.coeff1))
     got = dn_moments_linear(q, recovery)
@@ -556,14 +557,27 @@ def test_a_recovery_without_its_states_measures_through_the_elements(op31, kind)
     assert _same(dn_moments_linear(q, recovery), got)
 
 
+def test_a_recovery_that_released_its_states_steps_no_controls(op31):
+    # once its w1 states are gone the recovery answers False whatever the
+    # caller found, and starts no worker: its kernel is formed already
+    recovery, q = _recovery_and_potential(op31, "ramp")
+    with recovery.data_pass(False) as controls:
+        assert controls is False
+    baseline = threading.active_count()
+    with recovery.data_pass(True) as controls:
+        assert controls is False and threading.active_count() == baseline
+    assert recovery.achieved1 is None and recovery._worker is None
+
+
 def test_step_failure_in_the_data_pass_leaves_no_worker(op31):
-    # the data pass raises on the caller's thread; leaving the block joins
-    # the worker, and the kernel it formed is still read
+    # the data pass raises on the caller's thread; leaving the data_pass
+    # block joins the worker, and the kernel it formed is still read
     baseline = threading.active_count()
     recovery, q = _recovery_and_potential(op31, "ramp")
     q[20] = np.inf
     with np.errstate(all="ignore"), pytest.raises(solver.StepFailureError) as err:
-        with recovery.kernel_alongside():
+        with recovery.data_pass(True) as controls:
+            assert controls
             dn_moments_linear(q, recovery)
     assert err.value.step == 20
     assert threading.active_count() == baseline
@@ -580,16 +594,14 @@ def test_kernel_errors_surface_on_the_reading_thread(op31, monkeypatch):
     zero_targets = (np.zeros((3, NT + 1)), np.zeros((1, op31.grid.omega.size)))
     monkeypatch.setattr(inversion, "interior_targets", lambda basis, nodes, width: zero_targets)
     recovery, q = _recovery_and_potential(op31, "ramp")
-    with recovery.kernel_alongside():
-        moments = dn_moments_linear(q, recovery)
+    moments = dn_moments_linear(q, recovery)
     with pytest.raises(inversion.InversionError, match="^probing system is identically zero$"):
         recovery.estimate(moments)
     monkeypatch.undo()
 
     recovery, q = _recovery_and_potential(op31, "ramp")
     recovery._kernel_job[4].flags.writeable = False
-    with recovery.kernel_alongside():
-        moments = dn_moments_linear(q, recovery)
+    moments = dn_moments_linear(q, recovery)
     with pytest.raises(ValueError, match="read-only"):
         recovery.estimate(moments)
     assert threading.active_count() == baseline

@@ -624,6 +624,22 @@ def test_compare_reports_and_mismatch(tmp_path):
                         str(tmp_path / "c" / "report.json"))
 
 
+def test_compare_prints_lists_and_bools_as_values(tmp_path):
+    # a runge report's levels are a list and its monotone a bool: both print
+    # as values, a vs b, and only a number gets a relative difference
+    report = run_scenario(small_cfg(experiment={"kind": "runge", "levels": [8, 16]}),
+                          str(tmp_path / "a"))
+    monotone = report["metrics"]["monotone"]
+    report["metrics"]["monotone"] = not monotone
+    (tmp_path / "b.json").write_text(json.dumps(report))
+    lines = compare_reports(str(tmp_path / "a" / "report.json"),
+                            str(tmp_path / "b.json")).splitlines()
+    assert f"  monotone: {monotone!r} vs {not monotone!r}" in lines
+    assert "  levels: [8, 16] vs [8, 16]" in lines
+    assert [line.split(":")[0] for line in lines if "rel diff" in line] == [
+        "  target_norm", "  tolerance"]
+
+
 # ----------------------------------------------------------------- CLI
 
 
@@ -897,10 +913,14 @@ def test_cli_boolean_where_a_number_is_read_exit_two_one_line(tmp_path, capsys, 
     ({"kind": "invert-linear", "basis_segments": 51},
      "experiment.basis_segments must not exceed the 50 time steps, got 51"),
     ({"kind": "invert-nonlinear", "basis_segments": 56},
-     "experiment.basis_segments must not exceed the 50 time steps, got 56")],
+     "experiment.basis_segments must not exceed the 50 time steps, got 56"),
+    ({"kind": "runge", "levels": 8},
+     "experiment.levels must be a nonempty list, each an integer >= 7, got 8"),
+    ({"kind": "invert-nonlinear", "eps_list": 0.1},
+     "experiment.eps_list must be a nonempty list, each a positive finite number, got 0.1")],
     ids=["empty-window", "control-at-zero", "identity-t2-before-dt", "swapped-pulse",
          "level-above-steps", "repeated-eps", "invert-linear-level-above-steps",
-         "invert-nonlinear-level-above-steps"])
+         "invert-nonlinear-level-above-steps", "scalar-levels", "scalar-eps_list"])
 def test_reader_names_the_key_of_a_bad_window_or_amplitude_list(experiment, message):
     # a pulse's window may start at 0, a control's only at dt: its bump must
     # vanish on the first two time nodes
@@ -908,6 +928,13 @@ def test_reader_names_the_key_of_a_bad_window_or_amplitude_list(experiment, mess
     model = {"kind": "nonlinear" if experiment["kind"] == "invert-nonlinear" else "linear"}
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         validate_config(small_cfg(experiment=experiment, model=model))
+
+
+@pytest.mark.parametrize("needs,other", [("linear", "nonlinear"), ("nonlinear", "linear")])
+def test_reader_refuses_an_inversion_of_the_other_model(needs, other):
+    kind = f"invert-{needs}"
+    with pytest.raises(ConfigError, match=f"^{kind} needs model.kind {needs}$"):
+        validate_config(small_cfg(experiment={"kind": kind}, model={"kind": other}))
 
 
 @pytest.mark.parametrize("kind", ["invert-linear", "invert-nonlinear"])

@@ -291,19 +291,16 @@ def test_only_listed_functions_factor_a_matrix():
 
 
 # The recovery's kernel and its regularized factor, each with the one scope
-# that calls it: both experiments estimate through one LinearRecovery, and a
+# that calls it: both experiments estimate through one Recovery, and a
 # second recovery would call them from a second scope
 RECOVERY_STEPS = {
-    "_probing_kernel": "inversion.LinearRecovery._normal_equations",
-    "_regularized_factor": "inversion.LinearRecovery._normal_equations",
+    "_probing_kernel": "inversion.Recovery._normal_equations",
+    "_regularized_factor": "inversion.Recovery._normal_equations",
 }
-# Where the recovery's kernel is formed, beside a controls pass or before an
-# element pass: the one measurement of the moments chooses the data pass,
-# and with it the kernel's schedule
-KERNEL_SCHEDULES = {
-    "kernel_alongside": "dnmap.dn_moments_linear",
-    "release_states": "dnmap.dn_moments_linear",
-}
+# Where the recovery's kernel is scheduled, beside a controls pass or before
+# an element pass: the one measurement of the moments asks which pass steps,
+# and the recovery answers and schedules its kernel with it
+KERNEL_SCHEDULES = {"data_pass": "dnmap.dn_moments_linear"}
 
 
 def test_one_scope_calls_each_recovery_step():
@@ -320,11 +317,18 @@ def test_the_runner_leaves_the_data_pass_to_the_moments():
     assert {"steps_controls", "dn_difference_linear"}.intersection(_named(path)) == set()
 
 
+def test_the_moments_leave_the_schedule_to_the_recovery():
+    # the measurement asks the recovery's data_pass which rows step: whether
+    # the recovery still holds the states that step its controls is its own
+    path = pathlib.Path(viscowave.__file__).parent / "dnmap.py"
+    assert {"achieved1", "_normal_equations", "_worker"}.intersection(_named(path)) == set()
+
+
 # Where the package starts a thread, each with its reason: a second core is
 # a cost in CPU time and memory to be listed here
 THREADS = {
-    "inversion.LinearRecovery.kernel_alongside": "the probing kernel, formed while a "
-                                                 "controls pass runs on the caller's thread",
+    "inversion.LinearRecovery.data_pass": "the probing kernel, formed while a controls "
+                                          "pass runs on the caller's thread",
 }
 THREAD_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
 

@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from viscowave import (BackgroundStates, IllConditionedError,
                        InconclusiveError, InversionError, LinearRecovery,
-                       Reconstruction, bump_control,
+                       Reconstruction, Recovery, bump_control,
                        dn_difference_linear, dn_matrix_linear, dn_remainders_nonlinear,
                        estimate_homogeneity_exponent,
                        interior_targets, potential_from_spec, power_nonlinearity,
@@ -1159,11 +1159,28 @@ def test_source_kernel_matches_the_einsum_kernel(request, n_nodes, r):
     v0 = solve_linear(op, None, psi, dt, T_FINAL).u[:, op.grid.omega]
     source = np.abs(v0) ** r * v0
     probes = BackgroundStates(op, None, basis2)
-    recovery = LinearRecovery.from_source(source, probes, 1e-2, 1e-12, None, None)
+    recovery = Recovery(source[None], probes, 1e-2, 1e-12)
     kernel, _ = recovery._normal_equations()
     achieved2 = probes.synthesize(*interior_targets(basis2), 1e-12)[1]
     _assert_close(kernel, _einsum_source_kernel(source, achieved2, probes.time_weights,
                                                 op.grid.h), 1e-14)
+
+
+def test_a_given_source_recovery_only_estimates(op31):
+    # a Recovery of a given source has no synthesized controls: no moments
+    # of a pairing matrix, no states to step and no data pass to schedule;
+    # a source off the probes' grid is refused before any synthesis
+    psi, basis2 = _runner_probe(op31, DT, 8)
+    probes = BackgroundStates(op31, None, basis2)
+    source = solve_linear(op31, None, psi, DT, T_FINAL).u[None, :, op31.grid.omega]
+    recovery = Recovery(source, probes, 1e-2, 1e-12)
+    assert not any(hasattr(recovery, name) for name in ("moments", "states_of", "data_pass"))
+    est = recovery.estimate(np.zeros((1, len(recovery.coeff2))))
+    assert est.diagnostics["runge_errors_w1"] == [] and not est.values.any()
+    states = f"{(NT + 1, op31.grid.omega.size)}"
+    message = re.escape(f"source is {states}, not (rows, *{states})")
+    with pytest.raises(InversionError, match=f"^{message}$"):
+        Recovery(source[0], probes, 1e-2, 1e-12)
 
 
 def _subset_estimate(zeta, y, alpha_inv):

@@ -266,6 +266,48 @@ def test_newton_divergence_raises(op31, grid31):
         solve_nonlinear(op31, f, ctl, DT, T_FINAL)
 
 
+class _UncheckedNonlinearity:
+    """f and f' as given functions of u: a Nonlinearity raises on a value
+    that is not finite before the solver could see it."""
+
+    def __init__(self, value, dvalue):
+        self.value, self.dvalue = value, dvalue
+
+
+def _first_step_off_rest(op, ctl):
+    """The first step whose omega states leave rest under the control."""
+    traj = solve_nonlinear(op, zero_nonlinearity(), ctl, DT, T_FINAL)
+    return int(np.flatnonzero(np.abs(traj.u[:, op.grid.omega]).max(axis=1))[0])
+
+
+def test_non_finite_newton_residual_raises_at_its_step(op31, grid31):
+    # f is zero at rest and inf off it: the first step that leaves rest
+    # converges nowhere, and raises with its residual rather than step on
+    f = _UncheckedNonlinearity(lambda u: np.where(u == 0.0, 0.0, np.inf), np.zeros_like)
+    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT, amplitude=1.0)
+    with pytest.raises(NewtonDivergenceError) as err:
+        solve_nonlinear(op31, f, ctl, DT, T_FINAL)
+    assert err.value.step == _first_step_off_rest(op31, ctl)
+    assert err.value.residual == np.inf and err.value.iterations == 1
+
+
+def test_failed_dense_newton_solve_names_its_step(op31, grid31, monkeypatch):
+    # f' this large puts every correction past the split, on a dense solve;
+    # a solve that fails is a step failure at the step that needed it
+    f = _UncheckedNonlinearity(np.zeros_like, lambda u: np.full_like(u, 1e6))
+    ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT, amplitude=1.0)
+    step = _first_step_off_rest(op31, ctl)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(StepFailureError, match=f"^time step {step}: Newton linear solve "
+                                               "failed: Singular matrix$") as err:
+        solve_nonlinear(op31, f, ctl, DT, T_FINAL)
+    assert err.value.step == step
+
+
 def test_newton_iteration_counts_recorded(op31, grid31):
     f = power_nonlinearity(1.0, 2)
     ctl = bump_control(grid31, "w1", 0.1, 0.8, DT, NT, amplitude=0.5)
